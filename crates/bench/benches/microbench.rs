@@ -1,6 +1,6 @@
 //! Microbenchmarks of the core data structures and algorithms:
 //! the Steim-style codec, buffer pool, join implementations, the
-//! R1–R4 join-order optimizer, the recycler, and timestamp parsing.
+//! R1–R4 join-order optimizer, and timestamp parsing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sommelier_engine::expr::Expr;
@@ -9,7 +9,6 @@ use sommelier_engine::join::hash_join;
 use sommelier_engine::joinorder::{order_metadata_first, order_traditional, PlanOptions};
 use sommelier_engine::relation::Relation;
 use sommelier_engine::spec::{JoinEdge, OutputExpr, QuerySpec, TableRef};
-use sommelier_engine::Recycler;
 use sommelier_mseed::gen::{generate_segment, WaveformParams};
 use sommelier_mseed::steim;
 use sommelier_storage::buffer::{BufferPool, BufferPoolConfig};
@@ -17,7 +16,6 @@ use sommelier_storage::index::HashIndex;
 use sommelier_storage::page::PageKey;
 use sommelier_storage::{ColumnData, TableClass};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_steim(c: &mut Criterion) {
     let samples = generate_segment(7, &WaveformParams::default(), 0, 20.0, 65_536);
@@ -157,28 +155,6 @@ fn bench_joinorder(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_recycler(c: &mut Criterion) {
-    let rel = Arc::new(
-        Relation::new(vec![("D.v".into(), ColumnData::Int64(vec![0; 1_000]))]).unwrap(),
-    );
-    let recycler = Recycler::new(64 * 1024 * 1024);
-    for i in 0..128 {
-        recycler.put(&format!("chunk-{i}"), Arc::clone(&rel));
-    }
-    let mut g = c.benchmark_group("recycler");
-    g.bench_function("get_hit", |b| b.iter(|| recycler.get(black_box("chunk-64"))));
-    g.bench_function("get_miss", |b| b.iter(|| recycler.get(black_box("absent"))));
-    g.bench_function("put_evicting", |b| {
-        let small = Recycler::new(rel.approx_bytes() * 4);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            small.put(&format!("c{i}"), Arc::clone(&rel));
-        })
-    });
-    g.finish();
-}
-
 fn bench_time_parsing(c: &mut Criterion) {
     let mut g = c.benchmark_group("time");
     g.bench_function("parse_ts", |b| {
@@ -198,7 +174,6 @@ criterion_group!(
     bench_buffer_pool,
     bench_joins,
     bench_joinorder,
-    bench_recycler,
     bench_time_parsing
 );
 criterion_main!(benches);

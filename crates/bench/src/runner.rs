@@ -37,7 +37,7 @@ impl Drop for SystemGuard {
 pub fn bench_config(scale: &BenchScale) -> SommelierConfig {
     SommelierConfig {
         buffer_pool_bytes: scale.pool_bytes,
-        recycler_bytes: scale.pool_bytes,
+        cellar_bytes: Some(scale.pool_bytes),
         sim_io: if scale.sim_io {
             Some(SimIo { per_page: Duration::from_micros(50) })
         } else {

@@ -45,9 +45,7 @@ use parking_lot::{Condvar, Mutex};
 use sommelier_engine::eval::eval_scalar;
 use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::sched::{CancelToken, DegradationPolicy, SchedPolicy};
-use sommelier_engine::twostage::{
-    AcquiredChunk, ChunkResidency, ChunkSink, ChunkSource, PrefetchHandle,
-};
+use sommelier_engine::twostage::{AcquiredChunk, ChunkResidency, ChunkSink, PrefetchHandle};
 use sommelier_engine::{
     ColumnZone, EngineError, ErrorKind, Obs, ParallelMode, Relation, TraceCollector,
 };
@@ -69,7 +67,7 @@ pub struct CellarConfig {
     pub policy: CellarPolicyKind,
     /// Keep chunks resident after the last pin drops. `false` turns
     /// the cellar into a pure single-flight loader (every query
-    /// re-ingests, as with the recycler disabled).
+    /// re-ingests; [`crate::SommelierConfig::use_recycler`] `= false`).
     pub retain: bool,
     /// Observability handle: worker-pool counters of the decode pools
     /// flow through it. The cellar's own counters live in its internal
@@ -89,7 +87,7 @@ pub struct CellarConfig {
 impl Default for CellarConfig {
     fn default() -> Self {
         CellarConfig {
-            budget_bytes: 256 * 1024 * 1024,
+            budget_bytes: crate::config::DEFAULT_CELLAR_BYTES,
             policy: CellarPolicyKind::Lru,
             retain: true,
             obs: Obs::off(),

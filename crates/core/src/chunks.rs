@@ -1,4 +1,4 @@
-//! Chunk registry and the adapter-backed [`ChunkSource`].
+//! Chunk registry and the adapter-backed [`AdapterChunkSource`].
 //!
 //! The registry is the system's mapping between chunk URIs and the
 //! system-generated keys that the metadata tables carry — what lets a
@@ -13,7 +13,7 @@ use crate::source::{RawChunk, SourceAdapter};
 use parking_lot::Mutex;
 use sommelier_engine::obs::metrics::Counter;
 use sommelier_engine::optimizer::zone_conjunct_contradicted;
-use sommelier_engine::twostage::{ChunkSource, ChunkUnit};
+use sommelier_engine::twostage::ChunkUnit;
 use sommelier_engine::{
     CmpOp, ColumnZone, EngineError, Obs, Relation, ZoneCandidates, ZoneConstraint,
 };
@@ -539,8 +539,8 @@ impl ChunkRegistry {
             .collect()
     }
 
-    /// [`sommelier_engine::twostage::ChunkSource::zone_candidates`]
-    /// over this registry: the indexed positions mapped back to URIs
+    /// [`sommelier_engine::ChunkResidency::zone_candidates`] over this
+    /// registry: the indexed positions mapped back to URIs
     /// (or [`ZoneCandidates::All`] when nothing is excluded).
     pub fn zone_candidates(&self, constraints: &[ZoneConstraint]) -> Option<ZoneCandidates> {
         let positions = self.indexed_candidate_positions(constraints)?;
@@ -571,8 +571,9 @@ impl DecodeCounters {
     }
 }
 
-/// [`ChunkSource`] over one registered source: resolves URIs through
-/// the registry and decodes through the source's adapter.
+/// The chunk source of one registered source: resolves URIs through
+/// the registry and decodes through the source's adapter. The cellar is
+/// its only caller.
 pub struct AdapterChunkSource {
     adapter: Arc<dyn SourceAdapter>,
     registry: Arc<ChunkRegistry>,
@@ -730,10 +731,13 @@ impl AdapterChunkSource {
         }
         Ok(())
     }
-}
 
-impl ChunkSource for AdapterChunkSource {
-    fn load_chunk(
+    /// Ingest one chunk as a relation in the actual-data table's schema
+    /// (qualified column names, e.g. `D.sample_time`). With a
+    /// `projection`, only the named columns need to be materialized
+    /// (the `projection_pushdown` pass guarantees the query references
+    /// nothing else).
+    pub(crate) fn load_chunk(
         &self,
         uri: &str,
         projection: Option<&[String]>,
@@ -764,7 +768,10 @@ impl ChunkSource for AdapterChunkSource {
         Ok(rel)
     }
 
-    fn chunk_units<'s>(
+    /// Split one chunk into independent decode units for exchange-style
+    /// parallelism. Units borrow `self` and are deferred until a worker
+    /// runs them, so nothing decodes in the caller's thread.
+    pub(crate) fn chunk_units<'s>(
         &'s self,
         uri: &str,
         projection: Option<&[String]>,
@@ -851,18 +858,6 @@ impl ChunkSource for AdapterChunkSource {
                 .collect();
         }
         Ok(units)
-    }
-
-    fn all_chunks(&self) -> sommelier_engine::Result<Vec<String>> {
-        Ok(self.registry.entries().iter().map(|e| e.uri.clone()).collect())
-    }
-
-    fn zone_maps(&self, uri: &str) -> Option<Vec<ColumnZone>> {
-        self.registry.zones_of(uri)
-    }
-
-    fn zone_candidates(&self, constraints: &[ZoneConstraint]) -> Option<ZoneCandidates> {
-        self.registry.zone_candidates(constraints)
     }
 }
 

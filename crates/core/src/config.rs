@@ -5,6 +5,10 @@ use crate::fault::{FaultPlan, RetryPolicy};
 use sommelier_engine::{ObsLevel, ParallelMode};
 use sommelier_storage::buffer::SimIo;
 
+/// The cellar budget when [`SommelierConfig::cellar_bytes`] is `None`:
+/// 256 MiB of decoded chunks.
+pub const DEFAULT_CELLAR_BYTES: usize = 256 * 1024 * 1024;
+
 /// Configuration of a [`crate::Sommelier`] instance.
 #[derive(Debug, Clone)]
 pub struct SommelierConfig {
@@ -12,11 +16,7 @@ pub struct SommelierConfig {
     pub buffer_pool_bytes: usize,
     /// Chunk-residency (cellar) budget (bytes): decoded chunks kept
     /// resident across queries. The paper's workload experiments limit
-    /// it to main-memory size. (Historically the Recycler's budget;
-    /// the cellar honors the same knob.)
-    pub recycler_bytes: usize,
-    /// Override for the cellar budget; `None` falls back to
-    /// [`Self::recycler_bytes`]. The bench harness sweeps this.
+    /// it to main-memory size. `None` = [`DEFAULT_CELLAR_BYTES`].
     pub cellar_bytes: Option<usize>,
     /// Eviction policy of the cellar.
     pub cellar_policy: CellarPolicyKind,
@@ -46,7 +46,11 @@ pub struct SommelierConfig {
     /// down predicate before any decode is scheduled (the optimizer's
     /// `zone_map_pruning` pass).
     pub zone_map_pruning: bool,
-    /// Enable the Recycler chunk cache.
+    /// Let the cellar retain decoded chunks across queries, so a later
+    /// query over the same chunk is a cache hit (the role MonetDB's
+    /// Recycler plays in the paper). `false` makes the cellar a pure
+    /// single-flight loader: every query decodes its chunks again, with
+    /// [`Self::projection_pushdown`] applied.
     pub use_recycler: bool,
     /// Verify FK constraints when lazily ingesting chunks. The paper
     /// omits them ("safe by design", §VI-A); enabling this is the
@@ -109,7 +113,7 @@ pub struct SommelierConfig {
 impl SommelierConfig {
     /// The effective cellar byte budget.
     pub fn effective_cellar_bytes(&self) -> usize {
-        self.cellar_bytes.unwrap_or(self.recycler_bytes)
+        self.cellar_bytes.unwrap_or(DEFAULT_CELLAR_BYTES)
     }
 
     /// Dedicated prefetch IO threads: enough to keep the window moving,
@@ -123,7 +127,6 @@ impl Default for SommelierConfig {
     fn default() -> Self {
         SommelierConfig {
             buffer_pool_bytes: 256 * 1024 * 1024,
-            recycler_bytes: 256 * 1024 * 1024,
             cellar_bytes: None,
             cellar_policy: CellarPolicyKind::Lru,
             sim_io: None,
@@ -161,7 +164,7 @@ mod tests {
         assert!(!c.verify_lazy_fk);
         assert_eq!(c.parallel, ParallelMode::Static);
         assert_eq!(c.cellar_policy, CellarPolicyKind::Lru);
-        assert_eq!(c.effective_cellar_bytes(), c.recycler_bytes);
+        assert_eq!(c.effective_cellar_bytes(), DEFAULT_CELLAR_BYTES);
         let c = SommelierConfig { cellar_bytes: Some(1234), ..c };
         assert_eq!(c.effective_cellar_bytes(), 1234);
         assert!(c.shared_scheduler);

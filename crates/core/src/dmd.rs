@@ -735,7 +735,7 @@ mod tests {
             Ok(sommelier_engine::twostage::execute_plan(
                 &db,
                 &plan,
-                sommelier_engine::twostage::ChunkAccess::None,
+                None,
                 &Default::default(),
             )?)
         };

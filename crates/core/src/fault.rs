@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 /// A deterministic fault-injection plan (see
 /// [`crate::SommelierConfig::fault_plan`]; default off — `None`).
 /// Same shape as the `sim_chunk_io` knob: configured once, applied at
-/// the `ChunkSource::load_chunk` / adapter-decode seam.
+/// the `AdapterChunkSource::load_chunk` / adapter-decode seam.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-attempt fault decision. Same seed + same

@@ -80,7 +80,9 @@ use parking_lot::Mutex;
 use sommelier_engine::joinorder::PlanOptions;
 use sommelier_engine::obs::span::fmt_ns;
 use sommelier_engine::optimizer::{self, PassTrace};
-use sommelier_engine::twostage::{execute_plan, ChunkAccess, QueryOutcome, TwoStageConfig};
+use sommelier_engine::twostage::{
+    execute_plan, ChunkResidency, QueryOutcome, TwoStageConfig,
+};
 use sommelier_engine::{
     ColumnZone, ExecStats, LogicalPlan, Obs, QuerySpec, Relation, TraceCollector,
     ZoneCandidates,
@@ -791,7 +793,6 @@ impl Sommelier {
             pushdown: self.config.chunk_pushdown,
             projection_pushdown: self.config.projection_pushdown,
             zone_map_pruning: self.config.zone_map_pruning,
-            use_cache: self.config.use_recycler,
             use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
             max_threads: self.config.max_threads,
@@ -1010,11 +1011,7 @@ impl Sommelier {
         ts_config.cancel = cancel;
         ts_config.degradation = opts.degradation;
         let scoped = cellar.scoped(compiled.source_idx);
-        let access = if mode == LoadingMode::Lazy {
-            ChunkAccess::Managed(&scoped)
-        } else {
-            ChunkAccess::None
-        };
+        let access = (mode == LoadingMode::Lazy).then_some(&scoped as &dyn ChunkResidency);
         let evictions_before = cellar.stats().evictions;
         let outcome = execute_plan(&self.db, &plan, access, &ts_config)?;
         trace.extend(outcome.trace);

@@ -13,8 +13,8 @@
 //!   as `Q = Qf ▷ Qs` with the metadata branch `Qf` marked.
 //! * **Access paths** ([`physical`]): besides scan/index-scan, the
 //!   paper's three additions — *result-scan* (stage-1 result),
-//!   *cache-scan* (recycler-cached chunk), *chunk-access* (lazy chunk
-//!   ingestion).
+//!   *cache-scan* (chunk resident in the residency manager),
+//!   *chunk-access* (lazy chunk ingestion).
 //! * **Rule-based optimizer** ([`optimizer`]): every rewrite — join
 //!   ordering, the run-time chunk rewrite, selection/projection
 //!   pushdown, zone-map chunk pruning, partial-aggregate fusion — is a
@@ -24,9 +24,9 @@
 //!   (rewrite rule 1, optionally with selection pushdown into the
 //!   per-chunk accesses), then evaluate `Qs` — with the paper's *static*
 //!   per-chunk parallelism or the exchange-style dynamic repartitioning
-//!   it sketches as future work.
-//! * **Recycler** ([`recycler`]): the byte-budgeted LRU chunk cache
-//!   standing in for MonetDB's Recycler.
+//!   it sketches as future work. Stage 2 reads every chunk through a
+//!   [`ChunkResidency`] manager (the core crate's cellar, which stands
+//!   in for MonetDB's Recycler).
 //!
 //! The executor is bulk (column-at-a-time), like MonetDB: operators
 //! materialize whole [`relation::Relation`]s.
@@ -43,7 +43,6 @@ pub mod logical;
 pub mod obs;
 pub mod optimizer;
 pub mod physical;
-pub mod recycler;
 pub mod relation;
 pub mod sched;
 pub mod sort;
@@ -56,13 +55,12 @@ pub use logical::LogicalPlan;
 pub use obs::{MetricsRegistry, MetricsSnapshot, Obs, ObsLevel, SpanTrace, TraceCollector};
 pub use optimizer::{ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 pub use physical::{fuse_partial_agg, PhysicalPlan};
-pub use recycler::Recycler;
 pub use relation::{Relation, RelationBuilder};
 pub use sched::{
     CancelToken, DegradationPolicy, MorselScheduler, Priority, SchedPolicy, SchedStats,
 };
 pub use spec::{JoinEdge, QuerySpec, TableRef};
 pub use twostage::{
-    AcquiredChunk, ChunkAccess, ChunkResidency, ChunkSink, ChunkSource, ExecStats,
-    ParallelMode, SkippedChunk, TwoStageConfig,
+    AcquiredChunk, ChunkResidency, ChunkSink, ExecStats, ParallelMode, SkippedChunk,
+    TwoStageConfig,
 };

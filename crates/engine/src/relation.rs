@@ -9,7 +9,7 @@
 //!
 //! Column payloads are shared (`Arc<ColumnData>`), so cloning a
 //! relation, projecting columns out of it, or handing it between the
-//! cellar/recycler and the executor never copies row data — operators
+//! cellar and the executor never copies row data — operators
 //! that really produce new rows (filters, gathers, unions) copy, and
 //! in-place mutation goes through copy-on-write
 //! ([`std::sync::Arc::make_mut`]).
@@ -244,7 +244,7 @@ impl Relation {
         Relation::from_shared(cols)
     }
 
-    /// Approximate heap bytes (for the recycler's budget accounting).
+    /// Approximate heap bytes (for the cellar's budget accounting).
     pub fn approx_bytes(&self) -> usize {
         self.cols.iter().map(|(n, c)| n.len() + c.approx_bytes()).sum::<usize>()
             + self.provenance.as_ref().map_or(0, |p| p.rows.len() * 4)

@@ -33,14 +33,13 @@
 use crate::agg::{merge_partials, partial_aggregate, PartialAgg};
 use crate::error::ErrorKind;
 use crate::error::{EngineError, Result};
-use crate::exec::{execute, run_indexed_policy, ChunkPipeline, ExecContext};
+use crate::exec::{execute, ChunkPipeline, ExecContext};
 use crate::logical::LogicalPlan;
 use crate::obs::{self, span::fmt_ns, Obs, TraceCollector};
 use crate::optimizer::{
     self, ColumnZone, PassTrace, Stage2Options, ZoneCandidates, ZoneConstraint,
 };
 use crate::physical::{lower, ChunkRef, LowerOptions, PhysicalPlan};
-use crate::recycler::Recycler;
 use crate::relation::Relation;
 use crate::sched::{CancelToken, DegradationPolicy, MorselScheduler, Priority, SchedPolicy};
 use parking_lot::Mutex;
@@ -50,57 +49,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A deferred decode unit (e.g. one segment of a chunk file). The
-/// lifetime ties the unit to the source that produced it, so default
-/// implementations can defer through `self` instead of decoding
-/// eagerly; callers run units on scoped worker pools.
+/// lifetime ties the unit to the source that produced it, so units can
+/// defer through a borrowed source instead of decoding eagerly; callers
+/// run units on scoped worker pools.
 pub type ChunkUnit<'a> = Box<dyn FnOnce() -> Result<Relation> + Send + 'a>;
-
-/// Where lazily loaded chunk data comes from. Implemented by the core
-/// crate over the registered source adapters; the engine only sees
-/// relations.
-pub trait ChunkSource: Send + Sync {
-    /// Ingest one chunk as a relation in the actual-data table's schema
-    /// (qualified column names, e.g. `D.sample_time`). With a
-    /// `projection`, only the named columns need to be materialized
-    /// (the `projection_pushdown` pass guarantees the query references
-    /// nothing else).
-    fn load_chunk(&self, uri: &str, projection: Option<&[String]>) -> Result<Relation>;
-
-    /// Split one chunk into independent decode units for exchange-style
-    /// parallelism. The default is a single unit covering the whole
-    /// chunk, deferred until a worker runs it (units borrow `self`, so
-    /// nothing decodes in the caller's thread).
-    fn chunk_units<'s>(
-        &'s self,
-        uri: &str,
-        projection: Option<&[String]>,
-    ) -> Result<Vec<ChunkUnit<'s>>> {
-        let uri = uri.to_string();
-        let projection = projection.map(<[String]>::to_vec);
-        Ok(vec![Box::new(move || self.load_chunk(&uri, projection.as_deref()))])
-    }
-
-    /// Every chunk in the repository (pure actual-data queries must load
-    /// everything — the paper's "no alternative" case).
-    fn all_chunks(&self) -> Result<Vec<String>>;
-
-    /// The recorded zone maps of one chunk, if any (drives the
-    /// `zone_map_pruning` pass). `None` = no zone maps; the chunk is
-    /// never pruned.
-    fn zone_maps(&self, uri: &str) -> Option<Vec<ColumnZone>> {
-        let _ = uri;
-        None
-    }
-
-    /// Indexed stage-1 candidate selection: which registered chunks may
-    /// satisfy the given constraints, answered by a sorted interval
-    /// index over the registry's zone maps in O(log n + hits). `None` =
-    /// no index (the pruning pass falls back to per-chunk zone checks).
-    fn zone_candidates(&self, constraints: &[ZoneConstraint]) -> Option<ZoneCandidates> {
-        let _ = constraints;
-        None
-    }
-}
 
 /// One chunk handed out by a [`ChunkResidency`] manager: the loaded
 /// relation plus how the acquisition was satisfied.
@@ -185,13 +137,13 @@ pub trait PrefetchHandle: Send {
     fn finish(&self);
 }
 
-/// A chunk-granularity residency manager (the core crate's *cellar*).
+/// A chunk-granularity residency manager (the core crate's *cellar*):
+/// the only way stage 2 reads chunks.
 ///
-/// Unlike the raw [`ChunkSource`] + [`Recycler`] pair, a residency
-/// manager owns the loaded/not-loaded state: acquisitions *pin* chunks
-/// so they cannot be evicted mid-query, concurrent acquisitions of the
-/// same chunk are deduplicated to a single decode (single-flight), and
-/// releasing the pins lets the manager enforce its byte budget.
+/// The manager owns the loaded/not-loaded state: acquisitions *pin*
+/// chunks so they cannot be evicted mid-query, concurrent acquisitions
+/// of the same chunk are deduplicated to a single decode (single-flight),
+/// and releasing the pins lets the manager enforce its byte budget.
 pub trait ChunkResidency: Send + Sync {
     /// Is the chunk resident right now? (Advisory — used to label
     /// cache-scan vs chunk-access in plans; [`Self::acquire_many`] is
@@ -262,14 +214,17 @@ pub trait ChunkResidency: Send + Sync {
     fn all_chunks(&self) -> Result<Vec<String>>;
 
     /// The recorded zone maps of one chunk, if any (drives the
-    /// `zone_map_pruning` pass).
+    /// `zone_map_pruning` pass). `None` = no zone maps; the chunk is
+    /// never pruned.
     fn zone_maps(&self, uri: &str) -> Option<Vec<ColumnZone>> {
         let _ = uri;
         None
     }
 
-    /// Indexed stage-1 candidate selection (see
-    /// [`ChunkSource::zone_candidates`]).
+    /// Indexed stage-1 candidate selection: which registered chunks may
+    /// satisfy the given constraints, answered by a sorted interval
+    /// index over the registry's zone maps in O(log n + hits). `None` =
+    /// no index (the pruning pass falls back to per-chunk zone checks).
     fn zone_candidates(&self, constraints: &[ZoneConstraint]) -> Option<ZoneCandidates> {
         let _ = constraints;
         None
@@ -299,40 +254,6 @@ pub trait ChunkResidency: Send + Sync {
     ) -> Option<Box<dyn PrefetchHandle>> {
         let _ = (uris, policy);
         None
-    }
-}
-
-/// Where stage 2's chunk rows come from.
-pub enum ChunkAccess<'a> {
-    /// No lazy chunks available (eager plans, pure-metadata queries).
-    None,
-    /// The legacy direct path: decode through `source`, optionally
-    /// caching whole chunks in the recycler. No pinning: a concurrent
-    /// eviction mid-query is an error, and concurrent queries may
-    /// decode the same chunk twice.
-    Direct { source: &'a dyn ChunkSource, recycler: Option<&'a Recycler> },
-    /// A residency manager owns loading, caching, pinning and eviction.
-    Managed(&'a dyn ChunkResidency),
-}
-
-impl ChunkAccess<'_> {
-    /// Zone-map lookup through whichever access path is configured.
-    fn zone_maps(&self, uri: &str) -> Option<Vec<ColumnZone>> {
-        match self {
-            ChunkAccess::None => None,
-            ChunkAccess::Direct { source, .. } => source.zone_maps(uri),
-            ChunkAccess::Managed(residency) => residency.zone_maps(uri),
-        }
-    }
-
-    /// Indexed candidate selection through whichever access path is
-    /// configured.
-    fn zone_candidates(&self, constraints: &[ZoneConstraint]) -> Option<ZoneCandidates> {
-        match self {
-            ChunkAccess::None => None,
-            ChunkAccess::Direct { source, .. } => source.zone_candidates(constraints),
-            ChunkAccess::Managed(residency) => residency.zone_candidates(constraints),
-        }
     }
 }
 
@@ -399,8 +320,6 @@ pub struct TwoStageConfig {
     /// Drop chunks whose zone maps contradict the pushed-down predicate
     /// before any decode is scheduled (the `zone_map_pruning` pass).
     pub zone_map_pruning: bool,
-    /// Use the Recycler chunk cache.
-    pub use_cache: bool,
     /// Use FK join indices where available (eager-index plans).
     pub use_index_joins: bool,
     /// Which `Qf` output column carries the chunk URI. There is no
@@ -439,7 +358,6 @@ impl Default for TwoStageConfig {
             pushdown: true,
             projection_pushdown: true,
             zone_map_pruning: true,
-            use_cache: true,
             use_index_joins: false,
             uri_column: String::new(),
             max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
@@ -495,7 +413,8 @@ pub struct ExecStats {
     pub files_pruned: usize,
     /// Chunks actually ingested (cache misses).
     pub files_loaded: usize,
-    /// Chunks served by the Recycler.
+    /// Chunks already resident in the residency manager (or joined
+    /// from another query's in-flight load) — no decode of their own.
     pub cache_hits: usize,
     /// Unreadable chunks skipped under
     /// [`DegradationPolicy::SkipUnreadable`] (quarantined before the
@@ -516,8 +435,8 @@ pub struct ExecStats {
     /// Total time acquisitions spent blocked on in-flight loads.
     pub pin_wait: Duration,
     /// Chunks the residency manager evicted while this query ran
-    /// (filled by the driver's caller from the manager's stats; always
-    /// 0 on the direct/recycler path).
+    /// (filled by the driver's caller from the manager's stats; 0 when
+    /// the plan reads no chunks).
     pub cellar_evictions: u64,
 }
 
@@ -557,11 +476,12 @@ pub struct QueryOutcome {
 ///
 /// Plans without lazy scans (eager loading, or queries that never touch
 /// actual data) run in a single pass; plans with lazy scans go through
-/// the full two-stage protocol.
+/// the full two-stage protocol and read their chunks from `access`
+/// (`None` = no lazy chunks available, e.g. eager plans).
 pub fn execute_plan(
     db: &Database,
     plan: &LogicalPlan,
-    access: ChunkAccess<'_>,
+    access: Option<&dyn ChunkResidency>,
     config: &TwoStageConfig,
 ) -> Result<QueryOutcome> {
     let mut stats = ExecStats::default();
@@ -613,26 +533,15 @@ pub fn execute_plan(
     // ---- Run-time chunk list: what stage 1 selected. ---------------
     config.check_cancel()?;
     let chunk_refs: Option<Vec<ChunkRef>> = if plan.has_lazy_scan() {
+        let Some(residency) = access else {
+            return Err(EngineError::Chunk(
+                "plan has lazy scans but no chunk source given".into(),
+            ));
+        };
         let uris: Vec<String> = match qf_id {
-            Some(id) => {
-                // Fail fast if no access path exists at all.
-                if matches!(access, ChunkAccess::None) {
-                    return Err(EngineError::Chunk(
-                        "plan has lazy scans but no chunk source given".into(),
-                    ));
-                }
-                distinct_uris(&ctx.materialized[id], &config.uri_column)?
-            }
+            Some(id) => distinct_uris(&ctx.materialized[id], &config.uri_column)?,
             // Pure-AD query: load the whole repository.
-            None => match &access {
-                ChunkAccess::None => {
-                    return Err(EngineError::Chunk(
-                        "plan has lazy scans but no chunk source given".into(),
-                    ))
-                }
-                ChunkAccess::Direct { source, .. } => source.all_chunks()?,
-                ChunkAccess::Managed(residency) => residency.all_chunks()?,
-            },
+            None => residency.all_chunks()?,
         };
         stats.files_selected = uris.len();
         let uris = sample_uris(uris, config.sampling, &mut stats);
@@ -640,45 +549,30 @@ pub fn execute_plan(
         // never reach the decode wave, and their files are never
         // touched again. Under `Strict` the query fails here, fast and
         // typed; under `SkipUnreadable` it proceeds without them.
-        let uris = if let ChunkAccess::Managed(residency) = &access {
-            let mut kept = Vec::with_capacity(uris.len());
-            for u in uris {
-                match residency.quarantined(&u) {
-                    None => kept.push(u),
-                    Some(reason) => match config.degradation {
-                        DegradationPolicy::SkipUnreadable => {
-                            stats.files_skipped += 1;
-                            skipped.push(SkippedChunk { uri: u, reason });
-                        }
-                        DegradationPolicy::Strict => {
-                            return Err(EngineError::ChunkLoad {
-                                uri: u,
-                                kind: ErrorKind::Permanent,
-                                message: format!("chunk is quarantined: {reason}"),
-                            })
-                        }
-                    },
-                }
+        let mut kept = Vec::with_capacity(uris.len());
+        for u in uris {
+            match residency.quarantined(&u) {
+                None => kept.push(u),
+                Some(reason) => match config.degradation {
+                    DegradationPolicy::SkipUnreadable => {
+                        stats.files_skipped += 1;
+                        skipped.push(SkippedChunk { uri: u, reason });
+                    }
+                    DegradationPolicy::Strict => {
+                        return Err(EngineError::ChunkLoad {
+                            uri: u,
+                            kind: ErrorKind::Permanent,
+                            message: format!("chunk is quarantined: {reason}"),
+                        })
+                    }
+                },
             }
-            kept
-        } else {
-            uris
-        };
-        Some(match &access {
-            ChunkAccess::None => unreachable!("checked above"),
-            ChunkAccess::Direct { recycler, .. } => uris
-                .iter()
-                .map(|u| ChunkRef {
-                    uri: u.clone(),
-                    cached: config.use_cache
-                        && recycler.map(|r| r.contains(u)).unwrap_or(false),
-                })
-                .collect(),
-            ChunkAccess::Managed(residency) => uris
-                .iter()
+        }
+        Some(
+            kept.iter()
                 .map(|u| ChunkRef { uri: u.clone(), cached: residency.is_resident(u) })
                 .collect(),
-        })
+        )
     } else {
         None
     };
@@ -686,11 +580,11 @@ pub fn execute_plan(
     // ---- Stage-2 rewrite pipeline: zone-map pruning, the lazy-scan →
     // union chunk rewrite (lowering), selection pushdown, partial-
     // aggregate fusion, projection pushdown.
-    let zones = |uri: &str| access.zone_maps(uri);
+    let zones = |uri: &str| access.and_then(|a| a.zone_maps(uri));
     let zone_candidates = |constraints: &[ZoneConstraint]| {
         // The zone-index probe: indexed stage-1 candidate selection.
         let t0 = Instant::now();
-        let r = access.zone_candidates(constraints);
+        let r = access.and_then(|a| a.zone_candidates(constraints));
         if let Some(tc) = tracer {
             let dur = t0.elapsed().as_nanos() as u64;
             let end = tc.now_ns();
@@ -773,8 +667,8 @@ pub fn execute_plan(
     // workers decode chunk k. The guard finishes the plan on every
     // exit path (success, decode error, cancel), releasing staged-but-
     // unconsumed bytes.
-    let prefetch_guard: Option<PrefetchGuard> = match (&s2.chunks, &access) {
-        (Some(refs), ChunkAccess::Managed(residency)) if !refs.is_empty() => {
+    let prefetch_guard: Option<PrefetchGuard> = match (&s2.chunks, access) {
+        (Some(refs), Some(residency)) if !refs.is_empty() => {
             let to_fetch: Vec<String> =
                 refs.iter().filter(|r| !r.cached).map(|r| r.uri.clone()).collect();
             let handle = if to_fetch.is_empty() {
@@ -804,8 +698,8 @@ pub fn execute_plan(
     // The load span is ambient while the wave runs, so per-chunk spans
     // recorded on pool workers attach under it.
     let outer_span = tracer.map(|tc| tc.ambient());
-    let load_span = match (&s2.chunks, &access) {
-        (Some(_), access) if !matches!(access, ChunkAccess::None) => tracer.map(|tc| {
+    let load_span = match (&s2.chunks, access) {
+        (Some(_), Some(_)) => tracer.map(|tc| {
             let id = tc.start(tc.ambient(), "load");
             tc.set_ambient(Some(id));
             id
@@ -816,49 +710,9 @@ pub fn execute_plan(
     // Cancellation checkpoint before any decode work is scheduled: a
     // cancel here means no pins were ever taken.
     config.check_cancel()?;
-    match (&s2.chunks, &access) {
-        (None, _) | (_, ChunkAccess::None) => {}
-        (Some(refs), ChunkAccess::Direct { source, recycler }) => {
-            let t = Instant::now();
-            for r in refs.iter().filter(|r| r.cached) {
-                let rel =
-                    recycler.expect("cached flag implies recycler").get(&r.uri).ok_or_else(
-                        || EngineError::Chunk(format!("chunk {:?} evicted mid-query", r.uri)),
-                    )?;
-                stats.cache_hits += 1;
-                ctx.chunks.insert(r.uri.clone(), rel);
-            }
-            // The recycler retains whole chunks across queries, so a
-            // caching run must decode full width; projection applies
-            // only when nothing outlives this query.
-            let caching = config.use_cache && recycler.is_some();
-            let projection = if caching { None } else { decode_projection.as_deref() };
-            let to_load: Vec<&str> =
-                refs.iter().filter(|r| !r.cached).map(|r| r.uri.as_str()).collect();
-            let policy = config.policy();
-            let loaded = match config.parallel {
-                ParallelMode::Static => {
-                    load_static(*source, &to_load, projection, &policy, &config.obs)?
-                }
-                ParallelMode::Exchange { .. } => {
-                    load_exchange(*source, &to_load, projection, &policy, &config.obs)?
-                }
-            };
-            for (uri, rel) in loaded {
-                stats.files_loaded += 1;
-                stats.rows_loaded += rel.rows() as u64;
-                stats.bytes_loaded += rel.approx_bytes() as u64;
-                let rel = Arc::new(rel);
-                if caching {
-                    if let Some(r) = recycler {
-                        r.put(&uri, Arc::clone(&rel));
-                    }
-                }
-                ctx.chunks.insert(uri, rel);
-            }
-            stats.load = t.elapsed();
-        }
-        (Some(refs), ChunkAccess::Managed(residency)) => {
+    match (&s2.chunks, access) {
+        (None, _) | (_, None) => {}
+        (Some(refs), Some(residency)) => {
             let uris: Vec<String> = refs.iter().map(|r| r.uri.clone()).collect();
             let projection = decode_projection.as_deref();
             let t = Instant::now();
@@ -872,7 +726,7 @@ pub fn execute_plan(
             {
                 let node = phys.find_partial_agg().expect("counted above").clone();
                 let merged = fused_wave(
-                    *residency,
+                    residency,
                     &uris,
                     projection,
                     &node,
@@ -897,7 +751,7 @@ pub fn execute_plan(
                     .filter(|(_, c)| c.skipped.is_none())
                     .map(|(u, _)| u.clone())
                     .collect();
-                pin_guard = Some(PinGuard { residency: *residency, uris: pinned });
+                pin_guard = Some(PinGuard { residency, uris: pinned });
                 for (uri, chunk) in uris.iter().zip(acquired) {
                     if let Some(reason) = &chunk.skipped {
                         stats.files_skipped += 1;
@@ -962,7 +816,7 @@ pub fn execute_plan(
     drop(pin_guard);
 
     // Chunk accounting must balance on every path: each selected chunk
-    // is pruned, sampled out, loaded, or a cache hit.
+    // is pruned, sampled out, loaded, a cache hit, or skipped.
     debug_assert!(
         stats.accounting_balanced(),
         "chunk accounting out of balance: selected {} != pruned {} + sampled_out {} + loaded {} + hits {} + skipped {}",
@@ -1174,90 +1028,6 @@ fn distinct_uris(rf: &Relation, uri_column: &str) -> Result<Vec<String>> {
     Ok(out)
 }
 
-/// Static parallelism: chunks pre-partitioned round-robin over up to
-/// `max_threads` workers; each worker ingests its fixed share.
-fn load_static(
-    source: &dyn ChunkSource,
-    uris: &[&str],
-    projection: Option<&[String]>,
-    policy: &SchedPolicy,
-    obs: &Obs,
-) -> Result<Vec<(String, Relation)>> {
-    let policy = SchedPolicy { parallel: ParallelMode::Static, ..policy.clone() };
-    let loaded = run_indexed_policy(uris.len(), &policy, obs, |i| {
-        let tracer = obs.tracer();
-        let t0 = tracer.map(|tc| tc.now_ns());
-        let rel = source.load_chunk(uris[i], projection);
-        if let (Some(tc), Some(t0)) = (tracer, t0) {
-            tc.record(
-                tc.ambient(),
-                "chunk.load",
-                uris[i].to_string(),
-                t0,
-                tc.now_ns().saturating_sub(t0),
-                obs::current_worker(),
-                rel.as_ref().ok().map(|r| r.rows() as u64),
-                rel.as_ref().ok().map(|r| r.approx_bytes() as u64),
-            );
-        }
-        rel
-    });
-    let mut out = Vec::with_capacity(uris.len());
-    for (uri, rel) in uris.iter().zip(loaded) {
-        out.push((uri.to_string(), rel?));
-    }
-    Ok(out)
-}
-
-/// Exchange-style parallelism: decode units from all chunks feed a
-/// shared queue drained by a fixed worker pool, so skew between chunks
-/// balances out.
-fn load_exchange(
-    source: &dyn ChunkSource,
-    uris: &[&str],
-    projection: Option<&[String]>,
-    policy: &SchedPolicy,
-    obs: &Obs,
-) -> Result<Vec<(String, Relation)>> {
-    if uris.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Build the unit list (cheap: header reads, no decoding) ...
-    let mut slots: Vec<(usize, Mutex<Option<ChunkUnit<'_>>>)> = Vec::new();
-    for (fi, uri) in uris.iter().enumerate() {
-        for unit in source.chunk_units(uri, projection)? {
-            slots.push((fi, Mutex::new(Some(unit))));
-        }
-    }
-    // ... then decode dynamically: each worker pulls the next unit.
-    let results = run_indexed_policy(slots.len(), policy, obs, |i| {
-        let unit = slots[i].1.lock().take().expect("each unit taken once");
-        let tracer = obs.tracer();
-        let t0 = tracer.map(|tc| tc.now_ns());
-        let rel = unit();
-        if let (Some(tc), Some(t0)) = (tracer, t0) {
-            tc.record(
-                tc.ambient(),
-                "chunk.load",
-                format!("{} (unit)", uris[slots[i].0]),
-                t0,
-                tc.now_ns().saturating_sub(t0),
-                obs::current_worker(),
-                rel.as_ref().ok().map(|r| r.rows() as u64),
-                rel.as_ref().ok().map(|r| r.approx_bytes() as u64),
-            );
-        }
-        rel
-    });
-    // Reassemble per-file relations; unit order within a file is the
-    // construction order, so the union is deterministic.
-    let mut per_file: Vec<Relation> = (0..uris.len()).map(|_| Relation::empty()).collect();
-    for (&(fi, _), rel) in slots.iter().zip(results) {
-        per_file[fi].union_in_place(&rel?)?;
-    }
-    Ok(uris.iter().map(|u| u.to_string()).zip(per_file).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1297,44 +1067,13 @@ mod tests {
             ])
             .unwrap()
         }
-    }
 
-    fn apply_projection(rel: Relation, projection: Option<&[String]>) -> Result<Relation> {
-        match projection {
-            Some(cols) => {
-                let wanted: Vec<(String, String)> =
-                    cols.iter().map(|c| (c.clone(), c.clone())).collect();
-                rel.project_named(&wanted)
-            }
-            None => Ok(rel),
-        }
-    }
-
-    impl ChunkSource for FakeSource {
-        fn load_chunk(&self, uri: &str, projection: Option<&[String]>) -> Result<Relation> {
+        fn load_chunk(&self, uri: &str) -> Result<Relation> {
             self.loads.fetch_add(1, Ordering::Relaxed);
             let i: i64 = uri[1..]
                 .parse()
                 .map_err(|_| EngineError::Chunk(format!("unknown uri {uri:?}")))?;
-            apply_projection(Self::rel_for(i), projection)
-        }
-
-        fn chunk_units<'s>(
-            &'s self,
-            uri: &str,
-            projection: Option<&[String]>,
-        ) -> Result<Vec<ChunkUnit<'s>>> {
-            // Two units per chunk: split the 3 rows as 2 + 1.
-            self.loads.fetch_add(1, Ordering::Relaxed);
-            let i: i64 = uri[1..].parse().unwrap();
-            let full = apply_projection(Self::rel_for(i), projection)?;
-            let a = full.take(&[0, 1]);
-            let b = full.take(&[2]);
-            Ok(vec![Box::new(move || Ok(a)), Box::new(move || Ok(b))])
-        }
-
-        fn all_chunks(&self) -> Result<Vec<String>> {
-            Ok(self.uris.clone())
+            Ok(Self::rel_for(i))
         }
     }
 
@@ -1413,7 +1152,7 @@ mod tests {
                         return Ok(AcquiredChunk::untimed(Arc::clone(rel), false, false));
                     }
                     // Retaining manager: always decodes full width.
-                    let rel = Arc::new(self.source.load_chunk(u, None)?);
+                    let rel = Arc::new(self.source.load_chunk(u)?);
                     resident.insert(u.clone(), Arc::clone(&rel));
                     Ok(AcquiredChunk::untimed(rel, true, false))
                 })
@@ -1427,7 +1166,7 @@ mod tests {
         }
 
         fn all_chunks(&self) -> Result<Vec<String>> {
-            self.source.all_chunks()
+            Ok(self.source.uris.clone())
         }
 
         fn quarantined(&self, uri: &str) -> Option<String> {
@@ -1492,75 +1231,19 @@ mod tests {
     #[test]
     fn two_stage_loads_only_selected_chunks() {
         let db = metadata_db();
-        let source = FakeSource::new(3);
-        let recycler = Recycler::new(1 << 20);
+        let residency = FakeResidency::new(3);
         let config = test_config();
-        let out = execute_plan(
-            &db,
-            &lazy_plan(),
-            ChunkAccess::Direct { source: &source, recycler: Some(&recycler) },
-            &config,
-        )
-        .unwrap();
+        let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         // Stage 1 selects files 0 and 2 (ISK); their 6 values: 0,1,2,20,21,22.
         assert_eq!(out.relation.value(0, "avg_v").unwrap(), Value::Float(11.0));
         assert_eq!(out.stats.files_selected, 2);
         assert_eq!(out.stats.files_loaded, 2);
         assert_eq!(out.stats.cache_hits, 0);
         assert_eq!(out.stats.rows_loaded, 6);
-        assert_eq!(source.loads.load(Ordering::Relaxed), 2, "u1 never touched");
+        assert_eq!(residency.source.loads.load(Ordering::Relaxed), 2, "u1 never touched");
         // The aggregate fused: no union was materialized.
         assert_eq!(out.stats.partial_agg_chunks, 2);
         assert_eq!(out.stats.rows_union_materialized, 0);
-    }
-
-    #[test]
-    fn second_run_hits_recycler() {
-        let db = metadata_db();
-        let source = FakeSource::new(3);
-        let recycler = Recycler::new(1 << 20);
-        let config = test_config();
-        let access = || ChunkAccess::Direct { source: &source, recycler: Some(&recycler) };
-        execute_plan(&db, &lazy_plan(), access(), &config).unwrap();
-        let out = execute_plan(&db, &lazy_plan(), access(), &config).unwrap();
-        assert_eq!(out.stats.cache_hits, 2);
-        assert_eq!(out.stats.files_loaded, 0);
-        assert_eq!(source.loads.load(Ordering::Relaxed), 2, "no re-ingestion");
-        assert_eq!(out.relation.value(0, "avg_v").unwrap(), Value::Float(11.0));
-    }
-
-    #[test]
-    fn cache_disabled_always_reloads() {
-        let db = metadata_db();
-        let source = FakeSource::new(3);
-        let recycler = Recycler::new(1 << 20);
-        let config = TwoStageConfig { use_cache: false, ..test_config() };
-        let access = || ChunkAccess::Direct { source: &source, recycler: Some(&recycler) };
-        execute_plan(&db, &lazy_plan(), access(), &config).unwrap();
-        let out = execute_plan(&db, &lazy_plan(), access(), &config).unwrap();
-        assert_eq!(out.stats.cache_hits, 0);
-        assert_eq!(out.stats.files_loaded, 2);
-        assert_eq!(source.loads.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn exchange_mode_matches_static() {
-        let db = metadata_db();
-        let source = FakeSource::new(3);
-        let config = TwoStageConfig {
-            parallel: ParallelMode::Exchange { workers: 4 },
-            use_cache: false,
-            ..test_config()
-        };
-        let out = execute_plan(
-            &db,
-            &lazy_plan(),
-            ChunkAccess::Direct { source: &source, recycler: None },
-            &config,
-        )
-        .unwrap();
-        assert_eq!(out.relation.value(0, "avg_v").unwrap(), Value::Float(11.0));
-        assert_eq!(out.stats.rows_loaded, 6);
     }
 
     #[test]
@@ -1568,16 +1251,14 @@ mod tests {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
         let config = test_config();
-        let out = execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &config)
-            .unwrap();
+        let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         assert_eq!(out.relation.value(0, "avg_v").unwrap(), Value::Float(11.0));
         assert_eq!(out.stats.files_loaded, 2);
         assert_eq!(out.stats.partial_agg_chunks, 2);
         assert_eq!(out.stats.rows_union_materialized, 0, "no union materialized");
         assert_eq!(residency.pins.load(Ordering::SeqCst), 0, "all pins released");
         // Second run: served from residency, still fused.
-        let out2 = execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &config)
-            .unwrap();
+        let out2 = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         assert_eq!(out2.stats.cache_hits, 2);
         assert_eq!(out2.stats.files_loaded, 0);
         assert_eq!(out2.relation.value(0, "avg_v").unwrap(), Value::Float(11.0));
@@ -1588,13 +1269,10 @@ mod tests {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
         let fused =
-            execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &test_config())
-                .unwrap();
+            execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap();
         // Pushdown off → no fusion → load-all + materialized union.
         let config = TwoStageConfig { pushdown: false, ..test_config() };
-        let unioned =
-            execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &config)
-                .unwrap();
+        let unioned = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         assert_eq!(unioned.stats.partial_agg_chunks, 0);
         assert!(unioned.stats.rows_union_materialized > 0);
         match (
@@ -1620,7 +1298,7 @@ mod tests {
             }),
             exprs: vec![("s".into(), Expr::col("F.station"))],
         };
-        let out = execute_plan(&db, &plan, ChunkAccess::None, &test_config()).unwrap();
+        let out = execute_plan(&db, &plan, None, &test_config()).unwrap();
         assert_eq!(out.relation.rows(), 3);
         assert_eq!(out.stats.files_selected, 0);
         assert!(out.stats.stage1 > Duration::ZERO);
@@ -1629,7 +1307,7 @@ mod tests {
     #[test]
     fn pure_ad_plan_loads_everything() {
         let db = metadata_db();
-        let source = FakeSource::new(3);
+        let residency = FakeResidency::new(3);
         let plan = LogicalPlan::Aggregate {
             input: Box::new(LogicalPlan::LazyScan {
                 table: "D".into(),
@@ -1639,13 +1317,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![("n".into(), AggFunc::Count, Expr::col("D.sample_value"))],
         };
-        let out = execute_plan(
-            &db,
-            &plan,
-            ChunkAccess::Direct { source: &source, recycler: None },
-            &test_config(),
-        )
-        .unwrap();
+        let out = execute_plan(&db, &plan, Some(&residency), &test_config()).unwrap();
         assert_eq!(out.stats.files_selected, 3, "no metadata: all chunks");
         assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(9));
     }
@@ -1654,7 +1326,7 @@ mod tests {
     fn missing_source_is_an_error() {
         let db = metadata_db();
         assert!(matches!(
-            execute_plan(&db, &lazy_plan(), ChunkAccess::None, &test_config()),
+            execute_plan(&db, &lazy_plan(), None, &test_config()),
             Err(EngineError::Chunk(_))
         ));
     }
@@ -1668,8 +1340,7 @@ mod tests {
             degradation: DegradationPolicy::SkipUnreadable,
             ..test_config()
         };
-        let out = execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &config)
-            .unwrap();
+        let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         // Only u0's values (0, 1, 2) survive; u2 is skipped.
         assert_eq!(out.relation.value(0, "avg_v").unwrap(), Value::Float(1.0));
         assert_eq!(out.stats.files_skipped, 1);
@@ -1687,8 +1358,7 @@ mod tests {
         let residency = FakeResidency::new(3);
         residency.unreadable.lock().insert("u2".into(), "bad magic".into());
         let err =
-            execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &test_config())
-                .unwrap_err();
+            execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap_err();
         match err {
             EngineError::ChunkLoad { uri, kind, .. } => {
                 assert_eq!(uri, "u2");
@@ -1707,8 +1377,7 @@ mod tests {
             degradation: DegradationPolicy::SkipUnreadable,
             ..test_config()
         };
-        let out = execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &config)
-            .unwrap();
+        let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         assert_eq!(out.stats.files_skipped, 1);
         assert_eq!(out.skipped[0].uri, "u2");
         assert_eq!(
@@ -1719,8 +1388,7 @@ mod tests {
         // Strict mode fails fast on the quarantined chunk, still
         // without touching its file.
         let err =
-            execute_plan(&db, &lazy_plan(), ChunkAccess::Managed(&residency), &test_config())
-                .unwrap_err();
+            execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap_err();
         assert!(matches!(err, EngineError::ChunkLoad { uri, .. } if uri == "u2"));
         assert_eq!(residency.source.loads.load(Ordering::Relaxed), 1);
     }

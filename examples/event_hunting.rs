@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let r3 = somm.query(drill)?;
     println!(
         "\ndrill-down (T5): {:?} — {} qualifying samples from {} chunk(s) \
-         ({} served by the recycler)",
+         ({} already resident in the cellar)",
         t.elapsed(),
         r3.relation.rows(),
         r3.stats.files_selected,

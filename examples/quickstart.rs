@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.stats.stage2,
     );
 
-    // 4. Run it again: the Recycler serves the chunk from cache.
+    // 4. Run it again: the cellar serves the chunk it kept resident.
     let again = somm.query(sql)?;
     println!(
         "again: {} cache hits, {} chunk loads, total {:?}",

@@ -127,10 +127,11 @@ fn classification_is_mode_independent() {
 
 #[test]
 fn repeated_queries_are_stable_under_caching() {
-    // Results must not change as the recycler fills up / evicts.
+    // Results must not change as the cellar fills up / evicts.
     let dir = TempDir::new("stable");
     let repo = ingv_repo(&dir, 3, 64);
-    let config = SommelierConfig { recycler_bytes: 64 * 1024, ..SommelierConfig::default() };
+    let config =
+        SommelierConfig { cellar_bytes: Some(64 * 1024), ..SommelierConfig::default() };
     let somm = prepared(&repo, LoadingMode::Lazy, config);
     let (_, t4) = &queries()[3];
     let first = canonical(&somm.query(t4).unwrap().relation);

@@ -1,0 +1,88 @@
+//! Guardrails: superseded execution paths stay deleted.
+//!
+//! Stage 2 reads chunks only through a `ChunkResidency` manager (the
+//! cellar). The legacy direct path — `ChunkAccess::Direct`, the engine's
+//! Recycler, the `ChunkSource` trait and its static/exchange loaders,
+//! and the knobs that selected them — was removed at cutover. This test
+//! scans every `crates/*/src/**/*.rs` file (comment lines skipped, so
+//! prose citing the paper's Recycler stays legal) and fails if any of
+//! those symbols reappear. A later deletion adds its own lines to
+//! [`FORBIDDEN`] and [`DELETED_FILES`].
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Code that must not reappear: `(needle, what replaced it)`.
+const FORBIDDEN: &[(&str, &str)] = &[
+    ("ChunkAccess", "execute_plan takes Option<&dyn ChunkResidency>"),
+    ("struct Recycler", "the cellar retains decoded chunks"),
+    ("mod recycler", "the cellar retains decoded chunks"),
+    ("recycler_bytes", "the budget is SommelierConfig::cellar_bytes"),
+    ("use_cache", "SommelierConfig::use_recycler selects the cellar's retain mode"),
+    ("trait ChunkSource", "the cellar calls AdapterChunkSource's inherent methods"),
+    ("fn load_static", "the cellar runs the static decode wave"),
+    ("fn load_exchange", "the cellar runs the exchange decode wave"),
+];
+
+/// Files that must stay deleted (relative to the workspace root).
+const DELETED_FILES: &[&str] = &["crates/engine/src/recycler.rs"];
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `crates/*/src/**/*.rs` file in the workspace.
+fn crate_sources() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(workspace_root().join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files
+}
+
+#[test]
+fn deleted_symbols_stay_deleted() {
+    let files = crate_sources();
+    assert!(files.len() > 50, "scan found only {} source files", files.len());
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = fs::read_to_string(file).unwrap();
+        for (no, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            for (needle, replacement) in FORBIDDEN {
+                if line.contains(needle) {
+                    hits.push(format!(
+                        "{}:{}: `{needle}` was deleted ({replacement})",
+                        file.display(),
+                        no + 1
+                    ));
+                }
+            }
+        }
+    }
+    assert!(hits.is_empty(), "deleted code reappeared:\n{}", hits.join("\n"));
+}
+
+#[test]
+fn deleted_files_stay_deleted() {
+    let root = workspace_root();
+    for file in DELETED_FILES {
+        assert!(!root.join(file).exists(), "{file} is deleted and must not come back");
+    }
+}

@@ -325,7 +325,7 @@ fn all_knobs_combined() {
         parallel: ParallelMode::Exchange { workers: 2 },
         chunk_pushdown: false,
         verify_lazy_fk: true,
-        recycler_bytes: 1,
+        cellar_bytes: Some(1),
         ..SommelierConfig::default()
     };
     let somm = prepared(&repo, LoadingMode::Lazy, config);

@@ -1,5 +1,5 @@
 //! Behavioural properties of the two-stage execution model: which
-//! chunks get loaded, how the recycler changes access paths, and how
+//! chunks get loaded, how the cellar changes access paths, and how
 //! selectivity drives work (the mechanisms behind Figs. 7–9).
 
 use sommelier_core::{LoadingMode, SommelierConfig};
@@ -60,8 +60,8 @@ fn metadata_only_queries_load_nothing() {
 }
 
 #[test]
-fn recycler_turns_loads_into_cache_scans() {
-    let dir = TempDir::new("recycler");
+fn cellar_turns_loads_into_cache_scans() {
+    let dir = TempDir::new("cellar");
     let repo = fiam_repo(&dir, 6, 32);
     let somm = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
     // Mid-day boundaries: segment end times sit exactly on day
@@ -86,10 +86,10 @@ fn recycler_turns_loads_into_cache_scans() {
 }
 
 #[test]
-fn tiny_recycler_budget_evicts_and_reloads() {
+fn tiny_cellar_budget_evicts_and_reloads() {
     let dir = TempDir::new("evict");
     let repo = fiam_repo(&dir, 4, 64);
-    let config = SommelierConfig { recycler_bytes: 1, ..SommelierConfig::default() };
+    let config = SommelierConfig { cellar_bytes: Some(1), ..SommelierConfig::default() };
     let somm = prepared(&repo, LoadingMode::Lazy, config);
     let sql = "SELECT AVG(D.sample_value) FROM dataview \
                WHERE D.sample_time < '2010-01-03T00:00:00.000'";
@@ -101,7 +101,7 @@ fn tiny_recycler_budget_evicts_and_reloads() {
 }
 
 #[test]
-fn disabling_recycler_behaves_like_zero_budget() {
+fn non_retaining_cellar_behaves_like_zero_budget() {
     let dir = TempDir::new("nocache");
     let repo = fiam_repo(&dir, 3, 32);
     let config = SommelierConfig { use_recycler: false, ..SommelierConfig::default() };
