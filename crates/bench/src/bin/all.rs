@@ -14,6 +14,5 @@ fn main() {
     sommelier_bench::experiments::stage2_parallel(&scale).expect("stage2 sweep").print();
     sommelier_bench::experiments::optimizer_sweep(&scale).expect("optimizer sweep").print();
     sommelier_bench::experiments::decode_hotpath(&scale).expect("decode sweep").print();
-    sommelier_bench::experiments::server_traffic(&scale).expect("server traffic").print();
     sommelier_bench::experiments::fault_sweep(&scale).expect("fault sweep").print();
 }

@@ -10,9 +10,7 @@
 use crate::datasets::{dataset, BenchScale, DatasetKind};
 use crate::queries;
 use crate::report::{secs, Table};
-use crate::runner::{
-    bench_config, cold_hot, fresh_shared_system, fresh_system, fresh_system_with, time_it,
-};
+use crate::runner::{bench_config, cold_hot, fresh_system, fresh_system_with, time_it};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sommelier_core::cellar::CellarPolicyKind;
@@ -1176,7 +1174,7 @@ fn fnv1a(s: &str) -> u64 {
 /// an XOR over per-row hashes. Row-returning queries whose waves span
 /// several chunks concatenate per-chunk results in completion order,
 /// so row *order* is scheduling-dependent while the row *multiset* is
-/// not — this is exactly the equality the traffic driver must check.
+/// not — this is exactly the equality the chaos driver must check.
 fn relation_fingerprint(i: usize, rel: &sommelier_engine::Relation) -> u64 {
     use std::fmt::Write;
     let mut bits = fnv1a(&format!("{i}:cols={:?}:rows={}", rel.names(), rel.rows()));
@@ -1188,163 +1186,6 @@ fn relation_fingerprint(i: usize, rel: &sommelier_engine::Relation) -> u64 {
         bits ^= fnv1a(&format!("{i}:{row}"));
     }
     bits
-}
-
-/// Query-server traffic driver: a fixed mixed T1–T5 workload replayed
-/// through the session API at rising client counts, comparing the
-/// shared morsel scheduler (plus admission control) against the legacy
-/// one-scoped-pool-per-query baseline.
-///
-/// Every cell executes the *same* global workload — clients pull the
-/// next query from a shared cursor — so `result_bits` (an XOR of
-/// per-query row-multiset fingerprints, each bound to its workload
-/// position — see `relation_fingerprint` above) must be identical
-/// across every mode × client-count cell; the function asserts this. The configuration is decode-bound
-/// (recycler off, simulated I/O off) so the baseline pays its real
-/// oversubscription cost: up to `clients × max_threads` live worker
-/// threads versus the shared pool's fixed `max_threads`.
-pub fn server_traffic(scale: &BenchScale) -> Result<Table> {
-    use sommelier_server::{Server, SessionOptions};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    let mut t = Table::new(
-        "Query server: mixed T1-T5 traffic, shared scheduler vs per-query pools \
-         (FIAM, lazy, decode-bound)",
-        &[
-            "mode",
-            "clients",
-            "queries",
-            "threads",
-            "wall_s",
-            "qps",
-            "p50_ms",
-            "p99_ms",
-            "result_bits",
-        ],
-    );
-    let (sf, _) = scale.sf_extremes();
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let total_days = days_for_sf(sf) as i64;
-    let d0 = start_day();
-
-    // The fixed global workload: T1-T5 over rotating 4-day windows.
-    let window = 4i64.min(total_days);
-    let mut workload = Vec::new();
-    for r in 0..12i64 {
-        let day = d0 + (r * window) % (total_days - window + 1).max(1);
-        let (a, b) = queries::day_range(day, window);
-        workload.push(queries::t1("FIAM"));
-        workload.push(queries::t2("FIAM", "HHZ", a, b));
-        workload.push(queries::t3("FIAM", "HHZ", a, b));
-        workload.push(queries::t4("FIAM", "HHZ", a, b));
-        workload.push(queries::t5_selectivity(a, b));
-    }
-
-    // Decode-bound: the recycler would serve repeats from cache and
-    // hide the scheduling difference entirely, and simulated I/O
-    // sleeps would overlap for free in the oversubscribed baseline.
-    // `max_threads` is pinned so the cell is machine-independent.
-    let shared = SommelierConfig {
-        use_recycler: false,
-        sim_io: None,
-        sim_chunk_io: None,
-        max_threads: 4,
-        ..bench_config(scale)
-    };
-    // The baseline models the pre-server engine: no shared pool (every
-    // query wave spawns its own scoped pool) and admission effectively
-    // disabled, so every caller runs immediately.
-    let baseline = SommelierConfig {
-        shared_scheduler: false,
-        admission_max_concurrent: usize::MAX / 2,
-        admission_high_water: f64::INFINITY,
-        ..shared.clone()
-    };
-    let threads = shared.max_threads;
-
-    let mut reference_bits: Option<u64> = None;
-    for (mode, config) in [("per-query-pools", baseline), ("shared-sched", shared)] {
-        for &clients in &[1usize, 4, 8, 16] {
-            let guard = fresh_shared_system(scale, &repo, LoadingMode::Lazy, config.clone())?;
-            // Warm every DMd type the workload touches over the full
-            // range so derivation (whose table row order would depend
-            // on concurrent completion order) happens outside the
-            // measured region; measured queries then exercise decode +
-            // scheduling only.
-            let (wa, wb) = queries::day_range(d0, total_days);
-            guard.somm.query(&queries::t2("FIAM", "HHZ", wa, wb))?;
-            guard.somm.query(&queries::t3("FIAM", "HHZ", wa, wb))?;
-            guard.somm.query(&queries::t4("FIAM", "HHZ", wa, wb))?;
-            guard.somm.query(&queries::t5_selectivity(wa, wb))?;
-            guard.somm.flush_caches();
-
-            let server = Server::new(Arc::clone(&guard.somm));
-            // Replay the workload `runs` times per cell; latencies
-            // aggregate across repeats (percentiles stabilize), and
-            // every repeat must reproduce the reference bits exactly.
-            let mut ms: Vec<f64> = Vec::new();
-            let mut total_wall = 0.0f64;
-            let mut cell_bits = 0u64;
-            for _rep in 0..scale.runs.max(1) {
-                let cursor = AtomicUsize::new(0);
-                let bits = AtomicU64::new(0);
-                let lat = Mutex::new(Vec::with_capacity(workload.len()));
-                let t0 = std::time::Instant::now();
-                std::thread::scope(|scope| {
-                    for _ in 0..clients {
-                        scope.spawn(|| {
-                            let session = server.open_session(SessionOptions::default());
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(sql) = workload.get(i) else { break };
-                                let tq = std::time::Instant::now();
-                                let res = session
-                                    .submit(sql)
-                                    .and_then(|h| h.wait())
-                                    .unwrap_or_else(|e| panic!("query {i} failed: {e}"));
-                                let d = tq.elapsed();
-                                bits.fetch_xor(
-                                    relation_fingerprint(i, &res.relation),
-                                    Ordering::Relaxed,
-                                );
-                                lat.lock().expect("latency lock").push(d);
-                            }
-                        });
-                    }
-                });
-                total_wall += t0.elapsed().as_secs_f64();
-                let rep = lat.into_inner().expect("latency lock");
-                assert_eq!(rep.len(), workload.len(), "every query ran exactly once");
-                ms.extend(rep.iter().map(|d| d.as_secs_f64() * 1e3));
-                cell_bits = bits.load(Ordering::Relaxed);
-                match reference_bits {
-                    None => reference_bits = Some(cell_bits),
-                    Some(r) => assert_eq!(
-                        r, cell_bits,
-                        "results diverged: {mode} at {clients} clients"
-                    ),
-                }
-            }
-
-            ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-            let n = ms.len();
-            let p50 = ms[(n - 1) / 2];
-            let p99 = ms[((n - 1) as f64 * 0.99).round() as usize];
-            t.row(vec![
-                mode.into(),
-                clients.to_string(),
-                n.to_string(),
-                threads.to_string(),
-                format!("{total_wall:.6}"),
-                format!("{:.2}", n as f64 / total_wall.max(1e-12)),
-                format!("{p50:.3}"),
-                format!("{p99:.3}"),
-                format!("{cell_bits:016x}"),
-            ]);
-        }
-    }
-    Ok(t)
 }
 
 /// Window depths the prefetch sweep compares (0 = classic fused path).
@@ -1885,20 +1726,6 @@ mod tests {
             let ok: usize = row[3].parse().unwrap();
             assert!(ok > 0, "seed {}: chaos must not kill the whole schedule", row[0]);
         }
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
-    }
-
-    #[test]
-    fn server_traffic_shape() {
-        let scale = tiny("server");
-        let t = server_traffic(&scale).unwrap();
-        // 2 modes x 4 client counts; result_bits equality across cells
-        // is asserted inside the experiment itself.
-        assert_eq!(t.rows.len(), 8);
-        let modes: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
-        assert!(modes.contains(&"per-query-pools") && modes.contains(&"shared-sched"));
-        let first_bits = &t.rows[0][8];
-        assert!(t.rows.iter().all(|r| &r[8] == first_bits), "identical results per cell");
         let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 }

@@ -6,7 +6,6 @@ use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_storage::buffer::SimIo;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -104,45 +103,6 @@ pub fn fresh_system_with_adapter(
         Sommelier::builder().source(adapter).config(config).on_disk(&db_dir).build()?;
     let prep = somm.prepare(mode)?;
     Ok(SystemGuard { somm, prep, db_dir })
-}
-
-/// A disk-backed system handed back inside an [`Arc`] so it can be
-/// shared with a `sommelier_server::Server` and its per-query control
-/// threads. The scratch database is removed when the guard drops, so
-/// callers must join every thread still holding a clone of the system
-/// before letting go of the guard.
-pub struct SharedSystemGuard {
-    pub somm: Arc<Sommelier>,
-    pub prep: PrepReport,
-    db_dir: PathBuf,
-}
-
-impl Drop for SharedSystemGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.db_dir);
-    }
-}
-
-/// Like [`fresh_system_with`], but returns a [`SharedSystemGuard`].
-pub fn fresh_shared_system(
-    scale: &BenchScale,
-    repo: &Repository,
-    mode: LoadingMode,
-    config: SommelierConfig,
-) -> sommelier_core::Result<SharedSystemGuard> {
-    let db_dir = scale.data_dir.join(format!(
-        "scratch-db-{}-{}",
-        std::process::id(),
-        SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&db_dir);
-    let somm = Sommelier::builder()
-        .source(MseedAdapter::new(Repository::at(repo.dir())))
-        .config(config)
-        .on_disk(&db_dir)
-        .build()?;
-    let prep = somm.prepare(mode)?;
-    Ok(SharedSystemGuard { somm: Arc::new(somm), prep, db_dir })
 }
 
 /// Cold + hot timings for one query on a prepared system: cold = caches

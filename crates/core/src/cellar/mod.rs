@@ -783,7 +783,7 @@ impl Cellar {
         }
     }
 
-    /// The paper's static strategy: one pre-assigned share per worker.
+    /// The paper's static strategy: one task per whole chunk.
     fn decode_static(
         &self,
         claims: &[(String, Arc<LoadLatch>)],
@@ -809,7 +809,7 @@ impl Cellar {
     }
 
     /// Exchange-style decoding: per-segment units of all claimed chunks
-    /// feed one shared queue, so skew between chunks balances out.
+    /// form one batch, so skew between chunks balances out.
     fn decode_exchange(
         &self,
         claims: &[(String, Arc<LoadLatch>)],
@@ -886,8 +886,7 @@ impl Cellar {
 
     // ---- Streaming acquisition (pipelined decode→execute) ------------
 
-    /// [`ChunkResidency::acquire_each`], streaming: a worker pool
-    /// drains a task per chunk — resident chunks go straight to the
+    /// [`ChunkResidency::acquire_each`], streaming: one task per chunk — resident chunks go straight to the
     /// sink, misses decode first (single-flight latches exactly as in
     /// [`Self::acquire_impl`]), joins wait on the other loader's latch.
     /// Pins are dropped chunk by chunk — a hit stays pinned from
@@ -898,13 +897,12 @@ impl Cellar {
     /// budget while a wave's hits await their sink calls).
     ///
     /// The tasks are drained in two passes: hits and claimed loads
-    /// first (hits ahead of claims, so their pins drop earliest), joins
-    /// last. Neither hits nor claims ever wait on a latch, so by the
-    /// time any join of this wave blocks, every claim of this wave has
-    /// published — and since every wave orders its tasks the same way,
-    /// a join can only ever wait on a claim that is running or queued
-    /// behind non-blocking tasks, never behind another blocked join.
-    /// Interleaving joins with claims on one bounded pool deadlocks two
+    /// first, as one morsel batch (hits ahead of claims, so their pins
+    /// drop earliest), then joins, inline on the submitting thread.
+    /// Neither hits nor claims ever wait on a latch, so pool workers
+    /// never block: a join waits on another wave's claim, which is
+    /// running or queued on the pool behind non-blocking tasks and so
+    /// always publishes. Joins on the pool could deadlock two
     /// concurrent waves that each join chunks the other claimed (all
     /// workers blocked in `LoadLatch::wait` while the publishing tasks
     /// sit queued behind them).
@@ -949,12 +947,11 @@ impl Cellar {
         }
         eager.append(&mut claims);
 
-        // Phase 2: drain the passes on the worker pool. Static mode
-        // uses the paper's pre-assigned shares, exchange mode a shared
-        // queue; either way each worker decodes (if needed), sinks,
-        // unpins. The pin ledger counts every pin a task holds and every
-        // release; a task path that drops out without unpinning (the
-        // cancellation-leak class of bug) trips the assert below.
+        // Phase 2: drain the two passes (see above); each task decodes
+        // (if needed), sinks, unpins. The pin ledger counts every pin a
+        // task holds and every release; a task path that drops out
+        // without unpinning (the cancellation-leak class of bug) trips
+        // the assert below.
         let tctx = TaskCtx {
             projection,
             sink,
@@ -966,18 +963,7 @@ impl Cellar {
         };
         let run = |&i: &usize| self.run_task(i, &uris[i], &tasks[i], &tctx);
         run_indexed_policy(eager.len(), policy, &self.config.obs, |k| run(&eager[k]));
-        if policy.scheduler.is_some() {
-            // Joins block on another wave's latch. Shared-pool workers
-            // must never block (all workers waiting on latches whose
-            // publishers sit queued behind them is a deadlock across
-            // queries), so joins drain inline on the submitting thread.
-            joins.iter().for_each(&run);
-        } else {
-            // Legacy scoped pool: the two-pass ordering alone prevents
-            // the cross-wave latch deadlock (see above), so joins may
-            // use the pool.
-            run_indexed_policy(joins.len(), policy, &self.config.obs, |k| run(&joins[k]));
-        }
+        joins.iter().for_each(&run);
         debug_assert_eq!(
             tctx.pin_ledger.load(Ordering::SeqCst),
             0,
@@ -1816,11 +1802,22 @@ mod tests {
     use crate::dmd::DmdManager;
     use crate::registrar::register_source;
     use crate::source::SourceAdapter;
+    use sommelier_engine::MorselScheduler;
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
     use sommelier_storage::{ColumnData, ConstraintPolicy};
     use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    /// A policy on a 2-worker pool shared by every test that uses it
+    /// (the shipping shape): waves claim on the pool, joins drain
+    /// inline on the submitting thread.
+    fn pooled(parallel: ParallelMode) -> SchedPolicy {
+        static POOL: OnceLock<Arc<MorselScheduler>> = OnceLock::new();
+        let pool = POOL.get_or_init(|| Arc::new(MorselScheduler::new(2)));
+        SchedPolicy::new(parallel, 2).with_scheduler(Some(Arc::clone(pool)))
+    }
 
     struct Fixture {
         dir: PathBuf,
@@ -1902,9 +1899,8 @@ mod tests {
             &fx,
             CellarConfig { budget_bytes: one * 2 + one / 2, ..CellarConfig::default() },
         );
-        let acquired = cellar
-            .acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2))
-            .unwrap();
+        let acquired =
+            cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         assert_eq!(acquired.len(), 4);
         assert!(acquired.iter().all(|a| a.loaded));
         // Working set pinned: transiently over budget, nothing evicted.
@@ -1921,14 +1917,10 @@ mod tests {
         let fx = fixture("hits", 2, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        let first = cellar
-            .acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2))
-            .unwrap();
+        let first = cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         assert!(first.iter().all(|a| a.loaded && !a.joined));
         cellar.release_many(&all);
-        let second = cellar
-            .acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2))
-            .unwrap();
+        let second = cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         assert!(second.iter().all(|a| !a.loaded && !a.joined));
         cellar.release_many(&all);
         let s = cellar.stats();
@@ -1946,7 +1938,7 @@ mod tests {
                 let all = &all;
                 scope.spawn(move || {
                     let got = cellar
-                        .acquire_many(all, None, &SchedPolicy::new(ParallelMode::Static, 2))
+                        .acquire_many(all, None, &pooled(ParallelMode::Static))
                         .unwrap();
                     assert_eq!(got.len(), all.len());
                     // Every thread sees the same relation contents.
@@ -1968,10 +1960,10 @@ mod tests {
         let all = uris(&fx);
         let cellar =
             cellar_over(&fx, CellarConfig { retain: false, ..CellarConfig::default() });
-        cellar.acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2)).unwrap();
+        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         cellar.release_many(&all);
         assert_eq!(cellar.resident_chunks(), 0);
-        cellar.acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2)).unwrap();
+        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         cellar.release_many(&all);
         let s = cellar.stats();
         assert_eq!(s.loads, 2 * all.len() as u64, "every query re-ingests");
@@ -1984,14 +1976,9 @@ mod tests {
         let all = uris(&fx);
         let a = cellar_over(&fx, CellarConfig::default());
         let b = cellar_over(&fx, CellarConfig::default());
-        let got_a =
-            a.acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2)).unwrap();
+        let got_a = a.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         let got_b = b
-            .acquire_many(
-                &all,
-                None,
-                &SchedPolicy::new(ParallelMode::Exchange { workers: 3 }, 2),
-            )
+            .acquire_many(&all, None, &pooled(ParallelMode::Exchange { workers: 3 }))
             .unwrap();
         for (x, y) in got_a.iter().zip(&got_b) {
             assert_eq!(x.relation.rows(), y.relation.rows());
@@ -2062,7 +2049,7 @@ mod tests {
         let day0 = days_from_civil(2011, 3, 1) * MS_PER_DAY;
         fx.dmd.mark_covered([(vec!["web-1".to_string(), "api".to_string()], day0)]);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2)).unwrap();
+        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         cellar.release_many(&all);
         assert_eq!(cellar.resident_chunks(), 2);
         cellar.clear();
@@ -2113,7 +2100,7 @@ mod tests {
                 assert!(chunk.loaded);
                 Ok(())
             };
-            cellar.acquire_each(&all, None, &SchedPolicy::new(mode, 2), &sink).unwrap();
+            cellar.acquire_each(&all, None, &pooled(mode), &sink).unwrap();
             let counts = delivered.lock().clone();
             assert!(counts.iter().all(|&n| n == 1), "{counts:?}");
             assert!(rows.load(Ordering::Relaxed) > 0);
@@ -2124,7 +2111,7 @@ mod tests {
                 *hits.lock() += 1;
                 Ok(())
             };
-            cellar.acquire_each(&all, None, &SchedPolicy::new(mode, 2), &sink2).unwrap();
+            cellar.acquire_each(&all, None, &pooled(mode), &sink2).unwrap();
             assert_eq!(*hits.lock(), all.len());
             let s = cellar.stats();
             assert_eq!(s.loads, all.len() as u64);
@@ -2151,12 +2138,7 @@ mod tests {
             Ok(())
         };
         cellar
-            .acquire_each(
-                &all,
-                None,
-                &SchedPolicy::new(ParallelMode::Exchange { workers: 2 }, 2),
-                &sink,
-            )
+            .acquire_each(&all, None, &pooled(ParallelMode::Exchange { workers: 2 }), &sink)
             .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), all.len() as u64);
         // Budget holds once the wave is over (no pins survive).
@@ -2167,53 +2149,57 @@ mod tests {
     #[test]
     fn streaming_acquisition_concurrent_waves_reverse_orders_complete() {
         // Regression: waves that join chunks another wave claimed must
-        // never wedge the bounded worker pool — joins are drained only
-        // after every claim of the wave has published, so a latch wait
-        // can never sit ahead of the task that would publish it.
+        // never wedge — joins are drained only after every claim of the
+        // wave has published, and never on a pool worker, so a latch
+        // wait can never sit ahead of the task that would publish it.
         // `retain: false` maximizes claim/join churn (every wave
-        // re-claims every chunk, joins re-admit via `pin_or_readmit`),
-        // and one worker per wave makes any ordering violation wedge
-        // immediately.
+        // re-claims every chunk, joins re-admit via `pin_or_readmit`).
+        // Two shapes: serial waves (any ordering violation wedges a
+        // submitter immediately), and six submitters sharing one
+        // 2-worker pool (claims on the pool, joins inline — the
+        // shipping shape, where a join blocking a worker would wedge
+        // every wave).
         let fx = fixture("stream-xwave", 4, 32);
         let all = uris(&fx);
-        let cellar =
-            cellar_over(&fx, CellarConfig { retain: false, ..CellarConfig::default() });
-        let waves_per_thread = 12u64;
-        std::thread::scope(|scope| {
-            for t in 0..6usize {
-                let cellar = &cellar;
-                let all = &all;
-                scope.spawn(move || {
-                    // Opposing, rotated orders across threads so claims
-                    // and joins of concurrent waves interleave.
-                    let mut wave = all.clone();
-                    if t % 2 == 1 {
-                        wave.reverse();
-                    }
-                    let rot = t % wave.len();
-                    wave.rotate_left(rot);
-                    for _ in 0..waves_per_thread {
-                        let n = AtomicU64::new(0);
-                        let sink = |_i: usize, chunk: AcquiredChunk| {
-                            assert!(chunk.relation.rows() > 0);
-                            n.fetch_add(1, Ordering::Relaxed);
-                            Ok(())
-                        };
-                        cellar
-                            .acquire_each(
-                                &wave,
-                                None,
-                                &SchedPolicy::new(ParallelMode::Static, 1),
-                                &sink,
-                            )
-                            .unwrap();
-                        assert_eq!(n.load(Ordering::Relaxed), wave.len() as u64);
-                    }
-                });
-            }
-        });
-        let s = cellar.stats();
-        assert_eq!(s.hits + s.joins + s.loads, 6 * waves_per_thread * all.len() as u64);
+        let pool = Arc::new(MorselScheduler::new(2));
+        let serial = SchedPolicy::new(ParallelMode::Static, 1);
+        let shared =
+            SchedPolicy::new(ParallelMode::Static, 2).with_scheduler(Some(Arc::clone(&pool)));
+        for policy in [&serial, &shared] {
+            let cellar =
+                cellar_over(&fx, CellarConfig { retain: false, ..CellarConfig::default() });
+            let waves_per_thread = 12u64;
+            std::thread::scope(|scope| {
+                for t in 0..6usize {
+                    let cellar = &cellar;
+                    let all = &all;
+                    scope.spawn(move || {
+                        // Opposing, rotated orders across threads so
+                        // claims and joins of concurrent waves
+                        // interleave.
+                        let mut wave = all.clone();
+                        if t % 2 == 1 {
+                            wave.reverse();
+                        }
+                        let rot = t % wave.len();
+                        wave.rotate_left(rot);
+                        for _ in 0..waves_per_thread {
+                            let n = AtomicU64::new(0);
+                            let sink = |_i: usize, chunk: AcquiredChunk| {
+                                assert!(chunk.relation.rows() > 0);
+                                n.fetch_add(1, Ordering::Relaxed);
+                                Ok(())
+                            };
+                            cellar.acquire_each(&wave, None, policy, &sink).unwrap();
+                            assert_eq!(n.load(Ordering::Relaxed), wave.len() as u64);
+                        }
+                    });
+                }
+            });
+            let s = cellar.stats();
+            assert_eq!(s.hits + s.joins + s.loads, 6 * waves_per_thread * all.len() as u64);
+        }
+        assert!(pool.stats().tasks > 0, "the shared run claimed on the pool");
     }
 
     #[test]
@@ -2245,7 +2231,7 @@ mod tests {
         let fx = fixture("peak", 3, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2)).unwrap();
+        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
         let peak = cellar.peak_resident_bytes();
         assert_eq!(peak, cellar.resident_bytes());
         cellar.release_many(&all);
@@ -2348,7 +2334,7 @@ mod tests {
         let all = uris(&fx);
         let clean = cellar_over(&fx, CellarConfig::default());
         let expect: Vec<usize> = clean
-            .acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2))
+            .acquire_many(&all, None, &pooled(ParallelMode::Static))
             .unwrap()
             .iter()
             .map(|a| a.relation.rows())
@@ -2357,7 +2343,7 @@ mod tests {
         let before = io_retries();
         let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), CellarConfig::default());
         for mode in [ParallelMode::Static, ParallelMode::Exchange { workers: 2 }] {
-            let got = cellar.acquire_many(&all, None, &SchedPolicy::new(mode, 2)).unwrap();
+            let got = cellar.acquire_many(&all, None, &pooled(mode)).unwrap();
             let rows: Vec<usize> = got.iter().map(|a| a.relation.rows()).collect();
             assert_eq!(rows, expect, "retried loads decode the same data");
             assert!(got.iter().all(|a| a.skipped.is_none()));
@@ -2404,9 +2390,7 @@ mod tests {
         let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
         // Strict: the typed error names the chunk, and the chunk lands
         // in quarantine.
-        let err = cellar
-            .acquire_many(&all, None, &SchedPolicy::new(ParallelMode::Static, 2))
-            .unwrap_err();
+        let err = cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap_err();
         assert!(
             matches!(&err, EngineError::ChunkLoad { uri, .. } if *uri == all[0]),
             "{err}"
@@ -2418,7 +2402,7 @@ mod tests {
         assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_none());
         // Skip mode: the batch completes, the corrupt chunk becomes a
         // schema-correct empty placeholder carrying the reason.
-        let mut policy = SchedPolicy::new(ParallelMode::Static, 2);
+        let mut policy = pooled(ParallelMode::Static);
         policy.degradation = DegradationPolicy::SkipUnreadable;
         let got = cellar.acquire_many(&all, None, &policy).unwrap();
         assert_eq!(got.len(), 2);
@@ -2436,7 +2420,7 @@ mod tests {
         let all = uris(&fx);
         let plan = FaultPlan { corrupt_uris: vec![all[1].clone()], ..FaultPlan::default() };
         let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
-        let mut policy = SchedPolicy::new(ParallelMode::Static, 2);
+        let mut policy = pooled(ParallelMode::Static);
         policy.degradation = DegradationPolicy::SkipUnreadable;
         let skipped = Mutex::new(Vec::new());
         let sink = |i: usize, chunk: AcquiredChunk| {

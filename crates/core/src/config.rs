@@ -56,7 +56,11 @@ pub struct SommelierConfig {
     /// omits them ("safe by design", §VI-A); enabling this is the
     /// ablation knob.
     pub verify_lazy_fk: bool,
-    /// Worker cap for parallel operations (registration, static loads).
+    /// Worker threads: the size of the shared morsel pool that runs
+    /// every query's decode waves and per-chunk pipelines, and the
+    /// registration fan-out. `1` runs every query serially on the
+    /// caller's thread — it is the hard bound, so an exchange mode with
+    /// more `workers` cannot add threads. Answers do not depend on it.
     pub max_threads: usize,
     /// Observability level: `Off` (no accounting beyond
     /// [`crate::ExecStats`]), `Counters` (atomic metric counters,
@@ -64,12 +68,6 @@ pub struct SommelierConfig {
     /// `Spans` (counters plus a per-query span trace on every run,
     /// what `EXPLAIN ANALYZE` forces for its one query).
     pub observability: ObsLevel,
-    /// Run one shared morsel scheduler (a persistent pool of
-    /// [`Self::max_threads`] workers) serving every in-flight query,
-    /// instead of spawning a fresh scoped pool per morsel batch. Keeps
-    /// total live worker threads bounded under concurrency and gives
-    /// priorities their meaning. Ignored when `max_threads <= 1`.
-    pub shared_scheduler: bool,
     /// Admission control: how many queries may execute concurrently;
     /// the rest queue (priority-ordered, FIFO within a priority).
     pub admission_max_concurrent: usize,
@@ -139,7 +137,6 @@ impl Default for SommelierConfig {
             verify_lazy_fk: false,
             max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
             observability: ObsLevel::Counters,
-            shared_scheduler: true,
             admission_max_concurrent: 32,
             admission_high_water: 1.0,
             admission_queue_limit: 1024,
@@ -167,7 +164,6 @@ mod tests {
         assert_eq!(c.effective_cellar_bytes(), DEFAULT_CELLAR_BYTES);
         let c = SommelierConfig { cellar_bytes: Some(1234), ..c };
         assert_eq!(c.effective_cellar_bytes(), 1234);
-        assert!(c.shared_scheduler);
         assert!(c.admission_max_concurrent > 0);
         assert!(c.admission_high_water > 0.0);
         assert!(c.admission_queue_limit > 0);

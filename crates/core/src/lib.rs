@@ -84,8 +84,8 @@ use sommelier_engine::twostage::{
     execute_plan, ChunkResidency, QueryOutcome, TwoStageConfig,
 };
 use sommelier_engine::{
-    ColumnZone, ExecStats, LogicalPlan, Obs, QuerySpec, Relation, TraceCollector,
-    ZoneCandidates,
+    ColumnZone, ExecStats, LogicalPlan, Obs, QuerySpec, Relation, SchedPolicy,
+    TraceCollector, ZoneCandidates,
 };
 use sommelier_sql::BindCatalog;
 use sommelier_storage::buffer::BufferPoolConfig;
@@ -341,7 +341,7 @@ impl SommelierBuilder {
                 true,
             ),
         };
-        let scheduler = if self.config.shared_scheduler && self.config.max_threads > 1 {
+        let scheduler = if self.config.max_threads > 1 {
             Some(Arc::new(MorselScheduler::with_aging(
                 self.config.max_threads,
                 std::time::Duration::from_millis(self.config.sched_aging_ms),
@@ -419,9 +419,8 @@ pub struct Sommelier {
     metrics: Arc<MetricsRegistry>,
     /// The shared morsel scheduler: one persistent pool of
     /// `max_threads` workers serving every in-flight query. `None`
-    /// when [`SommelierConfig::shared_scheduler`] is off or
-    /// `max_threads <= 1` (each batch then spawns its own scoped pool,
-    /// the pre-server behavior).
+    /// when `max_threads <= 1`: every batch then runs inline on the
+    /// querying thread.
     scheduler: Option<Arc<MorselScheduler>>,
     /// Admission control for top-level queries (internal DMd
     /// derivation runs under the parent's ticket and skips this —
@@ -789,19 +788,15 @@ impl Sommelier {
 
     fn two_stage_config(&self, mode: LoadingMode, source_idx: usize) -> TwoStageConfig {
         TwoStageConfig {
-            parallel: self.config.parallel,
             pushdown: self.config.chunk_pushdown,
             projection_pushdown: self.config.projection_pushdown,
             zone_map_pruning: self.config.zone_map_pruning,
             use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
-            max_threads: self.config.max_threads,
             sampling: None,
             obs: Obs::off(),
-            scheduler: self.scheduler.clone(),
-            priority: Priority::Normal,
-            cancel: None,
-            degradation: DegradationPolicy::default(),
+            sched: SchedPolicy::new(self.config.parallel, self.config.max_threads)
+                .with_scheduler(self.scheduler.clone()),
         }
     }
 
@@ -1007,9 +1002,9 @@ impl Sommelier {
         let mut ts_config = self.two_stage_config(mode, compiled.source_idx);
         ts_config.sampling = sampling;
         ts_config.obs = obs;
-        ts_config.priority = opts.priority;
-        ts_config.cancel = cancel;
-        ts_config.degradation = opts.degradation;
+        ts_config.sched.priority = opts.priority;
+        ts_config.sched.cancel = cancel;
+        ts_config.sched.degradation = opts.degradation;
         let scoped = cellar.scoped(compiled.source_idx);
         let access = (mode == LoadingMode::Lazy).then_some(&scoped as &dyn ChunkResidency);
         let evictions_before = cellar.stats().evictions;
@@ -1126,8 +1121,8 @@ impl Sommelier {
         self.admission.begin_shutdown();
     }
 
-    /// The shared morsel scheduler, when the system runs one
-    /// (see [`SommelierConfig::shared_scheduler`]).
+    /// The shared morsel scheduler, when the system runs one (whenever
+    /// [`SommelierConfig::max_threads`] is above 1).
     pub fn scheduler(&self) -> Option<&Arc<MorselScheduler>> {
         self.scheduler.as_ref()
     }

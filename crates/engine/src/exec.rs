@@ -12,10 +12,11 @@
 //!
 //! Chunk-bearing operators are **morsel-parallel**: both union flavors
 //! run their per-chunk pipelines (projection, pushed-down selection,
-//! probe, partial aggregation) on a worker pool of
-//! [`ExecContext::workers`] threads, pulling chunks from a shared
-//! queue. Results are combined in chunk order, so the output is
-//! independent of the worker count.
+//! probe, partial aggregation) as one batch through
+//! [`run_indexed_policy`] — on the shared
+//! [`crate::sched::MorselScheduler`] when [`ExecContext::sched`] carries
+//! one, inline on the caller otherwise. Results are combined in chunk
+//! order, so the output is independent of the worker count.
 
 use crate::agg::{aggregate, distinct, merge_partials, partial_aggregate, PartialAgg};
 use crate::error::{EngineError, Result};
@@ -25,13 +26,11 @@ use crate::join::{cross_join, hash_join, index_join, JoinBuild};
 use crate::obs::{self, metrics::COUNT_BUCKETS, Obs};
 use crate::physical::{ChunkOp, PhysicalPlan};
 use crate::relation::Relation;
-use crate::sched::{self, CancelToken, MorselScheduler, Priority, SchedPolicy};
+use crate::sched::{self, SchedPolicy};
 use crate::sort::{limit, sort_relation};
-use crate::twostage::ParallelMode;
-use parking_lot::Mutex;
 use sommelier_storage::Database;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Counters the executor fills while running (interior-mutable so the
@@ -56,18 +55,9 @@ pub struct ExecContext<'a> {
     /// Pre-loaded chunk relations by URI (cache-scans and chunk-accesses
     /// both resolve here; the driver fills it).
     pub chunks: HashMap<String, Arc<Relation>>,
-    /// Scheduling mode for morsel-parallel operators (static strides
-    /// vs shared-queue exchange).
-    pub parallel: ParallelMode,
-    /// Worker cap for morsel-parallel operators (1 = serial).
-    pub workers: usize,
-    /// Shared morsel scheduler; when set, morsel-parallel operators
-    /// submit batches here instead of spawning scoped threads.
-    pub scheduler: Option<Arc<MorselScheduler>>,
-    /// Scheduling priority for this query's batches.
-    pub priority: Priority,
-    /// Cooperative cancellation, checked at chunk-pipeline boundaries.
-    pub cancel: Option<CancelToken>,
+    /// How morsel-parallel operators run their batches: mode, worker
+    /// cap, shared pool, priority, cancellation.
+    pub sched: SchedPolicy,
     /// Execution counters.
     pub counters: ExecCounters,
     /// Observability handle (pool metrics, per-chunk pipeline spans).
@@ -81,26 +71,9 @@ impl<'a> ExecContext<'a> {
             db,
             materialized: Vec::new(),
             chunks: HashMap::new(),
-            parallel: ParallelMode::Static,
-            workers: 1,
-            scheduler: None,
-            priority: Priority::Normal,
-            cancel: None,
+            sched: SchedPolicy::serial(),
             counters: ExecCounters::default(),
             obs: Obs::off(),
-        }
-    }
-
-    /// The scheduling policy for this context's morsel batches.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        SchedPolicy {
-            parallel: self.parallel,
-            max_threads: self.workers.max(1),
-            scheduler: self.scheduler.clone(),
-            priority: self.priority,
-            cancel: self.cancel.clone(),
-            degradation: Default::default(),
-            tracer: self.obs.tracer().cloned(),
         }
     }
 }
@@ -213,138 +186,44 @@ impl ChunkPipeline<'_> {
     }
 }
 
-/// Run `task` over indices `0..n` on a worker pool, collecting results
-/// in index order. [`ParallelMode::Static`] pre-assigns strided shares
-/// (the paper's strategy — cheap, but skewed tasks underutilize the
-/// pool); [`ParallelMode::Exchange`] pulls indices from a shared
-/// queue. The worker count is the mode's stage-2 implication capped by
-/// `n`; a single worker runs inline. This is the one scheduling
-/// primitive shared by the executor's morsel operators, the two-stage
-/// loaders, and the cellar's decode/streaming pools.
-pub fn run_indexed<T: Send>(
-    n: usize,
-    parallel: ParallelMode,
-    max_threads: usize,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    run_indexed_obs(n, parallel, max_threads, &Obs::off(), task)
-}
-
-/// [`run_indexed`] with an observability handle: workers tag themselves
-/// with a thread-local id (so span probes inside `task` can say which
-/// worker ran them), and each batch feeds the `pool.*` metrics —
-/// batches, tasks, busy/idle ns, queue depth. With a disabled handle
-/// this is byte-for-byte the old `run_indexed`.
-pub fn run_indexed_obs<T: Send>(
-    n: usize,
-    parallel: ParallelMode,
-    max_threads: usize,
-    obs: &Obs,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = parallel.stage2_workers(max_threads).min(n);
-    let wall = obs.metrics().map(|_| std::time::Instant::now());
-    if workers <= 1 {
-        // Inline on the caller's thread; tag as worker 0 unless the
-        // caller already runs inside a pool (nested decode units keep
-        // the outer pool's id).
-        let _tag = obs::current_worker().is_none().then(|| obs::worker_scope(0));
-        let out: Vec<T> = (0..n).map(task).collect();
-        if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
-            let busy = wall.elapsed().as_nanos() as u64;
-            m.counter("pool.batches").inc();
-            m.counter("pool.tasks").add(n as u64);
-            m.counter("pool.busy_ns").add(busy);
-            m.histogram("pool.queue_depth", &COUNT_BUCKETS).observe(n as u64);
-        }
-        return out;
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let timed = obs.metrics().is_some();
-    LEGACY_POOL_SPAWNS.fetch_add(workers as u64, Ordering::Relaxed);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let next = &next;
-            let slots = &slots;
-            let task = &task;
-            let busy = &busy;
-            scope.spawn(move || {
-                let _tag = obs::worker_scope(w);
-                let t0 = timed.then(std::time::Instant::now);
-                match parallel {
-                    ParallelMode::Static => {
-                        let mut i = w;
-                        while i < n {
-                            *slots[i].lock() = Some(task(i));
-                            i += workers;
-                        }
-                    }
-                    ParallelMode::Exchange { .. } => loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        *slots[i].lock() = Some(task(i));
-                    },
-                }
-                if let Some(t0) = t0 {
-                    busy[w].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
-        let busy_total: u64 = busy.iter().map(|b| b.load(Ordering::Relaxed)).sum();
-        let span = wall.elapsed().as_nanos() as u64 * workers as u64;
-        m.counter("pool.batches").inc();
-        m.counter("pool.tasks").add(n as u64);
-        m.counter("pool.busy_ns").add(busy_total);
-        m.counter("pool.idle_ns").add(span.saturating_sub(busy_total));
-        m.histogram("pool.queue_depth", &COUNT_BUCKETS).observe(n as u64);
-    }
-    slots.into_iter().map(|s| s.into_inner().expect("every slot filled")).collect()
-}
-
-/// Threads spawned by the legacy per-batch scoped pool, cumulatively.
-/// A shared-scheduler system should never grow this: the server tests
-/// assert the delta stays zero while queries are in flight, which is
-/// how "total live worker threads ≤ `max_threads`" is enforced.
-static LEGACY_POOL_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of threads spawned by the legacy (per-batch scoped)
-/// pool path. See [`run_indexed_policy`].
-pub fn legacy_pool_spawns() -> u64 {
-    LEGACY_POOL_SPAWNS.load(Ordering::Relaxed)
-}
-
-/// Policy-directed morsel batch: the single front door for
-/// morsel-parallel work.
+/// Run `task` over indices `0..n` and collect the results in index
+/// order: the single front door for morsel-parallel work, shared by the
+/// executor's morsel operators and the cellar's decode/streaming waves.
 ///
-/// - On a shared-pool worker (nested batch, e.g. decode units inside a
-///   chunk pipeline): runs inline on the worker — re-entering the queue
-///   could deadlock a pool whose every worker waits on nested batches,
-///   and inline execution keeps the thread bound intact.
-/// - With a scheduler attached and >1 effective workers: submits to the
-///   shared pool, capped at the policy's effective worker count.
-/// - Otherwise: the legacy scoped pool ([`run_indexed_obs`]).
+/// - With a scheduler attached and more than one effective worker (the
+///   mode's stage-2 implication capped by `n`): submits the batch to
+///   the shared pool, at most that many workers servicing it at once.
+/// - Otherwise — no pool, one worker, or a nested batch issued from a
+///   pool worker (e.g. decode units inside a chunk pipeline, where
+///   re-entering the queue could deadlock a pool whose every worker
+///   waits on nested batches) — runs inline on the caller's thread.
+///
+/// Both branches feed the `pool.*` metrics (batches, tasks, busy/idle
+/// ns, queue depth).
 pub fn run_indexed_policy<T: Send>(
     n: usize,
     policy: &SchedPolicy,
     obs: &Obs,
     task: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    if sched::on_scheduler_worker() {
-        return run_indexed_obs(n, ParallelMode::Static, 1, obs, task);
-    }
     let workers = policy.parallel.stage2_workers(policy.max_threads).min(n);
-    if workers > 1 {
+    if workers > 1 && !sched::on_scheduler_worker() {
         if let Some(s) = &policy.scheduler {
             return s.run_batch(n, workers, policy.priority, obs, task);
         }
     }
-    run_indexed_obs(n, policy.parallel, policy.max_threads, obs, task)
+    let wall = obs.metrics().map(|_| std::time::Instant::now());
+    // Tag as worker 0 unless the caller already runs inside the pool
+    // (nested decode units keep the outer worker's id).
+    let _tag = obs::current_worker().is_none().then(|| obs::worker_scope(0));
+    let out: Vec<T> = (0..n).map(task).collect();
+    if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
+        m.counter("pool.batches").inc();
+        m.counter("pool.tasks").add(n as u64);
+        m.counter("pool.busy_ns").add(wall.elapsed().as_nanos() as u64);
+        m.histogram("pool.queue_depth", &COUNT_BUCKETS).observe(n as u64);
+    }
+    out
 }
 
 /// Resolve every chunk of a union against the pre-loaded context.
@@ -389,16 +268,12 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
             let rels = resolve_chunks(ctx, chunks)?;
             // Per-chunk projection (and selection, if pushed down) on
             // the worker pool; concatenation in chunk order.
-            let parts = run_indexed_policy(rels.len(), &ctx.sched_policy(), &ctx.obs, |i| {
+            let parts = run_indexed_policy(rels.len(), &ctx.sched, &ctx.obs, |i| {
                 let tracer = ctx.obs.tracer();
                 let t0 = tracer.map(|tc| tc.now_ns());
                 // Cancellation checkpoint at the chunk-pipeline
                 // boundary: already-running morsels finish.
-                let part = ctx
-                    .cancel
-                    .as_ref()
-                    .map_or(Ok(()), CancelToken::check)
-                    .and_then(|()| pipeline.run(rels[i]));
+                let part = ctx.sched.check_cancel().and_then(|()| pipeline.run(rels[i]));
                 if let (Some(tc), Some(t0)) = (tracer, t0) {
                     tc.record(
                         tc.ambient(),
@@ -465,12 +340,10 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
                 ChunkPipeline { columns, predicate: predicate.as_ref(), build: probe, ops };
             let rels = resolve_chunks(ctx, chunks)?;
             let parts: Vec<Result<PartialAgg>> =
-                run_indexed_policy(rels.len(), &ctx.sched_policy(), &ctx.obs, |i| {
+                run_indexed_policy(rels.len(), &ctx.sched, &ctx.obs, |i| {
                     // Cancellation checkpoint at the chunk-pipeline
                     // boundary: already-running morsels finish.
-                    if let Some(c) = &ctx.cancel {
-                        c.check()?;
-                    }
+                    ctx.sched.check_cancel()?;
                     let tracer = ctx.obs.tracer();
                     let t0 = tracer.map(|tc| tc.now_ns());
                     let part = pipeline.run(rels[i])?;
@@ -563,6 +436,8 @@ mod tests {
     use super::*;
     use crate::expr::{AggFunc, CmpOp, Expr};
     use crate::physical::{fuse_partial_agg, ChunkRef};
+    use crate::sched::MorselScheduler;
+    use crate::twostage::ParallelMode;
     use sommelier_storage::buffer::BufferPoolConfig;
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
@@ -687,6 +562,15 @@ mod tests {
         ctx
     }
 
+    /// Run the context's morsel batches on a fresh shared pool of `n`
+    /// workers; the pool is returned so tests can check it was used.
+    fn on_pool(ctx: &mut ExecContext, n: usize) -> Arc<MorselScheduler> {
+        let pool = Arc::new(MorselScheduler::new(n));
+        ctx.sched =
+            SchedPolicy::new(ParallelMode::Static, n).with_scheduler(Some(Arc::clone(&pool)));
+        pool
+    }
+
     fn union_plan(pushdown: bool) -> PhysicalPlan {
         PhysicalPlan::ChunkUnion {
             table: "D".into(),
@@ -719,8 +603,9 @@ mod tests {
         let db = db();
         let mut ctx = chunk_ctx(&db);
         let serial = execute(&union_plan(true), &ctx).unwrap();
-        ctx.workers = 4;
+        let pool = on_pool(&mut ctx, 4);
         let parallel = execute(&union_plan(true), &ctx).unwrap();
+        assert_eq!(pool.stats().tasks, 2, "both chunk pipelines ran on the pool");
         assert_eq!(serial.rows(), parallel.rows());
         for r in 0..serial.rows() {
             assert_eq!(
@@ -734,7 +619,7 @@ mod tests {
     fn partial_agg_union_fuses_and_matches_aggregate_over_union() {
         let db = db();
         let mut ctx = chunk_ctx(&db);
-        ctx.workers = 4;
+        on_pool(&mut ctx, 4);
         let agg_over_union = PhysicalPlan::Aggregate {
             input: Box::new(union_plan(true)),
             group_by: vec![("fid".into(), Expr::col("D.file_id"))],
@@ -763,7 +648,7 @@ mod tests {
     fn partial_agg_union_with_join_matches_unfused() {
         let db = db();
         let mut ctx = chunk_ctx(&db);
-        ctx.workers = 2;
+        on_pool(&mut ctx, 2);
         let join = PhysicalPlan::HashJoin {
             left: Box::new(union_plan(true)),
             right: Box::new(PhysicalPlan::SeqScan {
@@ -801,7 +686,7 @@ mod tests {
         use crate::expr::ArithOp;
         let db = db();
         let mut ctx = chunk_ctx(&db);
-        ctx.workers = 2;
+        on_pool(&mut ctx, 2);
         // Aggregate over a computed projection of the chunk rows.
         let plan = PhysicalPlan::Aggregate {
             input: Box::new(PhysicalPlan::Project {

@@ -16,9 +16,10 @@
 //!   chunk source). [`ObsLevel::Off`] costs a branch; `Counters` adds
 //!   relaxed atomic increments; `Spans` additionally records the tree.
 //!
-//! Worker threads spawned by [`crate::exec::run_indexed`] tag
-//! themselves with a thread-local worker id ([`current_worker`]) so
-//! per-chunk spans can say *which* worker ran them.
+//! Morsel tasks run by [`crate::exec::run_indexed_policy`] — on a
+//! shared-pool worker, or inline as worker 0 — carry a thread-local
+//! worker id ([`current_worker`]) so per-chunk spans can say *which*
+//! worker ran them.
 
 pub mod metrics;
 pub mod span;
@@ -142,8 +143,8 @@ thread_local! {
 }
 
 /// The pool worker id of the current thread, when it is running a
-/// [`crate::exec::run_indexed`] task. Set by the pool, read by span
-/// probes.
+/// [`crate::exec::run_indexed_policy`] task. Set by the pool worker (or
+/// the inline batch), read by span probes.
 pub fn current_worker() -> Option<usize> {
     WORKER_ID.with(Cell::get)
 }

@@ -1,15 +1,10 @@
 //! The shared morsel scheduler: one persistent worker pool serving
 //! every in-flight query.
 //!
-//! Before this module the engine spawned a fresh scoped thread pool for
-//! every morsel-parallel operator ([`crate::exec::run_indexed_obs`]),
-//! which is fine for one query at a time but oversubscribes the machine
-//! as soon as N callers run concurrently: N queries × `max_threads`
-//! live threads, no fairness, no queueing. A [`MorselScheduler`] owns
-//! exactly `max_threads` long-lived workers and interleaves the
-//! per-chunk pipelines ("morsels") of many queries: each
-//! [`MorselScheduler::run_batch`] call enqueues an indexed batch of
-//! tasks, workers pick the best runnable batch (highest
+//! A [`MorselScheduler`] owns exactly `max_threads` long-lived workers
+//! and interleaves the per-chunk pipelines ("morsels") of many queries:
+//! each [`MorselScheduler::run_batch`] call enqueues an indexed batch
+//! of tasks, workers pick the best runnable batch (highest
 //! [`Priority`] first, FIFO within a priority), and the submitting
 //! thread blocks until its batch drains. Total live worker threads stay
 //! bounded by the pool size no matter how many queries are in flight.
@@ -174,21 +169,22 @@ impl CancelToken {
 // SchedPolicy
 
 /// Everything a morsel-parallel operator needs to know about *how* to
-/// run: the legacy knobs (mode + thread cap) plus the shared scheduler,
-/// priority, and cancellation token. Residency providers
+/// run: mode, thread cap, the shared scheduler, priority, and
+/// cancellation token. Residency providers
 /// ([`crate::twostage::ChunkResidency`]) take this instead of a bare
 /// `(ParallelMode, usize)` pair so chunk acquisition waves land on the
 /// shared pool too.
 #[derive(Clone, Default)]
 pub struct SchedPolicy {
-    /// Morsel claiming mode (static strides vs shared-queue exchange).
+    /// How waves are cut into tasks (one per chunk vs per-segment
+    /// decode units; see [`ParallelMode`]).
     pub parallel: ParallelMode,
-    /// Worker cap when no shared scheduler is attached (1 = serial);
-    /// with a scheduler it caps how many pool workers may service one
-    /// batch concurrently.
+    /// Caps how many pool workers may service one batch concurrently
+    /// (with [`ParallelMode::Static`]; exchange mode uses its own
+    /// `workers`).
     pub max_threads: usize,
-    /// The shared pool, if the system runs one. `None` falls back to
-    /// per-batch scoped threads (the pre-server behavior).
+    /// The shared pool, if the system runs one. `None` runs every batch
+    /// inline on the caller's thread, serially.
     pub scheduler: Option<Arc<MorselScheduler>>,
     /// Scheduling priority for batches submitted under this policy.
     pub priority: Priority,
@@ -204,7 +200,8 @@ pub struct SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// A legacy policy: no shared pool, no cancellation.
+    /// A policy with no shared pool (batches run inline until one is
+    /// attached with [`Self::with_scheduler`]) and no cancellation.
     pub fn new(parallel: ParallelMode, max_threads: usize) -> Self {
         SchedPolicy { parallel, max_threads: max_threads.max(1), ..Default::default() }
     }
@@ -461,8 +458,9 @@ impl MorselScheduler {
 
     /// Run `task(0..n)` on the pool and collect the results in index
     /// order, blocking until the batch drains. At most `cap` workers
-    /// service the batch concurrently. Feeds the same `pool.*` metrics
-    /// as the legacy scoped pool so dashboards keep working.
+    /// service the batch concurrently. Feeds the `pool.*` metrics; idle
+    /// time is charged only for workers that exist (`cap` clamped to
+    /// the pool size).
     pub fn run_batch<T, F>(
         &self,
         n: usize,
@@ -541,7 +539,7 @@ impl MorselScheduler {
 
         if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
             let busy = core.busy_ns.load(Ordering::Relaxed);
-            let span = wall.elapsed().as_nanos() as u64 * cap.max(1) as u64;
+            let span = wall.elapsed().as_nanos() as u64 * cap.clamp(1, self.workers) as u64;
             m.counter("pool.batches").inc();
             m.counter("pool.tasks").add(n as u64);
             m.counter("pool.busy_ns").add(busy);
@@ -721,6 +719,27 @@ mod tests {
             live.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(peak.load(Ordering::SeqCst) <= 2, "cap exceeded: {peak:?}");
+    }
+
+    #[test]
+    fn idle_time_is_charged_only_for_existing_workers() {
+        // A cap above the pool size must not count idle time for
+        // workers that do not exist.
+        let s = MorselScheduler::new(2);
+        let metrics = Arc::new(crate::obs::MetricsRegistry::new());
+        let obs = Obs::new(crate::obs::ObsLevel::Counters, Arc::clone(&metrics));
+        let t0 = Instant::now();
+        s.run_batch(4, 8, Priority::Normal, &obs, |_| {
+            std::thread::sleep(Duration::from_millis(2))
+        });
+        let wall = t0.elapsed().as_nanos() as u64;
+        let charged =
+            metrics.counter("pool.busy_ns").get() + metrics.counter("pool.idle_ns").get();
+        assert!(
+            charged <= wall * s.worker_count() as u64,
+            "busy + idle {charged} ns exceeds wall {wall} ns x {} workers",
+            s.worker_count()
+        );
     }
 
     #[test]

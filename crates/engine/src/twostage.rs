@@ -41,7 +41,7 @@ use crate::optimizer::{
 };
 use crate::physical::{lower, ChunkRef, LowerOptions, PhysicalPlan};
 use crate::relation::Relation;
-use crate::sched::{CancelToken, DegradationPolicy, MorselScheduler, Priority, SchedPolicy};
+use crate::sched::{DegradationPolicy, SchedPolicy};
 use parking_lot::Mutex;
 use sommelier_storage::{ColumnData, Database};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 /// A deferred decode unit (e.g. one segment of a chunk file). The
 /// lifetime ties the unit to the source that produced it, so units can
 /// defer through a borrowed source instead of decoding eagerly; callers
-/// run units on scoped worker pools.
+/// run units as morsel batches ([`crate::exec::run_indexed_policy`]).
 pub type ChunkUnit<'a> = Box<dyn FnOnce() -> Result<Relation> + Send + 'a>;
 
 /// One chunk handed out by a [`ChunkResidency`] manager: the loaded
@@ -281,16 +281,22 @@ impl Drop for PrefetchGuard {
     }
 }
 
-/// Chunk-loading parallelism strategy.
+/// Chunk-loading parallelism strategy. Both modes submit their waves to
+/// the shared [`crate::sched::MorselScheduler`], whose size
+/// (`max_threads`) bounds the worker threads; without a scheduler every
+/// wave runs serially on the caller. Results merge in chunk order, so
+/// answers are identical under either mode and any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// The paper's strategy: one pre-assigned task per chunk,
-    /// round-robin over up to `max_threads` workers. Few or skewed
-    /// chunks underutilize the machine.
+    /// The paper's strategy: one task per whole chunk, claimed by up to
+    /// `max_threads` pool workers. Few or skewed chunks underutilize
+    /// the machine.
     #[default]
     Static,
-    /// Exchange-style dynamic repartitioning: decode units from all
-    /// chunks are pulled from a shared queue by `workers` workers.
+    /// Exchange-style dynamic repartitioning: chunks split into decode
+    /// units (e.g. segments) that up to `workers` pool workers claim.
+    /// `workers` can only lower the per-batch cap, never add threads
+    /// beyond the pool.
     Exchange { workers: usize },
 }
 
@@ -307,7 +313,6 @@ impl ParallelMode {
 /// Two-stage execution configuration.
 #[derive(Debug, Clone)]
 pub struct TwoStageConfig {
-    pub parallel: ParallelMode,
     /// Push selections into per-chunk accesses (rewrite-rule
     /// refinement). Also gates partial-aggregation fusion: without
     /// pushdown, stage 2 deliberately materializes the full union (the
@@ -327,8 +332,6 @@ pub struct TwoStageConfig {
     /// descriptor (e.g. `F.uri` for the mSEED adapter); plans with lazy
     /// scans fail if it is left empty.
     pub uri_column: String,
-    /// Worker cap for [`ParallelMode::Static`] and stage-2 execution.
-    pub max_threads: usize,
     /// Approximate query answering (the paper's §VIII future work):
     /// ingest only this fraction of the selected chunks, chosen
     /// deterministically. Aggregates like AVG remain (approximately)
@@ -337,60 +340,38 @@ pub struct TwoStageConfig {
     /// Observability handle for this query: pool/query counters, and —
     /// when a per-query tracer is attached — the span tree.
     pub obs: Obs,
-    /// Shared morsel scheduler; when set, every morsel-parallel wave
-    /// (decode, load, per-chunk pipelines) submits batches to this pool
-    /// instead of spawning scoped threads.
-    pub scheduler: Option<Arc<MorselScheduler>>,
-    /// Scheduling priority for this query's batches.
-    pub priority: Priority,
-    /// Cooperative cancellation, checked between stages and at
-    /// chunk-pipeline boundaries.
-    pub cancel: Option<CancelToken>,
-    /// What to do with unreadable chunks: fail the query (default) or
-    /// complete over the readable subset and report the skipped ones.
-    pub degradation: DegradationPolicy,
+    /// How every morsel-parallel wave (decode, per-chunk pipelines)
+    /// runs: mode, worker cap, the shared scheduler (`None` runs
+    /// waves inline on the caller), priority, cancellation (checked
+    /// between stages and at chunk-pipeline boundaries) and what to do
+    /// with unreadable chunks. Its `tracer` is filled from [`Self::obs`]
+    /// by [`Self::policy`].
+    pub sched: SchedPolicy,
 }
 
 impl Default for TwoStageConfig {
     fn default() -> Self {
         TwoStageConfig {
-            parallel: ParallelMode::Static,
             pushdown: true,
             projection_pushdown: true,
             zone_map_pruning: true,
             use_index_joins: false,
             uri_column: String::new(),
-            max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
             sampling: None,
             obs: Obs::off(),
-            scheduler: None,
-            priority: Priority::Normal,
-            cancel: None,
-            degradation: DegradationPolicy::default(),
+            sched: SchedPolicy::new(
+                ParallelMode::Static,
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
+            ),
         }
     }
 }
 
 impl TwoStageConfig {
-    /// The scheduling policy this config implies for morsel batches.
+    /// The scheduling policy for this query's morsel batches: the
+    /// stored [`Self::sched`] with the query's span collector attached.
     pub fn policy(&self) -> SchedPolicy {
-        SchedPolicy {
-            parallel: self.parallel,
-            max_threads: self.max_threads.max(1),
-            scheduler: self.scheduler.clone(),
-            priority: self.priority,
-            cancel: self.cancel.clone(),
-            degradation: self.degradation,
-            tracer: self.obs.tracer().cloned(),
-        }
-    }
-
-    /// Cancellation checkpoint; `Ok(())` when no token is attached.
-    fn check_cancel(&self) -> Result<()> {
-        match &self.cancel {
-            Some(c) => c.check(),
-            None => Ok(()),
-        }
+        SchedPolicy { tracer: self.obs.tracer().cloned(), ..self.sched.clone() }
     }
 }
 
@@ -486,13 +467,9 @@ pub fn execute_plan(
 ) -> Result<QueryOutcome> {
     let mut stats = ExecStats::default();
     let mut skipped: Vec<SkippedChunk> = Vec::new();
-    config.check_cancel()?;
+    config.sched.check_cancel()?;
     let mut ctx = ExecContext::new(db);
-    ctx.parallel = config.parallel;
-    ctx.workers = config.parallel.stage2_workers(config.max_threads);
-    ctx.scheduler = config.scheduler.clone();
-    ctx.priority = config.priority;
-    ctx.cancel = config.cancel.clone();
+    ctx.sched = config.policy();
     ctx.obs = config.obs.clone();
     let tracer: Option<&TraceCollector> = config.obs.tracer().map(Arc::as_ref);
 
@@ -531,7 +508,7 @@ pub fn execute_plan(
     };
 
     // ---- Run-time chunk list: what stage 1 selected. ---------------
-    config.check_cancel()?;
+    config.sched.check_cancel()?;
     let chunk_refs: Option<Vec<ChunkRef>> = if plan.has_lazy_scan() {
         let Some(residency) = access else {
             return Err(EngineError::Chunk(
@@ -553,7 +530,7 @@ pub fn execute_plan(
         for u in uris {
             match residency.quarantined(&u) {
                 None => kept.push(u),
-                Some(reason) => match config.degradation {
+                Some(reason) => match config.sched.degradation {
                     DegradationPolicy::SkipUnreadable => {
                         stats.files_skipped += 1;
                         skipped.push(SkippedChunk { uri: u, reason });
@@ -709,7 +686,7 @@ pub fn execute_plan(
     let mut pin_guard: Option<PinGuard<'_>> = None;
     // Cancellation checkpoint before any decode work is scheduled: a
     // cancel here means no pins were ever taken.
-    config.check_cancel()?;
+    config.sched.check_cancel()?;
     match (&s2.chunks, access) {
         (None, _) | (_, None) => {}
         (Some(refs), Some(residency)) => {
@@ -798,7 +775,7 @@ pub fn execute_plan(
     // ---- Stage 2: the remainder Qs. ---------------------------------
     // Cancellation checkpoint: dropping out here unwinds the pin guard,
     // so a cancelled query never leaves pinned chunks behind.
-    config.check_cancel()?;
+    config.sched.check_cancel()?;
     let t = Instant::now();
     let stage2_span = tracer.map(|tc| {
         let id = tc.start(tc.ambient(), "stage2");
@@ -1336,10 +1313,8 @@ mod tests {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
         residency.unreadable.lock().insert("u2".into(), "bad magic".into());
-        let config = TwoStageConfig {
-            degradation: DegradationPolicy::SkipUnreadable,
-            ..test_config()
-        };
+        let mut config = test_config();
+        config.sched.degradation = DegradationPolicy::SkipUnreadable;
         let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         // Only u0's values (0, 1, 2) survive; u2 is skipped.
         assert_eq!(out.relation.value(0, "avg_v").unwrap(), Value::Float(1.0));
@@ -1373,10 +1348,8 @@ mod tests {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
         residency.quarantined.lock().insert("u2".into(), "quarantined earlier".into());
-        let config = TwoStageConfig {
-            degradation: DegradationPolicy::SkipUnreadable,
-            ..test_config()
-        };
+        let mut config = test_config();
+        config.sched.degradation = DegradationPolicy::SkipUnreadable;
         let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         assert_eq!(out.stats.files_skipped, 1);
         assert_eq!(out.skipped[0].uri, "u2");

@@ -6,9 +6,9 @@
 //! default timeout. Sessions submit SQL and get back a
 //! [`QueryHandle`] — cancellable, timeout-able, waitable — while every
 //! query's morsels run on the system's **one shared scheduler**
-//! (`max_threads` persistent workers, see
-//! `SommelierConfig::shared_scheduler`), so the total number of live
-//! worker threads is bounded no matter how many sessions are active.
+//! (`SommelierConfig::max_threads` persistent workers), so the total
+//! number of live worker threads is bounded no matter how many sessions
+//! are active.
 //! Admission control (`SommelierConfig::admission_*`) queues excess
 //! queries instead of letting them thrash the cellar's byte budget.
 //! The same bounding applies to cold-read bandwidth: raw-byte prefetch
@@ -242,10 +242,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Wrap a (prepared) system. The system should run with its
-    /// defaults of `shared_scheduler: true` and admission control on —
-    /// the server works without them, but then each query spawns its
-    /// own scoped thread pool and nothing bounds concurrency.
+    /// Wrap a (prepared) system. The system should run with admission
+    /// control on (the default) — the server works without it, but then
+    /// nothing bounds how many queries execute at once. Worker threads
+    /// are bounded either way: every morsel runs on the system's shared
+    /// scheduler, or inline when `max_threads` is 1.
     pub fn new(somm: Arc<Sommelier>) -> Self {
         Server {
             shared: Arc::new(ServerShared {

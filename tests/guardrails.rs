@@ -3,11 +3,19 @@
 //! Stage 2 reads chunks only through a `ChunkResidency` manager (the
 //! cellar). The legacy direct path — `ChunkAccess::Direct`, the engine's
 //! Recycler, the `ChunkSource` trait and its static/exchange loaders,
-//! and the knobs that selected them — was removed at cutover. This test
-//! scans every `crates/*/src/**/*.rs` file (comment lines skipped, so
-//! prose citing the paper's Recycler stays legal) and fails if any of
-//! those symbols reappear. A later deletion adds its own lines to
-//! [`FORBIDDEN`] and [`DELETED_FILES`].
+//! and the knobs that selected them — was removed at cutover.
+//!
+//! Every parallel morsel batch runs on the shared `MorselScheduler`
+//! (`run_indexed_policy`; inline without a pool). The per-batch scoped
+//! thread pool — `run_indexed`, `run_indexed_obs`, the
+//! `legacy_pool_spawns` counter and the `shared_scheduler` knob that
+//! selected it — was removed too, which is what bounds live worker
+//! threads by `max_threads` by construction.
+//!
+//! This test scans every `crates/*/src/**/*.rs` file (comment lines
+//! skipped, so prose citing the paper's Recycler stays legal) and fails
+//! if any of those symbols reappear. A later deletion adds its own
+//! lines to [`FORBIDDEN`] and [`DELETED_FILES`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,10 +30,16 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("trait ChunkSource", "the cellar calls AdapterChunkSource's inherent methods"),
     ("fn load_static", "the cellar runs the static decode wave"),
     ("fn load_exchange", "the cellar runs the exchange decode wave"),
+    ("legacy_pool_spawns", "worker threads are bounded by the shared pool's size"),
+    ("LEGACY_POOL_SPAWNS", "worker threads are bounded by the shared pool's size"),
+    ("shared_scheduler", "the pool exists whenever max_threads > 1"),
+    ("fn run_indexed_obs", "run_indexed_policy is the one morsel front door"),
+    ("fn run_indexed<", "run_indexed_policy is the one morsel front door"),
 ];
 
 /// Files that must stay deleted (relative to the workspace root).
-const DELETED_FILES: &[&str] = &["crates/engine/src/recycler.rs"];
+const DELETED_FILES: &[&str] =
+    &["crates/engine/src/recycler.rs", "crates/bench/src/bin/server.rs"];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

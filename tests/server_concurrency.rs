@@ -6,7 +6,6 @@
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{LoadingMode, Priority, Sommelier, SommelierConfig};
-use sommelier_engine::exec::legacy_pool_spawns;
 use sommelier_integration::{ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
@@ -15,9 +14,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// Serialize the tests in this file: `legacy_pool_spawns()` is a
-/// process-global counter and the priority/timing assertions want an
-/// unloaded machine.
+/// Serialize the tests in this file: the priority/timing assertions
+/// want an unloaded machine.
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
@@ -122,7 +120,6 @@ fn results_byte_identical_under_concurrent_sessions_on_both_adapters() {
             })
             .collect();
         let server = Server::new(Arc::new(somm));
-        let spawns_before = legacy_pool_spawns();
         for sessions in [1usize, 4, 16] {
             std::thread::scope(|scope| {
                 for s in 0..sessions {
@@ -149,14 +146,8 @@ fn results_byte_identical_under_concurrent_sessions_on_both_adapters() {
             });
             assert_eq!(server.active_sessions(), 0, "sessions closed");
         }
-        // Bounded worker threads: with the shared scheduler attached,
-        // no morsel batch fell back to spawning a scoped pool, no
-        // matter how many sessions ran.
-        assert_eq!(
-            legacy_pool_spawns(),
-            spawns_before,
-            "{adapter}: concurrent queries must not spawn per-query pools"
-        );
+        // Bounded worker threads: every morsel batch runs on the one
+        // shared pool (or inline), no matter how many sessions ran.
         let sched = Arc::clone(server.sommelier().scheduler().unwrap());
         assert_eq!(sched.worker_count(), 4, "pool size == max_threads");
         // Single-chunk waves run inline by design; only multi-chunk
