@@ -1,8 +1,9 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the system's design choices:
 //!
 //! 1. static vs exchange chunk-loading parallelism under skew (§V's
 //!    drawback and the paper's future-work fix),
-//! 2. recycler on/off for repeated chunk access,
+//! 2. cellar retention on/off (default budget vs budget 0) for
+//!    repeated chunk access,
 //! 3. selection pushdown into chunk accesses on/off,
 //! 4. FK verification of lazily ingested chunks on/off (§VI-A's
 //!    "safe by design" argument priced out).
@@ -82,6 +83,12 @@ fn system(repo: &Repository, mode: LoadingMode, config: SommelierConfig) -> Somm
     somm
 }
 
+/// Run `sql` from a cold cellar, so every chunk it selects decodes.
+fn cold_query(somm: &Sommelier, sql: &str) -> sommelier_core::QueryResult {
+    somm.flush_caches();
+    somm.query(sql).unwrap()
+}
+
 fn bench_parallelism(c: &mut Criterion) {
     let dir = scratch("parallel");
     let repo = skewed_repo(&dir);
@@ -91,28 +98,25 @@ fn bench_parallelism(c: &mut Criterion) {
         ("static", ParallelMode::Static),
         ("exchange", ParallelMode::Exchange { workers: 8 }),
     ] {
-        let config = SommelierConfig {
-            parallel: mode,
-            use_recycler: false, // measure the load path itself
-            ..SommelierConfig::default()
-        };
+        let config = SommelierConfig { parallel: mode, ..SommelierConfig::default() };
         let somm = system(&repo, LoadingMode::Lazy, config);
-        g.bench_function(label, |b| b.iter(|| black_box(somm.query(FULL_SCAN).unwrap())));
+        // Cold cellar every iteration: measure the load path itself.
+        g.bench_function(label, |b| b.iter(|| black_box(cold_query(&somm, FULL_SCAN))));
     }
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn bench_recycler_ablation(c: &mut Criterion) {
-    let dir = scratch("recycler");
+fn bench_retention_ablation(c: &mut Criterion) {
+    let dir = scratch("retention");
     let repo = Repository::at(dir.join("repo"));
     let mut spec = DatasetSpec::fiam(1, 512);
     spec.days = 6;
     repo.generate(&spec).unwrap();
-    let mut g = c.benchmark_group("ablation/recycler_repeated_access");
+    let mut g = c.benchmark_group("ablation/cellar_retention_repeated_access");
     g.sample_size(10);
-    for (label, use_recycler) in [("cached", true), ("uncached", false)] {
-        let config = SommelierConfig { use_recycler, ..SommelierConfig::default() };
+    for (label, cellar_bytes) in [("cached", None), ("uncached", Some(0))] {
+        let config = SommelierConfig { cellar_bytes, ..SommelierConfig::default() };
         let somm = system(&repo, LoadingMode::Lazy, config);
         somm.query(FULL_SCAN).unwrap(); // warm (or not)
         g.bench_function(label, |b| b.iter(|| black_box(somm.query(FULL_SCAN).unwrap())));
@@ -135,13 +139,10 @@ fn bench_pushdown_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/selection_pushdown");
     g.sample_size(10);
     for (label, pushdown) in [("pushed_into_chunks", true), ("post_union", false)] {
-        let config = SommelierConfig {
-            chunk_pushdown: pushdown,
-            use_recycler: false,
-            ..SommelierConfig::default()
-        };
+        let config =
+            SommelierConfig { chunk_pushdown: pushdown, ..SommelierConfig::default() };
         let somm = system(&repo, LoadingMode::Lazy, config);
-        g.bench_function(label, |b| b.iter(|| black_box(somm.query(sql).unwrap())));
+        g.bench_function(label, |b| b.iter(|| black_box(cold_query(&somm, sql))));
     }
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
@@ -156,13 +157,9 @@ fn bench_fk_verification_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/lazy_fk_verification");
     g.sample_size(10);
     for (label, verify) in [("skipped_as_in_paper", false), ("verified", true)] {
-        let config = SommelierConfig {
-            verify_lazy_fk: verify,
-            use_recycler: false,
-            ..SommelierConfig::default()
-        };
+        let config = SommelierConfig { verify_lazy_fk: verify, ..SommelierConfig::default() };
         let somm = system(&repo, LoadingMode::Lazy, config);
-        g.bench_function(label, |b| b.iter(|| black_box(somm.query(FULL_SCAN).unwrap())));
+        g.bench_function(label, |b| b.iter(|| black_box(cold_query(&somm, FULL_SCAN))));
     }
     g.finish();
     let _ = std::fs::remove_dir_all(&dir);
@@ -171,7 +168,7 @@ fn bench_fk_verification_ablation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_parallelism,
-    bench_recycler_ablation,
+    bench_retention_ablation,
     bench_pushdown_ablation,
     bench_fk_verification_ablation
 );

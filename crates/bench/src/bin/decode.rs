@@ -1,6 +1,6 @@
 //! Sweeps the decode hot path: the single-pass arena-backed chunk
-//! decode vs the retained reference decode on T4/T5 (sf-1, recycler
-//! off, 1 worker, simulated I/O off), and indexed vs linear stage-1
+//! decode vs the retained reference decode on T4/T5 (sf-1, caches
+//! flushed before every run, 1 worker, simulated I/O off), and indexed vs linear stage-1
 //! candidate selection over the `sf-reg` headers-only registry
 //! (`SOMM_REG_CHUNKS`, default 100 000 chunks). `result_bits` must be
 //! identical across the decode variants of each query.

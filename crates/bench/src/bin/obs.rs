@@ -1,5 +1,5 @@
 //! Observability overhead sweep: T4/T5 under the decode-bound
-//! configuration (FIAM sf-1, recycler off, 1 worker, simulated I/O
+//! configuration (FIAM sf-1, cold cellar, 1 worker, simulated I/O
 //! off) at each observability level. `Off` is the baseline row per
 //! query; `Counters` — the default level — must stay within noise,
 //! and `result_bits` must be byte-identical across levels.

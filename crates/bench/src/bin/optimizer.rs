@@ -1,7 +1,6 @@
-//! Sweeps the optimizer's two new passes — projection-pushdown decode
-//! and zone-map chunk pruning — across both built-in adapters,
-//! reporting decoded chunks/rows/bytes and exact result bits (which
-//! must be identical across every knob combination).
+//! Sweeps the optimizer's zone-map chunk pruning pass off vs on across
+//! both built-in adapters, reporting decoded chunks/rows/bytes and
+//! exact result bits (which must be identical across both settings).
 //!
 //! Set `SOMM_JSON_OUT=<path>` to additionally record the table as JSON
 //! (how `BENCH_optimizer.json` at the workspace root was produced).

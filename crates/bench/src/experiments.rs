@@ -556,10 +556,8 @@ pub fn stage2_parallel(scale: &BenchScale) -> Result<Table> {
     Ok(t)
 }
 
-/// The knob combinations the optimizer sweep compares:
-/// (projection pushdown, zone-map pruning).
-const OPT_KNOBS: [(bool, bool); 4] =
-    [(false, false), (true, false), (false, true), (true, true)];
+/// The `zone_map_pruning` settings the optimizer sweep compares.
+const OPT_KNOBS: [bool; 2] = [false, true];
 
 /// One optimizer-sweep measurement: run `sql` `runs` times (caches
 /// flushed, so every run decodes) and report counters + result bits.
@@ -567,7 +565,7 @@ fn optimizer_row(
     t: &mut Table,
     adapter: &str,
     query: &str,
-    (projection, zone): (bool, bool),
+    zone: bool,
     somm: &Sommelier,
     sql: &str,
     runs: usize,
@@ -593,7 +591,6 @@ fn optimizer_row(
     t.row(vec![
         adapter.to_string(),
         query.to_string(),
-        if projection { "on" } else { "off" }.to_string(),
         if zone { "on" } else { "off" }.to_string(),
         secs(wall / runs as u32),
         last.stats.files_selected.to_string(),
@@ -618,30 +615,27 @@ fn eventlog_threshold(logs: &std::path::Path, host: &str) -> Result<f64> {
     })
 }
 
-/// Optimizer sweep — {projection pushdown} × {zone-map pruning} on
-/// both built-in adapters, over one zone-prunable T4 each:
+/// Optimizer sweep — zone-map pruning off vs on, on both built-in
+/// adapters, over one zone-prunable T4 each:
 ///
 /// * **mseed** — `t4_filezone` (FIAM, first day): the segment-free
 ///   view gets no metadata inference, so stage 1 selects every FIAM
-///   chunk and only zone maps can prune; projection drops `D.seg_id`
-///   from the decode.
+///   chunk and only zone maps can prune.
 /// * **eventlog** — a value-threshold scan whose bound comes from the
-///   headers' per-file statistics; zone maps prune the quiet files,
-///   projection drops `E.ts` from the decode.
+///   headers' per-file statistics; zone maps prune the quiet files.
 ///
-/// Runs with the recycler off (every run decodes; the non-retaining
-/// cellar honors the decode projection). `result_bits` must be
-/// identical within each adapter: neither pass may change answers.
+/// Caches are flushed before every run, so every run decodes its
+/// chunks (full width). `result_bits` must be identical within each
+/// adapter: pruning may not change answers.
 /// With `sim_chunk_io` active, pruned chunks also skip their simulated
 /// per-file seek, so wall-clock scales with `files_loaded`.
 pub fn optimizer_sweep(scale: &BenchScale) -> Result<Table> {
     use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
     let mut t = Table::new(
-        "Optimizer sweep: projection pushdown × zone-map pruning (recycler off)",
+        "Optimizer sweep: zone-map pruning (cold cellar)",
         &[
             "adapter",
             "query",
-            "projection",
             "zone_pruning",
             "wall_s",
             "files_selected",
@@ -657,19 +651,14 @@ pub fn optimizer_sweep(scale: &BenchScale) -> Result<Table> {
     let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
     let (a, b) = queries::day_range(start_day(), 1);
     let mseed_sql = queries::t4_filezone("FIAM", a, b);
-    for (projection, zone) in OPT_KNOBS {
-        let config = SommelierConfig {
-            use_recycler: false,
-            projection_pushdown: projection,
-            zone_map_pruning: zone,
-            ..bench_config(scale)
-        };
+    for zone in OPT_KNOBS {
+        let config = SommelierConfig { zone_map_pruning: zone, ..bench_config(scale) };
         let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
         optimizer_row(
             &mut t,
             "mseed",
             "T4/filedataview",
-            (projection, zone),
+            zone,
             &guard.somm,
             &mseed_sql,
             scale.runs,
@@ -685,27 +674,14 @@ pub fn optimizer_sweep(scale: &BenchScale) -> Result<Table> {
         "SELECT COUNT(E.val) AS n FROM eventview \
          WHERE G.host = 'web-1' AND E.val > {threshold}"
     );
-    for (projection, zone) in OPT_KNOBS {
-        let config = SommelierConfig {
-            use_recycler: false,
-            projection_pushdown: projection,
-            zone_map_pruning: zone,
-            ..bench_config(scale)
-        };
+    for zone in OPT_KNOBS {
+        let config = SommelierConfig { zone_map_pruning: zone, ..bench_config(scale) };
         let somm = Sommelier::builder()
             .source(EventLogAdapter::new(&logs))
             .config(config)
             .build()?;
         somm.prepare(LoadingMode::Lazy)?;
-        optimizer_row(
-            &mut t,
-            "eventlog",
-            "T4/eventview",
-            (projection, zone),
-            &somm,
-            &evl_sql,
-            scale.runs,
-        )?;
+        optimizer_row(&mut t, "eventlog", "T4/eventview", zone, &somm, &evl_sql, scale.runs)?;
     }
     Ok(t)
 }
@@ -713,8 +689,8 @@ pub fn optimizer_sweep(scale: &BenchScale) -> Result<Table> {
 /// Decode hot path sweep — two measurements behind `load_s` being ~95 %
 /// of lazy query wall time after the stage-2 optimizations:
 ///
-/// 1. **decode** — T4/T5 (sf-1, recycler off, 1 worker, simulated I/O
-///    off so the decode itself is what's timed): the single-pass
+/// 1. **decode** — T4/T5 (sf-1, caches flushed before every run, 1
+///    worker, simulated I/O off so the decode itself is what's timed): the single-pass
 ///    arena-backed columnar decode vs the retained reference decode
 ///    (per-segment relations + unions, the pre-PR code path).
 ///    `result_bits` must be identical in every row, and must match the
@@ -752,17 +728,17 @@ pub fn decode_hotpath_sized(scale: &BenchScale, reg_chunks: usize) -> Result<Tab
         ],
     );
 
-    // ---- 1. Chunk decode (FIAM sf-1, recycler off, 1 worker) -------
+    // ---- 1. Chunk decode (FIAM sf-1, cold cellar, 1 worker) --------
     let sf = 1;
     let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
     let total_days = days_for_sf(sf) as i64;
     let (a, b) = queries::day_range(start_day(), total_days);
     let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
-    // Decode-bound configuration: no recycler (every run decodes), one
-    // worker (serial decode cost, not parallel overlap), simulated I/O
-    // off (the sleep would swamp the decode being measured).
+    // Decode-bound configuration: caches flushed before every timed run
+    // (every run decodes), one worker (serial decode cost, not parallel
+    // overlap), simulated I/O off (the sleep would swamp the decode
+    // being measured).
     let config = || SommelierConfig {
-        use_recycler: false,
         max_threads: 1,
         sim_io: None,
         sim_chunk_io: None,
@@ -912,7 +888,7 @@ pub fn decode_hotpath_sized(scale: &BenchScale, reg_chunks: usize) -> Result<Tab
 }
 
 /// Observability overhead: the decode-bound T4/T5 sweep (FIAM sf-1,
-/// recycler off, 1 worker, simulated I/O off — the `decode_hotpath`
+/// cold cellar, 1 worker, simulated I/O off — the `decode_hotpath`
 /// configuration) at each [`sommelier_core::ObsLevel`]. `Off` is the baseline;
 /// `Counters` (the default level) must stay within noise of it, and
 /// `result_bits` must be byte-identical across all three levels.
@@ -940,7 +916,6 @@ pub fn obs_overhead(scale: &BenchScale) -> Result<Table> {
     let (a, b) = queries::day_range(start_day(), total_days);
     let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
     let config = |level: ObsLevel| SommelierConfig {
-        use_recycler: false,
         max_threads: 1,
         sim_io: None,
         sim_chunk_io: None,
@@ -1366,7 +1341,6 @@ pub fn chaos(scale: &BenchScale) -> Result<Table> {
     let build = |plan: Option<FaultPlan>| -> Result<Sommelier> {
         let config = SommelierConfig {
             max_threads: 4,
-            use_recycler: false,
             sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(5) }),
             admission_max_concurrent: 2,
             admission_queue_limit: 3,
@@ -1635,40 +1609,24 @@ mod tests {
     fn optimizer_sweep_shape_and_invariants() {
         let scale = tiny("optimizer");
         let t = optimizer_sweep(&scale).unwrap();
-        // 2 adapters × 4 knob combinations.
-        assert_eq!(t.rows.len(), 2 * 4);
+        // 2 adapters × zone pruning off/on.
+        assert_eq!(t.rows.len(), 2 * 2);
         for adapter in ["mseed", "eventlog"] {
             let rows: Vec<&Vec<String>> = t.rows.iter().filter(|r| r[0] == adapter).collect();
             // Answers are knob-independent, bit for bit.
             assert!(
-                rows.iter().all(|r| r[10] == rows[0][10]),
+                rows.iter().all(|r| r[9] == rows[0][9]),
                 "{adapter}: result bits differ across knobs: {rows:?}"
             );
             for row in &rows {
-                let (projection, zone) = (&row[2], &row[3]);
-                let pruned: u64 = row[6].parse().unwrap();
-                let loaded: u64 = row[7].parse().unwrap();
-                if zone == "on" {
+                let pruned: u64 = row[5].parse().unwrap();
+                let loaded: u64 = row[6].parse().unwrap();
+                if row[2] == "on" {
                     assert!(pruned > 0, "{adapter}: zone maps must prune: {row:?}");
                 } else {
                     assert_eq!(pruned, 0, "{row:?}");
                 }
                 assert!(loaded > 0, "{row:?}");
-                let _ = projection;
-            }
-            // Projection pushdown shrinks decoded bytes at equal chunk
-            // counts (compare within the same zone setting).
-            for zone in ["on", "off"] {
-                let bytes = |proj: &str| -> u64 {
-                    rows.iter().find(|r| r[2] == proj && r[3] == zone).expect("row present")
-                        [9]
-                    .parse()
-                    .unwrap()
-                };
-                assert!(
-                    bytes("on") < bytes("off"),
-                    "{adapter}/zone={zone}: projection must shrink decoded bytes"
-                );
             }
         }
         let _ = std::fs::remove_dir_all(&scale.data_dir);

@@ -13,9 +13,14 @@
 //! per-source chunk registries, but one shared byte budget — a seismic
 //! chunk and a log chunk compete for the same residency memory.
 //!
+//! * **Retention** — a decoded chunk stays resident after its last pin
+//!   drops, full width, so a later query over the same chunk (and any
+//!   column set) is a hit; this is the role MonetDB's Recycler plays in
+//!   the paper. Only budget pressure or [`Cellar::clear`] removes it.
 //! * **Byte budget + pluggable policy** — resident decoded chunks are
 //!   capped by a configurable budget; victims are ranked by a
-//!   [`ResidencyPolicy`] (plain LRU or decode-cost-aware).
+//!   [`ResidencyPolicy`] (plain LRU or decode-cost-aware). A zero
+//!   budget retains nothing past the pins: every acquisition decodes.
 //! * **Pin/unpin** — a query acquires its chunk set before stage 2 and
 //!   releases it after; pinned chunks are never evicted mid-query, so
 //!   [`crate::Sommelier::query`] is safe to call from many threads.
@@ -65,10 +70,6 @@ pub struct CellarConfig {
     pub budget_bytes: usize,
     /// Eviction policy.
     pub policy: CellarPolicyKind,
-    /// Keep chunks resident after the last pin drops. `false` turns
-    /// the cellar into a pure single-flight loader (every query
-    /// re-ingests; [`crate::SommelierConfig::use_recycler`] `= false`).
-    pub retain: bool,
     /// Observability handle: worker-pool counters of the decode pools
     /// flow through it. The cellar's own counters live in its internal
     /// stats atomics regardless (they are mirrored into the metrics
@@ -89,7 +90,6 @@ impl Default for CellarConfig {
         CellarConfig {
             budget_bytes: crate::config::DEFAULT_CELLAR_BYTES,
             policy: CellarPolicyKind::Lru,
-            retain: true,
             obs: Obs::off(),
             retry: RetryPolicy::default(),
             prefetch: None,
@@ -160,21 +160,13 @@ enum LatchState {
 /// Per-chunk in-flight latch: the loader publishes here, waiters block
 /// on the condvar (the page-latch idiom).
 struct LoadLatch {
-    /// The decode projection this load runs with (`None` = full
-    /// width). A joiner whose request this projection does not cover
-    /// must not share the result.
-    projection: Option<Vec<String>>,
     state: Mutex<LatchState>,
     cv: Condvar,
 }
 
 impl LoadLatch {
-    fn new(projection: Option<Vec<String>>) -> Arc<Self> {
-        Arc::new(LoadLatch {
-            projection,
-            state: Mutex::new(LatchState::Pending),
-            cv: Condvar::new(),
-        })
+    fn new() -> Arc<Self> {
+        Arc::new(LoadLatch { state: Mutex::new(LatchState::Pending), cv: Condvar::new() })
     }
 
     fn publish(&self, outcome: LatchOutcome) {
@@ -218,20 +210,6 @@ struct ResidentChunk {
     relation: Arc<Relation>,
     bytes: usize,
     pins: u32,
-    /// The projection the relation was decoded with (`None` = full
-    /// width). Always `None` when the cellar retains chunks; narrow
-    /// relations exist only transiently under `retain: false`.
-    projection: Option<Vec<String>>,
-}
-
-/// Does a relation decoded with `stored` satisfy a request for
-/// `requested`? (`None` = full width.)
-fn covers(stored: Option<&[String]>, requested: Option<&[String]>) -> bool {
-    match (stored, requested) {
-        (None, _) => true,
-        (Some(_), None) => false,
-        (Some(s), Some(r)) => r.iter().all(|c| s.contains(c)),
-    }
 }
 
 enum Slot {
@@ -280,16 +258,8 @@ type DecodeOutcome = sommelier_engine::Result<(Relation, Duration)>;
 /// ([`Cellar::classify_locked`], shared by both acquisition paths).
 enum StreamTask {
     Hit(Arc<Relation>),
-    /// Resident and pinned, but decoded with a projection that does
-    /// not cover this request (only possible under `retain: false`):
-    /// the pin keeps release accounting symmetric, the caller decodes
-    /// privately.
-    HitNarrow,
     Claimed(Arc<LoadLatch>),
     Joined(Arc<LoadLatch>),
-    /// An in-flight load whose projection does not cover this request:
-    /// wait for it to resolve, then re-classify.
-    Retry(Arc<LoadLatch>),
 }
 
 /// Shared state of one streaming-acquisition wave, threaded through
@@ -297,7 +267,6 @@ enum StreamTask {
 /// slot, the query's cancellation token, and the pin ledger backing the
 /// no-leaked-pins assertion.
 struct TaskCtx<'a> {
-    projection: Option<&'a [String]>,
     sink: &'a ChunkSink<'a>,
     first_error: Mutex<Option<EngineError>>,
     cancel: Option<&'a CancelToken>,
@@ -460,24 +429,19 @@ impl Cellar {
         // Phase 1: classify under the lock. Hits are pinned right away
         // so a concurrent release cannot evict them while we decode the
         // misses; misses install an in-flight latch (first claimant
-        // becomes the loader, everyone else joins). The load-all path
-        // always decodes full width (its chunks stay pinned for all of
-        // stage 2 and should serve later queries), so classification
-        // runs with no projection.
+        // becomes the loader, everyone else joins).
         let mut classified: Vec<StreamTask> = Vec::with_capacity(uris.len());
         let mut claims: Vec<(String, Arc<LoadLatch>)> = Vec::new();
         {
             let mut inner = self.inner.lock();
             for uri in uris {
-                let task = self.classify_locked(&mut inner, uri, None);
+                let task = self.classify_locked(&mut inner, uri);
                 match &task {
-                    StreamTask::Hit(_) | StreamTask::HitNarrow => {
-                        owned_pins.push(uri.clone())
-                    }
+                    StreamTask::Hit(_) => owned_pins.push(uri.clone()),
                     StreamTask::Claimed(latch) => {
                         claims.push((uri.clone(), Arc::clone(latch)))
                     }
-                    StreamTask::Joined(_) | StreamTask::Retry(_) => {}
+                    StreamTask::Joined(_) => {}
                 }
                 classified.push(task);
             }
@@ -530,7 +494,7 @@ impl Cellar {
                 match outcome {
                     Ok((relation, cost)) => {
                         let relation = Arc::new(relation);
-                        self.admit_pinned_locked(&mut inner, uri, &relation, cost, None);
+                        self.admit_pinned_locked(&mut inner, uri, &relation, cost);
                         owned_pins.push(uri.clone());
                         claimed_rels.insert(uri.as_str(), (Arc::clone(&relation), cost));
                         latch.publish(Ok((relation, cost)));
@@ -600,21 +564,6 @@ impl Cellar {
     ) -> sommelier_engine::Result<AcquiredChunk> {
         match task {
             StreamTask::Hit(relation) => Ok(AcquiredChunk::untimed(relation, false, false)),
-            StreamTask::HitNarrow => {
-                // The resident relation is too narrow for this request
-                // (it keeps our pin for symmetric release); decode a
-                // private full-width copy.
-                let t = Instant::now();
-                let relation = self.load_private(uri, None, policy.cancel.as_ref())?;
-                Ok(AcquiredChunk {
-                    relation,
-                    loaded: true,
-                    joined: false,
-                    decode: t.elapsed(),
-                    pin_wait: Duration::ZERO,
-                    skipped: None,
-                })
-            }
             StreamTask::Claimed(_) => {
                 let (relation, cost) = claimed_rels.get(uri).expect("claim outcome recorded");
                 Ok(AcquiredChunk {
@@ -629,8 +578,7 @@ impl Cellar {
             StreamTask::Joined(latch) => match self.wait_latch(&latch) {
                 (Ok((relation, cost)), waited) => {
                     self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                    let relation =
-                        self.pin_or_readmit(uri, relation, cost, latch.projection.clone());
+                    let relation = self.pin_or_readmit(uri, relation, cost);
                     owned_pins.push(uri.to_string());
                     Ok(AcquiredChunk {
                         relation,
@@ -645,14 +593,8 @@ impl Cellar {
                     if kind == ErrorKind::Transient {
                         // The loader's failure was retryable (or its
                         // query was cancelled); the slot was withdrawn,
-                        // so re-classify and re-attempt ourselves.
-                        self.settle_acquired(
-                            uri,
-                            StreamTask::Retry(latch),
-                            policy,
-                            owned_pins,
-                            claimed_rels,
-                        )
+                        // so re-classify once and hit, claim or join.
+                        self.settle_retry(uri, policy, owned_pins, claimed_rels)
                     } else {
                         self.skip_or(
                             policy.degradation,
@@ -666,37 +608,39 @@ impl Cellar {
                     }
                 }
             },
-            StreamTask::Retry(_) => match self.classify_settled(uri, None) {
-                t @ (StreamTask::Hit(_) | StreamTask::HitNarrow) => {
-                    owned_pins.push(uri.to_string());
-                    self.settle_acquired(uri, t, policy, owned_pins, claimed_rels)
-                }
-                StreamTask::Claimed(latch) => {
-                    match self.load_claim(
-                        uri,
-                        &latch,
-                        policy.cancel.as_ref(),
-                        policy.tracer.as_deref(),
-                    ) {
-                        Ok((relation, cost)) => {
-                            owned_pins.push(uri.to_string());
-                            Ok(AcquiredChunk {
-                                relation,
-                                loaded: true,
-                                joined: false,
-                                decode: cost,
-                                pin_wait: Duration::ZERO,
-                                skipped: None,
-                            })
-                        }
-                        Err(e) => self.skip_or(policy.degradation, uri, e),
-                    }
-                }
-                t @ StreamTask::Joined(_) => {
-                    self.settle_acquired(uri, t, policy, owned_pins, claimed_rels)
-                }
-                StreamTask::Retry(_) => unreachable!("classify_settled never returns Retry"),
-            },
+        }
+    }
+
+    /// Re-attempt one chunk of the load-all path after a joined load
+    /// failed transiently: classify it again, then settle the hit or
+    /// join, or load the claim on this thread.
+    fn settle_retry(
+        &self,
+        uri: &str,
+        policy: &SchedPolicy,
+        owned_pins: &mut Vec<String>,
+        claimed_rels: &HashMap<&str, (Arc<Relation>, Duration)>,
+    ) -> sommelier_engine::Result<AcquiredChunk> {
+        let task = self.classify_locked(&mut self.inner.lock(), uri);
+        let StreamTask::Claimed(latch) = task else {
+            if matches!(task, StreamTask::Hit(_)) {
+                owned_pins.push(uri.to_string());
+            }
+            return self.settle_acquired(uri, task, policy, owned_pins, claimed_rels);
+        };
+        match self.load_claim(uri, &latch, policy.cancel.as_ref(), policy.tracer.as_deref()) {
+            Ok((relation, cost)) => {
+                owned_pins.push(uri.to_string());
+                Ok(AcquiredChunk {
+                    relation,
+                    loaded: true,
+                    joined: false,
+                    decode: cost,
+                    pin_wait: Duration::ZERO,
+                    skipped: None,
+                })
+            }
+            Err(e) => self.skip_or(policy.degradation, uri, e),
         }
     }
 
@@ -719,7 +663,6 @@ impl Cellar {
         uri: &str,
         relation: Arc<Relation>,
         cost: Duration,
-        projection: Option<Vec<String>>,
     ) -> Arc<Relation> {
         loop {
             let latch = {
@@ -727,15 +670,7 @@ impl Cellar {
                 match inner.slots.get_mut(uri) {
                     Some(Slot::Resident(r)) => {
                         r.pins += 1;
-                        return if covers(r.projection.as_deref(), projection.as_deref()) {
-                            Arc::clone(&r.relation)
-                        } else {
-                            // The slot was re-admitted with a narrower
-                            // projection than our latched copy: keep
-                            // the pin (symmetric release) but hand out
-                            // the covering latched relation.
-                            relation
-                        };
+                        return Arc::clone(&r.relation);
                     }
                     // The chunk was evicted after our loader published
                     // and a newer claimant is already re-loading it.
@@ -751,7 +686,6 @@ impl Cellar {
                                 relation: Arc::clone(&relation),
                                 bytes,
                                 pins: 1,
-                                projection: projection.clone(),
                             }),
                         );
                         inner.resident_bytes += bytes;
@@ -791,21 +725,23 @@ impl Cellar {
     ) -> Vec<DecodeOutcome> {
         let cancel = policy.cancel.as_ref();
         run_indexed_policy(claims.len(), policy, &self.config.obs, |i| {
-            let (uri, latch) = &claims[i];
+            let uri = &claims[i].0;
             with_retries(
                 &self.config.retry,
                 cancel,
                 &self.config.obs,
                 policy.tracer.as_deref(),
                 uri,
-                || {
-                    let t = Instant::now();
-                    self.source_of(uri)
-                        .and_then(|s| s.source.load_chunk(uri, latch.projection.as_deref()))
-                        .map(|r| (r, t.elapsed()))
-                },
+                || self.decode_timed(uri),
             )
         })
+    }
+
+    /// Decode one chunk through its source, timing the decode.
+    fn decode_timed(&self, uri: &str) -> DecodeOutcome {
+        let t = Instant::now();
+        let relation = self.source_of(uri)?.source.load_chunk(uri)?;
+        Ok((relation, t.elapsed()))
     }
 
     /// Exchange-style decoding: per-segment units of all claimed chunks
@@ -822,11 +758,8 @@ impl Cellar {
         let mut slots: Vec<(usize, Mutex<Option<ChunkUnit<'_>>>)> = Vec::new();
         let mut out: Vec<DecodeOutcome> =
             (0..claims.len()).map(|_| Ok((Relation::empty(), Duration::ZERO))).collect();
-        for (fi, (uri, latch)) in claims.iter().enumerate() {
-            match self
-                .source_of(uri)
-                .and_then(|s| s.source.chunk_units(uri, latch.projection.as_deref()))
-            {
+        for (fi, (uri, _)) in claims.iter().enumerate() {
+            match self.source_of(uri).and_then(|s| s.source.chunk_units(uri)) {
                 Ok(units) => {
                     for unit in units {
                         slots.push((fi, Mutex::new(Some(unit))));
@@ -860,7 +793,7 @@ impl Cellar {
         // A chunk whose unit pass failed transiently is re-decoded
         // whole (a consumed unit closure cannot be re-run); the retry
         // budget applies to the reload exactly as on the static path.
-        for (fi, (uri, latch)) in claims.iter().enumerate() {
+        for (fi, (uri, _)) in claims.iter().enumerate() {
             if self.config.retry.max_attempts <= 1 {
                 break;
             }
@@ -873,12 +806,7 @@ impl Cellar {
                 &self.config.obs,
                 policy.tracer.as_deref(),
                 uri,
-                || {
-                    let t = Instant::now();
-                    self.source_of(uri)
-                        .and_then(|s| s.source.load_chunk(uri, latch.projection.as_deref()))
-                        .map(|r| (r, t.elapsed()))
-                },
+                || self.decode_timed(uri),
             );
         }
         out
@@ -909,7 +837,6 @@ impl Cellar {
     fn acquire_each_impl(
         &self,
         uris: &[String],
-        projection: Option<&[String]>,
         policy: &SchedPolicy,
         sink: &ChunkSink<'_>,
     ) -> sommelier_engine::Result<()> {
@@ -918,12 +845,6 @@ impl Cellar {
         }
         // A cancel before classification means no pins were ever taken.
         policy.check_cancel()?;
-        // A retaining cellar must decode full width: resident chunks
-        // outlive this query and later queries may reference other
-        // columns. Only the pure single-flight-loader configuration
-        // (`retain: false`, nothing survives the pins) honors the
-        // pushed-down decode projection.
-        let projection = if self.config.retain { None } else { projection };
         // Phase 1: classify under the lock. Hits are pinned right away
         // so a concurrent release cannot evict them before their sink
         // runs; misses install the in-flight latch.
@@ -931,7 +852,7 @@ impl Cellar {
         {
             let mut inner = self.inner.lock();
             for uri in uris {
-                let task = self.classify_locked(&mut inner, uri, projection);
+                let task = self.classify_locked(&mut inner, uri);
                 tasks.push(task);
             }
         }
@@ -940,9 +861,9 @@ impl Cellar {
         let mut joins: Vec<usize> = Vec::new();
         for (i, task) in tasks.iter().enumerate() {
             match task {
-                StreamTask::Hit(_) | StreamTask::HitNarrow => eager.push(i),
+                StreamTask::Hit(_) => eager.push(i),
                 StreamTask::Claimed(_) => claims.push(i),
-                StreamTask::Joined(_) | StreamTask::Retry(_) => joins.push(i),
+                StreamTask::Joined(_) => joins.push(i),
             }
         }
         eager.append(&mut claims);
@@ -953,7 +874,6 @@ impl Cellar {
         // without unpinning (the cancellation-leak class of bug) trips
         // the assert below.
         let tctx = TaskCtx {
-            projection,
             sink,
             first_error: Mutex::new(None),
             cancel: policy.cancel.as_ref(),
@@ -980,59 +900,20 @@ impl Cellar {
     /// join an in-flight load, or claim the load by installing a latch.
     /// Shared by [`Self::acquire_impl`] and [`Self::acquire_each_impl`]
     /// so the two acquisition paths cannot drift.
-    ///
-    /// `projection` is the decode projection this acquisition wants
-    /// (already normalized: always `None` when the cellar retains
-    /// chunks, so coverage checks are trivially true on that path).
-    fn classify_locked(
-        &self,
-        inner: &mut Inner,
-        uri: &str,
-        projection: Option<&[String]>,
-    ) -> StreamTask {
+    fn classify_locked(&self, inner: &mut Inner, uri: &str) -> StreamTask {
         match inner.slots.get_mut(uri) {
             Some(Slot::Resident(r)) => {
-                // Pin either way: a narrow hit still holds its pin so a
-                // later release of the batch stays symmetric.
                 r.pins += 1;
-                let covered = covers(r.projection.as_deref(), projection);
                 let rel = Arc::clone(&r.relation);
                 inner.policy.on_touch(uri);
-                if covered {
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    StreamTask::Hit(rel)
-                } else {
-                    StreamTask::HitNarrow
-                }
+                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                StreamTask::Hit(rel)
             }
-            Some(Slot::Loading(latch)) => {
-                if covers(latch.projection.as_deref(), projection) {
-                    StreamTask::Joined(Arc::clone(latch))
-                } else {
-                    StreamTask::Retry(Arc::clone(latch))
-                }
-            }
+            Some(Slot::Loading(latch)) => StreamTask::Joined(Arc::clone(latch)),
             None => {
-                let latch = LoadLatch::new(projection.map(<[String]>::to_vec));
+                let latch = LoadLatch::new();
                 inner.slots.insert(uri.to_string(), Slot::Loading(Arc::clone(&latch)));
                 StreamTask::Claimed(latch)
-            }
-        }
-    }
-
-    /// Like [`Self::classify_locked`], but never returns
-    /// [`StreamTask::Retry`]: waits out conflicting in-flight loads
-    /// until classification lands on a terminal task.
-    fn classify_settled(&self, uri: &str, projection: Option<&[String]>) -> StreamTask {
-        loop {
-            let task = self.classify_locked(&mut self.inner.lock(), uri, projection);
-            match task {
-                StreamTask::Retry(latch) => {
-                    // The conflicting load resolves (publishes or
-                    // withdraws) and we look again.
-                    let _ = self.wait_latch(&latch);
-                }
-                other => return other,
             }
         }
     }
@@ -1050,10 +931,7 @@ impl Cellar {
     ) -> sommelier_engine::Result<(Arc<Relation>, Duration)> {
         let outcome =
             with_retries(&self.config.retry, cancel, &self.config.obs, tracer, uri, || {
-                let t = Instant::now();
-                self.source_of(uri)
-                    .and_then(|s| s.source.load_chunk(uri, latch.projection.as_deref()))
-                    .map(|r| (r, t.elapsed()))
+                self.decode_timed(uri)
             });
         match outcome {
             Ok((relation, cost)) => {
@@ -1061,13 +939,7 @@ impl Cellar {
                 let mut reclaim_list = Vec::new();
                 {
                     let mut inner = self.inner.lock();
-                    self.admit_pinned_locked(
-                        &mut inner,
-                        uri,
-                        &relation,
-                        cost,
-                        latch.projection.clone(),
-                    );
+                    self.admit_pinned_locked(&mut inner, uri, &relation, cost);
                     self.enforce_budget_locked(&mut inner, &mut reclaim_list);
                 }
                 self.reclaim_all(&reclaim_list);
@@ -1081,30 +953,6 @@ impl Cellar {
                 Err(e)
             }
         }
-    }
-
-    /// Decode a chunk privately (no slot, no latch, no pin) with the
-    /// requested projection — the fallback when an existing slot's
-    /// projection cannot serve this request.
-    fn load_private(
-        &self,
-        uri: &str,
-        projection: Option<&[String]>,
-        cancel: Option<&CancelToken>,
-    ) -> sommelier_engine::Result<Arc<Relation>> {
-        let rel =
-            with_retries(&self.config.retry, cancel, &self.config.obs, None, uri, || {
-                self.source_of(uri)?.source.load_chunk(uri, projection)
-            });
-        let rel = match rel {
-            Ok(r) => r,
-            Err(e) => {
-                self.note_load_failure(uri, &e);
-                return Err(e);
-            }
-        };
-        self.stats.loads.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(rel))
     }
 
     /// Record a load failure: a permanently unreadable chunk is
@@ -1159,17 +1007,11 @@ impl Cellar {
         uri: &str,
         relation: &Arc<Relation>,
         cost: Duration,
-        projection: Option<Vec<String>>,
     ) {
         let bytes = relation.approx_bytes();
         inner.slots.insert(
             uri.to_string(),
-            Slot::Resident(ResidentChunk {
-                relation: Arc::clone(relation),
-                bytes,
-                pins: 1,
-                projection,
-            }),
+            Slot::Resident(ResidentChunk { relation: Arc::clone(relation), bytes, pins: 1 }),
         );
         inner.resident_bytes += bytes;
         inner.peak_resident_bytes = inner.peak_resident_bytes.max(inner.resident_bytes);
@@ -1231,31 +1073,6 @@ impl Cellar {
                 self.release_uris(&[uri]);
                 held(-1);
             }
-            StreamTask::HitNarrow => {
-                // The resident relation misses columns this request
-                // needs: decode privately with our own projection (the
-                // pin taken at classification keeps release symmetric).
-                held(1);
-                if !aborted() {
-                    let t = Instant::now();
-                    match self.load_private(uri, tctx.projection, tctx.cancel) {
-                        Ok(relation) => {
-                            let chunk = AcquiredChunk {
-                                relation,
-                                loaded: true,
-                                joined: false,
-                                decode: t.elapsed(),
-                                pin_wait: Duration::ZERO,
-                                skipped: None,
-                            };
-                            sink(i, chunk);
-                        }
-                        Err(e) => record(e),
-                    }
-                }
-                self.release_uris(&[uri]);
-                held(-1);
-            }
             StreamTask::Claimed(latch) => {
                 match self.load_claim(uri, latch, tctx.cancel, tctx.tracer) {
                     Ok((relation, cost)) => {
@@ -1293,12 +1110,7 @@ impl Cellar {
                 match self.wait_latch(latch) {
                     (Ok((relation, cost)), waited) => {
                         self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                        let relation = self.pin_or_readmit(
-                            uri,
-                            relation,
-                            cost,
-                            latch.projection.clone(),
-                        );
+                        let relation = self.pin_or_readmit(uri, relation, cost);
                         held(1);
                         if !aborted() {
                             let chunk = AcquiredChunk {
@@ -1318,14 +1130,10 @@ impl Cellar {
                         if kind == ErrorKind::Transient {
                             // The loader's failure was retryable (or
                             // its query was cancelled); the slot was
-                            // withdrawn, so re-classify and re-attempt
-                            // with our own retry budget.
-                            match self.classify_settled(uri, tctx.projection) {
-                                StreamTask::Retry(_) => {
-                                    unreachable!("classify_settled is terminal")
-                                }
-                                settled => self.run_task(i, uri, &settled, tctx),
-                            }
+                            // withdrawn, so re-classify once and hit,
+                            // claim (with our own retry budget) or join.
+                            let task = self.classify_locked(&mut self.inner.lock(), uri);
+                            self.run_task(i, uri, &task, tctx);
                         } else {
                             let e = EngineError::ChunkLoad {
                                 uri: uri.to_string(),
@@ -1342,17 +1150,6 @@ impl Cellar {
                             }
                         }
                     }
-                }
-            }
-            StreamTask::Retry(_) => {
-                if aborted() {
-                    return;
-                }
-                // Wait out the conflicting in-flight load, then run
-                // whatever classification settles on.
-                match self.classify_settled(uri, tctx.projection) {
-                    StreamTask::Retry(_) => unreachable!("classify_settled is terminal"),
-                    settled => self.run_task(i, uri, &settled, tctx),
                 }
             }
         }
@@ -1398,10 +1195,6 @@ impl Cellar {
             for uri in uris {
                 if let Some(Slot::Resident(r)) = inner.slots.get_mut(*uri) {
                     r.pins = r.pins.saturating_sub(1);
-                    if r.pins == 0 && !self.config.retain {
-                        Self::evict_locked(&mut inner, &self.stats, uri);
-                        reclaim_list.push(uri.to_string());
-                    }
                 }
             }
             self.enforce_budget_locked(&mut inner, &mut reclaim_list);
@@ -1599,13 +1392,8 @@ impl ChunkResidency for Cellar {
     fn acquire_many(
         &self,
         uris: &[String],
-        _projection: Option<&[String]>,
         policy: &SchedPolicy,
     ) -> sommelier_engine::Result<Vec<AcquiredChunk>> {
-        // The load-all path keeps its chunks pinned for all of stage 2
-        // and (when retaining) serves later queries from them: always
-        // decode full width here. Projection applies on the streaming
-        // path ([`Self::acquire_each`]) of a non-retaining cellar.
         self.acquire_impl(uris, policy)
     }
 
@@ -1617,11 +1405,10 @@ impl ChunkResidency for Cellar {
     fn acquire_each(
         &self,
         uris: &[String],
-        projection: Option<&[String]>,
         policy: &SchedPolicy,
         sink: &ChunkSink<'_>,
     ) -> sommelier_engine::Result<()> {
-        self.acquire_each_impl(uris, projection, policy, sink)
+        self.acquire_each_impl(uris, policy, sink)
     }
 
     fn all_chunks(&self) -> sommelier_engine::Result<Vec<String>> {
@@ -1726,10 +1513,9 @@ impl ChunkResidency for ScopedCellar {
     fn acquire_many(
         &self,
         uris: &[String],
-        projection: Option<&[String]>,
         policy: &SchedPolicy,
     ) -> sommelier_engine::Result<Vec<AcquiredChunk>> {
-        self.cellar.acquire_many(uris, projection, policy)
+        self.cellar.acquire_many(uris, policy)
     }
 
     fn release_many(&self, uris: &[String]) {
@@ -1739,11 +1525,10 @@ impl ChunkResidency for ScopedCellar {
     fn acquire_each(
         &self,
         uris: &[String],
-        projection: Option<&[String]>,
         policy: &SchedPolicy,
         sink: &ChunkSink<'_>,
     ) -> sommelier_engine::Result<()> {
-        self.cellar.acquire_each(uris, projection, policy, sink)
+        self.cellar.acquire_each(uris, policy, sink)
     }
 
     fn all_chunks(&self) -> sommelier_engine::Result<Vec<String>> {
@@ -1785,7 +1570,6 @@ impl std::fmt::Debug for Cellar {
             .field("sources", &self.sources.len())
             .field("budget_bytes", &self.config.budget_bytes)
             .field("policy", &self.config.policy.label())
-            .field("retain", &self.config.retain)
             .field("resident_chunks", &self.resident_chunks())
             .field("resident_bytes", &self.resident_bytes())
             .field("stats", &self.stats())
@@ -1886,7 +1670,7 @@ mod tests {
 
     fn chunk_bytes(cellar: &Cellar, uri: &str) -> usize {
         // Measure one decoded chunk by loading it through the source.
-        cellar.sources[0].source.load_chunk(uri, None).unwrap().approx_bytes()
+        cellar.sources[0].source.load_chunk(uri).unwrap().approx_bytes()
     }
 
     #[test]
@@ -1899,8 +1683,7 @@ mod tests {
             &fx,
             CellarConfig { budget_bytes: one * 2 + one / 2, ..CellarConfig::default() },
         );
-        let acquired =
-            cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+        let acquired = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         assert_eq!(acquired.len(), 4);
         assert!(acquired.iter().all(|a| a.loaded));
         // Working set pinned: transiently over budget, nothing evicted.
@@ -1917,10 +1700,10 @@ mod tests {
         let fx = fixture("hits", 2, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        let first = cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+        let first = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         assert!(first.iter().all(|a| a.loaded && !a.joined));
         cellar.release_many(&all);
-        let second = cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+        let second = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         assert!(second.iter().all(|a| !a.loaded && !a.joined));
         cellar.release_many(&all);
         let s = cellar.stats();
@@ -1937,9 +1720,8 @@ mod tests {
                 let cellar = &cellar;
                 let all = &all;
                 scope.spawn(move || {
-                    let got = cellar
-                        .acquire_many(all, None, &pooled(ParallelMode::Static))
-                        .unwrap();
+                    let got =
+                        cellar.acquire_many(all, &pooled(ParallelMode::Static)).unwrap();
                     assert_eq!(got.len(), all.len());
                     // Every thread sees the same relation contents.
                     let rows: usize = got.iter().map(|a| a.relation.rows()).sum();
@@ -1955,15 +1737,15 @@ mod tests {
     }
 
     #[test]
-    fn retain_false_is_a_pure_single_flight_loader() {
-        let fx = fixture("noretain", 2, 32);
+    fn zero_budget_cellar_re_ingests_every_acquisition() {
+        let fx = fixture("zero-budget", 2, 32);
         let all = uris(&fx);
         let cellar =
-            cellar_over(&fx, CellarConfig { retain: false, ..CellarConfig::default() });
-        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+            cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
+        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         cellar.release_many(&all);
         assert_eq!(cellar.resident_chunks(), 0);
-        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         cellar.release_many(&all);
         let s = cellar.stats();
         assert_eq!(s.loads, 2 * all.len() as u64, "every query re-ingests");
@@ -1976,10 +1758,9 @@ mod tests {
         let all = uris(&fx);
         let a = cellar_over(&fx, CellarConfig::default());
         let b = cellar_over(&fx, CellarConfig::default());
-        let got_a = a.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
-        let got_b = b
-            .acquire_many(&all, None, &pooled(ParallelMode::Exchange { workers: 3 }))
-            .unwrap();
+        let got_a = a.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        let got_b =
+            b.acquire_many(&all, &pooled(ParallelMode::Exchange { workers: 3 })).unwrap();
         for (x, y) in got_a.iter().zip(&got_b) {
             assert_eq!(x.relation.rows(), y.relation.rows());
         }
@@ -2026,9 +1807,7 @@ mod tests {
         // Budget 1 byte: everything evicts on release.
         let cellar =
             cellar_over(&fx, CellarConfig { budget_bytes: 1, ..CellarConfig::default() });
-        cellar
-            .acquire_many(&all[..1], None, &SchedPolicy::new(ParallelMode::Static, 1))
-            .unwrap();
+        cellar.acquire_many(&all[..1], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
         cellar.release_many(&all[..1]);
         assert_eq!(cellar.resident_chunks(), 0);
         // E rows staged for the chunk are gone; other chunks untouched.
@@ -2049,7 +1828,7 @@ mod tests {
         let day0 = days_from_civil(2011, 3, 1) * MS_PER_DAY;
         fx.dmd.mark_covered([(vec!["web-1".to_string(), "api".to_string()], day0)]);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         cellar.release_many(&all);
         assert_eq!(cellar.resident_chunks(), 2);
         cellar.clear();
@@ -2070,12 +1849,8 @@ mod tests {
         );
         // Hold a pin on chunk 0 across a second acquisition that
         // overflows the budget.
-        cellar
-            .acquire_many(&all[..1], None, &SchedPolicy::new(ParallelMode::Static, 1))
-            .unwrap();
-        cellar
-            .acquire_many(&all[1..2], None, &SchedPolicy::new(ParallelMode::Static, 1))
-            .unwrap();
+        cellar.acquire_many(&all[..1], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
+        cellar.acquire_many(&all[1..2], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
         cellar.release_many(&all[1..2]);
         // Chunk 0 is pinned: the eviction to restore the budget must
         // have taken chunk 1.
@@ -2100,7 +1875,7 @@ mod tests {
                 assert!(chunk.loaded);
                 Ok(())
             };
-            cellar.acquire_each(&all, None, &pooled(mode), &sink).unwrap();
+            cellar.acquire_each(&all, &pooled(mode), &sink).unwrap();
             let counts = delivered.lock().clone();
             assert!(counts.iter().all(|&n| n == 1), "{counts:?}");
             assert!(rows.load(Ordering::Relaxed) > 0);
@@ -2111,7 +1886,7 @@ mod tests {
                 *hits.lock() += 1;
                 Ok(())
             };
-            cellar.acquire_each(&all, None, &pooled(mode), &sink2).unwrap();
+            cellar.acquire_each(&all, &pooled(mode), &sink2).unwrap();
             assert_eq!(*hits.lock(), all.len());
             let s = cellar.stats();
             assert_eq!(s.loads, all.len() as u64);
@@ -2138,7 +1913,7 @@ mod tests {
             Ok(())
         };
         cellar
-            .acquire_each(&all, None, &pooled(ParallelMode::Exchange { workers: 2 }), &sink)
+            .acquire_each(&all, &pooled(ParallelMode::Exchange { workers: 2 }), &sink)
             .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), all.len() as u64);
         // Budget holds once the wave is over (no pins survive).
@@ -2152,7 +1927,7 @@ mod tests {
         // never wedge — joins are drained only after every claim of the
         // wave has published, and never on a pool worker, so a latch
         // wait can never sit ahead of the task that would publish it.
-        // `retain: false` maximizes claim/join churn (every wave
+        // A zero budget maximizes claim/join churn (every wave
         // re-claims every chunk, joins re-admit via `pin_or_readmit`).
         // Two shapes: serial waves (any ordering violation wedges a
         // submitter immediately), and six submitters sharing one
@@ -2167,7 +1942,7 @@ mod tests {
             SchedPolicy::new(ParallelMode::Static, 2).with_scheduler(Some(Arc::clone(&pool)));
         for policy in [&serial, &shared] {
             let cellar =
-                cellar_over(&fx, CellarConfig { retain: false, ..CellarConfig::default() });
+                cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
             let waves_per_thread = 12u64;
             std::thread::scope(|scope| {
                 for t in 0..6usize {
@@ -2190,7 +1965,7 @@ mod tests {
                                 n.fetch_add(1, Ordering::Relaxed);
                                 Ok(())
                             };
-                            cellar.acquire_each(&wave, None, policy, &sink).unwrap();
+                            cellar.acquire_each(&wave, policy, &sink).unwrap();
                             assert_eq!(n.load(Ordering::Relaxed), wave.len() as u64);
                         }
                     });
@@ -2214,12 +1989,8 @@ mod tests {
                 Ok(())
             }
         };
-        let err = cellar.acquire_each(
-            &all,
-            None,
-            &SchedPolicy::new(ParallelMode::Static, 1),
-            &sink,
-        );
+        let err =
+            cellar.acquire_each(&all, &SchedPolicy::new(ParallelMode::Static, 1), &sink);
         assert!(err.is_err());
         // All pins released: a clear() drops everything that was admitted.
         cellar.clear();
@@ -2231,7 +2002,7 @@ mod tests {
         let fx = fixture("peak", 3, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
         let peak = cellar.peak_resident_bytes();
         assert_eq!(peak, cellar.resident_bytes());
         cellar.release_many(&all);
@@ -2289,9 +2060,7 @@ mod tests {
         // Acquiring through a scoped view still shares the one budget.
         let scoped = cellar.scoped(1);
         let uris_b = scoped.all_chunks().unwrap();
-        scoped
-            .acquire_many(&uris_b, None, &SchedPolicy::new(ParallelMode::Static, 1))
-            .unwrap();
+        scoped.acquire_many(&uris_b, &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
         assert!(cellar.resident_bytes() > 0);
         scoped.release_many(&uris_b);
     }
@@ -2334,7 +2103,7 @@ mod tests {
         let all = uris(&fx);
         let clean = cellar_over(&fx, CellarConfig::default());
         let expect: Vec<usize> = clean
-            .acquire_many(&all, None, &pooled(ParallelMode::Static))
+            .acquire_many(&all, &pooled(ParallelMode::Static))
             .unwrap()
             .iter()
             .map(|a| a.relation.rows())
@@ -2343,7 +2112,7 @@ mod tests {
         let before = io_retries();
         let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), CellarConfig::default());
         for mode in [ParallelMode::Static, ParallelMode::Exchange { workers: 2 }] {
-            let got = cellar.acquire_many(&all, None, &pooled(mode)).unwrap();
+            let got = cellar.acquire_many(&all, &pooled(mode)).unwrap();
             let rows: Vec<usize> = got.iter().map(|a| a.relation.rows()).collect();
             assert_eq!(rows, expect, "retried loads decode the same data");
             assert!(got.iter().all(|a| a.skipped.is_none()));
@@ -2368,7 +2137,7 @@ mod tests {
             CellarConfig { retry: RetryPolicy::none(), ..CellarConfig::default() },
         );
         let policy = SchedPolicy::new(ParallelMode::Static, 1);
-        let err = cellar.acquire_many(&all, None, &policy).unwrap_err();
+        let err = cellar.acquire_many(&all, &policy).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Transient, "{err}");
         assert!(err.to_string().contains(&all[0]), "{err}");
         assert_eq!(cellar.total_pins(), 0, "failed acquisition leaked pins");
@@ -2376,7 +2145,7 @@ mod tests {
             ChunkResidency::quarantined(&cellar, &all[0]).is_none(),
             "transient failures never quarantine"
         );
-        let got = cellar.acquire_many(&all, None, &policy).unwrap();
+        let got = cellar.acquire_many(&all, &policy).unwrap();
         assert_eq!(got.len(), 1);
         assert!(got[0].loaded && got[0].skipped.is_none());
         cellar.release_many(&all);
@@ -2390,7 +2159,7 @@ mod tests {
         let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
         // Strict: the typed error names the chunk, and the chunk lands
         // in quarantine.
-        let err = cellar.acquire_many(&all, None, &pooled(ParallelMode::Static)).unwrap_err();
+        let err = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap_err();
         assert!(
             matches!(&err, EngineError::ChunkLoad { uri, .. } if *uri == all[0]),
             "{err}"
@@ -2404,7 +2173,7 @@ mod tests {
         // schema-correct empty placeholder carrying the reason.
         let mut policy = pooled(ParallelMode::Static);
         policy.degradation = DegradationPolicy::SkipUnreadable;
-        let got = cellar.acquire_many(&all, None, &policy).unwrap();
+        let got = cellar.acquire_many(&all, &policy).unwrap();
         assert_eq!(got.len(), 2);
         assert!(got[0].skipped.as_deref().unwrap().contains("bad magic"));
         assert_eq!(got[0].relation.rows(), 0);
@@ -2432,7 +2201,7 @@ mod tests {
             }
             Ok(())
         };
-        cellar.acquire_each(&all, None, &policy, &sink).unwrap();
+        cellar.acquire_each(&all, &policy, &sink).unwrap();
         let skipped = skipped.into_inner();
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].0, 1, "slot 1 carries the skip");
@@ -2469,7 +2238,7 @@ mod tests {
             })
         };
         let sink = |_i: usize, _chunk: AcquiredChunk| Ok(());
-        let err = cellar.acquire_each(&all, None, &policy, &sink).unwrap_err();
+        let err = cellar.acquire_each(&all, &policy, &sink).unwrap_err();
         canceller.join().unwrap();
         assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
         assert_eq!(cellar.total_pins(), 0, "cancelled wave leaked pins");

@@ -732,21 +732,15 @@ impl AdapterChunkSource {
         Ok(())
     }
 
-    /// Ingest one chunk as a relation in the actual-data table's schema
-    /// (qualified column names, e.g. `D.sample_time`). With a
-    /// `projection`, only the named columns need to be materialized
-    /// (the `projection_pushdown` pass guarantees the query references
-    /// nothing else).
-    pub(crate) fn load_chunk(
-        &self,
-        uri: &str,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
+    /// Ingest one chunk, full width, as a relation in the actual-data
+    /// table's schema (qualified column names, e.g. `D.sample_time`).
+    /// The cellar retains it for later queries over any column set.
+    pub(crate) fn load_chunk(&self, uri: &str) -> sommelier_engine::Result<Relation> {
         // Prefetched chunk: the IO (and its simulated latency + fault
         // gate) already ran on an IO thread — only decode here.
         if let Some(raw) = self.claim_prefetched(uri)? {
             let t = Instant::now();
-            let rel = self.adapter.decode_bytes(self.entry(uri)?, raw, projection)?;
+            let rel = self.adapter.decode_bytes(self.entry(uri)?, raw, None)?;
             self.verify(&rel)?;
             if let Some(c) = &self.counters {
                 c.chunks.inc();
@@ -759,7 +753,7 @@ impl AdapterChunkSource {
             f.before_load(uri)?;
         }
         let t = Instant::now();
-        let rel = self.adapter.decode(self.entry(uri)?, projection)?;
+        let rel = self.adapter.decode(self.entry(uri)?, None)?;
         self.verify(&rel)?;
         if let Some(c) = &self.counters {
             c.chunks.inc();
@@ -774,7 +768,6 @@ impl AdapterChunkSource {
     pub(crate) fn chunk_units<'s>(
         &'s self,
         uri: &str,
-        projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Vec<ChunkUnit<'s>>> {
         // Prefetched chunk: decode the staged buffer as one deferred
         // unit instead of re-reading the file for per-segment units —
@@ -782,10 +775,9 @@ impl AdapterChunkSource {
         // IO thread, so none of the per-unit surcharges below apply.
         if let Some(raw) = self.claim_prefetched(uri)? {
             let entry = self.entry(uri)?.clone();
-            let projection = projection.map(<[String]>::to_vec);
             let unit: ChunkUnit<'s> = Box::new(move || {
                 let t = Instant::now();
-                let rel = self.adapter.decode_bytes(&entry, raw, projection.as_deref())?;
+                let rel = self.adapter.decode_bytes(&entry, raw, None)?;
                 self.verify(&rel)?;
                 if let Some(c) = &self.counters {
                     c.units.inc();
@@ -798,7 +790,7 @@ impl AdapterChunkSource {
             }
             return Ok(vec![unit]);
         }
-        let mut units = self.adapter.chunk_units(self.entry(uri)?, projection)?;
+        let mut units = self.adapter.chunk_units(self.entry(uri)?, None)?;
         // Fault injection gates each unit on the worker that runs it
         // (same seam as the whole-chunk path: the fault fires where the
         // read would).

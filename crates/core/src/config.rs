@@ -14,15 +14,17 @@ pub const DEFAULT_CELLAR_BYTES: usize = 256 * 1024 * 1024;
 pub struct SommelierConfig {
     /// Buffer-pool capacity for persistent base tables (bytes).
     pub buffer_pool_bytes: usize,
-    /// Chunk-residency (cellar) budget (bytes): decoded chunks kept
-    /// resident across queries. The paper's workload experiments limit
-    /// it to main-memory size. `None` = [`DEFAULT_CELLAR_BYTES`].
+    /// Chunk-residency (cellar) budget (bytes): decoded chunks are always
+    /// kept resident across queries, so a later query over the same
+    /// chunk is a cache hit (the role MonetDB's Recycler plays in the
+    /// paper). The paper's workload experiments limit it to main-memory
+    /// size. `None` = [`DEFAULT_CELLAR_BYTES`].
     pub cellar_bytes: Option<usize>,
     /// Eviction policy of the cellar.
     pub cellar_policy: CellarPolicyKind,
     /// Optional simulated I/O latency per buffer-pool page miss, used
     /// to re-create the paper's disk-bound regimes at scaled-down
-    /// dataset sizes (see DESIGN.md).
+    /// dataset sizes.
     pub sim_io: Option<SimIo>,
     /// Optional simulated repository-read latency per 64 KiB of chunk
     /// file, charged on the decoding worker — the chunk-ingestion
@@ -37,21 +39,10 @@ pub struct SommelierConfig {
     /// Push selections into per-chunk accesses (run-time rewrite
     /// refinement, §III).
     pub chunk_pushdown: bool,
-    /// Decode only the columns a query references (the optimizer's
-    /// `projection_pushdown` pass). Applies on decode paths that do
-    /// not retain chunks across queries (`use_recycler: false`);
-    /// retained chunks always decode full width.
-    pub projection_pushdown: bool,
     /// Drop chunks whose registered zone maps contradict the pushed-
     /// down predicate before any decode is scheduled (the optimizer's
     /// `zone_map_pruning` pass).
     pub zone_map_pruning: bool,
-    /// Let the cellar retain decoded chunks across queries, so a later
-    /// query over the same chunk is a cache hit (the role MonetDB's
-    /// Recycler plays in the paper). `false` makes the cellar a pure
-    /// single-flight loader: every query decodes its chunks again, with
-    /// [`Self::projection_pushdown`] applied.
-    pub use_recycler: bool,
     /// Verify FK constraints when lazily ingesting chunks. The paper
     /// omits them ("safe by design", §VI-A); enabling this is the
     /// ablation knob.
@@ -131,9 +122,7 @@ impl Default for SommelierConfig {
             sim_chunk_io: None,
             parallel: ParallelMode::Static,
             chunk_pushdown: true,
-            projection_pushdown: true,
             zone_map_pruning: true,
-            use_recycler: true,
             verify_lazy_fk: false,
             max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
             observability: ObsLevel::Counters,
@@ -157,7 +146,6 @@ mod tests {
     fn defaults_are_sensible() {
         let c = SommelierConfig::default();
         assert!(c.buffer_pool_bytes > 0);
-        assert!(c.use_recycler);
         assert!(!c.verify_lazy_fk);
         assert_eq!(c.parallel, ParallelMode::Static);
         assert_eq!(c.cellar_policy, CellarPolicyKind::Lru);

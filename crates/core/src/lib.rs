@@ -709,7 +709,6 @@ impl Sommelier {
             CellarConfig {
                 budget_bytes: self.config.effective_cellar_bytes(),
                 policy: self.config.cellar_policy,
-                retain: self.config.use_recycler,
                 obs,
                 retry: self.config.io_retry,
                 prefetch: self.prefetch.clone(),
@@ -789,7 +788,6 @@ impl Sommelier {
     fn two_stage_config(&self, mode: LoadingMode, source_idx: usize) -> TwoStageConfig {
         TwoStageConfig {
             pushdown: self.config.chunk_pushdown,
-            projection_pushdown: self.config.projection_pushdown,
             zone_map_pruning: self.config.zone_map_pruning,
             use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
@@ -1156,8 +1154,8 @@ impl Sommelier {
 
     /// The plan a query would run, as text (EXPLAIN): the logical plan,
     /// the stage-2 physical shape — which shows whether selection
-    /// pushdown, projection pushdown and partial-aggregation fusion
-    /// (`PartialAggUnion`) fire — and the optimizer pass trace. Uses
+    /// pushdown and partial-aggregation fusion (`PartialAggUnion`)
+    /// fire — and the optimizer pass trace. Uses
     /// the same pass pipelines as execution; only the chunk list (a
     /// run-time quantity) is a placeholder, so run-time-only effects
     /// (chunks pruned by zone maps) show as the pass being armed.
@@ -1177,7 +1175,6 @@ impl Sommelier {
         let s2_opts = optimizer::Stage2Options {
             use_index_joins: mode.builds_indices(),
             pushdown: self.config.chunk_pushdown,
-            projection_pushdown: self.config.projection_pushdown,
             zone_map_pruning: self.config.zone_map_pruning,
         };
         let chunks = if plan.has_lazy_scan() { Some(Vec::new()) } else { None };

@@ -38,8 +38,9 @@
 //! 3. **Decode** — [`SourceAdapter::decode`] decodes one chunk into
 //!    a relation shaped like the actual-data table, with qualified
 //!    column names (`"D.sample_value"`) and the system keys assigned at
-//!    registration — restricted to the pushed-down projection when the
-//!    optimizer provides one.
+//!    registration — restricted to a column projection when the caller
+//!    passes one (the engine always decodes full width, because the
+//!    cellar retains chunks for later queries over other columns).
 //! 4. **Inference** — each [`InferenceRule`] teaches the planner how a
 //!    literal predicate on an actual-data column bounds a given-metadata
 //!    row, so stage 1 can narrow the chunk list without touching data.
@@ -471,11 +472,11 @@ pub trait SourceAdapter: Send + Sync {
 
     /// Decode one registered chunk into a relation shaped like the
     /// actual-data table (qualified column names, system keys from
-    /// registration). With a `projection` (the `projection_pushdown`
-    /// pass), only the named columns need to be materialized — the
-    /// query provably references nothing else. A chunk with no rows
-    /// must still produce the correctly-shaped empty relation (see
-    /// [`empty_ad_relation`]).
+    /// registration). With a `projection`, only the named columns need
+    /// to be materialized; the engine passes `None`, since retained
+    /// chunks must serve later queries over any column set. A chunk
+    /// with no rows must still produce the correctly-shaped empty
+    /// relation (see [`empty_ad_relation`]).
     fn decode(
         &self,
         entry: &FileEntry,

@@ -581,7 +581,6 @@ mod tests {
             columns: vec!["D.file_id".into(), "D.sample_value".into()],
             predicate: Some(Expr::col("D.sample_value").cmp(CmpOp::Gt, Expr::lit(2.0))),
             pushdown,
-            projected_decode: false,
         }
     }
 
@@ -718,7 +717,6 @@ mod tests {
             table: "D".into(),
             chunks: vec![],
             columns: vec!["D.file_id".into(), "D.sample_value".into()],
-            projected_decode: false,
             predicate: None,
             join: None,
             ops: vec![],
@@ -740,7 +738,6 @@ mod tests {
             columns: vec!["D.file_id".into()],
             predicate: None,
             pushdown: true,
-            projected_decode: false,
         };
         assert!(matches!(execute(&plan, &ctx), Err(EngineError::Chunk(_))));
     }

@@ -16,8 +16,8 @@
 //!   *cache-scan* (chunk resident in the residency manager),
 //!   *chunk-access* (lazy chunk ingestion).
 //! * **Rule-based optimizer** ([`optimizer`]): every rewrite — join
-//!   ordering, the run-time chunk rewrite, selection/projection
-//!   pushdown, zone-map chunk pruning, partial-aggregate fusion — is a
+//!   ordering, the run-time chunk rewrite, selection pushdown,
+//!   zone-map chunk pruning, partial-aggregate fusion — is a
 //!   named pass in one ordered pipeline with a fired/skipped trace.
 //! * **Two-stage execution** ([`twostage`]): evaluate `Qf`, then apply
 //!   the run-time rewrite `scan(a) → ⋃_f cache-scan(f) | chunk-access(f)`

@@ -19,25 +19,21 @@
 //! * **stage 2** ([`rewrite_stage2`]), invoked by the two-stage driver
 //!   once the stage-1 chunk list is known:
 //!   `zone_map_pruning` → `chunk_rewrite` → `selection_pushdown` →
-//!   `partial_agg_fusion` → `projection_pushdown`.
+//!   `partial_agg_fusion`.
 //!
-//! The two genuinely new passes:
-//!
-//! * **`zone_map_pruning`** — drops chunks whose per-chunk min/max
-//!   zone maps (recorded by the registrar from adapter-declared
-//!   prunable columns) contradict the lazy scan's pushed-down
-//!   predicate, *before any decode is scheduled*.
-//! * **`projection_pushdown`** — marks chunk scans so the decode path
-//!   materializes only the columns the query references (the
-//!   scan-level projection the binder already computed via
-//!   `QuerySpec::needed_columns`), instead of decoding the full
-//!   actual-data width and projecting afterwards.
+//! The genuinely new pass is **`zone_map_pruning`**: it drops chunks
+//! whose per-chunk min/max zone maps (recorded by the registrar from
+//! adapter-declared prunable columns) contradict the lazy scan's
+//! pushed-down predicate, *before any decode is scheduled*. Chunks are
+//! always decoded full width — the cellar retains them for later
+//! queries over other columns — and the scan-level projection applies
+//! per chunk after decode.
 
 pub mod passes;
 
 pub use passes::{
     as_zone_constraint, plan_zone_constraints, zone_conjunct_contradicted, ChunkRewrite,
-    JoinOrder, PartialAggFusion, ProjectionPushdown, SelectionPushdown, ZoneMapPruning,
+    JoinOrder, PartialAggFusion, SelectionPushdown, ZoneMapPruning,
 };
 
 use crate::error::Result;
@@ -218,8 +214,6 @@ pub struct Stage2Options {
     /// `selection_pushdown` (rewrite-rule refinement; also the fusion
     /// gate).
     pub pushdown: bool,
-    /// `projection_pushdown` (decode only referenced columns).
-    pub projection_pushdown: bool,
     /// `zone_map_pruning` (drop contradicted chunks before decode).
     pub zone_map_pruning: bool,
 }
@@ -265,7 +259,6 @@ pub fn rewrite_stage2(
         Box::new(ChunkRewrite { use_index_joins: opts.use_index_joins }),
         Box::new(SelectionPushdown { enabled: opts.pushdown }),
         Box::new(PartialAggFusion),
-        Box::new(ProjectionPushdown { enabled: opts.projection_pushdown }),
     ]);
     let mut state = OptState::new(db);
     state.logical = Some(Cow::Borrowed(plan));

@@ -357,51 +357,6 @@ impl OptPass for PartialAggFusion {
     }
 }
 
-/// `projection_pushdown` — mark every chunk scan so the *decode* path
-/// materializes only the scan's referenced columns (computed by the
-/// binder via `QuerySpec::needed_columns`) instead of the full
-/// actual-data width. Cache-retained chunks still decode full width
-/// (they must serve future queries with other column sets); the two-
-/// stage driver applies the projection on the non-retaining decode
-/// paths.
-pub struct ProjectionPushdown {
-    pub enabled: bool,
-}
-
-impl OptPass for ProjectionPushdown {
-    fn name(&self) -> &'static str {
-        "projection_pushdown"
-    }
-
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect> {
-        let db = state.db;
-        let phys = state.physical.as_mut().ok_or_else(|| {
-            EngineError::Plan("projection_pushdown needs a physical plan".into())
-        })?;
-        if !self.enabled {
-            return Ok(PassEffect::Skipped("disabled by config".into()));
-        }
-        let mut details: Vec<String> = Vec::new();
-        phys.visit_mut(&mut |p| {
-            if let PhysicalPlan::ChunkUnion { table, columns, projected_decode, .. }
-            | PhysicalPlan::PartialAggUnion {
-                table, columns, projected_decode, ..
-            } = p
-            {
-                *projected_decode = true;
-                let width =
-                    db.table_schema(table).map(|s| s.columns.len()).unwrap_or(columns.len());
-                details.push(format!("{table}: decode {} of {width} columns", columns.len()));
-            }
-        });
-        if details.is_empty() {
-            Ok(PassEffect::Skipped("no chunk scans in the plan".into()))
-        } else {
-            Ok(PassEffect::Fired(details.join("; ")))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

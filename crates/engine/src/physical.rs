@@ -66,10 +66,6 @@ pub enum PhysicalPlan {
         columns: Vec<String>,
         predicate: Option<Expr>,
         pushdown: bool,
-        /// Set by the `projection_pushdown` pass: the decode path may
-        /// materialize only `columns` instead of the full table width
-        /// (applied on non-retaining decode paths; see the pass docs).
-        projected_decode: bool,
     },
     /// Morsel-parallel aggregation over a rewritten actual-data scan:
     /// per chunk, scan-level projection → pushed-down selection →
@@ -83,9 +79,6 @@ pub enum PhysicalPlan {
         table: String,
         chunks: Vec<ChunkRef>,
         columns: Vec<String>,
-        /// Set by the `projection_pushdown` pass (carried over from the
-        /// fused [`PhysicalPlan::ChunkUnion`]).
-        projected_decode: bool,
         /// The scan's pushed-down selection (applied per chunk).
         predicate: Option<Expr>,
         /// Per-chunk probe of a shared build side, if the aggregate sat
@@ -184,7 +177,6 @@ pub fn lower(plan: &LogicalPlan, opts: &LowerOptions) -> Result<PhysicalPlan> {
                 columns: columns.clone(),
                 predicate: predicate.clone(),
                 pushdown: opts.chunk_pushdown,
-                projected_decode: false,
             }
         }
         LogicalPlan::QfMark { input } => match opts.qf_result_id {
@@ -314,20 +306,12 @@ fn fuse_chain(
             ops.push(ChunkOp::Project(exprs));
             fuse_chain(*input, ops, group_by, aggs)
         }
-        PhysicalPlan::ChunkUnion {
-            table,
-            chunks,
-            columns,
-            predicate,
-            projected_decode,
-            ..
-        } => {
+        PhysicalPlan::ChunkUnion { table, chunks, columns, predicate, .. } => {
             ops.reverse(); // apply in inner→outer order
             PhysicalPlan::PartialAggUnion {
                 table,
                 chunks,
                 columns,
-                projected_decode,
                 predicate,
                 join: None,
                 ops,
@@ -336,20 +320,12 @@ fn fuse_chain(
             }
         }
         PhysicalPlan::HashJoin { left, right, left_keys, right_keys } => match *left {
-            PhysicalPlan::ChunkUnion {
-                table,
-                chunks,
-                columns,
-                predicate,
-                projected_decode,
-                ..
-            } => {
+            PhysicalPlan::ChunkUnion { table, chunks, columns, predicate, .. } => {
                 ops.reverse();
                 PhysicalPlan::PartialAggUnion {
                     table,
                     chunks,
                     columns,
-                    projected_decode,
                     predicate,
                     join: Some(PartialJoin { right, left_keys, right_keys }),
                     ops,
@@ -395,7 +371,6 @@ impl PhysicalPlan {
                 table,
                 chunks,
                 columns,
-                projected_decode,
                 predicate,
                 join,
                 ops,
@@ -405,7 +380,6 @@ impl PhysicalPlan {
                 table,
                 chunks,
                 columns,
-                projected_decode,
                 predicate,
                 join: join.map(|j| PartialJoin {
                     right: Box::new(f(*j.right)),
@@ -489,39 +463,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Pre-order immutable visit of every node.
-    pub fn visit(&self, f: &mut impl FnMut(&PhysicalPlan)) {
-        f(self);
-        for c in self.children() {
-            c.visit(f);
-        }
-    }
-
-    /// The decode projection the two-stage driver may pass to chunk
-    /// acquisition: the union of the chunk scans' column sets, provided
-    /// *every* chunk scan was marked by the `projection_pushdown` pass
-    /// (the chunk list is shared, so one unprojected scan forces
-    /// full-width decode). `None` = decode full width.
-    pub fn decode_projection(&self) -> Option<Vec<String>> {
-        let mut all_marked = true;
-        let mut any = false;
-        let mut cols: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        self.visit(&mut |p| {
-            if let PhysicalPlan::ChunkUnion { columns, projected_decode, .. }
-            | PhysicalPlan::PartialAggUnion { columns, projected_decode, .. } = p
-            {
-                any = true;
-                all_marked &= *projected_decode;
-                cols.extend(columns.iter().cloned());
-            }
-        });
-        if any && all_marked {
-            Some(cols.into_iter().collect())
-        } else {
-            None
-        }
-    }
-
     /// Number of (unfused) [`PhysicalPlan::ChunkUnion`] nodes in the
     /// plan.
     pub fn chunk_union_count(&self) -> usize {
@@ -584,23 +525,13 @@ impl PhysicalPlan {
                 writeln!(f)
             }
             PhysicalPlan::ResultScan { id } => writeln!(f, "{pad}ResultScan #{id}"),
-            PhysicalPlan::ChunkUnion {
-                table,
-                chunks,
-                predicate,
-                pushdown,
-                projected_decode,
-                ..
-            } => {
+            PhysicalPlan::ChunkUnion { table, chunks, predicate, pushdown, .. } => {
                 let cached = chunks.iter().filter(|c| c.cached).count();
                 write!(
                     f,
                     "{pad}ChunkUnion {table}: {} chunk-access + {cached} cache-scan",
                     chunks.len() - cached
                 )?;
-                if *projected_decode {
-                    write!(f, " (projected decode)")?;
-                }
                 if let Some(p) = predicate {
                     write!(
                         f,
@@ -614,7 +545,6 @@ impl PhysicalPlan {
                 table,
                 chunks,
                 predicate,
-                projected_decode,
                 join,
                 ops,
                 group_by,
@@ -635,9 +565,6 @@ impl PhysicalPlan {
                     gs.join(", "),
                     asr.join(", ")
                 )?;
-                if *projected_decode {
-                    write!(f, " (projected decode)")?;
-                }
                 if let Some(p) = predicate {
                     write!(f, " where {p} (pushed into chunks)")?;
                 }

@@ -155,14 +155,11 @@ pub trait ChunkResidency: Send + Sync {
     /// scheduler, priority, cancellation). On error the manager must
     /// have released any pins it took. The result aligns with `uris`.
     ///
-    /// `projection` is the decode projection the `projection_pushdown`
-    /// pass derived; a manager that retains chunks across queries must
-    /// ignore it (resident chunks keep full width so later queries with
-    /// other column sets still hit).
+    /// Chunks are decoded full width: they stay resident after their
+    /// pins drop, so a later query over other columns still hits.
     fn acquire_many(
         &self,
         uris: &[String],
-        projection: Option<&[String]>,
         policy: &SchedPolicy,
     ) -> Result<Vec<AcquiredChunk>>;
 
@@ -184,11 +181,10 @@ pub trait ChunkResidency: Send + Sync {
     fn acquire_each(
         &self,
         uris: &[String],
-        projection: Option<&[String]>,
         policy: &SchedPolicy,
         sink: &ChunkSink<'_>,
     ) -> Result<()> {
-        let acquired = self.acquire_many(uris, projection, policy)?;
+        let acquired = self.acquire_many(uris, policy)?;
         // Skipped chunks hold no pin (the manager substituted an empty
         // placeholder without admitting anything) — release only the
         // chunks that were actually pinned.
@@ -318,10 +314,6 @@ pub struct TwoStageConfig {
     /// pushdown, stage 2 deliberately materializes the full union (the
     /// ablation baseline).
     pub pushdown: bool,
-    /// Decode only the columns the query references (the
-    /// `projection_pushdown` pass). Applied on decode paths that do not
-    /// retain chunks across queries; retained chunks keep full width.
-    pub projection_pushdown: bool,
     /// Drop chunks whose zone maps contradict the pushed-down predicate
     /// before any decode is scheduled (the `zone_map_pruning` pass).
     pub zone_map_pruning: bool,
@@ -353,7 +345,6 @@ impl Default for TwoStageConfig {
     fn default() -> Self {
         TwoStageConfig {
             pushdown: true,
-            projection_pushdown: true,
             zone_map_pruning: true,
             use_index_joins: false,
             uri_column: String::new(),
@@ -556,7 +547,7 @@ pub fn execute_plan(
 
     // ---- Stage-2 rewrite pipeline: zone-map pruning, the lazy-scan →
     // union chunk rewrite (lowering), selection pushdown, partial-
-    // aggregate fusion, projection pushdown.
+    // aggregate fusion.
     let zones = |uri: &str| access.and_then(|a| a.zone_maps(uri));
     let zone_candidates = |constraints: &[ZoneConstraint]| {
         // The zone-index probe: indexed stage-1 candidate selection.
@@ -587,7 +578,6 @@ pub fn execute_plan(
     let opts = Stage2Options {
         use_index_joins: config.use_index_joins,
         pushdown: config.pushdown,
-        projection_pushdown: config.projection_pushdown,
         zone_map_pruning: config.zone_map_pruning,
     };
     let considered = chunk_refs.as_ref().map(Vec::len).unwrap_or(0);
@@ -636,7 +626,6 @@ pub fn execute_plan(
         config.obs.count("zone.chunks_considered", considered as u64);
         config.obs.count("zone.chunks_pruned", s2.pruned as u64);
     }
-    let decode_projection = phys.decode_projection();
 
     // ---- Async raw-byte prefetch over the surviving chunk list. ----
     // Submitted the moment pruning settles — before any decode is
@@ -691,7 +680,6 @@ pub fn execute_plan(
         (None, _) | (_, None) => {}
         (Some(refs), Some(residency)) => {
             let uris: Vec<String> = refs.iter().map(|r| r.uri.clone()).collect();
-            let projection = decode_projection.as_deref();
             let t = Instant::now();
             // Fuse decode into execution when the whole chunk
             // consumption is one partial-agg pipeline; otherwise
@@ -705,7 +693,6 @@ pub fn execute_plan(
                 let merged = fused_wave(
                     residency,
                     &uris,
-                    projection,
                     &node,
                     &ctx,
                     config,
@@ -717,7 +704,7 @@ pub fn execute_plan(
                 ctx.materialized.push(Arc::new(merged));
                 phys.replace_first_partial_agg(id);
             } else {
-                let acquired = residency.acquire_many(&uris, projection, &config.policy())?;
+                let acquired = residency.acquire_many(&uris, &config.policy())?;
                 // Pins are held until stage 2 is done (drop of the
                 // guard), so the manager cannot evict these chunks
                 // mid-query. Skipped chunks hold no pin, so the guard
@@ -852,11 +839,9 @@ fn record_chunk_acquisition(tc: &TraceCollector, uri: &str, chunk: &AcquiredChun
 /// probe of the shared build side, residual filter, partial
 /// aggregation) on the worker that produced it, then drops its pin; the
 /// partial states merge in chunk order afterwards.
-#[allow(clippy::too_many_arguments)]
 fn fused_wave(
     residency: &dyn ChunkResidency,
     uris: &[String],
-    projection: Option<&[String]>,
     node: &PhysicalPlan,
     ctx: &ExecContext,
     config: &TwoStageConfig,
@@ -932,7 +917,7 @@ fn fused_wave(
         *slots[i].lock() = Some(part);
         Ok(())
     };
-    residency.acquire_each(uris, projection, &config.policy(), &sink)?;
+    residency.acquire_each(uris, &config.policy(), &sink)?;
     let skips = skips.into_inner();
     stats.files_skipped += skips.len();
     skipped.extend(skips);
@@ -1105,7 +1090,6 @@ mod tests {
         fn acquire_many(
             &self,
             uris: &[String],
-            _projection: Option<&[String]>,
             policy: &SchedPolicy,
         ) -> Result<Vec<AcquiredChunk>> {
             uris.iter()

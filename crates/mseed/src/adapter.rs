@@ -130,7 +130,8 @@ pub fn dataview() -> ViewDef {
 /// `H` connects to the metadata side on sensor identity
 /// (station/channel) and on *day* granularity (a window's day must
 /// match a segment's day — sound because chunk files hold one day and
-/// segments never span days; see DESIGN.md), and to `D` on the hour
+/// segments never span days — the repository generator keeps every
+/// segment inside its file's day), and to `D` on the hour
 /// bucket. The day edge is what lets `Qf` narrow the chunk list to the
 /// days that actually have qualifying windows.
 pub fn windowdataview() -> ViewDef {

@@ -30,12 +30,9 @@
 //! * [`csv`] — CSV export/import used by the *eager csv* loading
 //!   baseline.
 //! * [`adapter`] — the [`MseedAdapter`] plugging this format into the
-//!   `sommelier-core` source-adapter API; [`compat`] keeps the old
-//!   `in_memory`/`create`/`open` constructors alive as deprecated
-//!   shims.
+//!   `sommelier-core` source-adapter API.
 
 pub mod adapter;
-pub mod compat;
 pub mod csv;
 pub mod error;
 pub mod format;

@@ -26,15 +26,14 @@ use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_storage::{Database, Value};
 use std::path::Path;
 
-/// Every query decodes (no recycler), so the decode path is what runs.
-fn config() -> SommelierConfig {
-    SommelierConfig { use_recycler: false, ..SommelierConfig::default() }
-}
-
 fn mseed_system(repo: &Repository, reference: bool) -> Sommelier {
     let adapter = MseedAdapter::new(Repository::at(repo.dir()));
     let adapter = if reference { adapter.with_reference_decode() } else { adapter };
-    let somm = Sommelier::builder().source(adapter).config(config()).build().unwrap();
+    let somm = Sommelier::builder()
+        .source(adapter)
+        .config(SommelierConfig::default())
+        .build()
+        .unwrap();
     somm.prepare(LoadingMode::Lazy).unwrap();
     somm
 }
@@ -42,7 +41,11 @@ fn mseed_system(repo: &Repository, reference: bool) -> Sommelier {
 fn eventlog_system(logs: &Path, reference: bool) -> Sommelier {
     let adapter = EventLogAdapter::new(logs);
     let adapter = if reference { adapter.with_reference_decode() } else { adapter };
-    let somm = Sommelier::builder().source(adapter).config(config()).build().unwrap();
+    let somm = Sommelier::builder()
+        .source(adapter)
+        .config(SommelierConfig::default())
+        .build()
+        .unwrap();
     somm.prepare(LoadingMode::Lazy).unwrap();
     somm
 }
@@ -112,6 +115,10 @@ fn mseed_t1_t5_byte_identical_new_vs_reference_decode() {
     let new = mseed_system(&repo, false);
     let reference = mseed_system(&repo, true);
     for sql in mseed_queries() {
+        // Cold cellars, so every query decodes and the decode path is
+        // what runs.
+        new.flush_caches();
+        reference.flush_caches();
         assert_eq!(
             bits(&new.query(sql).unwrap()),
             bits(&reference.query(sql).unwrap()),
@@ -128,6 +135,8 @@ fn eventlog_t1_t5_byte_identical_new_vs_reference_decode() {
     let new = eventlog_system(&logs, false);
     let reference = eventlog_system(&logs, true);
     for sql in eventlog_queries() {
+        new.flush_caches();
+        reference.flush_caches();
         assert_eq!(
             bits(&new.query(sql).unwrap()),
             bits(&reference.query(sql).unwrap()),
@@ -279,12 +288,8 @@ fn indexed_pruning_pass_matches_per_chunk_scan() {
         ),
     };
     let db = Database::in_memory(Default::default());
-    let opts = Stage2Options {
-        use_index_joins: false,
-        pushdown: true,
-        projection_pushdown: true,
-        zone_map_pruning: true,
-    };
+    let opts =
+        Stage2Options { use_index_joins: false, pushdown: true, zone_map_pruning: true };
     let zones = |uri: &str| registry.zones_of(uri);
     let candidates = |constraints: &[ZoneConstraint]| -> Option<ZoneCandidates> {
         registry.zone_candidates(constraints)

@@ -12,6 +12,15 @@
 //! selected it — was removed too, which is what bounds live worker
 //! threads by `max_threads` by construction.
 //!
+//! The cellar has one residency mode: it always retains decoded chunks,
+//! full width, until budget pressure evicts them (a zero budget retains
+//! nothing past the pins). The non-retaining mode — `use_recycler`,
+//! `CellarConfig::retain` — and the decode-projection plumbing only it
+//! used — the `projection_pushdown` pass and knobs, the plans'
+//! `projected_decode` flags, `decode_projection`, the cellar's narrow-hit
+//! fork (`HitNarrow`, `load_private`, `covers`) — were removed, as were
+//! the deprecated `sommelier_mseed::compat` constructor shims.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -26,7 +35,7 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("struct Recycler", "the cellar retains decoded chunks"),
     ("mod recycler", "the cellar retains decoded chunks"),
     ("recycler_bytes", "the budget is SommelierConfig::cellar_bytes"),
-    ("use_cache", "SommelierConfig::use_recycler selects the cellar's retain mode"),
+    ("use_cache", "the cellar always retains decoded chunks"),
     ("trait ChunkSource", "the cellar calls AdapterChunkSource's inherent methods"),
     ("fn load_static", "the cellar runs the static decode wave"),
     ("fn load_exchange", "the cellar runs the exchange decode wave"),
@@ -35,11 +44,27 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("shared_scheduler", "the pool exists whenever max_threads > 1"),
     ("fn run_indexed_obs", "run_indexed_policy is the one morsel front door"),
     ("fn run_indexed<", "run_indexed_policy is the one morsel front door"),
+    ("use_recycler", "the cellar always retains; cellar_bytes: Some(0) keeps nothing"),
+    ("pub retain:", "the cellar always retains; budget pressure alone evicts"),
+    ("projection_pushdown", "chunks decode full width so the cellar can retain them"),
+    ("projected_decode", "chunks decode full width so the cellar can retain them"),
+    ("ProjectionPushdown", "chunks decode full width so the cellar can retain them"),
+    ("fn decode_projection", "chunks decode full width so the cellar can retain them"),
+    ("HitNarrow", "every resident chunk is full width, so every hit covers its request"),
+    (
+        "fn load_private",
+        "every resident chunk is full width, so every hit covers its request",
+    ),
+    ("fn covers", "every resident chunk is full width, so every hit covers its request"),
+    ("mod compat", "systems are built with Sommelier::builder()"),
 ];
 
 /// Files that must stay deleted (relative to the workspace root).
-const DELETED_FILES: &[&str] =
-    &["crates/engine/src/recycler.rs", "crates/bench/src/bin/server.rs"];
+const DELETED_FILES: &[&str] = &[
+    "crates/engine/src/recycler.rs",
+    "crates/bench/src/bin/server.rs",
+    "crates/mseed/src/compat.rs",
+];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -1,12 +1,10 @@
-//! Optimizer-pass equivalence: the two new rewrite passes —
-//! `projection_pushdown` and `zone_map_pruning` — must never change
-//! answers, only costs. T1–T5 run on both built-in adapters with each
-//! pass individually disabled vs enabled; results must be
+//! Optimizer-pass equivalence: the `zone_map_pruning` rewrite pass must
+//! never change answers, only costs. T1–T5 run on both built-in
+//! adapters with the pass disabled vs enabled; results must be
 //! byte-identical (same lazy chunk-by-chunk execution shape in every
 //! configuration, so exact bit equality is required, not float
-//! tolerance). The cost assertions then check each pass actually
-//! does something: zone maps prune chunks, projection prunes decoded
-//! bytes.
+//! tolerance). The cost assertions then check the pass actually does
+//! something: zone maps prune chunks before decode.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{LoadingMode, QueryResult, Sommelier, SommelierConfig};
@@ -15,18 +13,11 @@ use sommelier_mseed::Repository;
 use sommelier_storage::Value;
 use std::path::Path;
 
-/// Knob matrix entry: (projection_pushdown, zone_map_pruning).
-const KNOBS: [(bool, bool); 4] = [(true, true), (false, true), (true, false), (false, false)];
+/// Knob matrix entry: `zone_map_pruning`.
+const KNOBS: [bool; 2] = [true, false];
 
-/// The ablation configuration: no recycler, so every run decodes its
-/// chunks (and the non-retaining cellar honors the decode projection).
-fn config(projection: bool, zone: bool) -> SommelierConfig {
-    SommelierConfig {
-        use_recycler: false,
-        projection_pushdown: projection,
-        zone_map_pruning: zone,
-        ..SommelierConfig::default()
-    }
+fn config(zone: bool) -> SommelierConfig {
+    SommelierConfig { zone_map_pruning: zone, ..SommelierConfig::default() }
 }
 
 fn mseed_system(repo: &Repository, cfg: SommelierConfig) -> Sommelier {
@@ -40,6 +31,12 @@ fn eventlog_system(logs: &Path, cfg: SommelierConfig) -> Sommelier {
         Sommelier::builder().source(EventLogAdapter::new(logs)).config(cfg).build().unwrap();
     somm.prepare(LoadingMode::Lazy).unwrap();
     somm
+}
+
+/// Run `sql` from a cold cellar, so every run decodes its chunks.
+fn cold_bits(somm: &Sommelier, sql: &str) -> String {
+    somm.flush_caches();
+    bits(&somm.query(sql).unwrap())
 }
 
 /// T1–T5 against the seismology source, including the zone-map
@@ -126,17 +123,14 @@ fn mseed_t1_t5_byte_identical_across_pass_knobs() {
     let dir = TempDir::new("opteq-mseed");
     let repo = ingv_repo(&dir, 3, 16);
     let baseline: Vec<String> = {
-        let somm = mseed_system(&repo, config(true, true));
-        mseed_queries().iter().map(|sql| bits(&somm.query(sql).unwrap())).collect()
+        let somm = mseed_system(&repo, config(KNOBS[0]));
+        mseed_queries().iter().map(|sql| cold_bits(&somm, sql)).collect()
     };
-    for (projection, zone) in &KNOBS[1..] {
-        let somm = mseed_system(&repo, config(*projection, *zone));
+    for zone in &KNOBS[1..] {
+        let somm = mseed_system(&repo, config(*zone));
         for (sql, want) in mseed_queries().iter().zip(&baseline) {
-            let got = bits(&somm.query(sql).unwrap());
-            assert_eq!(
-                &got, want,
-                "projection={projection} zone={zone} changed the answer of {sql}"
-            );
+            let got = cold_bits(&somm, sql);
+            assert_eq!(&got, want, "zone={zone} changed the answer of {sql}");
         }
     }
 }
@@ -148,20 +142,14 @@ fn eventlog_t1_t5_byte_identical_across_pass_knobs() {
     generate_event_logs(&logs, &EventLogSpec::small(4, 64)).unwrap();
     let threshold = val_threshold(&logs);
     let baseline: Vec<String> = {
-        let somm = eventlog_system(&logs, config(true, true));
-        eventlog_queries(threshold)
-            .iter()
-            .map(|sql| bits(&somm.query(sql).unwrap()))
-            .collect()
+        let somm = eventlog_system(&logs, config(KNOBS[0]));
+        eventlog_queries(threshold).iter().map(|sql| cold_bits(&somm, sql)).collect()
     };
-    for (projection, zone) in &KNOBS[1..] {
-        let somm = eventlog_system(&logs, config(*projection, *zone));
+    for zone in &KNOBS[1..] {
+        let somm = eventlog_system(&logs, config(*zone));
         for (sql, want) in eventlog_queries(threshold).iter().zip(&baseline) {
-            let got = bits(&somm.query(sql).unwrap());
-            assert_eq!(
-                &got, want,
-                "projection={projection} zone={zone} changed the answer of {sql}"
-            );
+            let got = cold_bits(&somm, sql);
+            assert_eq!(&got, want, "zone={zone} changed the answer of {sql}");
         }
     }
 }
@@ -171,10 +159,10 @@ fn zone_maps_prune_mseed_chunks_before_decode() {
     let dir = TempDir::new("optzone-mseed");
     let repo = ingv_repo(&dir, 3, 16);
     // No segment table in the view → stage 1 selects every ISK chunk.
-    let off = mseed_system(&repo, config(true, false)).query(MSEED_ZONE_T4).unwrap();
+    let off = mseed_system(&repo, config(false)).query(MSEED_ZONE_T4).unwrap();
     assert_eq!(off.stats.files_pruned, 0);
     assert_eq!(off.stats.files_loaded, 3, "one ISK chunk per day, all decoded");
-    let on = mseed_system(&repo, config(true, true)).query(MSEED_ZONE_T4).unwrap();
+    let on = mseed_system(&repo, config(true)).query(MSEED_ZONE_T4).unwrap();
     assert_eq!(on.stats.files_selected, 3);
     assert_eq!(on.stats.files_pruned, 2, "two days contradict the window");
     assert_eq!(on.stats.files_loaded, 1);
@@ -192,40 +180,12 @@ fn zone_maps_prune_eventlog_chunks_on_value_statistics() {
     let logs = dir.join("logs");
     generate_event_logs(&logs, &EventLogSpec::small(4, 64)).unwrap();
     let sql = eventlog_zone_t4(val_threshold(&logs));
-    let off = eventlog_system(&logs, config(true, false)).query(&sql).unwrap();
+    let off = eventlog_system(&logs, config(false)).query(&sql).unwrap();
     assert_eq!(off.stats.files_pruned, 0);
-    let on = eventlog_system(&logs, config(true, true)).query(&sql).unwrap();
+    let on = eventlog_system(&logs, config(true)).query(&sql).unwrap();
     assert!(on.stats.files_pruned > 0, "some files' maxima sit below the threshold");
     assert!(on.stats.files_loaded < off.stats.files_loaded);
     assert_eq!(bits(&on), bits(&off), "pruning never changes the answer");
-}
-
-#[test]
-fn projection_pushdown_reduces_decoded_bytes() {
-    // mSEED: the filedataview query needs 3 of D's 4 columns.
-    let dir = TempDir::new("optproj-mseed");
-    let repo = ingv_repo(&dir, 2, 64);
-    let off = mseed_system(&repo, config(false, false)).query(MSEED_ZONE_T4).unwrap();
-    let on = mseed_system(&repo, config(true, false)).query(MSEED_ZONE_T4).unwrap();
-    assert_eq!(on.stats.files_loaded, off.stats.files_loaded);
-    assert!(
-        on.stats.bytes_loaded < off.stats.bytes_loaded,
-        "narrow decode must shrink decoded bytes: {} vs {}",
-        on.stats.bytes_loaded,
-        off.stats.bytes_loaded
-    );
-    assert_eq!(bits(&on), bits(&off));
-    assert!(on.trace.iter().any(|t| t.name == "projection_pushdown" && t.fired));
-
-    // Event log: the value query needs E.log_id + E.val but not E.ts.
-    let dir = TempDir::new("optproj-evl");
-    let logs = dir.join("logs");
-    generate_event_logs(&logs, &EventLogSpec::small(3, 64)).unwrap();
-    let sql = eventlog_zone_t4(val_threshold(&logs));
-    let off = eventlog_system(&logs, config(false, false)).query(&sql).unwrap();
-    let on = eventlog_system(&logs, config(true, false)).query(&sql).unwrap();
-    assert!(on.stats.bytes_loaded < off.stats.bytes_loaded);
-    assert_eq!(bits(&on), bits(&off));
 }
 
 #[test]
@@ -243,11 +203,8 @@ fn explain_prints_the_pass_trace() {
         "chunk_rewrite",
         "selection_pushdown",
         "partial_agg_fusion",
-        "projection_pushdown",
     ] {
         assert!(plan.contains(pass), "missing {pass} in {plan}");
     }
     assert!(plan.contains("partial_agg_fusion: fired"), "{plan}");
-    // Projection pushdown is visible in the physical shape too.
-    assert!(plan.contains("(projected decode)"), "{plan}");
 }

@@ -1,4 +1,4 @@
-//! The design-choice ablations of DESIGN.md, as correctness tests:
+//! The design-choice ablations, as correctness tests:
 //! static vs exchange parallelism, selection pushdown, FK verification
 //! on lazy loads, and index joins — every knob must preserve answers.
 //!

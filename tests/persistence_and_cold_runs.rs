@@ -68,7 +68,8 @@ fn cold_runs_miss_the_buffer_pool() {
 
 #[test]
 fn simulated_io_slows_pool_misses() {
-    // The DESIGN.md substitution for the paper's disk-bound regimes:
+    // The simulated-I/O substitution for the paper's disk-bound regimes
+    // (EXPERIMENTS.md, "SimIo"):
     // a per-page latency charged on misses must make cold scans
     // measurably slower, and leave hot scans alone.
     let dir = TempDir::new("simio");

@@ -92,7 +92,6 @@ fn shutdown_drains_in_flight_within_deadline() {
     let repo = fiam_repo(&dir, 8);
     let config = SommelierConfig {
         admission_max_concurrent: 1,
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(30) }),
         max_threads: 2,
         ..SommelierConfig::default()
@@ -144,7 +143,6 @@ fn shutdown_deadline_cancels_stragglers_with_balanced_books() {
     let dir = TempDir::new("resilience-cancel");
     let repo = fiam_repo(&dir, 8);
     let config = SommelierConfig {
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
         max_threads: 2,
         ..SommelierConfig::default()
@@ -180,7 +178,6 @@ fn overload_rejection_carries_retry_after_contract() {
     let config = SommelierConfig {
         admission_max_concurrent: 1,
         admission_queue_limit: 1,
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
         max_threads: 2,
         ..SommelierConfig::default()
@@ -302,7 +299,6 @@ fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
     let config = SommelierConfig {
         max_threads: 2,
         sched_aging_ms: 10,
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(10) }),
         ..SommelierConfig::default()
     };
@@ -318,6 +314,9 @@ fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
                 ..Default::default()
             });
             while !stop.load(Ordering::Relaxed) {
+                // Cold chunks every time, so the tenant keeps the
+                // workers saturated with decode work.
+                srv.sommelier().flush_caches();
                 session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap();
             }
         }));
@@ -419,7 +418,6 @@ fn chaos_schedule_survivors_byte_identical_and_leak_free() {
     // (so saturation rejects with retry-after).
     let config = SommelierConfig {
         max_threads: 4,
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(5) }),
         admission_max_concurrent: 2,
         admission_queue_limit: 3,
@@ -470,6 +468,9 @@ fn chaos_schedule_survivors_byte_identical_and_leak_free() {
                     let k = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&(q, action)) = ops.get(k) else { break };
                     let sql = &workload[q];
+                    // Cold chunks for every op, so faults, spikes and
+                    // cancels land on real decodes.
+                    server.sommelier().flush_caches();
                     let submitted = match action {
                         Action::Timeout(ms) => session.submit_with(
                             sql,

@@ -173,10 +173,12 @@ fn priority_ordering_observable_under_saturated_server() {
     };
     // One admission slot and slow decodes: the first query saturates
     // the server; everything else queues in the admission controller,
-    // which serves the highest priority first.
+    // which serves the highest priority first. A zero cellar budget
+    // makes every run decode (stay slow); with one slot, its admission
+    // gate (one lazy query at a time) and prefetch off change nothing.
     let config = SommelierConfig {
         admission_max_concurrent: 1,
-        use_recycler: false, // every run decodes (stays slow)
+        cellar_bytes: Some(0),
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(150) }),
         ..server_config(2)
     };
@@ -237,7 +239,6 @@ fn timeout_fires_with_typed_error() {
         repo
     };
     let config = SommelierConfig {
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(60) }),
         ..server_config(2)
     };
@@ -273,7 +274,6 @@ fn cancellation_mid_query_leaves_no_pinned_chunks() {
         repo
     };
     let config = SommelierConfig {
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
         ..server_config(2)
     };
@@ -282,6 +282,9 @@ fn cancellation_mid_query_leaves_no_pinned_chunks() {
     let server = Server::new(Arc::new(somm));
     let session = server.open_session(SessionOptions::default());
     for round in 0..3 {
+        // A cold cellar each round, so the query is still decoding when
+        // the cancel lands.
+        server.sommelier().flush_caches();
         let handle = session.submit(SLOW_MSEED_T4).unwrap();
         // Let the query get mid-flight into its decode wave, then pull
         // the plug.
@@ -312,7 +315,6 @@ fn session_quota_rejects_excess_in_flight_queries() {
         repo
     };
     let config = SommelierConfig {
-        use_recycler: false,
         sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(50) }),
         ..server_config(2)
     };
@@ -349,14 +351,12 @@ fn dropping_server_mid_flight_mid_backoff_mid_prefetch_releases_everything() {
         let config = match scenario {
             // Slow decodes: the drop lands inside a decode wave.
             "mid-flight" => SommelierConfig {
-                use_recycler: false,
                 sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
                 ..server_config(2)
             },
             // Every attempt fails transiently with an effectively
             // unbounded retry budget: the drop lands inside backoff.
             "mid-backoff" => SommelierConfig {
-                use_recycler: false,
                 fault_plan: Some(FaultPlan {
                     transient_rate: 1.0,
                     max_transient_per_chunk: u32::MAX,
@@ -372,7 +372,6 @@ fn dropping_server_mid_flight_mid_backoff_mid_prefetch_releases_everything() {
             // A deep prefetch window over slow reads: the drop lands
             // with raw bytes staged ahead of the decoders.
             _ => SommelierConfig {
-                use_recycler: false,
                 prefetch_depth: 4,
                 sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
                 ..server_config(2)

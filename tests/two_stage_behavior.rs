@@ -101,19 +101,6 @@ fn tiny_cellar_budget_evicts_and_reloads() {
 }
 
 #[test]
-fn non_retaining_cellar_behaves_like_zero_budget() {
-    let dir = TempDir::new("nocache");
-    let repo = fiam_repo(&dir, 3, 32);
-    let config = SommelierConfig { use_recycler: false, ..SommelierConfig::default() };
-    let somm = prepared(&repo, LoadingMode::Lazy, config);
-    let sql = "SELECT COUNT(*) FROM dataview WHERE D.sample_time < '2010-01-02T00:00:00.000'";
-    somm.query(sql).unwrap();
-    let again = somm.query(sql).unwrap();
-    assert_eq!(again.stats.cache_hits, 0);
-    assert!(again.stats.files_loaded > 0);
-}
-
-#[test]
 fn eager_modes_never_touch_the_chunk_source() {
     let dir = TempDir::new("eager-no-chunks");
     let repo = ingv_repo(&dir, 2, 32);
