@@ -28,33 +28,27 @@
 //!   chunk are collapsed onto one decode via a per-chunk in-flight
 //!   latch (the page-latch idiom of classic buffer managers): N
 //!   queries needing the chunk trigger exactly one ingest.
-//! * **Actual reclamation** — evicting a chunk deletes any rows it
-//!   contributed to the storage layer (chunk-scoped delete on the
-//!   actual-data table) and invalidates derived metadata computed from
-//!   it: its windows leave the covered key space `PSm` and their
-//!   derived rows are deleted, so Algorithm 1 re-derives them if they
-//!   are referenced again. Which windows a chunk covers is computed
-//!   from the source's [`crate::source::DmdSpec`] — no format
-//!   knowledge lives here.
+//! * **Eviction frees memory only** — evicting a chunk drops its decoded
+//!   relation and nothing else. Registered chunk files are immutable, so
+//!   derived metadata computed from a chunk stays valid after the chunk
+//!   leaves: like a buffer pool beside the catalog, the cellar never
+//!   touches the storage layer or the covered key space `PSm`.
 
 pub mod policy;
 
 pub use policy::{CellarPolicyKind, ResidencyPolicy};
 
 use crate::chunks::{AdapterChunkSource, ChunkRegistry};
-use crate::dmd::{DmdKey, DmdManager};
 use crate::error::SommelierError;
 use crate::fault::{with_retries, RetryPolicy};
 use crate::source::SourceDescriptor;
 use parking_lot::{Condvar, Mutex};
-use sommelier_engine::eval::eval_scalar;
 use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::sched::{CancelToken, DegradationPolicy, SchedPolicy};
 use sommelier_engine::twostage::{AcquiredChunk, ChunkResidency, ChunkSink, PrefetchHandle};
 use sommelier_engine::{
     ColumnZone, EngineError, ErrorKind, Obs, ParallelMode, Relation, TraceCollector,
 };
-use sommelier_storage::Database;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,13 +91,13 @@ impl Default for CellarConfig {
     }
 }
 
-/// One source registered into the cellar: its registry, its decode
-/// path, and the derived-metadata bookkeeping eviction must invalidate.
+/// One source registered into the cellar: its descriptor, its registry
+/// and its decode path. The source's derived metadata is not here:
+/// eviction never touches it.
 pub struct CellarSource {
     pub descriptor: Arc<SourceDescriptor>,
     pub registry: Arc<ChunkRegistry>,
     pub source: Arc<AdapterChunkSource>,
-    pub dmd: Arc<DmdManager>,
 }
 
 /// Counter snapshot (the bench harness reports these per budget).
@@ -119,11 +113,6 @@ pub struct CellarSnapshot {
     pub reloads: u64,
     /// Evictions (budget pressure, retention policy, or `clear`).
     pub evictions: u64,
-    /// Storage rows deleted by eviction reclamation (actual-data rows
-    /// staged for the chunk plus derived rows computed from it).
-    pub reclaimed_rows: u64,
-    /// Reclamation attempts that failed (left to re-derivation).
-    pub reclaim_failures: u64,
     /// Total nanoseconds spent blocked on in-flight-load latches
     /// (single-flight pin waits, across every wait site).
     pub pin_wait_ns: u64,
@@ -136,8 +125,6 @@ struct CellarStats {
     joins: AtomicU64,
     reloads: AtomicU64,
     evictions: AtomicU64,
-    reclaimed_rows: AtomicU64,
-    reclaim_failures: AtomicU64,
     pin_wait_ns: AtomicU64,
 }
 
@@ -217,18 +204,6 @@ enum Slot {
     Resident(ResidentChunk),
 }
 
-/// The derived-metadata key slice a chunk covers — exactly what
-/// eviction must invalidate.
-#[derive(Debug, Clone)]
-struct ChunkCoverage {
-    /// Dimension values, in the source's [`crate::source::DmdSpec`]
-    /// dims order.
-    dims: Vec<String>,
-    /// Bucket-aligned half-open range `[lo, hi)`.
-    buckets: (i64, i64),
-    bucket_ms: i64,
-}
-
 struct Inner {
     slots: HashMap<String, Slot>,
     policy: Box<dyn ResidencyPolicy>,
@@ -242,11 +217,8 @@ pub struct Cellar {
     sources: Vec<CellarSource>,
     /// uri → index into `sources`.
     by_uri: HashMap<String, usize>,
-    db: Arc<Database>,
     config: CellarConfig,
     inner: Mutex<Inner>,
-    /// Memoized per-chunk DMd coverage (computed on first eviction).
-    coverage: Mutex<HashMap<String, Option<ChunkCoverage>>>,
     stats: CellarStats,
 }
 
@@ -278,11 +250,10 @@ struct TaskCtx<'a> {
 impl Cellar {
     /// Create a cellar over the registered sources. Chunk URIs must be
     /// unique across sources — the uri is the residency key, so two
-    /// sources claiming the same file would route acquisitions (and
-    /// eviction reclamation) to the wrong decoder.
+    /// sources claiming the same file would route acquisitions to the
+    /// wrong decoder.
     pub fn new(
         sources: Vec<CellarSource>,
-        db: Arc<Database>,
         config: CellarConfig,
     ) -> crate::error::Result<Self> {
         let policy = config.policy.build();
@@ -303,7 +274,6 @@ impl Cellar {
         Ok(Cellar {
             sources,
             by_uri,
-            db,
             config,
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
@@ -312,7 +282,6 @@ impl Cellar {
                 peak_resident_bytes: 0,
                 ever_evicted: HashSet::new(),
             }),
-            coverage: Mutex::new(HashMap::new()),
             stats: CellarStats::default(),
         })
     }
@@ -385,17 +354,15 @@ impl Cellar {
             joins: self.stats.joins.load(Ordering::Relaxed),
             reloads: self.stats.reloads.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
-            reclaimed_rows: self.stats.reclaimed_rows.load(Ordering::Relaxed),
-            reclaim_failures: self.stats.reclaim_failures.load(Ordering::Relaxed),
             pin_wait_ns: self.stats.pin_wait_ns.load(Ordering::Relaxed),
         }
     }
 
     /// Drop every unpinned resident chunk ("cold" run simulation).
     ///
-    /// Unlike budget eviction this does *not* reclaim derived state:
-    /// flushing caches models a restart, after which derived metadata
-    /// (an incrementally materialized view) remains valid.
+    /// Like budget eviction this frees memory only: derived metadata
+    /// (an incrementally materialized view over immutable chunk files)
+    /// stays valid and covered.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         let victims: Vec<String> = inner
@@ -486,7 +453,6 @@ impl Cellar {
         // chunks carrying the skip reason.
         let mut first_error: Option<EngineError> = None;
         let mut skipped_chunks: HashMap<String, AcquiredChunk> = HashMap::new();
-        let mut reclaim_list: Vec<String> = Vec::new();
         let mut claimed_rels: HashMap<&str, (Arc<Relation>, Duration)> = HashMap::new();
         {
             let mut inner = self.inner.lock();
@@ -516,9 +482,8 @@ impl Cellar {
                     }
                 }
             }
-            self.enforce_budget_locked(&mut inner, &mut reclaim_list);
+            self.enforce_budget_locked(&mut inner);
         }
-        self.reclaim_all(&reclaim_list);
 
         // Phase 4: wait for joined loads (their loaders publish through
         // the latch), then assemble. A joined chunk may have been
@@ -936,13 +901,11 @@ impl Cellar {
         match outcome {
             Ok((relation, cost)) => {
                 let relation = Arc::new(relation);
-                let mut reclaim_list = Vec::new();
                 {
                     let mut inner = self.inner.lock();
                     self.admit_pinned_locked(&mut inner, uri, &relation, cost);
-                    self.enforce_budget_locked(&mut inner, &mut reclaim_list);
+                    self.enforce_budget_locked(&mut inner);
                 }
-                self.reclaim_all(&reclaim_list);
                 latch.publish(Ok((Arc::clone(&relation), cost)));
                 Ok((relation, cost))
             }
@@ -1155,9 +1118,9 @@ impl Cellar {
         }
     }
 
-    // ---- Eviction + reclamation --------------------------------------
+    // ---- Eviction ----------------------------------------------------
 
-    fn enforce_budget_locked(&self, inner: &mut Inner, reclaim_list: &mut Vec<String>) {
+    fn enforce_budget_locked(&self, inner: &mut Inner) {
         while inner.resident_bytes > self.config.budget_bytes {
             let victim = {
                 let slots = &inner.slots;
@@ -1166,10 +1129,7 @@ impl Cellar {
                 )
             };
             match victim {
-                Some(uri) => {
-                    Self::evict_locked(inner, &self.stats, &uri);
-                    reclaim_list.push(uri);
-                }
+                Some(uri) => Self::evict_locked(inner, &self.stats, &uri),
                 // Everything left is pinned (or the policy is out of
                 // candidates): a query's working set may transiently
                 // exceed the budget; release re-enforces it.
@@ -1189,193 +1149,13 @@ impl Cellar {
     }
 
     fn release_uris(&self, uris: &[&str]) {
-        let mut reclaim_list = Vec::new();
-        {
-            let mut inner = self.inner.lock();
-            for uri in uris {
-                if let Some(Slot::Resident(r)) = inner.slots.get_mut(*uri) {
-                    r.pins = r.pins.saturating_sub(1);
-                }
-            }
-            self.enforce_budget_locked(&mut inner, &mut reclaim_list);
-        }
-        self.reclaim_all(&reclaim_list);
-    }
-
-    /// Undo the evicted chunks' footprint in the storage layer: delete
-    /// their staged actual-data rows (chunk-scoped delete per file)
-    /// and, per source, if no DMd query is in flight, invalidate the
-    /// coverage derived from them — one batched derived-table pass per
-    /// release, not one per chunk.
-    ///
-    /// Reclamation is best-effort: a skipped or failed invalidation
-    /// leaves derived rows *and their coverage* in place, which is
-    /// still correct (they were computed from immutable chunk data);
-    /// coverage is only removed after its derived rows are gone.
-    fn reclaim_all(&self, uris: &[String]) {
-        if uris.is_empty() {
-            return;
-        }
-        // Group per source: coverage invalidation is a per-source
-        // operation (per-source DmdManager and derived table).
-        let mut per_source: Vec<Vec<&String>> = vec![Vec::new(); self.sources.len()];
+        let mut inner = self.inner.lock();
         for uri in uris {
-            if let Some(&i) = self.by_uri.get(uri) {
-                per_source[i].push(uri);
+            if let Some(Slot::Resident(r)) = inner.slots.get_mut(*uri) {
+                r.pins = r.pins.saturating_sub(1);
             }
         }
-        for (i, uris) in per_source.iter().enumerate() {
-            if uris.is_empty() {
-                continue;
-            }
-            match self.try_reclaim_batch(&self.sources[i], uris) {
-                Ok(rows) => {
-                    self.stats.reclaimed_rows.fetch_add(rows, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    self.stats.reclaim_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    fn try_reclaim_batch(
-        &self,
-        source: &CellarSource,
-        uris: &[&String],
-    ) -> crate::error::Result<u64> {
-        // Staged actual-data rows go unconditionally (nothing reads the
-        // actual-data table through the cellar's relations).
-        let descriptor = &source.descriptor;
-        let ad_key = descriptor.ad_chunk_id_column()?;
-        let mut rows = 0;
-        for uri in uris {
-            if let Some(entry) = source.registry.get(uri) {
-                rows += self.db.delete_chunk_rows(
-                    &descriptor.ad_table,
-                    &ad_key,
-                    entry.file_id,
-                )?;
-            }
-        }
-        let Some(dmd_spec) = &descriptor.dmd else { return Ok(rows) };
-        // Coverage invalidation is exclusive with DMd-referring
-        // queries: between a query's Algorithm-1 check and its derived
-        // scan, its windows must not vanish. Under contention we leave
-        // the (correct) derived rows in place.
-        let Some(_invalidation) = source.dmd.try_invalidate() else {
-            return Ok(rows);
-        };
-        let mut covered: Vec<DmdKey> = Vec::new();
-        for uri in uris {
-            let Some(entry) = source.registry.get(uri) else { continue };
-            let Some(cov) = self.coverage_of(source, uri, entry.file_id)? else { continue };
-            let mut b = cov.buckets.0;
-            while b < cov.buckets.1 {
-                let key = (cov.dims.clone(), b);
-                if source.dmd.is_covered(&key) {
-                    covered.push(key);
-                }
-                b += cov.bucket_ms;
-            }
-        }
-        if covered.is_empty() {
-            return Ok(rows);
-        }
-        // Delete the derived rows first, uncover second: if the delete
-        // fails, coverage still matches the surviving rows.
-        let mut names: Vec<&str> =
-            dmd_spec.dims.iter().map(|d| d.derived_column.as_str()).collect();
-        names.push(&dmd_spec.bucket_column);
-        let cols = self.db.scan_columns(&dmd_spec.table, &names)?;
-        let buckets = cols.last().expect("bucket column scanned").as_i64()?;
-        let doomed: HashSet<&DmdKey> = covered.iter().collect();
-        let mut keep: Vec<bool> = Vec::with_capacity(buckets.len());
-        for (r, &bucket) in buckets.iter().enumerate() {
-            let mut dims = Vec::with_capacity(dmd_spec.dims.len());
-            for col in &cols[..dmd_spec.dims.len()] {
-                dims.push(col.as_text()?.get(r).to_string());
-            }
-            keep.push(!doomed.contains(&(dims, bucket)));
-        }
-        if keep.iter().any(|k| !k) {
-            rows += self.db.retain_rows(&dmd_spec.table, &keep)?;
-        }
-        source.dmd.uncover(covered);
-        Ok(rows)
-    }
-
-    /// The DMd coverage of `uri` (memoized): which (dims, bucket) keys
-    /// derive from this chunk's rows.
-    fn coverage_of(
-        &self,
-        source: &CellarSource,
-        uri: &str,
-        file_id: i64,
-    ) -> crate::error::Result<Option<ChunkCoverage>> {
-        if let Some(c) = self.coverage.lock().get(uri) {
-            return Ok(c.clone());
-        }
-        let computed = self.compute_coverage(source, file_id)?;
-        self.coverage.lock().insert(uri.to_string(), computed.clone());
-        Ok(computed)
-    }
-
-    /// Coverage from the source descriptor: the chunk's dimension
-    /// values come from its chunk-table row, the bucket range from the
-    /// DMd spec's range expressions over its range-table rows.
-    fn compute_coverage(
-        &self,
-        source: &CellarSource,
-        file_id: i64,
-    ) -> crate::error::Result<Option<ChunkCoverage>> {
-        let descriptor = &source.descriptor;
-        let Some(dmd_spec) = &descriptor.dmd else { return Ok(None) };
-        // Dimension values from the chunk's row of the chunk table.
-        let mut names: Vec<&str> = vec![&descriptor.chunk_id_column];
-        for d in &dmd_spec.dims {
-            let (_, col) = SourceDescriptor::split_qualified(&d.source_column)?;
-            names.push(col);
-        }
-        let cols = self.db.scan_columns(&descriptor.chunk_table, &names)?;
-        let ids = cols[0].as_i64()?;
-        let Some(row) = ids.iter().position(|&id| id == file_id) else {
-            return Ok(None);
-        };
-        let mut dims = Vec::with_capacity(dmd_spec.dims.len());
-        for col in &cols[1..] {
-            dims.push(col.as_text()?.get(row).to_string());
-        }
-        // Bucket range from the spec's range expressions over this
-        // chunk's range-table rows — the same scan/eval/alignment
-        // helpers Algorithm 1's key-space enumeration uses, so coverage
-        // invalidation can never diverge from it.
-        let rel = crate::dmd::scan_relation(&self.db, &dmd_spec.range_table)?;
-        let chunk_ids = rel
-            .column(&format!("{}.{}", dmd_spec.range_table, dmd_spec.range_chunk_id))
-            .map_err(|_| {
-                SommelierError::Usage(format!(
-                    "range table {:?} lacks column {:?}",
-                    dmd_spec.range_table, dmd_spec.range_chunk_id
-                ))
-            })?
-            .as_i64()?
-            .to_vec();
-        let keep: Vec<bool> = chunk_ids.iter().map(|&id| id == file_id).collect();
-        let rel = rel.filter(&keep);
-        if rel.rows() == 0 {
-            return Ok(None);
-        }
-        let mins = crate::dmd::column_as_ms(&eval_scalar(&dmd_spec.range_min, &rel)?)?;
-        let maxs = crate::dmd::column_as_ms(&eval_scalar(&dmd_spec.range_max, &rel)?)?;
-        let lo = mins.iter().copied().min().expect("non-empty");
-        let hi = maxs.iter().copied().max().expect("non-empty");
-        if lo > hi {
-            return Ok(None);
-        }
-        let w = dmd_spec.bucket_ms;
-        let buckets = (crate::dmd::bucket_floor(lo, w), crate::dmd::bucket_ceil(hi, w));
-        Ok(Some(ChunkCoverage { dims, buckets, bucket_ms: w }))
+        self.enforce_budget_locked(&mut inner);
     }
 }
 
@@ -1590,7 +1370,7 @@ mod tests {
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
-    use sommelier_storage::{ColumnData, ConstraintPolicy};
+    use sommelier_storage::{ColumnData, ConstraintPolicy, Database};
     use std::path::PathBuf;
     use std::sync::OnceLock;
 
@@ -1640,7 +1420,7 @@ mod tests {
             db,
             adapter,
             registry: Arc::new(registry),
-            dmd: Arc::new(DmdManager::new()),
+            dmd: Arc::new(DmdManager::new(MS_PER_DAY)),
         }
     }
 
@@ -1656,12 +1436,11 @@ mod tests {
             descriptor: Arc::new(fx.adapter.descriptor().clone()),
             registry: Arc::clone(&fx.registry),
             source,
-            dmd: Arc::clone(&fx.dmd),
         }
     }
 
     fn cellar_over(fx: &Fixture, config: CellarConfig) -> Cellar {
-        Cellar::new(vec![binding(fx)], Arc::clone(&fx.db), config).unwrap()
+        Cellar::new(vec![binding(fx)], config).unwrap()
     }
 
     fn uris(fx: &Fixture) -> Vec<String> {
@@ -1769,8 +1548,8 @@ mod tests {
     }
 
     #[test]
-    fn eviction_reclaims_storage_rows_and_dmd_coverage() {
-        let fx = fixture("reclaim", 2, 32);
+    fn eviction_keeps_derived_metadata() {
+        let fx = fixture("evict-keeps", 2, 32);
         let all = uris(&fx);
         let entry0 = fx.registry.get(&all[0]).unwrap().clone();
         // Stage some E rows for chunk 0 (as an eager path might) and a
@@ -1810,15 +1589,12 @@ mod tests {
         cellar.acquire_many(&all[..1], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
         cellar.release_many(&all[..1]);
         assert_eq!(cellar.resident_chunks(), 0);
-        // E rows staged for the chunk are gone; other chunks untouched.
-        assert_eq!(fx.db.table_rows("E").unwrap(), 0);
-        // The derived summary left PSm and its Y row was deleted.
-        assert_eq!(fx.dmd.covered_count(), 0);
-        assert_eq!(fx.db.table_rows("Y").unwrap(), 0);
-        let s = cellar.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.reclaimed_rows, 4, "3 E rows + 1 Y row");
-        assert_eq!(s.reclaim_failures, 0);
+        assert_eq!(cellar.stats().evictions, 1);
+        // Eviction freed memory only: the storage rows, the derived Y
+        // row and its coverage all survive.
+        assert_eq!(fx.db.table_rows("E").unwrap(), 3);
+        assert_eq!(fx.db.table_rows("Y").unwrap(), 1);
+        assert_eq!(fx.dmd.covered_count(), 1);
     }
 
     #[test]
@@ -2037,23 +1813,13 @@ mod tests {
             descriptor: Arc::new(adapter_b.descriptor().clone()),
             registry: registry_b,
             source: source_b,
-            dmd: Arc::new(DmdManager::new()),
         };
         let cellar = Arc::new(
-            Cellar::new(
-                vec![binding(&fx_a), binding_b],
-                Arc::clone(&fx_a.db),
-                CellarConfig::default(),
-            )
-            .unwrap(),
+            Cellar::new(vec![binding(&fx_a), binding_b], CellarConfig::default()).unwrap(),
         );
         // Overlapping registries are refused outright.
-        assert!(Cellar::new(
-            vec![binding(&fx_a), binding(&fx_a)],
-            Arc::clone(&fx_a.db),
-            CellarConfig::default(),
-        )
-        .is_err());
+        assert!(Cellar::new(vec![binding(&fx_a), binding(&fx_a)], CellarConfig::default())
+            .is_err());
         assert_eq!(cellar.all_chunks().unwrap().len(), 3, "two sources united");
         assert_eq!(cellar.scoped(0).all_chunks().unwrap().len(), 2);
         assert_eq!(cellar.scoped(1).all_chunks().unwrap().len(), 1);
@@ -2087,14 +1853,13 @@ mod tests {
             descriptor: Arc::new(fx.adapter.descriptor().clone()),
             registry: Arc::clone(&fx.registry),
             source,
-            dmd: Arc::clone(&fx.dmd),
         };
         (binding, injector)
     }
 
     fn faulty_cellar(fx: &Fixture, plan: FaultPlan, config: CellarConfig) -> Cellar {
         let (binding, _) = binding_faulty(fx, plan);
-        Cellar::new(vec![binding], Arc::clone(&fx.db), config).unwrap()
+        Cellar::new(vec![binding], config).unwrap()
     }
 
     #[test]

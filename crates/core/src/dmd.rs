@@ -7,8 +7,9 @@
 //!
 //! 1. classify the query (done by the caller);
 //! 2. find the predicates on the derived table's primary-key attributes;
-//! 3. enumerate the referenced primary-key space `PSq`;
-//! 4. check it against the already-materialized space `PSm`;
+//! 3. bound the referenced primary-key space `PSq`: a value set per
+//!    dimension and one bucket range;
+//! 4. intersect it with the already-materialized space `PSm`;
 //! 5. compute the uncovered part `PSu = PSq − PSm`;
 //! 6. derive what `PSu` points to with an internally generated
 //!    aggregation query (which itself runs two-stage and loads lazily),
@@ -18,119 +19,271 @@
 //! Per the paper, *all* statistics are derived together for a window
 //! ("if we derive some metadata for a specific window, then we derive
 //! all possible metadata for that window").
+//!
+//! No key is ever enumerated. `PSm` is kept as coalesced bucket ranges
+//! per dimension combination, and the key-space domain (each
+//! dimension's distinct values and the data's bucket range) is read
+//! from the given metadata once per registration and cached in the
+//! [`DmdManager`]. So steps 3–5 cost a few range comparisons per
+//! combination, and a query whose windows are all materialized
+//! allocates nothing per key. Derived metadata lives as long as the
+//! registration: it is computed from immutable chunk files, so chunk
+//! eviction never invalidates it.
 
 use crate::error::{Result, SommelierError};
 use crate::source::{DmdSpec, SourceDescriptor};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::Mutex;
 use sommelier_engine::eval::eval_scalar;
 use sommelier_engine::spec::OutputExpr;
 use sommelier_engine::twostage::QueryOutcome;
 use sommelier_engine::{CmpOp, Expr, Func, QuerySpec, Relation, TableRef};
 use sommelier_storage::{ColumnData, ConstraintPolicy, Database, Value};
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One derived-metadata primary key: the text dimension values (in
 /// [`DmdSpec::dims`] order) plus the bucket start.
 pub type DmdKey = (Vec<String>, i64);
 
-/// Tracks the materialized primary-key space `PSm` of one source.
+/// Sorted, disjoint and non-adjacent half-open `[lo, hi)` ranges of
+/// bucket-aligned timestamps.
+type Ranges = Vec<(i64, i64)>;
+
+/// Width of `[lo, hi) ∩ ranges`.
+fn overlap(ranges: &[(i64, i64)], lo: i64, hi: i64) -> i64 {
+    let first = ranges.partition_point(|r| r.1 <= lo);
+    ranges[first..].iter().take_while(|r| r.0 < hi).map(|r| r.1.min(hi) - r.0.max(lo)).sum()
+}
+
+/// `[lo, hi) − ranges`, as sorted disjoint ranges.
+fn gaps(ranges: &[(i64, i64)], lo: i64, hi: i64) -> Ranges {
+    let mut out = Vec::new();
+    let mut cursor = lo;
+    let first = ranges.partition_point(|r| r.1 <= lo);
+    for &(a, b) in ranges[first..].iter().take_while(|r| r.0 < hi) {
+        if a > cursor {
+            out.push((cursor, a));
+        }
+        cursor = cursor.max(b);
+    }
+    if cursor < hi {
+        out.push((cursor, hi));
+    }
+    out
+}
+
+/// Add a non-empty `[lo, hi)` to `ranges`, merging every range it
+/// overlaps or touches.
+fn coalesce(ranges: &mut Ranges, lo: i64, hi: i64) {
+    let start = ranges.partition_point(|r| r.1 < lo);
+    let end = ranges.partition_point(|r| r.0 <= hi);
+    let merged = if start < end {
+        (lo.min(ranges[start].0), hi.max(ranges[end - 1].1))
+    } else {
+        (lo, hi)
+    };
+    ranges.splice(start..end, [merged]);
+}
+
+/// The materialized primary-key space `PSm`: per dimension combination,
+/// the coalesced bucket ranges already derived, plus their key count.
+#[derive(Debug)]
+struct Coverage {
+    bucket_ms: i64,
+    ranges: HashMap<Vec<String>, Ranges>,
+    keys: usize,
+}
+
+impl Coverage {
+    fn new(bucket_ms: i64) -> Self {
+        Coverage { bucket_ms, ranges: HashMap::new(), keys: 0 }
+    }
+
+    /// Mark the bucket-aligned `[lo, hi)` of `dims` as materialized.
+    fn cover(&mut self, dims: &[String], (lo, hi): (i64, i64)) {
+        if lo >= hi {
+            return;
+        }
+        if !self.ranges.contains_key(dims) {
+            self.ranges.insert(dims.to_vec(), Vec::new());
+        }
+        let ranges = self.ranges.get_mut(dims).expect("inserted above");
+        self.keys += ((hi - lo - overlap(ranges, lo, hi)) / self.bucket_ms) as usize;
+        coalesce(ranges, lo, hi);
+    }
+
+    /// `|PSu|` without enumerating anything: `PSq`'s size minus the
+    /// covered keys of every materialized combination inside `PSq`
+    /// (the combinations of a key space are distinct, so none counts
+    /// twice).
+    fn missing(&self, space: &KeySpace<'_>) -> usize {
+        let (lo, hi) = space.buckets;
+        let covered: i64 = self
+            .ranges
+            .iter()
+            .filter(|(dims, _)| {
+                dims.iter().zip(&space.dims).all(|(v, vals)| vals.contains(v))
+            })
+            .map(|(_, ranges)| overlap(ranges, lo, hi))
+            .sum();
+        space.size() - (covered / space.bucket_ms) as usize
+    }
+
+    /// `PSu` itself: every combination of `space` with its uncovered
+    /// bucket ranges (combinations with none are left out).
+    fn missing_ranges(&self, space: &KeySpace<'_>) -> Vec<(Vec<String>, Ranges)> {
+        let (lo, hi) = space.buckets;
+        space
+            .combinations()
+            .into_iter()
+            .filter_map(|dims| {
+                let covered = self.ranges.get(&dims).map_or(&[][..], Vec::as_slice);
+                let todo = gaps(covered, lo, hi);
+                (!todo.is_empty()).then_some((dims, todo))
+            })
+            .collect()
+    }
+
+    /// Is the key `(dims, bucket)` materialized?
+    fn contains(&self, dims: &[&str], bucket: i64) -> bool {
+        self.ranges.iter().any(|(d, ranges)| {
+            d.iter().zip(dims).all(|(a, b)| a == b) && overlap(ranges, bucket, bucket + 1) > 0
+        })
+    }
+}
+
+/// Tracks the materialized primary-key space `PSm` of one source, and
+/// caches the domain its key spaces are drawn from.
 ///
 /// A key being in `PSm` means its window has been *computed* — whether
 /// or not any rows resulted (a sensor with no data in that window
-/// derives to nothing, and must not be recomputed every query).
+/// derives to nothing, and must not be recomputed every query). Keys
+/// leave `PSm` only through [`DmdManager::clear`].
 ///
-/// Concurrency: `derivation` serializes Algorithm 1 runs so two
-/// queries over the same uncovered window never derive (and insert)
-/// twice; `readers` is a query-vs-invalidation lock — every
-/// DMd-referring query holds it shared for its whole execution, and
-/// cellar eviction only invalidates coverage when it can take it
-/// exclusively (invalidation is bookkeeping, never required for
-/// correctness, so it is safely skipped under contention).
-#[derive(Debug, Default)]
+/// Concurrency: the coverage check of every DMd-referring query runs
+/// under the `covered` lock alone, held for a few range comparisons.
+/// Only a query that finds keys missing takes `derivation`, which
+/// serializes Algorithm 1 runs so two queries over the same uncovered
+/// window never derive (and insert) twice. A window's rows are inserted
+/// before it is marked covered, so a query that finds it covered also
+/// finds its rows.
+#[derive(Debug)]
 pub struct DmdManager {
-    covered: Mutex<HashSet<DmdKey>>,
+    covered: Mutex<Coverage>,
     derivation: Mutex<()>,
-    readers: RwLock<()>,
+    domain: Mutex<Option<Arc<KeyDomain>>>,
 }
 
 impl DmdManager {
-    /// Empty manager (fresh database).
-    pub fn new() -> Self {
-        DmdManager::default()
-    }
-
-    /// Enter a DMd-referring query: shared with other queries, mutually
-    /// exclusive with coverage invalidation. Hold the guard until the
-    /// query's plan has finished reading the derived table.
-    pub fn begin_query(&self) -> RwLockReadGuard<'_, ()> {
-        self.readers.read()
-    }
-
-    /// Try to enter coverage invalidation (exclusive with queries).
-    /// `None` while any DMd query is in flight — the caller must then
-    /// leave the (still-correct) derived rows in place.
-    pub fn try_invalidate(&self) -> Option<RwLockWriteGuard<'_, ()>> {
-        self.readers.try_write()
+    /// Empty manager (fresh database) over buckets `bucket_ms` wide.
+    pub fn new(bucket_ms: i64) -> Self {
+        DmdManager {
+            covered: Mutex::new(Coverage::new(bucket_ms)),
+            derivation: Mutex::new(()),
+            domain: Mutex::new(None),
+        }
     }
 
     /// Number of covered keys.
     pub fn covered_count(&self) -> usize {
-        self.covered.lock().len()
+        self.covered.lock().keys
     }
 
     /// Mark keys as materialized.
     pub fn mark_covered(&self, keys: impl IntoIterator<Item = DmdKey>) {
-        self.covered.lock().extend(keys);
-    }
-
-    /// Is a single key covered?
-    pub fn is_covered(&self, key: &DmdKey) -> bool {
-        self.covered.lock().contains(key)
-    }
-
-    /// Remove keys from the materialized space `PSm`, returning the
-    /// ones that actually were covered. The cellar calls this when a
-    /// chunk is evicted: windows derived from it leave `PSm` (and their
-    /// derived rows are deleted), so a later query re-runs Algorithm 1
-    /// for them instead of trusting stale residency bookkeeping.
-    pub fn uncover(&self, keys: impl IntoIterator<Item = DmdKey>) -> Vec<DmdKey> {
         let mut covered = self.covered.lock();
-        keys.into_iter().filter(|k| covered.remove(k)).collect()
+        let w = covered.bucket_ms;
+        for (dims, bucket) in keys {
+            covered.cover(&dims, (bucket, bucket + w));
+        }
     }
 
-    /// Forget everything (tests; dropping a DMd table).
+    /// Forget every covered key (tests; dropping a DMd table).
     pub fn clear(&self) {
-        self.covered.lock().clear();
+        let mut covered = self.covered.lock();
+        *covered = Coverage::new(covered.bucket_ms);
+    }
+
+    /// Drop the cached key-space domain: the given metadata it was read
+    /// from has just been (re-)registered.
+    pub fn reset_domain(&self) {
+        *self.domain.lock() = None;
+    }
+
+    /// The key-space domain, read from the given metadata on first use
+    /// after a [`DmdManager::reset_domain`].
+    fn domain(&self, db: &Database, dmd: &DmdSpec) -> Result<Arc<KeyDomain>> {
+        let mut slot = self.domain.lock();
+        if let Some(domain) = &*slot {
+            return Ok(Arc::clone(domain));
+        }
+        let domain = Arc::new(KeyDomain::scan(db, dmd)?);
+        *slot = Some(Arc::clone(&domain));
+        Ok(domain)
     }
 }
 
-/// The primary-key space referenced by a query (step 3's input).
+/// Where every key space of a source is drawn from: each dimension's
+/// distinct values and the data's bucket range, in the given metadata.
+/// Only registration changes them.
 #[derive(Debug, Clone)]
-pub struct KeySpace {
-    /// Candidate values per dimension, in [`DmdSpec::dims`] order.
+pub(crate) struct KeyDomain {
+    /// Distinct values per dimension, in [`DmdSpec::dims`] order.
     pub dims: Vec<Vec<String>>,
+    /// The whole data time range, bucket-aligned `[lo, hi)`.
+    pub range: (i64, i64),
+}
+
+impl KeyDomain {
+    /// Read the domain from the given metadata.
+    pub(crate) fn scan(db: &Database, dmd: &DmdSpec) -> Result<Self> {
+        let mut dims = Vec::with_capacity(dmd.dims.len());
+        for dim in &dmd.dims {
+            let (table, column) = SourceDescriptor::split_qualified(&dim.source_column)?;
+            dims.push(distinct_text(db, table, column)?);
+        }
+        Ok(KeyDomain { dims, range: data_range(db, dmd)? })
+    }
+
+    /// The key space of every key in the domain.
+    fn whole(&self, bucket_ms: i64) -> KeySpace<'_> {
+        KeySpace {
+            dims: self.dims.iter().map(|d| Cow::Borrowed(d.as_slice())).collect(),
+            buckets: self.range,
+            bucket_ms,
+        }
+    }
+}
+
+/// The primary-key space referenced by a query (step 3's output).
+#[derive(Debug, Clone)]
+pub struct KeySpace<'a> {
+    /// Candidate values per dimension, in [`DmdSpec::dims`] order:
+    /// the domain's own list for an unconstrained dimension.
+    pub dims: Vec<Cow<'a, [String]>>,
     /// Bucket-aligned half-open range `[lo, hi)`.
     pub buckets: (i64, i64),
     /// Bucket width (ms).
     pub bucket_ms: i64,
 }
 
-impl KeySpace {
+impl KeySpace<'_> {
     /// Number of keys in the space.
     pub fn size(&self) -> usize {
         let buckets = ((self.buckets.1 - self.buckets.0).max(0) / self.bucket_ms) as usize;
         self.dims.iter().map(|d| d.len()).product::<usize>() * buckets
     }
 
-    /// Enumerate `PSq` (cartesian product of the dimensions × buckets).
-    pub fn enumerate(&self) -> Vec<DmdKey> {
-        let mut combos: Vec<Vec<String>> = vec![Vec::new()];
-        for dim in &self.dims {
+    /// Every dimension combination (cartesian product of the dims).
+    fn combinations(&self) -> Vec<Vec<String>> {
+        let mut combos: Vec<Vec<String>> = vec![Vec::with_capacity(self.dims.len())];
+        for values in &self.dims {
             combos = combos
-                .into_iter()
+                .iter()
                 .flat_map(|prefix| {
-                    dim.iter().map(move |v| {
+                    values.iter().map(move |v| {
                         let mut next = prefix.clone();
                         next.push(v.clone());
                         next
@@ -138,25 +291,17 @@ impl KeySpace {
                 })
                 .collect();
         }
-        let mut out = Vec::with_capacity(self.size());
-        for combo in combos {
-            let mut b = self.buckets.0;
-            while b < self.buckets.1 {
-                out.push((combo.clone(), b));
-                b += self.bucket_ms;
-            }
-        }
-        out
+        combos
     }
 }
 
 /// Largest bucket-aligned timestamp ≤ `t`.
-pub(crate) fn bucket_floor(t: i64, width: i64) -> i64 {
+fn bucket_floor(t: i64, width: i64) -> i64 {
     t.div_euclid(width) * width
 }
 
 /// Smallest bucket-aligned timestamp ≥ `t`.
-pub(crate) fn bucket_ceil(t: i64, width: i64) -> i64 {
+fn bucket_ceil(t: i64, width: i64) -> i64 {
     let b = bucket_floor(t, width);
     if b == t {
         t
@@ -182,7 +327,7 @@ fn distinct_text(db: &Database, table: &str, column: &str) -> Result<Vec<String>
 
 /// Scan a table into a relation with qualified column names, so the
 /// spec's range expressions can be evaluated against it.
-pub(crate) fn scan_relation(db: &Database, table: &str) -> Result<Relation> {
+fn scan_relation(db: &Database, table: &str) -> Result<Relation> {
     let schema = db.table_schema(table)?;
     let cols = db.scan_table(table)?;
     Ok(Relation::new(
@@ -197,7 +342,7 @@ pub(crate) fn scan_relation(db: &Database, table: &str) -> Result<Relation> {
 
 /// Millisecond view of an evaluated time expression (timestamps stay
 /// exact; float arithmetic results are truncated).
-pub(crate) fn column_as_ms(col: &ColumnData) -> Result<Vec<i64>> {
+fn column_as_ms(col: &ColumnData) -> Result<Vec<i64>> {
     Ok(match col {
         ColumnData::Float64(v) => v.iter().map(|&x| x as i64).collect(),
         other => other.as_i64()?.to_vec(),
@@ -206,7 +351,7 @@ pub(crate) fn column_as_ms(col: &ColumnData) -> Result<Vec<i64>> {
 
 /// The whole data time range, from the spec's range expressions over
 /// the given metadata: `[floor(min), ceil(max))`, bucket-aligned.
-pub fn data_range(db: &Database, dmd: &DmdSpec) -> Result<(i64, i64)> {
+fn data_range(db: &Database, dmd: &DmdSpec) -> Result<(i64, i64)> {
     let rel = scan_relation(db, &dmd.range_table)?;
     if rel.rows() == 0 {
         return Ok((0, 0));
@@ -219,10 +364,14 @@ pub fn data_range(db: &Database, dmd: &DmdSpec) -> Result<(i64, i64)> {
 }
 
 /// Step 2 + 3: extract the PK-attribute predicates of `spec` on the
-/// derived table and build the key space. Unconstrained dimensions
-/// widen to the values present in the given metadata; an unconstrained
-/// bucket range widens to the data range.
-pub fn extract_key_space(db: &Database, spec: &QuerySpec, dmd: &DmdSpec) -> Result<KeySpace> {
+/// derived table and bound the key space. Unconstrained dimensions
+/// widen to the domain's values; the bucket range is clipped to the
+/// domain's data range.
+pub(crate) fn extract_key_space<'a>(
+    spec: &QuerySpec,
+    dmd: &DmdSpec,
+    domain: &'a KeyDomain,
+) -> Result<KeySpace<'a>> {
     let mut dim_eqs: Vec<Vec<String>> = vec![Vec::new(); dmd.dims.len()];
     let mut lo = i64::MIN;
     let mut hi = i64::MAX;
@@ -271,32 +420,21 @@ pub fn extract_key_space(db: &Database, spec: &QuerySpec, dmd: &DmdSpec) -> Resu
     }
     // Dedup multiple equality predicates: conjunction of two different
     // constants is unsatisfiable → empty dimension.
-    let collapse = |mut eqs: Vec<String>| -> Option<Vec<String>> {
-        eqs.dedup();
-        match eqs.len() {
-            0 => None,
-            1 => Some(eqs),
-            _ => {
-                if eqs.iter().all(|e| e == &eqs[0]) {
-                    Some(vec![eqs[0].clone()])
-                } else {
-                    Some(vec![]) // contradictory
-                }
+    let dims = dim_eqs
+        .into_iter()
+        .zip(&domain.dims)
+        .map(|(mut eqs, all)| {
+            eqs.dedup();
+            match eqs.len() {
+                0 => Cow::Borrowed(all.as_slice()),
+                1 => Cow::Owned(eqs),
+                _ if eqs.iter().all(|e| e == &eqs[0]) => Cow::Owned(vec![eqs.swap_remove(0)]),
+                _ => Cow::Owned(vec![]), // contradictory
             }
-        }
-    };
-    let mut dims = Vec::with_capacity(dmd.dims.len());
-    for (eqs, dim) in dim_eqs.into_iter().zip(&dmd.dims) {
-        match collapse(eqs) {
-            Some(vals) => dims.push(vals),
-            None => {
-                let (table, column) = SourceDescriptor::split_qualified(&dim.source_column)?;
-                dims.push(distinct_text(db, table, column)?);
-            }
-        }
-    }
+        })
+        .collect();
     let w = dmd.bucket_ms;
-    let (data_lo, data_hi) = data_range(db, dmd)?;
+    let (data_lo, data_hi) = domain.range;
     let lo = if lo == i64::MIN { data_lo } else { bucket_ceil(lo, w).max(data_lo) };
     let hi = if hi == i64::MAX {
         data_hi
@@ -399,20 +537,6 @@ pub struct DmdOutcome {
     pub derive_time: Duration,
 }
 
-/// Merge a sorted bucket list into contiguous `[lo, hi)` ranges.
-fn bucket_ranges(mut buckets: Vec<i64>, width: i64) -> Vec<(i64, i64)> {
-    buckets.sort_unstable();
-    buckets.dedup();
-    let mut out: Vec<(i64, i64)> = Vec::new();
-    for b in buckets {
-        match out.last_mut() {
-            Some((_, hi)) if *hi == b => *hi = b + width,
-            _ => out.push((b, b + width)),
-        }
-    }
-    out
-}
-
 /// Algorithm 1, steps 2–6: make sure every derived key `spec` refers
 /// to is materialized, deriving the missing part through `run` (the
 /// caller's query-execution path, so derivation itself is two-stage
@@ -431,88 +555,55 @@ pub fn ensure_dmd(
         ))
     })?;
     let t0 = Instant::now();
-    let mut outcome = DmdOutcome::default();
-    // Serialize Algorithm 1: two concurrent queries over the same
-    // uncovered window must not both derive it (the second insert
-    // would trip the derived table's primary key). The derivation
-    // queries themselves never re-enter (they are T4-shaped), so
-    // holding the lock across `run` cannot deadlock.
-    let _derivation = manager.derivation.lock();
     // Steps 2–3: the referenced key space.
-    let space = extract_key_space(db, spec, dmd)?;
-    let psq = space.enumerate();
-    outcome.requested = psq.len();
-    // Steps 4–5: PSu = PSq − PSm.
-    let psu: Vec<DmdKey> = {
-        let covered = manager.covered.lock();
-        psq.into_iter().filter(|k| !covered.contains(k)).collect()
-    };
-    outcome.missing = psu.len();
-    if psu.is_empty() {
-        outcome.derive_time = t0.elapsed();
-        return Ok(outcome);
-    }
-    // Step 6: derive per dimension combination, merging buckets into
-    // contiguous ranges.
-    let mut by_dims: std::collections::BTreeMap<Vec<String>, Vec<i64>> =
-        std::collections::BTreeMap::new();
-    for (dims, b) in &psu {
-        by_dims.entry(dims.clone()).or_default().push(*b);
-    }
-    let psu_set: HashSet<DmdKey> = psu.iter().cloned().collect();
-    for (dims, buckets) in by_dims {
-        for (lo, hi) in bucket_ranges(buckets, dmd.bucket_ms) {
+    let domain = manager.domain(db, dmd)?;
+    let space = extract_key_space(spec, dmd, &domain)?;
+    let mut outcome = DmdOutcome { requested: space.size(), ..DmdOutcome::default() };
+    // Steps 4–5 under the coverage lock alone: a query whose windows
+    // are all materialized never waits behind a derivation.
+    if manager.covered.lock().missing(&space) > 0 {
+        // Serialize Algorithm 1: two concurrent queries over the same
+        // uncovered window must not both derive it (the second insert
+        // would trip the derived table's primary key), so PSu is
+        // recomputed under the lock. The derivation queries themselves
+        // never re-enter (they are T4-shaped), so holding the lock
+        // across `run` cannot deadlock.
+        let _derivation = manager.derivation.lock();
+        let psu = manager.covered.lock().missing_ranges(&space);
+        // Step 6: one derivation per uncovered range of a combination.
+        for (dims, ranges) in psu {
             let fixed: Vec<Option<&str>> = dims.iter().map(|d| Some(d.as_str())).collect();
-            let dspec = derivation_spec(descriptor, dmd, &fixed, lo, hi);
-            let result = run(dspec)?;
-            outcome.files_loaded += result.stats.files_loaded;
-            insert_derived(db, dmd, &result.relation, &psu_set, &mut outcome)?;
+            for (lo, hi) in ranges {
+                outcome.missing += ((hi - lo) / dmd.bucket_ms) as usize;
+                let result = run(derivation_spec(descriptor, dmd, &fixed, lo, hi))?;
+                outcome.files_loaded += result.stats.files_loaded;
+                // The derivation's predicates fix the dims and its
+                // bucket range is exactly the gap, so every row is new.
+                insert_derived(db, dmd, &result.relation, &mut outcome)?;
+                manager.covered.lock().cover(&dims, (lo, hi));
+            }
         }
     }
-    manager.mark_covered(psu);
     outcome.derive_time = t0.elapsed();
     Ok(outcome)
 }
 
-/// Insert the derivation-result rows whose key is in `PSu` into the
-/// derived table (a merged range may brush already-covered buckets).
+/// Append derivation-result rows to the derived table. The derivation
+/// output is dims, bucket, aggregates — exactly the derived table's
+/// column order (validated at build time).
 fn insert_derived(
     db: &Database,
     dmd: &DmdSpec,
     rel: &Relation,
-    psu_set: &HashSet<DmdKey>,
     outcome: &mut DmdOutcome,
 ) -> Result<()> {
     if rel.rows() == 0 {
         return Ok(());
     }
-    let dim_cols: Vec<ColumnData> = dmd
-        .dims
-        .iter()
-        .map(|d| rel.column(&d.derived_column).cloned())
-        .collect::<sommelier_engine::Result<_>>()?;
-    let buckets = rel.column(&dmd.bucket_column)?.as_i64()?.to_vec();
-    let keep: Vec<bool> = (0..rel.rows())
-        .map(|r| {
-            let mut dims = Vec::with_capacity(dim_cols.len());
-            for col in &dim_cols {
-                match col.get(r) {
-                    Value::Text(s) => dims.push(s),
-                    _ => return false,
-                }
-            }
-            psu_set.contains(&(dims, buckets[r]))
-        })
-        .collect();
-    let filtered = rel.filter(&keep);
-    if filtered.rows() > 0 {
-        // The derivation output is dims, bucket, aggregates — exactly
-        // the derived table's column order (validated at build time).
-        let batch: Vec<ColumnData> =
-            filtered.columns().iter().map(|(_, c)| ColumnData::clone(c)).collect();
-        outcome.rows_inserted += filtered.rows() as u64;
-        db.append(&dmd.table, &batch, ConstraintPolicy::pk_only())?;
-    }
+    let batch: Vec<ColumnData> =
+        rel.columns().iter().map(|(_, c)| ColumnData::clone(c)).collect();
+    outcome.rows_inserted += rel.rows() as u64;
+    db.append(&dmd.table, &batch, ConstraintPolicy::pk_only())?;
     Ok(())
 }
 
@@ -533,33 +624,44 @@ pub fn derive_all(
         ))
     })?;
     let t0 = Instant::now();
-    let mut outcome = DmdOutcome::default();
     let _derivation = manager.derivation.lock();
-    let mut dims = Vec::with_capacity(dmd.dims.len());
-    for dim in &dmd.dims {
-        let (table, column) = SourceDescriptor::split_qualified(&dim.source_column)?;
-        dims.push(distinct_text(db, table, column)?);
-    }
-    let buckets = data_range(db, dmd)?;
-    let space = KeySpace { dims, buckets, bucket_ms: dmd.bucket_ms };
-    let psq = space.enumerate();
-    outcome.requested = psq.len();
-    let psu: Vec<DmdKey> = {
-        let covered = manager.covered.lock();
-        psq.into_iter().filter(|k| !covered.contains(k)).collect()
+    let domain = manager.domain(db, dmd)?;
+    let space = domain.whole(dmd.bucket_ms);
+    let mut outcome = DmdOutcome {
+        requested: space.size(),
+        missing: manager.covered.lock().missing(&space),
+        ..DmdOutcome::default()
     };
-    outcome.missing = psu.len();
-    if psu.is_empty() {
-        outcome.derive_time = t0.elapsed();
-        return Ok(outcome);
+    if outcome.missing > 0 {
+        let unconstrained: Vec<Option<&str>> = vec![None; dmd.dims.len()];
+        let (lo, hi) = space.buckets;
+        let result = run(derivation_spec(descriptor, dmd, &unconstrained, lo, hi))?;
+        outcome.files_loaded += result.stats.files_loaded;
+        // The one pass recomputes windows already materialized too:
+        // keep only the rows PSm lacks.
+        let rel = &result.relation;
+        let fresh = {
+            let covered = manager.covered.lock();
+            let dim_cols = dmd
+                .dims
+                .iter()
+                .map(|d| Ok(rel.column(&d.derived_column)?.as_text()?))
+                .collect::<Result<Vec<_>>>()?;
+            let buckets = rel.column(&dmd.bucket_column)?.as_i64()?;
+            let keep: Vec<bool> = (0..rel.rows())
+                .map(|r| {
+                    let dims: Vec<&str> = dim_cols.iter().map(|c| c.get(r)).collect();
+                    !covered.contains(&dims, buckets[r])
+                })
+                .collect();
+            rel.filter(&keep)
+        };
+        insert_derived(db, dmd, &fresh, &mut outcome)?;
+        let mut covered = manager.covered.lock();
+        for dims in space.combinations() {
+            covered.cover(&dims, space.buckets);
+        }
     }
-    let unconstrained: Vec<Option<&str>> = vec![None; dmd.dims.len()];
-    let dspec = derivation_spec(descriptor, dmd, &unconstrained, buckets.0, buckets.1);
-    let result = run(dspec)?;
-    outcome.files_loaded += result.stats.files_loaded;
-    let psu_set: HashSet<DmdKey> = psu.iter().cloned().collect();
-    insert_derived(db, dmd, &result.relation, &psu_set, &mut outcome)?;
-    manager.mark_covered(psu);
     outcome.derive_time = t0.elapsed();
     Ok(outcome)
 }
@@ -595,6 +697,7 @@ mod tests {
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::time::{parse_ts, MS_PER_DAY, MS_PER_HOUR};
+    use std::collections::HashSet;
 
     fn descriptor() -> SourceDescriptor {
         EventLogAdapter::descriptor_for_tests()
@@ -604,21 +707,93 @@ mod tests {
         (vec![host.to_string(), service.to_string()], bucket)
     }
 
+    fn strings(values: &[&str]) -> Vec<String> {
+        values.iter().map(|v| v.to_string()).collect()
+    }
+
+    fn is_covered(m: &DmdManager, (dims, bucket): &DmdKey) -> bool {
+        let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
+        m.covered.lock().contains(&dims, *bucket)
+    }
+
+    impl KeySpace<'_> {
+        /// The brute-force oracle: `PSq` enumerated key by key
+        /// (cartesian product of the dimensions × buckets).
+        fn enumerate(&self) -> Vec<DmdKey> {
+            let mut combos: Vec<Vec<String>> = vec![Vec::new()];
+            for dim in &self.dims {
+                combos = combos
+                    .into_iter()
+                    .flat_map(|prefix| {
+                        dim.iter().map(move |v| {
+                            let mut next = prefix.clone();
+                            next.push(v.clone());
+                            next
+                        })
+                    })
+                    .collect();
+            }
+            let mut out = Vec::with_capacity(self.size());
+            for combo in combos {
+                let mut b = self.buckets.0;
+                while b < self.buckets.1 {
+                    out.push((combo.clone(), b));
+                    b += self.bucket_ms;
+                }
+            }
+            out
+        }
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + self.below((hi - lo) as usize) as i64
+        }
+    }
+
     #[test]
     fn bucket_ranges_merge_contiguous() {
         let d = MS_PER_DAY;
+        let mut ranges = Vec::new();
+        for b in [0, d, 2 * d, 5 * d] {
+            coalesce(&mut ranges, b, b + d);
+        }
+        assert_eq!(ranges, vec![(0, 3 * d), (5 * d, 6 * d)]);
+        // Overlapping, repeated and bridging ranges merge too.
+        coalesce(&mut ranges, 2 * d, 4 * d);
+        assert_eq!(ranges, vec![(0, 4 * d), (5 * d, 6 * d)]);
+        coalesce(&mut ranges, 4 * d, 5 * d);
+        assert_eq!(ranges, vec![(0, 6 * d)]);
+        assert_eq!(overlap(&ranges, -d, 2 * d), 2 * d);
         assert_eq!(
-            bucket_ranges(vec![0, d, 2 * d, 5 * d], d),
-            vec![(0, 3 * d), (5 * d, 6 * d)]
+            gaps(&[(0, d), (3 * d, 4 * d)], 0, 5 * d),
+            vec![(d, 3 * d), (4 * d, 5 * d)]
         );
-        assert_eq!(bucket_ranges(vec![], d), vec![]);
-        assert_eq!(bucket_ranges(vec![3 * d, 0, 3 * d], d), vec![(0, d), (3 * d, 4 * d)]);
     }
 
     #[test]
     fn key_space_enumeration() {
         let ks = KeySpace {
-            dims: vec![vec!["web-1".into(), "web-2".into()], vec!["api".into()]],
+            dims: vec![
+                Cow::Owned(strings(&["web-1", "web-2"])),
+                Cow::Owned(strings(&["api"])),
+            ],
             buckets: (0, 3 * MS_PER_DAY),
             bucket_ms: MS_PER_DAY,
         };
@@ -632,28 +807,200 @@ mod tests {
 
     #[test]
     fn manager_tracks_coverage() {
-        let m = DmdManager::new();
+        let m = DmdManager::new(MS_PER_DAY);
         let k = key("web-1", "api", 0);
-        assert!(!m.is_covered(&k));
+        assert!(!is_covered(&m, &k));
         m.mark_covered([k.clone()]);
-        assert!(m.is_covered(&k));
+        assert!(is_covered(&m, &k));
+        assert_eq!(m.covered_count(), 1);
+        // Re-marking a covered key counts nothing new.
+        m.mark_covered([k.clone()]);
         assert_eq!(m.covered_count(), 1);
         m.clear();
         assert_eq!(m.covered_count(), 0);
+        assert!(!is_covered(&m, &k));
     }
 
+    /// A random key space over `domain`: each dimension unconstrained,
+    /// fixed to a value (possibly one the domain lacks) or empty (a
+    /// contradictory pair of equalities); buckets possibly pre-epoch or
+    /// empty.
+    fn random_space<'a>(rng: &mut Rng, domain: &'a KeyDomain, w: i64) -> KeySpace<'a> {
+        let dims = domain
+            .dims
+            .iter()
+            .map(|all| match rng.below(4) {
+                0 => Cow::Borrowed(all.as_slice()),
+                1 => Cow::Owned(vec![all[rng.below(all.len())].clone()]),
+                2 => Cow::Owned(vec!["absent".to_string()]),
+                _ if rng.below(3) == 0 => Cow::Owned(vec![]),
+                _ => Cow::Borrowed(all.as_slice()),
+            })
+            .collect();
+        let lo = rng.range(-12, 12) * w;
+        KeySpace { dims, buckets: (lo, lo + rng.range(0, 8) * w), bucket_ms: w }
+    }
+
+    /// Range coverage against the brute-force oracle: a few hundred
+    /// random `cover`/`mark_covered`/`clear` steps and queries per
+    /// seed, checking `requested`, `missing`, the uncovered ranges and
+    /// `covered_count` against a `HashSet` of enumerated keys.
     #[test]
-    fn uncover_reports_only_previously_covered_keys() {
-        let m = DmdManager::new();
-        let a = key("web-1", "api", 0);
-        let b = key("web-1", "api", MS_PER_DAY);
-        m.mark_covered([a.clone()]);
-        let gone = m.uncover([a.clone(), b.clone()]);
-        assert_eq!(gone, vec![a.clone()]);
-        assert!(!m.is_covered(&a));
-        assert_eq!(m.covered_count(), 0);
-        // Idempotent.
-        assert!(m.uncover([a]).is_empty());
+    fn range_coverage_matches_key_enumeration_oracle() {
+        let w = MS_PER_HOUR;
+        let domain = KeyDomain {
+            dims: vec![strings(&["a", "b", "c"]), strings(&["x", "y"])],
+            range: (-8 * w, 8 * w),
+        };
+        for seed in 0..4 {
+            let mut rng = Rng(seed);
+            let m = DmdManager::new(w);
+            let mut model: HashSet<DmdKey> = HashSet::new();
+            for step in 0..300 {
+                let combo = vec![
+                    domain.dims[0][rng.below(3)].clone(),
+                    domain.dims[1][rng.below(2)].clone(),
+                ];
+                match rng.below(10) {
+                    // Short ranges over a narrow span: overlapping and
+                    // adjacent ranges are common, so coalescing runs.
+                    0..=2 => {
+                        let lo = rng.range(-10, 10) * w;
+                        let hi = lo + rng.range(0, 5) * w;
+                        m.covered.lock().cover(&combo, (lo, hi));
+                        let mut b = lo;
+                        while b < hi {
+                            model.insert((combo.clone(), b));
+                            b += w;
+                        }
+                    }
+                    3 => {
+                        let k = (combo, rng.range(-10, 10) * w);
+                        m.mark_covered([k.clone()]);
+                        model.insert(k);
+                    }
+                    4 if rng.below(15) == 0 => {
+                        m.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        let space = random_space(&mut rng, &domain, w);
+                        let psq = space.enumerate();
+                        assert_eq!(space.size(), psq.len(), "seed {seed} step {step}");
+                        let want: HashSet<DmdKey> =
+                            psq.into_iter().filter(|k| !model.contains(k)).collect();
+                        let covered = m.covered.lock();
+                        assert_eq!(
+                            covered.missing(&space),
+                            want.len(),
+                            "seed {seed} step {step}"
+                        );
+                        let mut got = HashSet::new();
+                        for (dims, ranges) in covered.missing_ranges(&space) {
+                            for pair in ranges.windows(2) {
+                                assert!(
+                                    pair[0].1 < pair[1].0,
+                                    "gaps not maximal: {ranges:?}"
+                                );
+                            }
+                            for (lo, hi) in ranges {
+                                assert!(lo < hi && lo % w == 0 && hi % w == 0);
+                                let mut b = lo;
+                                while b < hi {
+                                    assert!(
+                                        got.insert((dims.clone(), b)),
+                                        "key derived twice"
+                                    );
+                                    b += w;
+                                }
+                            }
+                        }
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                    }
+                }
+                let covered = m.covered.lock();
+                assert_eq!(covered.keys, model.len(), "seed {seed} step {step}");
+                for ranges in covered.ranges.values() {
+                    for pair in ranges.windows(2) {
+                        assert!(pair[0].1 < pair[1].0, "not coalesced: {ranges:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Step 2–3 against an oracle that tests every bucket of the domain
+    /// against the predicates: `Eq`/`Lt`/`Le`/`Gt`/`Ge` on aligned and
+    /// unaligned edges (either operand order), pre-epoch buckets,
+    /// unconstrained, fixed and contradictory dimensions.
+    #[test]
+    fn key_space_bounds_match_predicate_oracle() {
+        let d = descriptor();
+        let dmd = d.dmd.clone().unwrap();
+        let w = dmd.bucket_ms;
+        let domain = KeyDomain {
+            dims: vec![strings(&["web-1", "web-2"]), strings(&["api", "db"])],
+            range: (-4 * w, 4 * w),
+        };
+        let catalog = assemble_catalog(&[&d]).unwrap();
+        let base = sommelier_sql::compile("SELECT day_max_val FROM Y", &catalog).unwrap();
+        let ops = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let holds = |op: CmpOp, b: i64, t: i64| match op {
+            CmpOp::Eq => b == t,
+            CmpOp::Lt => b < t,
+            CmpOp::Le => b <= t,
+            CmpOp::Gt => b > t,
+            CmpOp::Ge => b >= t,
+            CmpOp::Ne => true,
+        };
+        let mut rng = Rng(26);
+        for case in 0..300 {
+            let mut spec = base.clone();
+            let mut bounds = Vec::new();
+            for _ in 0..rng.below(3) {
+                let op = ops[rng.below(ops.len())];
+                let t = rng.range(-6, 6) * w + [0, 1, w - 1][rng.below(3)];
+                let (col, lit) = (Expr::col("Y.day_start_ts"), Expr::Lit(Value::Time(t)));
+                let pred = if rng.below(2) == 0 {
+                    col.cmp(op, lit)
+                } else {
+                    lit.cmp(op.flip(), col)
+                };
+                spec.predicates.push(("Y".to_string(), pred));
+                bounds.push((op, t));
+            }
+            let hosts: Vec<&str> = match rng.below(4) {
+                0 => vec![],
+                1 => vec!["web-2"],
+                2 => vec!["web-1", "web-1"],
+                _ => vec!["web-1", "web-2"],
+            };
+            for h in &hosts {
+                spec.predicates
+                    .push(("Y".to_string(), Expr::col("Y.day_host").eq(Expr::lit(*h))));
+            }
+            let space = extract_key_space(&spec, &dmd, &domain).unwrap();
+
+            let want_hosts: Vec<&str> = match hosts.as_slice() {
+                [] => vec!["web-1", "web-2"],
+                [first, rest @ ..] if rest.iter().all(|h| h == first) => vec![*first],
+                _ => vec![],
+            };
+            let mut want = Vec::new();
+            for h in &want_hosts {
+                for s in ["api", "db"] {
+                    let mut b = domain.range.0;
+                    while b < domain.range.1 {
+                        if bounds.iter().all(|&(op, t)| holds(op, b, t)) {
+                            want.push(key(h, s, b));
+                        }
+                        b += w;
+                    }
+                }
+            }
+            assert_eq!(space.enumerate(), want, "case {case}: {bounds:?} {hosts:?}");
+            assert_eq!(space.size(), want.len());
+        }
     }
 
     #[test]
@@ -703,7 +1050,7 @@ mod tests {
         )
         .unwrap();
 
-        let manager = DmdManager::new();
+        let manager = DmdManager::new(MS_PER_DAY);
         // "One of the previous queries already required DMd" of day 1.
         manager.mark_covered([key("web-1", "api", day0 + MS_PER_DAY)]);
 
@@ -717,7 +1064,8 @@ mod tests {
             &catalog,
         )
         .unwrap();
-        let space = extract_key_space(&db, &spec, &dmd_spec).unwrap();
+        let domain = KeyDomain::scan(&db, &dmd_spec).unwrap();
+        let space = extract_key_space(&spec, &dmd_spec, &domain).unwrap();
         assert_eq!(space.dims, vec![vec!["web-1".to_string()], vec!["api".to_string()]]);
         let psq = space.enumerate();
         assert_eq!(psq.len(), 3, "three days referenced");
@@ -766,20 +1114,24 @@ mod tests {
         db.append(
             "Y",
             &[
-                ColumnData::Text(TextColumn::from_strs(["web-1", "web-2"])),
-                ColumnData::Text(TextColumn::from_strs(["api", "api"])),
-                ColumnData::Timestamp(vec![0, MS_PER_DAY]),
-                ColumnData::Float64(vec![1.0, 2.0]),
-                ColumnData::Float64(vec![0.5, 0.25]),
-                ColumnData::Float64(vec![0.75, 1.0]),
+                ColumnData::Text(TextColumn::from_strs(["web-1", "web-2", "web-1"])),
+                ColumnData::Text(TextColumn::from_strs(["api", "api", "api"])),
+                ColumnData::Timestamp(vec![0, MS_PER_DAY, MS_PER_DAY]),
+                ColumnData::Float64(vec![1.0, 2.0, 3.0]),
+                ColumnData::Float64(vec![0.5, 0.25, 0.5]),
+                ColumnData::Float64(vec![0.75, 1.0, 1.5]),
             ],
             ConstraintPolicy::none(),
         )
         .unwrap();
-        let manager = DmdManager::new();
+        let manager = DmdManager::new(MS_PER_DAY);
         restore_coverage(&db, &manager, &dmd_spec).unwrap();
-        assert_eq!(manager.covered_count(), 2);
-        assert!(manager.is_covered(&key("web-1", "api", 0)));
-        assert!(manager.is_covered(&key("web-2", "api", MS_PER_DAY)));
+        assert_eq!(manager.covered_count(), 3);
+        assert!(is_covered(&manager, &key("web-1", "api", 0)));
+        assert!(is_covered(&manager, &key("web-2", "api", MS_PER_DAY)));
+        assert!(!is_covered(&manager, &key("web-2", "api", 0)));
+        // web-1's two adjacent days restore into one coalesced range.
+        let covered = manager.covered.lock();
+        assert_eq!(covered.ranges[&strings(&["web-1", "api"])], vec![(0, 2 * MS_PER_DAY)]);
     }
 }

@@ -306,8 +306,12 @@ impl SommelierBuilder {
             }
             sources.push(SourceRuntime {
                 adapter: Arc::clone(adapter),
+                // A source without derived metadata never covers a key;
+                // its manager only answers `covered_count() == 0`.
+                dmd: Arc::new(DmdManager::new(
+                    descriptor.dmd.as_ref().map_or(1, |d| d.bucket_ms),
+                )),
                 descriptor,
-                dmd: Arc::new(DmdManager::new()),
             });
         }
         let catalog = source::assemble_catalog(
@@ -508,8 +512,10 @@ impl Sommelier {
         }
         // Rows already materialized in the derived tables are usable
         // again: mark their keys covered so Algorithm 1 does not
-        // re-derive them.
+        // re-derive them. The given metadata was just re-read, so the
+        // cached key-space domain is too.
         for s in &self.sources {
+            s.dmd.reset_domain();
             if let Some(dmd_spec) = &s.descriptor.dmd {
                 dmd::restore_coverage(&self.db, &s.dmd, dmd_spec)?;
             }
@@ -608,6 +614,9 @@ impl Sommelier {
             report.registrar.segments += reg.segments;
             report.registrar.duration += reg.duration;
             registries.push(Arc::new(registry));
+            // Registration (re)wrote the given metadata the DMd key
+            // space is drawn from.
+            s.dmd.reset_domain();
         }
         let obs = self.obs();
         obs.count("registrar.chunks_registered", report.registrar.files);
@@ -699,13 +708,11 @@ impl Sommelier {
                     descriptor: Arc::clone(&s.descriptor),
                     registry: Arc::clone(registry),
                     source,
-                    dmd: Arc::clone(&s.dmd),
                 }
             })
             .collect();
         let cellar = Arc::new(Cellar::new(
             bindings,
-            Arc::clone(&self.db),
             CellarConfig {
                 budget_bytes: self.config.effective_cellar_bytes(),
                 policy: self.config.cellar_policy,
@@ -916,13 +923,6 @@ impl Sommelier {
             );
         }
         let source = &self.sources[compiled.source_idx];
-        // DMd-referring queries hold the coverage read guard for their
-        // whole execution: between Algorithm 1 declaring a window
-        // covered and the plan scanning the derived table, a concurrent
-        // eviction must not invalidate (and delete) that window out
-        // from under us.
-        let _dmd_guard =
-            if compiled.qtype.refers_dmd() { Some(source.dmd.begin_query()) } else { None };
         let t_dmd = Instant::now();
         let dmd_outcome = if check_dmd
             && compiled.qtype.refers_dmd()
@@ -1304,8 +1304,6 @@ impl Sommelier {
             m.counter("cellar.joins").store(s.joins);
             m.counter("cellar.reloads").store(s.reloads);
             m.counter("cellar.evictions").store(s.evictions);
-            m.counter("cellar.reclaimed_rows").store(s.reclaimed_rows);
-            m.counter("cellar.reclaim_failures").store(s.reclaim_failures);
             m.counter("cellar.pin_wait_ns").store(s.pin_wait_ns);
             m.gauge("cellar.resident_bytes").set(cellar.resident_bytes() as u64);
             m.gauge("cellar.peak_resident_bytes").set(cellar.peak_resident_bytes() as u64);

@@ -391,63 +391,6 @@ impl Database {
         Ok(())
     }
 
-    /// Keep only the rows of `name` whose `keep` flag is true. Any
-    /// cached PK state and join indices on the table are dropped (row
-    /// positions shift), and buffer-pool pages of rewritten column
-    /// files are invalidated. Returns the number of deleted rows.
-    pub fn retain_rows(&self, name: &str, keep: &[bool]) -> Result<u64> {
-        let mut inner = self.inner.write();
-        Self::retain_rows_locked(&self.pool, &mut inner, name, keep)
-    }
-
-    fn retain_rows_locked(
-        pool: &BufferPool,
-        inner: &mut Inner,
-        name: &str,
-        keep: &[bool],
-    ) -> Result<u64> {
-        let state = inner
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?;
-        let was_persistent = state.table.is_persistent();
-        let deleted = state.table.retain_rows(pool, keep)?;
-        if deleted > 0 {
-            state.pk = None;
-            state.join_indices.clear();
-            if was_persistent {
-                for path in state.table.column_paths() {
-                    if let Some(fid) = pool.disk().forget(&path) {
-                        pool.invalidate_file(fid);
-                    }
-                }
-            }
-        }
-        Ok(deleted)
-    }
-
-    /// Chunk-scoped delete: remove every row of `name` whose `key_col`
-    /// equals `key` (e.g. all of `D`'s rows for one chunk's `file_id`).
-    /// This is the storage-level reclamation step of cellar eviction —
-    /// the inverse of a lazy chunk ingest. Returns deleted rows.
-    pub fn delete_chunk_rows(&self, name: &str, key_col: &str, key: i64) -> Result<u64> {
-        let mut inner = self.inner.write();
-        let keys = {
-            let state = inner
-                .tables
-                .get(name)
-                .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?;
-            let schema = state.table.schema();
-            state.table.scan_column(&self.pool, schema.col_index(key_col)?)?
-        };
-        let ids = keys.as_i64()?;
-        if !ids.contains(&key) {
-            return Ok(0);
-        }
-        let keep: Vec<bool> = ids.iter().map(|&id| id != key).collect();
-        Self::retain_rows_locked(&self.pool, &mut inner, name, &keep)
-    }
-
     /// Delete all rows of `name` (drop + recreate, schema preserved).
     pub fn truncate_table(&self, name: &str) -> Result<()> {
         let (schema, disposition) = {
@@ -697,104 +640,6 @@ mod tests {
         )
         .unwrap();
         assert!(db.join_index("S", "F").is_none(), "stale join index dropped");
-    }
-
-    #[test]
-    fn delete_chunk_rows_removes_only_that_chunk() {
-        let db = mem_db();
-        db.create_table(
-            TableSchema::new("D", TableClass::ActualData)
-                .column("file_id", DataType::Int64)
-                .column("v", DataType::Float64),
-            Disposition::Resident,
-        )
-        .unwrap();
-        db.append(
-            "D",
-            &[
-                ColumnData::Int64(vec![1, 1, 2, 2, 3]),
-                ColumnData::Float64(vec![0.1, 0.2, 0.3, 0.4, 0.5]),
-            ],
-            ConstraintPolicy::none(),
-        )
-        .unwrap();
-        assert_eq!(db.delete_chunk_rows("D", "file_id", 2).unwrap(), 2);
-        assert_eq!(db.table_rows("D").unwrap(), 3);
-        let cols = db.scan_table("D").unwrap();
-        assert_eq!(cols[0].as_i64().unwrap(), &[1, 1, 3]);
-        assert_eq!(cols[1].as_f64().unwrap(), &[0.1, 0.2, 0.5]);
-        // Absent key: no-op.
-        assert_eq!(db.delete_chunk_rows("D", "file_id", 99).unwrap(), 0);
-        assert_eq!(db.table_rows("D").unwrap(), 3);
-    }
-
-    #[test]
-    fn retain_rows_drops_stale_index_state() {
-        let db = mem_db();
-        db.append(
-            "F",
-            &[
-                ColumnData::Int64(vec![10, 20]),
-                ColumnData::Text(TextColumn::from_strs(["ISK", "FIAM"])),
-            ],
-            ConstraintPolicy::all(),
-        )
-        .unwrap();
-        db.append(
-            "S",
-            &[ColumnData::Int64(vec![1, 2]), ColumnData::Int64(vec![10, 20])],
-            ConstraintPolicy::all(),
-        )
-        .unwrap();
-        db.build_join_indices("S").unwrap();
-        assert!(db.join_index("S", "F").is_some());
-        assert_eq!(db.retain_rows("S", &[true, false]).unwrap(), 1);
-        assert!(db.join_index("S", "F").is_none(), "join index invalidated");
-        // The PK index is rebuilt from the surviving rows: re-inserting
-        // the deleted key succeeds, re-inserting a kept key fails.
-        db.append(
-            "S",
-            &[ColumnData::Int64(vec![2]), ColumnData::Int64(vec![10])],
-            ConstraintPolicy::all(),
-        )
-        .unwrap();
-        let dup = db.append(
-            "S",
-            &[ColumnData::Int64(vec![1]), ColumnData::Int64(vec![10])],
-            ConstraintPolicy::all(),
-        );
-        assert!(matches!(dup, Err(StorageError::Constraint(_))));
-    }
-
-    #[test]
-    fn delete_chunk_rows_persistent_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("somm-dbdelete-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Database::create(&dir, BufferPoolConfig::default()).unwrap();
-        db.create_table(
-            TableSchema::new("D", TableClass::ActualData)
-                .column("file_id", DataType::Int64)
-                .column("v", DataType::Float64),
-            Disposition::Persistent,
-        )
-        .unwrap();
-        db.append(
-            "D",
-            &[ColumnData::Int64(vec![7, 8, 7]), ColumnData::Float64(vec![1.0, 2.0, 3.0])],
-            ConstraintPolicy::none(),
-        )
-        .unwrap();
-        // Warm the pool so invalidation is exercised.
-        assert_eq!(db.scan_table("D").unwrap()[0].len(), 3);
-        assert_eq!(db.delete_chunk_rows("D", "file_id", 7).unwrap(), 2);
-        let cols = db.scan_table("D").unwrap();
-        assert_eq!(cols[0].as_i64().unwrap(), &[8]);
-        assert_eq!(cols[1].as_f64().unwrap(), &[2.0]);
-        drop(db);
-        // Survives re-open.
-        let db = Database::open(&dir, BufferPoolConfig::default()).unwrap();
-        assert_eq!(db.table_rows("D").unwrap(), 1);
-        Database::destroy(&dir).unwrap();
     }
 
     #[test]

@@ -159,48 +159,6 @@ impl Table {
         Ok(n)
     }
 
-    /// Keep only the rows whose `keep` flag is true, dropping the rest.
-    ///
-    /// This is the storage half of chunk eviction: the workload is
-    /// append-only for queries, but reclaiming a chunk's residency
-    /// (the cellar's inverse of lazy ingestion) must be able to delete
-    /// the rows the chunk contributed. Resident columns are filtered in
-    /// place; persistent columns are rewritten (the caller invalidates
-    /// the buffer pool afterwards). Returns the number of deleted rows.
-    pub fn retain_rows(&mut self, pool: &BufferPool, keep: &[bool]) -> Result<u64> {
-        if keep.len() as u64 != self.rows {
-            return Err(StorageError::Schema(format!(
-                "table {}: retain mask has {} entries for {} rows",
-                self.schema.name,
-                keep.len(),
-                self.rows
-            )));
-        }
-        let kept_idx: Vec<u32> =
-            keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| i as u32).collect();
-        let deleted = self.rows - kept_idx.len() as u64;
-        if deleted == 0 {
-            return Ok(0);
-        }
-        match &mut self.store {
-            TableStore::Resident(cols) => {
-                for c in cols.iter_mut() {
-                    *c = c.take(&kept_idx);
-                }
-            }
-            TableStore::Persistent(files) => {
-                for f in files.iter_mut() {
-                    let filtered = f.read_all(pool)?.take(&kept_idx);
-                    let mut rewritten = ColumnFile::create(f.path(), f.data_type())?;
-                    rewritten.append(&filtered)?;
-                    *f = rewritten;
-                }
-            }
-        }
-        self.rows = kept_idx.len() as u64;
-        Ok(deleted)
-    }
-
     /// Materialize one column.
     pub fn scan_column(&self, pool: &BufferPool, idx: usize) -> Result<ColumnData> {
         match &self.store {
@@ -305,48 +263,6 @@ mod tests {
             ])
             .is_err());
         assert_eq!(t.rows(), 0);
-    }
-
-    #[test]
-    fn retain_rows_filters_resident_store() {
-        let mut t = Table::new_resident(schema()).unwrap();
-        t.append(&batch()).unwrap();
-        t.append(&batch()).unwrap();
-        let pool = BufferPool::new(BufferPoolConfig::default());
-        // Keep rows 0 and 3.
-        let deleted = t.retain_rows(&pool, &[true, false, false, true]).unwrap();
-        assert_eq!(deleted, 2);
-        assert_eq!(t.rows(), 2);
-        let cols = t.scan(&pool).unwrap();
-        assert_eq!(cols[0].as_i64().unwrap(), &[1, 2]);
-        assert_eq!(cols[1].as_text().unwrap().get(1), "FIAM");
-        // No-op mask deletes nothing.
-        assert_eq!(t.retain_rows(&pool, &[true, true]).unwrap(), 0);
-        // Wrong mask length is rejected.
-        assert!(t.retain_rows(&pool, &[true]).is_err());
-    }
-
-    #[test]
-    fn retain_rows_rewrites_persistent_store() {
-        let dir =
-            std::env::temp_dir().join(format!("somm-table-retain-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut t = Table::new_persistent(schema(), &dir).unwrap();
-        t.append(&batch()).unwrap();
-        t.append(&batch()).unwrap();
-        let pool = BufferPool::new(BufferPoolConfig::default());
-        let deleted = t.retain_rows(&pool, &[false, true, true, false]).unwrap();
-        assert_eq!(deleted, 2);
-        assert_eq!(t.rows(), 2);
-        // Rows survive a fresh re-open (rewrite hit the files). A fresh
-        // pool is required: at the Table level the caller owns page
-        // invalidation (the Database wrapper does it).
-        let t2 = Table::open_persistent(schema(), &dir).unwrap();
-        assert_eq!(t2.rows(), 2);
-        let fresh = BufferPool::new(BufferPoolConfig::default());
-        let cols = t2.scan(&fresh).unwrap();
-        assert_eq!(cols[0].as_i64().unwrap(), &[2, 1]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

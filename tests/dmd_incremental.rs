@@ -107,6 +107,34 @@ fn derivation_rows_survive_cold_restarts_of_caches() {
 }
 
 #[test]
+fn eviction_keeps_derived_windows_covered() {
+    // A chunk evicted under budget pressure takes only its decoded
+    // relation with it: the windows derived from it stay materialized.
+    let dir = TempDir::new("evict-dmd");
+    let repo = fiam_repo(&dir, 1, 64);
+    let config = SommelierConfig { cellar_bytes: Some(1), ..SommelierConfig::default() };
+    let somm = prepared(&repo, LoadingMode::Lazy, config);
+    let q = window_query("2010-01-01T00:00:00.000", "2010-01-01T04:00:00.000");
+    let first = somm.query(&q).unwrap();
+    assert_eq!(first.dmd.unwrap().missing, 4);
+    // A T4 over the same hours loads the chunk; release evicts it.
+    let evictions = somm.cellar().unwrap().stats().evictions;
+    somm.query(
+        "SELECT AVG(D.sample_value) FROM dataview \
+         WHERE D.sample_time >= '2010-01-01T00:00:00.000' \
+         AND D.sample_time < '2010-01-01T04:00:00.000'",
+    )
+    .unwrap();
+    assert!(somm.cellar().unwrap().stats().evictions > evictions);
+    let again = somm.query(&q).unwrap();
+    let dmd = again.dmd.unwrap();
+    assert_eq!((dmd.requested, dmd.missing, dmd.files_loaded), (4, 0, 0));
+    assert_eq!(somm.dmd_manager().covered_count(), 4);
+    assert_eq!(somm.db().table_rows("H").unwrap(), first.relation.rows() as u64);
+    assert_eq!(again.relation.rows(), first.relation.rows());
+}
+
+#[test]
 fn reset_dmd_forces_rederivation() {
     let dir = TempDir::new("reset");
     let repo = fiam_repo(&dir, 1, 64);
@@ -114,9 +142,12 @@ fn reset_dmd_forces_rederivation() {
     let q = window_query("2010-01-01T00:00:00.000", "2010-01-01T03:00:00.000");
     assert_eq!(somm.query(&q).unwrap().dmd.unwrap().missing, 3);
     assert_eq!(somm.query(&q).unwrap().dmd.unwrap().missing, 0);
+    assert_eq!(somm.dmd_manager().covered_count(), 3);
     somm.reset_dmd().unwrap();
     assert_eq!(somm.db().table_rows("H").unwrap(), 0);
+    assert_eq!(somm.dmd_manager().covered_count(), 0, "coverage ranges cleared");
     assert_eq!(somm.query(&q).unwrap().dmd.unwrap().missing, 3);
+    assert_eq!(somm.dmd_manager().covered_count(), 3);
 }
 
 #[test]
