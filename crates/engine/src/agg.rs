@@ -23,10 +23,10 @@
 //! workload never aggregates empty inputs).
 
 use crate::error::{EngineError, Result};
-use crate::eval::eval_scalar;
+use crate::eval::eval_column;
 use crate::expr::{AggFunc, Expr};
 use crate::relation::Relation;
-use sommelier_storage::index::{hash_row, rows_equal};
+use sommelier_storage::index::{hash_row, key_run_end, rows_equal};
 use sommelier_storage::{ColumnData, DataType};
 use std::collections::HashMap;
 
@@ -147,80 +147,140 @@ impl PartialAgg {
 }
 
 /// Collapse one partition into per-group aggregate states.
+///
+/// Plain column references are read in place (only computed group keys
+/// and arguments materialize a column), and each argument accumulates
+/// column-major, one type dispatch per column. Every state still folds
+/// its rows in row order, so sums are bit-identical to a row-at-a-time
+/// fold.
 pub fn partial_aggregate(
     input: &Relation,
     group_by: &[(String, Expr)],
     aggs: &[(String, AggFunc, Expr)],
 ) -> Result<PartialAgg> {
-    // Evaluate grouping keys and aggregate arguments once, vectorized.
-    let key_cols: Vec<ColumnData> =
-        group_by.iter().map(|(_, e)| eval_scalar(e, input)).collect::<Result<_>>()?;
-    let arg_cols: Vec<ColumnData> =
-        aggs.iter().map(|(_, _, e)| eval_scalar(e, input)).collect::<Result<_>>()?;
-    let key_refs: Vec<&ColumnData> = key_cols.iter().collect();
-
-    // Group discovery: representative row per group.
     let rows = input.rows();
-    let mut groups: HashMap<u64, Vec<u32>> = HashMap::new(); // hash -> group ids
-    let mut group_of = Vec::with_capacity(rows);
+    let key_cols =
+        group_by.iter().map(|(_, e)| eval_column(e, input)).collect::<Result<Vec<_>>>()?;
+    let key_refs: Vec<&ColumnData> = key_cols.iter().map(|c| c.as_ref()).collect();
+
+    // Group discovery (representative row per group); a global
+    // aggregate has one group, if any rows exist.
     let mut reps: Vec<u32> = Vec::new();
-    if group_by.is_empty() {
-        // One global group, if any rows exist.
-        group_of = vec![0usize; rows];
+    let group_of = if group_by.is_empty() {
         if rows > 0 {
             reps.push(0);
         }
+        None
     } else {
-        for r in 0..rows {
-            let h = hash_row(&key_refs, r);
-            let bucket = groups.entry(h).or_default();
-            let gid = bucket
-                .iter()
-                .find(|&&rep| {
-                    rows_equal(&key_refs, reps[rep as usize] as usize, &key_refs, r)
-                })
-                .copied();
-            let gid = match gid {
-                Some(g) => g as usize,
-                None => {
-                    let g = reps.len() as u32;
-                    reps.push(r as u32);
-                    bucket.push(g);
-                    g as usize
-                }
-            };
-            group_of.push(gid);
-        }
-    }
+        Some(discover_groups(&key_refs, rows, &mut reps))
+    };
 
-    // Accumulate.
     let mut states: Vec<Vec<AggState>> = vec![vec![AggState::new(); aggs.len()]; reps.len()];
-    for r in 0..rows {
-        let g = group_of[r];
-        for (ai, col) in arg_cols.iter().enumerate() {
-            let st = &mut states[g][ai];
-            match col {
-                ColumnData::Int64(v) | ColumnData::Timestamp(v) => st.update_i(v[r]),
-                ColumnData::Float64(v) => st.update_f(v[r]),
-                ColumnData::Text(_) => {
-                    if aggs[ai].1 == AggFunc::Count {
-                        st.count += 1;
-                    } else {
-                        return Err(EngineError::Exec(format!(
-                            "{} over text column",
-                            aggs[ai].1.name()
-                        )));
-                    }
-                }
+    let mut arg_types = Vec::with_capacity(aggs.len());
+    for (ai, (_, func, e)) in aggs.iter().enumerate() {
+        if *func == AggFunc::Count {
+            // COUNT reads no values, only its argument's type; a
+            // literal argument (`COUNT(*)`) is never broadcast.
+            let lit_type = if let Expr::Lit(v) = e { v.data_type() } else { None };
+            arg_types.push(match lit_type {
+                Some(t) => t,
+                None => eval_column(e, input)?.data_type(),
+            });
+            count_rows(&mut states, ai, group_of.as_deref(), rows);
+            continue;
+        }
+        let col = eval_column(e, input)?;
+        arg_types.push(col.data_type());
+        match col.as_ref() {
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
+                fold(&mut states, ai, group_of.as_deref(), v, AggState::update_i)
             }
+            ColumnData::Float64(v) => {
+                fold(&mut states, ai, group_of.as_deref(), v, AggState::update_f)
+            }
+            ColumnData::Text(_) if rows > 0 => {
+                return Err(EngineError::Exec(format!("{} over text column", func.name())));
+            }
+            ColumnData::Text(_) => {}
         }
     }
 
     Ok(PartialAgg {
-        keys: key_cols.iter().map(|c| c.take(&reps)).collect(),
+        keys: key_refs.iter().map(|c| c.take(&reps)).collect(),
         states,
-        arg_types: arg_cols.iter().map(|c| c.data_type()).collect(),
+        arg_types,
     })
+}
+
+/// Assign every row its group id, creating groups (and their
+/// representative rows) in first-seen order. One hash lookup serves
+/// each run of identical keys ([`key_run_end`]).
+fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Vec<u32> {
+    let mut groups: HashMap<u64, Vec<u32>> = HashMap::new(); // hash -> group ids
+    let mut group_of: Vec<u32> = Vec::with_capacity(rows);
+    let mut start = 0;
+    while start < rows {
+        let end = key_run_end(keys, start, rows);
+        let bucket = groups.entry(hash_row(keys, start)).or_default();
+        let found = bucket
+            .iter()
+            .copied()
+            .find(|&g| rows_equal(keys, reps[g as usize] as usize, keys, start));
+        let gid = found.unwrap_or_else(|| {
+            let g = reps.len() as u32;
+            reps.push(start as u32);
+            bucket.push(g);
+            g
+        });
+        group_of.resize(end, gid);
+        start = end;
+    }
+    group_of
+}
+
+/// Fold `values` into aggregate `ai`'s states, in row order.
+fn fold<T: Copy>(
+    states: &mut [Vec<AggState>],
+    ai: usize,
+    group_of: Option<&[u32]>,
+    values: &[T],
+    update: impl Fn(&mut AggState, T),
+) {
+    match group_of {
+        Some(groups) => {
+            for (&g, &v) in groups.iter().zip(values) {
+                update(&mut states[g as usize][ai], v);
+            }
+        }
+        None => {
+            if let Some(st) = states.first_mut().map(|s| &mut s[ai]) {
+                for &v in values {
+                    update(st, v);
+                }
+            }
+        }
+    }
+}
+
+/// Count rows into aggregate `ai`'s states.
+fn count_rows(
+    states: &mut [Vec<AggState>],
+    ai: usize,
+    group_of: Option<&[u32]>,
+    rows: usize,
+) {
+    match group_of {
+        Some(groups) => {
+            for &g in groups {
+                states[g as usize][ai].count += 1;
+            }
+        }
+        None => {
+            if let Some(st) = states.first_mut().map(|s| &mut s[ai]) {
+                st.count += rows as u64;
+            }
+        }
+    }
 }
 
 /// Merge partition states into the final aggregate relation.
@@ -481,6 +541,133 @@ mod tests {
         assert_eq!(out.rows(), 2);
         assert_eq!(out.value(0, "n").unwrap(), Value::Int(2));
         assert_eq!(out.value(1, "n").unwrap(), Value::Int(2));
+    }
+
+    /// The row-at-a-time fold that [`partial_aggregate`] replaced, kept
+    /// as its oracle: one hash lookup and one type dispatch per row.
+    fn per_row_partial(
+        input: &Relation,
+        group_by: &[(String, Expr)],
+        aggs: &[(String, AggFunc, Expr)],
+    ) -> PartialAgg {
+        use crate::eval::eval_scalar;
+        let key_cols: Vec<ColumnData> =
+            group_by.iter().map(|(_, e)| eval_scalar(e, input).unwrap()).collect();
+        let arg_cols: Vec<ColumnData> =
+            aggs.iter().map(|(_, _, e)| eval_scalar(e, input).unwrap()).collect();
+        let key_refs: Vec<&ColumnData> = key_cols.iter().collect();
+        let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
+        let (mut group_of, mut reps) = (Vec::new(), Vec::<u32>::new());
+        for r in 0..input.rows() {
+            if group_by.is_empty() {
+                if reps.is_empty() {
+                    reps.push(0);
+                }
+                group_of.push(0);
+                continue;
+            }
+            let bucket = groups.entry(hash_row(&key_refs, r)).or_default();
+            let found = bucket
+                .iter()
+                .copied()
+                .find(|&g| rows_equal(&key_refs, reps[g as usize] as usize, &key_refs, r));
+            let g = found.unwrap_or_else(|| {
+                reps.push(r as u32);
+                bucket.push(reps.len() as u32 - 1);
+                reps.len() as u32 - 1
+            });
+            group_of.push(g as usize);
+        }
+        let mut states = vec![vec![AggState::new(); aggs.len()]; reps.len()];
+        for (r, &g) in group_of.iter().enumerate() {
+            for (ai, col) in arg_cols.iter().enumerate() {
+                match col {
+                    ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
+                        states[g][ai].update_i(v[r])
+                    }
+                    ColumnData::Float64(v) => states[g][ai].update_f(v[r]),
+                    ColumnData::Text(_) => states[g][ai].count += 1,
+                }
+            }
+        }
+        PartialAgg {
+            keys: key_cols.iter().map(|c| c.take(&reps)).collect(),
+            states,
+            arg_types: arg_cols.iter().map(|c| c.data_type()).collect(),
+        }
+    }
+
+    /// Column-major accumulation over borrowed columns, with one group
+    /// lookup per run of equal keys, is bit-identical to the per-row
+    /// fold: same groups in the same order, same sums to the bit.
+    #[test]
+    fn column_major_fold_matches_the_per_row_oracle() {
+        const FLOATS: [f64; 5] = [0.0, -0.0, 1.5, f64::NAN, 0.1];
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut below = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let all_aggs = vec![
+            agg("n", AggFunc::Count, "v"),
+            ("star".into(), AggFunc::Count, Expr::lit(1i64)),
+            agg("ns", AggFunc::Count, "s"),
+            agg("s", AggFunc::Sum, "v"),
+            agg("a", AggFunc::Avg, "v"),
+            agg("sd", AggFunc::StdDev, "v"),
+            agg("mn", AggFunc::Min, "t"),
+            agg("mx", AggFunc::Max, "i"),
+        ];
+        for seed in 0..200 {
+            // Runs of repeated keys (lengths 1-4), so key runs, NaN
+            // keys and ±0.0 all occur.
+            let (mut f, mut i, mut st) = (Vec::new(), Vec::new(), Vec::new());
+            while f.len() < below(30) {
+                let (kf, ki, ks) = (FLOATS[below(5)], below(3) as i64, ["a", "b"][below(2)]);
+                for _ in 0..1 + below(4) {
+                    f.push(kf);
+                    i.push(ki);
+                    st.push(ks);
+                }
+            }
+            let n = f.len();
+            let r = Relation::new(vec![
+                ("f".into(), ColumnData::Float64(f)),
+                ("i".into(), ColumnData::Int64(i)),
+                ("s".into(), ColumnData::Text(TextColumn::from_strs(st))),
+                ("v".into(), ColumnData::Float64((0..n).map(|k| k as f64 * 0.1).collect())),
+                ("t".into(), ColumnData::Timestamp((0..n as i64).rev().collect())),
+            ])
+            .unwrap();
+            let key = |c: &str| (c.to_string(), Expr::col(c));
+            let group_bys =
+                [vec![], vec![key("f")], vec![key("s"), key("i")], vec![key("i")]];
+            let group_by = &group_bys[seed % group_bys.len()];
+            let got = merge_partials(
+                vec![partial_aggregate(&r, group_by, &all_aggs).unwrap()],
+                group_by,
+                &all_aggs,
+            )
+            .unwrap();
+            let want = merge_partials(
+                vec![per_row_partial(&r, group_by, &all_aggs)],
+                group_by,
+                &all_aggs,
+            )
+            .unwrap();
+            assert_eq!(got.rows(), want.rows(), "seed {seed}");
+            for (a, b) in got.columns().iter().zip(want.columns()) {
+                for row in 0..want.rows() {
+                    let same = match (a.1.get(row), b.1.get(row)) {
+                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                        (x, y) => x == y,
+                    };
+                    assert!(same, "seed {seed}: {}[{row}]", a.0);
+                }
+            }
+        }
     }
 
     /// Partition a relation by row ranges and check the merged partials

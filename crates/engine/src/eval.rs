@@ -13,6 +13,7 @@ use crate::relation::Relation;
 use sommelier_storage::column::TextColumn;
 use sommelier_storage::time::{day_bucket, hour_bucket};
 use sommelier_storage::{ColumnData, Value};
+use std::borrow::Cow;
 
 /// Evaluate `expr` to a column over `rel`.
 pub fn eval_scalar(expr: &Expr, rel: &Relation) -> Result<ColumnData> {
@@ -30,6 +31,16 @@ pub fn eval_scalar(expr: &Expr, rel: &Relation) -> Result<ColumnData> {
             let mask = eval_mask(expr, rel)?;
             Ok(ColumnData::Int64(mask.iter().map(|&b| b as i64).collect()))
         }
+    }
+}
+
+/// Evaluate `expr` to a column over `rel`, borrowing `rel`'s payload
+/// when `expr` is a plain column reference (only computed expressions
+/// materialize a new column).
+pub(crate) fn eval_column<'r>(expr: &Expr, rel: &'r Relation) -> Result<Cow<'r, ColumnData>> {
+    match expr {
+        Expr::Col(name) => Ok(Cow::Borrowed(rel.column(name)?)),
+        _ => eval_scalar(expr, rel).map(Cow::Owned),
     }
 }
 

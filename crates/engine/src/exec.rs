@@ -145,9 +145,7 @@ pub struct ChunkPipeline<'a> {
 impl ChunkPipeline<'_> {
     /// Run the pipeline over one chunk's rows.
     pub fn run(&self, chunk: &Relation) -> Result<Relation> {
-        let wanted: Vec<(String, String)> =
-            self.columns.iter().map(|c| (c.clone(), c.clone())).collect();
-        let mut part = chunk.project_named(&wanted)?;
+        let mut part = chunk.project_named(self.columns.iter().map(|c| (&**c, &**c)))?;
         if let Some(p) = self.predicate {
             let mask = eval_mask(p, &part)?;
             part = part.filter(&mask);
@@ -323,10 +321,8 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
             ..
         } => {
             // Build the join side once; every chunk probes it.
-            let build = join
-                .as_ref()
-                .map(|j| JoinBuild::new(execute(&j.right, ctx)?, &j.right_keys))
-                .transpose()?;
+            let build =
+                join.as_ref().map(|j| j.build(execute(&j.right, ctx)?)).transpose()?;
             let probe =
                 join.as_ref().zip(build.as_ref()).map(|(j, b)| (b, j.left_keys.as_slice()));
             if chunks.is_empty() {

@@ -15,7 +15,9 @@
 
 use crate::error::{EngineError, Result};
 use crate::expr::{AggFunc, Expr};
+use crate::join::JoinBuild;
 use crate::logical::LogicalPlan;
+use crate::relation::Relation;
 use sommelier_storage::Database;
 use std::fmt;
 
@@ -36,6 +38,64 @@ pub struct PartialJoin {
     pub right: Box<PhysicalPlan>,
     pub left_keys: Vec<Expr>,
     pub right_keys: Vec<Expr>,
+    /// The column references above the join (in the chunk ops, group
+    /// keys and aggregates) that can name a build column. The join
+    /// outputs only the build columns these match, by the rule
+    /// [`Relation::resolve`] uses, so every reference resolves as it
+    /// would against the full build side.
+    pub keep: Vec<String>,
+}
+
+impl PartialJoin {
+    /// Does a reference in [`PartialJoin::keep`] match build column
+    /// `name` (exactly, or as its `.suffix`)?
+    pub(crate) fn keeps(&self, name: &str) -> bool {
+        self.keep.iter().any(|r| {
+            name == r || name.strip_suffix(r.as_str()).is_some_and(|head| head.ends_with('.'))
+        })
+    }
+
+    /// Build the shared join side from the executed build relation,
+    /// keeping only the build columns the pipeline reads.
+    pub(crate) fn build(&self, right: Relation) -> Result<JoinBuild> {
+        JoinBuild::new(right, &self.right_keys, |name| self.keeps(name))
+    }
+}
+
+/// The references that can name a build column of a per-chunk join:
+/// every column the ops, group keys and aggregates read off the join's
+/// output, up to the first projection (which replaces that output),
+/// except references that exactly name a probe column (those resolve
+/// to the probe side whatever the build side holds).
+fn build_references(
+    probe_columns: &[String],
+    ops: &[ChunkOp],
+    group_by: &[(String, Expr)],
+    aggs: &[(String, AggFunc, Expr)],
+) -> Vec<String> {
+    let mut exprs: Vec<&Expr> = Vec::new();
+    let mut projected = false;
+    for op in ops {
+        match op {
+            ChunkOp::Filter(p) => exprs.push(p),
+            ChunkOp::Project(cols) => {
+                exprs.extend(cols.iter().map(|(_, e)| e));
+                projected = true;
+                break;
+            }
+        }
+    }
+    if !projected {
+        exprs.extend(group_by.iter().map(|(_, e)| e));
+        exprs.extend(aggs.iter().map(|(_, _, e)| e));
+    }
+    let mut refs: Vec<String> = Vec::new();
+    for c in exprs.iter().flat_map(|e| e.columns()) {
+        if !probe_columns.iter().any(|p| p == c) && !refs.iter().any(|r| r == c) {
+            refs.push(c.to_string());
+        }
+    }
+    refs
 }
 
 /// One row-local operator folded into a per-chunk pipeline (the
@@ -322,12 +382,13 @@ fn fuse_chain(
         PhysicalPlan::HashJoin { left, right, left_keys, right_keys } => match *left {
             PhysicalPlan::ChunkUnion { table, chunks, columns, predicate, .. } => {
                 ops.reverse();
+                let keep = build_references(&columns, &ops, &group_by, &aggs);
                 PhysicalPlan::PartialAggUnion {
                     table,
                     chunks,
                     columns,
                     predicate,
-                    join: Some(PartialJoin { right, left_keys, right_keys }),
+                    join: Some(PartialJoin { right, left_keys, right_keys, keep }),
                     ops,
                     group_by,
                     aggs,
@@ -381,11 +442,7 @@ impl PhysicalPlan {
                 chunks,
                 columns,
                 predicate,
-                join: join.map(|j| PartialJoin {
-                    right: Box::new(f(*j.right)),
-                    left_keys: j.left_keys,
-                    right_keys: j.right_keys,
-                }),
+                join: join.map(|j| PartialJoin { right: Box::new(f(*j.right)), ..j }),
                 ops,
                 group_by,
                 aggs,
@@ -586,7 +643,12 @@ impl PhysicalPlan {
                         .zip(&j.right_keys)
                         .map(|(l, r)| format!("{l} = {r}"))
                         .collect();
-                    writeln!(f, "{pad}  per-chunk probe on {}", keys.join(" AND "))?;
+                    writeln!(
+                        f,
+                        "{pad}  per-chunk probe on {} keeps [{}]",
+                        keys.join(" AND "),
+                        j.keep.join(", ")
+                    )?;
                     j.right.fmt_indent(f, indent + 2)?;
                 }
                 Ok(())
@@ -732,6 +794,52 @@ mod tests {
         let opts = LowerOptions { use_index_joins: false, ..opts };
         let phys = lower(&join_plan(), &opts).unwrap();
         assert!(matches!(phys, PhysicalPlan::HashJoin { .. }));
+    }
+
+    /// Fusion records the references that can name a build column:
+    /// exact probe columns drop out, bare names stay (they may resolve
+    /// by suffix), and nothing past the first projection counts.
+    #[test]
+    fn fusion_keeps_only_referenced_build_columns() {
+        let chunk = PhysicalPlan::ChunkUnion {
+            table: "D".into(),
+            chunks: Vec::new(),
+            columns: vec!["D.file_id".into(), "D.sample_value".into()],
+            predicate: None,
+            pushdown: true,
+        };
+        let join = |input: PhysicalPlan| PhysicalPlan::HashJoin {
+            left: Box::new(input),
+            right: Box::new(PhysicalPlan::ResultScan { id: 0 }),
+            left_keys: vec![Expr::col("D.file_id")],
+            right_keys: vec![Expr::col("F.file_id")],
+        };
+        let keep_of = |plan: PhysicalPlan| match fuse_partial_agg(plan) {
+            PhysicalPlan::PartialAggUnion { join: Some(j), .. } => j,
+            other => panic!("not fused: {other}"),
+        };
+        let fused = keep_of(PhysicalPlan::Aggregate {
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(join(chunk.clone())),
+                predicate: Expr::col("network").eq(Expr::lit("IV")),
+            }),
+            group_by: vec![("station".into(), Expr::col("F.station"))],
+            aggs: vec![("a".into(), AggFunc::Avg, Expr::col("D.sample_value"))],
+        });
+        assert_eq!(fused.keep, vec!["network", "F.station"]);
+        assert!(fused.keeps("F.network") && fused.keeps("F.station"));
+        assert!(!fused.keeps("F.channel") && !fused.keeps("F.xnetwork"));
+        // A projection replaces the join's output: only its expressions
+        // read build columns.
+        let fused = keep_of(PhysicalPlan::Aggregate {
+            input: Box::new(PhysicalPlan::Project {
+                input: Box::new(join(chunk)),
+                exprs: vec![("v".into(), Expr::col("D.sample_value"))],
+            }),
+            group_by: vec![("station".into(), Expr::col("station"))],
+            aggs: vec![("n".into(), AggFunc::Count, Expr::col("v"))],
+        });
+        assert!(fused.keep.is_empty(), "{:?}", fused.keep);
     }
 
     #[test]

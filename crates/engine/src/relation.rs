@@ -233,13 +233,30 @@ impl Relation {
         Ok(())
     }
 
+    /// Append `other`'s columns after this relation's (zero-copy; the
+    /// rows must align). Provenance stays this relation's.
+    pub(crate) fn hconcat(mut self, other: &Relation) -> Result<Relation> {
+        if !self.cols.is_empty() && !other.cols.is_empty() && other.rows() != self.rows() {
+            return Err(EngineError::Exec(format!(
+                "ragged concatenation: {} rows beside {}",
+                other.rows(),
+                self.rows()
+            )));
+        }
+        self.cols.extend(other.cols.iter().cloned());
+        Ok(self)
+    }
+
     /// Keep only the named columns, renaming to (output name, source
     /// name). Zero-copy: the output shares the source's column payloads.
-    pub fn project_named(&self, wanted: &[(String, String)]) -> Result<Relation> {
-        let mut cols = Vec::with_capacity(wanted.len());
+    pub fn project_named<'n>(
+        &self,
+        wanted: impl IntoIterator<Item = (&'n str, &'n str)>,
+    ) -> Result<Relation> {
+        let mut cols = Vec::new();
         for (out, src) in wanted {
             let i = self.resolve(src)?;
-            cols.push((out.clone(), Arc::clone(&self.cols[i].1)));
+            cols.push((out.to_string(), Arc::clone(&self.cols[i].1)));
         }
         Relation::from_shared(cols)
     }
@@ -450,12 +467,7 @@ mod tests {
     #[test]
     fn project_named_renames_and_shares() {
         let r = sample();
-        let p = r
-            .project_named(&[
-                ("sid".into(), "file_id".into()),
-                ("st".into(), "F.station".into()),
-            ])
-            .unwrap();
+        let p = r.project_named([("sid", "file_id"), ("st", "F.station")]).unwrap();
         assert_eq!(p.names(), vec!["sid", "st"]);
         assert_eq!(p.value(0, "sid").unwrap(), Value::Int(1));
         // Zero-copy: projections share the source payloads.

@@ -856,10 +856,7 @@ fn fused_wave(
     };
     // The build side is chunk-free (fusion guarantees it): execute and
     // hash it once; every chunk probes the shared build.
-    let build = join
-        .as_ref()
-        .map(|j| crate::join::JoinBuild::new(execute(&j.right, ctx)?, &j.right_keys))
-        .transpose()?;
+    let build = join.as_ref().map(|j| j.build(execute(&j.right, ctx)?)).transpose()?;
     let pipeline = ChunkPipeline {
         columns,
         predicate: predicate.as_ref(),

@@ -21,7 +21,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A multiply-shift hasher for the single-`i64`-key fast lane. SipHash
 /// (the default hasher) costs more than the rest of a probe put
-/// together on the decode/ingest hot path — every chunk row probes the
+/// together on the decode/ingest hot path — every chunk probes the
 /// shared join build side, and FK verification probes every ingested
 /// row. HashDoS resistance is irrelevant here: keys are system-assigned
 /// ids, not attacker-controlled input.
@@ -91,6 +91,40 @@ pub fn rows_equal(
         (ColumnData::Text(x), ColumnData::Text(y)) => x.get(a_row) == y.get(b_row),
         _ => false,
     })
+}
+
+/// End (exclusive) of the maximal run of rows from `start` (`< rows`)
+/// whose composite key has the same representation as row `start`'s:
+/// equal integers, equal text codes, equal float bits. A NaN ends its
+/// run at once, since it equals nothing. Rows of one run hash alike and
+/// compare equal to exactly the same keys, so one probe or group lookup
+/// made for `start` serves the whole run.
+pub fn key_run_end(cols: &[&ColumnData], start: usize, rows: usize) -> usize {
+    let mut end = rows;
+    for col in cols {
+        let differs = match col {
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
+                let k = v[start];
+                v[start + 1..end].iter().position(|&x| x != k)
+            }
+            ColumnData::Float64(v) => {
+                let k = v[start];
+                if k.is_nan() {
+                    Some(0)
+                } else {
+                    v[start + 1..end].iter().position(|x| x.to_bits() != k.to_bits())
+                }
+            }
+            ColumnData::Text(t) => {
+                let k = t.codes[start];
+                t.codes[start + 1..end].iter().position(|&c| c != k)
+            }
+        };
+        if let Some(p) = differs {
+            end = start + 1 + p;
+        }
+    }
+    end
 }
 
 /// The index payload: generic hashed composite keys, or the exact
@@ -367,10 +401,8 @@ impl HashIndex {
     }
 
     /// Allocation-free probe: append the matching build-side positions
-    /// to `out`. The bulk join probe calls this once per probe row with
-    /// a reused scratch vector — the decode/ingest hot path probes
-    /// every chunk row, so per-row allocations here dominate whole
-    /// pipelines.
+    /// to `out`. The bulk join probe calls this once per run of equal
+    /// probe keys ([`key_run_end`]) with a reused scratch vector.
     pub fn probe_into(
         &self,
         build_cols: &[&ColumnData],

@@ -7,7 +7,8 @@ use sommelier_core::{LoadingMode, QueryType, SommelierConfig};
 use sommelier_integration::{ingv_repo, prepared, TempDir};
 use sommelier_storage::Value;
 
-/// The five benchmark queries over the same small dataset.
+/// The five benchmark queries over the same small dataset, then two
+/// more shapes of the per-chunk join.
 fn queries() -> Vec<(&'static str, String)> {
     vec![
         (
@@ -50,6 +51,26 @@ fn queries() -> Vec<(&'static str, String)> {
              AND H.window_start_ts >= '2010-01-01T00:00:00.000' \
              AND H.window_start_ts < '2010-01-03T00:00:00.000' \
              AND H.window_max_val > 1000"
+                .to_string(),
+        ),
+        (
+            // A fused aggregate that reads build columns on every row:
+            // the per-chunk probe gathers `F.station` and `S.frequency`.
+            "T4 build columns",
+            "SELECT F.station, COUNT(*) AS n, AVG(S.frequency) AS f, \
+             SUM(D.sample_value) AS s FROM dataview \
+             WHERE D.sample_time >= '2010-01-01T03:00:00.000' \
+             AND D.sample_time < '2010-01-02T21:00:00.000' \
+             GROUP BY F.station"
+                .to_string(),
+        ),
+        (
+            // The time-range-only scan over every station: the probe
+            // keeps no build column.
+            "T4 time range",
+            "SELECT COUNT(*) AS n, AVG(D.sample_value) AS a FROM dataview \
+             WHERE D.sample_time >= '2010-01-01T03:00:00.000' \
+             AND D.sample_time < '2010-01-02T21:00:00.000'"
                 .to_string(),
         ),
     ]

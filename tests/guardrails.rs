@@ -30,6 +30,11 @@
 //! `uncover`/`try_invalidate`/`begin_query` invalidation lock — was
 //! removed.
 //!
+//! The per-chunk join probes once per run of equal keys and borrows
+//! plain-column keys; the per-row probe loop survives only as the
+//! oracle in `join.rs`'s tests, and its key-cloning `key_columns`
+//! helper was removed.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -76,6 +81,7 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("try_invalidate", "covered windows leave PSm only through DmdManager::clear"),
     ("fn uncover", "covered windows leave PSm only through DmdManager::clear"),
     ("fn begin_query", "the coverage check runs under the covered lock alone"),
+    ("fn key_columns", "JoinBuild::probe borrows plain-column keys (eval_column)"),
 ];
 
 /// Files that must stay deleted (relative to the workspace root).

@@ -208,3 +208,34 @@ fn explain_prints_the_pass_trace() {
     }
     assert!(plan.contains("partial_agg_fusion: fired"), "{plan}");
 }
+
+/// The per-chunk probe gathers only the build columns the aggregate
+/// reads: none for T4, the group key for a per-station aggregate.
+#[test]
+fn explain_prints_the_kept_build_columns() {
+    let dir = TempDir::new("optkeeps");
+    let repo = ingv_repo(&dir, 2, 16);
+    let somm = mseed_system(&repo, SommelierConfig::default());
+    let probe_line = |sql: &str| {
+        let plan = somm.explain(sql).unwrap();
+        let line = plan.lines().find(|l| l.contains("per-chunk probe on"));
+        line.unwrap_or_else(|| panic!("no per-chunk probe in {plan}")).trim().to_string()
+    };
+    let t4 = probe_line(
+        "SELECT AVG(D.sample_value) FROM dataview \
+         WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+         AND D.sample_time >= '2010-01-01T03:00:00.000' \
+         AND D.sample_time < '2010-01-02T21:00:00.000'",
+    );
+    assert!(t4.ends_with("keeps []"), "{t4}");
+    let grouped = probe_line(
+        "SELECT F.station, COUNT(*) AS n, AVG(D.sample_value) AS a FROM dataview \
+         WHERE D.sample_time < '2010-01-02T00:00:00.000' GROUP BY F.station",
+    );
+    assert!(grouped.ends_with("keeps [F.station]"), "{grouped}");
+    let per_row = probe_line(
+        "SELECT F.station, AVG(S.frequency) AS f, SUM(D.sample_value) AS s FROM dataview \
+         WHERE D.sample_time < '2010-01-02T00:00:00.000' GROUP BY F.station",
+    );
+    assert!(per_row.ends_with("keeps [F.station, S.frequency]"), "{per_row}");
+}
