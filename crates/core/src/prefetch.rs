@@ -115,7 +115,15 @@ impl IoPool {
 
 impl Drop for IoPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Flip the flag under the queue lock: a worker checks it
+            // and parks on `cv` while holding that lock, so it either
+            // sees the flag or is already parked when we notify (a
+            // flip between its check and its park would be a lost
+            // wakeup, and the join below would wait forever).
+            let _q = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -444,17 +452,24 @@ impl PrefetchPlan {
                 }
             }
             // Register the latch; skip URIs already in flight (another
-            // plan or an earlier duplicate).
+            // plan or an earlier duplicate). `finish` flips `finished`
+            // and sweeps `mine` under the same lock, so an entry
+            // registered here is always swept: a pump racing `finish`
+            // either registers before the sweep or sees the flag.
             let latch = {
+                let mut mine = self.mine.lock();
+                if self.finished.load(Ordering::Acquire) {
+                    return;
+                }
                 let mut entries = self.stage.entries.lock();
                 if entries.contains_key(uri) {
                     continue;
                 }
                 let latch = RawLatch::new();
                 entries.insert(uri.clone(), Arc::clone(&latch));
+                mine.push((uri.clone(), Arc::clone(&latch)));
                 latch
             };
-            self.mine.lock().push((uri.clone(), Arc::clone(&latch)));
             self.stage.issued.fetch_add(1, Ordering::Relaxed);
             self.submitted.fetch_add(1, Ordering::Relaxed);
             self.outstanding.fetch_add(1, Ordering::AcqRel);
@@ -512,10 +527,13 @@ impl PrefetchPlan {
     /// staged bytes are released (counted as wasted), in-flight fetches
     /// discard their buffers on completion. Idempotent.
     pub fn finish(&self) {
-        if self.finished.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let mine = std::mem::take(&mut *self.mine.lock());
+        let mine = {
+            let mut mine = self.mine.lock();
+            if self.finished.swap(true, Ordering::AcqRel) {
+                return;
+            }
+            std::mem::take(&mut *mine)
+        };
         for (uri, latch) in mine {
             let mut state = latch.state.lock();
             match std::mem::replace(&mut *state, RawState::Abandoned) {
@@ -636,6 +654,47 @@ mod tests {
         assert!(stage.claim(&uri).is_none(), "failure was consumed; caller retries direct");
         plan.finish();
         assert_eq!(stage.staged_bytes(), 0);
+    }
+
+    /// Dropping a pool whose workers are still starting up joins them:
+    /// the shutdown flag cannot slip in between a worker's check and
+    /// its park. Runs on a helper thread so a lost wakeup fails the
+    /// test instead of hanging it.
+    #[test]
+    fn io_pool_drop_right_after_spawn_joins_every_worker() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..500 {
+                drop(IoPool::new(2));
+            }
+            let _ = done.send(());
+        });
+        let joined = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(joined.is_ok(), "an IoPool drop never joined its workers");
+    }
+
+    /// `finish` racing the IO threads' window slides leaks nothing: a
+    /// slide either registers its entry before the sweep or sees the
+    /// plan finished, so no entry is staged after the plan ends.
+    #[test]
+    fn finish_racing_window_slides_leaks_no_staged_bytes() {
+        let dir = TempDir::new("race");
+        let uris: Vec<String> =
+            (0..16).map(|i| dir.file(&format!("{i}.bin"), &[i as u8; 32])).collect();
+        let stage = stage(2, usize::MAX);
+        for round in 0..300 {
+            let plan = stage.submit(uris.clone(), read_fetcher(), None, None);
+            for _ in 0..round % 7 {
+                std::thread::yield_now();
+            }
+            plan.finish();
+            // Every IO job holds the plan until its fetch and slide
+            // return: wait until none is left.
+            while Arc::strong_count(&plan) > 1 {
+                std::thread::yield_now();
+            }
+            assert_eq!(stage.staged_bytes(), 0, "round {round}: finish leaked staged bytes");
+        }
     }
 
     #[test]
