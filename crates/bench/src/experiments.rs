@@ -13,7 +13,6 @@ use crate::report::{secs, Table};
 use crate::runner::{bench_config, cold_hot, fresh_system, fresh_system_with, time_it};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sommelier_core::cellar::CellarPolicyKind;
 use sommelier_core::{LoadingMode, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::repo::days_for_sf;
 use sommelier_storage::buffer::SimIo;
@@ -376,16 +375,14 @@ fn cellar_workload(
 /// Cellar sweep — bounded-memory residency under a repeated-query
 /// workload. A calibration pass with an unbounded budget measures the
 /// workload's total decoded bytes; budgets at 100 %, 50 % and 10 % of
-/// that are then swept for both eviction policies, reporting
-/// hit/evict/reload counts alongside wall-clock. The `checksum` column
-/// must be identical in every row: bounding memory must never change
-/// answers.
+/// that are then swept, reporting hit/evict/reload counts alongside
+/// wall-clock. The `checksum` column must be identical in every row:
+/// bounding memory must never change answers.
 pub fn cellar_sweep(scale: &BenchScale) -> Result<Table> {
     let mut t = Table::new(
         "Cellar sweep: budget vs hit/evict/reload and wall-clock (FIAM, lazy)",
         &[
             "sf",
-            "policy",
             "budget_pct",
             "budget_bytes",
             "workload_s",
@@ -413,7 +410,6 @@ pub fn cellar_sweep(scale: &BenchScale) -> Result<Table> {
     t.row(vec![
         format!("sf-{sf}"),
         "unbounded".into(),
-        "-".into(),
         total_bytes.to_string(),
         secs(wall),
         s.hits.to_string(),
@@ -426,33 +422,26 @@ pub fn cellar_sweep(scale: &BenchScale) -> Result<Table> {
     ]);
     drop(guard);
 
-    for policy in [CellarPolicyKind::Lru, CellarPolicyKind::CostAware] {
-        for pct in CELLAR_FRACTIONS {
-            let budget = (total_bytes as u64 * pct as u64 / 100).max(1) as usize;
-            let config = SommelierConfig {
-                cellar_bytes: Some(budget),
-                cellar_policy: policy,
-                ..bench_config(scale)
-            };
-            let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
-            let (wall, checksum) = cellar_workload(&guard.somm, total_days, rounds)?;
-            let cellar = guard.somm.cellar().expect("prepared");
-            let s = cellar.stats();
-            t.row(vec![
-                format!("sf-{sf}"),
-                policy.label().to_string(),
-                pct.to_string(),
-                budget.to_string(),
-                secs(wall),
-                s.hits.to_string(),
-                s.loads.to_string(),
-                s.reloads.to_string(),
-                s.evictions.to_string(),
-                cellar.peak_resident_bytes().to_string(),
-                cellar.resident_bytes().to_string(),
-                format!("{checksum:.6e}"),
-            ]);
-        }
+    for pct in CELLAR_FRACTIONS {
+        let budget = (total_bytes as u64 * pct as u64 / 100).max(1) as usize;
+        let config = SommelierConfig { cellar_bytes: Some(budget), ..bench_config(scale) };
+        let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
+        let (wall, checksum) = cellar_workload(&guard.somm, total_days, rounds)?;
+        let cellar = guard.somm.cellar().expect("prepared");
+        let s = cellar.stats();
+        t.row(vec![
+            format!("sf-{sf}"),
+            pct.to_string(),
+            budget.to_string(),
+            secs(wall),
+            s.hits.to_string(),
+            s.loads.to_string(),
+            s.reloads.to_string(),
+            s.evictions.to_string(),
+            cellar.peak_resident_bytes().to_string(),
+            cellar.resident_bytes().to_string(),
+            format!("{checksum:.6e}"),
+        ]);
     }
     Ok(t)
 }
@@ -1543,18 +1532,18 @@ mod tests {
     fn cellar_sweep_shape_and_invariants() {
         let scale = tiny("cellar");
         let t = cellar_sweep(&scale).unwrap();
-        // 1 calibration row + 3 fractions × 2 policies.
-        assert_eq!(t.rows.len(), 1 + 3 * 2);
+        // 1 calibration row + 3 fractions.
+        assert_eq!(t.rows.len(), 1 + 3);
         // Bounding memory must never change answers: one checksum.
         let checksums: std::collections::HashSet<&String> =
-            t.rows.iter().map(|r| &r[11]).collect();
+            t.rows.iter().map(|r| &r[10]).collect();
         assert_eq!(checksums.len(), 1, "identical results across budgets: {t:?}");
         for row in &t.rows[1..] {
-            let pct: u32 = row[2].parse().unwrap();
-            let budget: u64 = row[3].parse().unwrap();
-            let reloads: u64 = row[7].parse().unwrap();
-            let evictions: u64 = row[8].parse().unwrap();
-            let resident_after: u64 = row[10].parse().unwrap();
+            let pct: u32 = row[1].parse().unwrap();
+            let budget: u64 = row[2].parse().unwrap();
+            let reloads: u64 = row[6].parse().unwrap();
+            let evictions: u64 = row[7].parse().unwrap();
+            let resident_after: u64 = row[9].parse().unwrap();
             assert!(
                 resident_after <= budget,
                 "resident {resident_after} over budget {budget} in {row:?}"

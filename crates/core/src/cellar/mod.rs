@@ -17,10 +17,10 @@
 //!   drops, full width, so a later query over the same chunk (and any
 //!   column set) is a hit; this is the role MonetDB's Recycler plays in
 //!   the paper. Only budget pressure or [`Cellar::clear`] removes it.
-//! * **Byte budget + pluggable policy** — resident decoded chunks are
-//!   capped by a configurable budget; victims are ranked by a
-//!   [`ResidencyPolicy`] (plain LRU or decode-cost-aware). A zero
-//!   budget retains nothing past the pins: every acquisition decodes.
+//! * **Byte budget + LRU** — resident decoded chunks are capped by a
+//!   configurable budget; the least recently used unpinned chunk is
+//!   evicted first ([`LruPolicy`]). A zero budget retains nothing past
+//!   the pins: every acquisition decodes.
 //! * **Pin/unpin** — a query acquires its chunk set before stage 2 and
 //!   releases it after; pinned chunks are never evicted mid-query, so
 //!   [`crate::Sommelier::query`] is safe to call from many threads.
@@ -36,7 +36,7 @@
 
 pub mod policy;
 
-pub use policy::{CellarPolicyKind, ResidencyPolicy};
+pub use policy::LruPolicy;
 
 use crate::chunks::{AdapterChunkSource, ChunkRegistry};
 use crate::error::SommelierError;
@@ -46,9 +46,7 @@ use parking_lot::{Condvar, Mutex};
 use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::sched::{CancelToken, DegradationPolicy, SchedPolicy};
 use sommelier_engine::twostage::{AcquiredChunk, ChunkResidency, ChunkSink, PrefetchHandle};
-use sommelier_engine::{
-    ColumnZone, EngineError, ErrorKind, Obs, ParallelMode, Relation, TraceCollector,
-};
+use sommelier_engine::{ColumnZone, EngineError, ErrorKind, Obs, Relation, TraceCollector};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,8 +60,6 @@ pub struct CellarConfig {
     /// must fit to run at all); once pins are released the budget is
     /// enforced again.
     pub budget_bytes: usize,
-    /// Eviction policy.
-    pub policy: CellarPolicyKind,
     /// Observability handle: worker-pool counters of the decode pools
     /// flow through it. The cellar's own counters live in its internal
     /// stats atomics regardless (they are mirrored into the metrics
@@ -83,7 +79,6 @@ impl Default for CellarConfig {
     fn default() -> Self {
         CellarConfig {
             budget_bytes: crate::config::DEFAULT_CELLAR_BYTES,
-            policy: CellarPolicyKind::Lru,
             obs: Obs::off(),
             retry: RetryPolicy::default(),
             prefetch: None,
@@ -206,7 +201,7 @@ enum Slot {
 
 struct Inner {
     slots: HashMap<String, Slot>,
-    policy: Box<dyn ResidencyPolicy>,
+    lru: LruPolicy,
     resident_bytes: usize,
     peak_resident_bytes: usize,
     ever_evicted: HashSet<String>,
@@ -256,7 +251,6 @@ impl Cellar {
         sources: Vec<CellarSource>,
         config: CellarConfig,
     ) -> crate::error::Result<Self> {
-        let policy = config.policy.build();
         let mut by_uri = HashMap::new();
         for (i, s) in sources.iter().enumerate() {
             for e in s.registry.entries() {
@@ -277,7 +271,7 @@ impl Cellar {
             config,
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
-                policy,
+                lru: LruPolicy::default(),
                 resident_bytes: 0,
                 peak_resident_bytes: 0,
                 ever_evicted: HashSet::new(),
@@ -308,11 +302,6 @@ impl Cellar {
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> usize {
         self.config.budget_bytes
-    }
-
-    /// The active policy's label.
-    pub fn policy_name(&self) -> &'static str {
-        self.config.policy.label()
     }
 
     /// Bytes of decoded chunk data currently resident.
@@ -460,7 +449,7 @@ impl Cellar {
                 match outcome {
                     Ok((relation, cost)) => {
                         let relation = Arc::new(relation);
-                        self.admit_pinned_locked(&mut inner, uri, &relation, cost);
+                        self.admit_pinned_locked(&mut inner, uri, &relation);
                         owned_pins.push(uri.clone());
                         claimed_rels.insert(uri.as_str(), (Arc::clone(&relation), cost));
                         latch.publish(Ok((relation, cost)));
@@ -541,9 +530,9 @@ impl Cellar {
                 })
             }
             StreamTask::Joined(latch) => match self.wait_latch(&latch) {
-                (Ok((relation, cost)), waited) => {
+                (Ok((relation, _)), waited) => {
                     self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                    let relation = self.pin_or_readmit(uri, relation, cost);
+                    let relation = self.pin_or_readmit(uri, relation);
                     owned_pins.push(uri.to_string());
                     Ok(AcquiredChunk {
                         relation,
@@ -623,12 +612,7 @@ impl Cellar {
 
     /// Pin `uri` if still resident; otherwise re-admit the relation
     /// delivered through a latch, pinned once.
-    fn pin_or_readmit(
-        &self,
-        uri: &str,
-        relation: Arc<Relation>,
-        cost: Duration,
-    ) -> Arc<Relation> {
+    fn pin_or_readmit(&self, uri: &str, relation: Arc<Relation>) -> Arc<Relation> {
         loop {
             let latch = {
                 let mut inner = self.inner.lock();
@@ -656,7 +640,7 @@ impl Cellar {
                         inner.resident_bytes += bytes;
                         inner.peak_resident_bytes =
                             inner.peak_resident_bytes.max(inner.resident_bytes);
-                        inner.policy.on_admit(uri, bytes, cost);
+                        inner.lru.touch(uri);
                         return relation;
                     }
                 }
@@ -668,6 +652,7 @@ impl Cellar {
         }
     }
 
+    /// The paper's static strategy: one task per whole chunk.
     fn decode_claims(
         &self,
         claims: &[(String, Arc<LoadLatch>)],
@@ -676,18 +661,6 @@ impl Cellar {
         if claims.is_empty() {
             return Vec::new();
         }
-        match policy.parallel {
-            ParallelMode::Static => self.decode_static(claims, policy),
-            ParallelMode::Exchange { .. } => self.decode_exchange(claims, policy),
-        }
-    }
-
-    /// The paper's static strategy: one task per whole chunk.
-    fn decode_static(
-        &self,
-        claims: &[(String, Arc<LoadLatch>)],
-        policy: &SchedPolicy,
-    ) -> Vec<DecodeOutcome> {
         let cancel = policy.cancel.as_ref();
         run_indexed_policy(claims.len(), policy, &self.config.obs, |i| {
             let uri = &claims[i].0;
@@ -707,74 +680,6 @@ impl Cellar {
         let t = Instant::now();
         let relation = self.source_of(uri)?.source.load_chunk(uri)?;
         Ok((relation, t.elapsed()))
-    }
-
-    /// Exchange-style decoding: per-segment units of all claimed chunks
-    /// form one batch, so skew between chunks balances out.
-    fn decode_exchange(
-        &self,
-        claims: &[(String, Arc<LoadLatch>)],
-        policy: &SchedPolicy,
-    ) -> Vec<DecodeOutcome> {
-        use sommelier_engine::twostage::ChunkUnit;
-
-        // Build unit lists (header reads only). A failure here fails
-        // just that chunk, not the whole batch.
-        let mut slots: Vec<(usize, Mutex<Option<ChunkUnit<'_>>>)> = Vec::new();
-        let mut out: Vec<DecodeOutcome> =
-            (0..claims.len()).map(|_| Ok((Relation::empty(), Duration::ZERO))).collect();
-        for (fi, (uri, _)) in claims.iter().enumerate() {
-            match self.source_of(uri).and_then(|s| s.source.chunk_units(uri)) {
-                Ok(units) => {
-                    for unit in units {
-                        slots.push((fi, Mutex::new(Some(unit))));
-                    }
-                }
-                Err(e) => out[fi] = Err(e),
-            }
-        }
-        let results = run_indexed_policy(slots.len(), policy, &self.config.obs, |i| {
-            let unit = slots[i].1.lock().take().expect("each unit taken once");
-            let t = Instant::now();
-            unit().map(|rel| (rel, t.elapsed()))
-        });
-        for (&(fi, _), result) in slots.iter().zip(results) {
-            if out[fi].is_err() {
-                continue;
-            }
-            match result {
-                Ok((rel, cost)) => {
-                    if let Ok((acc, total)) = out[fi].as_mut() {
-                        if let Err(e) = acc.union_in_place(&rel) {
-                            out[fi] = Err(e);
-                        } else {
-                            *total += cost;
-                        }
-                    }
-                }
-                Err(e) => out[fi] = Err(e),
-            }
-        }
-        // A chunk whose unit pass failed transiently is re-decoded
-        // whole (a consumed unit closure cannot be re-run); the retry
-        // budget applies to the reload exactly as on the static path.
-        for (fi, (uri, _)) in claims.iter().enumerate() {
-            if self.config.retry.max_attempts <= 1 {
-                break;
-            }
-            if !matches!(&out[fi], Err(e) if e.kind() == ErrorKind::Transient) {
-                continue;
-            }
-            out[fi] = with_retries(
-                &self.config.retry,
-                policy.cancel.as_ref(),
-                &self.config.obs,
-                policy.tracer.as_deref(),
-                uri,
-                || self.decode_timed(uri),
-            );
-        }
-        out
     }
 
     // ---- Streaming acquisition (pipelined decode→execute) ------------
@@ -870,7 +775,7 @@ impl Cellar {
             Some(Slot::Resident(r)) => {
                 r.pins += 1;
                 let rel = Arc::clone(&r.relation);
-                inner.policy.on_touch(uri);
+                inner.lru.touch(uri);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 StreamTask::Hit(rel)
             }
@@ -903,7 +808,7 @@ impl Cellar {
                 let relation = Arc::new(relation);
                 {
                     let mut inner = self.inner.lock();
-                    self.admit_pinned_locked(&mut inner, uri, &relation, cost);
+                    self.admit_pinned_locked(&mut inner, uri, &relation);
                     self.enforce_budget_locked(&mut inner);
                 }
                 latch.publish(Ok((Arc::clone(&relation), cost)));
@@ -961,16 +866,10 @@ impl Cellar {
     }
 
     /// Admit a freshly decoded chunk as resident with one pin held by
-    /// the caller, updating byte accounting, the policy, and the
+    /// the caller, updating byte accounting, the LRU order, and the
     /// load/reload stats. Shared by both acquisition paths; the caller
-    /// still owes an [`Self::enforce_budget_locked`] + reclamation.
-    fn admit_pinned_locked(
-        &self,
-        inner: &mut Inner,
-        uri: &str,
-        relation: &Arc<Relation>,
-        cost: Duration,
-    ) {
+    /// still owes an [`Self::enforce_budget_locked`].
+    fn admit_pinned_locked(&self, inner: &mut Inner, uri: &str, relation: &Arc<Relation>) {
         let bytes = relation.approx_bytes();
         inner.slots.insert(
             uri.to_string(),
@@ -978,7 +877,7 @@ impl Cellar {
         );
         inner.resident_bytes += bytes;
         inner.peak_resident_bytes = inner.peak_resident_bytes.max(inner.resident_bytes);
-        inner.policy.on_admit(uri, bytes, cost);
+        inner.lru.touch(uri);
         self.stats.loads.fetch_add(1, Ordering::Relaxed);
         if inner.ever_evicted.contains(uri) {
             self.stats.reloads.fetch_add(1, Ordering::Relaxed);
@@ -1071,9 +970,9 @@ impl Cellar {
                     return;
                 }
                 match self.wait_latch(latch) {
-                    (Ok((relation, cost)), waited) => {
+                    (Ok((relation, _)), waited) => {
                         self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                        let relation = self.pin_or_readmit(uri, relation, cost);
+                        let relation = self.pin_or_readmit(uri, relation);
                         held(1);
                         if !aborted() {
                             let chunk = AcquiredChunk {
@@ -1124,15 +1023,14 @@ impl Cellar {
         while inner.resident_bytes > self.config.budget_bytes {
             let victim = {
                 let slots = &inner.slots;
-                inner.policy.victim(
-                    &|uri| matches!(slots.get(uri), Some(Slot::Resident(r)) if r.pins == 0),
+                inner.lru.victim(
+                    |uri| matches!(slots.get(uri), Some(Slot::Resident(r)) if r.pins == 0),
                 )
             };
             match victim {
                 Some(uri) => Self::evict_locked(inner, &self.stats, &uri),
-                // Everything left is pinned (or the policy is out of
-                // candidates): a query's working set may transiently
-                // exceed the budget; release re-enforces it.
+                // Everything left is pinned: a query's working set may
+                // transiently exceed the budget; release re-enforces it.
                 None => break,
             }
         }
@@ -1142,7 +1040,7 @@ impl Cellar {
         if let Some(Slot::Resident(r)) = inner.slots.remove(uri) {
             debug_assert_eq!(r.pins, 0, "evicting a pinned chunk");
             inner.resident_bytes -= r.bytes;
-            inner.policy.on_remove(uri);
+            inner.lru.remove(uri);
             inner.ever_evicted.insert(uri.to_string());
             stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -1349,7 +1247,6 @@ impl std::fmt::Debug for Cellar {
         f.debug_struct("Cellar")
             .field("sources", &self.sources.len())
             .field("budget_bytes", &self.config.budget_bytes)
-            .field("policy", &self.config.policy.label())
             .field("resident_chunks", &self.resident_chunks())
             .field("resident_bytes", &self.resident_bytes())
             .field("stats", &self.stats())
@@ -1377,10 +1274,10 @@ mod tests {
     /// A policy on a 2-worker pool shared by every test that uses it
     /// (the shipping shape): waves claim on the pool, joins drain
     /// inline on the submitting thread.
-    fn pooled(parallel: ParallelMode) -> SchedPolicy {
+    fn pooled() -> SchedPolicy {
         static POOL: OnceLock<Arc<MorselScheduler>> = OnceLock::new();
         let pool = POOL.get_or_init(|| Arc::new(MorselScheduler::new(2)));
-        SchedPolicy::new(parallel, 2).with_scheduler(Some(Arc::clone(pool)))
+        SchedPolicy::default().with_scheduler(Some(Arc::clone(pool)))
     }
 
     struct Fixture {
@@ -1462,7 +1359,7 @@ mod tests {
             &fx,
             CellarConfig { budget_bytes: one * 2 + one / 2, ..CellarConfig::default() },
         );
-        let acquired = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        let acquired = cellar.acquire_many(&all, &pooled()).unwrap();
         assert_eq!(acquired.len(), 4);
         assert!(acquired.iter().all(|a| a.loaded));
         // Working set pinned: transiently over budget, nothing evicted.
@@ -1479,10 +1376,10 @@ mod tests {
         let fx = fixture("hits", 2, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        let first = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        let first = cellar.acquire_many(&all, &pooled()).unwrap();
         assert!(first.iter().all(|a| a.loaded && !a.joined));
         cellar.release_many(&all);
-        let second = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        let second = cellar.acquire_many(&all, &pooled()).unwrap();
         assert!(second.iter().all(|a| !a.loaded && !a.joined));
         cellar.release_many(&all);
         let s = cellar.stats();
@@ -1499,8 +1396,7 @@ mod tests {
                 let cellar = &cellar;
                 let all = &all;
                 scope.spawn(move || {
-                    let got =
-                        cellar.acquire_many(all, &pooled(ParallelMode::Static)).unwrap();
+                    let got = cellar.acquire_many(all, &pooled()).unwrap();
                     assert_eq!(got.len(), all.len());
                     // Every thread sees the same relation contents.
                     let rows: usize = got.iter().map(|a| a.relation.rows()).sum();
@@ -1521,30 +1417,14 @@ mod tests {
         let all = uris(&fx);
         let cellar =
             cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
-        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled()).unwrap();
         cellar.release_many(&all);
         assert_eq!(cellar.resident_chunks(), 0);
-        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled()).unwrap();
         cellar.release_many(&all);
         let s = cellar.stats();
         assert_eq!(s.loads, 2 * all.len() as u64, "every query re-ingests");
         assert_eq!(s.reloads, all.len() as u64);
-    }
-
-    #[test]
-    fn exchange_acquisition_matches_static() {
-        let fx = fixture("exchange", 3, 64);
-        let all = uris(&fx);
-        let a = cellar_over(&fx, CellarConfig::default());
-        let b = cellar_over(&fx, CellarConfig::default());
-        let got_a = a.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
-        let got_b =
-            b.acquire_many(&all, &pooled(ParallelMode::Exchange { workers: 3 })).unwrap();
-        for (x, y) in got_a.iter().zip(&got_b) {
-            assert_eq!(x.relation.rows(), y.relation.rows());
-        }
-        a.release_many(&all);
-        b.release_many(&all);
     }
 
     #[test]
@@ -1586,7 +1466,7 @@ mod tests {
         // Budget 1 byte: everything evicts on release.
         let cellar =
             cellar_over(&fx, CellarConfig { budget_bytes: 1, ..CellarConfig::default() });
-        cellar.acquire_many(&all[..1], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
+        cellar.acquire_many(&all[..1], &SchedPolicy::default()).unwrap();
         cellar.release_many(&all[..1]);
         assert_eq!(cellar.resident_chunks(), 0);
         assert_eq!(cellar.stats().evictions, 1);
@@ -1604,7 +1484,7 @@ mod tests {
         let day0 = days_from_civil(2011, 3, 1) * MS_PER_DAY;
         fx.dmd.mark_covered([(vec!["web-1".to_string(), "api".to_string()], day0)]);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled()).unwrap();
         cellar.release_many(&all);
         assert_eq!(cellar.resident_chunks(), 2);
         cellar.clear();
@@ -1625,8 +1505,8 @@ mod tests {
         );
         // Hold a pin on chunk 0 across a second acquisition that
         // overflows the budget.
-        cellar.acquire_many(&all[..1], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
-        cellar.acquire_many(&all[1..2], &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
+        cellar.acquire_many(&all[..1], &SchedPolicy::default()).unwrap();
+        cellar.acquire_many(&all[1..2], &SchedPolicy::default()).unwrap();
         cellar.release_many(&all[1..2]);
         // Chunk 0 is pinned: the eviction to restore the budget must
         // have taken chunk 1.
@@ -1641,33 +1521,31 @@ mod tests {
     fn streaming_acquisition_delivers_every_chunk_once() {
         let fx = fixture("stream", 4, 64);
         let all = uris(&fx);
-        for mode in [ParallelMode::Static, ParallelMode::Exchange { workers: 2 }] {
-            let cellar = cellar_over(&fx, CellarConfig::default());
-            let delivered = Mutex::new(vec![0usize; all.len()]);
-            let rows = AtomicU64::new(0);
-            let sink = |i: usize, chunk: AcquiredChunk| {
-                delivered.lock()[i] += 1;
-                rows.fetch_add(chunk.relation.rows() as u64, Ordering::Relaxed);
-                assert!(chunk.loaded);
-                Ok(())
-            };
-            cellar.acquire_each(&all, &pooled(mode), &sink).unwrap();
-            let counts = delivered.lock().clone();
-            assert!(counts.iter().all(|&n| n == 1), "{counts:?}");
-            assert!(rows.load(Ordering::Relaxed) > 0);
-            // No pins survive the wave; the second pass is all hits.
-            let hits = Mutex::new(0usize);
-            let sink2 = |_i: usize, chunk: AcquiredChunk| {
-                assert!(!chunk.loaded);
-                *hits.lock() += 1;
-                Ok(())
-            };
-            cellar.acquire_each(&all, &pooled(mode), &sink2).unwrap();
-            assert_eq!(*hits.lock(), all.len());
-            let s = cellar.stats();
-            assert_eq!(s.loads, all.len() as u64);
-            assert_eq!(s.hits, all.len() as u64);
-        }
+        let cellar = cellar_over(&fx, CellarConfig::default());
+        let delivered = Mutex::new(vec![0usize; all.len()]);
+        let rows = AtomicU64::new(0);
+        let sink = |i: usize, chunk: AcquiredChunk| {
+            delivered.lock()[i] += 1;
+            rows.fetch_add(chunk.relation.rows() as u64, Ordering::Relaxed);
+            assert!(chunk.loaded);
+            Ok(())
+        };
+        cellar.acquire_each(&all, &pooled(), &sink).unwrap();
+        let counts = delivered.lock().clone();
+        assert!(counts.iter().all(|&n| n == 1), "{counts:?}");
+        assert!(rows.load(Ordering::Relaxed) > 0);
+        // No pins survive the wave; the second pass is all hits.
+        let hits = Mutex::new(0usize);
+        let sink2 = |_i: usize, chunk: AcquiredChunk| {
+            assert!(!chunk.loaded);
+            *hits.lock() += 1;
+            Ok(())
+        };
+        cellar.acquire_each(&all, &pooled(), &sink2).unwrap();
+        assert_eq!(*hits.lock(), all.len());
+        let s = cellar.stats();
+        assert_eq!(s.loads, all.len() as u64);
+        assert_eq!(s.hits, all.len() as u64);
     }
 
     #[test]
@@ -1688,9 +1566,7 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
-        cellar
-            .acquire_each(&all, &pooled(ParallelMode::Exchange { workers: 2 }), &sink)
-            .unwrap();
+        cellar.acquire_each(&all, &pooled(), &sink).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), all.len() as u64);
         // Budget holds once the wave is over (no pins survive).
         assert!(cellar.resident_bytes() <= cellar.budget_bytes());
@@ -1713,9 +1589,8 @@ mod tests {
         let fx = fixture("stream-xwave", 4, 32);
         let all = uris(&fx);
         let pool = Arc::new(MorselScheduler::new(2));
-        let serial = SchedPolicy::new(ParallelMode::Static, 1);
-        let shared =
-            SchedPolicy::new(ParallelMode::Static, 2).with_scheduler(Some(Arc::clone(&pool)));
+        let serial = SchedPolicy::default();
+        let shared = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
         for policy in [&serial, &shared] {
             let cellar =
                 cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
@@ -1765,8 +1640,7 @@ mod tests {
                 Ok(())
             }
         };
-        let err =
-            cellar.acquire_each(&all, &SchedPolicy::new(ParallelMode::Static, 1), &sink);
+        let err = cellar.acquire_each(&all, &SchedPolicy::default(), &sink);
         assert!(err.is_err());
         // All pins released: a clear() drops everything that was admitted.
         cellar.clear();
@@ -1778,7 +1652,7 @@ mod tests {
         let fx = fixture("peak", 3, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap();
+        cellar.acquire_many(&all, &pooled()).unwrap();
         let peak = cellar.peak_resident_bytes();
         assert_eq!(peak, cellar.resident_bytes());
         cellar.release_many(&all);
@@ -1826,7 +1700,7 @@ mod tests {
         // Acquiring through a scoped view still shares the one budget.
         let scoped = cellar.scoped(1);
         let uris_b = scoped.all_chunks().unwrap();
-        scoped.acquire_many(&uris_b, &SchedPolicy::new(ParallelMode::Static, 1)).unwrap();
+        scoped.acquire_many(&uris_b, &SchedPolicy::default()).unwrap();
         assert!(cellar.resident_bytes() > 0);
         scoped.release_many(&uris_b);
     }
@@ -1868,7 +1742,7 @@ mod tests {
         let all = uris(&fx);
         let clean = cellar_over(&fx, CellarConfig::default());
         let expect: Vec<usize> = clean
-            .acquire_many(&all, &pooled(ParallelMode::Static))
+            .acquire_many(&all, &pooled())
             .unwrap()
             .iter()
             .map(|a| a.relation.rows())
@@ -1876,14 +1750,12 @@ mod tests {
         clean.release_many(&all);
         let before = io_retries();
         let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), CellarConfig::default());
-        for mode in [ParallelMode::Static, ParallelMode::Exchange { workers: 2 }] {
-            let got = cellar.acquire_many(&all, &pooled(mode)).unwrap();
-            let rows: Vec<usize> = got.iter().map(|a| a.relation.rows()).collect();
-            assert_eq!(rows, expect, "retried loads decode the same data");
-            assert!(got.iter().all(|a| a.skipped.is_none()));
-            cellar.release_many(&all);
-            cellar.clear();
-        }
+        let got = cellar.acquire_many(&all, &pooled()).unwrap();
+        let rows: Vec<usize> = got.iter().map(|a| a.relation.rows()).collect();
+        assert_eq!(rows, expect, "retried loads decode the same data");
+        assert!(got.iter().all(|a| a.skipped.is_none()));
+        cellar.release_many(&all);
+        cellar.clear();
         assert!(io_retries() > before, "transient faults were retried");
         assert_eq!(cellar.total_pins(), 0);
     }
@@ -1901,7 +1773,7 @@ mod tests {
             plan,
             CellarConfig { retry: RetryPolicy::none(), ..CellarConfig::default() },
         );
-        let policy = SchedPolicy::new(ParallelMode::Static, 1);
+        let policy = SchedPolicy::default();
         let err = cellar.acquire_many(&all, &policy).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Transient, "{err}");
         assert!(err.to_string().contains(&all[0]), "{err}");
@@ -1924,7 +1796,7 @@ mod tests {
         let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
         // Strict: the typed error names the chunk, and the chunk lands
         // in quarantine.
-        let err = cellar.acquire_many(&all, &pooled(ParallelMode::Static)).unwrap_err();
+        let err = cellar.acquire_many(&all, &pooled()).unwrap_err();
         assert!(
             matches!(&err, EngineError::ChunkLoad { uri, .. } if *uri == all[0]),
             "{err}"
@@ -1936,7 +1808,7 @@ mod tests {
         assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_none());
         // Skip mode: the batch completes, the corrupt chunk becomes a
         // schema-correct empty placeholder carrying the reason.
-        let mut policy = pooled(ParallelMode::Static);
+        let mut policy = pooled();
         policy.degradation = DegradationPolicy::SkipUnreadable;
         let got = cellar.acquire_many(&all, &policy).unwrap();
         assert_eq!(got.len(), 2);
@@ -1954,7 +1826,7 @@ mod tests {
         let all = uris(&fx);
         let plan = FaultPlan { corrupt_uris: vec![all[1].clone()], ..FaultPlan::default() };
         let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
-        let mut policy = pooled(ParallelMode::Static);
+        let mut policy = pooled();
         policy.degradation = DegradationPolicy::SkipUnreadable;
         let skipped = Mutex::new(Vec::new());
         let sink = |i: usize, chunk: AcquiredChunk| {
@@ -1993,8 +1865,7 @@ mod tests {
         let cellar =
             faulty_cellar(&fx, plan, CellarConfig { retry, ..CellarConfig::default() });
         let token = CancelToken::new();
-        let mut policy = SchedPolicy::new(ParallelMode::Static, 1);
-        policy.cancel = Some(token.clone());
+        let policy = SchedPolicy { cancel: Some(token.clone()), ..SchedPolicy::default() };
         let canceller = {
             let token = token.clone();
             std::thread::spawn(move || {

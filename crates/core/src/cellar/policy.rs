@@ -1,75 +1,23 @@
-//! Pluggable eviction policies for the [`crate::cellar::Cellar`].
+//! The [`crate::cellar::Cellar`]'s eviction order: least recently used,
+//! like the Recycler the paper inherits from MonetDB.
 //!
-//! The policy only ranks victims; the cellar owns the residency state,
-//! filters out pinned chunks, and performs the actual eviction. Two
-//! policies ship:
-//!
-//! * [`LruPolicy`] — classic least-recently-used, like the Recycler
-//!   the paper inherits from MonetDB.
-//! * [`CostAwarePolicy`] — weighs what eviction *costs to undo*: the
-//!   chunk's measured decode time per byte freed. Cheap-to-reload
-//!   bulky chunks go first, expensive-to-reload dense chunks stay —
-//!   the paper's future-work note that the Recycler's plain LRU leaves
-//!   decode-cost information on the table.
+//! The order only ranks victims; the cellar owns the residency state,
+//! filters out pinned chunks, and performs the actual eviction. A
+//! decode-cost-aware order (evict what is cheapest to re-decode per
+//! byte freed) was measured against it on the evicting workloads and
+//! lost: it scans every resident chunk per victim, where LRU walks an
+//! ordered map from its oldest end.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
 
-/// Which eviction policy a cellar uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CellarPolicyKind {
-    /// Least-recently-used.
-    #[default]
-    Lru,
-    /// Decode-cost per byte, recency-tiebroken.
-    CostAware,
-}
-
-impl CellarPolicyKind {
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn ResidencyPolicy> {
-        match self {
-            CellarPolicyKind::Lru => Box::new(LruPolicy::default()),
-            CellarPolicyKind::CostAware => Box::new(CostAwarePolicy::default()),
-        }
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CellarPolicyKind::Lru => "lru",
-            CellarPolicyKind::CostAware => "cost_aware",
-        }
-    }
-}
-
-/// Ranks eviction victims among resident chunks.
+/// Least-recently-used ranking of resident chunks.
 ///
-/// The cellar calls `on_admit`/`on_touch`/`on_remove` to keep the
-/// policy's view in sync, and `victim` when over budget. `victim` must
-/// only return chunks for which `evictable` holds (pins are the
-/// cellar's concern, encoded in that predicate) and must not mutate
-/// its own bookkeeping for the returned chunk — the cellar follows up
-/// with `on_remove` once the eviction really happens.
-pub trait ResidencyPolicy: Send {
-    /// Policy label (reports, debugging).
-    fn name(&self) -> &'static str;
-
-    /// A chunk became resident.
-    fn on_admit(&mut self, uri: &str, bytes: usize, decode_cost: Duration);
-
-    /// A resident chunk was used again.
-    fn on_touch(&mut self, uri: &str);
-
-    /// A chunk left residency.
-    fn on_remove(&mut self, uri: &str);
-
-    /// The next victim among chunks satisfying `evictable`, or `None`
-    /// if nothing qualifies.
-    fn victim(&mut self, evictable: &dyn Fn(&str) -> bool) -> Option<String>;
-}
-
-/// Least-recently-used ranking.
+/// The cellar calls [`Self::touch`] when a chunk is admitted or used
+/// again, [`Self::remove`] when it leaves residency, and
+/// [`Self::victim`] when over budget. `victim` only returns chunks for
+/// which `evictable` holds (pins are the cellar's concern, encoded in
+/// that predicate) and leaves its own bookkeeping alone — the cellar
+/// follows up with `remove` once the eviction really happens.
 #[derive(Default)]
 pub struct LruPolicy {
     tick: u64,
@@ -78,89 +26,27 @@ pub struct LruPolicy {
 }
 
 impl LruPolicy {
-    fn touch(&mut self, uri: &str) {
+    /// A chunk became resident or was used again: it is now the most
+    /// recently used.
+    pub fn touch(&mut self, uri: &str) {
         self.tick += 1;
         if let Some(old) = self.last_use.insert(uri.to_string(), self.tick) {
             self.order.remove(&old);
         }
         self.order.insert(self.tick, uri.to_string());
     }
-}
 
-impl ResidencyPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn on_admit(&mut self, uri: &str, _bytes: usize, _decode_cost: Duration) {
-        self.touch(uri);
-    }
-
-    fn on_touch(&mut self, uri: &str) {
-        self.touch(uri);
-    }
-
-    fn on_remove(&mut self, uri: &str) {
+    /// A chunk left residency.
+    pub fn remove(&mut self, uri: &str) {
         if let Some(t) = self.last_use.remove(uri) {
             self.order.remove(&t);
         }
     }
 
-    fn victim(&mut self, evictable: &dyn Fn(&str) -> bool) -> Option<String> {
+    /// The least recently used chunk satisfying `evictable`, or `None`
+    /// if nothing qualifies.
+    pub fn victim(&self, evictable: impl Fn(&str) -> bool) -> Option<String> {
         self.order.values().find(|u| evictable(u)).cloned()
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CostEntry {
-    bytes: usize,
-    decode_cost: Duration,
-    last_use: u64,
-}
-
-/// Decode-cost-aware ranking: evict the chunk whose re-ingestion is
-/// cheapest per byte of memory freed (`decode_cost / bytes`), breaking
-/// ties toward the least recently used.
-#[derive(Default)]
-pub struct CostAwarePolicy {
-    tick: u64,
-    entries: HashMap<String, CostEntry>,
-}
-
-impl ResidencyPolicy for CostAwarePolicy {
-    fn name(&self) -> &'static str {
-        "cost_aware"
-    }
-
-    fn on_admit(&mut self, uri: &str, bytes: usize, decode_cost: Duration) {
-        self.tick += 1;
-        self.entries.insert(
-            uri.to_string(),
-            CostEntry { bytes: bytes.max(1), decode_cost, last_use: self.tick },
-        );
-    }
-
-    fn on_touch(&mut self, uri: &str) {
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(uri) {
-            e.last_use = self.tick;
-        }
-    }
-
-    fn on_remove(&mut self, uri: &str) {
-        self.entries.remove(uri);
-    }
-
-    fn victim(&mut self, evictable: &dyn Fn(&str) -> bool) -> Option<String> {
-        self.entries
-            .iter()
-            .filter(|(u, _)| evictable(u))
-            .min_by(|(_, a), (_, b)| {
-                let score_a = a.decode_cost.as_secs_f64() / a.bytes as f64;
-                let score_b = b.decode_cost.as_secs_f64() / b.bytes as f64;
-                score_a.total_cmp(&score_b).then_with(|| a.last_use.cmp(&b.last_use))
-            })
-            .map(|(u, _)| u.clone())
     }
 }
 
@@ -168,54 +54,20 @@ impl ResidencyPolicy for CostAwarePolicy {
 mod tests {
     use super::*;
 
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
     #[test]
     fn lru_evicts_oldest_unpinned() {
         let mut p = LruPolicy::default();
-        p.on_admit("a", 10, ms(1));
-        p.on_admit("b", 10, ms(1));
-        p.on_admit("c", 10, ms(1));
-        p.on_touch("a");
-        assert_eq!(p.victim(&|_| true).as_deref(), Some("b"));
+        p.touch("a");
+        p.touch("b");
+        p.touch("c");
+        p.touch("a");
+        assert_eq!(p.victim(|_| true).as_deref(), Some("b"));
         // "b" pinned: next-oldest wins.
-        assert_eq!(p.victim(&|u| u != "b").as_deref(), Some("c"));
-        p.on_remove("b");
-        p.on_remove("c");
-        assert_eq!(p.victim(&|_| true).as_deref(), Some("a"));
-        p.on_remove("a");
-        assert_eq!(p.victim(&|_| true), None);
-    }
-
-    #[test]
-    fn cost_aware_prefers_cheap_per_byte() {
-        let mut p = CostAwarePolicy::default();
-        // "bulky": big and fast to decode → cheapest to reload per byte.
-        p.on_admit("bulky", 1000, ms(1));
-        // "dense": small but expensive to decode.
-        p.on_admit("dense", 100, ms(50));
-        p.on_admit("mid", 500, ms(10));
-        assert_eq!(p.victim(&|_| true).as_deref(), Some("bulky"));
-        assert_eq!(p.victim(&|u| u != "bulky").as_deref(), Some("mid"));
-        assert_eq!(p.victim(&|_| false), None);
-    }
-
-    #[test]
-    fn cost_aware_ties_break_by_recency() {
-        let mut p = CostAwarePolicy::default();
-        p.on_admit("x", 100, ms(10));
-        p.on_admit("y", 100, ms(10));
-        p.on_touch("x");
-        assert_eq!(p.victim(&|_| true).as_deref(), Some("y"));
-    }
-
-    #[test]
-    fn kind_builds_matching_policy() {
-        assert_eq!(CellarPolicyKind::Lru.build().name(), "lru");
-        assert_eq!(CellarPolicyKind::CostAware.build().name(), "cost_aware");
-        assert_eq!(CellarPolicyKind::default(), CellarPolicyKind::Lru);
-        assert_eq!(CellarPolicyKind::CostAware.label(), "cost_aware");
+        assert_eq!(p.victim(|u| u != "b").as_deref(), Some("c"));
+        p.remove("b");
+        p.remove("c");
+        assert_eq!(p.victim(|_| true).as_deref(), Some("a"));
+        p.remove("a");
+        assert_eq!(p.victim(|_| true), None);
     }
 }

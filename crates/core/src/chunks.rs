@@ -13,7 +13,6 @@ use crate::source::{RawChunk, SourceAdapter};
 use parking_lot::Mutex;
 use sommelier_engine::obs::metrics::Counter;
 use sommelier_engine::optimizer::zone_conjunct_contradicted;
-use sommelier_engine::twostage::ChunkUnit;
 use sommelier_engine::{
     CmpOp, ColumnZone, EngineError, Obs, Relation, ZoneCandidates, ZoneConstraint,
 };
@@ -557,7 +556,6 @@ impl ChunkRegistry {
 /// the hot path never takes the registry's map lock).
 struct DecodeCounters {
     chunks: Arc<Counter>,
-    units: Arc<Counter>,
     rows: Arc<Counter>,
     bytes: Arc<Counter>,
     ns: Arc<Counter>,
@@ -639,13 +637,12 @@ impl AdapterChunkSource {
         self
     }
 
-    /// Record `decode.*` metrics (chunks, units, rows, bytes, ns) into
+    /// Record `decode.*` metrics (chunks, rows, bytes, ns) into
     /// `obs`'s registry on every decode. A no-op handle (level `Off` or
     /// no registry) leaves the hot path untouched.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.counters = obs.metrics().map(|m| DecodeCounters {
             chunks: m.counter("decode.chunks"),
-            units: m.counter("decode.units"),
             rows: m.counter("decode.rows"),
             bytes: m.counter("decode.bytes"),
             ns: m.counter("decode.ns"),
@@ -738,118 +735,25 @@ impl AdapterChunkSource {
     pub(crate) fn load_chunk(&self, uri: &str) -> sommelier_engine::Result<Relation> {
         // Prefetched chunk: the IO (and its simulated latency + fault
         // gate) already ran on an IO thread — only decode here.
-        if let Some(raw) = self.claim_prefetched(uri)? {
-            let t = Instant::now();
-            let rel = self.adapter.decode_bytes(self.entry(uri)?, raw, None)?;
-            self.verify(&rel)?;
-            if let Some(c) = &self.counters {
-                c.chunks.inc();
-                c.observe(&rel, t.elapsed());
+        let raw = self.claim_prefetched(uri)?;
+        if raw.is_none() {
+            self.charge_sim_io(uri);
+            if let Some(f) = &self.faults {
+                f.before_load(uri)?;
             }
-            return Ok(rel);
         }
-        self.charge_sim_io(uri);
-        if let Some(f) = &self.faults {
-            f.before_load(uri)?;
-        }
+        let entry = self.entry(uri)?;
         let t = Instant::now();
-        let rel = self.adapter.decode(self.entry(uri)?, None)?;
+        let rel = match raw {
+            Some(raw) => self.adapter.decode_bytes(entry, raw, None)?,
+            None => self.adapter.decode(entry, None)?,
+        };
         self.verify(&rel)?;
         if let Some(c) = &self.counters {
             c.chunks.inc();
             c.observe(&rel, t.elapsed());
         }
         Ok(rel)
-    }
-
-    /// Split one chunk into independent decode units for exchange-style
-    /// parallelism. Units borrow `self` and are deferred until a worker
-    /// runs them, so nothing decodes in the caller's thread.
-    pub(crate) fn chunk_units<'s>(
-        &'s self,
-        uri: &str,
-    ) -> sommelier_engine::Result<Vec<ChunkUnit<'s>>> {
-        // Prefetched chunk: decode the staged buffer as one deferred
-        // unit instead of re-reading the file for per-segment units —
-        // the IO (sim latency, fault gate) was already charged on the
-        // IO thread, so none of the per-unit surcharges below apply.
-        if let Some(raw) = self.claim_prefetched(uri)? {
-            let entry = self.entry(uri)?.clone();
-            let unit: ChunkUnit<'s> = Box::new(move || {
-                let t = Instant::now();
-                let rel = self.adapter.decode_bytes(&entry, raw, None)?;
-                self.verify(&rel)?;
-                if let Some(c) = &self.counters {
-                    c.units.inc();
-                    c.observe(&rel, t.elapsed());
-                }
-                Ok(rel)
-            });
-            if let Some(c) = &self.counters {
-                c.chunks.inc();
-            }
-            return Ok(vec![unit]);
-        }
-        let mut units = self.adapter.chunk_units(self.entry(uri)?, None)?;
-        // Fault injection gates each unit on the worker that runs it
-        // (same seam as the whole-chunk path: the fault fires where the
-        // read would).
-        if self.faults.is_some() {
-            let uri = uri.to_string();
-            units = units
-                .into_iter()
-                .map(|unit| -> ChunkUnit<'s> {
-                    let uri = uri.clone();
-                    Box::new(move || {
-                        self.faults.as_ref().expect("checked above").before_load(&uri)?;
-                        unit()
-                    })
-                })
-                .collect();
-        }
-        // Exchange-mode decoding must pay the same simulated medium as
-        // whole-chunk loads: split the chunk's read latency over its
-        // units at nanosecond granularity (one unit pays the division
-        // remainder), slept by whichever worker executes each unit —
-        // the per-chunk total is identical to [`Self::charge_sim_io`],
-        // so the static-vs-exchange comparison stays apples to apples.
-        if let Some(sim) = self.sim_io {
-            let total_ns = sim_io_total(&sim, uri).as_nanos() as u64;
-            let n = units.len().max(1) as u64;
-            let (share_ns, rem_ns) = (total_ns / n, total_ns % n);
-            units = units
-                .into_iter()
-                .enumerate()
-                .map(|(k, unit)| -> ChunkUnit<'s> {
-                    let pay =
-                        Duration::from_nanos(share_ns + if k == 0 { rem_ns } else { 0 });
-                    Box::new(move || {
-                        std::thread::sleep(pay);
-                        unit()
-                    })
-                })
-                .collect();
-        }
-        // Per-unit decode metrics (the exchange path bypasses
-        // `load_chunk`): one `decode.chunks` tick per chunk, one
-        // `decode.units` tick per executed unit.
-        if let Some(c) = &self.counters {
-            c.chunks.inc();
-            units = units
-                .into_iter()
-                .map(|unit| -> ChunkUnit<'s> {
-                    Box::new(move || {
-                        let t = Instant::now();
-                        let rel = unit()?;
-                        let c = self.counters.as_ref().expect("counters checked above");
-                        c.units.inc();
-                        c.observe(&rel, t.elapsed());
-                        Ok(rel)
-                    })
-                })
-                .collect();
-        }
-        Ok(units)
     }
 }
 

@@ -1,8 +1,7 @@
 //! System configuration.
 
-use crate::cellar::CellarPolicyKind;
 use crate::fault::{FaultPlan, RetryPolicy};
-use sommelier_engine::{ObsLevel, ParallelMode};
+use sommelier_engine::ObsLevel;
 use sommelier_storage::buffer::SimIo;
 
 /// The cellar budget when [`SommelierConfig::cellar_bytes`] is `None`:
@@ -20,8 +19,6 @@ pub struct SommelierConfig {
     /// paper). The paper's workload experiments limit it to main-memory
     /// size. `None` = [`DEFAULT_CELLAR_BYTES`].
     pub cellar_bytes: Option<usize>,
-    /// Eviction policy of the cellar.
-    pub cellar_policy: CellarPolicyKind,
     /// Optional simulated I/O latency per buffer-pool page miss, used
     /// to re-create the paper's disk-bound regimes at scaled-down
     /// dataset sizes.
@@ -33,9 +30,6 @@ pub struct SommelierConfig {
     /// parallelism experiments keep the paper's shape on scaled-down
     /// datasets (and single-core CI boxes).
     pub sim_chunk_io: Option<SimIo>,
-    /// Chunk-loading parallelism (the paper's static strategy by
-    /// default; exchange is its future-work alternative).
-    pub parallel: ParallelMode,
     /// Push selections into per-chunk accesses (run-time rewrite
     /// refinement, §III).
     pub chunk_pushdown: bool,
@@ -48,10 +42,10 @@ pub struct SommelierConfig {
     /// ablation knob.
     pub verify_lazy_fk: bool,
     /// Worker threads: the size of the shared morsel pool that runs
-    /// every query's decode waves and per-chunk pipelines, and the
+    /// every query's decode waves (one task per chunk) and per-chunk
+    /// pipelines, hence the cap on workers per wave, and the
     /// registration fan-out. `1` runs every query serially on the
-    /// caller's thread — it is the hard bound, so an exchange mode with
-    /// more `workers` cannot add threads. Answers do not depend on it.
+    /// caller's thread. Answers do not depend on it.
     pub max_threads: usize,
     /// Observability level: `Off` (no accounting beyond
     /// [`crate::ExecStats`]), `Counters` (atomic metric counters,
@@ -117,10 +111,8 @@ impl Default for SommelierConfig {
         SommelierConfig {
             buffer_pool_bytes: 256 * 1024 * 1024,
             cellar_bytes: None,
-            cellar_policy: CellarPolicyKind::Lru,
             sim_io: None,
             sim_chunk_io: None,
-            parallel: ParallelMode::Static,
             chunk_pushdown: true,
             zone_map_pruning: true,
             verify_lazy_fk: false,
@@ -147,8 +139,6 @@ mod tests {
         let c = SommelierConfig::default();
         assert!(c.buffer_pool_bytes > 0);
         assert!(!c.verify_lazy_fk);
-        assert_eq!(c.parallel, ParallelMode::Static);
-        assert_eq!(c.cellar_policy, CellarPolicyKind::Lru);
         assert_eq!(c.effective_cellar_bytes(), DEFAULT_CELLAR_BYTES);
         let c = SommelierConfig { cellar_bytes: Some(1234), ..c };
         assert_eq!(c.effective_cellar_bytes(), 1234);

@@ -715,7 +715,6 @@ impl Sommelier {
             bindings,
             CellarConfig {
                 budget_bytes: self.config.effective_cellar_bytes(),
-                policy: self.config.cellar_policy,
                 obs,
                 retry: self.config.io_retry,
                 prefetch: self.prefetch.clone(),
@@ -800,8 +799,7 @@ impl Sommelier {
             uri_column: self.sources[source_idx].descriptor.uri_column(),
             sampling: None,
             obs: Obs::off(),
-            sched: SchedPolicy::new(self.config.parallel, self.config.max_threads)
-                .with_scheduler(self.scheduler.clone()),
+            sched: SchedPolicy::default().with_scheduler(self.scheduler.clone()),
         }
     }
 
@@ -1161,9 +1159,8 @@ impl Sommelier {
     /// (chunks pruned by zone maps) show as the pass being armed.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let t = sql.trim_start();
-        if t.len() > 7
-            && t[..7].eq_ignore_ascii_case("ANALYZE")
-            && t.as_bytes()[7].is_ascii_whitespace()
+        if t.get(..7).is_some_and(|p| p.eq_ignore_ascii_case("ANALYZE"))
+            && t.as_bytes().get(7).is_some_and(u8::is_ascii_whitespace)
         {
             return self.explain_analyze(&t[7..]);
         }

@@ -7,8 +7,7 @@
 //!
 //! * [`SourceAdapter`] — the behaviour: enumerate + register chunks
 //!   (the Registrar phase), decode a chunk into actual-data rows (the
-//!   chunk-access path), optionally split a chunk into decode units for
-//!   exchange-style parallelism.
+//!   chunk-access path).
 //! * [`SourceDescriptor`] — the knowledge: the given-/derived-metadata
 //!   and actual-data table schemas, the catalog views, which column
 //!   carries the chunk URI, the declarative metadata-inference rules
@@ -54,7 +53,6 @@
 
 use crate::chunks::FileEntry;
 use crate::error::{Result, SommelierError};
-use sommelier_engine::twostage::ChunkUnit;
 use sommelier_engine::{AggFunc, Expr, JoinEdge, Relation};
 use sommelier_sql::{BindCatalog, ViewDef};
 use sommelier_storage::{ColumnData, DataType, Database, TableClass, TableSchema};
@@ -510,20 +508,6 @@ pub trait SourceAdapter: Send + Sync {
     ) -> sommelier_engine::Result<Relation> {
         let _ = raw;
         self.decode(entry, projection)
-    }
-
-    /// Split one chunk into independent decode units for exchange-style
-    /// parallelism. The default is a single deferred whole-chunk unit
-    /// (nothing decodes until a worker runs it); formats with per-unit
-    /// payloads should override it.
-    fn chunk_units<'s>(
-        &'s self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Vec<ChunkUnit<'s>>> {
-        let entry = entry.clone();
-        let projection = projection.map(<[String]>::to_vec);
-        Ok(vec![Box::new(move || self.decode(&entry, projection.as_deref()))])
     }
 
     /// Total bytes of the source repository (Table III's raw-format

@@ -55,8 +55,8 @@ pub struct ExecContext<'a> {
     /// Pre-loaded chunk relations by URI (cache-scans and chunk-accesses
     /// both resolve here; the driver fills it).
     pub chunks: HashMap<String, Arc<Relation>>,
-    /// How morsel-parallel operators run their batches: mode, worker
-    /// cap, shared pool, priority, cancellation.
+    /// How morsel-parallel operators run their batches: shared pool,
+    /// priority, cancellation.
     pub sched: SchedPolicy,
     /// Execution counters.
     pub counters: ExecCounters,
@@ -71,7 +71,7 @@ impl<'a> ExecContext<'a> {
             db,
             materialized: Vec::new(),
             chunks: HashMap::new(),
-            sched: SchedPolicy::serial(),
+            sched: SchedPolicy::default(),
             counters: ExecCounters::default(),
             obs: Obs::off(),
         }
@@ -189,12 +189,12 @@ impl ChunkPipeline<'_> {
 /// executor's morsel operators and the cellar's decode/streaming waves.
 ///
 /// - With a scheduler attached and more than one effective worker (the
-///   mode's stage-2 implication capped by `n`): submits the batch to
-///   the shared pool, at most that many workers servicing it at once.
+///   pool size capped by `n`): submits the batch to the shared pool,
+///   at most that many workers servicing it at once.
 /// - Otherwise — no pool, one worker, or a nested batch issued from a
-///   pool worker (e.g. decode units inside a chunk pipeline, where
-///   re-entering the queue could deadlock a pool whose every worker
-///   waits on nested batches) — runs inline on the caller's thread.
+///   pool worker (where re-entering the queue could deadlock a pool
+///   whose every worker waits on nested batches) — runs inline on the
+///   caller's thread.
 ///
 /// Both branches feed the `pool.*` metrics (batches, tasks, busy/idle
 /// ns, queue depth).
@@ -204,15 +204,15 @@ pub fn run_indexed_policy<T: Send>(
     obs: &Obs,
     task: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let workers = policy.parallel.stage2_workers(policy.max_threads).min(n);
-    if workers > 1 && !sched::on_scheduler_worker() {
-        if let Some(s) = &policy.scheduler {
+    if let Some(s) = &policy.scheduler {
+        let workers = s.worker_count().min(n);
+        if workers > 1 && !sched::on_scheduler_worker() {
             return s.run_batch(n, workers, policy.priority, obs, task);
         }
     }
     let wall = obs.metrics().map(|_| std::time::Instant::now());
     // Tag as worker 0 unless the caller already runs inside the pool
-    // (nested decode units keep the outer worker's id).
+    // (nested batches keep the outer worker's id).
     let _tag = obs::current_worker().is_none().then(|| obs::worker_scope(0));
     let out: Vec<T> = (0..n).map(task).collect();
     if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
@@ -433,7 +433,6 @@ mod tests {
     use crate::expr::{AggFunc, CmpOp, Expr};
     use crate::physical::{fuse_partial_agg, ChunkRef};
     use crate::sched::MorselScheduler;
-    use crate::twostage::ParallelMode;
     use sommelier_storage::buffer::BufferPoolConfig;
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
@@ -562,8 +561,7 @@ mod tests {
     /// workers; the pool is returned so tests can check it was used.
     fn on_pool(ctx: &mut ExecContext, n: usize) -> Arc<MorselScheduler> {
         let pool = Arc::new(MorselScheduler::new(n));
-        ctx.sched =
-            SchedPolicy::new(ParallelMode::Static, n).with_scheduler(Some(Arc::clone(&pool)));
+        ctx.sched = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
         pool
     }
 

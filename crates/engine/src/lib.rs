@@ -23,10 +23,9 @@
 //!   the run-time rewrite `scan(a) → ⋃_f cache-scan(f) | chunk-access(f)`
 //!   (rewrite rule 1, optionally with selection pushdown into the
 //!   per-chunk accesses), then evaluate `Qs` — with the paper's *static*
-//!   per-chunk parallelism or the exchange-style dynamic repartitioning
-//!   it sketches as future work. Stage 2 reads every chunk through a
-//!   [`ChunkResidency`] manager (the core crate's cellar, which stands
-//!   in for MonetDB's Recycler).
+//!   per-chunk parallelism (one task per chunk). Stage 2 reads every
+//!   chunk through a [`ChunkResidency`] manager (the core crate's
+//!   cellar, which stands in for MonetDB's Recycler).
 //!
 //! The executor is bulk (column-at-a-time), like MonetDB: operators
 //! materialize whole [`relation::Relation`]s.
@@ -61,6 +60,5 @@ pub use sched::{
 };
 pub use spec::{JoinEdge, QuerySpec, TableRef};
 pub use twostage::{
-    AcquiredChunk, ChunkResidency, ChunkSink, ExecStats, ParallelMode, SkippedChunk,
-    TwoStageConfig,
+    AcquiredChunk, ChunkResidency, ChunkSink, ExecStats, SkippedChunk, TwoStageConfig,
 };

@@ -11,13 +11,11 @@
 //!
 //! Also here: [`CancelToken`] (cooperative cancellation/timeout checked
 //! at chunk-pipeline boundaries) and [`SchedPolicy`] (the bundle of
-//! scheduling knobs — mode, thread cap, shared pool, priority, cancel
-//! token — that threads through the two-stage driver and residency
-//! layers).
+//! scheduling knobs — shared pool, priority, cancel token — that
+//! threads through the two-stage driver and residency layers).
 
 use crate::error::{EngineError, Result};
 use crate::obs::{self, metrics::COUNT_BUCKETS, Obs};
-use crate::twostage::ParallelMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -169,22 +167,15 @@ impl CancelToken {
 // SchedPolicy
 
 /// Everything a morsel-parallel operator needs to know about *how* to
-/// run: mode, thread cap, the shared scheduler, priority, and
-/// cancellation token. Residency providers
-/// ([`crate::twostage::ChunkResidency`]) take this instead of a bare
-/// `(ParallelMode, usize)` pair so chunk acquisition waves land on the
-/// shared pool too.
+/// run: the shared scheduler, priority, and cancellation token.
+/// Residency providers ([`crate::twostage::ChunkResidency`]) take this
+/// so chunk acquisition waves land on the shared pool too. The default
+/// policy has no pool: every batch runs inline on the caller's thread.
 #[derive(Clone, Default)]
 pub struct SchedPolicy {
-    /// How waves are cut into tasks (one per chunk vs per-segment
-    /// decode units; see [`ParallelMode`]).
-    pub parallel: ParallelMode,
-    /// Caps how many pool workers may service one batch concurrently
-    /// (with [`ParallelMode::Static`]; exchange mode uses its own
-    /// `workers`).
-    pub max_threads: usize,
     /// The shared pool, if the system runs one. `None` runs every batch
-    /// inline on the caller's thread, serially.
+    /// inline on the caller's thread, serially. A batch of `n` tasks is
+    /// serviced by at most `min(n, worker_count())` pool workers.
     pub scheduler: Option<Arc<MorselScheduler>>,
     /// Scheduling priority for batches submitted under this policy.
     pub priority: Priority,
@@ -200,17 +191,6 @@ pub struct SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// A policy with no shared pool (batches run inline until one is
-    /// attached with [`Self::with_scheduler`]) and no cancellation.
-    pub fn new(parallel: ParallelMode, max_threads: usize) -> Self {
-        SchedPolicy { parallel, max_threads: max_threads.max(1), ..Default::default() }
-    }
-
-    /// Strictly serial execution on the caller's thread.
-    pub fn serial() -> Self {
-        Self::new(ParallelMode::Static, 1)
-    }
-
     /// Attach a shared scheduler (builder-style).
     pub fn with_scheduler(mut self, scheduler: Option<Arc<MorselScheduler>>) -> Self {
         self.scheduler = scheduler;
@@ -229,8 +209,6 @@ impl SchedPolicy {
 impl std::fmt::Debug for SchedPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchedPolicy")
-            .field("parallel", &self.parallel)
-            .field("max_threads", &self.max_threads)
             .field("shared", &self.scheduler.is_some())
             .field("priority", &self.priority)
             .field("cancellable", &self.cancel.is_some())

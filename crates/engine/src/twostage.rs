@@ -13,12 +13,11 @@
 //!    rewritten scan additionally fuse into a
 //!    [`crate::physical::PhysicalPlan::PartialAggUnion`]
 //!    ([`crate::physical::fuse_partial_agg`]).
-//! 3. Required chunks are ingested — in parallel. [`ParallelMode::Static`]
-//!    reproduces the paper's static strategy (work is pre-partitioned
-//!    per chunk, so few/skewed chunks underutilize cores; §V discusses
-//!    this drawback); [`ParallelMode::Exchange`] implements the
-//!    exchange-operator fix the paper leaves as future work (decode
-//!    units are dynamically pulled from a shared queue).
+//! 3. Required chunks are ingested — in parallel, with the paper's
+//!    static strategy: one task per whole chunk, claimed by the shared
+//!    pool's workers. Few or skewed chunks underutilize cores (§V
+//!    discusses this drawback); the exchange operator that would
+//!    repartition them dynamically is the paper's future work.
 //! 4. **Stage 2** executes the remainder `Qs` against the result-scan
 //!    and the loaded chunks.
 //!
@@ -47,12 +46,6 @@ use sommelier_storage::{ColumnData, Database};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A deferred decode unit (e.g. one segment of a chunk file). The
-/// lifetime ties the unit to the source that produced it, so units can
-/// defer through a borrowed source instead of decoding eagerly; callers
-/// run units as morsel batches ([`crate::exec::run_indexed_policy`]).
-pub type ChunkUnit<'a> = Box<dyn FnOnce() -> Result<Relation> + Send + 'a>;
 
 /// One chunk handed out by a [`ChunkResidency`] manager: the loaded
 /// relation plus how the acquisition was satisfied.
@@ -277,35 +270,6 @@ impl Drop for PrefetchGuard {
     }
 }
 
-/// Chunk-loading parallelism strategy. Both modes submit their waves to
-/// the shared [`crate::sched::MorselScheduler`], whose size
-/// (`max_threads`) bounds the worker threads; without a scheduler every
-/// wave runs serially on the caller. Results merge in chunk order, so
-/// answers are identical under either mode and any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelMode {
-    /// The paper's strategy: one task per whole chunk, claimed by up to
-    /// `max_threads` pool workers. Few or skewed chunks underutilize
-    /// the machine.
-    #[default]
-    Static,
-    /// Exchange-style dynamic repartitioning: chunks split into decode
-    /// units (e.g. segments) that up to `workers` pool workers claim.
-    /// `workers` can only lower the per-batch cap, never add threads
-    /// beyond the pool.
-    Exchange { workers: usize },
-}
-
-impl ParallelMode {
-    /// Worker-pool size this mode implies for stage-2 execution.
-    pub fn stage2_workers(&self, max_threads: usize) -> usize {
-        match self {
-            ParallelMode::Static => max_threads.max(1),
-            ParallelMode::Exchange { workers } => (*workers).max(1),
-        }
-    }
-}
-
 /// Two-stage execution configuration.
 #[derive(Debug, Clone)]
 pub struct TwoStageConfig {
@@ -333,8 +297,8 @@ pub struct TwoStageConfig {
     /// when a per-query tracer is attached — the span tree.
     pub obs: Obs,
     /// How every morsel-parallel wave (decode, per-chunk pipelines)
-    /// runs: mode, worker cap, the shared scheduler (`None` runs
-    /// waves inline on the caller), priority, cancellation (checked
+    /// runs: the shared scheduler (`None` runs waves inline on the
+    /// caller), priority, cancellation (checked
     /// between stages and at chunk-pipeline boundaries) and what to do
     /// with unreadable chunks. Its `tracer` is filled from [`Self::obs`]
     /// by [`Self::policy`].
@@ -350,10 +314,7 @@ impl Default for TwoStageConfig {
             uri_column: String::new(),
             sampling: None,
             obs: Obs::off(),
-            sched: SchedPolicy::new(
-                ParallelMode::Static,
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
-            ),
+            sched: SchedPolicy::default(),
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Shared helpers for the workspace-level integration tests in
 //! `tests/` (wired into cargo through this crate's `[[test]]` entries).
 
-use sommelier_core::{LoadingMode, Result, Sommelier, SommelierConfig};
+use sommelier_core::{AdmissionStats, LoadingMode, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// A self-cleaning scratch directory.
 pub struct TempDir(pub PathBuf);
@@ -102,5 +103,25 @@ pub fn scalar_f64(result: &sommelier_core::QueryResult, col: &str) -> Option<f64
         sommelier_storage::Value::Float(v) => Some(v),
         sommelier_storage::Value::Int(v) => Some(v as f64),
         _ => None,
+    }
+}
+
+/// Poll `somm`'s admission counters every 2 ms until `ready` holds.
+/// Panics after 30 s with the last [`AdmissionStats`], so a query that
+/// finished before any poll saw it fails by name instead of hanging
+/// the suite.
+pub fn wait_for_admission(
+    somm: &Sommelier,
+    what: &str,
+    ready: impl Fn(&AdmissionStats) -> bool,
+) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = somm.admission_stats();
+        if ready(&stats) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "no {what} after 30 s: {stats:?}");
+        std::thread::sleep(Duration::from_millis(2));
     }
 }

@@ -17,9 +17,7 @@
 //! `windowdataview` (= F ⋈ S ⋈ D ⋈ H), `segview` (= F ⋈ S) and
 //! `windowview` (= F ⋈ H).
 
-use crate::reader::{
-    decode_segment, parse_full_bytes, read_full_bytes, read_full_bytes_into, FileHeader,
-};
+use crate::reader::{parse_full_bytes, read_full_bytes_into, FileHeader};
 use crate::repo::Repository;
 use crate::{steim, SegmentData};
 use parking_lot::Mutex;
@@ -31,7 +29,6 @@ use sommelier_core::source::{
 use sommelier_core::{Result, SommelierError};
 use sommelier_engine::expr::ArithOp;
 use sommelier_engine::relation::RelationBuilder;
-use sommelier_engine::twostage::ChunkUnit;
 use sommelier_engine::{AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Relation};
 use sommelier_sql::ViewDef;
 use sommelier_storage::column::TextColumn;
@@ -40,7 +37,6 @@ use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Schema of the given-metadata file table `F`.
 pub fn f_schema() -> TableSchema {
@@ -642,38 +638,6 @@ impl SourceAdapter for MseedAdapter {
         )
     }
 
-    fn chunk_units<'s>(
-        &'s self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Vec<ChunkUnit<'s>>> {
-        let (bytes, header) = read_full_bytes(Path::new(&entry.uri))
-            .map_err(|e| EngineError::Chunk(e.to_string()))?;
-        let bytes = Arc::new(bytes);
-        let header = Arc::new(header);
-        let file_id = entry.file_id;
-        let seg_base = entry.seg_base;
-        let projection = projection.map(<[String]>::to_vec);
-        Ok((0..header.segments.len())
-            .map(|k| {
-                let bytes = Arc::clone(&bytes);
-                let header = Arc::clone(&header);
-                let projection = projection.clone();
-                let unit: ChunkUnit<'s> = Box::new(move || {
-                    let seg = decode_segment(&bytes, &header, k)
-                        .map_err(|e| EngineError::Chunk(e.to_string()))?;
-                    Ok(segment_relation(
-                        file_id,
-                        seg_base + k as i64,
-                        &seg,
-                        projection.as_deref(),
-                    ))
-                });
-                unit
-            })
-            .collect())
-    }
-
     fn source_bytes(&self) -> Result<u64> {
         self.repo.total_bytes().map_err(|e| SommelierError::Adapter(e.to_string()))
     }
@@ -897,21 +861,6 @@ mod tests {
             rel.column("D.sample_value").unwrap().as_f64().unwrap(),
             &[5.0, 6.0, 7.0, -1.0, -2.0]
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chunk_units_cover_the_same_rows() {
-        let dir = temp_dir("units");
-        let entry = write_test_chunk(&dir);
-        let adapter = MseedAdapter::new(Repository::at(&dir));
-        let units = adapter.chunk_units(&entry, None).unwrap();
-        assert_eq!(units.len(), 2);
-        let mut total = 0;
-        for u in units {
-            total += u().unwrap().rows();
-        }
-        assert_eq!(total, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -122,20 +122,10 @@ pub fn read_metadata(path: &Path) -> Result<FileHeader> {
     }
 }
 
-/// Read the raw bytes of `path` together with its parsed header, so
-/// callers can decode individual segment payloads on their own schedule
-/// (the exchange-parallel loader decodes segments as independent units).
-pub fn read_full_bytes(path: &Path) -> Result<(Vec<u8>, FileHeader)> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| MseedError::io(format!("reading {}", path.display()), e))?;
-    let header = parse_header(&bytes, &path.display().to_string())?;
-    Ok((bytes, header))
-}
-
-/// Like [`read_full_bytes`], but reading into a caller-provided scratch
-/// buffer (cleared, then filled) — the decode hot path reuses one
-/// thread-local buffer across chunks instead of allocating a fresh
-/// `Vec<u8>` per chunk per query.
+/// Read the raw bytes of `path` into a caller-provided scratch buffer
+/// (cleared, then filled) and parse its header — the decode hot path
+/// reuses one thread-local buffer across chunks instead of allocating a
+/// fresh `Vec<u8>` per chunk per query.
 pub fn read_full_bytes_into(path: &Path, buf: &mut Vec<u8>) -> Result<FileHeader> {
     buf.clear();
     let mut f = std::fs::File::open(path)
@@ -143,24 +133,6 @@ pub fn read_full_bytes_into(path: &Path, buf: &mut Vec<u8>) -> Result<FileHeader
     f.read_to_end(buf)
         .map_err(|e| MseedError::io(format!("reading {}", path.display()), e))?;
     parse_header(buf, &path.display().to_string())
-}
-
-/// Decode one segment's payload from the raw file bytes.
-pub fn decode_segment(
-    bytes: &[u8],
-    header: &FileHeader,
-    index: usize,
-) -> Result<SegmentData> {
-    let meta = header
-        .segments
-        .get(index)
-        .ok_or_else(|| MseedError::Corrupt(format!("no segment {index}")))?;
-    let (offset, len) = header.payload_spans[index];
-    let span = bytes
-        .get(offset as usize..offset as usize + len as usize)
-        .ok_or_else(|| MseedError::Corrupt("payload span out of bounds".into()))?;
-    let samples = steim::decode(span, meta.sample_count as usize)?;
-    Ok(SegmentData { meta: meta.clone(), samples })
 }
 
 /// Read and fully decode `path`.

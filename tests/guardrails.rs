@@ -35,10 +35,25 @@
 //! oracle in `join.rs`'s tests, and its key-cloning `key_columns`
 //! helper was removed.
 //!
+//! Stage 2 decodes with the paper's static strategy only: one task per
+//! whole chunk. The exchange alternative — `ParallelMode`,
+//! `stage2_workers`, `SchedPolicy`'s `parallel`/`max_threads` fields,
+//! the cellar's `decode_exchange`, the adapters' `chunk_units` and the
+//! `ChunkUnit` type they returned, mSEED's per-segment `decode_segment`
+//! and the `decode.units` counter — was removed; a wave's worker cap is
+//! the shared pool's size. The cellar evicts in one order, LRU, called
+//! directly: the boxed `ResidencyPolicy` trait, `CellarPolicyKind`, the
+//! decode-cost-aware policy (measured slower on the evicting workloads)
+//! and the `cellar_policy` knob were removed.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
 //! lines to [`FORBIDDEN`] and [`DELETED_FILES`].
+//!
+//! The configuration structs are pinned too: [`CONFIG_FIELDS`] holds
+//! each one's count of `pub` fields, so growing (or shrinking) a
+//! configuration is a deliberate diff here, not drift.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -82,6 +97,29 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn uncover", "covered windows leave PSm only through DmdManager::clear"),
     ("fn begin_query", "the coverage check runs under the covered lock alone"),
     ("fn key_columns", "JoinBuild::probe borrows plain-column keys (eval_column)"),
+    ("ParallelMode", "stage 2 decodes one task per whole chunk"),
+    ("stage2_workers", "a wave's worker cap is the shared pool's size"),
+    ("ChunkUnit", "stage 2 decodes one task per whole chunk"),
+    ("fn chunk_units", "stage 2 decodes one task per whole chunk"),
+    ("decode_exchange", "Cellar::decode_claims is the static wave"),
+    ("fn decode_segment", "chunks decode whole through SourceAdapter::decode"),
+    ("fn read_full_bytes(", "the decode path reads through read_full_bytes_into"),
+    ("decode.units", "one decode task per chunk: decode.chunks counts them"),
+    ("SchedPolicy::new", "SchedPolicy::default() plus with_scheduler"),
+    ("fn serial()", "SchedPolicy::default() runs batches inline"),
+    ("ResidencyPolicy", "the cellar calls its LruPolicy directly"),
+    ("CellarPolicyKind", "the cellar always evicts least recently used first"),
+    ("CostAwarePolicy", "LRU measured faster on prune_window and server_mix"),
+    ("cellar_policy", "the cellar always evicts least recently used first"),
+    ("fn policy_name", "the cellar always evicts least recently used first"),
+];
+
+/// `pub` fields per configuration struct: `(file, struct, count)`.
+const CONFIG_FIELDS: &[(&str, &str, usize)] = &[
+    ("crates/core/src/config.rs", "SommelierConfig", 17),
+    ("crates/core/src/cellar/mod.rs", "CellarConfig", 4),
+    ("crates/engine/src/twostage.rs", "TwoStageConfig", 7),
+    ("crates/engine/src/sched.rs", "SchedPolicy", 5),
 ];
 
 /// Files that must stay deleted (relative to the workspace root).
@@ -148,5 +186,40 @@ fn deleted_files_stay_deleted() {
     let root = workspace_root();
     for file in DELETED_FILES {
         assert!(!root.join(file).exists(), "{file} is deleted and must not come back");
+    }
+}
+
+/// The `pub` fields declared in the body of `pub struct <name> {` in
+/// `text` (one per line, as rustfmt lays them out).
+fn pub_fields(text: &str, name: &str) -> Vec<String> {
+    let open = format!("pub struct {name} {{");
+    let body = text
+        .lines()
+        .skip_while(|l| l.trim_start() != open)
+        .skip(1)
+        .take_while(|l| l.trim_end() != "}");
+    body.filter_map(|l| {
+        let field = l.trim_start().strip_prefix("pub ")?.split_once(':')?.0;
+        field
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_')
+            .then(|| field.to_string())
+    })
+    .collect()
+}
+
+#[test]
+fn config_structs_keep_their_field_counts() {
+    let root = workspace_root();
+    for (file, name, want) in CONFIG_FIELDS {
+        let text = fs::read_to_string(root.join(file)).unwrap();
+        let fields = pub_fields(&text, name);
+        assert_eq!(
+            fields.len(),
+            *want,
+            "{name} ({file}) has {} pub fields, not {want}: {fields:?}. Adding or removing \
+             a configuration field is a deliberate change: update CONFIG_FIELDS with it.",
+            fields.len()
+        );
     }
 }

@@ -209,6 +209,24 @@ fn explain_prints_the_pass_trace() {
     assert!(plan.contains("partial_agg_fusion: fired"), "{plan}");
 }
 
+/// EXPLAIN sniffs an `ANALYZE` prefix by its first seven bytes; a
+/// multibyte character straddling byte 7 must be a parse error, not a
+/// panic, and the prefix must still route to EXPLAIN ANALYZE.
+#[test]
+fn explain_rejects_multibyte_text_at_the_analyze_boundary() {
+    let dir = TempDir::new("optexplain-utf8");
+    let repo = ingv_repo(&dir, 1, 16);
+    let somm = mseed_system(&repo, SommelierConfig::default());
+    for sql in ["SELECTé FROM t", "ANALYZé", "  ANALYZEé x", "é"] {
+        assert!(somm.explain(sql).is_err(), "{sql:?} should not compile");
+    }
+    let t4 = "SELECT AVG(D.sample_value) FROM dataview \
+              WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+              AND D.sample_time < '2010-01-01T12:00:00.000'";
+    let text = somm.explain(&format!("ANALYZE {t4}")).unwrap();
+    assert!(text.contains("-- spans"), "{text}");
+}
+
 /// The per-chunk probe gathers only the build columns the aggregate
 /// reads: none for T4, the group key for a per-station aggregate.
 #[test]

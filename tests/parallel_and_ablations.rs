@@ -1,6 +1,6 @@
-//! The design-choice ablations, as correctness tests:
-//! static vs exchange parallelism, selection pushdown, FK verification
-//! on lazy loads, and index joins — every knob must preserve answers.
+//! The design-choice ablations, as correctness tests: selection
+//! pushdown, FK verification on lazy loads, and index joins — every
+//! knob must preserve answers.
 //!
 //! The `serial ≡ parallel` suite additionally pins down the strongest
 //! guarantee of the morsel-parallel stage 2: per-chunk partial
@@ -11,7 +11,6 @@
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{LoadingMode, QueryResult, Sommelier, SommelierConfig};
-use sommelier_engine::ParallelMode;
 use sommelier_integration::{fiam_repo, ingv_repo, prepared, scalar_f64, TempDir};
 use sommelier_mseed::Repository;
 use std::path::Path;
@@ -20,36 +19,6 @@ const Q: &str = "SELECT AVG(D.sample_value) FROM dataview \
                  WHERE F.station = 'FIAM' \
                  AND D.sample_time >= '2010-01-01T00:00:00.000' \
                  AND D.sample_time < '2010-01-05T00:00:00.000'";
-
-#[test]
-fn exchange_parallelism_matches_static() {
-    let dir = TempDir::new("exchange");
-    let repo = fiam_repo(&dir, 6, 64);
-    let static_somm = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
-    let want = scalar_f64(&static_somm.query(Q).unwrap(), "avg").unwrap();
-
-    let config = SommelierConfig {
-        parallel: ParallelMode::Exchange { workers: 3 },
-        ..SommelierConfig::default()
-    };
-    let exchange_somm = prepared(&repo, LoadingMode::Lazy, config);
-    let got_result = exchange_somm.query(Q).unwrap();
-    let got = scalar_f64(&got_result, "avg").unwrap();
-    assert!((want - got).abs() < 1e-9, "{want} vs {got}");
-    assert_eq!(got_result.stats.files_loaded, 4);
-}
-
-#[test]
-fn exchange_with_single_worker_still_correct() {
-    let dir = TempDir::new("exchange-1");
-    let repo = fiam_repo(&dir, 3, 32);
-    let config = SommelierConfig {
-        parallel: ParallelMode::Exchange { workers: 1 },
-        ..SommelierConfig::default()
-    };
-    let somm = prepared(&repo, LoadingMode::Lazy, config);
-    assert!(scalar_f64(&somm.query(Q).unwrap(), "avg").is_some());
-}
 
 #[test]
 fn pushdown_toggle_preserves_answers() {
@@ -211,8 +180,8 @@ fn fingerprint(r: &QueryResult) -> String {
     format!("{:?}", r.relation)
 }
 
-fn config_with(max_threads: usize, parallel: ParallelMode) -> SommelierConfig {
-    SommelierConfig { max_threads, parallel, ..SommelierConfig::default() }
+fn config_with(max_threads: usize) -> SommelierConfig {
+    SommelierConfig { max_threads, ..SommelierConfig::default() }
 }
 
 /// Run every query on a freshly prepared lazy system, fingerprinting
@@ -251,17 +220,11 @@ fn serial_and_parallel_results_byte_identical_mseed() {
     let dir = TempDir::new("bytes-mseed");
     let repo = fiam_repo(&dir, 4, 64);
     let queries = mseed_t_queries();
-    let serial = mseed_fingerprints(&repo, &queries, config_with(1, ParallelMode::Static));
-    let par8 = mseed_fingerprints(&repo, &queries, config_with(8, ParallelMode::Static));
-    let exch = mseed_fingerprints(
-        &repo,
-        &queries,
-        config_with(8, ParallelMode::Exchange { workers: 4 }),
-    );
-    assert_identical(&serial, &par8, &queries, "mseed static-8");
-    assert_identical(&serial, &exch, &queries, "mseed exchange-4");
+    let serial = mseed_fingerprints(&repo, &queries, config_with(1));
+    let par8 = mseed_fingerprints(&repo, &queries, config_with(8));
+    assert_identical(&serial, &par8, &queries, "mseed 8 workers");
     // The T4 shape really did run the fused partial-agg path.
-    let somm = prepared(&repo, LoadingMode::Lazy, config_with(8, ParallelMode::Static));
+    let somm = prepared(&repo, LoadingMode::Lazy, config_with(8));
     let r = somm.query(&queries[3]).unwrap();
     assert!(r.stats.partial_agg_chunks > 0, "partial aggregation fired");
     assert_eq!(r.stats.rows_union_materialized, 0, "no union materialized");
@@ -273,15 +236,9 @@ fn serial_and_parallel_results_byte_identical_eventlog() {
     let logs = dir.join("logs");
     generate_event_logs(&logs, &EventLogSpec::small(4, 48)).unwrap();
     let queries = eventlog_t_queries();
-    let serial = eventlog_fingerprints(&logs, &queries, config_with(1, ParallelMode::Static));
-    let par8 = eventlog_fingerprints(&logs, &queries, config_with(8, ParallelMode::Static));
-    let exch = eventlog_fingerprints(
-        &logs,
-        &queries,
-        config_with(8, ParallelMode::Exchange { workers: 4 }),
-    );
-    assert_identical(&serial, &par8, &queries, "eventlog static-8");
-    assert_identical(&serial, &exch, &queries, "eventlog exchange-4");
+    let serial = eventlog_fingerprints(&logs, &queries, config_with(1));
+    let par8 = eventlog_fingerprints(&logs, &queries, config_with(8));
+    assert_identical(&serial, &par8, &queries, "eventlog 8 workers");
 }
 
 #[test]
@@ -292,10 +249,10 @@ fn serial_and_parallel_byte_identical_under_tight_cellar_budget() {
     let dir = TempDir::new("bytes-tight");
     let repo = fiam_repo(&dir, 4, 64);
     let queries = mseed_t_queries();
-    let unbounded = mseed_fingerprints(&repo, &queries, config_with(8, ParallelMode::Static));
+    let unbounded = mseed_fingerprints(&repo, &queries, config_with(8));
     let tight = |threads: usize| SommelierConfig {
         cellar_bytes: Some(32 * 1024),
-        ..config_with(threads, ParallelMode::Static)
+        ..config_with(threads)
     };
     let serial_tight = mseed_fingerprints(&repo, &queries, tight(1));
     let par_tight = mseed_fingerprints(&repo, &queries, tight(8));
@@ -313,8 +270,8 @@ fn serial_and_parallel_byte_identical_under_tight_cellar_budget() {
 
 #[test]
 fn all_knobs_combined() {
-    // Exchange + no pushdown + FK verification + tiny cache: the most
-    // hostile configuration must still answer correctly.
+    // No pushdown + FK verification + tiny cache: the most hostile
+    // configuration must still answer correctly.
     let dir = TempDir::new("all-knobs");
     let repo = fiam_repo(&dir, 4, 32);
     let reference = {
@@ -322,7 +279,6 @@ fn all_knobs_combined() {
         scalar_f64(&somm.query(Q).unwrap(), "avg").unwrap()
     };
     let config = SommelierConfig {
-        parallel: ParallelMode::Exchange { workers: 2 },
         chunk_pushdown: false,
         verify_lazy_fk: true,
         cellar_bytes: Some(1),

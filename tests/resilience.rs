@@ -10,7 +10,7 @@ use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpe
 use sommelier_core::{
     FaultPlan, LoadingMode, Priority, Sommelier, SommelierConfig, SommelierError,
 };
-use sommelier_integration::TempDir;
+use sommelier_integration::{wait_for_admission, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
 use sommelier_storage::buffer::SimIo;
@@ -99,15 +99,11 @@ fn shutdown_drains_in_flight_within_deadline() {
     let server = Server::new(Arc::new(mseed_system(&repo, config)));
     let session = server.open_session(SessionOptions::default());
     let running = session.submit(SLOW_MSEED_T4).unwrap();
-    while server.sommelier().admission_stats().running == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
     // A second query parked in the admission queue behind the hog: the
     // shutdown must wake it with the typed error, not leave it hanging.
     let queued = session.submit(SLOW_MSEED_T4).unwrap();
-    while server.sommelier().admission_stats().queue_depth == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_admission(server.sommelier(), "queued query", |s| s.queue_depth > 0);
 
     let deadline = Duration::from_secs(120);
     let report = server.shutdown(deadline);
@@ -150,9 +146,7 @@ fn shutdown_deadline_cancels_stragglers_with_balanced_books() {
     let server = Server::new(Arc::new(mseed_system(&repo, config)));
     let session = server.open_session(SessionOptions::default());
     let straggler = session.submit(SLOW_MSEED_T4).unwrap();
-    while server.sommelier().admission_stats().running == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
     // Deadline expires immediately: the straggler cannot finish.
     let report = server.shutdown(Duration::from_millis(1));
     assert_eq!(report.cancelled, 1, "straggler's cancel token fired: {report:?}");
@@ -191,13 +185,9 @@ fn overload_rejection_carries_retry_after_contract() {
         .wait()
         .unwrap();
     let hog = session.submit(SLOW_MSEED_T4).unwrap();
-    while server.sommelier().admission_stats().running == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
     let queued = session.submit(SLOW_MSEED_T4).unwrap();
-    while server.sommelier().admission_stats().queue_depth == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_admission(server.sommelier(), "queued query", |s| s.queue_depth > 0);
     // Queue full (limit 1): the third query is the one pushed back.
     let err = session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap_err();
     match err {

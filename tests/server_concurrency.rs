@@ -6,7 +6,7 @@
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{LoadingMode, Priority, Sommelier, SommelierConfig};
-use sommelier_integration::{ingv_repo, TempDir};
+use sommelier_integration::{ingv_repo, wait_for_admission, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
 use sommelier_storage::buffer::SimIo;
@@ -189,9 +189,7 @@ fn priority_ordering_observable_under_saturated_server() {
     let hog = server.open_session(SessionOptions::default());
     let running = hog.submit(SLOW_MSEED_T4).unwrap();
     // Let the hog win the admission slot before anyone queues.
-    while server.sommelier().admission_stats().running == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
 
     let mut waiters = Vec::new();
     // Low queues first, High second; High must still finish first.
@@ -207,9 +205,7 @@ fn priority_ordering_observable_under_saturated_server() {
         }));
         // Deterministic enqueue order: wait until this waiter is
         // actually queued before releasing the next one.
-        while server.sommelier().admission_stats().queue_depth < n as u64 + 1 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_for_admission(server.sommelier(), "queued waiter", |s| s.queue_depth > n as u64);
     }
     // The hog must still be holding the slot, or ordering says nothing.
     assert_eq!(server.sommelier().admission_stats().queue_depth, 2, "both waiters queued");
@@ -383,9 +379,7 @@ fn dropping_server_mid_flight_mid_backoff_mid_prefetch_releases_everything() {
             let session = server.open_session(SessionOptions::default());
             let _running = session.submit(SLOW_MSEED_T4).unwrap();
             // Let the query get properly underway before pulling the rug.
-            while somm.admission_stats().running == 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            wait_for_admission(&somm, "running query", |s| s.running > 0);
             std::thread::sleep(Duration::from_millis(60));
             // Handle first, then session, then the last server clone:
             // the shared drop drain cancels the orphaned query and
