@@ -44,11 +44,11 @@ use crate::fault::{with_retries, RetryPolicy};
 use crate::source::SourceDescriptor;
 use parking_lot::{Condvar, Mutex};
 use sommelier_engine::exec::run_indexed_policy;
-use sommelier_engine::sched::{CancelToken, DegradationPolicy, SchedPolicy};
+use sommelier_engine::sched::{DegradationPolicy, SchedPolicy};
 use sommelier_engine::twostage::{AcquiredChunk, ChunkResidency, ChunkSink, PrefetchHandle};
-use sommelier_engine::{ColumnZone, EngineError, ErrorKind, Obs, Relation, TraceCollector};
+use sommelier_engine::{ColumnZone, EngineError, ErrorKind, Obs, Relation};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -217,12 +217,8 @@ pub struct Cellar {
     stats: CellarStats,
 }
 
-/// Outcome of decoding one claimed chunk: the relation plus its
-/// measured decode cost.
-type DecodeOutcome = sommelier_engine::Result<(Relation, Duration)>;
-
-/// How one chunk of an acquisition batch was classified
-/// ([`Cellar::classify_locked`], shared by both acquisition paths).
+/// How one chunk of an acquisition wave was classified
+/// ([`Cellar::classify_locked`]).
 enum StreamTask {
     Hit(Arc<Relation>),
     Claimed(Arc<LoadLatch>),
@@ -231,15 +227,11 @@ enum StreamTask {
 
 /// Shared state of one streaming-acquisition wave, threaded through
 /// every [`Cellar::run_task`] call: the sink, the first-error abort
-/// slot, the query's cancellation token, and the pin ledger backing the
-/// no-leaked-pins assertion.
+/// slot and the query's policy (cancellation, degradation, tracer).
 struct TaskCtx<'a> {
     sink: &'a ChunkSink<'a>,
     first_error: Mutex<Option<EngineError>>,
-    cancel: Option<&'a CancelToken>,
-    degradation: DegradationPolicy,
-    tracer: Option<&'a TraceCollector>,
-    pin_ledger: AtomicI64,
+    policy: &'a SchedPolicy,
 }
 
 impl Cellar {
@@ -369,235 +361,6 @@ impl Cellar {
 
     // ---- Acquisition --------------------------------------------------
 
-    fn acquire_impl(
-        &self,
-        uris: &[String],
-        policy: &SchedPolicy,
-    ) -> sommelier_engine::Result<Vec<AcquiredChunk>> {
-        // A cancel before classification means no pins were ever taken.
-        policy.check_cancel()?;
-        // Every pin this call takes is recorded in `owned_pins`; on any
-        // failure exactly those pins are released, so the contract "on
-        // error no pins survive" holds without guessing from state that
-        // concurrent callers also mutate.
-        let mut owned_pins: Vec<String> = Vec::new();
-
-        // Phase 1: classify under the lock. Hits are pinned right away
-        // so a concurrent release cannot evict them while we decode the
-        // misses; misses install an in-flight latch (first claimant
-        // becomes the loader, everyone else joins).
-        let mut classified: Vec<StreamTask> = Vec::with_capacity(uris.len());
-        let mut claims: Vec<(String, Arc<LoadLatch>)> = Vec::new();
-        {
-            let mut inner = self.inner.lock();
-            for uri in uris {
-                let task = self.classify_locked(&mut inner, uri);
-                match &task {
-                    StreamTask::Hit(_) => owned_pins.push(uri.clone()),
-                    StreamTask::Claimed(latch) => {
-                        claims.push((uri.clone(), Arc::clone(latch)))
-                    }
-                    StreamTask::Joined(_) => {}
-                }
-                classified.push(task);
-            }
-        }
-
-        // Phase 2: decode claimed chunks outside the lock, with the
-        // configured parallelism. A panic escaping the decode wave
-        // (operator code outside the per-attempt retry seam, or the
-        // batch machinery re-raising a worker panic) must not unwind
-        // through this frame: claimed latches would stay `Loading`
-        // forever (joiners deadlock) and the hit pins taken in phase 1
-        // would leak. Catch it, wake every claim retryable, withdraw
-        // the slots, release our pins, and surface the typed error to
-        // the owning query only.
-        let decoded = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.decode_claims(&claims, policy)
-        })) {
-            Ok(d) => d,
-            Err(payload) => {
-                let msg = sommelier_engine::sched::panic_message(payload.as_ref());
-                {
-                    let mut inner = self.inner.lock();
-                    for (uri, latch) in &claims {
-                        inner.slots.remove(uri);
-                        latch.publish(Err((
-                            ErrorKind::Transient,
-                            format!("loader panicked: {msg}"),
-                        )));
-                    }
-                }
-                let refs: Vec<&str> = owned_pins.iter().map(|u| u.as_str()).collect();
-                self.release_uris(&refs);
-                return Err(EngineError::Panicked { payload: msg });
-            }
-        };
-
-        // Phase 3: publish results — admit successes (pinned for this
-        // caller, so they cannot be evicted before assembly), withdraw
-        // failures — then enforce the budget on the unpinned rest.
-        // Failed loads either surface as the wave's first error
-        // (strict) or, under `SkipUnreadable`, turn into placeholder
-        // chunks carrying the skip reason.
-        let mut first_error: Option<EngineError> = None;
-        let mut skipped_chunks: HashMap<String, AcquiredChunk> = HashMap::new();
-        let mut claimed_rels: HashMap<&str, (Arc<Relation>, Duration)> = HashMap::new();
-        {
-            let mut inner = self.inner.lock();
-            for ((uri, latch), outcome) in claims.iter().zip(decoded) {
-                match outcome {
-                    Ok((relation, cost)) => {
-                        let relation = Arc::new(relation);
-                        self.admit_pinned_locked(&mut inner, uri, &relation);
-                        owned_pins.push(uri.clone());
-                        claimed_rels.insert(uri.as_str(), (Arc::clone(&relation), cost));
-                        latch.publish(Ok((relation, cost)));
-                    }
-                    Err(e) => {
-                        inner.slots.remove(uri);
-                        latch.publish(Err((publish_kind(&e), e.to_string())));
-                        self.note_load_failure(uri, &e);
-                        match self.skip_or(policy.degradation, uri, e) {
-                            Ok(chunk) => {
-                                skipped_chunks.insert(uri.clone(), chunk);
-                            }
-                            Err(e) => {
-                                if first_error.is_none() {
-                                    first_error = Some(e);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            self.enforce_budget_locked(&mut inner);
-        }
-
-        // Phase 4: wait for joined loads (their loaders publish through
-        // the latch), then assemble. A joined chunk may have been
-        // evicted between its load completing and our wakeup; re-admit
-        // it from the latched relation so that every successfully
-        // acquired URI holds exactly one pin from this call.
-        let mut out: Vec<AcquiredChunk> = Vec::with_capacity(uris.len());
-        for (uri, c) in uris.iter().zip(classified) {
-            if first_error.is_some() {
-                break;
-            }
-            // A claim that failed and was resolved to a skip never
-            // reaches `settle_acquired` (it holds no pin and no entry
-            // in `claimed_rels`).
-            if let Some(chunk) = skipped_chunks.remove(uri) {
-                out.push(chunk);
-                continue;
-            }
-            match self.settle_acquired(uri, c, policy, &mut owned_pins, &claimed_rels) {
-                Ok(chunk) => out.push(chunk),
-                Err(e) => first_error = Some(e),
-            }
-        }
-
-        if let Some(e) = first_error {
-            // Contract: on error no pins from this call survive.
-            let refs: Vec<&str> = owned_pins.iter().map(|u| u.as_str()).collect();
-            self.release_uris(&refs);
-            return Err(e);
-        }
-        Ok(out)
-    }
-
-    /// Resolve one classified task of the load-all path into an
-    /// [`AcquiredChunk`], recording every pin it takes in `owned_pins`.
-    fn settle_acquired(
-        &self,
-        uri: &str,
-        task: StreamTask,
-        policy: &SchedPolicy,
-        owned_pins: &mut Vec<String>,
-        claimed_rels: &HashMap<&str, (Arc<Relation>, Duration)>,
-    ) -> sommelier_engine::Result<AcquiredChunk> {
-        match task {
-            StreamTask::Hit(relation) => Ok(AcquiredChunk::untimed(relation, false, false)),
-            StreamTask::Claimed(_) => {
-                let (relation, cost) = claimed_rels.get(uri).expect("claim outcome recorded");
-                Ok(AcquiredChunk {
-                    relation: Arc::clone(relation),
-                    loaded: true,
-                    joined: false,
-                    decode: *cost,
-                    pin_wait: Duration::ZERO,
-                    skipped: None,
-                })
-            }
-            StreamTask::Joined(latch) => match self.wait_latch(&latch) {
-                (Ok((relation, _)), waited) => {
-                    self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                    let relation = self.pin_or_readmit(uri, relation);
-                    owned_pins.push(uri.to_string());
-                    Ok(AcquiredChunk {
-                        relation,
-                        loaded: false,
-                        joined: true,
-                        decode: Duration::ZERO,
-                        pin_wait: waited,
-                        skipped: None,
-                    })
-                }
-                (Err((kind, msg)), _) => {
-                    if kind == ErrorKind::Transient {
-                        // The loader's failure was retryable (or its
-                        // query was cancelled); the slot was withdrawn,
-                        // so re-classify once and hit, claim or join.
-                        self.settle_retry(uri, policy, owned_pins, claimed_rels)
-                    } else {
-                        self.skip_or(
-                            policy.degradation,
-                            uri,
-                            EngineError::ChunkLoad {
-                                uri: uri.to_string(),
-                                kind,
-                                message: format!("joined load failed: {msg}"),
-                            },
-                        )
-                    }
-                }
-            },
-        }
-    }
-
-    /// Re-attempt one chunk of the load-all path after a joined load
-    /// failed transiently: classify it again, then settle the hit or
-    /// join, or load the claim on this thread.
-    fn settle_retry(
-        &self,
-        uri: &str,
-        policy: &SchedPolicy,
-        owned_pins: &mut Vec<String>,
-        claimed_rels: &HashMap<&str, (Arc<Relation>, Duration)>,
-    ) -> sommelier_engine::Result<AcquiredChunk> {
-        let task = self.classify_locked(&mut self.inner.lock(), uri);
-        let StreamTask::Claimed(latch) = task else {
-            if matches!(task, StreamTask::Hit(_)) {
-                owned_pins.push(uri.to_string());
-            }
-            return self.settle_acquired(uri, task, policy, owned_pins, claimed_rels);
-        };
-        match self.load_claim(uri, &latch, policy.cancel.as_ref(), policy.tracer.as_deref()) {
-            Ok((relation, cost)) => {
-                owned_pins.push(uri.to_string());
-                Ok(AcquiredChunk {
-                    relation,
-                    loaded: true,
-                    joined: false,
-                    decode: cost,
-                    pin_wait: Duration::ZERO,
-                    skipped: None,
-                })
-            }
-            Err(e) => self.skip_or(policy.degradation, uri, e),
-        }
-    }
-
     /// Wait on an in-flight-load latch, charging the blocked time to
     /// the `pin_wait_ns` stat. Returns the latch outcome plus how long
     /// this caller actually waited (zero-ish when the load had already
@@ -628,19 +391,7 @@ impl Cellar {
                     // and retry once it publishes.
                     Some(Slot::Loading(latch)) => Arc::clone(latch),
                     None => {
-                        let bytes = relation.approx_bytes();
-                        inner.slots.insert(
-                            uri.to_string(),
-                            Slot::Resident(ResidentChunk {
-                                relation: Arc::clone(&relation),
-                                bytes,
-                                pins: 1,
-                            }),
-                        );
-                        inner.resident_bytes += bytes;
-                        inner.peak_resident_bytes =
-                            inner.peak_resident_bytes.max(inner.resident_bytes);
-                        inner.lru.touch(uri);
+                        Self::insert_pinned_locked(&mut inner, uri, &relation);
                         return relation;
                     }
                 }
@@ -652,124 +403,24 @@ impl Cellar {
         }
     }
 
-    /// The paper's static strategy: one task per whole chunk.
-    fn decode_claims(
-        &self,
-        claims: &[(String, Arc<LoadLatch>)],
-        policy: &SchedPolicy,
-    ) -> Vec<DecodeOutcome> {
-        if claims.is_empty() {
-            return Vec::new();
-        }
-        let cancel = policy.cancel.as_ref();
-        run_indexed_policy(claims.len(), policy, &self.config.obs, |i| {
-            let uri = &claims[i].0;
-            with_retries(
-                &self.config.retry,
-                cancel,
-                &self.config.obs,
-                policy.tracer.as_deref(),
-                uri,
-                || self.decode_timed(uri),
-            )
-        })
-    }
-
-    /// Decode one chunk through its source, timing the decode.
-    fn decode_timed(&self, uri: &str) -> DecodeOutcome {
-        let t = Instant::now();
-        let relation = self.source_of(uri)?.source.load_chunk(uri)?;
-        Ok((relation, t.elapsed()))
-    }
-
-    // ---- Streaming acquisition (pipelined decode→execute) ------------
-
-    /// [`ChunkResidency::acquire_each`], streaming: one task per chunk — resident chunks go straight to the
-    /// sink, misses decode first (single-flight latches exactly as in
-    /// [`Self::acquire_impl`]), joins wait on the other loader's latch.
-    /// Pins are dropped chunk by chunk — a hit stays pinned from
-    /// classification until its sink returns, a decoded chunk from
-    /// admission until its sink returns — so a query's working set
-    /// never needs to fit the budget at once and eviction interleaves
-    /// with execution (`resident_bytes` may transiently sit above
-    /// budget while a wave's hits await their sink calls).
-    ///
-    /// The tasks are drained in two passes: hits and claimed loads
-    /// first, as one morsel batch (hits ahead of claims, so their pins
-    /// drop earliest), then joins, inline on the submitting thread.
-    /// Neither hits nor claims ever wait on a latch, so pool workers
-    /// never block: a join waits on another wave's claim, which is
-    /// running or queued on the pool behind non-blocking tasks and so
-    /// always publishes. Joins on the pool could deadlock two
-    /// concurrent waves that each join chunks the other claimed (all
-    /// workers blocked in `LoadLatch::wait` while the publishing tasks
-    /// sit queued behind them).
-    fn acquire_each_impl(
-        &self,
-        uris: &[String],
-        policy: &SchedPolicy,
-        sink: &ChunkSink<'_>,
-    ) -> sommelier_engine::Result<()> {
-        if uris.is_empty() {
-            return Ok(());
-        }
-        // A cancel before classification means no pins were ever taken.
-        policy.check_cancel()?;
-        // Phase 1: classify under the lock. Hits are pinned right away
-        // so a concurrent release cannot evict them before their sink
-        // runs; misses install the in-flight latch.
-        let mut tasks: Vec<StreamTask> = Vec::with_capacity(uris.len());
-        {
-            let mut inner = self.inner.lock();
-            for uri in uris {
-                let task = self.classify_locked(&mut inner, uri);
-                tasks.push(task);
-            }
-        }
-        let mut eager: Vec<usize> = Vec::with_capacity(uris.len());
-        let mut claims: Vec<usize> = Vec::new();
-        let mut joins: Vec<usize> = Vec::new();
-        for (i, task) in tasks.iter().enumerate() {
-            match task {
-                StreamTask::Hit(_) => eager.push(i),
-                StreamTask::Claimed(_) => claims.push(i),
-                StreamTask::Joined(_) => joins.push(i),
-            }
-        }
-        eager.append(&mut claims);
-
-        // Phase 2: drain the two passes (see above); each task decodes
-        // (if needed), sinks, unpins. The pin ledger counts every pin a
-        // task holds and every release; a task path that drops out
-        // without unpinning (the cancellation-leak class of bug) trips
-        // the assert below.
-        let tctx = TaskCtx {
-            sink,
-            first_error: Mutex::new(None),
-            cancel: policy.cancel.as_ref(),
-            degradation: policy.degradation,
-            tracer: policy.tracer.as_deref(),
-            pin_ledger: AtomicI64::new(0),
-        };
-        let run = |&i: &usize| self.run_task(i, &uris[i], &tasks[i], &tctx);
-        run_indexed_policy(eager.len(), policy, &self.config.obs, |k| run(&eager[k]));
-        joins.iter().for_each(&run);
-        debug_assert_eq!(
-            tctx.pin_ledger.load(Ordering::SeqCst),
-            0,
-            "streaming acquisition leaked pins (cancelled: {})",
-            tctx.cancel.and_then(CancelToken::cancelled).is_some()
+    /// Insert `relation` as resident with one pin, updating byte
+    /// accounting and the LRU order. The caller still owes an
+    /// [`Self::enforce_budget_locked`].
+    fn insert_pinned_locked(inner: &mut Inner, uri: &str, relation: &Arc<Relation>) {
+        let bytes = relation.approx_bytes();
+        inner.slots.insert(
+            uri.to_string(),
+            Slot::Resident(ResidentChunk { relation: Arc::clone(relation), bytes, pins: 1 }),
         );
-        match tctx.first_error.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        inner.resident_bytes += bytes;
+        inner.peak_resident_bytes = inner.peak_resident_bytes.max(inner.resident_bytes);
+        inner.lru.touch(uri);
     }
 
     /// Classify one chunk under the lock: pin + touch a resident chunk,
     /// join an in-flight load, or claim the load by installing a latch.
-    /// Shared by [`Self::acquire_impl`] and [`Self::acquire_each_impl`]
-    /// so the two acquisition paths cannot drift.
+    /// Called at the start of a wave and again when a joined load
+    /// failed transiently.
     fn classify_locked(&self, inner: &mut Inner, uri: &str) -> StreamTask {
         match inner.slots.get_mut(uri) {
             Some(Slot::Resident(r)) => {
@@ -790,25 +441,30 @@ impl Cellar {
 
     /// Decode a claimed chunk, admit it (pinned once for the caller),
     /// publish through the latch and enforce the budget. On error the
-    /// slot is withdrawn and the error published. Shared by the
-    /// streaming tasks and the retry-settled load-all path.
+    /// slot is withdrawn and the error published.
     fn load_claim(
         &self,
         uri: &str,
         latch: &LoadLatch,
-        cancel: Option<&CancelToken>,
-        tracer: Option<&TraceCollector>,
+        policy: &SchedPolicy,
     ) -> sommelier_engine::Result<(Arc<Relation>, Duration)> {
+        let (cancel, tracer) = (policy.cancel.as_ref(), policy.tracer.as_deref());
         let outcome =
             with_retries(&self.config.retry, cancel, &self.config.obs, tracer, uri, || {
-                self.decode_timed(uri)
+                let t = Instant::now();
+                let relation = self.source_of(uri)?.source.load_chunk(uri)?;
+                Ok((relation, t.elapsed()))
             });
         match outcome {
             Ok((relation, cost)) => {
                 let relation = Arc::new(relation);
                 {
                     let mut inner = self.inner.lock();
-                    self.admit_pinned_locked(&mut inner, uri, &relation);
+                    Self::insert_pinned_locked(&mut inner, uri, &relation);
+                    self.stats.loads.fetch_add(1, Ordering::Relaxed);
+                    if inner.ever_evicted.contains(uri) {
+                        self.stats.reloads.fetch_add(1, Ordering::Relaxed);
+                    }
                     self.enforce_budget_locked(&mut inner);
                 }
                 latch.publish(Ok((Arc::clone(&relation), cost)));
@@ -865,25 +521,6 @@ impl Cellar {
         }
     }
 
-    /// Admit a freshly decoded chunk as resident with one pin held by
-    /// the caller, updating byte accounting, the LRU order, and the
-    /// load/reload stats. Shared by both acquisition paths; the caller
-    /// still owes an [`Self::enforce_budget_locked`].
-    fn admit_pinned_locked(&self, inner: &mut Inner, uri: &str, relation: &Arc<Relation>) {
-        let bytes = relation.approx_bytes();
-        inner.slots.insert(
-            uri.to_string(),
-            Slot::Resident(ResidentChunk { relation: Arc::clone(relation), bytes, pins: 1 }),
-        );
-        inner.resident_bytes += bytes;
-        inner.peak_resident_bytes = inner.peak_resident_bytes.max(inner.resident_bytes);
-        inner.lru.touch(uri);
-        self.stats.loads.fetch_add(1, Ordering::Relaxed);
-        if inner.ever_evicted.contains(uri) {
-            self.stats.reloads.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// One streaming-acquisition task: pin/decode, sink, unpin. Errors
     /// (decode or sink) are recorded once; later tasks still run in
     /// full — decodes complete and publish through their latches, so an
@@ -916,104 +553,61 @@ impl Cellar {
                 payload: sommelier_engine::sched::panic_message(p.as_ref()),
             }),
         };
-        if let Some(c) = tctx.cancel {
-            if let Err(e) = c.check() {
-                record(e);
-            }
+        if let Err(e) = tctx.policy.check_cancel() {
+            record(e);
         }
-        // Pin ledger: +1 whenever this task owns a pin, -1 at its
-        // release. Classification pins (hits) are owned the moment the
-        // task starts.
-        let held = |n: i64| tctx.pin_ledger.fetch_add(n, Ordering::SeqCst);
-        match task {
+        // The chunk this task pinned, or why it has none: a failed load
+        // holds no pin (its slot was withdrawn). Every pinned chunk
+        // reaches the one release below.
+        let pinned = match task {
             StreamTask::Hit(relation) => {
-                held(1);
+                Ok(AcquiredChunk::untimed(Arc::clone(relation), false, false))
+            }
+            StreamTask::Claimed(latch) => {
+                self.load_claim(uri, latch, tctx.policy).map(|(relation, cost)| {
+                    AcquiredChunk {
+                        decode: cost,
+                        ..AcquiredChunk::untimed(relation, true, false)
+                    }
+                })
+            }
+            StreamTask::Joined(_) if aborted() => return,
+            StreamTask::Joined(latch) => match self.wait_latch(latch) {
+                (Ok((relation, _)), waited) => {
+                    self.stats.joins.fetch_add(1, Ordering::Relaxed);
+                    let relation = self.pin_or_readmit(uri, relation);
+                    Ok(AcquiredChunk {
+                        pin_wait: waited,
+                        ..AcquiredChunk::untimed(relation, false, true)
+                    })
+                }
+                // The loader's failure was retryable (or its query was
+                // cancelled); the slot was withdrawn, so re-classify
+                // once and hit, claim (with our own retry budget) or join.
+                (Err((ErrorKind::Transient, _)), _) => {
+                    let task = self.classify_locked(&mut self.inner.lock(), uri);
+                    return self.run_task(i, uri, &task, tctx);
+                }
+                (Err((kind, msg)), _) => Err(EngineError::ChunkLoad {
+                    uri: uri.to_string(),
+                    kind,
+                    message: format!("joined load failed: {msg}"),
+                }),
+            },
+        };
+        match pinned {
+            Ok(chunk) => {
                 if !aborted() {
-                    let chunk = AcquiredChunk::untimed(Arc::clone(relation), false, false);
                     sink(i, chunk);
                 }
                 self.release_uris(&[uri]);
-                held(-1);
             }
-            StreamTask::Claimed(latch) => {
-                match self.load_claim(uri, latch, tctx.cancel, tctx.tracer) {
-                    Ok((relation, cost)) => {
-                        held(1);
-                        if !aborted() {
-                            let chunk = AcquiredChunk {
-                                relation,
-                                loaded: true,
-                                joined: false,
-                                decode: cost,
-                                pin_wait: Duration::ZERO,
-                                skipped: None,
-                            };
-                            sink(i, chunk);
-                        }
-                        self.release_uris(&[uri]);
-                        held(-1);
-                    }
-                    // A failed load holds no pin (its slot was withdrawn):
-                    // a skip sinks the placeholder, strict records.
-                    Err(e) => match self.skip_or(tctx.degradation, uri, e) {
-                        Ok(chunk) => {
-                            if !aborted() {
-                                sink(i, chunk);
-                            }
-                        }
-                        Err(e) => record(e),
-                    },
-                }
-            }
-            StreamTask::Joined(latch) => {
-                if aborted() {
-                    return;
-                }
-                match self.wait_latch(latch) {
-                    (Ok((relation, _)), waited) => {
-                        self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                        let relation = self.pin_or_readmit(uri, relation);
-                        held(1);
-                        if !aborted() {
-                            let chunk = AcquiredChunk {
-                                relation,
-                                loaded: false,
-                                joined: true,
-                                decode: Duration::ZERO,
-                                pin_wait: waited,
-                                skipped: None,
-                            };
-                            sink(i, chunk);
-                        }
-                        self.release_uris(&[uri]);
-                        held(-1);
-                    }
-                    (Err((kind, msg)), _) => {
-                        if kind == ErrorKind::Transient {
-                            // The loader's failure was retryable (or
-                            // its query was cancelled); the slot was
-                            // withdrawn, so re-classify once and hit,
-                            // claim (with our own retry budget) or join.
-                            let task = self.classify_locked(&mut self.inner.lock(), uri);
-                            self.run_task(i, uri, &task, tctx);
-                        } else {
-                            let e = EngineError::ChunkLoad {
-                                uri: uri.to_string(),
-                                kind,
-                                message: format!("joined load failed: {msg}"),
-                            };
-                            match self.skip_or(tctx.degradation, uri, e) {
-                                Ok(chunk) => {
-                                    if !aborted() {
-                                        sink(i, chunk);
-                                    }
-                                }
-                                Err(e) => record(e),
-                            }
-                        }
-                    }
-                }
-            }
+            // A skip sinks the placeholder, strict records.
+            Err(e) => match self.skip_or(tctx.policy.degradation, uri, e) {
+                Ok(chunk) if !aborted() => sink(i, chunk),
+                Ok(_) => {}
+                Err(e) => record(e),
+            },
         }
     }
 
@@ -1067,12 +661,50 @@ impl ChunkResidency for Cellar {
         self.sources[i].registry.quarantined(uri)
     }
 
+    /// One streaming wave ([`Self::acquire_each`], the cellar's only
+    /// acquisition engine) whose sink keeps each chunk in its slot. For
+    /// a readable chunk the sink takes a second pin while the task still
+    /// holds its own, so every acquired chunk stays pinned from
+    /// classification or admission until [`Self::release_many`]; a
+    /// skipped placeholder holds none. On error the pins the sink took
+    /// are released before the error returns.
+    ///
+    /// Decode panics are caught per attempt in [`with_retries`] and the
+    /// re-pin runs inside `run_task`'s sink guard, so that guard is the
+    /// cellar's one `catch_unwind`.
     fn acquire_many(
         &self,
         uris: &[String],
         policy: &SchedPolicy,
     ) -> sommelier_engine::Result<Vec<AcquiredChunk>> {
-        self.acquire_impl(uris, policy)
+        // A cancelled query fails here even when pruning left no chunk.
+        policy.check_cancel()?;
+        let slots: Vec<Mutex<Option<AcquiredChunk>>> =
+            uris.iter().map(|_| Mutex::new(None)).collect();
+        let sink = |i: usize, mut chunk: AcquiredChunk| {
+            if chunk.skipped.is_none() {
+                chunk.relation = self.pin_or_readmit(&uris[i], chunk.relation);
+            }
+            *slots[i].lock() = Some(chunk);
+            Ok(())
+        };
+        let outcome = self.acquire_each(uris, policy, &sink);
+        let chunks: Vec<Option<AcquiredChunk>> =
+            slots.into_iter().map(Mutex::into_inner).collect();
+        if let Err(e) = outcome {
+            let pinned: Vec<&str> = uris
+                .iter()
+                .zip(&chunks)
+                .filter(|(_, c)| c.as_ref().is_some_and(|c| c.skipped.is_none()))
+                .map(|(u, _)| u.as_str())
+                .collect();
+            self.release_uris(&pinned);
+            return Err(e);
+        }
+        Ok(chunks
+            .into_iter()
+            .map(|c| c.expect("a successful wave sinks every chunk"))
+            .collect())
     }
 
     fn release_many(&self, uris: &[String]) {
@@ -1080,13 +712,59 @@ impl ChunkResidency for Cellar {
         self.release_uris(&refs);
     }
 
+    /// The cellar's one acquisition engine, also under
+    /// [`Self::acquire_many`]: one task per chunk — resident chunks go
+    /// straight to the sink, misses decode first (claiming a
+    /// single-flight latch), joins wait on the other loader's latch.
+    /// Pins are dropped chunk by chunk — a hit stays pinned from
+    /// classification until its sink returns, a decoded chunk from
+    /// admission until its sink returns — so a query's working set
+    /// never needs to fit the budget at once and eviction interleaves
+    /// with execution (`resident_bytes` may transiently sit above
+    /// budget while a wave's hits await their sink calls).
+    ///
+    /// The tasks are drained in two passes: hits and claimed loads
+    /// first, as one morsel batch (hits ahead of claims, so their pins
+    /// drop earliest), then joins, inline on the submitting thread.
+    /// Neither hits nor claims ever wait on a latch, so pool workers
+    /// never block: a join waits on another wave's claim, which is
+    /// running or queued on the pool behind non-blocking tasks and so
+    /// always publishes. Joins on the pool could deadlock two
+    /// concurrent waves that each join chunks the other claimed (all
+    /// workers blocked in `LoadLatch::wait` while the publishing tasks
+    /// sit queued behind them).
     fn acquire_each(
         &self,
         uris: &[String],
         policy: &SchedPolicy,
         sink: &ChunkSink<'_>,
     ) -> sommelier_engine::Result<()> {
-        self.acquire_each_impl(uris, policy, sink)
+        if uris.is_empty() {
+            return Ok(());
+        }
+        // A cancel before classification means no pins were ever taken.
+        policy.check_cancel()?;
+        // Phase 1: classify under the lock. Hits are pinned right away
+        // so a concurrent release cannot evict them before their sink
+        // runs; misses install the in-flight latch.
+        let tasks: Vec<StreamTask> = {
+            let mut inner = self.inner.lock();
+            uris.iter().map(|uri| self.classify_locked(&mut inner, uri)).collect()
+        };
+        let (mut eager, joins): (Vec<usize>, Vec<usize>) =
+            (0..uris.len()).partition(|&i| !matches!(tasks[i], StreamTask::Joined(_)));
+        eager.sort_by_key(|&i| matches!(tasks[i], StreamTask::Claimed(_)));
+
+        // Phase 2: drain the two passes (see above); each task decodes
+        // (if needed), sinks, unpins.
+        let tctx = TaskCtx { sink, first_error: Mutex::new(None), policy };
+        let run = |&i: &usize| self.run_task(i, &uris[i], &tasks[i], &tctx);
+        run_indexed_policy(eager.len(), policy, &self.config.obs, |k| run(&eager[k]));
+        joins.iter().for_each(&run);
+        match tctx.first_error.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 
     fn all_chunks(&self) -> sommelier_engine::Result<Vec<String>> {
@@ -1708,6 +1386,7 @@ mod tests {
     // ---- Fault tolerance ---------------------------------------------
 
     use crate::fault::{io_retries, FaultInjector, FaultPlan};
+    use sommelier_engine::sched::CancelToken;
 
     /// Like [`binding`], but every decode is gated through a fault
     /// injector executing `plan`.
@@ -1845,6 +1524,141 @@ mod tests {
         assert!(skipped[0].1.contains("bad magic"));
         assert_eq!(cellar.total_pins(), 0);
         assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_some());
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// A relation's columns, floats by their bit patterns.
+    fn bits(rel: &Relation) -> Vec<(String, String)> {
+        let render = |c: &ColumnData| match c {
+            ColumnData::Float64(v) => {
+                format!("{:x?}", v.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
+            }
+            other => format!("{other:?}"),
+        };
+        rel.columns().iter().map(|(name, c)| (name.clone(), render(c))).collect()
+    }
+
+    #[test]
+    fn seeded_interleavings_keep_pins_budget_and_answers() {
+        // Four threads draw load-all (`acquire_many` + `release_many`)
+        // or streaming (`acquire_each`) waves over random subsets of six
+        // chunks, against a budget of ~1.5 chunks, under transient
+        // faults. One retry and two faults per chunk mean a chunk fails
+        // at most one load in the whole run (both attempts faulted), so
+        // errors, placeholders and joiners' re-classification all occur,
+        // and a chunk that failed once always loads afterwards.
+        let fx = fixture("interleave", 6, 16);
+        let all = uris(&fx);
+        let reference: HashMap<String, Vec<(String, String)>> = {
+            let clean = cellar_over(&fx, CellarConfig::default());
+            all.iter()
+                .map(|u| (u.clone(), bits(&clean.sources[0].source.load_chunk(u).unwrap())))
+                .collect()
+        };
+        let one = chunk_bytes(&cellar_over(&fx, CellarConfig::default()), &all[0]);
+        let retry = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
+        for (seed, degradation) in [
+            (1u64, DegradationPolicy::Strict),
+            (2, DegradationPolicy::SkipUnreadable),
+            (3, DegradationPolicy::Strict),
+            (4, DegradationPolicy::SkipUnreadable),
+        ] {
+            let plan =
+                FaultPlan { seed, max_transient_per_chunk: 2, ..FaultPlan::transient(0.5) };
+            let config = CellarConfig {
+                budget_bytes: one + one / 2,
+                retry,
+                ..CellarConfig::default()
+            };
+            let cellar = faulty_cellar(&fx, plan, config);
+            // Only transient faults are injected: a strict wave may fail
+            // with one, a skipping wave never fails.
+            let check = |r: sommelier_engine::Result<()>| match r {
+                Ok(()) => {}
+                Err(e) => {
+                    assert_eq!(degradation, DegradationPolicy::Strict, "{e}");
+                    assert_eq!(e.kind(), ErrorKind::Transient, "{e}");
+                }
+            };
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let (cellar, all, reference, start) = (&cellar, &all, &reference, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut rng = Rng(seed << 8 | t);
+                        let mut policy =
+                            if t % 2 == 0 { pooled() } else { SchedPolicy::default() };
+                        policy.degradation = degradation;
+                        for _ in 0..24 {
+                            let subset: Vec<String> = all
+                                .iter()
+                                .filter(|_| rng.next().is_multiple_of(2))
+                                .cloned()
+                                .collect();
+                            if rng.next().is_multiple_of(2) {
+                                let got = cellar.acquire_many(&subset, &policy).map(|got| {
+                                    // A skipped placeholder holds no pin.
+                                    let held: Vec<String> = subset
+                                        .iter()
+                                        .zip(&got)
+                                        .filter(|(_, c)| c.skipped.is_none())
+                                        .map(|(uri, c)| {
+                                            assert!(
+                                                bits(&c.relation) == reference[uri],
+                                                "{uri}"
+                                            );
+                                            uri.clone()
+                                        })
+                                        .collect();
+                                    assert!(cellar.total_pins() >= held.len());
+                                    cellar.release_many(&held);
+                                });
+                                check(got);
+                            } else {
+                                let sink = |i: usize, c: AcquiredChunk| {
+                                    if c.skipped.is_none() {
+                                        assert!(bits(&c.relation) == reference[&subset[i]]);
+                                    }
+                                    Ok(())
+                                };
+                                check(cellar.acquire_each(&subset, &policy, &sink));
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(cellar.total_pins(), 0, "seed {seed}");
+            assert!(cellar.resident_bytes() <= cellar.budget_bytes(), "seed {seed}");
+            assert!(
+                !cellar.inner.lock().slots.values().any(|s| matches!(s, Slot::Loading(_))),
+                "seed {seed}: a latch stayed loading"
+            );
+            // A chunk whose fault budget is not yet spent may fail one
+            // more load; the wave after that one loads everything.
+            let strict = SchedPolicy::default();
+            let got = cellar
+                .acquire_many(&all, &strict)
+                .or_else(|_| cellar.acquire_many(&all, &strict))
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            for (uri, c) in all.iter().zip(&got) {
+                assert!(bits(&c.relation) == reference[uri], "seed {seed}: {uri}");
+            }
+            cellar.release_many(&all);
+            assert_eq!(cellar.total_pins(), 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -180,8 +180,12 @@ pub struct DegradedReport {
 /// `Default` reproduces [`Sommelier::query`] exactly.
 #[derive(Clone, Debug, Default)]
 pub struct QueryOptions {
-    /// Deterministic chunk-sampling fraction in `(0, 1]` (approximate
-    /// execution, like [`Sommelier::query_approx`]); `None` is exact.
+    /// Deterministic chunk-sampling fraction in `(0, 1]`; `None` is
+    /// exact. Approximate execution (the paper's §VIII future-work
+    /// sketch): in lazy mode only this fraction of the selected chunks
+    /// is ingested, so `AVG`/`MIN`/`MAX` are estimated from the sample
+    /// while `COUNT` and `SUM` scale down with it. Eager modes have all
+    /// data loaded and answer exactly.
     pub sampling: Option<f64>,
     /// Scheduling priority: position in the admission queue and of the
     /// query's morsel batches on the shared scheduler.
@@ -454,7 +458,7 @@ pub struct Sommelier {
 
 /// A compiled query, ready to plan: routed to its source, classified,
 /// with the source's inference rules applied. One pipeline feeds
-/// [`Sommelier::query`], [`Sommelier::query_approx`],
+/// [`Sommelier::query`], [`Sommelier::query_opts`],
 /// [`Sommelier::query_spec`] and [`Sommelier::explain`].
 struct CompiledQuery {
     source_idx: usize,
@@ -662,12 +666,7 @@ impl Sommelier {
             for s in &self.sources {
                 if s.descriptor.dmd.is_some() {
                     dmd::derive_all(&self.db, &s.dmd, &s.descriptor, &|spec| {
-                        self.run_spec(spec, false).map(|r| QueryOutcome {
-                            relation: r.relation,
-                            stats: r.stats,
-                            trace: r.trace,
-                            skipped: Vec::new(),
-                        })
+                        self.run_derivation(spec)
                     })?;
                 }
             }
@@ -803,27 +802,22 @@ impl Sommelier {
         }
     }
 
+    /// Run one internal DMd derivation query, exactly and without
+    /// Algorithm 1 (derivation queries are T4-shaped and cannot
+    /// recurse).
+    fn run_derivation(&self, spec: QuerySpec) -> Result<QueryOutcome> {
+        let r = self.run_spec_opts(spec, false, false, &QueryOptions::default())?;
+        Ok(QueryOutcome {
+            relation: r.relation,
+            stats: r.stats,
+            trace: r.trace,
+            skipped: Vec::new(),
+        })
+    }
+
     /// Execute a bound spec. `check_dmd` runs Algorithm 1 first when the
     /// query refers to derived metadata (internal derivation queries
-    /// pass `false`; they are T4-shaped and cannot recurse anyway).
-    fn run_spec(&self, spec: QuerySpec, check_dmd: bool) -> Result<QueryResult> {
-        self.run_spec_sampled(spec, check_dmd, None)
-    }
-
-    fn run_spec_sampled(
-        &self,
-        spec: QuerySpec,
-        check_dmd: bool,
-        sampling: Option<f64>,
-    ) -> Result<QueryResult> {
-        self.run_spec_opts(
-            spec,
-            check_dmd,
-            false,
-            &QueryOptions { sampling, ..Default::default() },
-        )
-    }
-
+    /// pass `false`).
     fn run_spec_opts(
         &self,
         spec: QuerySpec,
@@ -932,14 +926,7 @@ impl Sommelier {
                 &source.dmd,
                 &source.descriptor,
                 &compiled.spec,
-                &|s| {
-                    self.run_spec(s, false).map(|r| QueryOutcome {
-                        relation: r.relation,
-                        stats: r.stats,
-                        trace: r.trace,
-                        skipped: Vec::new(),
-                    })
-                },
+                &|s| self.run_derivation(s),
             )?)
         } else {
             None
@@ -1129,25 +1116,9 @@ impl Sommelier {
         self.admission.stats()
     }
 
-    /// Compile and run a SQL query *approximately* (the paper's §VIII
-    /// future-work sketch): in lazy mode, only `fraction` of the
-    /// selected chunks are ingested (deterministic sample). Aggregates
-    /// like `AVG`/`MIN`/`MAX` are estimated from the sample; `COUNT`
-    /// and `SUM` scale down with the fraction. In eager modes this is
-    /// identical to [`Sommelier::query`] (all data already loaded).
-    pub fn query_approx(&self, sql: &str, fraction: f64) -> Result<QueryResult> {
-        if !(0.0..=1.0).contains(&fraction) || fraction == 0.0 {
-            return Err(SommelierError::Usage(format!(
-                "sampling fraction must be in (0, 1], got {fraction}"
-            )));
-        }
-        let spec = sommelier_sql::compile(sql, &self.catalog)?;
-        self.run_spec_sampled(spec, true, Some(fraction))
-    }
-
     /// Run an already-bound spec (programmatic clients, benches).
     pub fn query_spec(&self, spec: QuerySpec) -> Result<QueryResult> {
-        self.run_spec(spec, true)
+        self.run_spec_opts(spec, true, false, &QueryOptions::default())
     }
 
     /// The plan a query would run, as text (EXPLAIN): the logical plan,

@@ -144,9 +144,10 @@ pub trait ChunkResidency: Send + Sync {
     fn is_resident(&self, uri: &str) -> bool;
 
     /// Pin and return every chunk in `uris`, loading the missing ones
-    /// under the given scheduling policy (mode, thread cap, shared
-    /// scheduler, priority, cancellation). On error the manager must
-    /// have released any pins it took. The result aligns with `uris`.
+    /// under the given scheduling policy (shared scheduler, priority,
+    /// cancellation, degradation). On error the manager must have
+    /// released any pins it took. The result aligns with `uris`; a
+    /// skipped placeholder holds no pin.
     ///
     /// Chunks are decoded full width: they stay resident after their
     /// pins drop, so a later query over other columns still hits.

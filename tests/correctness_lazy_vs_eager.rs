@@ -8,7 +8,7 @@ use sommelier_integration::{ingv_repo, prepared, TempDir};
 use sommelier_storage::Value;
 
 /// The five benchmark queries over the same small dataset, then two
-/// more shapes of the per-chunk join.
+/// more shapes of the per-chunk join and one raw-row scan.
 fn queries() -> Vec<(&'static str, String)> {
     vec![
         (
@@ -71,6 +71,15 @@ fn queries() -> Vec<(&'static str, String)> {
             "SELECT COUNT(*) AS n, AVG(D.sample_value) AS a FROM dataview \
              WHERE D.sample_time >= '2010-01-01T03:00:00.000' \
              AND D.sample_time < '2010-01-02T21:00:00.000'"
+                .to_string(),
+        ),
+        (
+            // Raw rows, no aggregate: not a fused shape, so the chunks
+            // are acquired all at once and pinned across stage 2.
+            "T4 raw rows",
+            "SELECT F.station, D.sample_time, D.sample_value FROM dataview \
+             WHERE D.sample_time >= '2010-01-01T03:00:00.000' \
+             AND D.sample_time < '2010-01-01T03:10:00.000'"
                 .to_string(),
         ),
     ]

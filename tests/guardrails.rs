@@ -46,6 +46,14 @@
 //! decode-cost-aware policy (measured slower on the evicting workloads)
 //! and the `cellar_policy` knob were removed.
 //!
+//! The cellar has one acquisition engine, the streaming wave:
+//! `acquire_many` is a sink over it that keeps every chunk pinned until
+//! `release_many`. The load-all engine — `settle_acquired`,
+//! `settle_retry`, `decode_claims` and its own `catch_unwind` — was
+//! removed. Approximate answers are `QueryOptions::sampling` through
+//! `query_opts`; `query_approx` and the `run_spec`/`run_spec_sampled`
+//! wrappers were removed.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -101,7 +109,7 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("stage2_workers", "a wave's worker cap is the shared pool's size"),
     ("ChunkUnit", "stage 2 decodes one task per whole chunk"),
     ("fn chunk_units", "stage 2 decodes one task per whole chunk"),
-    ("decode_exchange", "Cellar::decode_claims is the static wave"),
+    ("decode_exchange", "the cellar's streaming wave decodes one task per chunk"),
     ("fn decode_segment", "chunks decode whole through SourceAdapter::decode"),
     ("fn read_full_bytes(", "the decode path reads through read_full_bytes_into"),
     ("decode.units", "one decode task per chunk: decode.chunks counts them"),
@@ -112,6 +120,11 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("CostAwarePolicy", "LRU measured faster on prune_window and server_mix"),
     ("cellar_policy", "the cellar always evicts least recently used first"),
     ("fn policy_name", "the cellar always evicts least recently used first"),
+    ("fn settle_acquired", "acquire_many is a sink over the streaming wave"),
+    ("fn settle_retry", "acquire_many is a sink over the streaming wave"),
+    ("fn decode_claims", "acquire_many is a sink over the streaming wave"),
+    ("fn query_approx", "query_opts with QueryOptions::sampling"),
+    ("fn run_spec_sampled", "run_spec_opts with QueryOptions::sampling"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.

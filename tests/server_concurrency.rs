@@ -289,8 +289,7 @@ fn cancellation_mid_query_leaves_no_pinned_chunks() {
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, ServerError::Cancelled), "round {round}: got {err}");
         // The regression this guards: a cancelled wave must release
-        // every pin it took (debug builds also assert this inside the
-        // cellar's pin ledger).
+        // every pin it took.
         assert_eq!(cellar.total_pins(), 0, "round {round}: cancel leaked pins");
     }
     // And the system is still fully usable afterwards.
