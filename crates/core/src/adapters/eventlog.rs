@@ -517,6 +517,10 @@ impl EventLogAdapter {
         let id_col = want("E.log_id").then(|| b.add("E.log_id", DataType::Int64, events));
         let ts_col = want("E.ts").then(|| b.add("E.ts", DataType::Timestamp, events));
         let val_col = want("E.val").then(|| b.add("E.val", DataType::Float64, events));
+        // `E.log_id` is constant; `E.ts` is flagged sorted only if this
+        // pass sees it never decrease.
+        let mut ts_sorted = true;
+        let mut prev_ts = i64::MIN;
         for line in text.lines().skip(1) {
             if line.is_empty() {
                 continue;
@@ -530,6 +534,8 @@ impl EventLogAdapter {
             // materialized (the projection-pushdown decode path).
             let t = t.parse::<i64>().map_err(|_| bad())?;
             let v = v.parse::<f64>().map_err(|_| bad())?;
+            ts_sorted &= prev_ts <= t;
+            prev_ts = t;
             if let Some(c) = id_col {
                 b.i64_mut(c).push(entry.file_id);
             }
@@ -539,6 +545,12 @@ impl EventLogAdapter {
             if let Some(c) = val_col {
                 b.f64_mut(c).push(v);
             }
+        }
+        if let Some(c) = id_col {
+            b.mark_sorted(c);
+        }
+        if let Some(c) = ts_col.filter(|_| ts_sorted) {
+            b.mark_sorted(c);
         }
         b.finish()
     }

@@ -380,8 +380,8 @@ pub(crate) fn extract_key_space<'a>(
         if table != &dmd.table {
             continue;
         }
-        for conjunct in pred.clone().split_conjunction() {
-            let Expr::Cmp(op, lhs, rhs) = &conjunct else { continue };
+        for conjunct in pred.conjuncts() {
+            let Expr::Cmp(op, lhs, rhs) = conjunct else { continue };
             let (op, col, lit) = match (&**lhs, &**rhs) {
                 (Expr::Col(c), Expr::Lit(v)) => (*op, c.as_str(), v.clone()),
                 (Expr::Lit(v), Expr::Col(c)) => (op.flip(), c.as_str(), v.clone()),

@@ -96,8 +96,8 @@ pub fn apply_inference_rules(spec: &mut QuerySpec, rules: &[InferenceRule]) {
             if table != ad_table {
                 continue;
             }
-            for conjunct in pred.clone().split_conjunction() {
-                let Expr::Cmp(op, lhs, rhs) = &conjunct else { continue };
+            for conjunct in pred.conjuncts() {
+                let Expr::Cmp(op, lhs, rhs) = conjunct else { continue };
                 // Normalize to column-on-left.
                 let (op, col, lit) = match (&**lhs, &**rhs) {
                     (Expr::Col(c), Expr::Lit(v)) => (*op, c.as_str(), v),

@@ -22,13 +22,15 @@
 //! empty relation (this engine's columns carry no NULLs; the paper's
 //! workload never aggregates empty inputs).
 
+use crate::candidates::Candidates;
 use crate::error::{EngineError, Result};
-use crate::eval::eval_column;
 use crate::expr::{AggFunc, Expr};
 use crate::relation::Relation;
 use sommelier_storage::index::{hash_row, key_run_end, rows_equal};
 use sommelier_storage::{ColumnData, DataType};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Running state for one aggregate over one group.
 #[derive(Debug, Clone)]
@@ -158,9 +160,26 @@ pub fn partial_aggregate(
     group_by: &[(String, Expr)],
     aggs: &[(String, AggFunc, Expr)],
 ) -> Result<PartialAgg> {
+    // Share the columns, not the provenance: aggregation never reads
+    // it, and cloning it would copy a row list.
+    let rel = Relation::from_shared(input.columns().to_vec())?;
+    partial_aggregate_over(&Candidates::all(rel), group_by, aggs)
+}
+
+/// [`partial_aggregate`] over the candidate rows of a relation: plain
+/// column arguments fold slice by slice straight from the relation's
+/// payload, `COUNT` without `GROUP BY` sums the range lengths, and
+/// group keys and computed arguments are evaluated over the candidates.
+/// Rows fold in ascending order, so the states are bit-identical to
+/// aggregating the gathered rows.
+pub(crate) fn partial_aggregate_over(
+    input: &Candidates,
+    group_by: &[(String, Expr)],
+    aggs: &[(String, AggFunc, Expr)],
+) -> Result<PartialAgg> {
     let rows = input.rows();
     let key_cols =
-        group_by.iter().map(|(_, e)| eval_column(e, input)).collect::<Result<Vec<_>>>()?;
+        group_by.iter().map(|(_, e)| input.column(e)).collect::<Result<Vec<_>>>()?;
     let key_refs: Vec<&ColumnData> = key_cols.iter().map(|c| c.as_ref()).collect();
 
     // Group discovery (representative row per group); a global
@@ -177,31 +196,37 @@ pub fn partial_aggregate(
 
     let mut states: Vec<Vec<AggState>> = vec![vec![AggState::new(); aggs.len()]; reps.len()];
     let mut arg_types = Vec::with_capacity(aggs.len());
+    let dense = 0..rows;
     for (ai, (_, func, e)) in aggs.iter().enumerate() {
-        if *func == AggFunc::Count {
+        // A plain column is read in place, range by range; anything
+        // else is evaluated over the candidates first.
+        let (col, ranges) = match e {
+            Expr::Col(name) => {
+                (Cow::Borrowed(input.relation().column(name)?), input.ranges())
+            }
             // COUNT reads no values, only its argument's type; a
             // literal argument (`COUNT(*)`) is never broadcast.
-            let lit_type = if let Expr::Lit(v) = e { v.data_type() } else { None };
-            arg_types.push(match lit_type {
-                Some(t) => t,
-                None => eval_column(e, input)?.data_type(),
-            });
-            count_rows(&mut states, ai, group_of.as_deref(), rows);
-            continue;
-        }
-        let col = eval_column(e, input)?;
+            Expr::Lit(v) if *func == AggFunc::Count && v.data_type().is_some() => {
+                arg_types.push(v.data_type().expect("checked"));
+                count_rows(&mut states, ai, group_of.as_deref(), rows);
+                continue;
+            }
+            _ => (input.column(e)?, std::slice::from_ref(&dense)),
+        };
         arg_types.push(col.data_type());
-        match col.as_ref() {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
-                fold(&mut states, ai, group_of.as_deref(), v, AggState::update_i)
+        let group_of = group_of.as_deref();
+        match (func, col.as_ref()) {
+            (AggFunc::Count, _) => count_rows(&mut states, ai, group_of, rows),
+            (_, ColumnData::Int64(v) | ColumnData::Timestamp(v)) => {
+                fold(&mut states, ai, group_of, slices(v, ranges), AggState::update_i)
             }
-            ColumnData::Float64(v) => {
-                fold(&mut states, ai, group_of.as_deref(), v, AggState::update_f)
+            (_, ColumnData::Float64(v)) => {
+                fold(&mut states, ai, group_of, slices(v, ranges), AggState::update_f)
             }
-            ColumnData::Text(_) if rows > 0 => {
+            (_, ColumnData::Text(_)) if rows > 0 => {
                 return Err(EngineError::Exec(format!("{} over text column", func.name())));
             }
-            ColumnData::Text(_) => {}
+            (_, ColumnData::Text(_)) => {}
         }
     }
 
@@ -210,6 +235,11 @@ pub fn partial_aggregate(
         states,
         arg_types,
     })
+}
+
+/// The slices of `v` that `ranges` select, in order.
+fn slices<'v, T>(v: &'v [T], ranges: &'v [Range<usize>]) -> impl Iterator<Item = &'v [T]> {
+    ranges.iter().map(move |r| &v[r.clone()])
 }
 
 /// Assign every row its group id, creating groups (and their
@@ -238,24 +268,31 @@ fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Ve
     group_of
 }
 
-/// Fold `values` into aggregate `ai`'s states, in row order.
-fn fold<T: Copy>(
+/// Fold `values` (slices in row order) into aggregate `ai`'s states.
+fn fold<'v, T: Copy + 'v>(
     states: &mut [Vec<AggState>],
     ai: usize,
     group_of: Option<&[u32]>,
-    values: &[T],
+    values: impl Iterator<Item = &'v [T]>,
     update: impl Fn(&mut AggState, T),
 ) {
     match group_of {
         Some(groups) => {
-            for (&g, &v) in groups.iter().zip(values) {
-                update(&mut states[g as usize][ai], v);
+            let mut start = 0;
+            for slice in values {
+                let slice_groups = &groups[start..start + slice.len()];
+                for (&g, &v) in slice_groups.iter().zip(slice) {
+                    update(&mut states[g as usize][ai], v);
+                }
+                start += slice.len();
             }
         }
         None => {
             if let Some(st) = states.first_mut().map(|s| &mut s[ai]) {
-                for &v in values {
-                    update(st, v);
+                for slice in values {
+                    for &v in slice {
+                        update(st, v);
+                    }
                 }
             }
         }

@@ -21,8 +21,8 @@ pub fn eval_scalar(expr: &Expr, rel: &Relation) -> Result<ColumnData> {
         Expr::Col(name) => Ok(rel.column(name)?.clone()),
         Expr::Lit(v) => broadcast(v, rel.rows()),
         Expr::Arith(op, a, b) => {
-            let ca = eval_scalar(a, rel)?;
-            let cb = eval_scalar(b, rel)?;
+            let ca = eval_column(a, rel)?;
+            let cb = eval_column(b, rel)?;
             arith(*op, &ca, &cb)
         }
         Expr::Call(f, args) => call(*f, args, rel),
@@ -145,10 +145,12 @@ fn arith(op: ArithOp, a: &ColumnData, b: &ColumnData) -> Result<ColumnData> {
 }
 
 fn call(f: Func, args: &[Expr], rel: &Relation) -> Result<ColumnData> {
-    let arg = |i: usize| -> Result<ColumnData> {
+    // Arguments that name a column borrow it; only computed ones
+    // materialize.
+    let arg = |i: usize| -> Result<Cow<'_, ColumnData>> {
         args.get(i)
             .ok_or_else(|| EngineError::Exec(format!("{} missing argument {i}", f.name())))
-            .and_then(|e| eval_scalar(e, rel))
+            .and_then(|e| eval_column(e, rel))
     };
     match f {
         Func::HourBucket | Func::DayBucket => {
@@ -179,7 +181,7 @@ fn call(f: Func, args: &[Expr], rel: &Relation) -> Result<ColumnData> {
         }
         Func::Abs => {
             let c = arg(0)?;
-            Ok(match c {
+            Ok(match c.as_ref() {
                 ColumnData::Int64(v) => {
                     ColumnData::Int64(v.iter().map(|&x| x.abs()).collect())
                 }

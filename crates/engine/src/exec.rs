@@ -18,7 +18,8 @@
 //! one, inline on the caller otherwise. Results are combined in chunk
 //! order, so the output is independent of the worker count.
 
-use crate::agg::{aggregate, distinct, merge_partials, partial_aggregate, PartialAgg};
+use crate::agg::{aggregate, distinct, merge_partials, partial_aggregate_over, PartialAgg};
+use crate::candidates::Candidates;
 use crate::error::{EngineError, Result};
 use crate::eval::{eval_mask, eval_scalar};
 use crate::expr::Expr;
@@ -129,6 +130,17 @@ fn empty_chunk_schema(db: &Database, table: &str, columns: &[String]) -> Result<
 /// selection, optional probe of a shared pre-built join side, residual
 /// filter. Shared by the executor's morsel-parallel operators and the
 /// two-stage driver's fused decode→execute wave.
+///
+/// The pipeline carries a candidate list — ascending, disjoint row
+/// ranges over the chunk's shared columns — rather than copying the
+/// surviving rows at each step: comparisons between a literal and a
+/// column the decoder flagged sorted become binary-searched bounds,
+/// other conjuncts are evaluated on candidate rows only, a probe on
+/// sorted keys keeps uniquely matched key runs as ranges, and partial
+/// aggregation folds the ranges in place. A probe on unsorted keys, a
+/// fan-out probe, kept build columns or a computed projection gather
+/// the candidates once and continue over the copy;
+/// [`ChunkPipeline::run`] gathers them at the end.
 pub struct ChunkPipeline<'a> {
     /// Qualified output columns of the chunk scan.
     pub columns: &'a [String],
@@ -143,8 +155,35 @@ pub struct ChunkPipeline<'a> {
 }
 
 impl ChunkPipeline<'_> {
-    /// Run the pipeline over one chunk's rows.
+    /// The candidate rows of one chunk after every pipeline step.
+    pub(crate) fn candidates(&self, chunk: &Relation) -> Result<Candidates> {
+        let part = chunk.project_named(self.columns.iter().map(|c| (&**c, &**c)))?;
+        let mut cands = Candidates::all(part);
+        if let Some(p) = self.predicate {
+            cands.filter(p)?;
+        }
+        if let Some((build, probe_keys)) = self.build {
+            cands = build.probe_candidates(cands, probe_keys)?;
+        }
+        for op in self.ops {
+            match op {
+                ChunkOp::Filter(p) => cands.filter(p)?,
+                ChunkOp::Project(exprs) => cands = cands.project(exprs)?,
+            }
+        }
+        Ok(cands)
+    }
+
+    /// Run the pipeline over one chunk's rows, gathering the result.
     pub fn run(&self, chunk: &Relation) -> Result<Relation> {
+        Ok(self.candidates(chunk)?.materialize())
+    }
+
+    /// The pipeline's mask-then-copy form, kept as the oracle of the
+    /// candidate-list pipeline: every step filters or gathers the
+    /// surviving rows into a new relation.
+    #[cfg(test)]
+    pub(crate) fn run_masked(&self, chunk: &Relation) -> Result<Relation> {
         let mut part = chunk.project_named(self.columns.iter().map(|c| (&**c, &**c)))?;
         if let Some(p) = self.predicate {
             let mask = eval_mask(p, &part)?;
@@ -160,10 +199,6 @@ impl ChunkPipeline<'_> {
                     part = part.filter(&mask);
                 }
                 ChunkOp::Project(exprs) => {
-                    // Plain column references share the source payload
-                    // (zero-copy, like `project_named`); only computed
-                    // expressions materialize a new column. This runs
-                    // once per chunk on the ingest hot path.
                     let cols = exprs
                         .iter()
                         .map(|(name, e)| {
@@ -342,8 +377,8 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
                     ctx.sched.check_cancel()?;
                     let tracer = ctx.obs.tracer();
                     let t0 = tracer.map(|tc| tc.now_ns());
-                    let part = pipeline.run(rels[i])?;
-                    let agg = partial_aggregate(&part, group_by, aggs);
+                    let part = pipeline.candidates(rels[i])?;
+                    let agg = partial_aggregate_over(&part, group_by, aggs);
                     if let (Some(tc), Some(t0)) = (tracer, t0) {
                         tc.record(
                             tc.ambient(),

@@ -258,7 +258,33 @@ impl Expr {
         }
     }
 
-    /// Split a conjunction into its factors.
+    /// The factors of a conjunction, borrowed.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        match self {
+            Expr::And(a, b) => {
+                let mut out = a.conjuncts();
+                out.extend(b.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
+
+    /// A comparison between a column and a literal (on either side),
+    /// normalized to `column op literal`: the shape a sorted column
+    /// answers with a binary search. `<>` does not qualify.
+    pub fn as_range(&self) -> Option<(&str, CmpOp, &Value)> {
+        let Expr::Cmp(op, a, b) = self else { return None };
+        match (&**a, &**b) {
+            _ if *op == CmpOp::Ne => None,
+            (Expr::Col(c), Expr::Lit(v)) => Some((c, *op, v)),
+            (Expr::Lit(v), Expr::Col(c)) => Some((c, op.flip(), v)),
+            _ => None,
+        }
+    }
+
+    /// Split a conjunction into its factors, owned (see
+    /// [`Expr::conjuncts`] to borrow them).
     pub fn split_conjunction(self) -> Vec<Expr> {
         match self {
             Expr::And(a, b) => {

@@ -1,12 +1,15 @@
 //! Join implementations: multi-key hash join, cross join, and the
 //! index join over a materialized FK join index.
 
+use crate::candidates::{push_range, run_end, Candidates};
 use crate::error::{EngineError, Result};
 use crate::eval::{eval_column, eval_mask, eval_scalar};
-use crate::expr::Expr;
+use crate::expr::{Expr, Func};
 use crate::relation::Relation;
 use sommelier_storage::index::{key_run_end, HashIndex};
-use sommelier_storage::ColumnData;
+use sommelier_storage::time::{MS_PER_DAY, MS_PER_HOUR};
+use sommelier_storage::{ColumnData, Value};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Concatenate the columns of two row-aligned gathers into one relation,
@@ -108,6 +111,123 @@ impl JoinBuild {
         };
         out.hconcat(&self.right.take(&right_idx))
     }
+
+    /// Probe the candidate rows of a chunk. When the build keeps no
+    /// column and every probe key is a sorted column (or an
+    /// hour/day/time bucket of one), run ends are found by binary
+    /// search and each key is evaluated at its run's start only: a run
+    /// that hits exactly one build row stays a candidate range and a
+    /// run that hits none is dropped, so no row is copied. Otherwise
+    /// (unsorted keys, kept build columns, a run hitting several build
+    /// rows) the candidates are gathered and probed by
+    /// [`JoinBuild::probe`].
+    pub(crate) fn probe_candidates(
+        &self,
+        mut cands: Candidates,
+        left_keys: &[Expr],
+    ) -> Result<Candidates> {
+        if left_keys.len() != self.keys.len() {
+            return Err(EngineError::Exec("hash join key arity mismatch".into()));
+        }
+        if self.right.width() == 0 {
+            if let Some(keys) = sorted_keys(cands.relation(), left_keys) {
+                if let Some(ranges) = self.sorted_runs(cands.ranges(), &keys) {
+                    cands.set_ranges(ranges);
+                    return Ok(cands);
+                }
+            }
+        }
+        Ok(Candidates::all(self.probe(&cands.materialize(), left_keys)?))
+    }
+
+    /// The unique-match runs of sorted probe keys inside `ranges`, or
+    /// `None` at the first run hitting several build rows.
+    fn sorted_runs(
+        &self,
+        ranges: &[Range<usize>],
+        keys: &[SortedKey],
+    ) -> Option<Vec<Range<usize>>> {
+        let rk_refs: Vec<&ColumnData> = self.keys.iter().map(|k| &**k).collect();
+        // One-row key columns, rewritten at each run's start (integer
+        // and timestamp keys hash and compare alike).
+        let mut at: Vec<ColumnData> =
+            keys.iter().map(|_| ColumnData::Int64(vec![0])).collect();
+        let mut out = Vec::new();
+        let mut hits = Vec::new();
+        for r in ranges {
+            let mut start = r.start;
+            while start < r.end {
+                let mut end = r.end;
+                for (k, col) in keys.iter().zip(&mut at) {
+                    let key = k.at(start);
+                    end = run_end(start, end, |i| k.at(i) == key);
+                    if let ColumnData::Int64(v) = col {
+                        v[0] = key;
+                    }
+                }
+                hits.clear();
+                let at_refs: Vec<&ColumnData> = at.iter().collect();
+                self.index.probe_into(&rk_refs, &at_refs, 0, &mut hits);
+                match hits.len() {
+                    0 => {}
+                    1 => push_range(&mut out, start..end),
+                    _ => return None,
+                }
+                start = end;
+            }
+        }
+        Some(out)
+    }
+}
+
+/// A probe key whose value never decreases along a sorted column: the
+/// column itself, or a fixed-width bucket of it.
+struct SortedKey<'a> {
+    values: &'a [i64],
+    /// Bucket width (`None`: the column's own value).
+    width: Option<i64>,
+}
+
+impl SortedKey<'_> {
+    /// The key at row `i`, as the row-wise evaluation computes it.
+    fn at(&self, i: usize) -> i64 {
+        let t = self.values[i];
+        match self.width {
+            Some(w) => t.div_euclid(w) * w,
+            None => t,
+        }
+    }
+}
+
+/// Every probe key as a [`SortedKey`] over `rel`, or `None` if one is
+/// not a sorted column or a bucket of one.
+fn sorted_keys<'r>(rel: &'r Relation, keys: &[Expr]) -> Option<Vec<SortedKey<'r>>> {
+    keys.iter()
+        .map(|k| {
+            let (name, width) = match k {
+                Expr::Col(name) => (name, None),
+                Expr::Call(f, args) => {
+                    let width = match (f, args.as_slice()) {
+                        (Func::HourBucket, [_]) => MS_PER_HOUR,
+                        (Func::DayBucket, [_]) => MS_PER_DAY,
+                        (
+                            Func::TimeBucket,
+                            [_, Expr::Lit(Value::Int(w) | Value::Time(w))],
+                        ) if *w > 0 => *w,
+                        _ => return None,
+                    };
+                    let Expr::Col(name) = &args[0] else { return None };
+                    (name, Some(width))
+                }
+                _ => return None,
+            };
+            let i = rel.resolve(name).ok()?;
+            if !rel.is_sorted(i) {
+                return None;
+            }
+            Some(SortedKey { values: rel.column_at(i).as_i64().ok()?, width })
+        })
+        .collect()
 }
 
 /// Inner equi-join: hash-build on `right`, probe with `left`.

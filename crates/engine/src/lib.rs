@@ -28,9 +28,12 @@
 //!   cellar, which stands in for MonetDB's Recycler).
 //!
 //! The executor is bulk (column-at-a-time), like MonetDB: operators
-//! materialize whole [`relation::Relation`]s.
+//! materialize whole [`relation::Relation`]s, except inside a per-chunk
+//! pipeline, which narrows a candidate list of row
+//! ranges over the chunk instead of copying rows at each step.
 
 pub mod agg;
+mod candidates;
 pub mod error;
 pub mod eval;
 pub mod exec;

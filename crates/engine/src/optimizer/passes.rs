@@ -91,10 +91,8 @@ impl OptPass for ZoneMapPruning {
             ));
         }
         // Split each predicate into conjuncts once, not once per chunk.
-        let conjunct_sets: Vec<Vec<Expr>> = predicates
-            .iter()
-            .map(|p| p.expect("checked above").clone().split_conjunction())
-            .collect();
+        let conjunct_sets: Vec<Vec<&Expr>> =
+            predicates.iter().map(|p| p.expect("checked above").conjuncts()).collect();
         let before = chunks.len();
 
         // Indexed prefilter: ask the registry's sorted interval index
@@ -110,7 +108,7 @@ impl OptPass for ZoneMapPruning {
             let mut keep_all = false;
             for conjuncts in &conjunct_sets {
                 let constraints: Vec<ZoneConstraint> =
-                    conjuncts.iter().filter_map(as_zone_constraint).collect();
+                    conjuncts.iter().copied().filter_map(as_zone_constraint).collect();
                 match (!constraints.is_empty()).then(|| index(&constraints)).flatten() {
                     Some(ZoneCandidates::Uris(uris)) => keep.extend(uris),
                     // This scan constrains nothing the index can see:
@@ -168,13 +166,7 @@ pub fn plan_zone_constraints(plan: &LogicalPlan) -> Vec<Vec<ZoneConstraint>> {
     let mut out = Vec::new();
     plan.visit(&mut |p| {
         if let LogicalPlan::LazyScan { predicate: Some(pred), .. } = p {
-            out.push(
-                pred.clone()
-                    .split_conjunction()
-                    .iter()
-                    .filter_map(as_zone_constraint)
-                    .collect(),
-            );
+            out.push(pred.conjuncts().into_iter().filter_map(as_zone_constraint).collect());
         }
     });
     out
@@ -223,7 +215,7 @@ pub fn zone_conjunct_contradicted(
 /// conjunctions; this convenience form drives the unit tests.)
 #[cfg(test)]
 fn contradicted(pred: &Expr, zones: &[ColumnZone]) -> bool {
-    pred.clone().split_conjunction().iter().any(|c| conjunct_contradicted(c, zones))
+    pred.conjuncts().into_iter().any(|c| conjunct_contradicted(c, zones))
 }
 
 fn conjunct_contradicted(conjunct: &Expr, zones: &[ColumnZone]) -> bool {

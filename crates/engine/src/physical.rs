@@ -14,7 +14,7 @@
 //! ```
 
 use crate::error::{EngineError, Result};
-use crate::expr::{AggFunc, Expr};
+use crate::expr::{AggFunc, CmpOp, Expr};
 use crate::join::JoinBuild;
 use crate::logical::LogicalPlan;
 use crate::relation::Relation;
@@ -185,6 +185,44 @@ pub enum PhysicalPlan {
     Sort { input: Box<PhysicalPlan>, keys: Vec<(String, bool)> },
     /// Row cap.
     Limit { input: Box<PhysicalPlan>, n: usize },
+}
+
+/// EXPLAIN's `range` lines for a per-chunk selection: its comparisons
+/// between a column and a literal, one interval per column (`[`/`]`
+/// inclusive, `(`/`)` exclusive). Whether a range is binary-searched
+/// is decided per chunk: only on a chunk whose decoder flags the
+/// column sorted ([`crate::candidates::Candidates::filter`]); on any
+/// other chunk the conjunct is evaluated row by row.
+fn write_ranges(f: &mut fmt::Formatter<'_>, pad: &str, pred: &Expr) -> fmt::Result {
+    // (column, lower bound, upper bound) in first-appearance order; a
+    // bound a column's last interval already has opens a new one.
+    let mut intervals: Vec<(&str, Option<String>, Option<String>)> = Vec::new();
+    for (col, op, lit) in pred.conjuncts().into_iter().filter_map(Expr::as_range) {
+        let (lo, hi) = match op {
+            CmpOp::Eq => (Some(format!("[{lit}")), Some(format!("{lit}]"))),
+            CmpOp::Gt => (Some(format!("({lit}")), None),
+            CmpOp::Ge => (Some(format!("[{lit}")), None),
+            CmpOp::Lt => (None, Some(format!("{lit})"))),
+            CmpOp::Le => (None, Some(format!("{lit}]"))),
+            CmpOp::Ne => unreachable!("as_range excludes <>"),
+        };
+        let last = intervals.iter_mut().rev().find(|(c, ..)| *c == col);
+        match last {
+            Some((_, l, h))
+                if !(lo.is_some() && l.is_some() || hi.is_some() && h.is_some()) =>
+            {
+                *l = lo.or(l.take());
+                *h = hi.or(h.take());
+            }
+            _ => intervals.push((col, lo, hi)),
+        }
+    }
+    for (col, lo, hi) in intervals {
+        let lo = lo.unwrap_or_else(|| "(-inf".into());
+        let hi = hi.unwrap_or_else(|| "+inf)".into());
+        writeln!(f, "{pad}  range {col} {lo}, {hi}")?;
+    }
+    Ok(())
 }
 
 /// Options controlling logical → physical lowering.
@@ -596,7 +634,11 @@ impl PhysicalPlan {
                         if *pushdown { "pushed into chunks" } else { "post-union" }
                     )?;
                 }
-                writeln!(f)
+                writeln!(f)?;
+                match predicate {
+                    Some(p) if *pushdown => write_ranges(f, &pad, p),
+                    _ => Ok(()),
+                }
             }
             PhysicalPlan::PartialAggUnion {
                 table,
@@ -636,6 +678,9 @@ impl PhysicalPlan {
                     }
                 }
                 writeln!(f)?;
+                if let Some(p) = predicate {
+                    write_ranges(f, &pad, p)?;
+                }
                 if let Some(j) = join {
                     let keys: Vec<String> = j
                         .left_keys

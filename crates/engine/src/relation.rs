@@ -19,9 +19,20 @@
 //! preserve provenance; that is what lets the executor use a
 //! materialized FK [`sommelier_storage::index::JoinIndex`] (an
 //! *index-scan* access path) on an already-filtered child.
+//!
+//! A relation may also carry *sortedness flags*: a decoder that can
+//! prove an `Int64`/`Timestamp` column non-decreasing marks it
+//! ([`RelationBuilder::mark_sorted`]). The per-chunk pipeline
+//! ([`crate::exec::ChunkPipeline`]) does not copy rows at each step: it
+//! carries a *candidate list* — ascending, disjoint row ranges over the
+//! chunk's shared columns — and turns literal comparisons on flagged
+//! columns into `partition_point` bounds. Zero-copy projections and
+//! concatenations keep the flags; every operator that builds new
+//! columns (gathers, filters, unions) drops them.
 
 use crate::error::{EngineError, Result};
 use sommelier_storage::{ColumnData, DataType, Value};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Row provenance for index joins.
@@ -38,6 +49,9 @@ pub struct Provenance {
 pub struct Relation {
     cols: Vec<(String, Arc<ColumnData>)>,
     provenance: Option<Provenance>,
+    /// Bit `i` set: column `i` is known to be non-decreasing (only the
+    /// first 64 columns can carry the flag).
+    sorted: u64,
 }
 
 impl Relation {
@@ -64,7 +78,37 @@ impl Relation {
                 }
             }
         }
-        Ok(Relation { cols, provenance: None })
+        Ok(Relation { cols, provenance: None, sorted: 0 })
+    }
+
+    /// Flag column `name` as non-decreasing (test relations; decoders
+    /// flag through [`RelationBuilder::mark_sorted`]).
+    #[cfg(test)]
+    pub(crate) fn with_sorted(mut self, name: &str) -> Result<Self> {
+        let i = self.resolve(name)?;
+        self.mark_sorted(i)?;
+        Ok(self)
+    }
+
+    /// Flag column `i` as non-decreasing. Errors unless the column is
+    /// `Int64` or `Timestamp`.
+    fn mark_sorted(&mut self, i: usize) -> Result<()> {
+        let Ok(v) = self.cols[i].1.as_i64() else {
+            return Err(EngineError::Exec(format!(
+                "only integer and timestamp columns can be flagged sorted, not {}",
+                self.cols[i].0
+            )));
+        };
+        debug_assert!(v.windows(2).all(|w| w[0] <= w[1]), "{} is not sorted", self.cols[i].0);
+        if i < 64 {
+            self.sorted |= 1 << i;
+        }
+        Ok(())
+    }
+
+    /// Is column `i` flagged non-decreasing?
+    pub fn is_sorted(&self, i: usize) -> bool {
+        i < 64 && self.sorted & (1 << i) != 0
     }
 
     /// Attach provenance (base table + row positions).
@@ -107,6 +151,7 @@ impl Relation {
     /// shared column copies it first ([`Arc::make_mut`]).
     pub fn columns_mut(&mut self) -> &mut Vec<(String, Arc<ColumnData>)> {
         self.provenance = None;
+        self.sorted = 0;
         &mut self.cols
     }
 
@@ -163,7 +208,26 @@ impl Relation {
             table: p.table.clone(),
             rows: idx.iter().map(|&i| p.rows[i as usize]).collect(),
         });
-        Relation { cols, provenance }
+        Relation { cols, provenance, sorted: 0 }
+    }
+
+    /// Gather ascending, disjoint row ranges into a new relation
+    /// (provenance follows). Ranges covering every row return a cheap
+    /// clone with shared columns.
+    pub(crate) fn take_ranges(&self, ranges: &[Range<usize>]) -> Relation {
+        if matches!(ranges, [r] if r.start == 0 && r.end == self.rows()) {
+            return self.clone();
+        }
+        let cols = self
+            .cols
+            .iter()
+            .map(|(n, c)| (n.clone(), Arc::new(c.take_ranges(ranges))))
+            .collect();
+        let provenance = self.provenance.as_ref().map(|p| Provenance {
+            table: p.table.clone(),
+            rows: ranges.iter().flat_map(|r| p.rows[r.clone()].iter().copied()).collect(),
+        });
+        Relation { cols, provenance, sorted: 0 }
     }
 
     /// Filter by a boolean mask (provenance follows). An all-true mask
@@ -188,6 +252,7 @@ impl Relation {
         if self.cols.is_empty() {
             *self = other.clone();
             self.provenance = None;
+            self.sorted = 0;
             return Ok(());
         }
         if self.width() != other.width() {
@@ -230,11 +295,13 @@ impl Relation {
             }
         }
         self.provenance = None;
+        self.sorted = 0;
         Ok(())
     }
 
     /// Append `other`'s columns after this relation's (zero-copy; the
-    /// rows must align). Provenance stays this relation's.
+    /// rows must align). Provenance stays this relation's; both sides'
+    /// sortedness flags follow their columns.
     pub(crate) fn hconcat(mut self, other: &Relation) -> Result<Relation> {
         if !self.cols.is_empty() && !other.cols.is_empty() && other.rows() != self.rows() {
             return Err(EngineError::Exec(format!(
@@ -243,22 +310,32 @@ impl Relation {
                 self.rows()
             )));
         }
+        if self.width() < 64 {
+            self.sorted |= other.sorted << self.width();
+        }
         self.cols.extend(other.cols.iter().cloned());
         Ok(self)
     }
 
     /// Keep only the named columns, renaming to (output name, source
-    /// name). Zero-copy: the output shares the source's column payloads.
+    /// name). Zero-copy: the output shares the source's column payloads
+    /// and keeps their sortedness flags.
     pub fn project_named<'n>(
         &self,
         wanted: impl IntoIterator<Item = (&'n str, &'n str)>,
     ) -> Result<Relation> {
         let mut cols = Vec::new();
+        let mut sorted = 0;
         for (out, src) in wanted {
             let i = self.resolve(src)?;
+            if self.is_sorted(i) && cols.len() < 64 {
+                sorted |= 1 << cols.len();
+            }
             cols.push((out.to_string(), Arc::clone(&self.cols[i].1)));
         }
-        Relation::from_shared(cols)
+        let mut rel = Relation::from_shared(cols)?;
+        rel.sorted = sorted;
+        Ok(rel)
     }
 
     /// Approximate heap bytes (for the cellar's budget accounting).
@@ -306,6 +383,7 @@ impl Relation {
 #[derive(Debug, Default)]
 pub struct RelationBuilder {
     cols: Vec<(String, ColumnData)>,
+    sorted: Vec<usize>,
 }
 
 impl RelationBuilder {
@@ -364,9 +442,22 @@ impl RelationBuilder {
         }
     }
 
+    /// Flag the integer-family column `idx` as non-decreasing; the flag
+    /// lands on the finished relation. Only a decoder that has proved
+    /// the order may call this: the executor turns literal comparisons
+    /// on flagged columns into binary-searched row ranges, so a false
+    /// flag gives wrong answers.
+    pub fn mark_sorted(&mut self, idx: usize) {
+        self.sorted.push(idx);
+    }
+
     /// Assemble the relation (validates equal column lengths).
     pub fn finish(self) -> Result<Relation> {
-        Relation::new(self.cols)
+        let mut rel = Relation::new(self.cols)?;
+        for i in self.sorted {
+            rel.mark_sorted(i)?;
+        }
+        Ok(rel)
     }
 }
 
@@ -433,6 +524,32 @@ mod tests {
         }
         // Provenance survives the fast path.
         assert_eq!(f.provenance().unwrap().rows, vec![10, 11, 12]);
+    }
+
+    #[test]
+    fn sorted_flags_follow_zero_copy_columns_only() {
+        let r = sample().with_sorted("F.file_id").unwrap();
+        assert!(r.is_sorted(0) && !r.is_sorted(1));
+        assert!(sample().with_sorted("F.station").is_err(), "text cannot be flagged");
+        // Zero-copy projection and concatenation keep the flag ...
+        let p = r.project_named([("st", "F.station"), ("id", "F.file_id")]).unwrap();
+        assert!(!p.is_sorted(0) && p.is_sorted(1));
+        let wide = p.hconcat(&r).unwrap();
+        assert_eq!(
+            (0..4).map(|i| wide.is_sorted(i)).collect::<Vec<_>>(),
+            [false, true, true, false]
+        );
+        // ... operators that build new columns drop it.
+        assert!(!r.take(&[2, 0]).is_sorted(0));
+        assert!(!r.filter(&[true, false, true]).is_sorted(0));
+        assert!(!r.take_ranges(&[0..1, 2..3]).is_sorted(0));
+        let mut u = r.clone();
+        u.union_in_place(&r).unwrap();
+        assert!(!u.is_sorted(0));
+        // Ranges gather rows and provenance in order.
+        let g = r.with_provenance("F", vec![10, 11, 12]).take_ranges(&[0..1, 2..3]);
+        assert_eq!(g.column("F.file_id").unwrap().as_i64().unwrap(), &[1, 3]);
+        assert_eq!(g.provenance().unwrap().rows, vec![10, 12]);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! needs to be resident all at once, and decode and execution share the
 //! same worker pool.
 
-use crate::agg::{merge_partials, partial_aggregate, PartialAgg};
+use crate::agg::{merge_partials, partial_aggregate_over, PartialAgg};
 use crate::error::ErrorKind;
 use crate::error::{EngineError, Result};
 use crate::exec::{execute, ChunkPipeline, ExecContext};
@@ -848,7 +848,8 @@ fn fused_wave(
         }
         wait_ns.fetch_add(chunk.pin_wait.as_nanos() as u64, Ordering::Relaxed);
         let t0 = Instant::now();
-        let part = partial_aggregate(&pipeline.run(&chunk.relation)?, group_by, aggs)?;
+        let part =
+            partial_aggregate_over(&pipeline.candidates(&chunk.relation)?, group_by, aggs)?;
         if let Some(tc) = tracer {
             // One span per chunk, covering decode + pin wait + the
             // fused pipeline (all on the worker that decoded it).

@@ -436,6 +436,25 @@ fn decode_columns(
         // relation still has the projected width.
         return empty_ad_relation(descriptor, projection);
     }
+    // Sortedness, proved from the header in O(segments): the file id is
+    // constant and segment ids ascend; sample times never decrease
+    // inside a segment (the reader rejects headers whose times
+    // overflow), so the column is sorted when no segment's last sample
+    // lies after the next non-empty segment's start.
+    for c in id_col.into_iter().chain(seg_col) {
+        b.mark_sorted(c);
+    }
+    if let Some(c) = time_col {
+        let spans: Vec<(i64, i64)> = header
+            .segments
+            .iter()
+            .filter(|s| s.sample_count > 0)
+            .map(|s| (s.start_time, s.sample_time(s.sample_count - 1)))
+            .collect();
+        if spans.windows(2).all(|w| w[0].1 <= w[1].0) {
+            b.mark_sorted(c);
+        }
+    }
     b.finish()
 }
 

@@ -73,7 +73,16 @@ fn parse_header(bytes: &[u8], what: &str) -> Result<FileHeader> {
         if frequency <= 0.0 || frequency.is_nan() {
             return Err(corrupt("non-positive frequency"));
         }
-        segments.push(SegmentMeta { seg_index, start_time, frequency, sample_count });
+        let meta = SegmentMeta { seg_index, start_time, frequency, sample_count };
+        // The last sample's time, and the end just after it, must fit in
+        // an i64; every earlier time then fits too and the times never
+        // decrease within the segment (the decoder's sortedness proof
+        // relies on it).
+        let last = sample_count.checked_sub(1).map(|i| meta.checked_sample_time(i));
+        if matches!(last, Some(None) | Some(Some(i64::MAX))) {
+            return Err(corrupt("sample times overflow"));
+        }
+        segments.push(meta);
         payload_spans.push((payload_offset, payload_len));
         pos += DIR_ENTRY_BYTES;
     }
@@ -246,6 +255,37 @@ mod tests {
         assert!(read_metadata(&path).is_ok());
         // ...but a full read detects the damage.
         assert!(read_full(&path).is_err());
+    }
+
+    #[test]
+    fn overflowing_sample_times_rejected() {
+        // At 1e-300 Hz the second sample lies ~1e303 ms after the first.
+        // Unchecked, its time saturates and wraps (in release builds) to
+        // one before the segment's start.
+        let mut tiny = sample_file();
+        tiny.segments[1].meta.frequency = 1e-300;
+        // A start so late that the last sample (or the end just after
+        // it) passes i64::MAX.
+        let mut late = sample_file();
+        late.segments[0].meta.start_time = i64::MAX - 150;
+        let mut at_end = sample_file();
+        at_end.segments[1].meta.start_time = i64::MAX - 50;
+        for (what, f) in
+            [("tiny frequency", tiny), ("late start", late), ("ends at MAX", at_end)]
+        {
+            let bytes = crate::writer::to_bytes(&f).unwrap();
+            let err = parse_full_bytes(&bytes, what).unwrap_err();
+            assert!(
+                matches!(&err, MseedError::Corrupt(m) if m.contains("sample times overflow")),
+                "{what}: {err}"
+            );
+        }
+        // The latest start that still fits is accepted.
+        let mut edge = sample_file();
+        edge.segments[1].meta.start_time = i64::MAX - 51;
+        let bytes = crate::writer::to_bytes(&edge).unwrap();
+        let header = parse_full_bytes(&bytes, "edge").unwrap();
+        assert_eq!(header.segments[1].end_time(), i64::MAX);
     }
 
     #[test]

@@ -52,6 +52,19 @@ impl SegmentMeta {
         self.start_time + ((i as f64) * 1000.0 / self.frequency).round() as i64
     }
 
+    /// Timestamp of sample `i`, or `None` when it does not fit in an
+    /// `i64` (a tiny frequency, or a start near the end of time).
+    /// [`SegmentMeta::sample_time`] would saturate the offset and wrap
+    /// the sum in release builds, yielding decreasing times.
+    pub fn checked_sample_time(&self, i: u32) -> Option<i64> {
+        let offset = ((i as f64) * 1000.0 / self.frequency).round();
+        // `as` saturates: anything from 2^63 up does not fit.
+        if offset.is_nan() || offset >= i64::MAX as f64 {
+            return None;
+        }
+        self.start_time.checked_add(offset as i64)
+    }
+
     /// End of the segment (timestamp just after the last sample).
     pub fn end_time(&self) -> i64 {
         if self.sample_count == 0 {
@@ -97,6 +110,19 @@ mod tests {
         assert_eq!(m.sample_time(1), 1_050);
         assert_eq!(m.sample_time(2), 1_100);
         assert_eq!(m.end_time(), 1_101);
+    }
+
+    #[test]
+    fn checked_sample_time_rejects_what_does_not_fit() {
+        let m =
+            SegmentMeta { seg_index: 0, start_time: 1_000, frequency: 20.0, sample_count: 3 };
+        assert_eq!(m.checked_sample_time(2), Some(m.sample_time(2)));
+        let tiny = SegmentMeta { frequency: 1e-300, ..m.clone() };
+        assert_eq!(tiny.checked_sample_time(0), Some(1_000));
+        assert_eq!(tiny.checked_sample_time(1), None);
+        let late = SegmentMeta { start_time: i64::MAX - 60, ..m };
+        assert_eq!(late.checked_sample_time(1), Some(i64::MAX - 10));
+        assert_eq!(late.checked_sample_time(2), None);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::error::{Result, StorageError};
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// An append-only string dictionary.
@@ -289,6 +290,26 @@ impl ColumnData {
         }
     }
 
+    /// Gather ascending, disjoint row ranges, one slice copy per range.
+    pub fn take_ranges(&self, ranges: &[Range<usize>]) -> ColumnData {
+        fn gather<T: Copy>(v: &[T], ranges: &[Range<usize>]) -> Vec<T> {
+            let mut out = Vec::with_capacity(ranges.iter().map(|r| r.len()).sum());
+            for r in ranges {
+                out.extend_from_slice(&v[r.clone()]);
+            }
+            out
+        }
+        match self {
+            ColumnData::Int64(v) => ColumnData::Int64(gather(v, ranges)),
+            ColumnData::Float64(v) => ColumnData::Float64(gather(v, ranges)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(gather(v, ranges)),
+            ColumnData::Text(t) => ColumnData::Text(TextColumn {
+                dict: Arc::clone(&t.dict),
+                codes: gather(&t.codes, ranges),
+            }),
+        }
+    }
+
     /// Contiguous sub-range `[from, to)` of the column.
     pub fn slice(&self, from: usize, to: usize) -> ColumnData {
         match self {
@@ -413,6 +434,11 @@ mod tests {
         assert_eq!(t.as_i64().unwrap(), &[40, 10, 10]);
         let s = c.slice(1, 3);
         assert_eq!(s.as_i64().unwrap(), &[20, 30]);
+        let r = c.take_ranges(&[0..1, 2..4]);
+        assert_eq!(r.as_i64().unwrap(), &[10, 30, 40]);
+        let text = ColumnData::Text(TextColumn::from_strs(["a", "b", "c"]));
+        let r = text.take_ranges(&[1..2, 2..3]);
+        assert_eq!((r.as_text().unwrap().get(0), r.len()), ("b", 2));
     }
 
     #[test]

@@ -208,3 +208,92 @@ fn lazy_aggregate_matches_manual_recomputation() {
     assert!(n > 0.0);
     assert!((a - s / n).abs() < 1e-9, "AVG {a} vs SUM/COUNT {}", s / n);
 }
+
+/// A small xorshift generator, so a failing window names its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// Seeded T4 and T5 windows that start and end on chunk boundaries
+/// (day starts) and segment boundaries (a segment's first sample, its
+/// last, the instant after it), one millisecond either side of them,
+/// plus empty windows: lazy answers equal eager ones.
+#[test]
+fn seeded_windows_on_chunk_and_segment_boundaries_agree() {
+    use sommelier_mseed::SegmentMeta;
+    use sommelier_storage::time::{format_ts, MS_PER_DAY};
+    let dir = TempDir::new("windows");
+    let repo = ingv_repo(&dir, 3, 64);
+    let eager = prepared(&repo, LoadingMode::EagerPlain, SommelierConfig::default());
+    let lazy = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
+
+    let segs = eager
+        .query(
+            "SELECT S.start_time, S.frequency, S.sample_count FROM segview \
+             WHERE F.station = 'ISK' AND F.channel = 'BHE'",
+        )
+        .unwrap()
+        .relation;
+    let mut bounds: Vec<i64> = Vec::new();
+    for r in 0..segs.rows() {
+        let (Value::Time(start_time), Value::Float(frequency), Value::Int(n)) = (
+            segs.value(r, "start_time").unwrap(),
+            segs.value(r, "frequency").unwrap(),
+            segs.value(r, "sample_count").unwrap(),
+        ) else {
+            panic!("unexpected segment row {r}");
+        };
+        let meta =
+            SegmentMeta { seg_index: 0, start_time, frequency, sample_count: n as u32 };
+        let last = meta.sample_time(meta.sample_count - 1);
+        bounds.extend([
+            start_time,
+            last,
+            meta.end_time(),
+            start_time.div_euclid(MS_PER_DAY) * MS_PER_DAY,
+        ]);
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+    assert!(bounds.len() > 30, "too few boundaries: {}", bounds.len());
+
+    let mut non_empty = 0;
+    for seed in 1..=40u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut pick = || bounds[rng.below(bounds.len())] + [-1, 0, 0, 1][rng.below(4)];
+        let (a, b) = (pick(), pick());
+        // One window in five is empty (it ends before it starts).
+        let (lo, hi) =
+            if seed % 5 == 0 { (a.max(b), a.min(b)) } else { (a.min(b), a.max(b)) };
+        let (lo_op, hi_op) = ([">=", ">"][rng.below(2)], ["<", "<="][rng.below(2)]);
+        let (lo, hi) = (format_ts(lo), format_ts(hi));
+        let sql = if seed % 4 == 3 {
+            format!(
+                "SELECT COUNT(*) AS n, AVG(D.sample_value) AS a FROM windowdataview \
+                 WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+                 AND H.window_start_ts {lo_op} '{lo}' AND H.window_start_ts {hi_op} '{hi}' \
+                 AND H.window_max_val > -1000000000"
+            )
+        } else {
+            format!(
+                "SELECT COUNT(*) AS n, SUM(D.sample_value) AS s, MIN(D.sample_time) AS t0, \
+                 MAX(D.sample_time) AS t1 FROM dataview \
+                 WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+                 AND D.sample_time {lo_op} '{lo}' AND '{hi}' {} D.sample_time",
+                if hi_op == "<" { ">" } else { ">=" }
+            )
+        };
+        let want = canonical(&eager.query(&sql).unwrap().relation);
+        let got = canonical(&lazy.query(&sql).unwrap().relation);
+        assert_eq!(got, want, "seed {seed}: {sql}");
+        non_empty += usize::from(!want.is_empty());
+    }
+    assert!(non_empty >= 20, "only {non_empty} of 40 windows selected rows");
+}

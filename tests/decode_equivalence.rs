@@ -334,3 +334,125 @@ fn indexed_pruning_pass_matches_per_chunk_scan() {
         .clone();
     assert!(detail.contains("indexed"), "prefilter path recorded: {detail}");
 }
+
+/// Decode every registered chunk of `adapter` at full width and check
+/// every column it flags sorted with an O(n) scan. Returns how many
+/// chunks flagged `time_column`, so callers can check the flags are
+/// claimed at all.
+fn check_sorted_flags(adapter: &dyn SourceAdapter, time_column: &str) -> usize {
+    let db = Database::in_memory(Default::default());
+    for s in &adapter.descriptor().schemas {
+        db.create_table(s.clone(), sommelier_storage::catalog::Disposition::Resident)
+            .unwrap();
+    }
+    let (registry, _) = sommelier_core::registrar::register_source(&db, adapter, 2).unwrap();
+    assert!(!registry.entries().is_empty());
+    let mut time_flagged = 0;
+    for entry in registry.entries() {
+        let rel = adapter.decode(entry, None).unwrap();
+        for (i, (name, col)) in rel.columns().iter().enumerate() {
+            if !rel.is_sorted(i) {
+                continue;
+            }
+            let v = col.as_i64().unwrap();
+            let bad = v.windows(2).position(|w| w[0] > w[1]);
+            assert!(
+                bad.is_none(),
+                "{}: {name} flagged sorted, decreases at {bad:?}",
+                entry.uri
+            );
+            time_flagged += usize::from(name == time_column);
+        }
+    }
+    time_flagged
+}
+
+/// Every flag a decoder sets on generated chunks is true, and the
+/// generated (ordered) chunks do get their time column flagged.
+#[test]
+fn sorted_flags_hold_on_every_generated_chunk() {
+    let dir = TempDir::new("decflags");
+    let repo = ingv_repo(&dir, 3, 32);
+    let mseed = MseedAdapter::new(Repository::at(repo.dir()));
+    let chunks = mseed.repo().list().unwrap().len();
+    assert_eq!(check_sorted_flags(&mseed, "D.sample_time"), chunks);
+
+    let logs = dir.join("logs");
+    generate_event_logs(&logs, &EventLogSpec::small(4, 64)).unwrap();
+    let events = EventLogAdapter::new(&logs);
+    assert!(check_sorted_flags(&events, "E.ts") > 0, "no event log flagged E.ts");
+    // A log whose timestamps go back is not flagged.
+    let unordered = dir.join("unordered");
+    std::fs::create_dir_all(&unordered).unwrap();
+    let day = 15_000 * 86_400_000;
+    write_log_file(
+        &unordered.join("web-1_api_2011-01-26.evl"),
+        "web-1",
+        "api",
+        day,
+        &[(day + 5, 1.0), (day + 3, 2.0), (day + 9, 3.0)],
+    )
+    .unwrap();
+    assert_eq!(check_sorted_flags(&EventLogAdapter::new(&unordered), "E.ts"), 0);
+}
+
+/// A hand-built mSEED file whose segments overlap in time: the decoder
+/// must not flag `D.sample_time` sorted (segment and file ids still
+/// are), and lazy answers over it still equal eager ones.
+#[test]
+fn overlapping_segments_are_flagged_unsorted_and_answer_alike() {
+    use sommelier_mseed::{FileMeta, MseedFile, SegmentData, SegmentMeta};
+    let dir = TempDir::new("decoverlap");
+    let repo_dir = dir.join("repo");
+    std::fs::create_dir_all(&repo_dir).unwrap();
+    let start = 1_262_304_000_000; // 2010-01-01T00:00:00
+    let segment = |k: u32, offset: i64, n: u32| SegmentData {
+        meta: SegmentMeta {
+            seg_index: k,
+            start_time: start + offset,
+            frequency: 1.0,
+            sample_count: n,
+        },
+        samples: (0..n as i32).map(|i| i * 7 - 100 * k as i32).collect(),
+    };
+    // Segment 1 starts inside segment 0; segment 2 repeats an instant.
+    let file = MseedFile {
+        meta: FileMeta::new("IV", "ISK", "", "BHE"),
+        segments: vec![segment(0, 0, 600), segment(1, 300_000, 600), segment(2, 899_000, 60)],
+    };
+    sommelier_mseed::write_file(&repo_dir.join("IV.ISK..BHE.2010.001.msd"), &file).unwrap();
+
+    let adapter = MseedAdapter::new(Repository::at(&repo_dir));
+    assert_eq!(check_sorted_flags(&adapter, "D.sample_time"), 0);
+    let db = Database::in_memory(Default::default());
+    for s in &adapter.descriptor().schemas {
+        db.create_table(s.clone(), sommelier_storage::catalog::Disposition::Resident)
+            .unwrap();
+    }
+    let (registry, _) = sommelier_core::registrar::register_source(&db, &adapter, 1).unwrap();
+    let rel = adapter.decode(&registry.entries()[0], None).unwrap();
+    for (i, name) in rel.names().iter().enumerate() {
+        let want = matches!(*name, "D.file_id" | "D.seg_id");
+        assert_eq!(rel.is_sorted(i), want, "{name}");
+    }
+
+    let lazy = mseed_system(&Repository::at(&repo_dir), false);
+    let eager = Sommelier::builder()
+        .source(MseedAdapter::new(Repository::at(&repo_dir)))
+        .config(SommelierConfig::default())
+        .build()
+        .unwrap();
+    eager.prepare(LoadingMode::EagerPlain).unwrap();
+    for (lo, hi) in
+        [("00:04:59", "00:10:01"), ("00:10:00", "00:15:00"), ("00:14:59", "00:14:59")]
+    {
+        let sql = format!(
+            "SELECT COUNT(*) AS n, SUM(D.sample_value) AS s FROM dataview \
+             WHERE F.station = 'ISK' AND D.sample_time >= '2010-01-01T{lo}.000' \
+             AND D.sample_time <= '2010-01-01T{hi}.000'"
+        );
+        let got = lazy.query(&sql).unwrap();
+        assert_eq!(bits(&got), bits(&eager.query(&sql).unwrap()), "{sql}");
+        assert!(got.relation.rows() > 0, "{sql} selected nothing");
+    }
+}

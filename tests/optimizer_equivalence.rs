@@ -257,3 +257,56 @@ fn explain_prints_the_kept_build_columns() {
     );
     assert!(per_row.ends_with("keeps [F.station, S.frequency]"), "{per_row}");
 }
+
+/// EXPLAIN prints a per-chunk selection's column-vs-literal conjuncts
+/// as `range` lines beside the probe line: the bounds a chunk whose
+/// column is flagged sorted answers by binary search.
+#[test]
+fn explain_prints_the_range_conjuncts() {
+    let dir = TempDir::new("optranges");
+    let repo = ingv_repo(&dir, 2, 16);
+    let somm = mseed_system(&repo, SommelierConfig::default());
+    let ranges = |sql: &str| -> Vec<String> {
+        let plan = somm.explain(sql).unwrap();
+        plan.lines()
+            .filter(|l| l.trim_start().starts_with("range "))
+            .map(|l| l.trim().into())
+            .collect()
+    };
+    let t4 = ranges(
+        "SELECT AVG(D.sample_value) FROM dataview \
+         WHERE F.station = 'ISK' AND D.sample_time >= '2010-01-01T03:00:00.000' \
+         AND D.sample_time < '2010-01-02T21:00:00.000'",
+    );
+    assert_eq!(
+        t4,
+        ["range D.sample_time ['2010-01-01T03:00:00.000', '2010-01-02T21:00:00.000')"]
+    );
+    // Literal on the left, open lower end; a comparison of two
+    // expressions is no range.
+    let open = ranges(
+        "SELECT COUNT(*) AS n FROM dataview \
+         WHERE '2010-01-02T00:00:00.000' >= D.sample_time AND D.sample_value > D.seg_id",
+    );
+    assert_eq!(open, ["range D.sample_time (-inf, '2010-01-02T00:00:00.000']"]);
+    // Two bounds of one side open a second interval; each column gets
+    // its own line.
+    let twice = ranges(
+        "SELECT COUNT(*) AS n FROM dataview WHERE D.sample_time > 5 \
+         AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_value < 3",
+    );
+    assert_eq!(
+        twice,
+        [
+            "range D.sample_time (5, +inf)",
+            "range D.sample_time ['2010-01-01T00:00:00.000', +inf)",
+            "range D.sample_value (-inf, 3)"
+        ]
+    );
+    // No pushed-down selection (T5): no range line.
+    assert!(ranges(
+        "SELECT AVG(D.sample_value) FROM windowdataview WHERE F.station = 'ISK' \
+         AND H.window_start_ts < '2010-01-01T04:00:00.000'"
+    )
+    .is_empty());
+}
