@@ -35,8 +35,7 @@ fn bench_buffer_pool(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("data.bin");
     std::fs::write(&path, vec![7u8; 4096 + 2 * 1024 * 1024]).unwrap();
-    let pool =
-        BufferPool::new(BufferPoolConfig { capacity_bytes: 1024 * 1024, sim_io: None });
+    let pool = BufferPool::new(BufferPoolConfig { capacity_bytes: 1024 * 1024 });
     let fid = pool.disk().register(&path).unwrap();
     let mut g = c.benchmark_group("buffer_pool");
     g.bench_function("hit", |b| {

@@ -33,6 +33,8 @@ pub struct BenchScale {
     pub samples_per_seg: u32,
     pub data_dir: PathBuf,
     pub runs: usize,
+    /// `SOMM_SIM_IO`: every chunk load sleeps a fault-injector latency
+    /// spike (see `runner::bench_config`).
     pub sim_io: bool,
     pub pool_bytes: usize,
     pub full: bool,

@@ -10,12 +10,13 @@
 use crate::datasets::{dataset, BenchScale, DatasetKind};
 use crate::queries;
 use crate::report::{secs, Table};
-use crate::runner::{bench_config, cold_hot, fresh_system, fresh_system_with, time_it};
+use crate::runner::{
+    bench_config, cold_hot, fresh_system, fresh_system_with, slow_chunk_io, time_it,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sommelier_core::{LoadingMode, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::repo::days_for_sf;
-use sommelier_storage::buffer::SimIo;
 use sommelier_storage::time::days_from_civil;
 
 /// First day of every synthetic dataset (2010-01-01), in days.
@@ -616,8 +617,8 @@ fn eventlog_threshold(logs: &std::path::Path, host: &str) -> Result<f64> {
 /// Caches are flushed before every run, so every run decodes its
 /// chunks (full width). `result_bits` must be identical within each
 /// adapter: pruning may not change answers.
-/// With `sim_chunk_io` active, pruned chunks also skip their simulated
-/// per-file seek, so wall-clock scales with `files_loaded`.
+/// With `SOMM_SIM_IO` on, pruned chunks also skip their per-load
+/// latency spike, so wall-clock scales with `files_loaded`.
 pub fn optimizer_sweep(scale: &BenchScale) -> Result<Table> {
     use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
     let mut t = Table::new(
@@ -727,12 +728,8 @@ pub fn decode_hotpath_sized(scale: &BenchScale, reg_chunks: usize) -> Result<Tab
     // (every run decodes), one worker (serial decode cost, not parallel
     // overlap), simulated I/O off (the sleep would swamp the decode
     // being measured).
-    let config = || SommelierConfig {
-        max_threads: 1,
-        sim_io: None,
-        sim_chunk_io: None,
-        ..bench_config(scale)
-    };
+    let config =
+        || SommelierConfig { max_threads: 1, fault_plan: None, ..bench_config(scale) };
     for (name, sql) in &sqls {
         // The recorded PR-4 load_s under this exact configuration
         // (measured from a build of the PR-4 commit — see
@@ -906,8 +903,7 @@ pub fn obs_overhead(scale: &BenchScale) -> Result<Table> {
     let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
     let config = |level: ObsLevel| SommelierConfig {
         max_threads: 1,
-        sim_io: None,
-        sim_chunk_io: None,
+        fault_plan: None,
         observability: level,
         ..bench_config(scale)
     };
@@ -1042,8 +1038,6 @@ pub fn fault_sweep(scale: &BenchScale) -> Result<Table> {
                 plan.corrupt_uris = vec![files.first().expect("non-empty repo").clone()];
             }
             let config = SommelierConfig {
-                sim_io: None,
-                sim_chunk_io: None,
                 fault_plan: Some(plan),
                 io_retry: RetryPolicy { max_attempts: budget, ..RetryPolicy::default() },
                 ..bench_config(scale)
@@ -1076,7 +1070,7 @@ pub fn fault_sweep(scale: &BenchScale) -> Result<Table> {
                     );
                 }
             }
-            faults += guard.somm.fault_counts().map(|c| c.errors()).unwrap_or(0);
+            faults += guard.somm.fault_injector().map(|f| f.injected().errors()).unwrap_or(0);
         }
         lat.sort_by(|x, y| x.partial_cmp(y).unwrap());
         let q = |p: f64| -> String {
@@ -1197,9 +1191,7 @@ pub fn prefetch_sweep(scale: &BenchScale) -> Result<Table> {
                     let config = SommelierConfig {
                         max_threads: workers,
                         prefetch_depth: depth,
-                        sim_chunk_io: (sim_ms > 0).then(|| SimIo {
-                            per_page: std::time::Duration::from_millis(sim_ms),
-                        }),
+                        fault_plan: (sim_ms > 0).then(|| slow_chunk_io(sim_ms)),
                         ..bench_config(scale)
                     };
                     let io_threads = if depth > 0 { config.prefetch_io_threads() } else { 0 };
@@ -1330,7 +1322,6 @@ pub fn chaos(scale: &BenchScale) -> Result<Table> {
     let build = |plan: Option<FaultPlan>| -> Result<Sommelier> {
         let config = SommelierConfig {
             max_threads: 4,
-            sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(5) }),
             admission_max_concurrent: 2,
             admission_queue_limit: 3,
             fault_plan: plan,
@@ -1357,8 +1348,8 @@ pub fn chaos(scale: &BenchScale) -> Result<Table> {
         let somm = Arc::new(build(Some(FaultPlan {
             seed,
             transient_rate: 0.4,
-            spike_rate: 0.2,
-            spike: Duration::from_millis(2),
+            spike_rate: 1.0,
+            spike: Duration::from_millis(5),
             panic_uris: vec![victim.clone()],
             ..FaultPlan::default()
         }))?);

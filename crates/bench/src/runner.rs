@@ -1,9 +1,8 @@
 //! System setup and timing helpers.
 
 use crate::datasets::BenchScale;
-use sommelier_core::{LoadingMode, PrepReport, Sommelier, SommelierConfig};
+use sommelier_core::{FaultPlan, LoadingMode, PrepReport, Sommelier, SommelierConfig};
 use sommelier_mseed::{MseedAdapter, Repository};
-use sommelier_storage::buffer::SimIo;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -37,26 +36,23 @@ pub fn bench_config(scale: &BenchScale) -> SommelierConfig {
     SommelierConfig {
         buffer_pool_bytes: scale.pool_bytes,
         cellar_bytes: Some(scale.pool_bytes),
-        sim_io: if scale.sim_io {
-            Some(SimIo { per_page: Duration::from_micros(50) })
-        } else {
-            None
-        },
-        // Chunk decodes charge a simulated seek-dominated medium: the
-        // paper's repository is millions of small files on an HDD
-        // array, where the per-file seek (~5–12 ms) dwarfs streaming.
-        // Bench-scale chunk files are ~1 page, so 2 ms/page ≈ a
-        // (generous) per-file seek. Charged on the decoding worker, the
-        // sleeps overlap across parallel decodes exactly like real
+        // Chunk loads charge a seek-dominated medium: the paper's
+        // repository is millions of small files on an HDD array, where
+        // the per-file seek (~5–12 ms) dwarfs streaming. 2 ms per load
+        // is a (generous) per-file seek. Slept on the loading thread,
+        // the spikes overlap across parallel loads exactly like real
         // seeks — which is what keeps the stage-2 worker sweep in the
         // paper's disk-bound regime at tiny scale.
-        sim_chunk_io: if scale.sim_io {
-            Some(SimIo { per_page: Duration::from_millis(2) })
-        } else {
-            None
-        },
+        fault_plan: scale.sim_io.then(|| slow_chunk_io(2)),
         ..SommelierConfig::default()
     }
+}
+
+/// A fault plan that only slows: a latency spike of `ms` on every
+/// chunk load, on the decode worker or the prefetch IO thread that
+/// performs it.
+pub fn slow_chunk_io(ms: u64) -> FaultPlan {
+    FaultPlan { spike_rate: 1.0, spike: Duration::from_millis(ms), ..FaultPlan::default() }
 }
 
 /// Create and prepare a fresh system.

@@ -16,23 +16,11 @@ use sommelier_engine::optimizer::zone_conjunct_contradicted;
 use sommelier_engine::{
     CmpOp, ColumnZone, EngineError, Obs, Relation, ZoneCandidates, ZoneConstraint,
 };
-use sommelier_storage::page::PAGE_SIZE;
-use sommelier_storage::{DataType, Database, SimIo, Value};
+use sommelier_storage::{DataType, Database, Value};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Total simulated repository-read latency for one chunk file:
-/// `per_page × ⌈size / PAGE_SIZE⌉` (at least one page), computed in
-/// nanoseconds so whole-chunk loads and per-unit shares charge exactly
-/// the same medium.
-fn sim_io_total(sim: &SimIo, uri: &str) -> Duration {
-    let bytes = std::fs::metadata(uri).map(|m| m.len()).unwrap_or(0);
-    let pages = bytes.div_ceil(PAGE_SIZE as u64).max(1);
-    let ns = sim.per_page.as_nanos().saturating_mul(pages as u128);
-    Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
-}
 
 /// One registered chunk file.
 #[derive(Debug, Clone)]
@@ -579,10 +567,6 @@ pub struct AdapterChunkSource {
     /// Verify FK integrity of every ingested row against the metadata
     /// PK indices — the work the paper's lazy variant skips (§VI-A).
     verify_fk: bool,
-    /// Simulated repository-read latency, charged per 64 KiB of chunk
-    /// file on the decoding worker (the chunk-side analogue of the
-    /// buffer pool's [`SimIo`]; see EXPERIMENTS.md).
-    sim_io: Option<SimIo>,
     /// Decode counters, present when built [`Self::with_obs`] at a
     /// counting level.
     counters: Option<DecodeCounters>,
@@ -608,7 +592,6 @@ impl AdapterChunkSource {
             registry,
             db,
             verify_fk,
-            sim_io: None,
             counters: None,
             faults: None,
             prefetch: None,
@@ -629,14 +612,6 @@ impl AdapterChunkSource {
         self
     }
 
-    /// Charge a simulated repository-read latency on every chunk decode
-    /// (size-proportional, slept on the decoding worker — so it overlaps
-    /// across parallel decodes exactly like real disk reads).
-    pub fn with_sim_io(mut self, sim_io: Option<SimIo>) -> Self {
-        self.sim_io = sim_io;
-        self
-    }
-
     /// Record `decode.*` metrics (chunks, rows, bytes, ns) into
     /// `obs`'s registry on every decode. A no-op handle (level `Off` or
     /// no registry) leaves the hot path untouched.
@@ -650,26 +625,15 @@ impl AdapterChunkSource {
         self
     }
 
-    fn charge_sim_io(&self, uri: &str) {
-        if let Some(sim) = self.sim_io {
-            std::thread::sleep(sim_io_total(&sim, uri));
-        }
-    }
-
     /// The fetch closure the prefetch stage runs on its IO threads:
-    /// simulated read latency and fault injection fire *inside* it, so
-    /// both are charged on the IO thread and genuinely overlap with
-    /// decode work (the direct path charges them on the decode worker,
-    /// as before).
+    /// fault injection fires *inside* it, so an injected spike or hold
+    /// lands on the IO thread and genuinely overlaps with decode work
+    /// (the direct path gates on the decode worker instead).
     pub fn raw_fetcher(&self) -> RawFetcher {
         let adapter = Arc::clone(&self.adapter);
         let registry = Arc::clone(&self.registry);
-        let sim_io = self.sim_io;
         let faults = self.faults.clone();
         Arc::new(move |uri: &str| -> sommelier_engine::Result<RawChunk> {
-            if let Some(sim) = sim_io {
-                std::thread::sleep(sim_io_total(&sim, uri));
-            }
             if let Some(f) = &faults {
                 f.before_load(uri)?;
             }
@@ -681,8 +645,8 @@ impl AdapterChunkSource {
     }
 
     /// Claim staged bytes for `uri` if a prefetch fetched them:
-    /// `Some(raw)` means the IO cost (sim latency, fault gate, file
-    /// read) was already paid on the IO thread and the caller only
+    /// `Some(raw)` means the IO cost (fault gate, file read) was
+    /// already paid on the IO thread and the caller only
     /// decodes; `None` means no prefetch covered this chunk (or it
     /// failed, already surfaced as an error by `claim`) and the caller
     /// runs the classic fused path.
@@ -733,11 +697,10 @@ impl AdapterChunkSource {
     /// table's schema (qualified column names, e.g. `D.sample_time`).
     /// The cellar retains it for later queries over any column set.
     pub(crate) fn load_chunk(&self, uri: &str) -> sommelier_engine::Result<Relation> {
-        // Prefetched chunk: the IO (and its simulated latency + fault
-        // gate) already ran on an IO thread — only decode here.
+        // Prefetched chunk: the IO (and its fault gate) already ran on
+        // an IO thread — only decode here.
         let raw = self.claim_prefetched(uri)?;
         if raw.is_none() {
-            self.charge_sim_io(uri);
             if let Some(f) = &self.faults {
                 f.before_load(uri)?;
             }

@@ -2,7 +2,6 @@
 
 use crate::fault::{FaultPlan, RetryPolicy};
 use sommelier_engine::ObsLevel;
-use sommelier_storage::buffer::SimIo;
 
 /// The cellar budget when [`SommelierConfig::cellar_bytes`] is `None`:
 /// 256 MiB of decoded chunks.
@@ -19,17 +18,6 @@ pub struct SommelierConfig {
     /// paper). The paper's workload experiments limit it to main-memory
     /// size. `None` = [`DEFAULT_CELLAR_BYTES`].
     pub cellar_bytes: Option<usize>,
-    /// Optional simulated I/O latency per buffer-pool page miss, used
-    /// to re-create the paper's disk-bound regimes at scaled-down
-    /// dataset sizes.
-    pub sim_io: Option<SimIo>,
-    /// Optional simulated repository-read latency per 64 KiB of chunk
-    /// file, charged on the decoding worker — the chunk-ingestion
-    /// analogue of [`Self::sim_io`]. Parallel decodes overlap their
-    /// simulated reads exactly like real disk I/O, so the stage-2
-    /// parallelism experiments keep the paper's shape on scaled-down
-    /// datasets (and single-core CI boxes).
-    pub sim_chunk_io: Option<SimIo>,
     /// Push selections into per-chunk accesses (run-time rewrite
     /// refinement, §III).
     pub chunk_pushdown: bool,
@@ -70,11 +58,12 @@ pub struct SommelierConfig {
     /// cannot starve `Low` sessions forever. `0` disables aging
     /// (strict priority order).
     pub sched_aging_ms: u64,
-    /// Deterministic fault injection at the chunk-decode seam (default
-    /// off — `None`). The fault-tolerance analogue of
-    /// [`Self::sim_chunk_io`]: tests and benches use it to make
-    /// transient IO errors, corrupt payloads, truncated reads, and
-    /// latency spikes reproducible.
+    /// Deterministic fault injection at the chunk-load seam (default
+    /// off — `None`), the one way to slow or fail a chunk load: tests
+    /// and benches use it to make transient IO errors, corrupt
+    /// payloads, truncated reads and latency spikes reproducible, and
+    /// to park loads on a [`crate::FaultInjector::hold`].
+    /// `Some(FaultPlan::default())` injects nothing.
     pub fault_plan: Option<FaultPlan>,
     /// Retry budget for transient chunk-IO failures (bounded
     /// exponential backoff; applied by the cellar around every chunk
@@ -111,8 +100,6 @@ impl Default for SommelierConfig {
         SommelierConfig {
             buffer_pool_bytes: 256 * 1024 * 1024,
             cellar_bytes: None,
-            sim_io: None,
-            sim_chunk_io: None,
             chunk_pushdown: true,
             zone_map_pruning: true,
             verify_lazy_fk: false,

@@ -5,14 +5,17 @@
 //! cannot trust — cold storage returns transient IO errors, archives
 //! hold truncated or bit-rotted records. [`FaultInjector`] makes every
 //! one of those failure modes reproducible (seeded, deterministic per
-//! `(seed, uri, attempt)`), the same way `SimIo` makes slow media
-//! reproducible; [`with_retries`] is the recovery half, applied by the
-//! cellar around every chunk decode.
+//! `(seed, uri, attempt)`), and it is also the one way to make a chunk
+//! load slow: a latency spike at rate 1.0 slows every load, and a
+//! [`FaultInjector::hold`] parks loads until a test releases them.
+//! [`with_retries`] is the recovery half, applied by the cellar around
+//! every chunk decode.
 
 use parking_lot::Mutex;
 use sommelier_engine::{CancelToken, EngineError, ErrorKind, Obs, TraceCollector};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -20,8 +23,8 @@ use std::time::{Duration, Instant};
 
 /// A deterministic fault-injection plan (see
 /// [`crate::SommelierConfig::fault_plan`]; default off — `None`).
-/// Same shape as the `sim_chunk_io` knob: configured once, applied at
-/// the `AdapterChunkSource::load_chunk` / adapter-decode seam.
+/// Configured once, applied at both chunk-load seams: the direct load
+/// (`AdapterChunkSource::load_chunk`) and the prefetch IO thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-attempt fault decision. Same seed + same
@@ -114,6 +117,10 @@ pub struct FaultInjector {
     truncated: AtomicU64,
     spikes: AtomicU64,
     panics: AtomicU64,
+    /// `(closed, parked)`: is a [`LoadHold`] in force, and how many
+    /// load attempts are parked on it.
+    gate: std::sync::Mutex<(bool, usize)>,
+    gate_cv: Condvar,
 }
 
 impl FaultInjector {
@@ -127,13 +134,42 @@ impl FaultInjector {
             truncated: AtomicU64::new(0),
             spikes: AtomicU64::new(0),
             panics: AtomicU64::new(0),
+            gate: std::sync::Mutex::new((false, 0)),
+            gate_cv: Condvar::new(),
         }
     }
 
-    /// Gate one load attempt of `uri`: sleep through an injected
-    /// latency spike, then fail the attempt if the plan says so.
-    /// Deterministic in `(seed, uri, attempt number)`.
+    /// Close the load gate: until the returned [`LoadHold`] is released
+    /// or dropped, every [`Self::before_load`] parks, on the decode
+    /// worker and on the prefetch IO thread alike. Tests use it to land
+    /// a cancel, timeout, shutdown or drop while a load is in flight,
+    /// without sleeping. A parked load ignores cancellation, so release
+    /// the hold once the event under test has fired. One hold at a
+    /// time.
+    pub fn hold(self: &Arc<Self>) -> LoadHold {
+        self.gate().0 = true;
+        LoadHold(Arc::clone(self))
+    }
+
+    fn gate(&self) -> std::sync::MutexGuard<'_, (bool, usize)> {
+        self.gate.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Gate one load attempt of `uri`: park while a [`LoadHold`] is in
+    /// force, sleep through an injected latency spike, then fail the
+    /// attempt if the plan says so. Deterministic in `(seed, uri,
+    /// attempt number)`.
     pub fn before_load(&self, uri: &str) -> Result<(), EngineError> {
+        let mut gate = self.gate();
+        if gate.0 {
+            gate.1 += 1;
+            self.gate_cv.notify_all();
+            while gate.0 {
+                gate = self.gate_cv.wait(gate).unwrap_or_else(|e| e.into_inner());
+            }
+            gate.1 -= 1;
+        }
+        drop(gate);
         let (attempt, transient_so_far) = {
             let mut state = self.state.lock();
             let e = state.entry(uri.to_string()).or_insert((0, 0));
@@ -191,6 +227,36 @@ impl FaultInjector {
             spikes: self.spikes.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A closed load gate (see [`FaultInjector::hold`]). Dropping it opens
+/// the gate, as does [`LoadHold::release`].
+#[derive(Debug)]
+#[must_use = "dropping the hold releases every parked load"]
+pub struct LoadHold(Arc<FaultInjector>);
+
+impl LoadHold {
+    /// Block until at least `n` load attempts are parked on the hold.
+    /// Panics after 30 s with the parked count, so a load that never
+    /// arrives fails by name instead of hanging the suite.
+    pub fn wait_parked(&self, n: usize) {
+        let (gate, waited) = self
+            .0
+            .gate_cv
+            .wait_timeout_while(self.0.gate(), Duration::from_secs(30), |g| g.1 < n)
+            .unwrap_or_else(|e| e.into_inner());
+        assert!(!waited.timed_out(), "{} of {n} loads parked after 30 s", gate.1);
+    }
+
+    /// Open the gate: every parked load resumes, and later loads pass.
+    pub fn release(self) {}
+}
+
+impl Drop for LoadHold {
+    fn drop(&mut self) {
+        self.0.gate().0 = false;
+        self.0.gate_cv.notify_all();
     }
 }
 
@@ -347,6 +413,20 @@ mod tests {
         // Rate 1.0 but bounded: exactly max_transient_per_chunk faults.
         assert_eq!(ra.iter().filter(|&&f| f).count(), plan.max_transient_per_chunk as usize);
         assert_eq!(a.injected().transient, plan.max_transient_per_chunk as u64);
+    }
+
+    #[test]
+    fn hold_parks_loads_until_released() {
+        let inj = Arc::new(FaultInjector::new(FaultPlan::default()));
+        let hold = inj.hold();
+        let parked = Arc::clone(&inj);
+        let loader = std::thread::spawn(move || parked.before_load("held.seed"));
+        hold.wait_parked(1);
+        assert!(!loader.is_finished(), "a held load stays parked");
+        hold.release();
+        assert!(loader.join().unwrap().is_ok());
+        assert!(inj.before_load("open.seed").is_ok(), "an open gate passes loads");
+        assert_eq!(inj.injected(), FaultCounts::default(), "a default plan injects nothing");
     }
 
     #[test]

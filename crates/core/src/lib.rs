@@ -321,10 +321,7 @@ impl SommelierBuilder {
         let catalog = source::assemble_catalog(
             &sources.iter().map(|s| s.descriptor.as_ref()).collect::<Vec<_>>(),
         )?;
-        let pool = BufferPoolConfig {
-            capacity_bytes: self.config.buffer_pool_bytes,
-            sim_io: self.config.sim_io,
-        };
+        let pool = BufferPoolConfig { capacity_bytes: self.config.buffer_pool_bytes };
         let (db, db_dir, csv_dir, disposition, opened) = match &self.storage {
             StorageSpec::InMemory => {
                 let csv = std::env::temp_dir().join(format!(
@@ -698,7 +695,6 @@ impl Sommelier {
                         Arc::clone(&self.db),
                         self.config.verify_lazy_fk,
                     )
-                    .with_sim_io(self.config.sim_chunk_io)
                     .with_obs(&obs)
                     .with_faults(self.fault_injector.clone())
                     .with_prefetch(self.prefetch.clone()),
@@ -1065,12 +1061,9 @@ impl Sommelier {
     /// priority, cancellation, timeout, sampling. This is the entry
     /// point the `sommelier-server` session API builds on.
     ///
-    /// Panic isolation backstop: morsel panics are normally caught at
-    /// the retry/scheduler seams and arrive here as typed errors, but
-    /// a panic anywhere else in the query pipeline (binder, optimizer,
-    /// operator code outside a batch) is caught too — either way the
-    /// caller sees [`SommelierError::QueryPanicked`] naming this query,
-    /// and the process (and every other in-flight query) lives on.
+    /// Panic isolated like every query entry point: a panic anywhere in
+    /// the pipeline fails this query alone with
+    /// [`SommelierError::QueryPanicked`].
     pub fn query_opts(&self, sql: &str, opts: &QueryOptions) -> Result<QueryResult> {
         if let Some(f) = opts.sampling {
             if !(0.0..=1.0).contains(&f) || f == 0.0 {
@@ -1079,11 +1072,23 @@ impl Sommelier {
                 )));
             }
         }
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        self.guarded(sql, || {
             let spec = sommelier_sql::compile(sql, &self.catalog)?;
             self.run_spec_opts(spec, true, false, opts)
-        }));
-        let payload = match run {
+        })
+    }
+
+    /// The panic isolation backstop of every query entry point
+    /// ([`Self::query_opts`], [`Self::query_spec`],
+    /// [`Self::explain_analyze`]): morsel panics are normally caught at
+    /// the retry/scheduler seams and arrive here as typed errors, but
+    /// a panic anywhere else in the query pipeline (binder, optimizer,
+    /// operator code outside a batch) is caught too — either way the
+    /// caller sees [`SommelierError::QueryPanicked`] naming `query`,
+    /// `query.panicked` counts it, and the process (and every other
+    /// in-flight query) lives on.
+    fn guarded<T>(&self, query: &str, run: impl FnOnce() -> Result<T>) -> Result<T> {
+        let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(Err(SommelierError::Engine(sommelier_engine::EngineError::Panicked {
                 payload,
             }))) => payload,
@@ -1091,7 +1096,7 @@ impl Sommelier {
             Err(p) => sommelier_engine::sched::panic_message(p.as_ref()),
         };
         self.metrics.counter("query.panicked").add(1);
-        Err(SommelierError::QueryPanicked { query: sql.to_string(), payload })
+        Err(SommelierError::QueryPanicked { query: query.to_string(), payload })
     }
 
     /// Flip admission into drain mode: every not-yet-admitted query —
@@ -1117,8 +1122,11 @@ impl Sommelier {
     }
 
     /// Run an already-bound spec (programmatic clients, benches).
+    /// Panic isolated like [`Self::query_opts`].
     pub fn query_spec(&self, spec: QuerySpec) -> Result<QueryResult> {
-        self.run_spec_opts(spec, true, false, &QueryOptions::default())
+        self.guarded("query spec", || {
+            self.run_spec_opts(spec, true, false, &QueryOptions::default())
+        })
     }
 
     /// The plan a query would run, as text (EXPLAIN): the logical plan,
@@ -1129,12 +1137,6 @@ impl Sommelier {
     /// run-time quantity) is a placeholder, so run-time-only effects
     /// (chunks pruned by zone maps) show as the pass being armed.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let t = sql.trim_start();
-        if t.get(..7).is_some_and(|p| p.eq_ignore_ascii_case("ANALYZE"))
-            && t.as_bytes().get(7).is_some_and(u8::is_ascii_whitespace)
-        {
-            return self.explain_analyze(&t[7..]);
-        }
         let (mode, _) = self.prepared_info()?;
         let spec = sommelier_sql::compile(sql, &self.catalog)?;
         let compiled = self.compile_spec(spec)?;
@@ -1204,9 +1206,13 @@ impl Sommelier {
     /// EXPLAIN ANALYZE: run the query once with span tracing forced on
     /// (whatever [`SommelierConfig::observability`] says) and render
     /// the plan next to the measured span tree, the per-pass optimizer
-    /// timings, and the stage/chunk accounting. Also reachable as
-    /// `explain("ANALYZE <sql>")`.
+    /// timings, and the stage/chunk accounting. Panic isolated like
+    /// [`Self::query_opts`].
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
+        self.guarded(sql, || self.explain_analyze_unguarded(sql))
+    }
+
+    fn explain_analyze_unguarded(&self, sql: &str) -> Result<String> {
         let (mode, _) = self.prepared_info()?;
         let spec = sommelier_sql::compile(sql, &self.catalog)?;
         let compiled = self.compile_spec(spec.clone())?;
@@ -1359,10 +1365,11 @@ impl Sommelier {
         self.prepared.lock().as_ref().map(|p| Arc::clone(&p.cellar))
     }
 
-    /// Injected-fault counters, when fault injection is configured
-    /// ([`SommelierConfig::fault_plan`]).
-    pub fn fault_counts(&self) -> Option<FaultCounts> {
-        self.fault_injector.as_ref().map(|f| f.injected())
+    /// The fault injector every chunk load passes through, when fault
+    /// injection is configured ([`SommelierConfig::fault_plan`]): its
+    /// injected-fault counters and its load [`FaultInjector::hold`].
+    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
+        self.fault_injector.as_ref()
     }
 
     /// Every quarantined chunk as `(uri, reason)`, across sources.

@@ -19,10 +19,10 @@
 //!   byte budget admit it (staged bytes count against the budget, so
 //!   admission control sees them). Under a ~1-chunk budget nothing is
 //!   ever issued: prefetch degrades to depth 0 instead of deadlocking.
-//! * **Charging** — `sim_chunk_io` latency and `FaultInjector` spikes
-//!   run inside the fetcher closure, i.e. on the IO thread, so the
-//!   simulated seek genuinely overlaps with compute (the decode worker
-//!   charges them itself only on the non-prefetched path).
+//! * **Charging** — the `FaultInjector` gate (spikes, holds, injected
+//!   errors) runs inside the fetcher closure, i.e. on the IO thread, so
+//!   an injected slow read genuinely overlaps with compute (the decode
+//!   worker passes the gate itself only on the non-prefetched path).
 //! * **Failure** — a failed fetch (after its own retry/backoff, cancel
 //!   honored) parks a `Failed` state that the claiming loader consumes
 //!   as an error *and removes*; the loader's outer retry loop then
@@ -43,8 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A fetch closure: read one chunk's raw bytes (charging simulated IO
-/// and fault injection inside, so both land on the IO thread).
+/// A fetch closure: read one chunk's raw bytes (passing the fault
+/// injection gate inside, so it lands on the IO thread).
 pub type RawFetcher = Arc<dyn Fn(&str) -> Result<RawChunk, EngineError> + Send + Sync>;
 
 // ---------------------------------------------------------------------

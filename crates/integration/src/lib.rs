@@ -1,6 +1,7 @@
 //! Shared helpers for the workspace-level integration tests in
 //! `tests/` (wired into cargo through this crate's `[[test]]` entries).
 
+use sommelier_core::adapters::EventLogAdapter;
 use sommelier_core::{AdmissionStats, LoadingMode, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
 use std::path::{Path, PathBuf};
@@ -86,6 +87,37 @@ pub fn open_system(
         .build()
 }
 
+/// An in-memory system over the event logs under `logs`, prepared
+/// lazily.
+pub fn eventlog_system(logs: &Path, config: SommelierConfig) -> Sommelier {
+    let somm = Sommelier::builder()
+        .source(EventLogAdapter::new(logs))
+        .config(config)
+        .build()
+        .unwrap();
+    somm.prepare(LoadingMode::Lazy).expect("prepare");
+    somm
+}
+
+/// Every chunk file under `dir`, sorted (chunk URIs are file paths for
+/// both built-in adapters).
+pub fn chunk_files(dir: &Path) -> Vec<String> {
+    fn walk(dir: &Path, out: &mut Vec<String>) {
+        for e in std::fs::read_dir(dir).unwrap().flatten() {
+            let p = e.path();
+            if p.is_dir() {
+                walk(&p, out);
+            } else {
+                out.push(p.to_string_lossy().into_owned());
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, &mut out);
+    out.sort();
+    out
+}
+
 /// An in-memory system prepared with `mode` over the given repository
 /// directory.
 pub fn prepared(repo: &Repository, mode: LoadingMode, config: SommelierConfig) -> Sommelier {
@@ -106,22 +138,23 @@ pub fn scalar_f64(result: &sommelier_core::QueryResult, col: &str) -> Option<f64
     }
 }
 
-/// Poll `somm`'s admission counters every 2 ms until `ready` holds.
-/// Panics after 30 s with the last [`AdmissionStats`], so a query that
-/// finished before any poll saw it fails by name instead of hanging
-/// the suite.
+/// Poll `cond` every 2 ms until it holds. Panics after 30 s naming
+/// `what`, so an event that never comes fails by name instead of
+/// hanging the suite.
+pub fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "no {what} after 30 s");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Wait (see [`wait_until`]) until `ready` holds for `somm`'s admission
+/// counters.
 pub fn wait_for_admission(
     somm: &Sommelier,
     what: &str,
     ready: impl Fn(&AdmissionStats) -> bool,
 ) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = somm.admission_stats();
-        if ready(&stats) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "no {what} after 30 s: {stats:?}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until(what, || ready(&somm.admission_stats()));
 }

@@ -3,17 +3,8 @@
 //! Every read of a persistent column goes through [`BufferPool::get_page`].
 //! The pool tracks hits/misses/evictions and the bytes read from disk,
 //! which the experiment harness reports alongside wall-clock times.
-//!
-//! ## Simulated I/O latency
-//!
-//! The paper's evaluation runs against a 5.4 TB HDD array and observes
-//! large cliffs once dataset + index no longer fit in 256 GB of RAM
-//! (sf-9 and sf-27 in Figs. 7–9). Our scaled-down datasets always fit in
-//! the OS page cache, so the *relative* cost of a pool miss would vanish.
-//! [`SimIo`] restores it: each page miss optionally sleeps a configurable
-//! latency, modelling the seek+read cost of the paper's cold medium. It
-//! defaults to off; the figure harnesses enable it (documented in
-//! EXPERIMENTS.md).
+//! A miss is a real read of the page from its file; the pool adds no
+//! latency of its own.
 
 use crate::error::{Result, StorageError};
 use crate::page::{page_offset, FileId, PageBuf, PageKey, PAGE_SIZE};
@@ -24,35 +15,17 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Simulated storage-medium latency applied on every pool miss.
-#[derive(Debug, Clone, Copy)]
-pub struct SimIo {
-    /// Latency charged per page read from "disk".
-    pub per_page: Duration,
-}
-
-impl SimIo {
-    /// An HDD-ish model: ~100 µs per 64 KiB page (≈ 600 MB/s streaming,
-    /// which is generous for the paper's RAID0 but keeps runs fast).
-    pub fn hdd() -> Self {
-        SimIo { per_page: Duration::from_micros(100) }
-    }
-}
 
 /// Pool configuration.
 #[derive(Debug, Clone)]
 pub struct BufferPoolConfig {
     /// Maximum bytes of page data kept resident.
     pub capacity_bytes: usize,
-    /// Optional simulated I/O latency per miss.
-    pub sim_io: Option<SimIo>,
 }
 
 impl Default for BufferPoolConfig {
     fn default() -> Self {
-        BufferPoolConfig { capacity_bytes: 256 * 1024 * 1024, sim_io: None }
+        BufferPoolConfig { capacity_bytes: 256 * 1024 * 1024 }
     }
 }
 
@@ -177,11 +150,6 @@ impl BufferPool {
         &self.disk
     }
 
-    /// The pool configuration.
-    pub fn config(&self) -> &BufferPoolConfig {
-        &self.config
-    }
-
     /// Live statistics counters.
     pub fn stats(&self) -> &PoolStats {
         &self.stats
@@ -210,9 +178,6 @@ impl BufferPool {
         let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
         let valid = self.disk.read_at(key.file, page_offset(key.page_no), &mut data)?;
         self.stats.bytes_read.fetch_add(valid as u64, Ordering::Relaxed);
-        if let Some(sim) = self.config.sim_io {
-            std::thread::sleep(sim.per_page);
-        }
         let page = Arc::new(PageBuf { data, valid });
         let mut st = self.state.lock();
         if st.pages.contains_key(&key) {
@@ -339,8 +304,7 @@ mod tests {
     fn read_hits_after_first_miss() {
         let payload: Vec<u8> = (0..PAGE_SIZE * 2).map(|i| (i % 251) as u8).collect();
         let (_dir, path) = temp_file(&payload);
-        let pool =
-            BufferPool::new(BufferPoolConfig { capacity_bytes: 8 * PAGE_SIZE, sim_io: None });
+        let pool = BufferPool::new(BufferPoolConfig { capacity_bytes: 8 * PAGE_SIZE });
         let fid = pool.disk().register(&path).unwrap();
 
         let p0 = pool.get_page(PageKey { file: fid, page_no: 0 }).unwrap();
@@ -370,8 +334,7 @@ mod tests {
         let payload = vec![1u8; PAGE_SIZE * 4];
         let (_dir, path) = temp_file(&payload);
         // Capacity of exactly two pages.
-        let pool =
-            BufferPool::new(BufferPoolConfig { capacity_bytes: 2 * PAGE_SIZE, sim_io: None });
+        let pool = BufferPool::new(BufferPoolConfig { capacity_bytes: 2 * PAGE_SIZE });
         let fid = pool.disk().register(&path).unwrap();
         for p in 0..3u32 {
             pool.get_page(PageKey { file: fid, page_no: p }).unwrap();
@@ -388,8 +351,7 @@ mod tests {
     fn touching_refreshes_recency() {
         let payload = vec![1u8; PAGE_SIZE * 4];
         let (_dir, path) = temp_file(&payload);
-        let pool =
-            BufferPool::new(BufferPoolConfig { capacity_bytes: 2 * PAGE_SIZE, sim_io: None });
+        let pool = BufferPool::new(BufferPoolConfig { capacity_bytes: 2 * PAGE_SIZE });
         let fid = pool.disk().register(&path).unwrap();
         let key = |p| PageKey { file: fid, page_no: p };
         pool.get_page(key(0)).unwrap();

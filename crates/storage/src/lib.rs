@@ -40,7 +40,7 @@ pub mod table;
 pub mod time;
 pub mod value;
 
-pub use buffer::{BufferPool, BufferPoolConfig, PoolStats, SimIo};
+pub use buffer::{BufferPool, BufferPoolConfig, PoolStats};
 pub use catalog::Catalog;
 pub use column::{ColumnData, TextColumn};
 pub use db::{ConstraintPolicy, Database};

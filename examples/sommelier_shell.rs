@@ -1,5 +1,6 @@
 //! An interactive shell over a sommelier instance: type SQL against the
 //! seismology schema, `EXPLAIN <query>` to see the two-stage plan,
+//! `EXPLAIN ANALYZE <query>` to run it and see its span tree,
 //! `.stats` for cache/DMd state, `.mode <m>` to re-prepare.
 //!
 //! ```sh
@@ -17,6 +18,7 @@ fn print_help() {
          \x20 <SELECT ...>       run a query (tables F, S, D, H; views dataview,\n\
          \x20                    windowdataview, segview, windowview)\n\
          \x20 EXPLAIN <SELECT>   show the logical plan\n\
+         \x20 EXPLAIN ANALYZE <SELECT>  run it; show the plan and its span tree\n\
          \x20 .mode <lazy|eager_plain|eager_index|eager_dmd|eager_csv>  re-prepare\n\
          \x20 .stats             cellar / buffer-pool / DMd state\n\
          \x20 .cold              flush caches (simulate a cold restart)\n\
@@ -94,7 +96,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else if let Some(q) =
             line.strip_prefix("EXPLAIN ").or_else(|| line.strip_prefix("explain "))
         {
-            match somm.explain(q) {
+            let plan = match q.strip_prefix("ANALYZE ").or_else(|| q.strip_prefix("analyze "))
+            {
+                Some(q) => somm.explain_analyze(q),
+                None => somm.explain(q),
+            };
+            match plan {
                 Ok(plan) => println!("{plan}"),
                 Err(e) => println!("error: {e}"),
             }

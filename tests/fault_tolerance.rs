@@ -9,7 +9,7 @@ use sommelier_core::{
     Sommelier, SommelierConfig, SommelierError,
 };
 use sommelier_engine::EngineError;
-use sommelier_integration::{ingv_repo, TempDir};
+use sommelier_integration::{chunk_files, ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -34,25 +34,6 @@ fn eventlog_repo(dir: &TempDir, days: u32, events: u32) -> PathBuf {
 
 fn eventlog_system(logs: &Path, cfg: SommelierConfig) -> Sommelier {
     Sommelier::builder().source(EventLogAdapter::new(logs)).config(cfg).build().unwrap()
-}
-
-/// Every chunk file under `dir`, sorted (chunk URIs are file paths for
-/// both built-in adapters).
-fn chunk_files(dir: &Path) -> Vec<String> {
-    fn walk(dir: &Path, out: &mut Vec<String>) {
-        for e in std::fs::read_dir(dir).unwrap().flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                walk(&p, out);
-            } else {
-                out.push(p.to_string_lossy().into_owned());
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(dir, &mut out);
-    out.sort();
-    out
 }
 
 /// The paper's taxonomy against the seismology source.
@@ -140,7 +121,8 @@ fn taxonomy_byte_identical_under_transient_faults() {
                     assert!(b.degraded.is_none(), "{ctx}: retries are not degradation");
                 }
                 if mode == LoadingMode::Lazy {
-                    lazy_faults_seen |= faulty.fault_counts().unwrap().transient > 0;
+                    lazy_faults_seen |=
+                        faulty.fault_injector().unwrap().injected().transient > 0;
                 }
             }
         }
@@ -205,13 +187,17 @@ fn strict_permanent_failure_quarantines_without_poisoning() {
     let quarantined = somm.quarantined_chunks();
     assert_eq!(quarantined.len(), 1);
     assert_eq!(quarantined[0].0, victim);
-    let touched = somm.fault_counts().unwrap().corrupt;
+    let touched = somm.fault_injector().unwrap().injected().corrupt;
     assert!(touched >= 1);
     // Repeating the query still fails (strict) — but via the
     // quarantine list, without re-reading the broken file.
     let err2 = somm.query(all_rows).unwrap_err();
     assert!(err2.to_string().contains("quarantined"), "{err2}");
-    assert_eq!(somm.fault_counts().unwrap().corrupt, touched, "file not re-touched");
+    assert_eq!(
+        somm.fault_injector().unwrap().injected().corrupt,
+        touched,
+        "file not re-touched"
+    );
     // Metadata-only and disjoint data queries are untouched.
     somm.query(eventlog_queries()[0]).unwrap();
     let other = chunks.iter().find(|c| **c != victim).unwrap();
@@ -262,11 +248,11 @@ fn skip_mode_answers_over_readable_subset_with_accurate_report() {
     assert!(d.reasons[0].contains("bad magic"), "reason carries the cause: {}", d.reasons[0]);
     // The skip quarantined the chunk; a second skip query still reports
     // it (via stage 1) without touching the file again.
-    let touched = faulty.fault_counts().unwrap().corrupt;
+    let touched = faulty.fault_injector().unwrap().injected().corrupt;
     let r2 = faulty.query_opts(all_rows, &opts).unwrap();
     assert_eq!(count(&r2), total - victim_rows);
     assert_eq!(r2.degraded.unwrap().skipped_chunks, vec![victim]);
-    assert_eq!(faulty.fault_counts().unwrap().corrupt, touched);
+    assert_eq!(faulty.fault_injector().unwrap().injected().corrupt, touched);
     assert!(faulty.metrics_snapshot().counter("fault.queries_degraded") >= Some(2));
 }
 
@@ -305,5 +291,8 @@ fn cancellation_during_backoff_releases_all_pins() {
     let cellar = somm.cellar().unwrap();
     assert_eq!(cellar.total_pins(), 0, "cancelled query must leave zero pinned chunks");
     assert!(somm.quarantined_chunks().is_empty(), "transient faults never quarantine");
-    assert!(somm.fault_counts().unwrap().transient > 0, "the query did hit the injector");
+    assert!(
+        somm.fault_injector().unwrap().injected().transient > 0,
+        "the query did hit the injector"
+    );
 }

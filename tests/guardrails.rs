@@ -54,6 +54,14 @@
 //! `query_opts`; `query_approx` and the `run_spec`/`run_spec_sampled`
 //! wrappers were removed.
 //!
+//! `FaultPlan` is the one way to slow or fail a chunk load: a spike at
+//! rate 1.0 slows every load, and `FaultInjector::hold` parks loads
+//! until a test releases them. The simulated-IO model — its latency
+//! struct, the buffer pool's page-miss sleep, the two `SommelierConfig`
+//! latency knobs and the chunk source's setter and sleep — was
+//! removed. `FaultPlan`'s field count is pinned so the hold stays a
+//! method, never a configuration field.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -125,11 +133,18 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn decode_claims", "acquire_many is a sink over the streaming wave"),
     ("fn query_approx", "query_opts with QueryOptions::sampling"),
     ("fn run_spec_sampled", "run_spec_opts with QueryOptions::sampling"),
+    ("struct SimIo", "FaultPlan spikes slow chunk loads; the buffer pool reads real pages"),
+    ("fn sim_io_total", "FaultPlan spikes slow chunk loads"),
+    ("fn charge_sim_io", "FaultInjector::before_load gates every chunk load"),
+    ("fn with_sim_io", "AdapterChunkSource::with_faults"),
+    ("sim_chunk_io", "FaultPlan spikes slow chunk loads; FaultInjector::hold parks them"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.
 const CONFIG_FIELDS: &[(&str, &str, usize)] = &[
-    ("crates/core/src/config.rs", "SommelierConfig", 17),
+    ("crates/core/src/config.rs", "SommelierConfig", 15),
+    ("crates/storage/src/buffer.rs", "BufferPoolConfig", 1),
+    ("crates/core/src/fault.rs", "FaultPlan", 8),
     ("crates/core/src/cellar/mod.rs", "CellarConfig", 4),
     ("crates/engine/src/twostage.rs", "TwoStageConfig", 7),
     ("crates/engine/src/sched.rs", "SchedPolicy", 5),

@@ -6,9 +6,9 @@
 //! tolerance). The cost assertions then check the pass actually does
 //! something: zone maps prune chunks before decode.
 
-use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
+use sommelier_core::adapters::{generate_event_logs, EventLogSpec};
 use sommelier_core::{LoadingMode, QueryResult, Sommelier, SommelierConfig};
-use sommelier_integration::{ingv_repo, TempDir};
+use sommelier_integration::{eventlog_system, ingv_repo, TempDir};
 use sommelier_mseed::Repository;
 use sommelier_storage::Value;
 use std::path::Path;
@@ -22,13 +22,6 @@ fn config(zone: bool) -> SommelierConfig {
 
 fn mseed_system(repo: &Repository, cfg: SommelierConfig) -> Sommelier {
     let somm = sommelier_integration::in_memory_system(repo, cfg).unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
-    somm
-}
-
-fn eventlog_system(logs: &Path, cfg: SommelierConfig) -> Sommelier {
-    let somm =
-        Sommelier::builder().source(EventLogAdapter::new(logs)).config(cfg).build().unwrap();
     somm.prepare(LoadingMode::Lazy).unwrap();
     somm
 }
@@ -209,9 +202,10 @@ fn explain_prints_the_pass_trace() {
     assert!(plan.contains("partial_agg_fusion: fired"), "{plan}");
 }
 
-/// EXPLAIN sniffs an `ANALYZE` prefix by its first seven bytes; a
-/// multibyte character straddling byte 7 must be a parse error, not a
-/// panic, and the prefix must still route to EXPLAIN ANALYZE.
+/// EXPLAIN takes a query and nothing else: multibyte text near where
+/// an `ANALYZE` prefix would end is a parse error, not a panic, and an
+/// `ANALYZE` prefix is not sniffed either — `explain_analyze` is the
+/// one way to run EXPLAIN ANALYZE.
 #[test]
 fn explain_rejects_multibyte_text_at_the_analyze_boundary() {
     let dir = TempDir::new("optexplain-utf8");
@@ -223,7 +217,8 @@ fn explain_rejects_multibyte_text_at_the_analyze_boundary() {
     let t4 = "SELECT AVG(D.sample_value) FROM dataview \
               WHERE F.station = 'ISK' AND F.channel = 'BHE' \
               AND D.sample_time < '2010-01-01T12:00:00.000'";
-    let text = somm.explain(&format!("ANALYZE {t4}")).unwrap();
+    assert!(somm.explain(&format!("ANALYZE {t4}")).is_err(), "ANALYZE is not SQL");
+    let text = somm.explain_analyze(t4).unwrap();
     assert!(text.contains("-- spans"), "{text}");
 }
 

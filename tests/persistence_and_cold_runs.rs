@@ -3,9 +3,8 @@
 
 use sommelier_core::{LoadingMode, SommelierConfig};
 use sommelier_integration::{disk_system, fiam_repo, open_system, TempDir};
-use sommelier_storage::buffer::{BufferPoolConfig, SimIo};
+use sommelier_storage::buffer::BufferPoolConfig;
 use sommelier_storage::Database;
-use std::time::Duration;
 
 #[test]
 fn disk_backed_prepare_and_query() {
@@ -64,35 +63,6 @@ fn cold_runs_miss_the_buffer_pool() {
     somm.query(sql).unwrap();
     let cold = somm.db().pool().stats().snapshot();
     assert!(cold.misses > hot.misses, "cold run re-reads pages");
-}
-
-#[test]
-fn simulated_io_slows_pool_misses() {
-    // The simulated-I/O substitution for the paper's disk-bound regimes
-    // (EXPERIMENTS.md, "SimIo"):
-    // a per-page latency charged on misses must make cold scans
-    // measurably slower, and leave hot scans alone.
-    let dir = TempDir::new("simio");
-    let repo = fiam_repo(&dir, 2, 256);
-    let config = SommelierConfig {
-        sim_io: Some(SimIo { per_page: Duration::from_millis(2) }),
-        ..SommelierConfig::default()
-    };
-    let somm = disk_system(&dir.join("db"), &repo, config).unwrap();
-    somm.prepare(LoadingMode::EagerPlain).unwrap();
-    let sql = "SELECT AVG(D.sample_value) FROM dataview \
-               WHERE D.sample_time < '2010-01-03T00:00:00.000'";
-    somm.flush_caches();
-    let t = std::time::Instant::now();
-    somm.query(sql).unwrap();
-    let cold = t.elapsed();
-    let t = std::time::Instant::now();
-    somm.query(sql).unwrap();
-    let hot = t.elapsed();
-    assert!(
-        cold > hot * 2,
-        "simulated I/O should separate cold ({cold:?}) from hot ({hot:?})"
-    );
 }
 
 #[test]

@@ -4,17 +4,20 @@
 //! overload with a retry-after contract, panic isolation + per-session
 //! quarantine, priority aging under a saturating tenant, and a seeded
 //! chaos schedule composing faults × cancellation × timeouts ×
-//! saturation × panic injection × shutdown-while-loaded.
+//! saturation × panic injection × shutdown-while-loaded. Events that
+//! must land mid-query do so on a fault-injector hold: the query's
+//! loads park until the test releases them.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{
     FaultPlan, LoadingMode, Priority, Sommelier, SommelierConfig, SommelierError,
 };
-use sommelier_integration::{wait_for_admission, TempDir};
-use sommelier_mseed::{MseedAdapter, Repository};
+use sommelier_integration::{
+    chunk_files, eventlog_system, fiam_repo, prepared, wait_for_admission, wait_until,
+    TempDir,
+};
+use sommelier_mseed::Repository;
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
-use sommelier_storage::buffer::SimIo;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -26,60 +29,16 @@ fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn eventlog_system(logs: &Path, config: SommelierConfig) -> Sommelier {
-    let somm = Sommelier::builder()
-        .source(EventLogAdapter::new(logs))
-        .config(config)
-        .build()
-        .unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
-    somm
-}
-
 fn mseed_system(repo: &Repository, config: SommelierConfig) -> Sommelier {
-    let somm = Sommelier::builder()
-        .source(MseedAdapter::new(Repository::at(repo.dir())))
-        .config(config)
-        .build()
-        .unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
-    somm
+    prepared(repo, LoadingMode::Lazy, config)
 }
 
-/// Every chunk file under `dir`, sorted (chunk URIs are file paths for
-/// both built-in adapters).
-fn chunk_files(dir: &Path) -> Vec<String> {
-    fn walk(dir: &Path, out: &mut Vec<String>) {
-        for e in std::fs::read_dir(dir).unwrap().flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                walk(&p, out);
-            } else {
-                out.push(p.to_string_lossy().into_owned());
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(dir, &mut out);
-    out.sort();
-    out
-}
-
-/// A long-running T4-shaped query, slowed by simulated repository I/O
-/// so drains, cancellation, and shutdown have something mid-flight to
-/// act on.
-const SLOW_MSEED_T4: &str = "SELECT AVG(D.sample_value) FROM dataview \
+/// A T4-shaped query over every day of the FIAM station: several chunk
+/// loads, so a held query has loads still to come after its release.
+const ALL_DAYS_T4: &str = "SELECT AVG(D.sample_value) FROM dataview \
      WHERE F.station = 'FIAM' AND F.channel = 'HHZ' \
      AND D.sample_time >= '2010-01-01T00:00:00.000' \
      AND D.sample_time < '2010-01-09T00:00:00.000'";
-
-fn fiam_repo(dir: &TempDir, days: u32) -> Repository {
-    let repo = Repository::at(dir.join("repo"));
-    let mut spec = sommelier_mseed::DatasetSpec::fiam(1, 64);
-    spec.days = days;
-    repo.generate(&spec).unwrap();
-    repo
-}
 
 /// Graceful drain: a generous deadline lets in-flight queries finish on
 /// their own (drained, nothing cancelled, books balanced), queued
@@ -89,24 +48,33 @@ fn fiam_repo(dir: &TempDir, days: u32) -> Repository {
 fn shutdown_drains_in_flight_within_deadline() {
     let _x = exclusive();
     let dir = TempDir::new("resilience-drain");
-    let repo = fiam_repo(&dir, 8);
+    let repo = fiam_repo(&dir, 8, 64);
     let config = SommelierConfig {
         admission_max_concurrent: 1,
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(30) }),
         max_threads: 2,
+        fault_plan: Some(FaultPlan::default()),
         ..SommelierConfig::default()
     };
     let server = Server::new(Arc::new(mseed_system(&repo, config)));
     let session = server.open_session(SessionOptions::default());
-    let running = session.submit(SLOW_MSEED_T4).unwrap();
-    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
+    let hold = server.sommelier().fault_injector().unwrap().hold();
+    let running = session.submit(ALL_DAYS_T4).unwrap();
+    hold.wait_parked(1);
     // A second query parked in the admission queue behind the hog: the
     // shutdown must wake it with the typed error, not leave it hanging.
-    let queued = session.submit(SLOW_MSEED_T4).unwrap();
+    let queued = session.submit(ALL_DAYS_T4).unwrap();
     wait_for_admission(server.sommelier(), "queued query", |s| s.queue_depth > 0);
 
     let deadline = Duration::from_secs(120);
-    let report = server.shutdown(deadline);
+    // The hog stays parked until the shutdown has woken the queued
+    // query, so it is still in flight when the drain starts.
+    let report = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            wait_until("woken admission waiter", || queued.is_finished());
+            hold.release();
+        });
+        server.shutdown(deadline)
+    });
     assert!(report.is_clean(), "drain left unbalanced books: {report:?}");
     assert_eq!(report.cancelled, 0, "generous deadline: nothing should be cancelled");
     assert!(report.drained >= 1, "the running query finished in the drain window");
@@ -119,7 +87,7 @@ fn shutdown_drains_in_flight_within_deadline() {
     );
     assert!(server.is_shutting_down());
     assert!(
-        matches!(session.submit(SLOW_MSEED_T4).unwrap_err(), ServerError::ShuttingDown),
+        matches!(session.submit(ALL_DAYS_T4).unwrap_err(), ServerError::ShuttingDown),
         "new submits rejected after shutdown"
     );
     // Idempotent: a second shutdown re-reads an already-clean ledger.
@@ -137,18 +105,26 @@ fn shutdown_drains_in_flight_within_deadline() {
 fn shutdown_deadline_cancels_stragglers_with_balanced_books() {
     let _x = exclusive();
     let dir = TempDir::new("resilience-cancel");
-    let repo = fiam_repo(&dir, 8);
+    let repo = fiam_repo(&dir, 8, 64);
     let config = SommelierConfig {
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
         max_threads: 2,
+        fault_plan: Some(FaultPlan::default()),
         ..SommelierConfig::default()
     };
     let server = Server::new(Arc::new(mseed_system(&repo, config)));
     let session = server.open_session(SessionOptions::default());
-    let straggler = session.submit(SLOW_MSEED_T4).unwrap();
-    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
-    // Deadline expires immediately: the straggler cannot finish.
+    let hold = server.sommelier().fault_injector().unwrap().hold();
+    let straggler = session.submit(ALL_DAYS_T4).unwrap();
+    hold.wait_parked(1);
+    // Deadline expires immediately: the straggler cannot finish while
+    // parked, and its loads resume only once the cancel has fired.
+    let cancel = straggler.cancel_token().clone();
+    let releaser = std::thread::spawn(move || {
+        wait_until("straggler cancel", || cancel.cancelled().is_some());
+        hold.release();
+    });
     let report = server.shutdown(Duration::from_millis(1));
+    releaser.join().unwrap();
     assert_eq!(report.cancelled, 1, "straggler's cancel token fired: {report:?}");
     assert!(report.is_clean(), "cancelled straggler must unwind cleanly: {report:?}");
     assert!(
@@ -168,12 +144,12 @@ fn shutdown_deadline_cancels_stragglers_with_balanced_books() {
 fn overload_rejection_carries_retry_after_contract() {
     let _x = exclusive();
     let dir = TempDir::new("resilience-overload");
-    let repo = fiam_repo(&dir, 4);
+    let repo = fiam_repo(&dir, 4, 64);
     let config = SommelierConfig {
         admission_max_concurrent: 1,
         admission_queue_limit: 1,
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
         max_threads: 2,
+        fault_plan: Some(FaultPlan::default()),
         ..SommelierConfig::default()
     };
     let server = Server::new(Arc::new(mseed_system(&repo, config)));
@@ -184,12 +160,15 @@ fn overload_rejection_carries_retry_after_contract() {
         .unwrap()
         .wait()
         .unwrap();
-    let hog = session.submit(SLOW_MSEED_T4).unwrap();
-    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
-    let queued = session.submit(SLOW_MSEED_T4).unwrap();
+    // The hog holds the only slot, parked mid-load, until the
+    // rejection has been observed.
+    let hold = server.sommelier().fault_injector().unwrap().hold();
+    let hog = session.submit(ALL_DAYS_T4).unwrap();
+    hold.wait_parked(1);
+    let queued = session.submit(ALL_DAYS_T4).unwrap();
     wait_for_admission(server.sommelier(), "queued query", |s| s.queue_depth > 0);
     // Queue full (limit 1): the third query is the one pushed back.
-    let err = session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap_err();
+    let err = session.submit(ALL_DAYS_T4).unwrap().wait().unwrap_err();
     match err {
         ServerError::Overloaded { retry_after_ms, ref message } => {
             assert!(
@@ -205,11 +184,12 @@ fn overload_rejection_carries_retry_after_contract() {
         snap.gauge("admission.retry_after_ms").unwrap_or(0) >= 10,
         "advertised retry-after reaches the metrics snapshot"
     );
+    hold.release();
     hog.wait().unwrap();
     queued.wait().unwrap();
     // Transient by definition: the same query succeeds once the queue
     // has drained.
-    session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap();
+    session.submit(ALL_DAYS_T4).unwrap().wait().unwrap();
 }
 
 /// A panicking chunk decode fails exactly one query with the typed
@@ -278,6 +258,24 @@ fn panic_is_isolated_quarantined_and_leak_free() {
     );
 }
 
+/// `query_spec` shares `query`'s panic backstop: a panicking decode
+/// is the typed `QueryPanicked`, counted in `query.panicked`.
+#[test]
+fn query_spec_panics_are_typed_and_counted() {
+    use sommelier_core::source::{assemble_catalog, SourceAdapter};
+    let dir = TempDir::new("resilience-spec-panic");
+    let logs = dir.join("logs");
+    generate_event_logs(&logs, &EventLogSpec::small(2, 16)).unwrap();
+    let plan = FaultPlan { panic_uris: chunk_files(&logs), ..FaultPlan::default() };
+    let config = SommelierConfig { fault_plan: Some(plan), ..SommelierConfig::default() };
+    let somm = eventlog_system(&logs, config);
+    let catalog = assemble_catalog(&[EventLogAdapter::new(&logs).descriptor()]).unwrap();
+    let spec = sommelier_sql::compile("SELECT AVG(E.val) FROM eventview", &catalog).unwrap();
+    let err = somm.query_spec(spec).unwrap_err();
+    assert!(matches!(err, SommelierError::QueryPanicked { .. }), "{err:?}");
+    assert_eq!(somm.metrics_snapshot().counter("query.panicked"), Some(1));
+}
+
 /// Bounded starvation under the server: a saturating stream of High
 /// queries on a tiny worker pool cannot starve a Low session forever —
 /// aging promotes the Low batches one rank per `sched_aging_ms`.
@@ -285,11 +283,17 @@ fn panic_is_isolated_quarantined_and_leak_free() {
 fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
     let _x = exclusive();
     let dir = TempDir::new("resilience-aging");
-    let repo = fiam_repo(&dir, 4);
+    let repo = fiam_repo(&dir, 4, 64);
     let config = SommelierConfig {
         max_threads: 2,
         sched_aging_ms: 10,
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(10) }),
+        // Slow loads (10 ms each), so the High tenant keeps both
+        // workers busy.
+        fault_plan: Some(FaultPlan {
+            spike_rate: 1.0,
+            spike: Duration::from_millis(10),
+            ..FaultPlan::default()
+        }),
         ..SommelierConfig::default()
     };
     let server = Server::new(Arc::new(mseed_system(&repo, config)));
@@ -307,16 +311,16 @@ fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
                 // Cold chunks every time, so the tenant keeps the
                 // workers saturated with decode work.
                 srv.sommelier().flush_caches();
-                session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap();
+                session.submit(ALL_DAYS_T4).unwrap().wait().unwrap();
             }
         }));
     }
-    // Let the High tenant saturate both workers first.
-    std::thread::sleep(Duration::from_millis(100));
+    // Both High queries are running before the Low session arrives.
+    wait_for_admission(server.sommelier(), "saturating High tenant", |s| s.running >= 2);
     let low =
         server.open_session(SessionOptions { priority: Priority::Low, ..Default::default() });
     let t0 = Instant::now();
-    let r = low.submit(SLOW_MSEED_T4).unwrap().wait();
+    let r = low.submit(ALL_DAYS_T4).unwrap().wait();
     let waited = t0.elapsed();
     stop.store(true, Ordering::Relaxed);
     for h in hogs {
@@ -402,19 +406,18 @@ fn chaos_schedule_survivors_byte_identical_and_leak_free() {
         .collect();
     drop(clean);
 
-    // The chaos system: transient faults within the retry budget,
-    // latency spikes, the panicking victim chunk, slow simulated chunk
-    // reads (so cancels land mid-flight), and a starved admission queue
-    // (so saturation rejects with retry-after).
+    // The chaos system: transient faults within the retry budget, a
+    // latency spike on every load (so cancels land mid-flight), the
+    // panicking victim chunk, and a starved admission queue (so
+    // saturation rejects with retry-after).
     let config = SommelierConfig {
         max_threads: 4,
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(5) }),
         admission_max_concurrent: 2,
         admission_queue_limit: 3,
         fault_plan: Some(FaultPlan {
             transient_rate: 0.4,
-            spike_rate: 0.2,
-            spike: Duration::from_millis(2),
+            spike_rate: 1.0,
+            spike: Duration::from_millis(5),
             panic_uris: vec![victim.clone()],
             ..FaultPlan::default()
         }),

@@ -3,14 +3,16 @@
 //! bounded worker threads under concurrency (the shared morsel
 //! scheduler), observable priority ordering under a saturated server,
 //! typed timeout errors, and the cancellation pin-leak regression.
+//! Events that must land mid-query do so on a fault-injector hold:
+//! the query's loads park until the test releases them.
 
-use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-use sommelier_core::{LoadingMode, Priority, Sommelier, SommelierConfig};
-use sommelier_integration::{ingv_repo, wait_for_admission, TempDir};
-use sommelier_mseed::{MseedAdapter, Repository};
+use sommelier_core::adapters::{generate_event_logs, EventLogSpec};
+use sommelier_core::{FaultPlan, LoadingMode, Priority, Sommelier, SommelierConfig};
+use sommelier_integration::{
+    eventlog_system, fiam_repo, ingv_repo, prepared, wait_for_admission, wait_until, TempDir,
+};
+use sommelier_mseed::Repository;
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
-use sommelier_storage::buffer::SimIo;
-use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -25,24 +27,14 @@ fn server_config(threads: usize) -> SommelierConfig {
     SommelierConfig { max_threads: threads, ..SommelierConfig::default() }
 }
 
-fn mseed_system(repo: &Repository, config: SommelierConfig) -> Sommelier {
-    let somm = Sommelier::builder()
-        .source(MseedAdapter::new(Repository::at(repo.dir())))
-        .config(config)
-        .build()
-        .unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
-    somm
+/// Two workers and a fault injector that injects nothing, so a test
+/// can park loads on its hold.
+fn held_config() -> SommelierConfig {
+    SommelierConfig { fault_plan: Some(FaultPlan::default()), ..server_config(2) }
 }
 
-fn eventlog_system(logs: &Path, config: SommelierConfig) -> Sommelier {
-    let somm = Sommelier::builder()
-        .source(EventLogAdapter::new(logs))
-        .config(config)
-        .build()
-        .unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
-    somm
+fn mseed_system(repo: &Repository, config: SommelierConfig) -> Sommelier {
+    prepared(repo, LoadingMode::Lazy, config)
 }
 
 /// The paper's T1–T5 taxonomy against the seismology source.
@@ -87,10 +79,9 @@ fn eventlog_queries() -> Vec<&'static str> {
     ]
 }
 
-/// A long-running T4-shaped query (every day of the FIAM station),
-/// slowed by simulated repository I/O so cancellation and priority
-/// tests have something mid-flight to act on.
-const SLOW_MSEED_T4: &str = "SELECT AVG(D.sample_value) FROM dataview \
+/// A T4-shaped query over every day of the FIAM station: several chunk
+/// loads, so a held query has loads still to come after its release.
+const ALL_DAYS_T4: &str = "SELECT AVG(D.sample_value) FROM dataview \
      WHERE F.station = 'FIAM' AND F.channel = 'HHZ' \
      AND D.sample_time >= '2010-01-01T00:00:00.000' \
      AND D.sample_time < '2010-01-09T00:00:00.000'";
@@ -164,32 +155,34 @@ fn results_byte_identical_under_concurrent_sessions_on_both_adapters() {
 fn priority_ordering_observable_under_saturated_server() {
     let _x = exclusive();
     let dir = TempDir::new("server-priority");
-    let repo = {
-        let repo = Repository::at(dir.join("repo"));
-        let mut spec = sommelier_mseed::DatasetSpec::fiam(1, 64);
-        spec.days = 8;
-        repo.generate(&spec).unwrap();
-        repo
-    };
-    // One admission slot and slow decodes: the first query saturates
+    let repo = fiam_repo(&dir, 8, 64);
+    // One admission slot and a held load: the first query saturates
     // the server; everything else queues in the admission controller,
     // which serves the highest priority first. A zero cellar budget
-    // makes every run decode (stay slow); with one slot, its admission
-    // gate (one lazy query at a time) and prefetch off change nothing.
+    // makes every run decode; with one slot, its admission gate (one
+    // lazy query at a time) and prefetch off change nothing. A 20 ms
+    // spike on every load keeps each query far slower than a waiter's
+    // wake-up, so completion order is admission order.
     let config = SommelierConfig {
         admission_max_concurrent: 1,
         cellar_bytes: Some(0),
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(150) }),
+        fault_plan: Some(FaultPlan {
+            spike_rate: 1.0,
+            spike: Duration::from_millis(20),
+            ..FaultPlan::default()
+        }),
         ..server_config(2)
     };
     let somm = mseed_system(&repo, config);
     let server = Server::new(Arc::new(somm));
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
 
+    let hold = server.sommelier().fault_injector().unwrap().hold();
     let hog = server.open_session(SessionOptions::default());
-    let running = hog.submit(SLOW_MSEED_T4).unwrap();
-    // Let the hog win the admission slot before anyone queues.
-    wait_for_admission(server.sommelier(), "running query", |s| s.running > 0);
+    let running = hog.submit(ALL_DAYS_T4).unwrap();
+    // The hog wins the admission slot and parks mid-load before
+    // anyone queues.
+    hold.wait_parked(1);
 
     let mut waiters = Vec::new();
     // Low queues first, High second; High must still finish first.
@@ -200,15 +193,16 @@ fn priority_ordering_observable_under_saturated_server() {
         let order = Arc::clone(&order);
         waiters.push(std::thread::spawn(move || {
             let session = srv.open_session(SessionOptions { priority, ..Default::default() });
-            session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap();
+            session.submit(ALL_DAYS_T4).unwrap().wait().unwrap();
             order.lock().unwrap().push(tag);
         }));
         // Deterministic enqueue order: wait until this waiter is
         // actually queued before releasing the next one.
         wait_for_admission(server.sommelier(), "queued waiter", |s| s.queue_depth > n as u64);
     }
-    // The hog must still be holding the slot, or ordering says nothing.
+    // The hog is still holding the slot, so ordering says something.
     assert_eq!(server.sommelier().admission_stats().queue_depth, 2, "both waiters queued");
+    hold.release();
     running.wait().unwrap();
     for w in waiters {
         w.join().unwrap();
@@ -227,29 +221,25 @@ fn priority_ordering_observable_under_saturated_server() {
 fn timeout_fires_with_typed_error() {
     let _x = exclusive();
     let dir = TempDir::new("server-timeout");
-    let repo = {
-        let repo = Repository::at(dir.join("repo"));
-        let mut spec = sommelier_mseed::DatasetSpec::fiam(1, 64);
-        spec.days = 8;
-        repo.generate(&spec).unwrap();
-        repo
-    };
-    let config = SommelierConfig {
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(60) }),
-        ..server_config(2)
-    };
-    let somm = mseed_system(&repo, config);
+    let repo = fiam_repo(&dir, 8, 64);
+    let somm = mseed_system(&repo, held_config());
     let server = Server::new(Arc::new(somm));
     let session = server.open_session(SessionOptions {
         default_timeout: Some(Duration::from_millis(120)),
         ..Default::default()
     });
-    let err = session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap_err();
+    // Loads stay parked until the deadline has passed, so the query
+    // cannot finish in time however fast the machine is.
+    let hold = server.sommelier().fault_injector().unwrap().hold();
+    let handle = session.submit(ALL_DAYS_T4).unwrap();
+    wait_until("blown deadline", || handle.cancel_token().cancelled().is_some());
+    hold.release();
+    let err = handle.wait().unwrap_err();
     assert!(matches!(err, ServerError::TimedOut), "expected TimedOut, got: {err}");
     // A per-submit override beats the session default.
     let r = session
         .submit_with(
-            SLOW_MSEED_T4,
+            ALL_DAYS_T4,
             &SubmitOptions { timeout: Some(Duration::from_secs(120)), ..Default::default() },
         )
         .unwrap()
@@ -262,30 +252,20 @@ fn timeout_fires_with_typed_error() {
 fn cancellation_mid_query_leaves_no_pinned_chunks() {
     let _x = exclusive();
     let dir = TempDir::new("server-cancel-pins");
-    let repo = {
-        let repo = Repository::at(dir.join("repo"));
-        let mut spec = sommelier_mseed::DatasetSpec::fiam(1, 64);
-        spec.days = 8;
-        repo.generate(&spec).unwrap();
-        repo
-    };
-    let config = SommelierConfig {
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
-        ..server_config(2)
-    };
-    let somm = mseed_system(&repo, config);
+    let repo = fiam_repo(&dir, 8, 64);
+    let somm = mseed_system(&repo, held_config());
     let cellar = somm.cellar().unwrap();
     let server = Server::new(Arc::new(somm));
     let session = server.open_session(SessionOptions::default());
     for round in 0..3 {
-        // A cold cellar each round, so the query is still decoding when
-        // the cancel lands.
+        // A cold cellar each round, so the query has loads to park.
         server.sommelier().flush_caches();
-        let handle = session.submit(SLOW_MSEED_T4).unwrap();
-        // Let the query get mid-flight into its decode wave, then pull
-        // the plug.
-        std::thread::sleep(Duration::from_millis(90));
+        let hold = server.sommelier().fault_injector().unwrap().hold();
+        let handle = session.submit(ALL_DAYS_T4).unwrap();
+        // The query is mid-flight in its decode wave: pull the plug.
+        hold.wait_parked(1);
         handle.cancel();
+        hold.release();
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, ServerError::Cancelled), "round {round}: got {err}");
         // The regression this guards: a cancelled wave must release
@@ -293,7 +273,7 @@ fn cancellation_mid_query_leaves_no_pinned_chunks() {
         assert_eq!(cellar.total_pins(), 0, "round {round}: cancel leaked pins");
     }
     // And the system is still fully usable afterwards.
-    let r = session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap();
+    let r = session.submit(ALL_DAYS_T4).unwrap().wait().unwrap();
     assert_eq!(r.relation.rows(), 1);
     assert_eq!(cellar.total_pins(), 0);
 }
@@ -302,27 +282,20 @@ fn cancellation_mid_query_leaves_no_pinned_chunks() {
 fn session_quota_rejects_excess_in_flight_queries() {
     let _x = exclusive();
     let dir = TempDir::new("server-quota");
-    let repo = {
-        let repo = Repository::at(dir.join("repo"));
-        let mut spec = sommelier_mseed::DatasetSpec::fiam(1, 64);
-        spec.days = 4;
-        repo.generate(&spec).unwrap();
-        repo
-    };
-    let config = SommelierConfig {
-        sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(50) }),
-        ..server_config(2)
-    };
-    let somm = mseed_system(&repo, config);
+    let repo = fiam_repo(&dir, 4, 64);
+    let somm = mseed_system(&repo, held_config());
     let server = Server::new(Arc::new(somm));
     let session =
         server.open_session(SessionOptions { max_in_flight: 1, ..Default::default() });
-    let running = session.submit(SLOW_MSEED_T4).unwrap();
-    let err = session.submit(SLOW_MSEED_T4).unwrap_err();
+    // The first query stays in flight while its loads are held.
+    let hold = server.sommelier().fault_injector().unwrap().hold();
+    let running = session.submit(ALL_DAYS_T4).unwrap();
+    let err = session.submit(ALL_DAYS_T4).unwrap_err();
     assert!(matches!(err, ServerError::QuotaExceeded { limit: 1 }), "{err}");
+    hold.release();
     running.wait().unwrap();
     // Slot free again.
-    session.submit(SLOW_MSEED_T4).unwrap().wait().unwrap();
+    session.submit(ALL_DAYS_T4).unwrap().wait().unwrap();
 }
 
 /// Drop-order lifecycle: dropping the last `Server` clone (and its
@@ -332,23 +305,14 @@ fn session_quota_rejects_excess_in_flight_queries() {
 /// still fully usable.
 #[test]
 fn dropping_server_mid_flight_mid_backoff_mid_prefetch_releases_everything() {
-    use sommelier_core::{FaultPlan, RetryPolicy};
+    use sommelier_core::RetryPolicy;
     let _x = exclusive();
     let dir = TempDir::new("server-drop-order");
-    let repo = {
-        let repo = Repository::at(dir.join("repo"));
-        let mut spec = sommelier_mseed::DatasetSpec::fiam(1, 64);
-        spec.days = 8;
-        repo.generate(&spec).unwrap();
-        repo
-    };
+    let repo = fiam_repo(&dir, 8, 64);
     for scenario in ["mid-flight", "mid-backoff", "mid-prefetch"] {
         let config = match scenario {
-            // Slow decodes: the drop lands inside a decode wave.
-            "mid-flight" => SommelierConfig {
-                sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
-                ..server_config(2)
-            },
+            // A held load: the drop lands inside a decode wave.
+            "mid-flight" => held_config(),
             // Every attempt fails transiently with an effectively
             // unbounded retry budget: the drop lands inside backoff.
             "mid-backoff" => SommelierConfig {
@@ -364,25 +328,49 @@ fn dropping_server_mid_flight_mid_backoff_mid_prefetch_releases_everything() {
                 },
                 ..server_config(2)
             },
-            // A deep prefetch window over slow reads: the drop lands
-            // with raw bytes staged ahead of the decoders.
-            _ => SommelierConfig {
-                prefetch_depth: 4,
-                sim_chunk_io: Some(SimIo { per_page: Duration::from_millis(40) }),
-                ..server_config(2)
-            },
+            // A deep prefetch window with its reads held on the IO
+            // threads: the drop lands with the whole window in flight,
+            // and the reads complete for a cancelled query.
+            _ => SommelierConfig { prefetch_depth: 4, ..held_config() },
         };
         let somm = Arc::new(mseed_system(&repo, config));
-        {
+        // Loads parked when the drop lands: one mid-flight, the whole
+        // window mid-prefetch.
+        let parked = match scenario {
+            "mid-flight" => 1,
+            "mid-prefetch" => 4,
+            _ => 0,
+        };
+        let hold = (parked > 0).then(|| somm.fault_injector().unwrap().hold());
+        let releaser = {
             let server = Server::new(Arc::clone(&somm));
             let session = server.open_session(SessionOptions::default());
-            let _running = session.submit(SLOW_MSEED_T4).unwrap();
+            let running = session.submit(ALL_DAYS_T4).unwrap();
+            let cancel = running.cancel_token().clone();
             // Let the query get properly underway before pulling the rug.
-            wait_for_admission(&somm, "running query", |s| s.running > 0);
-            std::thread::sleep(Duration::from_millis(60));
+            match hold {
+                Some(hold) => {
+                    hold.wait_parked(parked);
+                    // A parked load never wakes on its own: open the
+                    // gate once the drop drain has fired the cancel.
+                    Some(std::thread::spawn(move || {
+                        wait_until("drop-drain cancel", || cancel.cancelled().is_some());
+                        hold.release();
+                    }))
+                }
+                None => {
+                    wait_until("injected transient fault", || {
+                        somm.fault_injector().unwrap().injected().transient > 0
+                    });
+                    None
+                }
+            }
             // Handle first, then session, then the last server clone:
             // the shared drop drain cancels the orphaned query and
             // waits for it to unwind.
+        };
+        if let Some(r) = releaser {
+            r.join().unwrap();
         }
         assert_eq!(
             somm.cellar().unwrap().total_pins(),
