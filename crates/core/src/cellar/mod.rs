@@ -21,8 +21,9 @@
 //!   configurable budget; the least recently used unpinned chunk is
 //!   evicted first ([`LruPolicy`]). A zero budget retains nothing past
 //!   the pins: every acquisition decodes.
-//! * **Pin/unpin** — a query acquires its chunk set before stage 2 and
-//!   releases it after; pinned chunks are never evicted mid-query, so
+//! * **Pin/unpin** — a query's chunk wave pins each chunk only while
+//!   that chunk's pipeline runs (from classification or admission until
+//!   its sink returns); pinned chunks are never evicted, so
 //!   [`crate::Sommelier::query`] is safe to call from many threads.
 //! * **Single-flight loading** — concurrent acquisitions of the same
 //!   chunk are collapsed onto one decode via a per-chunk in-flight
@@ -56,8 +57,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct CellarConfig {
     /// Byte budget for resident decoded chunks, shared by all sources.
-    /// Pinned chunks may transiently exceed it (a query's working set
-    /// must fit to run at all); once pins are released the budget is
+    /// Pinned chunks may transiently exceed it (a chunk whose sink is
+    /// running must stay resident); as each pin drops the budget is
     /// enforced again.
     pub budget_bytes: usize,
     /// Observability handle: worker-pool counters of the decode pools
@@ -600,7 +601,7 @@ impl Cellar {
                 if !aborted() {
                     sink(i, chunk);
                 }
-                self.release_uris(&[uri]);
+                self.release(uri);
             }
             // A skip sinks the placeholder, strict records.
             Err(e) => match self.skip_or(tctx.policy.degradation, uri, e) {
@@ -640,12 +641,10 @@ impl Cellar {
         }
     }
 
-    fn release_uris(&self, uris: &[&str]) {
+    fn release(&self, uri: &str) {
         let mut inner = self.inner.lock();
-        for uri in uris {
-            if let Some(Slot::Resident(r)) = inner.slots.get_mut(*uri) {
-                r.pins = r.pins.saturating_sub(1);
-            }
+        if let Some(Slot::Resident(r)) = inner.slots.get_mut(uri) {
+            r.pins = r.pins.saturating_sub(1);
         }
         self.enforce_budget_locked(&mut inner);
     }
@@ -661,61 +660,10 @@ impl ChunkResidency for Cellar {
         self.sources[i].registry.quarantined(uri)
     }
 
-    /// One streaming wave ([`Self::acquire_each`], the cellar's only
-    /// acquisition engine) whose sink keeps each chunk in its slot. For
-    /// a readable chunk the sink takes a second pin while the task still
-    /// holds its own, so every acquired chunk stays pinned from
-    /// classification or admission until [`Self::release_many`]; a
-    /// skipped placeholder holds none. On error the pins the sink took
-    /// are released before the error returns.
-    ///
-    /// Decode panics are caught per attempt in [`with_retries`] and the
-    /// re-pin runs inside `run_task`'s sink guard, so that guard is the
-    /// cellar's one `catch_unwind`.
-    fn acquire_many(
-        &self,
-        uris: &[String],
-        policy: &SchedPolicy,
-    ) -> sommelier_engine::Result<Vec<AcquiredChunk>> {
-        // A cancelled query fails here even when pruning left no chunk.
-        policy.check_cancel()?;
-        let slots: Vec<Mutex<Option<AcquiredChunk>>> =
-            uris.iter().map(|_| Mutex::new(None)).collect();
-        let sink = |i: usize, mut chunk: AcquiredChunk| {
-            if chunk.skipped.is_none() {
-                chunk.relation = self.pin_or_readmit(&uris[i], chunk.relation);
-            }
-            *slots[i].lock() = Some(chunk);
-            Ok(())
-        };
-        let outcome = self.acquire_each(uris, policy, &sink);
-        let chunks: Vec<Option<AcquiredChunk>> =
-            slots.into_iter().map(Mutex::into_inner).collect();
-        if let Err(e) = outcome {
-            let pinned: Vec<&str> = uris
-                .iter()
-                .zip(&chunks)
-                .filter(|(_, c)| c.as_ref().is_some_and(|c| c.skipped.is_none()))
-                .map(|(u, _)| u.as_str())
-                .collect();
-            self.release_uris(&pinned);
-            return Err(e);
-        }
-        Ok(chunks
-            .into_iter()
-            .map(|c| c.expect("a successful wave sinks every chunk"))
-            .collect())
-    }
-
-    fn release_many(&self, uris: &[String]) {
-        let refs: Vec<&str> = uris.iter().map(|u| u.as_str()).collect();
-        self.release_uris(&refs);
-    }
-
-    /// The cellar's one acquisition engine, also under
-    /// [`Self::acquire_many`]: one task per chunk — resident chunks go
-    /// straight to the sink, misses decode first (claiming a
-    /// single-flight latch), joins wait on the other loader's latch.
+    /// The cellar's one acquisition engine: one task per chunk —
+    /// resident chunks go straight to the sink, misses decode first
+    /// (claiming a single-flight latch), joins wait on the other
+    /// loader's latch.
     /// Pins are dropped chunk by chunk — a hit stays pinned from
     /// classification until its sink returns, a decoded chunk from
     /// admission until its sink returns — so a query's working set
@@ -864,18 +812,6 @@ impl ChunkResidency for ScopedCellar {
 
     fn quarantined(&self, uri: &str) -> Option<String> {
         ChunkResidency::quarantined(&*self.cellar, uri)
-    }
-
-    fn acquire_many(
-        &self,
-        uris: &[String],
-        policy: &SchedPolicy,
-    ) -> sommelier_engine::Result<Vec<AcquiredChunk>> {
-        self.cellar.acquire_many(uris, policy)
-    }
-
-    fn release_many(&self, uris: &[String]) {
-        self.cellar.release_many(uris)
     }
 
     fn acquire_each(
@@ -1027,6 +963,42 @@ mod tests {
         cellar.sources[0].source.load_chunk(uri).unwrap().approx_bytes()
     }
 
+    /// A sink that accepts every chunk.
+    fn accept(_i: usize, _chunk: AcquiredChunk) -> sommelier_engine::Result<()> {
+        Ok(())
+    }
+
+    /// Run `check` while every chunk of `uris` is pinned: each chunk's
+    /// inline wave runs the next chunk's wave inside its sink, so every
+    /// sink — and its pin — stays open until `check` returns.
+    fn while_pinned(
+        cellar: &Cellar,
+        uris: &[String],
+        check: &(dyn Fn() + Sync),
+    ) -> sommelier_engine::Result<()> {
+        let Some((first, rest)) = uris.split_first() else {
+            check();
+            return Ok(());
+        };
+        cellar.acquire_each(std::slice::from_ref(first), &SchedPolicy::default(), &|_, _| {
+            while_pinned(cellar, rest, check)
+        })
+    }
+
+    /// Row count per chunk of one wave over `uris`, in `uris` order.
+    fn rows_per_chunk(
+        cellar: &Cellar,
+        uris: &[String],
+        policy: &SchedPolicy,
+    ) -> sommelier_engine::Result<Vec<usize>> {
+        let rows = Mutex::new(vec![0; uris.len()]);
+        cellar.acquire_each(uris, policy, &|i, chunk| {
+            rows.lock()[i] = chunk.relation.rows();
+            Ok(())
+        })?;
+        Ok(rows.into_inner())
+    }
+
     #[test]
     fn budget_enforced_after_release_never_while_pinned() {
         let fx = fixture("budget", 4, 64);
@@ -1037,13 +1009,15 @@ mod tests {
             &fx,
             CellarConfig { budget_bytes: one * 2 + one / 2, ..CellarConfig::default() },
         );
-        let acquired = cellar.acquire_many(&all, &pooled()).unwrap();
-        assert_eq!(acquired.len(), 4);
-        assert!(acquired.iter().all(|a| a.loaded));
-        // Working set pinned: transiently over budget, nothing evicted.
-        assert_eq!(cellar.resident_chunks(), 4);
-        assert!(cellar.resident_bytes() > cellar.budget_bytes());
-        cellar.release_many(&all);
+        // All four pinned at once (nested sinks): transiently over
+        // budget, nothing evicted.
+        while_pinned(&cellar, &all, &|| {
+            assert_eq!(cellar.resident_chunks(), 4);
+            assert!(cellar.resident_bytes() > cellar.budget_bytes());
+            assert_eq!(cellar.stats().evictions, 0);
+        })
+        .unwrap();
+        assert_eq!(cellar.stats().loads, 4);
         // Budget enforced once pins dropped.
         assert!(cellar.resident_bytes() <= cellar.budget_bytes());
         assert!(cellar.stats().evictions >= 2);
@@ -1054,12 +1028,14 @@ mod tests {
         let fx = fixture("hits", 2, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        let first = cellar.acquire_many(&all, &pooled()).unwrap();
-        assert!(first.iter().all(|a| a.loaded && !a.joined));
-        cellar.release_many(&all);
-        let second = cellar.acquire_many(&all, &pooled()).unwrap();
-        assert!(second.iter().all(|a| !a.loaded && !a.joined));
-        cellar.release_many(&all);
+        let expect_loaded = |loaded: bool| {
+            move |_i: usize, a: AcquiredChunk| {
+                assert!(a.loaded == loaded && !a.joined);
+                Ok(())
+            }
+        };
+        cellar.acquire_each(&all, &pooled(), &expect_loaded(true)).unwrap();
+        cellar.acquire_each(&all, &pooled(), &expect_loaded(false)).unwrap();
         let s = cellar.stats();
         assert_eq!((s.loads, s.hits, s.reloads), (2, 2, 0));
     }
@@ -1074,12 +1050,8 @@ mod tests {
                 let cellar = &cellar;
                 let all = &all;
                 scope.spawn(move || {
-                    let got = cellar.acquire_many(all, &pooled()).unwrap();
-                    assert_eq!(got.len(), all.len());
-                    // Every thread sees the same relation contents.
-                    let rows: usize = got.iter().map(|a| a.relation.rows()).sum();
-                    assert!(rows > 0);
-                    cellar.release_many(all);
+                    let rows = rows_per_chunk(cellar, all, &pooled()).unwrap();
+                    assert!(rows.iter().all(|&n| n > 0), "{rows:?}");
                 });
             }
         });
@@ -1095,11 +1067,9 @@ mod tests {
         let all = uris(&fx);
         let cellar =
             cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
-        cellar.acquire_many(&all, &pooled()).unwrap();
-        cellar.release_many(&all);
+        cellar.acquire_each(&all, &pooled(), &accept).unwrap();
         assert_eq!(cellar.resident_chunks(), 0);
-        cellar.acquire_many(&all, &pooled()).unwrap();
-        cellar.release_many(&all);
+        cellar.acquire_each(&all, &pooled(), &accept).unwrap();
         let s = cellar.stats();
         assert_eq!(s.loads, 2 * all.len() as u64, "every query re-ingests");
         assert_eq!(s.reloads, all.len() as u64);
@@ -1144,8 +1114,7 @@ mod tests {
         // Budget 1 byte: everything evicts on release.
         let cellar =
             cellar_over(&fx, CellarConfig { budget_bytes: 1, ..CellarConfig::default() });
-        cellar.acquire_many(&all[..1], &SchedPolicy::default()).unwrap();
-        cellar.release_many(&all[..1]);
+        cellar.acquire_each(&all[..1], &SchedPolicy::default(), &accept).unwrap();
         assert_eq!(cellar.resident_chunks(), 0);
         assert_eq!(cellar.stats().evictions, 1);
         // Eviction freed memory only: the storage rows, the derived Y
@@ -1162,8 +1131,7 @@ mod tests {
         let day0 = days_from_civil(2011, 3, 1) * MS_PER_DAY;
         fx.dmd.mark_covered([(vec!["web-1".to_string(), "api".to_string()], day0)]);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, &pooled()).unwrap();
-        cellar.release_many(&all);
+        cellar.acquire_each(&all, &pooled(), &accept).unwrap();
         assert_eq!(cellar.resident_chunks(), 2);
         cellar.clear();
         assert_eq!(cellar.resident_chunks(), 0);
@@ -1181,16 +1149,18 @@ mod tests {
             &fx,
             CellarConfig { budget_bytes: one + one / 2, ..CellarConfig::default() },
         );
-        // Hold a pin on chunk 0 across a second acquisition that
-        // overflows the budget.
-        cellar.acquire_many(&all[..1], &SchedPolicy::default()).unwrap();
-        cellar.acquire_many(&all[1..2], &SchedPolicy::default()).unwrap();
-        cellar.release_many(&all[1..2]);
-        // Chunk 0 is pinned: the eviction to restore the budget must
-        // have taken chunk 1.
-        assert!(cellar.is_resident(&all[0]));
-        assert!(!cellar.is_resident(&all[1]));
-        cellar.release_many(&all[..1]);
+        // Hold a pin on chunk 0 (its sink is open) across a second
+        // acquisition that overflows the budget.
+        let inline = SchedPolicy::default();
+        let hold_0 = |_i: usize, _chunk: AcquiredChunk| {
+            cellar.acquire_each(&all[1..2], &inline, &accept)?;
+            // Chunk 0 is pinned: the eviction to restore the budget
+            // must have taken chunk 1.
+            assert!(cellar.is_resident(&all[0]));
+            assert!(!cellar.is_resident(&all[1]));
+            Ok(())
+        };
+        cellar.acquire_each(&all[..1], &inline, &hold_0).unwrap();
         // Now nothing is pinned; the budget holds.
         assert!(cellar.resident_bytes() <= cellar.budget_bytes());
     }
@@ -1231,9 +1201,9 @@ mod tests {
         let fx = fixture("stream-tiny", 4, 64);
         let all = uris(&fx);
         let one = chunk_bytes(&cellar_over(&fx, CellarConfig::default()), &all[0]);
-        // Budget fits ~1 chunk: load-all would transiently hold all 4
-        // pinned; streaming holds each pin only during its sink call, so
-        // eviction interleaves with delivery and the wave still succeeds.
+        // Budget fits ~1 chunk: the wave holds each pin only during its
+        // sink call, so eviction interleaves with delivery and the wave
+        // succeeds without the 4-chunk working set ever fitting.
         let cellar = cellar_over(
             &fx,
             CellarConfig { budget_bytes: one + one / 2, ..CellarConfig::default() },
@@ -1330,10 +1300,9 @@ mod tests {
         let fx = fixture("peak", 3, 32);
         let all = uris(&fx);
         let cellar = cellar_over(&fx, CellarConfig::default());
-        cellar.acquire_many(&all, &pooled()).unwrap();
+        cellar.acquire_each(&all, &pooled(), &accept).unwrap();
         let peak = cellar.peak_resident_bytes();
         assert_eq!(peak, cellar.resident_bytes());
-        cellar.release_many(&all);
         cellar.clear();
         assert_eq!(cellar.peak_resident_bytes(), peak, "peak survives clears");
     }
@@ -1378,9 +1347,8 @@ mod tests {
         // Acquiring through a scoped view still shares the one budget.
         let scoped = cellar.scoped(1);
         let uris_b = scoped.all_chunks().unwrap();
-        scoped.acquire_many(&uris_b, &SchedPolicy::default()).unwrap();
+        scoped.acquire_each(&uris_b, &SchedPolicy::default(), &accept).unwrap();
         assert!(cellar.resident_bytes() > 0);
-        scoped.release_many(&uris_b);
     }
 
     // ---- Fault tolerance ---------------------------------------------
@@ -1420,20 +1388,13 @@ mod tests {
         let fx = fixture("retry", 3, 32);
         let all = uris(&fx);
         let clean = cellar_over(&fx, CellarConfig::default());
-        let expect: Vec<usize> = clean
-            .acquire_many(&all, &pooled())
-            .unwrap()
-            .iter()
-            .map(|a| a.relation.rows())
-            .collect();
-        clean.release_many(&all);
+        let expect = rows_per_chunk(&clean, &all, &pooled()).unwrap();
         let before = io_retries();
         let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), CellarConfig::default());
-        let got = cellar.acquire_many(&all, &pooled()).unwrap();
-        let rows: Vec<usize> = got.iter().map(|a| a.relation.rows()).collect();
+        // Strict policy: a chunk that exhausted its retries would fail
+        // the wave, never turn into a placeholder.
+        let rows = rows_per_chunk(&cellar, &all, &pooled()).unwrap();
         assert_eq!(rows, expect, "retried loads decode the same data");
-        assert!(got.iter().all(|a| a.skipped.is_none()));
-        cellar.release_many(&all);
         cellar.clear();
         assert!(io_retries() > before, "transient faults were retried");
         assert_eq!(cellar.total_pins(), 0);
@@ -1453,7 +1414,7 @@ mod tests {
             CellarConfig { retry: RetryPolicy::none(), ..CellarConfig::default() },
         );
         let policy = SchedPolicy::default();
-        let err = cellar.acquire_many(&all, &policy).unwrap_err();
+        let err = cellar.acquire_each(&all, &policy, &accept).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Transient, "{err}");
         assert!(err.to_string().contains(&all[0]), "{err}");
         assert_eq!(cellar.total_pins(), 0, "failed acquisition leaked pins");
@@ -1461,10 +1422,14 @@ mod tests {
             ChunkResidency::quarantined(&cellar, &all[0]).is_none(),
             "transient failures never quarantine"
         );
-        let got = cellar.acquire_many(&all, &policy).unwrap();
-        assert_eq!(got.len(), 1);
-        assert!(got[0].loaded && got[0].skipped.is_none());
-        cellar.release_many(&all);
+        let delivered = AtomicU64::new(0);
+        let sink = |_i: usize, a: AcquiredChunk| {
+            assert!(a.loaded && a.skipped.is_none());
+            delivered.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+        cellar.acquire_each(&all, &policy, &sink).unwrap();
+        assert_eq!(delivered.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1475,7 +1440,7 @@ mod tests {
         let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
         // Strict: the typed error names the chunk, and the chunk lands
         // in quarantine.
-        let err = cellar.acquire_many(&all, &pooled()).unwrap_err();
+        let err = cellar.acquire_each(&all, &pooled(), &accept).unwrap_err();
         assert!(
             matches!(&err, EngineError::ChunkLoad { uri, .. } if *uri == all[0]),
             "{err}"
@@ -1487,15 +1452,24 @@ mod tests {
         assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_none());
         // Skip mode: the batch completes, the corrupt chunk becomes a
         // schema-correct empty placeholder carrying the reason.
-        let mut policy = pooled();
-        policy.degradation = DegradationPolicy::SkipUnreadable;
-        let got = cellar.acquire_many(&all, &policy).unwrap();
-        assert_eq!(got.len(), 2);
-        assert!(got[0].skipped.as_deref().unwrap().contains("bad magic"));
-        assert_eq!(got[0].relation.rows(), 0);
-        assert!(got[1].skipped.is_none() && got[1].relation.rows() > 0);
-        // Only the readable chunk took a pin.
-        cellar.release_many(&all[1..]);
+        let policy = SchedPolicy {
+            degradation: DegradationPolicy::SkipUnreadable,
+            ..SchedPolicy::default()
+        };
+        let got = Mutex::new(Vec::new());
+        let sink = |i: usize, a: AcquiredChunk| {
+            // Only the readable chunk holds a pin while its sink runs.
+            let pins = usize::from(a.skipped.is_none());
+            assert_eq!(cellar.total_pins(), pins, "slot {i}");
+            got.lock().push((i, a.skipped, a.relation.rows()));
+            Ok(())
+        };
+        cellar.acquire_each(&all, &policy, &sink).unwrap();
+        let mut got = got.into_inner();
+        got.sort_by_key(|(i, ..)| *i);
+        assert!(got[0].1.as_deref().unwrap().contains("bad magic"));
+        assert_eq!(got[0].2, 0);
+        assert!(got[1].1.is_none() && got[1].2 > 0);
         assert_eq!(cellar.total_pins(), 0);
     }
 
@@ -1552,11 +1526,12 @@ mod tests {
 
     #[test]
     fn seeded_interleavings_keep_pins_budget_and_answers() {
-        // Four threads draw load-all (`acquire_many` + `release_many`)
-        // or streaming (`acquire_each`) waves over random subsets of six
-        // chunks, against a budget of ~1.5 chunks, under transient
-        // faults. One retry and two faults per chunk mean a chunk fails
-        // at most one load in the whole run (both attempts faulted), so
+        // Four threads draw streaming waves over random subsets of six
+        // chunks — plain, or inside the sink of a one-chunk wave so that
+        // chunk stays pinned across the acquisition — against a budget
+        // of ~1.5 chunks, under transient faults. One
+        // retry and two faults per chunk mean a chunk fails at most
+        // one load in the whole run (both attempts faulted), so
         // errors, placeholders and joiners' re-classification all occur,
         // and a chunk that failed once always loads afterwards.
         let fx = fixture("interleave", 6, 16);
@@ -1608,32 +1583,35 @@ mod tests {
                                 .filter(|_| rng.next().is_multiple_of(2))
                                 .cloned()
                                 .collect();
+                            // A delivered chunk decodes to the reference;
+                            // true if it is pinned (not a placeholder).
+                            let verify = |wave: &[String], i: usize, c: &AcquiredChunk| {
+                                let pinned = c.skipped.is_none();
+                                assert!(!pinned || bits(&c.relation) == reference[&wave[i]]);
+                                pinned
+                            };
+                            let sink = |i: usize, c: AcquiredChunk| {
+                                verify(&subset, i, &c);
+                                Ok(())
+                            };
                             if rng.next().is_multiple_of(2) {
-                                let got = cellar.acquire_many(&subset, &policy).map(|got| {
-                                    // A skipped placeholder holds no pin.
-                                    let held: Vec<String> = subset
-                                        .iter()
-                                        .zip(&got)
-                                        .filter(|(_, c)| c.skipped.is_none())
-                                        .map(|(uri, c)| {
-                                            assert!(
-                                                bits(&c.relation) == reference[uri],
-                                                "{uri}"
-                                            );
-                                            uri.clone()
-                                        })
-                                        .collect();
-                                    assert!(cellar.total_pins() >= held.len());
-                                    cellar.release_many(&held);
-                                });
-                                check(got);
-                            } else {
-                                let sink = |i: usize, c: AcquiredChunk| {
-                                    if c.skipped.is_none() {
-                                        assert!(bits(&c.relation) == reference[&subset[i]]);
+                                // Held pin: the wave runs inside the sink
+                                // of an inline one-chunk wave. (One chunk:
+                                // a wave whose claims are still pending
+                                // must not block in a sink, or a joiner of
+                                // one of them would wait forever.)
+                                let held =
+                                    std::slice::from_ref(&all[rng.next() as usize % 6]);
+                                let inline =
+                                    SchedPolicy { degradation, ..Default::default() };
+                                let hold = |i: usize, c: AcquiredChunk| {
+                                    if verify(held, i, &c) {
+                                        assert!(cellar.total_pins() >= 1);
                                     }
-                                    Ok(())
+                                    cellar.acquire_each(&subset, &policy, &sink)
                                 };
+                                check(cellar.acquire_each(held, &inline, &hold));
+                            } else {
                                 check(cellar.acquire_each(&subset, &policy, &sink));
                             }
                         }
@@ -1649,14 +1627,14 @@ mod tests {
             // A chunk whose fault budget is not yet spent may fail one
             // more load; the wave after that one loads everything.
             let strict = SchedPolicy::default();
-            let got = cellar
-                .acquire_many(&all, &strict)
-                .or_else(|_| cellar.acquire_many(&all, &strict))
+            let sink = |i: usize, c: AcquiredChunk| {
+                assert!(bits(&c.relation) == reference[&all[i]], "seed {seed}: {}", all[i]);
+                Ok(())
+            };
+            cellar
+                .acquire_each(&all, &strict, &sink)
+                .or_else(|_| cellar.acquire_each(&all, &strict, &sink))
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            for (uri, c) in all.iter().zip(&got) {
-                assert!(bits(&c.relation) == reference[uri], "seed {seed}: {uri}");
-            }
-            cellar.release_many(&all);
             assert_eq!(cellar.total_pins(), 0, "seed {seed}");
         }
     }

@@ -2,23 +2,18 @@
 //!
 //! Executes a [`PhysicalPlan`] bottom-up, materializing every
 //! intermediate [`Relation`] — MonetDB's execution style, which the
-//! paper's two-stage model builds on. Chunk data for
-//! [`PhysicalPlan::ChunkUnion`] and [`PhysicalPlan::PartialAggUnion`]
-//! must have been pre-loaded into the [`ExecContext`] by the two-stage
-//! driver (the paper's run-time optimizer inserts the load statements
-//! before `Qs` resumes; see [`crate::twostage`]) — except when the
-//! driver runs the fused decode→execute wave, which replaces the
-//! partial-agg node with a result-scan of the merged states.
+//! paper's two-stage model builds on. Chunk nodes
+//! ([`PhysicalPlan::ChunkUnion`], [`PhysicalPlan::PartialAggUnion`])
+//! never reach it: the two-stage driver ([`crate::twostage`]) runs the
+//! plan's chunk node as one streaming wave — each chunk's
+//! [`ChunkPipeline`] on the worker that produced it — and replaces the
+//! node with a result-scan of the wave's output before `Qs` resumes.
 //!
-//! Chunk-bearing operators are **morsel-parallel**: both union flavors
-//! run their per-chunk pipelines (projection, pushed-down selection,
-//! probe, partial aggregation) as one batch through
-//! [`run_indexed_policy`] — on the shared
-//! [`crate::sched::MorselScheduler`] when [`ExecContext::sched`] carries
-//! one, inline on the caller otherwise. Results are combined in chunk
-//! order, so the output is independent of the worker count.
+//! [`run_indexed_policy`] is the front door for morsel-parallel work:
+//! the shared [`crate::sched::MorselScheduler`] when the policy carries
+//! one, inline on the caller otherwise.
 
-use crate::agg::{aggregate, distinct, merge_partials, partial_aggregate_over, PartialAgg};
+use crate::agg::{aggregate, distinct};
 use crate::candidates::Candidates;
 use crate::error::{EngineError, Result};
 use crate::eval::{eval_mask, eval_scalar};
@@ -30,52 +25,21 @@ use crate::relation::Relation;
 use crate::sched::{self, SchedPolicy};
 use crate::sort::{limit, sort_relation};
 use sommelier_storage::Database;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Counters the executor fills while running (interior-mutable so the
-/// worker pools can update them); the two-stage driver copies them into
-/// [`crate::twostage::ExecStats`].
-#[derive(Debug, Default)]
-pub struct ExecCounters {
-    /// Rows concatenated into materialized chunk unions.
-    pub union_rows: AtomicU64,
-    /// Chunks that went through a per-chunk partial-aggregation
-    /// pipeline instead of being unioned.
-    pub partial_agg_chunks: AtomicU64,
-}
 
 /// Everything the executor needs besides the plan.
 pub struct ExecContext<'a> {
     pub db: &'a Database,
-    /// Materialized stage-1 results, indexed by `ResultScan { id }`.
-    /// Shared (`Arc`) so a result referenced several times is never
-    /// deep-copied.
+    /// Materialized stage-1 results and chunk-wave outputs, indexed by
+    /// `ResultScan { id }`. Shared (`Arc`) so a result referenced
+    /// several times is never deep-copied.
     pub materialized: Vec<Arc<Relation>>,
-    /// Pre-loaded chunk relations by URI (cache-scans and chunk-accesses
-    /// both resolve here; the driver fills it).
-    pub chunks: HashMap<String, Arc<Relation>>,
-    /// How morsel-parallel operators run their batches: shared pool,
-    /// priority, cancellation.
-    pub sched: SchedPolicy,
-    /// Execution counters.
-    pub counters: ExecCounters,
-    /// Observability handle (pool metrics, per-chunk pipeline spans).
-    pub obs: Obs,
 }
 
 impl<'a> ExecContext<'a> {
-    /// A context with no stage-1 results or chunks, executing serially.
+    /// A context with no materialized results.
     pub fn new(db: &'a Database) -> Self {
-        ExecContext {
-            db,
-            materialized: Vec::new(),
-            chunks: HashMap::new(),
-            sched: SchedPolicy::default(),
-            counters: ExecCounters::default(),
-            obs: Obs::off(),
-        }
+        ExecContext { db, materialized: Vec::new() }
     }
 }
 
@@ -108,28 +72,9 @@ pub fn scan_base_table(
     }
 }
 
-/// The correctly-typed empty relation for a chunk scan that selected no
-/// chunks (so joins above keep working).
-fn empty_chunk_schema(db: &Database, table: &str, columns: &[String]) -> Result<Relation> {
-    let schema = db.table_schema(table)?;
-    let prefix = format!("{table}.");
-    let cols = columns
-        .iter()
-        .map(|c| {
-            let raw = c.strip_prefix(&prefix).ok_or_else(|| {
-                EngineError::Plan(format!("chunk column {c:?} not qualified by {table}"))
-            })?;
-            let dtype = schema.col_type(raw)?;
-            Ok((c.clone(), sommelier_storage::ColumnData::empty(dtype)))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Relation::new(cols)
-}
-
 /// The per-chunk stage-2 pipeline: scan-level projection, pushed-down
 /// selection, optional probe of a shared pre-built join side, residual
-/// filter. Shared by the executor's morsel-parallel operators and the
-/// two-stage driver's fused decode→execute wave.
+/// filter — what the two-stage driver's chunk wave runs over each chunk.
 ///
 /// The pipeline carries a candidate list — ascending, disjoint row
 /// ranges over the chunk's shared columns — rather than copying the
@@ -220,8 +165,8 @@ impl ChunkPipeline<'_> {
 }
 
 /// Run `task` over indices `0..n` and collect the results in index
-/// order: the single front door for morsel-parallel work, shared by the
-/// executor's morsel operators and the cellar's decode/streaming waves.
+/// order: the single front door for morsel-parallel work (the cellar's
+/// streaming acquisition wave runs through it).
 ///
 /// - With a scheduler attached and more than one effective worker (the
 ///   pool size capped by `n`): submits the batch to the shared pool,
@@ -259,21 +204,6 @@ pub fn run_indexed_policy<T: Send>(
     out
 }
 
-/// Resolve every chunk of a union against the pre-loaded context.
-fn resolve_chunks<'c>(
-    ctx: &'c ExecContext,
-    chunks: &[crate::physical::ChunkRef],
-) -> Result<Vec<&'c Arc<Relation>>> {
-    chunks
-        .iter()
-        .map(|chunk| {
-            ctx.chunks.get(&chunk.uri).ok_or_else(|| {
-                EngineError::Chunk(format!("chunk {:?} was not pre-loaded", chunk.uri))
-            })
-        })
-        .collect()
-}
-
 /// Execute a physical plan.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
     match plan {
@@ -286,115 +216,8 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
             // Shallow: the clone shares the column payloads.
             .map(|r| (**r).clone())
             .ok_or_else(|| EngineError::Exec(format!("no materialized result #{id}"))),
-        PhysicalPlan::ChunkUnion { table, chunks, columns, predicate, pushdown, .. } => {
-            if chunks.is_empty() {
-                // Stage 1 selected no files: an empty relation with the
-                // base table's schema (so joins above keep working).
-                return empty_chunk_schema(ctx.db, table, columns);
-            }
-            let pipeline = ChunkPipeline {
-                columns,
-                predicate: if *pushdown { predicate.as_ref() } else { None },
-                build: None,
-                ops: &[],
-            };
-            let rels = resolve_chunks(ctx, chunks)?;
-            // Per-chunk projection (and selection, if pushed down) on
-            // the worker pool; concatenation in chunk order.
-            let parts = run_indexed_policy(rels.len(), &ctx.sched, &ctx.obs, |i| {
-                let tracer = ctx.obs.tracer();
-                let t0 = tracer.map(|tc| tc.now_ns());
-                // Cancellation checkpoint at the chunk-pipeline
-                // boundary: already-running morsels finish.
-                let part = ctx.sched.check_cancel().and_then(|()| pipeline.run(rels[i]));
-                if let (Some(tc), Some(t0)) = (tracer, t0) {
-                    tc.record(
-                        tc.ambient(),
-                        "chunk",
-                        chunks[i].uri.clone(),
-                        t0,
-                        tc.now_ns().saturating_sub(t0),
-                        obs::current_worker(),
-                        part.as_ref().ok().map(|r| r.rows() as u64),
-                        None,
-                    );
-                }
-                part
-            });
-            let mut out = Relation::empty();
-            for part in parts {
-                out.union_in_place(&part?)?;
-            }
-            ctx.counters.union_rows.fetch_add(out.rows() as u64, Ordering::Relaxed);
-            if !*pushdown {
-                if let Some(p) = predicate {
-                    if out.rows() > 0 {
-                        let mask = eval_mask(p, &out)?;
-                        out = out.filter(&mask);
-                    }
-                }
-            }
-            // An empty union (zero chunks selected) still needs a schema
-            // so joins above keep working.
-            if out.width() == 0 {
-                return Err(EngineError::Chunk(
-                    "chunk union over zero chunks has no schema; stage-1 selected no files"
-                        .into(),
-                ));
-            }
-            Ok(out)
-        }
-        PhysicalPlan::PartialAggUnion {
-            table,
-            chunks,
-            columns,
-            predicate,
-            join,
-            ops,
-            group_by,
-            aggs,
-            ..
-        } => {
-            // Build the join side once; every chunk probes it.
-            let build =
-                join.as_ref().map(|j| j.build(execute(&j.right, ctx)?)).transpose()?;
-            let probe =
-                join.as_ref().zip(build.as_ref()).map(|(j, b)| (b, j.left_keys.as_slice()));
-            if chunks.is_empty() {
-                // No chunks: run the (empty) pipeline serially so the
-                // aggregate keeps its schema semantics.
-                let pipeline = ChunkPipeline { columns, predicate: None, build: probe, ops };
-                let empty = empty_chunk_schema(ctx.db, table, columns)?;
-                return aggregate(&pipeline.run(&empty)?, group_by, aggs);
-            }
-            let pipeline =
-                ChunkPipeline { columns, predicate: predicate.as_ref(), build: probe, ops };
-            let rels = resolve_chunks(ctx, chunks)?;
-            let parts: Vec<Result<PartialAgg>> =
-                run_indexed_policy(rels.len(), &ctx.sched, &ctx.obs, |i| {
-                    // Cancellation checkpoint at the chunk-pipeline
-                    // boundary: already-running morsels finish.
-                    ctx.sched.check_cancel()?;
-                    let tracer = ctx.obs.tracer();
-                    let t0 = tracer.map(|tc| tc.now_ns());
-                    let part = pipeline.candidates(rels[i])?;
-                    let agg = partial_aggregate_over(&part, group_by, aggs);
-                    if let (Some(tc), Some(t0)) = (tracer, t0) {
-                        tc.record(
-                            tc.ambient(),
-                            "chunk",
-                            chunks[i].uri.clone(),
-                            t0,
-                            tc.now_ns().saturating_sub(t0),
-                            obs::current_worker(),
-                            Some(part.rows() as u64),
-                            None,
-                        );
-                    }
-                    agg
-                });
-            ctx.counters.partial_agg_chunks.fetch_add(rels.len() as u64, Ordering::Relaxed);
-            merge_partials(parts.into_iter().collect::<Result<Vec<_>>>()?, group_by, aggs)
+        PhysicalPlan::ChunkUnion { .. } | PhysicalPlan::PartialAggUnion { .. } => {
+            Err(EngineError::Plan("chunk nodes run in the two-stage driver".into()))
         }
         PhysicalPlan::HashJoin { left, right, left_keys, right_keys } => {
             let l = execute(left, ctx)?;
@@ -466,8 +289,7 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
 mod tests {
     use super::*;
     use crate::expr::{AggFunc, CmpOp, Expr};
-    use crate::physical::{fuse_partial_agg, ChunkRef};
-    use crate::sched::MorselScheduler;
+    use crate::physical::ChunkRef;
     use sommelier_storage::buffer::BufferPoolConfig;
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
@@ -576,199 +398,18 @@ mod tests {
         assert_eq!(out.value(0, "D.sample_value").unwrap(), Value::Float(100.0));
     }
 
-    fn chunk_ctx(db: &Database) -> ExecContext<'_> {
-        let mut ctx = ExecContext::new(db);
-        let mk = |vals: Vec<f64>, ids: Vec<i64>| {
-            Arc::new(
-                Relation::new(vec![
-                    ("D.file_id".into(), ColumnData::Int64(ids)),
-                    ("D.sample_value".into(), ColumnData::Float64(vals)),
-                ])
-                .unwrap(),
-            )
-        };
-        ctx.chunks.insert("a".into(), mk(vec![1.0, 5.0], vec![1, 1]));
-        ctx.chunks.insert("b".into(), mk(vec![7.0], vec![2]));
-        ctx
-    }
-
-    /// Run the context's morsel batches on a fresh shared pool of `n`
-    /// workers; the pool is returned so tests can check it was used.
-    fn on_pool(ctx: &mut ExecContext, n: usize) -> Arc<MorselScheduler> {
-        let pool = Arc::new(MorselScheduler::new(n));
-        ctx.sched = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
-        pool
-    }
-
-    fn union_plan(pushdown: bool) -> PhysicalPlan {
-        PhysicalPlan::ChunkUnion {
-            table: "D".into(),
-            chunks: vec![
-                ChunkRef { uri: "a".into(), cached: false },
-                ChunkRef { uri: "b".into(), cached: true },
-            ],
-            columns: vec!["D.file_id".into(), "D.sample_value".into()],
-            predicate: Some(Expr::col("D.sample_value").cmp(CmpOp::Gt, Expr::lit(2.0))),
-            pushdown,
-        }
-    }
-
     #[test]
-    fn chunk_union_with_pushdown() {
-        let db = db();
-        let ctx = chunk_ctx(&db);
-        let out = execute(&union_plan(true), &ctx).unwrap();
-        assert_eq!(out.rows(), 2);
-        // Same result without pushdown.
-        let out2 = execute(&union_plan(false), &ctx).unwrap();
-        assert_eq!(out2.rows(), 2);
-        // Union materialization is counted.
-        assert!(ctx.counters.union_rows.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn chunk_union_parallel_matches_serial() {
-        let db = db();
-        let mut ctx = chunk_ctx(&db);
-        let serial = execute(&union_plan(true), &ctx).unwrap();
-        let pool = on_pool(&mut ctx, 4);
-        let parallel = execute(&union_plan(true), &ctx).unwrap();
-        assert_eq!(pool.stats().tasks, 2, "both chunk pipelines ran on the pool");
-        assert_eq!(serial.rows(), parallel.rows());
-        for r in 0..serial.rows() {
-            assert_eq!(
-                serial.value(r, "D.sample_value").unwrap(),
-                parallel.value(r, "D.sample_value").unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn partial_agg_union_fuses_and_matches_aggregate_over_union() {
-        let db = db();
-        let mut ctx = chunk_ctx(&db);
-        on_pool(&mut ctx, 4);
-        let agg_over_union = PhysicalPlan::Aggregate {
-            input: Box::new(union_plan(true)),
-            group_by: vec![("fid".into(), Expr::col("D.file_id"))],
-            aggs: vec![
-                ("n".into(), AggFunc::Count, Expr::col("D.sample_value")),
-                ("avg_v".into(), AggFunc::Avg, Expr::col("D.sample_value")),
-            ],
-        };
-        let fused = fuse_partial_agg(agg_over_union.clone());
-        assert_eq!(fused.partial_agg_count(), 1, "fusion fires: {fused}");
-        let want = execute(&agg_over_union, &ctx).unwrap();
-        let union_rows = ctx.counters.union_rows.load(Ordering::Relaxed);
-        let got = execute(&fused, &ctx).unwrap();
-        // Partial aggregation did not materialize any further union.
-        assert_eq!(ctx.counters.union_rows.load(Ordering::Relaxed), union_rows);
-        assert_eq!(ctx.counters.partial_agg_chunks.load(Ordering::Relaxed), 2);
-        assert_eq!(want.rows(), got.rows());
-        for r in 0..want.rows() {
-            for name in ["fid", "n", "avg_v"] {
-                assert_eq!(want.value(r, name).unwrap(), got.value(r, name).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn partial_agg_union_with_join_matches_unfused() {
-        let db = db();
-        let mut ctx = chunk_ctx(&db);
-        on_pool(&mut ctx, 2);
-        let join = PhysicalPlan::HashJoin {
-            left: Box::new(union_plan(true)),
-            right: Box::new(PhysicalPlan::SeqScan {
-                table: "F".into(),
-                columns: vec!["F.file_id".into(), "F.station".into()],
-                predicate: None,
-            }),
-            left_keys: vec![Expr::col("D.file_id")],
-            right_keys: vec![Expr::col("F.file_id")],
-        };
-        let plan = PhysicalPlan::Aggregate {
-            input: Box::new(PhysicalPlan::Filter {
-                input: Box::new(join),
-                predicate: Expr::col("F.station").eq(Expr::lit("FIAM")),
-            }),
-            group_by: vec![],
-            aggs: vec![("s".into(), AggFunc::Sum, Expr::col("D.sample_value"))],
-        };
-        let fused = fuse_partial_agg(plan.clone());
-        assert_eq!(fused.partial_agg_count(), 1, "join shape fuses: {fused}");
-        let want = execute(&plan, &ctx).unwrap();
-        let got = execute(&fused, &ctx).unwrap();
-        assert_eq!(want.value(0, "s").unwrap(), got.value(0, "s").unwrap());
-        // No-pushdown unions do not fuse (they are the ablation baseline).
-        let unfused = fuse_partial_agg(PhysicalPlan::Aggregate {
-            input: Box::new(union_plan(false)),
-            group_by: vec![],
-            aggs: vec![("n".into(), AggFunc::Count, Expr::col("D.sample_value"))],
-        });
-        assert_eq!(unfused.partial_agg_count(), 0);
-    }
-
-    #[test]
-    fn partial_agg_union_fuses_through_project() {
-        use crate::expr::ArithOp;
-        let db = db();
-        let mut ctx = chunk_ctx(&db);
-        on_pool(&mut ctx, 2);
-        // Aggregate over a computed projection of the chunk rows.
-        let plan = PhysicalPlan::Aggregate {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(union_plan(true)),
-                exprs: vec![(
-                    "doubled".into(),
-                    Expr::Arith(
-                        ArithOp::Mul,
-                        Box::new(Expr::col("D.sample_value")),
-                        Box::new(Expr::lit(2.0)),
-                    ),
-                )],
-            }),
-            group_by: vec![],
-            aggs: vec![("s".into(), AggFunc::Sum, Expr::col("doubled"))],
-        };
-        let fused = fuse_partial_agg(plan.clone());
-        assert_eq!(fused.partial_agg_count(), 1, "project chain fuses: {fused}");
-        let want = execute(&plan, &ctx).unwrap();
-        let got = execute(&fused, &ctx).unwrap();
-        assert_eq!(want.value(0, "s").unwrap(), got.value(0, "s").unwrap());
-    }
-
-    #[test]
-    fn partial_agg_union_empty_chunks_keeps_schema() {
-        let db = db();
-        let ctx = ExecContext::new(&db);
-        let plan = PhysicalPlan::PartialAggUnion {
-            table: "D".into(),
-            chunks: vec![],
-            columns: vec!["D.file_id".into(), "D.sample_value".into()],
-            predicate: None,
-            join: None,
-            ops: vec![],
-            group_by: vec![],
-            aggs: vec![("n".into(), AggFunc::Count, Expr::col("D.sample_value"))],
-        };
-        let out = execute(&plan, &ctx).unwrap();
-        assert_eq!(out.rows(), 0, "global aggregate over empty input");
-        assert_eq!(out.width(), 1, "schema preserved");
-    }
-
-    #[test]
-    fn missing_chunk_is_an_error() {
+    fn chunk_node_reaching_execute_is_a_plan_error() {
         let db = db();
         let ctx = ExecContext::new(&db);
         let plan = PhysicalPlan::ChunkUnion {
             table: "D".into(),
-            chunks: vec![ChunkRef { uri: "missing".into(), cached: false }],
+            chunks: vec![ChunkRef { uri: "a".into(), cached: false }],
             columns: vec!["D.file_id".into()],
             predicate: None,
             pushdown: true,
         };
-        assert!(matches!(execute(&plan, &ctx), Err(EngineError::Chunk(_))));
+        assert!(matches!(execute(&plan, &ctx), Err(EngineError::Plan(_))));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   (stage 1, optimizer passes, chunk decode/pipeline nodes) rendered
 //!   by `EXPLAIN ANALYZE` and exposed as `QueryResult::span_trace`.
 //! * [`Obs`]: the cheap cloneable handle threaded through the existing
-//!   seams (`TwoStageConfig`, `ExecContext`, the cellar, the adapter
-//!   chunk source). [`ObsLevel::Off`] costs a branch; `Counters` adds
-//!   relaxed atomic increments; `Spans` additionally records the tree.
+//!   seams (`TwoStageConfig`, the cellar, the adapter chunk source).
+//!   [`ObsLevel::Off`] costs a branch; `Counters` adds relaxed atomic
+//!   increments; `Spans` additionally records the tree.
 //!
 //! Morsel tasks run by [`crate::exec::run_indexed_policy`] — on a
 //! shared-pool worker, or inline as worker 0 — carry a thread-local

@@ -558,55 +558,35 @@ impl PhysicalPlan {
         }
     }
 
-    /// Number of (unfused) [`PhysicalPlan::ChunkUnion`] nodes in the
-    /// plan.
-    pub fn chunk_union_count(&self) -> usize {
-        let own = usize::from(matches!(self, PhysicalPlan::ChunkUnion { .. }));
-        own + self.children().iter().map(|c| c.chunk_union_count()).sum::<usize>()
-    }
-
     /// Number of [`PhysicalPlan::PartialAggUnion`] nodes in the plan.
     pub fn partial_agg_count(&self) -> usize {
         let own = usize::from(matches!(self, PhysicalPlan::PartialAggUnion { .. }));
         own + self.children().iter().map(|c| c.partial_agg_count()).sum::<usize>()
     }
 
-    /// The first [`PhysicalPlan::PartialAggUnion`] node, depth-first.
-    pub fn find_partial_agg(&self) -> Option<&PhysicalPlan> {
-        if matches!(self, PhysicalPlan::PartialAggUnion { .. }) {
-            return Some(self);
-        }
-        self.children().iter().find_map(|c| c.find_partial_agg())
-    }
-
-    /// Replace the first [`PhysicalPlan::PartialAggUnion`] (depth-first)
-    /// with a result-scan of materialized slot `id`. Returns whether a
-    /// node was replaced — the hand-off the fused decode→execute driver
-    /// uses after merging the partial states itself.
-    pub fn replace_first_partial_agg(&mut self, id: usize) -> bool {
-        if matches!(self, PhysicalPlan::PartialAggUnion { .. }) {
-            *self = PhysicalPlan::ResultScan { id };
-            return true;
-        }
-        match self {
-            PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::ResultScan { .. }
-            | PhysicalPlan::ChunkUnion { .. } => false,
-            PhysicalPlan::PartialAggUnion { join, .. } => {
-                join.as_mut().map(|j| j.right.replace_first_partial_agg(id)).unwrap_or(false)
+    /// Take the plan's chunk node — its [`PhysicalPlan::ChunkUnion`] or
+    /// [`PhysicalPlan::PartialAggUnion`] — and leave a result-scan of
+    /// materialized slot `id` in its place: the hand-off to the
+    /// two-stage driver, which runs the node as one chunk wave. A
+    /// source has one actual-data table and a plan scans it once, so a
+    /// second chunk node is a plan error.
+    pub fn take_chunk_node(&mut self, id: usize) -> Result<Option<PhysicalPlan>> {
+        let mut taken = Vec::new();
+        self.visit_mut(&mut |node| {
+            if matches!(
+                node,
+                PhysicalPlan::ChunkUnion { .. } | PhysicalPlan::PartialAggUnion { .. }
+            ) {
+                taken.push(std::mem::replace(node, PhysicalPlan::ResultScan { id }));
             }
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::Cross { left, right } => {
-                left.replace_first_partial_agg(id) || right.replace_first_partial_agg(id)
-            }
-            PhysicalPlan::IndexJoin { child, .. } => child.replace_first_partial_agg(id),
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Aggregate { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => input.replace_first_partial_agg(id),
+        });
+        if taken.len() > 1 {
+            return Err(EngineError::Plan(format!(
+                "plan has {} chunk nodes; stage 2 runs one chunk wave",
+                taken.len()
+            )));
         }
+        Ok(taken.pop())
     }
 
     fn fmt_indent(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {

@@ -13,25 +13,26 @@
 //!    rewritten scan additionally fuse into a
 //!    [`crate::physical::PhysicalPlan::PartialAggUnion`]
 //!    ([`crate::physical::fuse_partial_agg`]).
-//! 3. Required chunks are ingested — in parallel, with the paper's
-//!    static strategy: one task per whole chunk, claimed by the shared
-//!    pool's workers. Few or skewed chunks underutilize cores (§V
-//!    discusses this drawback); the exchange operator that would
-//!    repartition them dynamically is the paper's future work.
-//! 4. **Stage 2** executes the remainder `Qs` against the result-scan
-//!    and the loaded chunks.
-//!
-//! When the chunks come from a residency manager and the stage-2 plan
-//! fused into a single partial-aggregate pipeline, steps 3 and 4
-//! overlap: each chunk is handed to its pipeline the moment its decode
-//! finishes ([`ChunkResidency::acquire_each`]), its partial state is
-//! merged, and its pin is released — so a query's working set never
-//! needs to be resident all at once, and decode and execution share the
-//! same worker pool.
+//! 3. **The chunk wave**: the plan's one chunk node — a
+//!    [`crate::physical::PhysicalPlan::ChunkUnion`] or a
+//!    `PartialAggUnion` — runs as one [`ChunkResidency::acquire_each`]
+//!    wave, with the paper's static strategy: one task per whole chunk,
+//!    claimed by the shared pool's workers. Each chunk runs the node's
+//!    per-chunk pipeline on the worker that produced it the moment it is
+//!    available, then drops its pin; the partial states merge (or the
+//!    gathered rows concatenate) in chunk order afterwards. A query's
+//!    working set never needs to be resident all at once, and decode and
+//!    execution share the same worker pool. Few or skewed chunks
+//!    underutilize cores (§V discusses this drawback); the exchange
+//!    operator that would repartition them dynamically is the paper's
+//!    future work.
+//! 4. **Stage 2** executes the remainder `Qs`, in which the chunk node
+//!    has become a result-scan of the wave's output.
 
-use crate::agg::{merge_partials, partial_aggregate_over, PartialAgg};
+use crate::agg::{aggregate, merge_partials, partial_aggregate_over};
 use crate::error::ErrorKind;
 use crate::error::{EngineError, Result};
+use crate::eval::eval_mask;
 use crate::exec::{execute, ChunkPipeline, ExecContext};
 use crate::logical::LogicalPlan;
 use crate::obs::{self, span::fmt_ns, Obs, TraceCollector};
@@ -43,7 +44,6 @@ use crate::relation::Relation;
 use crate::sched::{DegradationPolicy, SchedPolicy};
 use parking_lot::Mutex;
 use sommelier_storage::{ColumnData, Database};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 /// relation plus how the acquisition was satisfied.
 #[derive(Debug)]
 pub struct AcquiredChunk {
-    /// The chunk's rows (pinned in the manager until released).
+    /// The chunk's rows (pinned in the manager until the sink returns).
     pub relation: Arc<Relation>,
     /// True if this acquisition decoded the chunk (a residency miss);
     /// false if the chunk was already resident or an in-flight load by
@@ -133,71 +133,47 @@ pub trait PrefetchHandle: Send {
 /// A chunk-granularity residency manager (the core crate's *cellar*):
 /// the only way stage 2 reads chunks.
 ///
-/// The manager owns the loaded/not-loaded state: acquisitions *pin*
-/// chunks so they cannot be evicted mid-query, concurrent acquisitions
-/// of the same chunk are deduplicated to a single decode (single-flight),
-/// and releasing the pins lets the manager enforce its byte budget.
+/// The manager owns the loaded/not-loaded state: an acquisition *pins*
+/// its chunk so it cannot be evicted while the chunk's sink runs,
+/// concurrent acquisitions of the same chunk are deduplicated to a
+/// single decode (single-flight), and each pin drops as its sink
+/// returns, which lets the manager enforce its byte budget mid-wave.
+///
+/// What a sink keeps is query memory, not residency memory: the rows a
+/// [`PhysicalPlan::ChunkUnion`] gathers from a chunk outlive its pin.
+/// A whole-chunk selection shares the chunk's `Arc` columns rather
+/// than copying them — the same bytes a pin held until stage 2 ended
+/// would have kept alive — so nothing is copied to release the pin.
 pub trait ChunkResidency: Send + Sync {
     /// Is the chunk resident right now? (Advisory — used to label
-    /// cache-scan vs chunk-access in plans; [`Self::acquire_many`] is
+    /// cache-scan vs chunk-access in plans; [`Self::acquire_each`] is
     /// authoritative.)
     fn is_resident(&self, uri: &str) -> bool;
 
-    /// Pin and return every chunk in `uris`, loading the missing ones
-    /// under the given scheduling policy (shared scheduler, priority,
-    /// cancellation, degradation). On error the manager must have
-    /// released any pins it took. The result aligns with `uris`; a
-    /// skipped placeholder holds no pin.
+    /// Acquire every chunk in `uris` under the given scheduling policy
+    /// (shared scheduler, priority, cancellation, degradation), handing
+    /// each to `sink` as soon as it is available — resident chunks
+    /// immediately, decoded chunks the moment their decode finishes, on
+    /// the worker that decoded them (pipelined decode→execute). Each
+    /// chunk's pin is dropped as soon as its own `sink` call returns
+    /// (though a resident chunk may be pinned from the start of the
+    /// wave until its sink runs); by the time `acquire_each` returns, no
+    /// pins from this call survive. An unreadable chunk skipped under
+    /// [`DegradationPolicy::SkipUnreadable`] reaches the sink as an
+    /// unpinned placeholder. The first error (decode or sink) aborts the
+    /// wave and is returned. A wave claims its misses up front, so a
+    /// sink must not wait on another acquisition while the wave still
+    /// has chunks to load: a chunk it claimed would never publish (the
+    /// driver's sinks only run pipelines).
     ///
     /// Chunks are decoded full width: they stay resident after their
     /// pins drop, so a later query over other columns still hits.
-    fn acquire_many(
-        &self,
-        uris: &[String],
-        policy: &SchedPolicy,
-    ) -> Result<Vec<AcquiredChunk>>;
-
-    /// Release the pins taken by a matching [`Self::acquire_many`].
-    fn release_many(&self, uris: &[String]);
-
-    /// Acquire every chunk in `uris`, handing each to `sink` as soon as
-    /// it is available — resident chunks immediately, decoded chunks
-    /// the moment their decode finishes, on the worker that decoded
-    /// them (pipelined decode→execute). Each chunk's pin is dropped as
-    /// soon as its own `sink` call returns (not held until the wave
-    /// ends, though a resident chunk may be pinned from the start of
-    /// the wave until its sink runs); by the time `acquire_each`
-    /// returns, no pins from this call survive. The first error (decode
-    /// or sink) aborts the wave and is returned.
-    ///
-    /// The default delegates to [`Self::acquire_many`] (load all, then
-    /// sink sequentially); managers that can stream should override it.
     fn acquire_each(
         &self,
         uris: &[String],
         policy: &SchedPolicy,
         sink: &ChunkSink<'_>,
-    ) -> Result<()> {
-        let acquired = self.acquire_many(uris, policy)?;
-        // Skipped chunks hold no pin (the manager substituted an empty
-        // placeholder without admitting anything) — release only the
-        // chunks that were actually pinned.
-        let pinned: Vec<String> = uris
-            .iter()
-            .zip(&acquired)
-            .filter(|(_, c)| c.skipped.is_none())
-            .map(|(u, _)| u.clone())
-            .collect();
-        let mut result = Ok(());
-        for (i, chunk) in acquired.into_iter().enumerate() {
-            result = sink(i, chunk);
-            if result.is_err() {
-                break;
-            }
-        }
-        self.release_many(&pinned);
-        result
-    }
+    ) -> Result<()>;
 
     /// Every chunk in the repository (pure actual-data queries must
     /// load everything — the paper's "no alternative" case).
@@ -233,8 +209,7 @@ pub trait ChunkResidency: Send + Sync {
     /// Begin asynchronous raw-byte prefetch of `uris` (the surviving,
     /// post-pruning chunk list, in acquisition order): dedicated IO
     /// threads read chunk `k+1..k+d` while workers decode chunk `k`,
-    /// and the subsequent [`Self::acquire_many`] / [`Self::acquire_each`]
-    /// consumes the staged bytes without a second read. `None` (the
+    /// and the subsequent [`Self::acquire_each`] consumes the staged bytes without a second read. `None` (the
     /// default) = the manager does not prefetch; acquisition is
     /// unchanged.
     fn prefetch(
@@ -244,19 +219,6 @@ pub trait ChunkResidency: Send + Sync {
     ) -> Option<Box<dyn PrefetchHandle>> {
         let _ = (uris, policy);
         None
-    }
-}
-
-/// RAII guard: releases managed-chunk pins when stage 2 finishes (or
-/// fails).
-struct PinGuard<'a> {
-    residency: &'a dyn ChunkResidency,
-    uris: Vec<String>,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.residency.release_many(&self.uris);
     }
 }
 
@@ -333,9 +295,9 @@ impl TwoStageConfig {
 pub struct ExecStats {
     /// Stage-1 (metadata branch) wall time.
     pub stage1: Duration,
-    /// Chunk ingestion wall time. In the fused decode→execute path this
-    /// covers the whole per-chunk wave (decode *and* per-chunk
-    /// execution overlap and are not separable).
+    /// Chunk wave wall time: acquisition (decode, hits, joins) and every
+    /// chunk's stage-2 pipeline, which overlap on the workers and are
+    /// not separable.
     pub load: Duration,
     /// Stage-2 (remainder) wall time.
     pub stage2: Duration,
@@ -358,8 +320,8 @@ pub struct ExecStats {
     pub rows_loaded: u64,
     /// Approximate bytes ingested from chunks.
     pub bytes_loaded: u64,
-    /// Rows concatenated into materialized chunk unions during stage 2
-    /// (0 when partial aggregation avoided the union entirely).
+    /// Rows concatenated into a materialized chunk union by the chunk
+    /// wave (0 when partial aggregation avoided the union entirely).
     pub rows_union_materialized: u64,
     /// Chunks executed through per-chunk partial-aggregation pipelines.
     pub partial_agg_chunks: u64,
@@ -422,8 +384,6 @@ pub fn execute_plan(
     let mut skipped: Vec<SkippedChunk> = Vec::new();
     config.sched.check_cancel()?;
     let mut ctx = ExecContext::new(db);
-    ctx.sched = config.policy();
-    ctx.obs = config.obs.clone();
     let tracer: Option<&TraceCollector> = config.obs.tracer().map(Arc::as_ref);
 
     // ---- Stage 1: evaluate the metadata branch Qf, if marked. ------
@@ -622,108 +582,61 @@ pub fn execute_plan(
         _ => None,
     };
 
-    // ---- Chunk acquisition over the (pruned) list. -----------------
-    // The load span is ambient while the wave runs, so per-chunk spans
-    // recorded on pool workers attach under it.
-    let outer_span = tracer.map(|tc| tc.ambient());
-    let load_span = match (&s2.chunks, access) {
-        (Some(_), Some(_)) => tracer.map(|tc| {
-            let id = tc.start(tc.ambient(), "load");
-            tc.set_ambient(Some(id));
-            id
-        }),
-        _ => None,
-    };
-    let mut pin_guard: Option<PinGuard<'_>> = None;
+    // ---- The chunk wave: the plan's one chunk node, streamed. -------
     // Cancellation checkpoint before any decode work is scheduled: a
     // cancel here means no pins were ever taken.
     config.sched.check_cancel()?;
-    match (&s2.chunks, access) {
-        (None, _) | (_, None) => {}
-        (Some(refs), Some(residency)) => {
-            let uris: Vec<String> = refs.iter().map(|r| r.uri.clone()).collect();
-            let t = Instant::now();
-            // Fuse decode into execution when the whole chunk
-            // consumption is one partial-agg pipeline; otherwise
-            // load-all (the union materializes anyway, and pins must
-            // span all of stage 2).
-            if !uris.is_empty()
-                && phys.partial_agg_count() == 1
-                && phys.chunk_union_count() == 0
-            {
-                let node = phys.find_partial_agg().expect("counted above").clone();
-                let merged = fused_wave(
-                    residency,
-                    &uris,
-                    &node,
-                    &ctx,
-                    config,
-                    &mut stats,
-                    &mut skipped,
-                )?;
-                stats.load = t.elapsed();
-                let id = ctx.materialized.len();
-                ctx.materialized.push(Arc::new(merged));
-                phys.replace_first_partial_agg(id);
-            } else {
-                let acquired = residency.acquire_many(&uris, &config.policy())?;
-                // Pins are held until stage 2 is done (drop of the
-                // guard), so the manager cannot evict these chunks
-                // mid-query. Skipped chunks hold no pin, so the guard
-                // covers only the chunks that were actually acquired.
-                let pinned: Vec<String> = uris
-                    .iter()
-                    .zip(&acquired)
-                    .filter(|(_, c)| c.skipped.is_none())
-                    .map(|(u, _)| u.clone())
-                    .collect();
-                pin_guard = Some(PinGuard { residency, uris: pinned });
-                for (uri, chunk) in uris.iter().zip(acquired) {
-                    if let Some(reason) = &chunk.skipped {
-                        stats.files_skipped += 1;
-                        skipped
-                            .push(SkippedChunk { uri: uri.clone(), reason: reason.clone() });
-                    } else if chunk.loaded {
-                        stats.files_loaded += 1;
-                        stats.rows_loaded += chunk.relation.rows() as u64;
-                        stats.bytes_loaded += chunk.relation.approx_bytes() as u64;
-                    } else {
-                        stats.cache_hits += 1;
-                    }
-                    if chunk.joined {
-                        stats.load_joins += 1;
-                    }
-                    stats.pin_wait += chunk.pin_wait;
-                    if let Some(tc) = tracer {
-                        record_chunk_acquisition(tc, uri, &chunk);
-                    }
-                    ctx.chunks.insert(uri.clone(), chunk.relation);
-                }
-                stats.load = t.elapsed();
-            }
+    let outer_span = tracer.map(|tc| tc.ambient());
+    // A chunk node implies lazy scans, which come with a chunk source
+    // (checked above).
+    if let (Some(node), Some(residency)) =
+        (phys.take_chunk_node(ctx.materialized.len())?, access)
+    {
+        // The load span is ambient while the wave runs, so per-chunk
+        // spans recorded on pool workers attach under it.
+        let load_span = tracer.map(|tc| {
+            let id = tc.start(tc.ambient(), "load");
+            tc.set_ambient(Some(id));
+            id
+        });
+        let t = Instant::now();
+        let out = run_chunk_node(&node, residency, &ctx, config, &mut stats, &mut skipped)?;
+        stats.load = t.elapsed();
+        ctx.materialized.push(Arc::new(out));
+        // The chunk wave is over: everything prefetched was either
+        // claimed by a decode or is now wasted — release it before
+        // stage 2 runs.
+        drop(prefetch_guard);
+        if let (Some(tc), Some(id)) = (tracer, load_span) {
+            tc.end_with(
+                id,
+                Some(format!(
+                    "{} loaded, {} hits, {} joined",
+                    stats.files_loaded, stats.cache_hits, stats.load_joins
+                )),
+                Some(stats.rows_loaded),
+                Some(stats.bytes_loaded),
+            );
+            tc.set_ambient(outer_span.flatten());
         }
     }
 
-    // The chunk wave is over: everything prefetched was either claimed
-    // by a decode or is now wasted — release it before stage 2 runs.
-    drop(prefetch_guard);
-
-    if let (Some(tc), Some(id)) = (tracer, load_span) {
-        tc.end_with(
-            id,
-            Some(format!(
-                "{} loaded, {} hits, {} joined",
-                stats.files_loaded, stats.cache_hits, stats.load_joins
-            )),
-            Some(stats.rows_loaded),
-            Some(stats.bytes_loaded),
-        );
-        tc.set_ambient(outer_span.flatten());
+    // Chunk accounting must balance on every path: each selected chunk
+    // is pruned, sampled out, loaded, a cache hit, or skipped.
+    if !stats.accounting_balanced() {
+        return Err(EngineError::Exec(format!(
+            "chunk accounting out of balance: selected {} != pruned {} + sampled_out {} \
+             + loaded {} + hits {} + skipped {}",
+            stats.files_selected,
+            stats.files_pruned,
+            stats.files_sampled_out,
+            stats.files_loaded,
+            stats.cache_hits,
+            stats.files_skipped
+        )));
     }
 
     // ---- Stage 2: the remainder Qs. ---------------------------------
-    // Cancellation checkpoint: dropping out here unwinds the pin guard,
-    // so a cancelled query never leaves pinned chunks behind.
     config.sched.check_cancel()?;
     let t = Instant::now();
     let stage2_span = tracer.map(|tc| {
@@ -737,22 +650,6 @@ pub fn execute_plan(
         tc.set_ambient(outer_span.flatten());
     }
     stats.stage2 = t.elapsed();
-    stats.rows_union_materialized += ctx.counters.union_rows.load(Ordering::Relaxed);
-    stats.partial_agg_chunks += ctx.counters.partial_agg_chunks.load(Ordering::Relaxed);
-    drop(pin_guard);
-
-    // Chunk accounting must balance on every path: each selected chunk
-    // is pruned, sampled out, loaded, a cache hit, or skipped.
-    debug_assert!(
-        stats.accounting_balanced(),
-        "chunk accounting out of balance: selected {} != pruned {} + sampled_out {} + loaded {} + hits {} + skipped {}",
-        stats.files_selected,
-        stats.files_pruned,
-        stats.files_sampled_out,
-        stats.files_loaded,
-        stats.cache_hits,
-        stats.files_skipped
-    );
 
     let o = &config.obs;
     o.count("query.count", 1);
@@ -771,128 +668,210 @@ pub fn execute_plan(
     Ok(QueryOutcome { relation, stats, trace, skipped })
 }
 
-/// Record the acquisition span of one managed chunk (non-fused path):
-/// the span covers decode + pin wait, annotated with how it was
-/// satisfied.
-fn record_chunk_acquisition(tc: &TraceCollector, uri: &str, chunk: &AcquiredChunk) {
-    let dur = (chunk.decode + chunk.pin_wait).as_nanos() as u64;
-    let status = if chunk.joined {
-        format!("{uri} joined, waited {}", fmt_ns(chunk.pin_wait.as_nanos() as u64))
-    } else if chunk.loaded {
-        format!("{uri} decoded in {}", fmt_ns(chunk.decode.as_nanos() as u64))
-    } else {
-        format!("{uri} hit")
-    };
-    let end = tc.now_ns();
-    tc.record(
-        tc.ambient(),
-        "chunk.load",
-        status,
-        end.saturating_sub(dur),
-        dur,
-        None,
-        Some(chunk.relation.rows() as u64),
-        Some(chunk.relation.approx_bytes() as u64),
-    );
-}
-
-/// The fused decode→execute wave over one [`PhysicalPlan::PartialAggUnion`]:
-/// each chunk runs its pipeline (projection, pushed-down selection,
-/// probe of the shared build side, residual filter, partial
-/// aggregation) on the worker that produced it, then drops its pin; the
-/// partial states merge in chunk order afterwards.
-fn fused_wave(
-    residency: &dyn ChunkResidency,
-    uris: &[String],
+/// Run the plan's chunk node as one wave ([`chunk_wave`]) and return
+/// its output: the merged partial states of a
+/// [`PhysicalPlan::PartialAggUnion`], or the in-order concatenation of
+/// a [`PhysicalPlan::ChunkUnion`]'s per-chunk rows — filtered once above
+/// the concatenation when the selection was not pushed down (the
+/// ablation baseline). A node over no chunks yields the table's empty
+/// schema, aggregated when the node aggregates, so the plan above keeps
+/// working.
+fn run_chunk_node(
     node: &PhysicalPlan,
+    residency: &dyn ChunkResidency,
     ctx: &ExecContext,
     config: &TwoStageConfig,
     stats: &mut ExecStats,
     skipped: &mut Vec<SkippedChunk>,
 ) -> Result<Relation> {
-    let PhysicalPlan::PartialAggUnion {
-        columns, predicate, join, ops, group_by, aggs, ..
-    } = node
-    else {
-        unreachable!("caller located a partial-agg node")
-    };
-    // The build side is chunk-free (fusion guarantees it): execute and
-    // hash it once; every chunk probes the shared build.
-    let build = join.as_ref().map(|j| j.build(execute(&j.right, ctx)?)).transpose()?;
-    let pipeline = ChunkPipeline {
-        columns,
-        predicate: predicate.as_ref(),
-        build: join.as_ref().zip(build.as_ref()).map(|(j, b)| (b, j.left_keys.as_slice())),
-        ops,
-    };
-    let slots: Vec<Mutex<Option<PartialAgg>>> =
-        (0..uris.len()).map(|_| Mutex::new(None)).collect();
-    let (loaded, hits) = (AtomicU64::new(0), AtomicU64::new(0));
-    let (rows, bytes) = (AtomicU64::new(0), AtomicU64::new(0));
-    let (joins, wait_ns) = (AtomicU64::new(0), AtomicU64::new(0));
-    let skips: Mutex<Vec<SkippedChunk>> = Mutex::new(Vec::new());
+    match node {
+        PhysicalPlan::ChunkUnion { table, chunks, columns, predicate, pushdown } => {
+            if chunks.is_empty() {
+                return empty_chunk_schema(ctx.db, table, columns);
+            }
+            let pipeline = ChunkPipeline {
+                columns,
+                predicate: predicate.as_ref().filter(|_| *pushdown),
+                build: None,
+                ops: &[],
+            };
+            let parts = chunk_wave(residency, chunks, config, stats, skipped, |chunk| {
+                pipeline.run(chunk)
+            })?;
+            let mut out = Relation::empty();
+            for part in &parts {
+                out.union_in_place(part)?;
+            }
+            stats.rows_union_materialized += out.rows() as u64;
+            match predicate {
+                Some(p) if !*pushdown && out.rows() > 0 => {
+                    let mask = eval_mask(p, &out)?;
+                    Ok(out.filter(&mask))
+                }
+                _ => Ok(out),
+            }
+        }
+        PhysicalPlan::PartialAggUnion {
+            table,
+            chunks,
+            columns,
+            predicate,
+            join,
+            ops,
+            group_by,
+            aggs,
+        } => {
+            // The build side is chunk-free (fusion guarantees it):
+            // execute and hash it once; every chunk probes the shared
+            // build.
+            let build =
+                join.as_ref().map(|j| j.build(execute(&j.right, ctx)?)).transpose()?;
+            let pipeline = ChunkPipeline {
+                columns,
+                predicate: predicate.as_ref(),
+                build: join
+                    .as_ref()
+                    .zip(build.as_ref())
+                    .map(|(j, b)| (b, j.left_keys.as_slice())),
+                ops,
+            };
+            if chunks.is_empty() {
+                let empty = empty_chunk_schema(ctx.db, table, columns)?;
+                return aggregate(&pipeline.run(&empty)?, group_by, aggs);
+            }
+            let parts = chunk_wave(residency, chunks, config, stats, skipped, |chunk| {
+                partial_aggregate_over(&pipeline.candidates(chunk)?, group_by, aggs)
+            })?;
+            stats.partial_agg_chunks += parts.len() as u64;
+            merge_partials(parts, group_by, aggs)
+        }
+        other => Err(EngineError::Plan(format!("not a chunk node: {other}"))),
+    }
+}
+
+/// The correctly-typed empty relation for a chunk scan over no chunks
+/// (so joins above keep working).
+fn empty_chunk_schema(db: &Database, table: &str, columns: &[String]) -> Result<Relation> {
+    let schema = db.table_schema(table)?;
+    let prefix = format!("{table}.");
+    let cols = columns
+        .iter()
+        .map(|c| {
+            let raw = c.strip_prefix(&prefix).ok_or_else(|| {
+                EngineError::Plan(format!("chunk column {c:?} not qualified by {table}"))
+            })?;
+            Ok((c.clone(), ColumnData::empty(schema.col_type(raw)?)))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Relation::new(cols)
+}
+
+/// How one chunk of a wave was acquired: what its slot keeps once the
+/// chunk and its pin are gone.
+struct Acquisition {
+    loaded: bool,
+    joined: bool,
+    pin_wait: Duration,
+    rows: u64,
+    bytes: u64,
+    skipped: Option<String>,
+}
+
+/// The one way stage 2 consumes chunks: acquire `chunks` as one
+/// [`ChunkResidency::acquire_each`] wave, run `pipeline` over each
+/// chunk on the worker that produced it and fill slot `i` with its
+/// result and acquisition; the pin drops as the sink returns. One
+/// `"chunk"` span per chunk covers its decode or pin wait plus its
+/// pipeline. After the wave the slots fold into `stats` in chunk order
+/// — every chunk counts exactly once, as loaded, hit or skipped — and
+/// the results return in chunk order.
+fn chunk_wave<T: Send>(
+    residency: &dyn ChunkResidency,
+    chunks: &[ChunkRef],
+    config: &TwoStageConfig,
+    stats: &mut ExecStats,
+    skipped: &mut Vec<SkippedChunk>,
+    pipeline: impl Fn(&Relation) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let uris: Vec<String> = chunks.iter().map(|c| c.uri.clone()).collect();
+    let slots: Vec<Mutex<Option<(Acquisition, T)>>> =
+        uris.iter().map(|_| Mutex::new(None)).collect();
     let tracer = config.obs.tracer().map(Arc::as_ref);
     let sink = |i: usize, chunk: AcquiredChunk| -> Result<()> {
-        let chunk_bytes = chunk.relation.approx_bytes() as u64;
-        if let Some(reason) = &chunk.skipped {
-            skips.lock().push(SkippedChunk { uri: uris[i].clone(), reason: reason.clone() });
-        } else if chunk.loaded {
-            loaded.fetch_add(1, Ordering::Relaxed);
-            rows.fetch_add(chunk.relation.rows() as u64, Ordering::Relaxed);
-            bytes.fetch_add(chunk_bytes, Ordering::Relaxed);
-        } else {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if chunk.joined {
-            joins.fetch_add(1, Ordering::Relaxed);
-        }
-        wait_ns.fetch_add(chunk.pin_wait.as_nanos() as u64, Ordering::Relaxed);
         let t0 = Instant::now();
-        let part =
-            partial_aggregate_over(&pipeline.candidates(&chunk.relation)?, group_by, aggs)?;
+        let out = pipeline(&chunk.relation)?;
+        let acquisition = Acquisition {
+            loaded: chunk.loaded,
+            joined: chunk.joined,
+            pin_wait: chunk.pin_wait,
+            rows: chunk.relation.rows() as u64,
+            bytes: chunk.relation.approx_bytes() as u64,
+            skipped: chunk.skipped,
+        };
         if let Some(tc) = tracer {
-            // One span per chunk, covering decode + pin wait + the
-            // fused pipeline (all on the worker that decoded it).
-            let pipe_ns = t0.elapsed().as_nanos() as u64;
-            let acq_ns = (chunk.decode + chunk.pin_wait).as_nanos() as u64;
-            let end = tc.now_ns();
-            let how = if chunk.joined {
-                format!("wait {}", fmt_ns(chunk.pin_wait.as_nanos() as u64))
-            } else if chunk.loaded {
-                format!("decode {}", fmt_ns(chunk.decode.as_nanos() as u64))
-            } else {
-                "hit".to_string()
-            };
-            tc.record(
-                tc.ambient(),
-                "chunk",
-                format!("{} ({how}, pipeline {})", uris[i], fmt_ns(pipe_ns)),
-                end.saturating_sub(acq_ns + pipe_ns),
-                acq_ns + pipe_ns,
-                obs::current_worker(),
-                Some(chunk.relation.rows() as u64),
-                Some(chunk_bytes),
-            );
+            record_chunk_span(tc, &uris[i], &acquisition, chunk.decode, t0.elapsed());
         }
-        *slots[i].lock() = Some(part);
+        *slots[i].lock() = Some((acquisition, out));
         Ok(())
     };
-    residency.acquire_each(uris, &config.policy(), &sink)?;
-    let skips = skips.into_inner();
-    stats.files_skipped += skips.len();
-    skipped.extend(skips);
-    stats.files_loaded += loaded.load(Ordering::Relaxed) as usize;
-    stats.cache_hits += hits.load(Ordering::Relaxed) as usize;
-    stats.rows_loaded += rows.load(Ordering::Relaxed);
-    stats.bytes_loaded += bytes.load(Ordering::Relaxed);
-    stats.load_joins += joins.load(Ordering::Relaxed);
-    stats.pin_wait += Duration::from_nanos(wait_ns.load(Ordering::Relaxed));
-    stats.partial_agg_chunks += uris.len() as u64;
-    let parts: Vec<PartialAgg> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("sink ran for every chunk"))
-        .collect();
-    merge_partials(parts, group_by, aggs)
+    residency.acquire_each(&uris, &config.policy(), &sink)?;
+    let mut outs = Vec::with_capacity(uris.len());
+    for (uri, slot) in uris.into_iter().zip(slots) {
+        let Some((acquisition, out)) = slot.into_inner() else {
+            return Err(EngineError::Exec(format!(
+                "chunk {uri:?} never reached its pipeline"
+            )));
+        };
+        match acquisition.skipped {
+            Some(reason) => {
+                stats.files_skipped += 1;
+                skipped.push(SkippedChunk { uri, reason });
+            }
+            None if acquisition.loaded => {
+                stats.files_loaded += 1;
+                stats.rows_loaded += acquisition.rows;
+                stats.bytes_loaded += acquisition.bytes;
+            }
+            None => stats.cache_hits += 1,
+        }
+        stats.load_joins += u64::from(acquisition.joined);
+        stats.pin_wait += acquisition.pin_wait;
+        outs.push(out);
+    }
+    Ok(outs)
+}
+
+/// Record one chunk's span: its decode or pin wait plus its pipeline,
+/// all on the worker that produced it.
+fn record_chunk_span(
+    tc: &TraceCollector,
+    uri: &str,
+    a: &Acquisition,
+    decode: Duration,
+    pipeline: Duration,
+) {
+    let (acq_ns, pipe_ns) =
+        ((decode + a.pin_wait).as_nanos() as u64, pipeline.as_nanos() as u64);
+    let how = if a.skipped.is_some() {
+        "skipped".to_string()
+    } else if a.joined {
+        format!("wait {}", fmt_ns(a.pin_wait.as_nanos() as u64))
+    } else if a.loaded {
+        format!("decode {}", fmt_ns(decode.as_nanos() as u64))
+    } else {
+        "hit".to_string()
+    };
+    let end = tc.now_ns();
+    tc.record(
+        tc.ambient(),
+        "chunk",
+        format!("{uri} ({how}, pipeline {})", fmt_ns(pipe_ns)),
+        end.saturating_sub(acq_ns + pipe_ns),
+        acq_ns + pipe_ns,
+        obs::current_worker(),
+        Some(a.rows),
+        Some(a.bytes),
+    );
 }
 
 /// Approximate answering: keep a deterministic sample of the selected
@@ -953,12 +932,14 @@ fn distinct_uris(rf: &Relation, uri_column: &str) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{AggFunc, CmpOp, Expr};
+    use crate::exec::run_indexed_policy;
+    use crate::expr::{AggFunc, ArithOp, CmpOp, Expr};
+    use crate::sched::MorselScheduler;
     use sommelier_storage::buffer::BufferPoolConfig;
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::{ConstraintPolicy, DataType, TableClass, TableSchema, Value};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A chunk source serving synthetic per-file D relations:
     /// file `u<i>` has rows with file_id = i and values i*10 .. i*10+2.
@@ -1000,8 +981,9 @@ mod tests {
     }
 
     /// A minimal residency manager over a [`FakeSource`], to exercise
-    /// the fused decode→execute path without the core crate's cellar:
-    /// everything stays resident, pins are counted.
+    /// the chunk wave without the core crate's cellar: everything stays
+    /// resident, and each chunk is pinned only while its sink runs (the
+    /// pins are counted).
     struct FakeResidency {
         source: FakeSource,
         resident: Mutex<std::collections::HashMap<String, Arc<Relation>>>,
@@ -1040,6 +1022,46 @@ mod tests {
                 .unwrap(),
             )
         }
+
+        /// One task of [`ChunkResidency::acquire_each`]: pin (or skip),
+        /// sink, unpin.
+        fn acquire_one(
+            &self,
+            i: usize,
+            uri: &str,
+            policy: &SchedPolicy,
+            sink: &ChunkSink<'_>,
+        ) -> Result<()> {
+            let unreadable = self.unreadable.lock().get(uri).cloned();
+            if let Some(reason) = unreadable {
+                return match policy.degradation {
+                    DegradationPolicy::SkipUnreadable => {
+                        sink(i, AcquiredChunk::skipped(Self::empty_placeholder(), reason))
+                    }
+                    DegradationPolicy::Strict => Err(EngineError::ChunkLoad {
+                        uri: uri.to_string(),
+                        kind: ErrorKind::Permanent,
+                        message: reason,
+                    }),
+                };
+            }
+            self.pin();
+            let chunk = {
+                let mut resident = self.resident.lock();
+                match resident.get(uri) {
+                    Some(rel) => Ok(AcquiredChunk::untimed(Arc::clone(rel), false, false)),
+                    // Retaining manager: always decodes full width.
+                    None => self.source.load_chunk(uri).map(|rel| {
+                        let rel = Arc::new(rel);
+                        resident.insert(uri.to_string(), Arc::clone(&rel));
+                        AcquiredChunk::untimed(rel, true, false)
+                    }),
+                }
+            };
+            let out = chunk.and_then(|chunk| sink(i, chunk));
+            self.pins.fetch_sub(1, Ordering::SeqCst);
+            out
+        }
     }
 
     impl ChunkResidency for FakeResidency {
@@ -1047,43 +1069,17 @@ mod tests {
             self.resident.lock().contains_key(uri)
         }
 
-        fn acquire_many(
+        fn acquire_each(
             &self,
             uris: &[String],
             policy: &SchedPolicy,
-        ) -> Result<Vec<AcquiredChunk>> {
-            uris.iter()
-                .map(|u| {
-                    if let Some(reason) = self.unreadable.lock().get(u) {
-                        return match policy.degradation {
-                            DegradationPolicy::SkipUnreadable => Ok(AcquiredChunk::skipped(
-                                Self::empty_placeholder(),
-                                reason.clone(),
-                            )),
-                            DegradationPolicy::Strict => Err(EngineError::ChunkLoad {
-                                uri: u.clone(),
-                                kind: ErrorKind::Permanent,
-                                message: reason.clone(),
-                            }),
-                        };
-                    }
-                    self.pin();
-                    let mut resident = self.resident.lock();
-                    if let Some(rel) = resident.get(u) {
-                        return Ok(AcquiredChunk::untimed(Arc::clone(rel), false, false));
-                    }
-                    // Retaining manager: always decodes full width.
-                    let rel = Arc::new(self.source.load_chunk(u)?);
-                    resident.insert(u.clone(), Arc::clone(&rel));
-                    Ok(AcquiredChunk::untimed(rel, true, false))
-                })
-                .collect()
-        }
-
-        fn release_many(&self, uris: &[String]) {
-            let unreadable = self.unreadable.lock();
-            let n = uris.iter().filter(|u| !unreadable.contains_key(*u)).count();
-            self.pins.fetch_sub(n, Ordering::SeqCst);
+            sink: &ChunkSink<'_>,
+        ) -> Result<()> {
+            run_indexed_policy(uris.len(), policy, &Obs::off(), |i| {
+                self.acquire_one(i, &uris[i], policy, sink)
+            })
+            .into_iter()
+            .collect()
         }
 
         fn all_chunks(&self) -> Result<Vec<String>> {
@@ -1110,6 +1106,15 @@ mod tests {
             Disposition::Resident,
         )
         .unwrap();
+        // The actual-data table's schema only: its rows live in the
+        // chunks the residency manager serves.
+        db.create_table(
+            TableSchema::new("D", TableClass::ActualData)
+                .column("file_id", DataType::Int64)
+                .column("sample_value", DataType::Float64),
+            Disposition::Resident,
+        )
+        .unwrap();
         db.append(
             "F",
             &[
@@ -1123,29 +1128,92 @@ mod tests {
         db
     }
 
+    /// `D ⋈ Qf(F)`: the chunk rows of the files of `station` with
+    /// `D.sample_value >= min`.
+    fn lazy_join(station: &str, min: f64) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(LogicalPlan::LazyScan {
+                table: "D".into(),
+                columns: vec!["D.file_id".into(), "D.sample_value".into()],
+                predicate: Some(Expr::col("D.sample_value").cmp(CmpOp::Ge, Expr::lit(min))),
+            }),
+            right: Box::new(LogicalPlan::QfMark {
+                input: Box::new(LogicalPlan::Scan {
+                    table: "F".into(),
+                    columns: vec!["F.file_id".into(), "F.uri".into(), "F.station".into()],
+                    predicate: Some(Expr::col("F.station").eq(Expr::lit(station))),
+                }),
+            }),
+            left_keys: vec![Expr::col("D.file_id")],
+            right_keys: vec![Expr::col("F.file_id")],
+        }
+    }
+
     /// AVG(D.sample_value) for station ISK — a T4-shaped two-stage plan.
     fn lazy_plan() -> LogicalPlan {
+        avg_plan("ISK")
+    }
+
+    fn avg_plan(station: &str) -> LogicalPlan {
         LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(LogicalPlan::LazyScan {
-                    table: "D".into(),
-                    columns: vec!["D.file_id".into(), "D.sample_value".into()],
-                    predicate: Some(
-                        Expr::col("D.sample_value").cmp(CmpOp::Ge, Expr::lit(0.0)),
-                    ),
-                }),
-                right: Box::new(LogicalPlan::QfMark {
-                    input: Box::new(LogicalPlan::Scan {
-                        table: "F".into(),
-                        columns: vec!["F.file_id".into(), "F.uri".into(), "F.station".into()],
-                        predicate: Some(Expr::col("F.station").eq(Expr::lit("ISK"))),
-                    }),
-                }),
-                left_keys: vec![Expr::col("D.file_id")],
-                right_keys: vec![Expr::col("F.file_id")],
-            }),
+            input: Box::new(lazy_join(station, 0.0)),
             group_by: vec![],
             aggs: vec![("avg_v".into(), AggFunc::Avg, Expr::col("D.sample_value"))],
+        }
+    }
+
+    /// Raw sample values of `station`'s files above 2 — a chunk union
+    /// under a join, with no aggregate to fuse into.
+    fn raw_plan(station: &str) -> LogicalPlan {
+        LogicalPlan::Project {
+            input: Box::new(lazy_join(station, 2.5)),
+            exprs: vec![("v".into(), Expr::col("D.sample_value"))],
+        }
+    }
+
+    /// `agg` over every chunk's rows (no metadata branch), after the
+    /// row-local `wrap` (e.g. a projection).
+    fn pure_ad_plan(
+        wrap: impl FnOnce(LogicalPlan) -> LogicalPlan,
+        group_by: Vec<(String, Expr)>,
+        aggs: Vec<(String, AggFunc, Expr)>,
+    ) -> LogicalPlan {
+        let scan = LogicalPlan::LazyScan {
+            table: "D".into(),
+            columns: vec!["D.file_id".into(), "D.sample_value".into()],
+            predicate: None,
+        };
+        LogicalPlan::Aggregate { input: Box::new(wrap(scan)), group_by, aggs }
+    }
+
+    fn count_plan() -> LogicalPlan {
+        pure_ad_plan(
+            |p| p,
+            vec![],
+            vec![("n".into(), AggFunc::Count, Expr::col("D.sample_value"))],
+        )
+    }
+
+    /// A config whose waves run on a fresh shared pool of `n` workers;
+    /// the pool is returned so tests can check it was used.
+    fn on_pool(n: usize, pushdown: bool) -> (TwoStageConfig, Arc<MorselScheduler>) {
+        let pool = Arc::new(MorselScheduler::new(n));
+        let mut config = TwoStageConfig { pushdown, ..test_config() };
+        config.sched = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
+        (config, pool)
+    }
+
+    /// Every cell of `names` in `a` equals the one in `b`, row by row.
+    fn assert_same(a: &Relation, b: &Relation, names: &[&str]) {
+        assert_eq!(a.rows(), b.rows());
+        for r in 0..a.rows() {
+            for name in names {
+                assert_eq!(
+                    a.value(r, name).unwrap(),
+                    b.value(r, name).unwrap(),
+                    "{name}@{r}"
+                );
+            }
         }
     }
 
@@ -1191,7 +1259,8 @@ mod tests {
         let residency = FakeResidency::new(3);
         let fused =
             execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap();
-        // Pushdown off → no fusion → load-all + materialized union.
+        // Pushdown off → no fusion → a chunk-union wave whose rows
+        // materialize a union for the aggregate above it.
         let config = TwoStageConfig { pushdown: false, ..test_config() };
         let unioned = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
         assert_eq!(unioned.stats.partial_agg_chunks, 0);
@@ -1308,6 +1377,174 @@ mod tests {
             execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap_err();
         assert!(matches!(err, EngineError::ChunkLoad { uri, .. } if uri == "u2"));
         assert_eq!(residency.source.loads.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn chunk_union_with_pushdown() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        let pushed =
+            execute_plan(&db, &raw_plan("ISK"), Some(&residency), &test_config()).unwrap();
+        // u2's 20, 21, 22 pass the selection; u0's 0, 1, 2 do not.
+        assert_eq!(pushed.relation.rows(), 3);
+        assert_eq!(pushed.stats.rows_union_materialized, 3, "filtered per chunk");
+        // Same rows without pushdown: the whole chunks concatenate, and
+        // the selection runs once above the union.
+        let config = TwoStageConfig { pushdown: false, ..test_config() };
+        let post = execute_plan(&db, &raw_plan("ISK"), Some(&residency), &config).unwrap();
+        assert_same(&pushed.relation, &post.relation, &["v"]);
+        assert_eq!(post.stats.rows_union_materialized, 6, "whole chunks unioned");
+        assert_eq!(post.stats.partial_agg_chunks, 0);
+        assert!(post.stats.accounting_balanced());
+        assert_eq!(residency.pins.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn chunk_union_parallel_matches_serial() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        let serial =
+            execute_plan(&db, &raw_plan("ISK"), Some(&residency), &test_config()).unwrap();
+        let (config, pool) = on_pool(4, true);
+        let parallel =
+            execute_plan(&db, &raw_plan("ISK"), Some(&residency), &config).unwrap();
+        assert_eq!(pool.stats().tasks, 2, "both chunk pipelines ran on the pool");
+        assert_same(&serial.relation, &parallel.relation, &["v"]);
+    }
+
+    #[test]
+    fn partial_agg_union_fuses_and_matches_aggregate_over_union() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        let plan = || {
+            pure_ad_plan(
+                |p| p,
+                vec![("fid".into(), Expr::col("D.file_id"))],
+                vec![
+                    ("n".into(), AggFunc::Count, Expr::col("D.sample_value")),
+                    ("avg_v".into(), AggFunc::Avg, Expr::col("D.sample_value")),
+                ],
+            )
+        };
+        let (fused_config, _pool) = on_pool(4, true);
+        let fused = execute_plan(&db, &plan(), Some(&residency), &fused_config).unwrap();
+        let (unfused_config, _pool) = on_pool(4, false);
+        let want = execute_plan(&db, &plan(), Some(&residency), &unfused_config).unwrap();
+        // Partial aggregation materialized no union.
+        assert_eq!(fused.stats.partial_agg_chunks, 3);
+        assert_eq!(fused.stats.rows_union_materialized, 0);
+        assert_eq!(want.stats.rows_union_materialized, 9);
+        assert_same(&want.relation, &fused.relation, &["fid", "n", "avg_v"]);
+    }
+
+    #[test]
+    fn partial_agg_union_with_join_matches_unfused() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Filter {
+                input: Box::new(lazy_join("ISK", 0.0)),
+                predicate: Expr::col("D.sample_value").cmp(CmpOp::Lt, Expr::lit(21.0)),
+            }),
+            group_by: vec![],
+            aggs: vec![("s".into(), AggFunc::Sum, Expr::col("D.sample_value"))],
+        };
+        let (config, _pool) = on_pool(2, true);
+        let fused = execute_plan(&db, &plan, Some(&residency), &config).unwrap();
+        assert_eq!(fused.stats.partial_agg_chunks, 2, "join shape fuses");
+        // No-pushdown unions do not fuse (they are the ablation baseline).
+        let (config, _pool) = on_pool(2, false);
+        let unfused = execute_plan(&db, &plan, Some(&residency), &config).unwrap();
+        assert_eq!(unfused.stats.partial_agg_chunks, 0);
+        assert_same(&unfused.relation, &fused.relation, &["s"]);
+        assert_eq!(fused.relation.value(0, "s").unwrap(), Value::Float(23.0));
+    }
+
+    #[test]
+    fn partial_agg_union_fuses_through_project() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        // Aggregate over a computed projection of the chunk rows.
+        let plan = || {
+            pure_ad_plan(
+                |scan| LogicalPlan::Project {
+                    input: Box::new(scan),
+                    exprs: vec![(
+                        "doubled".into(),
+                        Expr::Arith(
+                            ArithOp::Mul,
+                            Box::new(Expr::col("D.sample_value")),
+                            Box::new(Expr::lit(2.0)),
+                        ),
+                    )],
+                },
+                vec![],
+                vec![("s".into(), AggFunc::Sum, Expr::col("doubled"))],
+            )
+        };
+        let (config, _pool) = on_pool(2, true);
+        let fused = execute_plan(&db, &plan(), Some(&residency), &config).unwrap();
+        assert_eq!(fused.stats.partial_agg_chunks, 3, "project chain fuses");
+        let (config, _pool) = on_pool(2, false);
+        let unfused = execute_plan(&db, &plan(), Some(&residency), &config).unwrap();
+        assert_same(&unfused.relation, &fused.relation, &["s"]);
+        assert_eq!(fused.relation.value(0, "s").unwrap(), Value::Float(198.0));
+    }
+
+    #[test]
+    fn partial_agg_union_empty_chunks_keeps_schema() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        // Stage 1 selects no files: both chunk-node kinds run no wave
+        // and keep the table's schema.
+        let agg =
+            execute_plan(&db, &avg_plan("NONE"), Some(&residency), &test_config()).unwrap();
+        assert_eq!(agg.relation.rows(), 0, "global aggregate over empty input");
+        assert_eq!(agg.relation.width(), 1, "schema preserved");
+        let raw =
+            execute_plan(&db, &raw_plan("NONE"), Some(&residency), &test_config()).unwrap();
+        assert_eq!((raw.relation.rows(), raw.relation.width()), (0, 1));
+        assert_eq!(residency.source.loads.load(Ordering::Relaxed), 0);
+        assert!(agg.stats.accounting_balanced() && raw.stats.accounting_balanced());
+    }
+
+    #[test]
+    fn unfused_pure_ad_plan_pins_one_chunk_at_a_time() {
+        // Pushdown off: the aggregate sits over a chunk union. Its wave
+        // still drops each chunk's pin as the chunk's rows are gathered,
+        // so a serial run never holds two pins.
+        let db = metadata_db();
+        let residency = FakeResidency::new(3);
+        let config = TwoStageConfig { pushdown: false, ..test_config() };
+        let out = execute_plan(&db, &count_plan(), Some(&residency), &config).unwrap();
+        assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(9));
+        assert_eq!(out.stats.files_loaded, 3);
+        assert_eq!(residency.peak_pins.load(Ordering::SeqCst), 1);
+        assert_eq!(residency.pins.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn accounting_balances_over_sampling_quarantine_and_skip() {
+        let db = metadata_db();
+        let residency = FakeResidency::new(6);
+        residency.resident.lock().insert("u3".into(), Arc::new(FakeSource::rel_for(3)));
+        residency.quarantined.lock().insert("u1".into(), "quarantined earlier".into());
+        residency.unreadable.lock().insert("u2".into(), "bad magic".into());
+        for pushdown in [true, false] {
+            let mut config =
+                TwoStageConfig { pushdown, sampling: Some(0.7), ..test_config() };
+            config.sched.degradation = DegradationPolicy::SkipUnreadable;
+            let out = execute_plan(&db, &count_plan(), Some(&residency), &config).unwrap();
+            let s = &out.stats;
+            assert!(s.accounting_balanced(), "{s:?}");
+            assert_eq!((s.files_selected, s.files_sampled_out), (6, 1), "{s:?}");
+            assert_eq!(s.files_loaded + s.cache_hits + s.files_skipped, 5, "{s:?}");
+            assert!(s.files_skipped >= 1 && s.cache_hits >= 1, "{s:?}");
+            assert_eq!(out.skipped.len(), s.files_skipped);
+            let rows = 3 * (s.files_loaded + s.cache_hits) as i64;
+            assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(rows));
+        }
+        assert_eq!(residency.pins.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -31,9 +31,14 @@ fn shared_repo() -> &'static TempDir {
 }
 
 fn t4_query(start_day: i64, window: i64) -> String {
+    window_query("AVG(D.sample_value)", start_day, window)
+}
+
+/// `select` over the samples of days `start_day..start_day + window`.
+fn window_query(select: &str, start_day: i64, window: i64) -> String {
     let d0 = days_from_civil(2010, 1, 1);
     format!(
-        "SELECT AVG(D.sample_value) FROM dataview \
+        "SELECT {select} FROM dataview \
          WHERE D.sample_time >= '{}' AND D.sample_time < '{}'",
         format_ts((d0 + start_day) * MS_PER_DAY),
         format_ts((d0 + start_day + window) * MS_PER_DAY)
@@ -132,6 +137,42 @@ fn ten_percent_budget_matches_unbounded_results() {
     let s = cellar.stats();
     assert!(s.evictions > 0, "a 10% budget must evict: {s:?}");
     assert!(s.reloads > 0, "a repeated workload over a 10% budget must reload: {s:?}");
+}
+
+/// Raw rows (no aggregate to fuse into) over every chunk, serially,
+/// under a budget of ~1.5 chunks: the chunk wave pins one chunk at a
+/// time, so residency peaks at the budget plus the chunk being
+/// gathered — never the query's whole working set — and the rows match
+/// an unbounded twin's.
+#[test]
+fn raw_row_query_pins_one_chunk_at_a_time() {
+    let dir = TempDir::new("cellar-raw-rows");
+    let repo = fiam_repo(&dir, DAYS as u32, 64);
+    let serial = |cellar_bytes| SommelierConfig {
+        cellar_bytes,
+        max_threads: 1,
+        ..SommelierConfig::default()
+    };
+    let raw = |start, window| window_query("D.sample_time, D.sample_value", start, window);
+    // One chunk per day: measure the largest one's decoded bytes.
+    let unbounded = prepared(&repo, LoadingMode::Lazy, serial(None));
+    let unbounded_cellar = unbounded.cellar().unwrap();
+    let mut one = 0;
+    for day in 0..DAYS {
+        let before = unbounded_cellar.resident_bytes();
+        assert_eq!(unbounded.query(&raw(day, 1)).unwrap().stats.files_loaded, 1);
+        one = one.max(unbounded_cellar.resident_bytes() - before);
+    }
+    let budget = one + one / 2;
+    let bounded = prepared(&repo, LoadingMode::Lazy, serial(Some(budget)));
+    let sql = raw(0, DAYS);
+    let got = bounded.query(&sql).unwrap();
+    let want = unbounded.query(&sql).unwrap();
+    assert_eq!(got.stats.files_loaded, DAYS as usize);
+    assert!(want.relation.rows() > 0);
+    assert_eq!(canonical(&got.relation), canonical(&want.relation));
+    let peak = bounded.cellar().unwrap().peak_resident_bytes();
+    assert!(peak <= budget + one, "peak {peak} > budget {budget} + one chunk {one}");
 }
 
 /// Eight threads, same query, one decode per chunk (single-flight), and

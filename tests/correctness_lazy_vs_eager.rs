@@ -74,8 +74,9 @@ fn queries() -> Vec<(&'static str, String)> {
                 .to_string(),
         ),
         (
-            // Raw rows, no aggregate: not a fused shape, so the chunks
-            // are acquired all at once and pinned across stage 2.
+            // Raw rows, no aggregate: not a fused shape, so the chunk
+            // wave gathers each chunk's rows and drops its pin, and the
+            // rows concatenate in chunk order.
             "T4 raw rows",
             "SELECT F.station, D.sample_time, D.sample_value FROM dataview \
              WHERE D.sample_time >= '2010-01-01T03:00:00.000' \

@@ -46,11 +46,16 @@
 //! decode-cost-aware policy (measured slower on the evicting workloads)
 //! and the `cellar_policy` knob were removed.
 //!
-//! The cellar has one acquisition engine, the streaming wave:
-//! `acquire_many` is a sink over it that keeps every chunk pinned until
-//! `release_many`. The load-all engine — `settle_acquired`,
-//! `settle_retry`, `decode_claims` and its own `catch_unwind` — was
-//! removed. Approximate answers are `QueryOptions::sampling` through
+//! The cellar has one acquisition engine, the streaming wave, and one
+//! wave per chunk node is the only way stage 2 reads chunks: the driver
+//! runs the plan's `ChunkUnion` or `PartialAggUnion` as one
+//! `acquire_each` wave and each pin drops as its chunk's pipeline
+//! returns. The load-all engine — `settle_acquired`, `settle_retry`,
+//! `decode_claims` and its own `catch_unwind` — was removed, and so was
+//! load-all acquisition: `acquire_many`/`release_many`, the driver's
+//! `PinGuard` that held pins across stage 2, its `chunk.load` span, and
+//! the executor's pre-loaded chunk map with its `resolve_chunks` and
+//! `ExecCounters`. Approximate answers are `QueryOptions::sampling` through
 //! `query_opts`; `query_approx` and the `run_spec`/`run_spec_sampled`
 //! wrappers were removed.
 //!
@@ -128,9 +133,9 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("CostAwarePolicy", "LRU measured faster on prune_window and server_mix"),
     ("cellar_policy", "the cellar always evicts least recently used first"),
     ("fn policy_name", "the cellar always evicts least recently used first"),
-    ("fn settle_acquired", "acquire_many is a sink over the streaming wave"),
-    ("fn settle_retry", "acquire_many is a sink over the streaming wave"),
-    ("fn decode_claims", "acquire_many is a sink over the streaming wave"),
+    ("fn settle_acquired", "the cellar's one engine is the streaming wave"),
+    ("fn settle_retry", "the cellar's one engine is the streaming wave"),
+    ("fn decode_claims", "the cellar's one engine is the streaming wave"),
     ("fn query_approx", "query_opts with QueryOptions::sampling"),
     ("fn run_spec_sampled", "run_spec_opts with QueryOptions::sampling"),
     ("struct SimIo", "FaultPlan spikes slow chunk loads; the buffer pool reads real pages"),
@@ -138,6 +143,14 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn charge_sim_io", "FaultInjector::before_load gates every chunk load"),
     ("fn with_sim_io", "AdapterChunkSource::with_faults"),
     ("sim_chunk_io", "FaultPlan spikes slow chunk loads; FaultInjector::hold parks them"),
+    ("fn acquire_many", "one acquire_each wave per chunk node"),
+    ("fn release_many", "each pin drops as its chunk's sink returns"),
+    ("struct PinGuard", "no pin outlives its chunk's sink"),
+    ("fn resolve_chunks", "chunk nodes run in the two-stage driver, never in execute"),
+    ("fn record_chunk_acquisition", "one \"chunk\" span per chunk, from the wave's sink"),
+    ("fn replace_first_partial_agg", "PhysicalPlan::take_chunk_node"),
+    ("struct ExecCounters", "the chunk wave counts straight into ExecStats"),
+    ("\"chunk.load\"", "one \"chunk\" span per chunk covers acquisition and pipeline"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.

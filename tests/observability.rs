@@ -1,5 +1,6 @@
 //! The observability layer end to end: metric-snapshot determinism,
-//! span-tree shape across the T1–T5 taxonomy on both source adapters,
+//! span-tree shape across the T1–T5 taxonomy (plus a raw-row query) on
+//! both source adapters,
 //! result equivalence across observability levels, the ExecStats
 //! accounting invariant, and the EXPLAIN / EXPLAIN ANALYZE surfaces.
 
@@ -39,7 +40,7 @@ fn eventlog_system(logs: &Path, level: ObsLevel, threads: usize) -> Sommelier {
         .unwrap()
 }
 
-/// The paper's taxonomy against the seismology source.
+/// The paper's taxonomy against the seismology source, then raw rows.
 fn mseed_queries() -> Vec<&'static str> {
     vec![
         "SELECT COUNT(*) AS n FROM F WHERE station = 'ISK'",
@@ -57,6 +58,11 @@ fn mseed_queries() -> Vec<&'static str> {
         "SELECT AVG(D.sample_value) FROM windowdataview \
          WHERE F.station = 'ISK' AND H.window_max_val > -1000000000 \
          AND H.window_start_ts < '2010-01-01T04:00:00.000'",
+        // Raw rows: a chunk union with no aggregate to fuse into.
+        "SELECT D.sample_time, D.sample_value FROM dataview \
+         WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+         AND D.sample_time >= '2010-01-01T00:00:00.000' \
+         AND D.sample_time < '2010-01-01T01:00:00.000'",
     ]
 }
 
@@ -78,6 +84,10 @@ fn eventlog_queries() -> Vec<&'static str> {
         "SELECT AVG(E.val) FROM daylogview \
          WHERE G.host = 'web-1' AND Y.day_max_val > 0 \
          AND Y.day_start_ts < '2011-03-03T00:00:00.000'",
+        "SELECT E.ts, E.val FROM eventview \
+         WHERE G.host = 'web-1' AND G.service = 'api' \
+         AND E.ts >= '2011-03-01T00:00:00.000' \
+         AND E.ts < '2011-03-01T06:00:00.000'",
     ]
 }
 
@@ -149,14 +159,15 @@ fn span_trace_shape_covers_the_taxonomy_on_both_adapters() {
                             assert!(p < s.id, "{ctx}: span {} parented to later {}", s.id, p);
                         }
                     }
-                    // Lazy runs that ingested chunks show per-chunk spans
-                    // tagged with the worker that decoded them.
+                    // Lazy runs that ingested chunks show one chunk-level
+                    // span (`chunk` or any `chunk.*` kind) per chunk,
+                    // tagged with the worker that ran it.
                     let ingested = r.stats.files_loaded + r.stats.cache_hits;
                     if mode == LoadingMode::Lazy && ingested > 0 {
                         let chunk_spans: Vec<_> = trace
                             .spans
                             .iter()
-                            .filter(|s| s.name == "chunk" || s.name == "chunk.load")
+                            .filter(|s| s.name == "chunk" || s.name.starts_with("chunk."))
                             .collect();
                         assert_eq!(chunk_spans.len(), ingested, "{ctx}: one span per chunk");
                         assert!(
