@@ -10,9 +10,5 @@ fn main() {
     sommelier_bench::experiments::fig7(&scale).expect("fig7").print();
     sommelier_bench::experiments::fig8(&scale).expect("fig8").print();
     sommelier_bench::experiments::fig9(&scale).expect("fig9").print();
-    sommelier_bench::experiments::cellar_sweep(&scale).expect("cellar sweep").print();
-    sommelier_bench::experiments::stage2_parallel(&scale).expect("stage2 sweep").print();
-    sommelier_bench::experiments::optimizer_sweep(&scale).expect("optimizer sweep").print();
-    sommelier_bench::experiments::decode_hotpath(&scale).expect("decode sweep").print();
     sommelier_bench::experiments::fault_sweep(&scale).expect("fault sweep").print();
 }

@@ -1,11 +1,7 @@
 //! Dataset generation with on-disk caching, plus the env-driven scale
 //! configuration shared by all experiments.
 
-use sommelier_core::chunks::{ChunkRegistry, FileEntry};
-use sommelier_engine::ColumnZone;
 use sommelier_mseed::{DatasetSpec, RepoStats, Repository};
-use sommelier_storage::time::MS_PER_DAY;
-use sommelier_storage::Value;
 use std::path::PathBuf;
 
 /// Which of the paper's two dataset families.
@@ -91,7 +87,7 @@ impl BenchScale {
         }
     }
 
-    /// A tiny scale for smoke tests and criterion runs.
+    /// A tiny scale for smoke tests.
     pub fn tiny() -> Self {
         BenchScale {
             sfs: vec![1],
@@ -113,43 +109,6 @@ impl BenchScale {
         let hi = self.sfs.iter().copied().max().unwrap_or(1);
         (lo, hi)
     }
-}
-
-/// Number of registered chunks of the `sf-reg` registry-scale dataset
-/// (`SOMM_REG_CHUNKS`, default 100 000 — the paper's repositories hold
-/// millions of files; stage-1 selection must stay sub-linear there).
-pub fn sf_reg_chunks() -> usize {
-    env_num("SOMM_REG_CHUNKS", 100_000usize).max(1)
-}
-
-/// The `sf-reg` registry-scale dataset: `n` registered chunks, *headers
-/// only*. The entries are exactly what the registrar would produce from
-/// an mSEED repository of `n` day-chunk files over four stations
-/// (day-partitioned `D.sample_time` zone maps, round-robin station
-/// order) — no payload bytes ever exist, because stage-1 candidate
-/// selection touches nothing but the registry. Day 14 610 is
-/// 2010-01-01, matching the seismology datasets.
-pub fn sf_reg_registry(n: usize) -> ChunkRegistry {
-    const STATIONS: [&str; 4] = ["ISK", "FIAM", "AQU", "TRI"];
-    let entries: Vec<FileEntry> = (0..n)
-        .map(|i| {
-            let station = STATIONS[i % STATIONS.len()];
-            let day = 14_610 + (i / STATIONS.len()) as i64;
-            let lo = day * MS_PER_DAY;
-            FileEntry {
-                uri: format!("sf-reg/{station}-{day}.msd"),
-                file_id: i as i64,
-                seg_base: i as i64 * 24,
-                seg_count: 24,
-                zones: vec![ColumnZone {
-                    column: "D.sample_time".into(),
-                    min: Value::Time(lo),
-                    max: Value::Time(lo + MS_PER_DAY - 1),
-                }],
-            }
-        })
-        .collect();
-    ChunkRegistry::new(entries)
 }
 
 /// Generate (or reuse) a dataset, returning the repository and its

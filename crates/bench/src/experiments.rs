@@ -1,6 +1,6 @@
 //! The experiment implementations — one function per table/figure of
-//! the paper's §VI, shared by the CLI binaries and the criterion
-//! wrappers.
+//! the paper's §VI, plus the fault and chaos robustness sweeps, each
+//! run by its CLI binary.
 //!
 //! Absolute numbers differ from the paper (scaled datasets, different
 //! machine, simulated I/O); the *shape* — which approach wins, by
@@ -10,9 +10,7 @@
 use crate::datasets::{dataset, BenchScale, DatasetKind};
 use crate::queries;
 use crate::report::{secs, Table};
-use crate::runner::{
-    bench_config, cold_hot, fresh_system, fresh_system_with, slow_chunk_io, time_it,
-};
+use crate::runner::{bench_config, cold_hot, fresh_system, fresh_system_with, time_it};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sommelier_core::{LoadingMode, Result, Sommelier, SommelierConfig};
@@ -338,635 +336,6 @@ pub fn fig9(scale: &BenchScale) -> Result<Table> {
     Ok(t)
 }
 
-/// The budget fractions the cellar sweep compares (percent of the
-/// workload's total decoded bytes).
-const CELLAR_FRACTIONS: [u32; 3] = [100, 50, 10];
-
-/// Run the repeated sliding-window workload, returning its wall time
-/// and a correctness checksum (sum of the per-query averages).
-fn cellar_workload(
-    somm: &Sommelier,
-    total_days: i64,
-    rounds: usize,
-) -> Result<(std::time::Duration, f64)> {
-    let d0 = start_day();
-    let window = 2i64.min(total_days);
-    let mut checksum = 0.0;
-    let t = std::time::Instant::now();
-    for _ in 0..rounds {
-        let mut day = 0i64;
-        while day + window <= total_days {
-            let (a, b) = queries::day_range(d0 + day, window);
-            let r = somm.query(&queries::t4("FIAM", "HHZ", a, b))?;
-            if r.relation.rows() == 1 {
-                if let sommelier_storage::Value::Float(v) = r
-                    .relation
-                    .value(0, "avg")
-                    .map_err(sommelier_core::SommelierError::Engine)?
-                {
-                    checksum += v;
-                }
-            }
-            day += window;
-        }
-    }
-    Ok((t.elapsed(), checksum))
-}
-
-/// Cellar sweep — bounded-memory residency under a repeated-query
-/// workload. A calibration pass with an unbounded budget measures the
-/// workload's total decoded bytes; budgets at 100 %, 50 % and 10 % of
-/// that are then swept, reporting hit/evict/reload counts alongside
-/// wall-clock. The `checksum` column must be identical in every row:
-/// bounding memory must never change answers.
-pub fn cellar_sweep(scale: &BenchScale) -> Result<Table> {
-    let mut t = Table::new(
-        "Cellar sweep: budget vs hit/evict/reload and wall-clock (FIAM, lazy)",
-        &[
-            "sf",
-            "budget_pct",
-            "budget_bytes",
-            "workload_s",
-            "hits",
-            "loads",
-            "reloads",
-            "evictions",
-            "peak_resident",
-            "resident_after",
-            "checksum",
-        ],
-    );
-    let (sf, _) = scale.sf_extremes();
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let total_days = days_for_sf(sf) as i64;
-    let rounds = scale.runs.max(2);
-
-    // Calibration: unbounded budget → the workload's full decoded size.
-    let unbounded = SommelierConfig { cellar_bytes: Some(usize::MAX), ..bench_config(scale) };
-    let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, unbounded)?;
-    let (wall, reference_checksum) = cellar_workload(&guard.somm, total_days, rounds)?;
-    let cellar = guard.somm.cellar().expect("prepared");
-    let total_bytes = cellar.peak_resident_bytes().max(1);
-    let s = cellar.stats();
-    t.row(vec![
-        format!("sf-{sf}"),
-        "unbounded".into(),
-        total_bytes.to_string(),
-        secs(wall),
-        s.hits.to_string(),
-        s.loads.to_string(),
-        s.reloads.to_string(),
-        s.evictions.to_string(),
-        cellar.peak_resident_bytes().to_string(),
-        cellar.resident_bytes().to_string(),
-        format!("{reference_checksum:.6e}"),
-    ]);
-    drop(guard);
-
-    for pct in CELLAR_FRACTIONS {
-        let budget = (total_bytes as u64 * pct as u64 / 100).max(1) as usize;
-        let config = SommelierConfig { cellar_bytes: Some(budget), ..bench_config(scale) };
-        let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
-        let (wall, checksum) = cellar_workload(&guard.somm, total_days, rounds)?;
-        let cellar = guard.somm.cellar().expect("prepared");
-        let s = cellar.stats();
-        t.row(vec![
-            format!("sf-{sf}"),
-            pct.to_string(),
-            budget.to_string(),
-            secs(wall),
-            s.hits.to_string(),
-            s.loads.to_string(),
-            s.reloads.to_string(),
-            s.evictions.to_string(),
-            cellar.peak_resident_bytes().to_string(),
-            cellar.resident_bytes().to_string(),
-            format!("{checksum:.6e}"),
-        ]);
-    }
-    Ok(t)
-}
-
-/// Worker counts the stage-2 parallelism sweep compares.
-const STAGE2_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Stage-2 morsel parallelism sweep — worker counts × selection/partial-
-/// aggregation pushdown on multi-chunk aggregate queries (T4 and T5
-/// over the whole FIAM range, lazy loading).
-///
-/// Per configuration the query runs `runs` times with the caches
-/// flushed before each run, so every run pays decode + stage-2
-/// execution — the fused per-chunk wave this sweep measures. Reported
-/// per row: average wall-clock, the load/stage-2 split, how many rows
-/// stage 2 materialized into a union (`union_rows`, 0 when partial
-/// aggregation fused), how many chunks went through per-chunk pipelines
-/// (`partial_chunks`), and the result as exact bits (`result_bits`) —
-/// identical `result_bits` across worker counts of one (query,
-/// pushdown) group is the serial ≡ parallel guarantee.
-pub fn stage2_parallel(scale: &BenchScale) -> Result<Table> {
-    let mut t = Table::new(
-        "Stage-2 morsel parallelism: workers × pushdown on multi-chunk aggregates \
-         (FIAM, lazy)",
-        &[
-            "sf",
-            "query",
-            "workers",
-            "pushdown",
-            "wall_s",
-            "load_s",
-            "stage2_s",
-            "union_rows",
-            "partial_chunks",
-            "files_loaded",
-            "result_bits",
-        ],
-    );
-    let (sf, _) = scale.sf_extremes();
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let total_days = days_for_sf(sf) as i64;
-    let d0 = start_day();
-    let (a, b) = queries::day_range(d0, total_days);
-    let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
-    for (name, sql) in &sqls {
-        for pushdown in [true, false] {
-            for &workers in &STAGE2_WORKERS {
-                let config = SommelierConfig {
-                    max_threads: workers,
-                    chunk_pushdown: pushdown,
-                    ..bench_config(scale)
-                };
-                let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
-                // Warm run: derive any DMd the query needs (T5's windows)
-                // so the timed runs measure chunk work, not derivation.
-                guard.somm.query(sql)?;
-                let runs = scale.runs.max(1);
-                let mut wall = std::time::Duration::ZERO;
-                let mut load = std::time::Duration::ZERO;
-                let mut stage2 = std::time::Duration::ZERO;
-                let mut last: Option<sommelier_core::QueryResult> = None;
-                for _ in 0..runs {
-                    // Flush residency: every run decodes its chunks.
-                    guard.somm.flush_caches();
-                    let (r, d) = time_it(|| guard.somm.query(sql));
-                    let r = r?;
-                    wall += d;
-                    load += r.stats.load;
-                    stage2 += r.stats.stage2;
-                    last = Some(r);
-                }
-                let last = last.expect("runs >= 1");
-                let avg = match last
-                    .relation
-                    .value(0, "avg")
-                    .map_err(sommelier_core::SommelierError::Engine)?
-                {
-                    sommelier_storage::Value::Float(v) => v,
-                    other => {
-                        return Err(sommelier_core::SommelierError::Usage(format!(
-                            "expected a float AVG, got {other:?}"
-                        )))
-                    }
-                };
-                t.row(vec![
-                    format!("sf-{sf}"),
-                    name.to_string(),
-                    workers.to_string(),
-                    if pushdown { "on" } else { "off" }.to_string(),
-                    secs(wall / runs as u32),
-                    secs(load / runs as u32),
-                    secs(stage2 / runs as u32),
-                    last.stats.rows_union_materialized.to_string(),
-                    last.stats.partial_agg_chunks.to_string(),
-                    last.stats.files_loaded.to_string(),
-                    format!("{:016x}", avg.to_bits()),
-                ]);
-            }
-        }
-    }
-    Ok(t)
-}
-
-/// The `zone_map_pruning` settings the optimizer sweep compares.
-const OPT_KNOBS: [bool; 2] = [false, true];
-
-/// One optimizer-sweep measurement: run `sql` `runs` times (caches
-/// flushed, so every run decodes) and report counters + result bits.
-fn optimizer_row(
-    t: &mut Table,
-    adapter: &str,
-    query: &str,
-    zone: bool,
-    somm: &Sommelier,
-    sql: &str,
-    runs: usize,
-) -> Result<()> {
-    let runs = runs.max(1);
-    let mut wall = std::time::Duration::ZERO;
-    let mut last = None;
-    for _ in 0..runs {
-        somm.flush_caches();
-        let (r, d) = time_it(|| somm.query(sql));
-        last = Some(r?);
-        wall += d;
-    }
-    let last = last.expect("runs >= 1");
-    let bits = match last
-        .relation
-        .value(0, last.relation.names().first().expect("one output"))
-        .map_err(sommelier_core::SommelierError::Engine)?
-    {
-        sommelier_storage::Value::Float(v) => format!("f{:016x}", v.to_bits()),
-        other => format!("{other:?}"),
-    };
-    t.row(vec![
-        adapter.to_string(),
-        query.to_string(),
-        if zone { "on" } else { "off" }.to_string(),
-        secs(wall / runs as u32),
-        last.stats.files_selected.to_string(),
-        last.stats.files_pruned.to_string(),
-        last.stats.files_loaded.to_string(),
-        last.stats.rows_loaded.to_string(),
-        last.stats.bytes_loaded.to_string(),
-        bits,
-    ]);
-    Ok(())
-}
-
-/// The per-file `E.val` maxima threshold for the event-log zone query
-/// (see [`sommelier_core::adapters::value_stats_midpoint`]): a
-/// midpoint ensures the predicate contradicts some files' zones but
-/// not others'.
-fn eventlog_threshold(logs: &std::path::Path, host: &str) -> Result<f64> {
-    sommelier_core::adapters::value_stats_midpoint(logs, Some(host))?.ok_or_else(|| {
-        sommelier_core::SommelierError::Usage(
-            "event-log value maxima do not vary; cannot pick a pruning threshold".into(),
-        )
-    })
-}
-
-/// Optimizer sweep — zone-map pruning off vs on, on both built-in
-/// adapters, over one zone-prunable T4 each:
-///
-/// * **mseed** — `t4_filezone` (FIAM, first day): the segment-free
-///   view gets no metadata inference, so stage 1 selects every FIAM
-///   chunk and only zone maps can prune.
-/// * **eventlog** — a value-threshold scan whose bound comes from the
-///   headers' per-file statistics; zone maps prune the quiet files.
-///
-/// Caches are flushed before every run, so every run decodes its
-/// chunks (full width). `result_bits` must be identical within each
-/// adapter: pruning may not change answers.
-/// With `SOMM_SIM_IO` on, pruned chunks also skip their per-load
-/// latency spike, so wall-clock scales with `files_loaded`.
-pub fn optimizer_sweep(scale: &BenchScale) -> Result<Table> {
-    use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-    let mut t = Table::new(
-        "Optimizer sweep: zone-map pruning (cold cellar)",
-        &[
-            "adapter",
-            "query",
-            "zone_pruning",
-            "wall_s",
-            "files_selected",
-            "files_pruned",
-            "files_loaded",
-            "rows_decoded",
-            "bytes_decoded",
-            "result_bits",
-        ],
-    );
-    // ---- mSEED (FIAM) --------------------------------------------
-    let (sf, _) = scale.sf_extremes();
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let (a, b) = queries::day_range(start_day(), 1);
-    let mseed_sql = queries::t4_filezone("FIAM", a, b);
-    for zone in OPT_KNOBS {
-        let config = SommelierConfig { zone_map_pruning: zone, ..bench_config(scale) };
-        let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
-        optimizer_row(
-            &mut t,
-            "mseed",
-            "T4/filedataview",
-            zone,
-            &guard.somm,
-            &mseed_sql,
-            scale.runs,
-        )?;
-    }
-    // ---- Event log -----------------------------------------------
-    let logs = scale.data_dir.join("optimizer-eventlog");
-    if !logs.join("web-1-api-20110301.evl").exists() {
-        generate_event_logs(&logs, &EventLogSpec::small(8, 256))?;
-    }
-    let threshold = eventlog_threshold(&logs, "web-1")?;
-    let evl_sql = format!(
-        "SELECT COUNT(E.val) AS n FROM eventview \
-         WHERE G.host = 'web-1' AND E.val > {threshold}"
-    );
-    for zone in OPT_KNOBS {
-        let config = SommelierConfig { zone_map_pruning: zone, ..bench_config(scale) };
-        let somm = Sommelier::builder()
-            .source(EventLogAdapter::new(&logs))
-            .config(config)
-            .build()?;
-        somm.prepare(LoadingMode::Lazy)?;
-        optimizer_row(&mut t, "eventlog", "T4/eventview", zone, &somm, &evl_sql, scale.runs)?;
-    }
-    Ok(t)
-}
-
-/// Decode hot path sweep — two measurements behind `load_s` being ~95 %
-/// of lazy query wall time after the stage-2 optimizations:
-///
-/// 1. **decode** — T4/T5 (sf-1, caches flushed before every run, 1
-///    worker, simulated I/O off so the decode itself is what's timed): the single-pass
-///    arena-backed columnar decode vs the retained reference decode
-///    (per-segment relations + unions, the pre-PR code path).
-///    `result_bits` must be identical in every row, and must match the
-///    committed stage-2 baseline.
-/// 2. **stage1** — candidate selection over the `sf-reg` registry
-///    (`SOMM_REG_CHUNKS` registered chunks, headers only): the sorted
-///    zone interval index vs the linear per-chunk registry scan, on a
-///    two-day window. The candidate sets must be identical.
-pub fn decode_hotpath(scale: &BenchScale) -> Result<Table> {
-    decode_hotpath_sized(scale, crate::datasets::sf_reg_chunks())
-}
-
-/// [`decode_hotpath`] with an explicit `sf-reg` registry size (the
-/// criterion wrapper runs a scaled-down registry; the `decode` binary
-/// uses the full `SOMM_REG_CHUNKS`).
-pub fn decode_hotpath_sized(scale: &BenchScale, reg_chunks: usize) -> Result<Table> {
-    use crate::datasets::sf_reg_registry;
-    use crate::runner::fresh_system_with_adapter;
-    use sommelier_engine::{CmpOp, ZoneConstraint};
-    use sommelier_mseed::{MseedAdapter, Repository};
-
-    let mut t = Table::new(
-        "Decode hot path: single-pass decode vs reference, indexed vs linear stage-1 \
-         selection",
-        &[
-            "experiment",
-            "query",
-            "variant",
-            "wall_s",
-            "load_s",
-            "rows_decoded",
-            "files",
-            "speedup",
-            "result_bits",
-        ],
-    );
-
-    // ---- 1. Chunk decode (FIAM sf-1, cold cellar, 1 worker) --------
-    let sf = 1;
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let total_days = days_for_sf(sf) as i64;
-    let (a, b) = queries::day_range(start_day(), total_days);
-    let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
-    // Decode-bound configuration: caches flushed before every timed run
-    // (every run decodes), one worker (serial decode cost, not parallel
-    // overlap), simulated I/O off (the sleep would swamp the decode
-    // being measured).
-    let config =
-        || SommelierConfig { max_threads: 1, fault_plan: None, ..bench_config(scale) };
-    for (name, sql) in &sqls {
-        // The recorded PR-4 load_s under this exact configuration
-        // (measured from a build of the PR-4 commit — see
-        // EXPERIMENTS.md for the recipe). When present it is the
-        // speedup baseline and appears as its own row; otherwise the
-        // in-run reference-decode ablation is the baseline.
-        let pr4: Option<f64> =
-            std::env::var(format!("SOMM_PR4_LOAD_{name}")).ok().and_then(|v| v.parse().ok());
-        if let Some(load) = pr4 {
-            t.row(vec![
-                "decode".into(),
-                name.to_string(),
-                "pr4_baseline".into(),
-                "-".into(),
-                format!("{load:.6}"),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "recorded from the PR-4 build".into(),
-            ]);
-        }
-        let mut reference_load = None;
-        for reference in [true, false] {
-            let adapter = MseedAdapter::new(Repository::at(repo.dir()));
-            let adapter = if reference { adapter.with_reference_decode() } else { adapter };
-            let guard =
-                fresh_system_with_adapter(scale, adapter, LoadingMode::Lazy, config())?;
-            // Warm run: derive any DMd the query needs (T5's windows)
-            // so the timed runs measure chunk decode, not derivation.
-            guard.somm.query(sql)?;
-            let runs = scale.runs.max(1);
-            let mut wall = std::time::Duration::ZERO;
-            let mut load = std::time::Duration::ZERO;
-            let mut last = None;
-            for _ in 0..runs {
-                guard.somm.flush_caches();
-                let (r, d) = time_it(|| guard.somm.query(sql));
-                let r = r?;
-                wall += d;
-                load += r.stats.load;
-                last = Some(r);
-            }
-            let last = last.expect("runs >= 1");
-            let avg = match last
-                .relation
-                .value(0, "avg")
-                .map_err(sommelier_core::SommelierError::Engine)?
-            {
-                sommelier_storage::Value::Float(v) => v,
-                other => {
-                    return Err(sommelier_core::SommelierError::Usage(format!(
-                        "expected a float AVG, got {other:?}"
-                    )))
-                }
-            };
-            let load = load / runs as u32;
-            let speedup = match (reference_load, pr4) {
-                (None, _) => {
-                    reference_load = Some(load);
-                    "-".to_string()
-                }
-                // Speedup vs the recorded PR-4 load when available,
-                // else vs the in-run reference-decode ablation.
-                (Some(reference), baseline) => {
-                    let baseline = baseline.unwrap_or(reference.as_secs_f64());
-                    format!("{:.2}", baseline / load.as_secs_f64().max(1e-12))
-                }
-            };
-            t.row(vec![
-                "decode".into(),
-                name.to_string(),
-                if reference { "reference" } else { "single_pass" }.to_string(),
-                secs(wall / runs as u32),
-                secs(load),
-                last.stats.rows_loaded.to_string(),
-                last.stats.files_loaded.to_string(),
-                speedup,
-                format!("{:016x}", avg.to_bits()),
-            ]);
-        }
-    }
-
-    // ---- 2. Stage-1 candidate selection (sf-reg, headers only) -----
-    let n = reg_chunks.max(1);
-    let registry = sf_reg_registry(n);
-    // A two-day window, mid-registry: the indexed path must find the
-    // handful of covering chunks without touching the other ~n entries.
-    let days = (n / 4) as i64;
-    let d0 = 14_610 + days / 2;
-    let (lo, hi) = queries::day_range(d0, 2.min(days.max(1)));
-    let constraints = vec![
-        ZoneConstraint {
-            column: "D.sample_time".into(),
-            op: CmpOp::Ge,
-            value: sommelier_storage::Value::Time(lo),
-        },
-        ZoneConstraint {
-            column: "D.sample_time".into(),
-            op: CmpOp::Lt,
-            value: sommelier_storage::Value::Time(hi),
-        },
-    ];
-    let reps = (scale.runs.max(1) * 5).max(10);
-    let (linear, linear_t) = time_it(|| {
-        let mut last = Vec::new();
-        for _ in 0..reps {
-            last = registry.linear_candidate_positions(&constraints);
-        }
-        last
-    });
-    let (indexed, indexed_t) = time_it(|| {
-        let mut last = Vec::new();
-        for _ in 0..reps {
-            last = registry
-                .indexed_candidate_positions(&constraints)
-                .expect("sf-reg zones are indexed");
-        }
-        last
-    });
-    if indexed != linear {
-        return Err(sommelier_core::SommelierError::Usage(format!(
-            "indexed candidates diverge from the linear scan: {} vs {} hits",
-            indexed.len(),
-            linear.len()
-        )));
-    }
-    let speedup = linear_t.as_secs_f64() / indexed_t.as_secs_f64().max(1e-12);
-    for (variant, duration) in [("linear_scan", linear_t), ("interval_index", indexed_t)] {
-        t.row(vec![
-            "stage1".into(),
-            format!("{n}-chunk window"),
-            variant.to_string(),
-            secs(duration / reps as u32),
-            "-".into(),
-            "-".into(),
-            indexed.len().to_string(),
-            if variant == "interval_index" { format!("{speedup:.1}") } else { "-".into() },
-            format!("hits:{}", indexed.len()),
-        ]);
-    }
-    Ok(t)
-}
-
-/// Observability overhead: the decode-bound T4/T5 sweep (FIAM sf-1,
-/// cold cellar, 1 worker, simulated I/O off — the `decode_hotpath`
-/// configuration) at each [`sommelier_core::ObsLevel`]. `Off` is the baseline;
-/// `Counters` (the default level) must stay within noise of it, and
-/// `result_bits` must be byte-identical across all three levels.
-pub fn obs_overhead(scale: &BenchScale) -> Result<Table> {
-    use crate::runner::fresh_system_with_adapter;
-    use sommelier_core::ObsLevel;
-    use sommelier_mseed::{MseedAdapter, Repository};
-
-    let mut t = Table::new(
-        "Observability overhead: T4/T5 decode-bound sweep at Off / Counters / Spans",
-        &[
-            "experiment",
-            "query",
-            "level",
-            "wall_s",
-            "load_s",
-            "runs",
-            "overhead_pct",
-            "result_bits",
-        ],
-    );
-    let sf = 1;
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let total_days = days_for_sf(sf) as i64;
-    let (a, b) = queries::day_range(start_day(), total_days);
-    let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
-    let config = |level: ObsLevel| SommelierConfig {
-        max_threads: 1,
-        fault_plan: None,
-        observability: level,
-        ..bench_config(scale)
-    };
-    for (name, sql) in &sqls {
-        let mut off_wall: Option<f64> = None;
-        for level in [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Spans] {
-            let adapter = MseedAdapter::new(Repository::at(repo.dir()));
-            let guard =
-                fresh_system_with_adapter(scale, adapter, LoadingMode::Lazy, config(level))?;
-            // Warm run: derive any DMd the query needs (T5's windows)
-            // so the timed runs measure the observed hot path only.
-            guard.somm.query(sql)?;
-            let runs = scale.runs.max(1);
-            // Best-of-N: the minimum is robust to scheduler noise,
-            // which at ~5 ms per run otherwise swamps the sub-percent
-            // counter overhead being measured.
-            let mut wall = std::time::Duration::MAX;
-            let mut load = std::time::Duration::MAX;
-            let mut last = None;
-            for _ in 0..runs {
-                guard.somm.flush_caches();
-                let (r, d) = time_it(|| guard.somm.query(sql));
-                let r = r?;
-                wall = wall.min(d);
-                load = load.min(r.stats.load);
-                last = Some(r);
-            }
-            let last = last.expect("runs >= 1");
-            let avg = match last
-                .relation
-                .value(0, "avg")
-                .map_err(sommelier_core::SommelierError::Engine)?
-            {
-                sommelier_storage::Value::Float(v) => v,
-                other => {
-                    return Err(sommelier_core::SommelierError::Usage(format!(
-                        "expected a float AVG, got {other:?}"
-                    )))
-                }
-            };
-            let wall_s = wall.as_secs_f64();
-            let overhead = match off_wall {
-                None => {
-                    off_wall = Some(wall_s);
-                    "-".to_string()
-                }
-                Some(base) => format!("{:+.2}", 100.0 * (wall_s - base) / base.max(1e-12)),
-            };
-            t.row(vec![
-                "obs_overhead".into(),
-                name.to_string(),
-                format!("{level:?}"),
-                format!("{wall_s:.6}"),
-                secs(load),
-                runs.to_string(),
-                overhead,
-                format!("{:016x}", avg.to_bits()),
-            ]);
-        }
-    }
-    Ok(t)
-}
-
 /// Fault-tolerance sweep: T4 over the full FIAM sf-1 window (touches
 /// every chunk) under rising transient-fault rates × retry budgets,
 /// plus a degradation section where one chunk is permanently corrupt
@@ -1144,112 +513,6 @@ fn relation_fingerprint(i: usize, rel: &sommelier_engine::Relation) -> u64 {
         bits ^= fnv1a(&format!("{i}:{row}"));
     }
     bits
-}
-
-/// Window depths the prefetch sweep compares (0 = classic fused path).
-const PREFETCH_DEPTHS: [usize; 5] = [0, 1, 2, 4, 8];
-
-/// Prefetch sweep: window depth × simulated seek latency × workers on
-/// cold multi-chunk aggregates (FIAM, lazy, T4/T5). Every run flushes
-/// residency first, so the wall clock is the cold fetch+decode
-/// pipeline; `result_bits` must be identical down every column. The
-/// headline is the depth ≥ 2 vs depth 0 cold-run ratio under the
-/// seek-dominated medium (`sim_ms > 0`): fetch overlaps decode, so
-/// per-chunk cost drops from `seek + decode` toward
-/// `max(seek/io_threads, decode)`.
-pub fn prefetch_sweep(scale: &BenchScale) -> Result<Table> {
-    let mut t = Table::new(
-        "Prefetch: depth x sim seek x workers on cold runs (FIAM, lazy)",
-        &[
-            "sf",
-            "query",
-            "sim_ms",
-            "workers",
-            "depth",
-            "io_threads",
-            "wall_s",
-            "load_s",
-            "issued",
-            "hits",
-            "wasted_b",
-            "io_wait_s",
-            "files_loaded",
-            "result_bits",
-        ],
-    );
-    let (sf, _) = scale.sf_extremes();
-    let (repo, _) = dataset(scale, DatasetKind::Fiam, sf);
-    let total_days = days_for_sf(sf) as i64;
-    let d0 = start_day();
-    let (a, b) = queries::day_range(d0, total_days);
-    let sqls = [("T4", queries::t4_selectivity(a, b)), ("T5", queries::t5_selectivity(a, b))];
-    let sim_points: &[u64] = if scale.sim_io { &[2, 8] } else { &[0] };
-    for (name, sql) in &sqls {
-        for &sim_ms in sim_points {
-            for &workers in &[1usize, 8] {
-                for &depth in &PREFETCH_DEPTHS {
-                    let config = SommelierConfig {
-                        max_threads: workers,
-                        prefetch_depth: depth,
-                        fault_plan: (sim_ms > 0).then(|| slow_chunk_io(sim_ms)),
-                        ..bench_config(scale)
-                    };
-                    let io_threads = if depth > 0 { config.prefetch_io_threads() } else { 0 };
-                    let guard = fresh_system_with(scale, &repo, LoadingMode::Lazy, config)?;
-                    // Warm run: derive any DMd the query needs (T5's
-                    // windows) so the timed runs measure chunk work.
-                    guard.somm.query(sql)?;
-                    let stats0 =
-                        guard.somm.prefetch_stage().map_or((0, 0, 0, 0), |s| s.stats());
-                    let runs = scale.runs.max(1);
-                    let mut wall = std::time::Duration::ZERO;
-                    let mut load = std::time::Duration::ZERO;
-                    let mut last: Option<sommelier_core::QueryResult> = None;
-                    for _ in 0..runs {
-                        // Flush residency: every run fetches cold.
-                        guard.somm.flush_caches();
-                        let (r, d) = time_it(|| guard.somm.query(sql));
-                        let r = r?;
-                        wall += d;
-                        load += r.stats.load;
-                        last = Some(r);
-                    }
-                    let last = last.expect("runs >= 1");
-                    let (issued, hits, wasted, io_wait) =
-                        guard.somm.prefetch_stage().map_or((0, 0, 0, 0), |s| s.stats());
-                    let avg = match last
-                        .relation
-                        .value(0, "avg")
-                        .map_err(sommelier_core::SommelierError::Engine)?
-                    {
-                        sommelier_storage::Value::Float(v) => v,
-                        other => {
-                            return Err(sommelier_core::SommelierError::Usage(format!(
-                                "expected a float AVG, got {other:?}"
-                            )))
-                        }
-                    };
-                    t.row(vec![
-                        format!("sf-{sf}"),
-                        name.to_string(),
-                        sim_ms.to_string(),
-                        workers.to_string(),
-                        depth.to_string(),
-                        io_threads.to_string(),
-                        secs(wall / runs as u32),
-                        secs(load / runs as u32),
-                        (issued - stats0.0).to_string(),
-                        (hits - stats0.1).to_string(),
-                        (wasted - stats0.2).to_string(),
-                        secs(std::time::Duration::from_nanos(io_wait - stats0.3)),
-                        last.stats.files_loaded.to_string(),
-                        format!("{:016x}", avg.to_bits()),
-                    ]);
-                }
-            }
-        }
-    }
-    Ok(t)
 }
 
 /// Deterministic chaos harness: seeded schedules composing injected
@@ -1520,99 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn cellar_sweep_shape_and_invariants() {
-        let scale = tiny("cellar");
-        let t = cellar_sweep(&scale).unwrap();
-        // 1 calibration row + 3 fractions.
-        assert_eq!(t.rows.len(), 1 + 3);
-        // Bounding memory must never change answers: one checksum.
-        let checksums: std::collections::HashSet<&String> =
-            t.rows.iter().map(|r| &r[10]).collect();
-        assert_eq!(checksums.len(), 1, "identical results across budgets: {t:?}");
-        for row in &t.rows[1..] {
-            let pct: u32 = row[1].parse().unwrap();
-            let budget: u64 = row[2].parse().unwrap();
-            let reloads: u64 = row[6].parse().unwrap();
-            let evictions: u64 = row[7].parse().unwrap();
-            let resident_after: u64 = row[9].parse().unwrap();
-            assert!(
-                resident_after <= budget,
-                "resident {resident_after} over budget {budget} in {row:?}"
-            );
-            if pct == 10 {
-                // A 10% budget under a repeated workload must thrash.
-                assert!(evictions > 0, "{row:?}");
-                assert!(reloads > 0, "{row:?}");
-            }
-        }
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
-    }
-
-    #[test]
-    fn stage2_parallel_shape_and_invariants() {
-        let scale = tiny("stage2");
-        let t = stage2_parallel(&scale).unwrap();
-        // 2 queries × 2 pushdown settings × 4 worker counts.
-        assert_eq!(t.rows.len(), 2 * 2 * 4);
-        for row in &t.rows {
-            let pushdown = &row[3];
-            let union_rows: u64 = row[7].parse().unwrap();
-            let partial_chunks: u64 = row[8].parse().unwrap();
-            let files_loaded: u64 = row[9].parse().unwrap();
-            assert!(files_loaded > 1, "multi-chunk query: {row:?}");
-            if pushdown == "on" {
-                // Partial aggregation fused: the union never materialized.
-                assert_eq!(union_rows, 0, "{row:?}");
-                assert_eq!(partial_chunks, files_loaded, "{row:?}");
-            } else {
-                assert!(union_rows > 0, "baseline materializes the union: {row:?}");
-                assert_eq!(partial_chunks, 0, "{row:?}");
-            }
-        }
-        // Serial ≡ parallel, bit for bit, within each (query, pushdown)
-        // group.
-        let mut groups: std::collections::HashMap<(String, String), Vec<&String>> =
-            std::collections::HashMap::new();
-        for row in &t.rows {
-            groups.entry((row[1].clone(), row[3].clone())).or_default().push(&row[10]);
-        }
-        for ((query, pushdown), bits) in groups {
-            assert!(
-                bits.iter().all(|b| *b == bits[0]),
-                "{query}/{pushdown}: results differ across worker counts: {bits:?}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
-    }
-
-    #[test]
-    fn optimizer_sweep_shape_and_invariants() {
-        let scale = tiny("optimizer");
-        let t = optimizer_sweep(&scale).unwrap();
-        // 2 adapters × zone pruning off/on.
-        assert_eq!(t.rows.len(), 2 * 2);
-        for adapter in ["mseed", "eventlog"] {
-            let rows: Vec<&Vec<String>> = t.rows.iter().filter(|r| r[0] == adapter).collect();
-            // Answers are knob-independent, bit for bit.
-            assert!(
-                rows.iter().all(|r| r[9] == rows[0][9]),
-                "{adapter}: result bits differ across knobs: {rows:?}"
-            );
-            for row in &rows {
-                let pruned: u64 = row[5].parse().unwrap();
-                let loaded: u64 = row[6].parse().unwrap();
-                if row[2] == "on" {
-                    assert!(pruned > 0, "{adapter}: zone maps must prune: {row:?}");
-                } else {
-                    assert_eq!(pruned, 0, "{row:?}");
-                }
-                assert!(loaded > 0, "{row:?}");
-            }
-        }
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
-    }
-
-    #[test]
     fn table3_fig6_shapes() {
         let scale = tiny("t3f6");
         let (t3, f6) = table3_and_fig6(&scale).unwrap();
@@ -1632,23 +802,6 @@ mod tests {
         assert!(mseed * 3 < csv, "csv expansion: mseed {mseed} vs csv {csv}");
         assert!(keys > 0, "indexes add bytes");
         assert!(lazy < db, "metadata {lazy} smaller than the loaded db {db}");
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
-    }
-
-    #[test]
-    fn prefetch_sweep_shape() {
-        let scale = tiny("prefetch");
-        let t = prefetch_sweep(&scale).unwrap();
-        // 2 queries x 1 sim point (off at tiny scale) x 2 workers x 5
-        // depths; answers must be identical down every depth column.
-        assert_eq!(t.rows.len(), 20);
-        for query in ["T4", "T5"] {
-            let bits: Vec<&String> =
-                t.rows.iter().filter(|r| r[1] == query).map(|r| &r[13]).collect();
-            assert!(bits.windows(2).all(|w| w[0] == w[1]), "{query}: identical results");
-        }
-        let hits: u64 = t.rows.iter().map(|r| r[9].parse::<u64>().unwrap()).sum();
-        assert!(hits > 0, "windowed cells must consume prefetched bytes");
         let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 

@@ -97,20 +97,6 @@ pub fn t3_selectivity(from_ms: i64, to_ms: i64) -> String {
     )
 }
 
-/// T4 through the segment-free `filedataview` — the zone-map pruning
-/// showcase: without `S` in scope, metadata inference cannot narrow
-/// the chunk list, so only the registrar's per-file `D.sample_time`
-/// zone maps can drop chunks outside the window.
-pub fn t4_filezone(station: &str, from_ms: i64, to_ms: i64) -> String {
-    format!(
-        "SELECT AVG(D.sample_value) FROM filedataview \
-         WHERE F.station = '{station}' \
-         AND D.sample_time >= '{}' AND D.sample_time < '{}'",
-        format_ts(from_ms),
-        format_ts(to_ms)
-    )
-}
-
 /// A closed day range `[start_day, start_day + days)` in epoch ms.
 pub fn day_range(start_day: i64, days: i64) -> (i64, i64) {
     (start_day * MS_PER_DAY, (start_day + days) * MS_PER_DAY)

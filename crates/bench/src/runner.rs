@@ -41,18 +41,15 @@ pub fn bench_config(scale: &BenchScale) -> SommelierConfig {
         // the per-file seek (~5–12 ms) dwarfs streaming. 2 ms per load
         // is a (generous) per-file seek. Slept on the loading thread,
         // the spikes overlap across parallel loads exactly like real
-        // seeks — which is what keeps the stage-2 worker sweep in the
+        // seeks — which is what keeps the figure binaries in the
         // paper's disk-bound regime at tiny scale.
-        fault_plan: scale.sim_io.then(|| slow_chunk_io(2)),
+        fault_plan: scale.sim_io.then(|| FaultPlan {
+            spike_rate: 1.0,
+            spike: Duration::from_millis(2),
+            ..FaultPlan::default()
+        }),
         ..SommelierConfig::default()
     }
-}
-
-/// A fault plan that only slows: a latency spike of `ms` on every
-/// chunk load, on the decode worker or the prefetch IO thread that
-/// performs it.
-pub fn slow_chunk_io(ms: u64) -> FaultPlan {
-    FaultPlan { spike_rate: 1.0, spike: Duration::from_millis(ms), ..FaultPlan::default() }
 }
 
 /// Create and prepare a fresh system.
@@ -65,27 +62,10 @@ pub fn fresh_system(
 }
 
 /// Create and prepare a fresh system with an explicit configuration
-/// (the cellar sweep varies budgets and policies per run).
+/// (the fault sweep varies retry budgets and fault plans per run).
 pub fn fresh_system_with(
     scale: &BenchScale,
     repo: &Repository,
-    mode: LoadingMode,
-    config: SommelierConfig,
-) -> sommelier_core::Result<SystemGuard> {
-    fresh_system_with_adapter(
-        scale,
-        MseedAdapter::new(Repository::at(repo.dir())),
-        mode,
-        config,
-    )
-}
-
-/// Like [`fresh_system_with`], but over a caller-built adapter (the
-/// decode sweep compares the single-pass and reference decode paths of
-/// the same repository).
-pub fn fresh_system_with_adapter(
-    scale: &BenchScale,
-    adapter: MseedAdapter,
     mode: LoadingMode,
     config: SommelierConfig,
 ) -> sommelier_core::Result<SystemGuard> {
@@ -95,8 +75,11 @@ pub fn fresh_system_with_adapter(
         SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&db_dir);
-    let somm =
-        Sommelier::builder().source(adapter).config(config).on_disk(&db_dir).build()?;
+    let somm = Sommelier::builder()
+        .source(MseedAdapter::new(Repository::at(repo.dir())))
+        .config(config)
+        .on_disk(&db_dir)
+        .build()?;
     let prep = somm.prepare(mode)?;
     Ok(SystemGuard { somm, prep, db_dir })
 }

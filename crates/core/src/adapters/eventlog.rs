@@ -353,14 +353,6 @@ fn parse_header(line: &str, path: &Path) -> Result<LogHeader> {
     Ok(LogHeader { host, service, day_ts, val_bounds })
 }
 
-/// The value statistics a log file's header carries (`None` for
-/// headers written without statistics). The header is the format's
-/// single source of truth for these bounds — benches and tests read
-/// them through here instead of re-parsing field offsets.
-pub fn header_value_bounds(path: &Path) -> Result<Option<(f64, f64)>> {
-    Ok(read_header(path)?.val_bounds)
-}
-
 /// The midpoint between the smallest and largest per-file `E.val`
 /// maxima recorded in a repository's headers, optionally restricted
 /// to one host (matched on the header field, not the file name).
@@ -410,69 +402,12 @@ fn zones_of(header: &LogHeader) -> Vec<ColumnZone> {
 pub struct EventLogAdapter {
     dir: PathBuf,
     descriptor: SourceDescriptor,
-    reference_decode: bool,
 }
 
 impl EventLogAdapter {
     /// An adapter over the repository directory `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        EventLogAdapter { dir: dir.into(), descriptor: descriptor(), reference_decode: false }
-    }
-
-    /// Route [`SourceAdapter::decode`] through the pre-builder
-    /// reference path ([`Self::decode_reference`]) — the decode-sweep
-    /// baseline and the oracle of the old-vs-new equivalence tests.
-    pub fn with_reference_decode(mut self) -> Self {
-        self.reference_decode = true;
-        self
-    }
-
-    /// The reference decode: per-chunk allocation of the file text and
-    /// unsized column vectors. Kept as the baseline the single-pass
-    /// pre-sized decode is tested against (results must be
-    /// byte-identical).
-    pub fn decode_reference(
-        &self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
-        let want = |col: &str| projection.is_none_or(|p| p.iter().any(|c| c == col));
-        let (want_id, want_ts, want_val) = (want("E.log_id"), want("E.ts"), want("E.val"));
-        let text = std::fs::read_to_string(&entry.uri)
-            .map_err(|e| EngineError::Chunk(format!("reading {}: {e}", entry.uri)))?;
-        let mut ids = Vec::new();
-        let mut ts = Vec::new();
-        let mut vals = Vec::new();
-        for line in text.lines().skip(1) {
-            if line.is_empty() {
-                continue;
-            }
-            let bad =
-                || EngineError::Chunk(format!("malformed event {line:?} in {}", entry.uri));
-            let (t, v) = line.split_once(',').ok_or_else(bad)?;
-            let t = t.parse::<i64>().map_err(|_| bad())?;
-            let v = v.parse::<f64>().map_err(|_| bad())?;
-            if want_id {
-                ids.push(entry.file_id);
-            }
-            if want_ts {
-                ts.push(t);
-            }
-            if want_val {
-                vals.push(v);
-            }
-        }
-        let mut cols: Vec<(String, ColumnData)> = Vec::new();
-        if want_id {
-            cols.push(("E.log_id".into(), ColumnData::Int64(ids)));
-        }
-        if want_ts {
-            cols.push(("E.ts".into(), ColumnData::Timestamp(ts)));
-        }
-        if want_val {
-            cols.push(("E.val".into(), ColumnData::Float64(vals)));
-        }
-        Relation::new(cols)
+        EventLogAdapter { dir: dir.into(), descriptor: descriptor() }
     }
 
     /// The repository directory.
@@ -624,9 +559,6 @@ impl SourceAdapter for EventLogAdapter {
         entry: &FileEntry,
         projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Relation> {
-        if self.reference_decode {
-            return self.decode_reference(entry, projection);
-        }
         crate::source::with_text_scratch(|text| {
             std::fs::File::open(&entry.uri)
                 .and_then(|mut f| f.read_to_string(text))
@@ -637,17 +569,13 @@ impl SourceAdapter for EventLogAdapter {
 
     /// Decode from prefetched bytes: validate UTF-8 and run the same
     /// single-pass decode as [`Self::decode`] — no file IO on the
-    /// decode worker. (The reference-decode oracle path has no
-    /// from-bytes variant and falls back to the fused fetch+decode.)
+    /// decode worker.
     fn decode_bytes(
         &self,
         entry: &FileEntry,
         raw: RawChunk,
         projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Relation> {
-        if self.reference_decode {
-            return self.decode(entry, projection);
-        }
         let text = std::str::from_utf8(&raw.bytes).map_err(|e| {
             EngineError::Chunk(format!("{}: invalid UTF-8 in log file: {e}", entry.uri))
         })?;

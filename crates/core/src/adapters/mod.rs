@@ -9,6 +9,5 @@
 pub mod eventlog;
 
 pub use eventlog::{
-    generate_event_logs, header_value_bounds, value_stats_midpoint, write_log_file,
-    EventLogAdapter, EventLogSpec,
+    generate_event_logs, value_stats_midpoint, write_log_file, EventLogAdapter, EventLogSpec,
 };

@@ -1,12 +1,9 @@
 //! Admission control for the multi-tenant query front end.
 //!
 //! A [`AdmissionController`] bounds how many queries execute
-//! concurrently and, via a caller-supplied gate, refuses to start new
-//! work while the cellar is above its high-water byte mark — queued
-//! queries wait (priority-ordered, FIFO within a priority) instead of
-//! piling more decode work onto a thrashing chunk cache. At least one
-//! query is always allowed to run, so progress is guaranteed even when
-//! the gate reports pressure.
+//! concurrently; the rest wait in a queue (priority-ordered, FIFO
+//! within a priority) or, past its limit, are rejected. Chunk memory is
+//! not its concern: the cellar budget alone bounds that.
 //!
 //! Tickets are RAII: dropping the [`AdmissionTicket`] releases the
 //! slot and wakes the queue.
@@ -113,14 +110,6 @@ impl AdmissionController {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// May a query start given the current state? `gate` reports
-    /// whether the memory budget has headroom; it is consulted only
-    /// when other queries are already running, so one query can always
-    /// make progress.
-    fn may_start(&self, st: &State, gate: &dyn Fn() -> bool) -> bool {
-        st.running < self.max_concurrent && (st.running == 0 || gate())
-    }
-
     /// Wait for an admission slot. Returns once admitted, or with a
     /// typed error if the queue is full or `cancel` fires while
     /// queued. Waiters are served highest-priority first, FIFO within
@@ -129,7 +118,6 @@ impl AdmissionController {
         &self,
         priority: Priority,
         cancel: Option<&CancelToken>,
-        gate: &dyn Fn() -> bool,
     ) -> std::result::Result<AdmissionTicket<'_>, AdmissionError> {
         if self.is_shutting_down() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -137,7 +125,7 @@ impl AdmissionController {
         }
         let mut st = self.lock();
         // Fast path: nobody queued ahead of us and a slot is free.
-        if st.queued.is_empty() && self.may_start(&st, gate) {
+        if st.queued.is_empty() && st.running < self.max_concurrent {
             st.running += 1;
             self.admitted.fetch_add(1, Ordering::Relaxed);
             return Ok(AdmissionTicket { ctl: self });
@@ -168,14 +156,14 @@ impl AdmissionController {
                 .max_by_key(|&&(p, s)| (p, std::cmp::Reverse(s)))
                 .map(|&(_, s)| s)
                 == Some(seq);
-            if at_head && self.may_start(&st, gate) {
+            if at_head && st.running < self.max_concurrent {
                 st.queued.retain(|&(_, s)| s != seq);
                 st.running += 1;
                 self.admitted.fetch_add(1, Ordering::Relaxed);
                 self.queue_wait_ns
                     .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 drop(st);
-                // Others may be admissible too (e.g. gate cleared).
+                // Others may be admissible too.
                 self.cv.notify_all();
                 return Ok(AdmissionTicket { ctl: self });
             }
@@ -189,8 +177,7 @@ impl AdmissionController {
                 self.cv.notify_all();
                 return Err(AdmissionError::Cancelled { timed_out });
             }
-            // Short timeout so cancellation and gate changes (resident
-            // bytes dropping on eviction) are observed promptly.
+            // Short timeout so cancellation is observed promptly.
             let (g, _) = self
                 .cv
                 .wait_timeout(st, Duration::from_millis(5))
@@ -237,9 +224,8 @@ mod tests {
     #[test]
     fn fast_path_admits_and_releases() {
         let ctl = AdmissionController::new(2, 8);
-        let open = || true;
-        let t1 = ctl.acquire(Priority::Normal, None, &open).unwrap();
-        let t2 = ctl.acquire(Priority::Normal, None, &open).unwrap();
+        let t1 = ctl.acquire(Priority::Normal, None).unwrap();
+        let t2 = ctl.acquire(Priority::Normal, None).unwrap();
         assert_eq!(ctl.stats().running, 2);
         drop(t1);
         drop(t2);
@@ -251,20 +237,20 @@ mod tests {
     #[test]
     fn queue_full_rejects() {
         let ctl = Arc::new(AdmissionController::new(1, 1));
-        let held = ctl.acquire(Priority::Normal, None, &|| true).unwrap();
+        let held = ctl.acquire(Priority::Normal, None).unwrap();
         // Fill the queue from another thread (it will block), then a
         // second waiter must be rejected.
         let bg = {
             let ctl = Arc::clone(&ctl);
             std::thread::spawn(move || {
-                let _t = ctl.acquire(Priority::Normal, None, &|| true);
+                let _t = ctl.acquire(Priority::Normal, None);
             })
         };
         // Wait for the spawned waiter to enqueue itself.
         while ctl.stats().queue_depth == 0 {
             std::thread::yield_now();
         }
-        let err = ctl.acquire(Priority::Normal, None, &|| true).unwrap_err();
+        let err = ctl.acquire(Priority::Normal, None).unwrap_err();
         assert_eq!(err, AdmissionError::QueueFull { limit: 1 });
         drop(held);
         bg.join().unwrap();
@@ -273,11 +259,10 @@ mod tests {
     #[test]
     fn cancel_while_queued() {
         let ctl = AdmissionController::new(1, 8);
-        let open = || true;
-        let _held = ctl.acquire(Priority::Normal, None, &open).unwrap();
+        let _held = ctl.acquire(Priority::Normal, None).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let err = ctl.acquire(Priority::Normal, Some(&token), &open).unwrap_err();
+        let err = ctl.acquire(Priority::Normal, Some(&token)).unwrap_err();
         assert_eq!(err, AdmissionError::Cancelled { timed_out: false });
         assert_eq!(ctl.stats().cancelled, 1);
     }
@@ -285,10 +270,9 @@ mod tests {
     #[test]
     fn timeout_while_queued() {
         let ctl = AdmissionController::new(1, 8);
-        let open = || true;
-        let _held = ctl.acquire(Priority::Normal, None, &open).unwrap();
+        let _held = ctl.acquire(Priority::Normal, None).unwrap();
         let token = CancelToken::with_timeout(Duration::from_millis(10));
-        let err = ctl.acquire(Priority::Normal, Some(&token), &open).unwrap_err();
+        let err = ctl.acquire(Priority::Normal, Some(&token)).unwrap_err();
         assert_eq!(err, AdmissionError::Cancelled { timed_out: true });
         assert_eq!(ctl.stats().timeouts, 1);
     }
@@ -296,7 +280,7 @@ mod tests {
     #[test]
     fn priority_orders_the_queue() {
         let ctl = Arc::new(AdmissionController::new(1, 8));
-        let held = ctl.acquire(Priority::Normal, None, &|| true).unwrap();
+        let held = ctl.acquire(Priority::Normal, None).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
         let queued = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
@@ -307,7 +291,7 @@ mod tests {
             let q = Arc::clone(&queued);
             handles.push(std::thread::spawn(move || {
                 q.fetch_add(1, Ordering::SeqCst);
-                let t = c.acquire(pri, None, &|| true).unwrap();
+                let t = c.acquire(pri, None).unwrap();
                 o.lock().unwrap().push(tag);
                 // Hold briefly so the other waiter observes ordering.
                 std::thread::sleep(Duration::from_millis(5));
@@ -329,13 +313,11 @@ mod tests {
     #[test]
     fn shutdown_rejects_new_and_queued_waiters() {
         let ctl = Arc::new(AdmissionController::new(1, 8));
-        let held = ctl.acquire(Priority::Normal, None, &|| true).unwrap();
+        let held = ctl.acquire(Priority::Normal, None).unwrap();
         // Park a waiter in the queue.
         let bg = {
             let ctl = Arc::clone(&ctl);
-            std::thread::spawn(move || {
-                ctl.acquire(Priority::Normal, None, &|| true).map(|_| ())
-            })
+            std::thread::spawn(move || ctl.acquire(Priority::Normal, None).map(|_| ()))
         };
         while ctl.stats().queue_depth == 0 {
             std::thread::yield_now();
@@ -344,28 +326,11 @@ mod tests {
         // The queued waiter is woken with the typed error.
         assert_eq!(bg.join().unwrap().unwrap_err(), AdmissionError::ShuttingDown);
         // New arrivals fail fast.
-        let err = ctl.acquire(Priority::High, None, &|| true).unwrap_err();
+        let err = ctl.acquire(Priority::High, None).unwrap_err();
         assert_eq!(err, AdmissionError::ShuttingDown);
         // The already-admitted ticket still drains normally.
         drop(held);
         assert_eq!(ctl.stats().running, 0);
         assert_eq!(ctl.stats().queue_depth, 0);
-    }
-
-    #[test]
-    fn gate_blocks_unless_nothing_runs() {
-        let ctl = AdmissionController::new(4, 8);
-        let closed = || false;
-        // With nothing running the gate is bypassed (progress).
-        let t = ctl.acquire(Priority::Normal, None, &closed).unwrap();
-        // With one running and the gate closed, a second must queue —
-        // verify via a cancel token so the test does not hang.
-        let token = CancelToken::with_timeout(Duration::from_millis(20));
-        let err = ctl.acquire(Priority::Normal, Some(&token), &closed).unwrap_err();
-        assert_eq!(err, AdmissionError::Cancelled { timed_out: true });
-        drop(t);
-        // Gate open again: admitted.
-        let t = ctl.acquire(Priority::Normal, None, &|| true).unwrap();
-        drop(t);
     }
 }

@@ -347,15 +347,8 @@ impl Cellar {
     /// stays valid and covered.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let victims: Vec<String> = inner
-            .slots
-            .iter()
-            .filter_map(|(u, s)| match s {
-                Slot::Resident(r) if r.pins == 0 => Some(u.clone()),
-                _ => None,
-            })
-            .collect();
-        for uri in victims {
+        let uris: Vec<String> = inner.slots.keys().cloned().collect();
+        for uri in uris {
             Self::evict_locked(&mut inner, &self.stats, &uri);
         }
     }
@@ -623,22 +616,27 @@ impl Cellar {
                 )
             };
             match victim {
-                Some(uri) => Self::evict_locked(inner, &self.stats, &uri),
+                Some(uri) if Self::evict_locked(inner, &self.stats, &uri) => {}
                 // Everything left is pinned: a query's working set may
                 // transiently exceed the budget; release re-enforces it.
-                None => break,
+                _ => break,
             }
         }
     }
 
-    fn evict_locked(inner: &mut Inner, stats: &CellarStats, uri: &str) {
-        if let Some(Slot::Resident(r)) = inner.slots.remove(uri) {
-            debug_assert_eq!(r.pins, 0, "evicting a pinned chunk");
-            inner.resident_bytes -= r.bytes;
-            inner.lru.remove(uri);
-            inner.ever_evicted.insert(uri.to_string());
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Evict `uri` if it is resident and unpinned, and say whether it
+    /// was. A pinned chunk stays resident: its sink is still reading it.
+    fn evict_locked(inner: &mut Inner, stats: &CellarStats, uri: &str) -> bool {
+        let bytes = match inner.slots.get(uri) {
+            Some(Slot::Resident(r)) if r.pins == 0 => r.bytes,
+            _ => return false,
+        };
+        inner.slots.remove(uri);
+        inner.resident_bytes -= bytes;
+        inner.lru.remove(uri);
+        inner.ever_evicted.insert(uri.to_string());
+        stats.evictions.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     fn release(&self, uri: &str) {
@@ -1163,6 +1161,41 @@ mod tests {
         cellar.acquire_each(&all[..1], &inline, &hold_0).unwrap();
         // Now nothing is pinned; the budget holds.
         assert!(cellar.resident_bytes() <= cellar.budget_bytes());
+    }
+
+    /// Eviction never takes a pinned chunk, in release builds too: an
+    /// eviction tried from inside the chunk's own sink leaves it
+    /// resident with its bytes accounted, and the next wave hits it
+    /// with the same rows.
+    #[test]
+    fn evicting_a_chunk_pinned_in_its_sink_leaves_it_resident() {
+        let fx = fixture("evict-pinned", 1, 64);
+        let all = uris(&fx);
+        let cellar = cellar_over(&fx, CellarConfig::default());
+        let inline = SchedPolicy::default();
+        let seen = Mutex::new(Vec::new());
+        cellar
+            .acquire_each(&all, &inline, &|_, chunk| {
+                let bytes = cellar.resident_bytes();
+                let evicted =
+                    Cellar::evict_locked(&mut cellar.inner.lock(), &cellar.stats, &all[0]);
+                assert!(!evicted, "a pinned chunk was evicted");
+                assert!(cellar.is_resident(&all[0]));
+                assert_eq!(cellar.resident_bytes(), bytes);
+                assert_eq!(cellar.stats().evictions, 0);
+                *seen.lock() = bits(&chunk.relation);
+                Ok(())
+            })
+            .unwrap();
+        let loads = cellar.stats().loads;
+        cellar
+            .acquire_each(&all, &inline, &|_, chunk| {
+                assert_eq!(bits(&chunk.relation), *seen.lock());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(cellar.stats().loads, loads, "the pinned chunk was never reloaded");
+        assert_eq!(cellar.stats().hits, 1);
     }
 
     #[test]

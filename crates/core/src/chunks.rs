@@ -499,8 +499,8 @@ impl ChunkRegistry {
     /// Indexed stage-1 candidate selection: registry positions of the
     /// chunks that may satisfy the constraints, in O(log n + hits) via
     /// the sorted interval index. `None` when no constraint touches an
-    /// indexed column. The result is sorted and exactly equals
-    /// [`Self::linear_candidate_positions`].
+    /// indexed column. The result is sorted and exactly equals the
+    /// linear per-chunk scan (the oracle in this module's tests).
     pub fn indexed_candidate_positions(
         &self,
         constraints: &[ZoneConstraint],
@@ -510,9 +510,10 @@ impl ChunkRegistry {
 
     /// The pre-index linear scan: walk every registered chunk and apply
     /// the per-chunk zone contradiction check (what the pruning pass
-    /// did before the interval index existed). Kept as the equivalence
-    /// oracle and the bench baseline.
-    pub fn linear_candidate_positions(&self, constraints: &[ZoneConstraint]) -> Vec<u32> {
+    /// did before the interval index existed). The equivalence oracle
+    /// of the indexed selection.
+    #[cfg(test)]
+    fn linear_candidate_positions(&self, constraints: &[ZoneConstraint]) -> Vec<u32> {
         self.entries
             .iter()
             .enumerate()

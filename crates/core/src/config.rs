@@ -37,18 +37,13 @@ pub struct SommelierConfig {
     pub max_threads: usize,
     /// Observability level: `Off` (no accounting beyond
     /// [`crate::ExecStats`]), `Counters` (atomic metric counters,
-    /// default — overhead within noise, see BENCH_obs.json), or
+    /// default — what the benchmark measures), or
     /// `Spans` (counters plus a per-query span trace on every run,
     /// what `EXPLAIN ANALYZE` forces for its one query).
     pub observability: ObsLevel,
     /// Admission control: how many queries may execute concurrently;
     /// the rest queue (priority-ordered, FIFO within a priority).
     pub admission_max_concurrent: usize,
-    /// Admission control: while `cellar resident_bytes >= high_water ×
-    /// cellar budget`, new lazy queries queue instead of piling more
-    /// decode work onto a thrashing cellar (at least one query always
-    /// runs, so progress is guaranteed).
-    pub admission_high_water: f64,
     /// Admission control: queries queued beyond this limit are rejected
     /// with a typed "overloaded" error instead of waiting.
     pub admission_queue_limit: usize,
@@ -73,13 +68,10 @@ pub struct SommelierConfig {
     /// dedicated IO threads read the bytes of chunks `k+1..k+depth`
     /// from the surviving (post-pruning) chunk list. `0` disables
     /// prefetch entirely (the decode path is then byte-for-byte the
-    /// classic fused fetch+decode).
-    pub prefetch_depth: usize,
-    /// Cap on prefetched-but-unconsumed bytes staged at any moment
-    /// (across all in-flight queries). Staged bytes also count against
-    /// the cellar budget, so prefetch degrades to depth 0 under a tiny
+    /// classic fused fetch+decode). Staged bytes count against the
+    /// cellar budget, so prefetch degrades to depth 0 under a tiny
     /// budget instead of busting it.
-    pub prefetch_bytes: usize,
+    pub prefetch_depth: usize,
 }
 
 impl SommelierConfig {
@@ -106,13 +98,11 @@ impl Default for SommelierConfig {
             max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
             observability: ObsLevel::Counters,
             admission_max_concurrent: 32,
-            admission_high_water: 1.0,
             admission_queue_limit: 1024,
             sched_aging_ms: 100,
             fault_plan: None,
             io_retry: RetryPolicy::default(),
             prefetch_depth: 2,
-            prefetch_bytes: 64 * 1024 * 1024,
         }
     }
 }
@@ -130,14 +120,12 @@ mod tests {
         let c = SommelierConfig { cellar_bytes: Some(1234), ..c };
         assert_eq!(c.effective_cellar_bytes(), 1234);
         assert!(c.admission_max_concurrent > 0);
-        assert!(c.admission_high_water > 0.0);
         assert!(c.admission_queue_limit > 0);
         assert!(c.sched_aging_ms > 0, "aging is on by default (bounded starvation)");
         assert!(c.fault_plan.is_none(), "fault injection is off by default");
         assert!(c.io_retry.max_attempts > 1, "transient failures retry by default");
         assert!(c.prefetch_depth > 0, "prefetch is on by default");
         assert!(c.prefetch_depth <= 4, "...with a conservative window");
-        assert!(c.prefetch_bytes > 0);
         assert!(c.prefetch_io_threads() >= 1 && c.prefetch_io_threads() <= 4);
         let off = SommelierConfig { prefetch_depth: 0, ..c };
         assert_eq!(off.prefetch_io_threads(), 1, "clamped even when disabled");

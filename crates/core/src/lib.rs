@@ -369,7 +369,6 @@ impl SommelierBuilder {
             Arc::new(prefetch::PrefetchStage::new(
                 self.config.prefetch_io_threads(),
                 self.config.prefetch_depth,
-                self.config.prefetch_bytes,
                 self.config.io_retry,
                 Obs::new(self.config.observability, Arc::clone(&metrics)),
             ))
@@ -847,22 +846,11 @@ impl Sommelier {
         // Admission control: top-level queries take a ticket; internal
         // DMd-derivation queries (`check_dmd == false`) run under their
         // parent's ticket — queueing them would deadlock the parent on
-        // its own child. The gate keeps new lazy queries out while the
-        // cellar sits above its high-water byte mark, but never starves:
-        // with nothing running the gate is bypassed.
-        let high_water = (self.config.admission_high_water
-            * self.config.effective_cellar_bytes() as f64) as usize;
+        // its own child. Chunk memory is bounded by the cellar budget
+        // alone, not here.
         let t_adm = Instant::now();
         let _ticket = if check_dmd {
-            let gate = || {
-                // Prefetched-but-unconsumed bytes are cellar memory in
-                // waiting: admission sees them, or a deep prefetch
-                // window would sneak past the high-water mark.
-                let staged = self.prefetch.as_ref().map_or(0, |s| s.staged_bytes());
-                mode != LoadingMode::Lazy
-                    || cellar.resident_bytes() + staged < high_water.max(1)
-            };
-            match self.admission.acquire(opts.priority, cancel.as_ref(), &gate) {
+            match self.admission.acquire(opts.priority, cancel.as_ref()) {
                 Ok(t) => Some(t),
                 Err(AdmissionError::QueueFull { limit }) => {
                     let retry_after_ms = self.overload_retry_after_ms();

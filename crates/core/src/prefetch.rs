@@ -15,10 +15,10 @@
 //! Discipline, in one place:
 //!
 //! * **Window** — at most `depth` fetches in flight per plan; a new
-//!   fetch is issued only when the staged-byte cap *and* the cellar
-//!   byte budget admit it (staged bytes count against the budget, so
-//!   admission control sees them). Under a ~1-chunk budget nothing is
-//!   ever issued: prefetch degrades to depth 0 instead of deadlocking.
+//!   fetch is issued only when the cellar byte budget admits it
+//!   (`resident + staged + estimate <= budget`: staged bytes count
+//!   against the budget). Under a ~1-chunk budget nothing is ever
+//!   issued: prefetch degrades to depth 0 instead of deadlocking.
 //! * **Charging** — the `FaultInjector` gate (spikes, holds, injected
 //!   errors) runs inside the fetcher closure, i.e. on the IO thread, so
 //!   an injected slow read genuinely overlaps with compute (the decode
@@ -183,17 +183,14 @@ pub struct PrefetchStage {
     pool: IoPool,
     /// Sliding-window depth per plan (`SommelierConfig::prefetch_depth`).
     depth: usize,
-    /// Cap on staged-but-unconsumed bytes across all plans
-    /// (`SommelierConfig::prefetch_bytes`).
-    byte_cap: usize,
     /// Retry/backoff for fetch attempts on the IO thread (same policy
     /// as the cellar's decode retries).
     retry: RetryPolicy,
     obs: Obs,
     /// Staged fetches by URI (single-flight per chunk across plans).
     entries: Mutex<HashMap<String, Arc<RawLatch>>>,
-    /// Bytes currently staged (Ready, unclaimed). Admission control and
-    /// the cellar budget read this.
+    /// Bytes currently staged (Ready, unclaimed). The budget probe
+    /// counts them against the cellar budget.
     staged_bytes: AtomicUsize,
     /// `(resident_bytes, budget_bytes)` of the cellar this stage feeds;
     /// bound once after the cellar is built. Issuing checks
@@ -207,19 +204,13 @@ pub struct PrefetchStage {
 }
 
 impl PrefetchStage {
-    /// A stage with `io_threads` dedicated IO workers, a per-plan
-    /// window of `depth`, and a global staged-byte cap.
-    pub fn new(
-        io_threads: usize,
-        depth: usize,
-        byte_cap: usize,
-        retry: RetryPolicy,
-        obs: Obs,
-    ) -> Self {
+    /// A stage with `io_threads` dedicated IO workers and a per-plan
+    /// window of `depth`; staged bytes are bounded by the cellar
+    /// budget (see [`Self::bind_budget_probe`]).
+    pub fn new(io_threads: usize, depth: usize, retry: RetryPolicy, obs: Obs) -> Self {
         PrefetchStage {
             pool: IoPool::new(io_threads),
             depth: depth.max(1),
-            byte_cap,
             retry,
             obs,
             entries: Mutex::new(HashMap::new()),
@@ -252,8 +243,7 @@ impl PrefetchStage {
         self.pool.threads()
     }
 
-    /// Bytes currently staged (fetched, not yet claimed). Admission
-    /// control adds this to the cellar's resident bytes.
+    /// Bytes currently staged (fetched, not yet claimed).
     pub fn staged_bytes(&self) -> usize {
         self.staged_bytes.load(Ordering::Acquire)
     }
@@ -370,7 +360,6 @@ impl std::fmt::Debug for PrefetchStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrefetchStage")
             .field("depth", &self.depth)
-            .field("byte_cap", &self.byte_cap)
             .field("io_threads", &self.pool.threads())
             .field("staged_bytes", &self.staged_bytes())
             .finish()
@@ -409,9 +398,9 @@ impl PrefetchPlan {
         self.submitted.load(Ordering::Relaxed)
     }
 
-    /// Issue fetches until the window, the staged-byte cap, or the
-    /// cellar budget stops us. Runs on the submitting thread and again
-    /// on each IO thread as fetches complete (sliding the window).
+    /// Issue fetches until the window or the cellar budget stops us.
+    /// Runs on the submitting thread and again on each IO thread as
+    /// fetches complete (sliding the window).
     fn pump(self: &Arc<Self>) {
         loop {
             if self.finished.load(Ordering::Acquire) {
@@ -432,16 +421,10 @@ impl PrefetchPlan {
                 self.next.store(self.uris.len(), Ordering::Release);
                 return;
             };
-            // Budget gates. The estimate is the file's on-disk size —
+            // Budget gate. The estimate is the file's on-disk size —
             // what the staged buffer will hold.
             let est = std::fs::metadata(uri).map(|m| m.len() as usize).unwrap_or(0);
             let staged = self.stage.staged_bytes();
-            if staged + est > self.stage.byte_cap {
-                // Over the staged-byte cap: roll the cursor back and
-                // retry when a claim frees room.
-                self.next.store(i, Ordering::Release);
-                return;
-            }
             if let Some(probe) = &*self.stage.budget_probe.lock() {
                 let (resident, budget) = probe();
                 if resident + staged + est > budget {
@@ -603,8 +586,8 @@ mod tests {
         })
     }
 
-    fn stage(depth: usize, cap: usize) -> Arc<PrefetchStage> {
-        Arc::new(PrefetchStage::new(2, depth, cap, RetryPolicy::default(), Obs::off()))
+    fn stage(depth: usize) -> Arc<PrefetchStage> {
+        Arc::new(PrefetchStage::new(2, depth, RetryPolicy::default(), Obs::off()))
     }
 
     #[test]
@@ -612,7 +595,7 @@ mod tests {
         let dir = TempDir::new("claim");
         let a = dir.file("a.bin", b"aaaa");
         let b = dir.file("b.bin", b"bbbbbb");
-        let stage = stage(4, usize::MAX);
+        let stage = stage(4);
         let plan = stage.submit(vec![a.clone(), b.clone()], read_fetcher(), None, None);
         let got = stage.claim(&a).expect("staged").expect("fetch ok");
         assert_eq!(got.bytes, b"aaaa");
@@ -629,7 +612,7 @@ mod tests {
     fn finish_releases_unclaimed_bytes_as_wasted() {
         let dir = TempDir::new("finish");
         let a = dir.file("a.bin", &[7u8; 128]);
-        let stage = stage(4, usize::MAX);
+        let stage = stage(4);
         let plan = stage.submit(vec![a.clone()], read_fetcher(), None, None);
         // Wait for the fetch to land, then abandon it (the query was
         // cancelled / the chunk was pruned after issue).
@@ -646,7 +629,7 @@ mod tests {
 
     #[test]
     fn missing_file_parks_a_retryable_failure() {
-        let stage = stage(2, usize::MAX);
+        let stage = stage(2);
         let uri = "/nonexistent/somm-prefetch-test.bin".to_string();
         let plan = stage.submit(vec![uri.clone()], read_fetcher(), None, None);
         let err = stage.claim(&uri).expect("staged").expect_err("fetch fails");
@@ -681,7 +664,7 @@ mod tests {
         let dir = TempDir::new("race");
         let uris: Vec<String> =
             (0..16).map(|i| dir.file(&format!("{i}.bin"), &[i as u8; 32])).collect();
-        let stage = stage(2, usize::MAX);
+        let stage = stage(2);
         for round in 0..300 {
             let plan = stage.submit(uris.clone(), read_fetcher(), None, None);
             for _ in 0..round % 7 {
@@ -698,12 +681,14 @@ mod tests {
     }
 
     #[test]
-    fn byte_cap_keeps_window_from_issuing() {
-        let dir = TempDir::new("cap");
+    fn chunk_over_the_whole_budget_is_never_issued() {
+        let dir = TempDir::new("oversized");
         let a = dir.file("a.bin", &[1u8; 4096]);
-        let stage = stage(8, 16); // cap far below one file
+        let stage = stage(8);
+        // An empty cellar whose whole budget is far below one file.
+        stage.bind_budget_probe(|| (0, 16));
         let plan = stage.submit(vec![a.clone()], read_fetcher(), None, None);
-        // Nothing may be issued: the estimate alone exceeds the cap.
+        // Nothing may be issued: the estimate alone exceeds the budget.
         assert_eq!(plan.submitted(), 0);
         assert!(stage.claim(&a).is_none(), "degraded to depth 0");
         plan.finish();
@@ -713,7 +698,7 @@ mod tests {
     fn budget_probe_gates_issuing() {
         let dir = TempDir::new("budget");
         let a = dir.file("a.bin", &[1u8; 1024]);
-        let stage = stage(8, usize::MAX);
+        let stage = stage(8);
         // A cellar whose budget is already spoken for.
         stage.bind_budget_probe(|| (100, 101));
         let plan = stage.submit(vec![a.clone()], read_fetcher(), None, None);
@@ -729,7 +714,7 @@ mod tests {
             (0..4).map(|i| dir.file(&format!("{i}.bin"), &[i as u8; 64])).collect();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let stage = stage(2, usize::MAX);
+        let stage = stage(2);
         let plan = stage.submit(uris, read_fetcher(), Some(cancel), None);
         assert_eq!(plan.submitted(), 0, "cancelled before issue");
         plan.finish();

@@ -33,8 +33,8 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
-/// How much the engine records. The default (`Counters`) is proven to
-/// be within measurement noise of `Off` by the `obs_overhead` bench.
+/// How much the engine records. The default (`Counters`) is the level
+/// every `benchmark/` workload runs at; answers never depend on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsLevel {
     /// No metrics, no spans.

@@ -1,6 +1,8 @@
 //! Shared helpers for the workspace-level integration tests in
 //! `tests/` (wired into cargo through this crate's `[[test]]` entries).
 
+pub mod reference;
+
 use sommelier_core::adapters::EventLogAdapter;
 use sommelier_core::{AdmissionStats, LoadingMode, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};

@@ -19,7 +19,7 @@
 
 use crate::reader::{parse_full_bytes, read_full_bytes_into, FileHeader};
 use crate::repo::Repository;
-use crate::{steim, SegmentData};
+use crate::steim;
 use parking_lot::Mutex;
 use sommelier_core::chunks::FileEntry;
 use sommelier_core::source::{
@@ -303,34 +303,6 @@ pub fn mseed_descriptor() -> SourceDescriptor {
     }
 }
 
-/// Build the D-schema relation for one decoded segment, materializing
-/// only the projected columns (all four when `projection` is `None`).
-fn segment_relation(
-    file_id: i64,
-    seg_id: i64,
-    seg: &SegmentData,
-    projection: Option<&[String]>,
-) -> Relation {
-    let want = |col: &str| projection.is_none_or(|p| p.iter().any(|c| c == col));
-    let n = seg.samples.len();
-    let mut cols: Vec<(String, ColumnData)> = Vec::with_capacity(4);
-    if want("D.file_id") {
-        cols.push(("D.file_id".into(), ColumnData::Int64(vec![file_id; n])));
-    }
-    if want("D.seg_id") {
-        cols.push(("D.seg_id".into(), ColumnData::Int64(vec![seg_id; n])));
-    }
-    if want("D.sample_time") {
-        let times: Vec<i64> = (0..n as u32).map(|i| seg.meta.sample_time(i)).collect();
-        cols.push(("D.sample_time".into(), ColumnData::Timestamp(times)));
-    }
-    if want("D.sample_value") {
-        let values: Vec<f64> = seg.samples.iter().map(|&v| v as f64).collect();
-        cols.push(("D.sample_value".into(), ColumnData::Float64(values)));
-    }
-    Relation::new(cols).expect("columns are aligned by construction")
-}
-
 /// The `D.sample_time` zone map of one registered file: the inclusive
 /// min/max sample time over its segments, straight from the headers.
 fn time_zone_of(segments: &[crate::SegmentMeta]) -> Vec<ColumnZone> {
@@ -462,50 +434,17 @@ fn decode_columns(
 pub struct MseedAdapter {
     repo: Repository,
     descriptor: SourceDescriptor,
-    reference_decode: bool,
 }
 
 impl MseedAdapter {
     /// An adapter over `repo`.
     pub fn new(repo: Repository) -> Self {
-        MseedAdapter { repo, descriptor: mseed_descriptor(), reference_decode: false }
-    }
-
-    /// Route [`SourceAdapter::decode`] through the pre-builder
-    /// reference path ([`Self::decode_reference`]) — the decode-sweep
-    /// baseline and the oracle of the old-vs-new equivalence tests.
-    pub fn with_reference_decode(mut self) -> Self {
-        self.reference_decode = true;
-        self
+        MseedAdapter { repo, descriptor: mseed_descriptor() }
     }
 
     /// The underlying repository.
     pub fn repo(&self) -> &Repository {
         &self.repo
-    }
-
-    /// The reference decode: one relation per segment, unioned into the
-    /// output — O(segments) column re-copies per chunk. Kept as the
-    /// baseline the single-pass columnar decode is benchmarked and
-    /// tested against (results must be byte-identical).
-    pub fn decode_reference(
-        &self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
-        let file = crate::read_full(Path::new(&entry.uri))
-            .map_err(|e| EngineError::Chunk(e.to_string()))?;
-        let mut out = Relation::empty();
-        for (k, seg) in file.segments.iter().enumerate() {
-            let rel =
-                segment_relation(entry.file_id, entry.seg_base + k as i64, seg, projection);
-            out.union_in_place(&rel)?;
-        }
-        if out.width() == 0 {
-            // Zero-segment chunk: produce an empty D-shaped relation.
-            out = empty_ad_relation(&self.descriptor, projection)?;
-        }
-        Ok(out)
     }
 }
 
@@ -614,9 +553,6 @@ impl SourceAdapter for MseedAdapter {
         entry: &FileEntry,
         projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Relation> {
-        if self.reference_decode {
-            return self.decode_reference(entry, projection);
-        }
         sommelier_core::source::with_byte_scratch(|bytes| {
             let header = read_full_bytes_into(Path::new(&entry.uri), bytes)
                 .map_err(|e| EngineError::Chunk(e.to_string()))?;
@@ -633,18 +569,13 @@ impl SourceAdapter for MseedAdapter {
 
     /// Decode from prefetched bytes: parse the header out of the staged
     /// buffer and run the same single-pass columnar decode as
-    /// [`Self::decode`] — no file IO on the decode worker. (The
-    /// reference-decode oracle path has no from-bytes variant and falls
-    /// back to the fused fetch+decode.)
+    /// [`Self::decode`] — no file IO on the decode worker.
     fn decode_bytes(
         &self,
         entry: &FileEntry,
         raw: RawChunk,
         projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Relation> {
-        if self.reference_decode {
-            return self.decode(entry, projection);
-        }
         let header = parse_full_bytes(&raw.bytes, &entry.uri)
             .map_err(|e| EngineError::Chunk(e.to_string()))?;
         decode_columns(
@@ -666,7 +597,7 @@ impl SourceAdapter for MseedAdapter {
 mod tests {
     use super::*;
     use crate::repo::DatasetSpec;
-    use crate::{FileMeta, MseedFile, SegmentMeta};
+    use crate::{FileMeta, MseedFile, SegmentData, SegmentMeta};
     use sommelier_core::registrar::register_source;
     use sommelier_core::source::{assemble_catalog, restore_registry};
     use sommelier_storage::catalog::Disposition;

@@ -2,8 +2,9 @@
 //! decode and the indexed stage-1 candidate selection must never change
 //! answers, only costs.
 //!
-//! * T1–T5 on both built-in adapters, new decode vs the retained
-//!   reference decode (per-segment relations + unions), byte-identical.
+//! * T1–T5 on both built-in adapters, new decode vs the test-support
+//!   reference decoders (`sommelier_integration::reference`),
+//!   byte-identical.
 //! * Per-chunk decode equality across projections, including the
 //!   projection × empty-chunk regression (the projected width must
 //!   survive a chunk with no rows on both adapters).
@@ -21,14 +22,14 @@ use sommelier_engine::logical::LogicalPlan;
 use sommelier_engine::optimizer::{self, Stage2Options, ZoneCandidates, ZoneConstraint};
 use sommelier_engine::physical::ChunkRef;
 use sommelier_engine::{ColumnZone, Expr, Relation};
+use sommelier_integration::reference::{ReferenceEventLog, ReferenceMseed};
 use sommelier_integration::{ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_storage::{Database, Value};
 use std::path::Path;
 
-fn mseed_system(repo: &Repository, reference: bool) -> Sommelier {
-    let adapter = MseedAdapter::new(Repository::at(repo.dir()));
-    let adapter = if reference { adapter.with_reference_decode() } else { adapter };
+/// A lazily prepared in-memory system over `adapter`.
+fn lazy_system(adapter: impl SourceAdapter + 'static) -> Sommelier {
     let somm = Sommelier::builder()
         .source(adapter)
         .config(SommelierConfig::default())
@@ -38,16 +39,22 @@ fn mseed_system(repo: &Repository, reference: bool) -> Sommelier {
     somm
 }
 
+fn mseed_system(repo: &Repository, reference: bool) -> Sommelier {
+    let adapter = MseedAdapter::new(Repository::at(repo.dir()));
+    if reference {
+        lazy_system(ReferenceMseed(adapter))
+    } else {
+        lazy_system(adapter)
+    }
+}
+
 fn eventlog_system(logs: &Path, reference: bool) -> Sommelier {
     let adapter = EventLogAdapter::new(logs);
-    let adapter = if reference { adapter.with_reference_decode() } else { adapter };
-    let somm = Sommelier::builder()
-        .source(adapter)
-        .config(SommelierConfig::default())
-        .build()
-        .unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
-    somm
+    if reference {
+        lazy_system(ReferenceEventLog(adapter))
+    } else {
+        lazy_system(adapter)
+    }
 }
 
 /// T1–T5 against the seismology source (the same shapes the optimizer
@@ -152,12 +159,13 @@ fn eventlog_t1_t5_byte_identical_new_vs_reference_decode() {
 fn mseed_per_chunk_decode_matches_reference_across_projections() {
     let dir = TempDir::new("decchunk-mseed");
     let repo = ingv_repo(&dir, 2, 32);
-    let adapter = MseedAdapter::new(Repository::at(repo.dir()));
+    let reference = ReferenceMseed(MseedAdapter::new(Repository::at(repo.dir())));
+    let adapter = &reference.0;
     let db = sommelier_storage::Database::in_memory(Default::default());
     for s in sommelier_mseed::adapter::all_schemas() {
         db.create_table(s, sommelier_storage::catalog::Disposition::Resident).unwrap();
     }
-    let (registry, _) = sommelier_core::registrar::register_source(&db, &adapter, 2).unwrap();
+    let (registry, _) = sommelier_core::registrar::register_source(&db, adapter, 2).unwrap();
     let projections: Vec<Option<Vec<String>>> = vec![
         None,
         Some(vec!["D.sample_value".into()]),
@@ -168,10 +176,10 @@ fn mseed_per_chunk_decode_matches_reference_across_projections() {
         for projection in &projections {
             let p = projection.as_deref();
             let new = adapter.decode(entry, p).unwrap();
-            let reference = adapter.decode_reference(entry, p).unwrap();
+            let old = reference.decode(entry, p).unwrap();
             assert_eq!(
                 relation_bits(&new),
-                relation_bits(&reference),
+                relation_bits(&old),
                 "chunk {} projection {projection:?}",
                 entry.uri
             );
@@ -199,7 +207,8 @@ fn empty_chunks_keep_projected_width() {
         seg_count: 0,
         zones: vec![],
     };
-    let adapter = MseedAdapter::new(Repository::at(dir.join("unused")));
+    let reference = ReferenceMseed(MseedAdapter::new(Repository::at(dir.join("unused"))));
+    let adapter = &reference.0;
     let cases: Vec<(Option<Vec<String>>, Vec<&str>)> = vec![
         (None, vec!["D.file_id", "D.seg_id", "D.sample_time", "D.sample_value"]),
         (Some(vec!["D.sample_value".into()]), vec!["D.sample_value"]),
@@ -211,7 +220,7 @@ fn empty_chunks_keep_projected_width() {
     for (projection, want) in &cases {
         for rel in [
             adapter.decode(&entry, projection.as_deref()).unwrap(),
-            adapter.decode_reference(&entry, projection.as_deref()).unwrap(),
+            reference.decode(&entry, projection.as_deref()).unwrap(),
         ] {
             assert_eq!(rel.rows(), 0);
             assert_eq!(&rel.names(), want, "projection {projection:?}");
@@ -228,7 +237,8 @@ fn empty_chunks_keep_projected_width() {
         seg_count: 1,
         zones: vec![],
     };
-    let adapter = EventLogAdapter::new(dir.join("unused"));
+    let reference = ReferenceEventLog(EventLogAdapter::new(dir.join("unused")));
+    let adapter = &reference.0;
     let cases: Vec<(Option<Vec<String>>, Vec<&str>)> = vec![
         (None, vec!["E.log_id", "E.ts", "E.val"]),
         (Some(vec!["E.val".into()]), vec!["E.val"]),
@@ -237,7 +247,7 @@ fn empty_chunks_keep_projected_width() {
     for (projection, want) in &cases {
         for rel in [
             adapter.decode(&entry, projection.as_deref()).unwrap(),
-            adapter.decode_reference(&entry, projection.as_deref()).unwrap(),
+            reference.decode(&entry, projection.as_deref()).unwrap(),
         ] {
             assert_eq!(rel.rows(), 0);
             assert_eq!(&rel.names(), want, "projection {projection:?}");

@@ -67,6 +67,17 @@
 //! removed. `FaultPlan`'s field count is pinned so the hold stays a
 //! method, never a configuration field.
 //!
+//! `benchmark/` is the one performance instrument. The one-off sweeps
+//! it superseded — the cellar, stage-2, optimizer, decode, observability
+//! and prefetch binaries, their recorded `BENCH_*.json` baselines, the
+//! criterion benches and the criterion shim only they used — were
+//! removed, and so were the production hooks only they kept alive: the
+//! adapters' reference-decode switch (the reference decoders live on as
+//! test-support wrappers in `sommelier_integration::reference`), the
+//! unused `header_value_bounds`, and two chunk-memory knobs nobody set
+//! — the admission gate's high-water mark and the prefetch byte cap —
+//! which left the cellar budget as the only bound on chunk memory.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -151,11 +162,22 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn replace_first_partial_agg", "PhysicalPlan::take_chunk_node"),
     ("struct ExecCounters", "the chunk wave counts straight into ExecStats"),
     ("\"chunk.load\"", "one \"chunk\" span per chunk covers acquisition and pipeline"),
+    ("fn with_reference_decode", "sommelier_integration::reference wraps the adapters"),
+    ("reference_decode:", "production adapters decode one way"),
+    ("admission_high_water", "the cellar budget alone bounds chunk memory"),
+    ("prefetch_bytes", "the budget probe bounds staged bytes by the cellar budget"),
+    ("fn header_value_bounds", "value_stats_midpoint reads the header statistics"),
+    ("fn decode_hotpath", "benchmark/: cold_scan decode.*, prune_window chunks.*"),
+    ("fn prefetch_sweep", "benchmark/: cold_scan prefetch.* and fetch.*"),
+    ("fn cellar_sweep", "benchmark/: prune_window and server_mix cellar.*"),
+    ("fn obs_overhead", "benchmark/: every traced run's obs.*"),
+    ("fn stage2_parallel", "benchmark/: cold_scan twostage.* and sched.*"),
+    ("fn optimizer_sweep", "benchmark/: prune_window optimizer.* and chunks.*"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.
 const CONFIG_FIELDS: &[(&str, &str, usize)] = &[
-    ("crates/core/src/config.rs", "SommelierConfig", 15),
+    ("crates/core/src/config.rs", "SommelierConfig", 13),
     ("crates/storage/src/buffer.rs", "BufferPoolConfig", 1),
     ("crates/core/src/fault.rs", "FaultPlan", 8),
     ("crates/core/src/cellar/mod.rs", "CellarConfig", 4),
@@ -168,6 +190,21 @@ const DELETED_FILES: &[&str] = &[
     "crates/engine/src/recycler.rs",
     "crates/bench/src/bin/server.rs",
     "crates/mseed/src/compat.rs",
+    "BENCH_decode.json",
+    "BENCH_stage2.json",
+    "BENCH_prefetch.json",
+    "BENCH_optimizer.json",
+    "BENCH_obs.json",
+    "crates/bench/src/bin/cellar.rs",
+    "crates/bench/src/bin/stage2.rs",
+    "crates/bench/src/bin/optimizer.rs",
+    "crates/bench/src/bin/decode.rs",
+    "crates/bench/src/bin/obs.rs",
+    "crates/bench/src/bin/prefetch.rs",
+    "crates/bench/benches/microbench.rs",
+    "crates/bench/benches/ablations.rs",
+    "crates/bench/benches/experiments.rs",
+    "crates/shims/criterion/src/lib.rs",
 ];
 
 fn workspace_root() -> PathBuf {

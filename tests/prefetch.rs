@@ -7,8 +7,8 @@
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{
-    FaultPlan, LoadingMode, ObsLevel, QueryOptions, RetryPolicy, Sommelier, SommelierConfig,
-    SommelierError,
+    FaultInjector, FaultPlan, LoadingMode, ObsLevel, QueryOptions, RetryPolicy, Sommelier,
+    SommelierConfig, SommelierError,
 };
 use sommelier_engine::EngineError;
 use sommelier_integration::{ingv_repo, wait_until, TempDir};
@@ -154,6 +154,19 @@ fn taxonomy_byte_identical_across_depths() {
     assert!(hits_seen, "at least one lazy run must consume prefetched bytes");
 }
 
+/// A 50% transient-fault plan whose seed fails the first load of
+/// `uri`. Fault decisions hash `(seed, uri, attempt)` and the temp-dir
+/// URIs differ from run to run, so a fixed seed would inject nothing on
+/// some runs; a seed that fails one chunk the queries always load makes
+/// injection certain on every run.
+fn half_transient_failing_first_load_of(uri: &Path) -> FaultPlan {
+    let uri = uri.to_string_lossy();
+    (0..)
+        .map(|seed| FaultPlan { seed, ..FaultPlan::transient(0.5) })
+        .find(|plan| FaultInjector::new(plan.clone()).before_load(&uri).is_err())
+        .expect("some seed fails a 50% first attempt")
+}
+
 /// Prefetch + fault injection compose: at a 50% transient fault rate
 /// (faults fire on the IO thread, inside the prefetched fetch) every
 /// answer matches the fault-free depth-0 run, nothing is quarantined,
@@ -163,6 +176,8 @@ fn byte_identical_under_transient_faults() {
     let dir = TempDir::new("prefetch-faults");
     let repo = ingv_repo(&dir, 2, 32);
     let logs = eventlog_repo(&dir, 3, 32);
+    // The event-log `eventview` query reads this chunk.
+    let plan = half_transient_failing_first_load_of(&logs.join("web-1-api-20110301.evl"));
     let mut faults_seen = false;
     for adapter in ["mseed", "eventlog"] {
         let queries = if adapter == "mseed" { mseed_queries() } else { eventlog_queries() };
@@ -180,10 +195,8 @@ fn byte_identical_under_transient_faults() {
         };
         for depth in [2usize, 8] {
             let ctx = format!("{adapter} depth={depth} faults=0.5");
-            let somm = build(SommelierConfig {
-                fault_plan: Some(FaultPlan::transient(0.5)),
-                ..config(8, depth)
-            });
+            let somm =
+                build(SommelierConfig { fault_plan: Some(plan.clone()), ..config(8, depth) });
             somm.prepare(LoadingMode::Lazy).unwrap();
             assert_eq!(answers(&somm, &queries, &ctx), reference, "{ctx}");
             assert!(
