@@ -18,12 +18,10 @@ pub struct SommelierConfig {
     /// paper). The paper's workload experiments limit it to main-memory
     /// size. `None` = [`DEFAULT_CELLAR_BYTES`].
     pub cellar_bytes: Option<usize>,
-    /// Push selections into per-chunk accesses (run-time rewrite
-    /// refinement, §III).
-    pub chunk_pushdown: bool,
     /// Drop chunks whose registered zone maps contradict the pushed-
     /// down predicate before any decode is scheduled (the optimizer's
-    /// `zone_map_pruning` pass).
+    /// `zone_map_pruning` pass). Kept as a knob: turned off, it is the
+    /// reference the optimizer equivalence tests compare against.
     pub zone_map_pruning: bool,
     /// Verify FK constraints when lazily ingesting chunks. The paper
     /// omits them ("safe by design", §VI-A); enabling this is the
@@ -92,7 +90,6 @@ impl Default for SommelierConfig {
         SommelierConfig {
             buffer_pool_bytes: 256 * 1024 * 1024,
             cellar_bytes: None,
-            chunk_pushdown: true,
             zone_map_pruning: true,
             verify_lazy_fk: false,
             max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),

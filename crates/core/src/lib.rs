@@ -152,8 +152,8 @@ pub struct QueryResult {
     pub qtype: QueryType,
     /// Algorithm-1 bookkeeping, when the query referred to DMd.
     pub dmd: Option<DmdOutcome>,
-    /// The optimizer pass trace (compile pipeline followed by the
-    /// stage-2 rewrite pipeline): which rewrite rules fired.
+    /// The optimizer pass trace (the compile pass followed by the
+    /// stage-2 rewrite passes): which rewrite rules fired.
     pub trace: Vec<PassTrace>,
     /// The query's span tree, when the system ran at
     /// [`sommelier_engine::ObsLevel::Spans`] (or the query came through
@@ -787,7 +787,6 @@ impl Sommelier {
 
     fn two_stage_config(&self, mode: LoadingMode, source_idx: usize) -> TwoStageConfig {
         TwoStageConfig {
-            pushdown: self.config.chunk_pushdown,
             zone_map_pruning: self.config.zone_map_pruning,
             use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
@@ -932,39 +931,11 @@ impl Sommelier {
             );
         }
         let plan_opts = self.plan_options(mode, compiled.source_idx);
-        let t_plan = Instant::now();
-        let (plan, mut trace) =
-            optimizer::compile_plan(&compiled.spec, &self.db, &plan_opts)?;
-        if let Some(tc) = &tracer {
-            // Replay the compile pipeline's pass timings as children of
-            // one "compile" span (starts accumulated from the recorded
-            // per-pass nanos, like the stage-2 replay in the driver).
-            let total = t_plan.elapsed().as_nanos() as u64;
-            let start = tc.now_ns().saturating_sub(total);
-            let id = tc.record(
-                root,
-                "compile",
-                format!("{} passes", trace.len()),
-                start,
-                total,
-                None,
-                None,
-                None,
-            );
-            let mut cursor = start;
-            for p in &trace {
-                tc.record(
-                    Some(id),
-                    p.name,
-                    p.detail.clone(),
-                    cursor,
-                    p.nanos,
-                    None,
-                    None,
-                    None,
-                );
-                cursor += p.nanos;
-            }
+        let t_plan = tracer.as_ref().map(|tc| tc.now_ns());
+        let (plan, mut trace) = optimizer::compile_plan(&compiled.spec, &plan_opts)?;
+        if let (Some(tc), Some(start)) = (&tracer, t_plan) {
+            // The ambient span is still the query root.
+            optimizer::record_pass_spans(tc, "compile", start, &trace);
         }
         let mut ts_config = self.two_stage_config(mode, compiled.source_idx);
         ts_config.sampling = sampling;
@@ -1118,23 +1089,18 @@ impl Sommelier {
     }
 
     /// The plan a query would run, as text (EXPLAIN): the logical plan,
-    /// the stage-2 physical shape — which shows whether selection
-    /// pushdown and partial-aggregation fusion (`PartialAggUnion`)
-    /// fire — and the optimizer pass trace. Uses
-    /// the same pass pipelines as execution; only the chunk list (a
-    /// run-time quantity) is a placeholder, so run-time-only effects
-    /// (chunks pruned by zone maps) show as the pass being armed.
+    /// the stage-2 physical shape — which shows whether
+    /// partial-aggregation fusion (`PartialAggUnion`) fires — and the
+    /// optimizer pass trace. Uses the same passes and configuration as
+    /// execution; only the chunk list (a run-time quantity) is a
+    /// placeholder, so run-time-only effects (chunks pruned by zone
+    /// maps) show as the pass being armed.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let (mode, _) = self.prepared_info()?;
         let spec = sommelier_sql::compile(sql, &self.catalog)?;
         let compiled = self.compile_spec(spec)?;
         let opts = self.plan_options(mode, compiled.source_idx);
-        let (plan, compile_trace) = optimizer::compile_plan(&compiled.spec, &self.db, &opts)?;
-        let s2_opts = optimizer::Stage2Options {
-            use_index_joins: mode.builds_indices(),
-            pushdown: self.config.chunk_pushdown,
-            zone_map_pruning: self.config.zone_map_pruning,
-        };
+        let (plan, compile_trace) = optimizer::compile_plan(&compiled.spec, &opts)?;
         let chunks = if plan.has_lazy_scan() { Some(Vec::new()) } else { None };
         let s2 = optimizer::rewrite_stage2(
             &plan,
@@ -1143,7 +1109,7 @@ impl Sommelier {
             None,
             None,
             plan.qf().map(|_| 0),
-            &s2_opts,
+            &self.two_stage_config(mode, compiled.source_idx),
         )?;
         // Stage-2 trace, annotated: the zone-index candidate count is a
         // stage-1 quantity the registry can answer statically, so
@@ -1205,7 +1171,7 @@ impl Sommelier {
         let spec = sommelier_sql::compile(sql, &self.catalog)?;
         let compiled = self.compile_spec(spec.clone())?;
         let opts = self.plan_options(mode, compiled.source_idx);
-        let (plan, _) = optimizer::compile_plan(&compiled.spec, &self.db, &opts)?;
+        let (plan, _) = optimizer::compile_plan(&compiled.spec, &opts)?;
         let result = self.run_spec_opts(spec, true, true, &QueryOptions::default())?;
         let stats = &result.stats;
         let mut out = format!(
@@ -1628,21 +1594,5 @@ mod tests {
         assert!(plan.contains("PartialAggUnion E"), "{plan}");
         assert!(plan.contains("per-chunk probe"), "{plan}");
         assert!(plan.contains("ResultScan #0"), "{plan}");
-    }
-
-    #[test]
-    fn explain_without_pushdown_keeps_chunk_union() {
-        let repo = temp_repo("explain-nopd", 1, 8);
-        let somm = Sommelier::builder()
-            .source(EventLogAdapter::new(&repo))
-            .config(SommelierConfig { chunk_pushdown: false, ..SommelierConfig::default() })
-            .build()
-            .unwrap();
-        somm.prepare(LoadingMode::Lazy).unwrap();
-        let plan =
-            somm.explain("SELECT AVG(E.val) FROM eventview WHERE G.host = 'web-1'").unwrap();
-        assert!(plan.contains("ChunkUnion E"), "{plan}");
-        assert!(!plan.contains("PartialAggUnion"), "{plan}");
-        let _ = std::fs::remove_dir_all(&repo);
     }
 }

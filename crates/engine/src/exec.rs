@@ -89,7 +89,7 @@ pub fn scan_base_table(
 pub struct ChunkPipeline<'a> {
     /// Qualified output columns of the chunk scan.
     pub columns: &'a [String],
-    /// Pushed-down selection (None = post-union filtering, or none).
+    /// Pushed-down selection, if the scan has one.
     pub predicate: Option<&'a Expr>,
     /// `(pre-built build side, probe keys)` of the per-chunk hash
     /// join, if the aggregate sat over a join. Built once; probed by
@@ -407,7 +407,6 @@ mod tests {
             chunks: vec![ChunkRef { uri: "a".into(), cached: false }],
             columns: vec!["D.file_id".into()],
             predicate: None,
-            pushdown: true,
         };
         assert!(matches!(execute(&plan, &ctx), Err(EngineError::Plan(_))));
     }

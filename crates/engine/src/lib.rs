@@ -16,13 +16,13 @@
 //!   *cache-scan* (chunk resident in the residency manager),
 //!   *chunk-access* (lazy chunk ingestion).
 //! * **Rule-based optimizer** ([`optimizer`]): every rewrite — join
-//!   ordering, the run-time chunk rewrite, selection pushdown,
-//!   zone-map chunk pruning, partial-aggregate fusion — is a
-//!   named pass in one ordered pipeline with a fired/skipped trace.
+//!   ordering, zone-map chunk pruning, the run-time chunk rewrite,
+//!   partial-aggregate fusion — is a named pass function, called in a
+//!   fixed order and traced as fired or skipped.
 //! * **Two-stage execution** ([`twostage`]): evaluate `Qf`, then apply
 //!   the run-time rewrite `scan(a) → ⋃_f cache-scan(f) | chunk-access(f)`
-//!   (rewrite rule 1, optionally with selection pushdown into the
-//!   per-chunk accesses), then evaluate `Qs` — with the paper's *static*
+//!   (rewrite rule 1, with the selection pushed into the per-chunk
+//!   accesses), then evaluate `Qs` — with the paper's *static*
 //!   per-chunk parallelism (one task per chunk). Stage 2 reads every
 //!   chunk through a [`ChunkResidency`] manager (the core crate's
 //!   cellar, which stands in for MonetDB's Recycler).

@@ -1,49 +1,42 @@
-//! The unified rule-based optimizer: one ordered rewrite pipeline.
-//!
-//! Before this module, the optimizer of the paper's §III/§V was
-//! reproduced as rewrite logic scattered across four places — join
-//! ordering in [`crate::joinorder`], lowering plus ad-hoc
-//! partial-aggregate fusion in [`crate::physical`], the stage-1→stage-2
-//! chunk rewrite open-coded in [`crate::twostage`], and
-//! classification/inference in the core crate. Following the
-//! rule-controller architecture of systems like AsterixDB, every
-//! rewrite is now a named [`OptPass`] executed by an ordered
-//! [`Pipeline`] over one [`OptState`], with a per-pass fired/skipped
-//! [`PassTrace`] that `EXPLAIN` surfaces.
-//!
-//! Two pipelines cover the query lifecycle:
+//! The rule-based optimizer: two fixed sequences of passes, each pass
+//! a plain function in [`passes`], timed into a [`PassTrace`] that
+//! `EXPLAIN` surfaces.
 //!
 //! * **compile** ([`compile_plan`]): `join_order` — the R1–R4
 //!   metadata-first decomposition (or the traditional greedy order for
 //!   eager plans), producing the logical plan.
-//! * **stage 2** ([`rewrite_stage2`]), invoked by the two-stage driver
-//!   once the stage-1 chunk list is known:
-//!   `zone_map_pruning` → `chunk_rewrite` → `selection_pushdown` →
-//!   `partial_agg_fusion`.
+//! * **stage 2** ([`rewrite_stage2`]), called by the two-stage driver
+//!   once the stage-1 chunk list is known: `zone_map_pruning` →
+//!   `chunk_rewrite` → `partial_agg_fusion`.
 //!
-//! The genuinely new pass is **`zone_map_pruning`**: it drops chunks
-//! whose per-chunk min/max zone maps (recorded by the registrar from
-//! adapter-declared prunable columns) contradict the lazy scan's
-//! pushed-down predicate, *before any decode is scheduled*. Chunks are
-//! always decoded full width — the cellar retains them for later
-//! queries over other columns — and the scan-level projection applies
-//! per chunk after decode.
+//! `zone_map_pruning` drops chunks whose per-chunk min/max zone maps
+//! (recorded by the registrar from adapter-declared prunable columns)
+//! contradict the lazy scan's pushed-down predicate, *before any decode
+//! is scheduled*. `chunk_rewrite` turns each lazy `scan(a)` into the
+//! union of chunk accesses with the scan's selection inside each of
+//! them (the paper's rewrite rule (1) with its refinement), and
+//! `partial_agg_fusion` folds an aggregate over that union into
+//! per-chunk partial aggregation. Chunks are always decoded full width
+//! — the cellar retains them for later queries over other columns — and
+//! the scan-level projection applies per chunk after decode.
 
 pub mod passes;
 
 pub use passes::{
-    as_zone_constraint, plan_zone_constraints, zone_conjunct_contradicted, ChunkRewrite,
-    JoinOrder, PartialAggFusion, SelectionPushdown, ZoneMapPruning,
+    chunk_rewrite, join_order, partial_agg_fusion, plan_zone_constraints,
+    zone_conjunct_contradicted, zone_map_pruning,
 };
 
 use crate::error::Result;
 use crate::joinorder::PlanOptions;
 use crate::logical::LogicalPlan;
+use crate::obs::TraceCollector;
 use crate::physical::{ChunkRef, PhysicalPlan};
 use crate::spec::QuerySpec;
+use crate::twostage::TwoStageConfig;
 use sommelier_storage::{Database, Value};
-use std::borrow::Cow;
 use std::fmt;
+use std::time::Instant;
 
 /// A per-chunk min/max summary of one column — the zone map the
 /// registrar records for every adapter-declared prunable column.
@@ -96,65 +89,6 @@ pub enum ZoneCandidates {
 /// chunk list is drawn from.
 pub type ZoneCandidateFn<'a> = dyn Fn(&[ZoneConstraint]) -> Option<ZoneCandidates> + 'a;
 
-/// What one pipeline run carries between passes.
-pub struct OptState<'a> {
-    pub db: &'a Database,
-    /// The bound spec (input of the compile pipeline).
-    pub spec: Option<&'a QuerySpec>,
-    /// The logical plan (output of `join_order`, input of stage 2 —
-    /// borrowed there, since the stage-2 passes only read it).
-    pub logical: Option<Cow<'a, LogicalPlan>>,
-    /// The physical plan (output of `chunk_rewrite`).
-    pub physical: Option<PhysicalPlan>,
-    /// The run-time chunk list for lazy-scan expansion. `None` for
-    /// eager plans (no lazy scans to expand).
-    pub chunks: Option<Vec<ChunkRef>>,
-    /// Zone-map lookup for `zone_map_pruning`.
-    pub zones: Option<&'a ZoneMapFn<'a>>,
-    /// Indexed candidate selection for `zone_map_pruning` (the sorted
-    /// interval index over the chunk registry); the exact per-chunk
-    /// checks then run on the prefiltered survivors only.
-    pub zone_candidates: Option<&'a ZoneCandidateFn<'a>>,
-    /// What `QfMark` lowers to (a materialized result-scan slot).
-    pub qf_result_id: Option<usize>,
-    /// Chunks dropped by `zone_map_pruning` this run.
-    pub pruned: usize,
-}
-
-impl<'a> OptState<'a> {
-    /// An empty state over `db`.
-    pub fn new(db: &'a Database) -> Self {
-        OptState {
-            db,
-            spec: None,
-            logical: None,
-            physical: None,
-            chunks: None,
-            zones: None,
-            zone_candidates: None,
-            qf_result_id: None,
-            pruned: 0,
-        }
-    }
-}
-
-/// Outcome of one pass application.
-pub enum PassEffect {
-    /// The pass rewrote the plan (detail says what it did).
-    Fired(String),
-    /// The pass did not apply (detail says why).
-    Skipped(String),
-}
-
-/// One rewrite rule of the pipeline.
-pub trait OptPass {
-    /// Stable pass name (shown in traces and EXPLAIN).
-    fn name(&self) -> &'static str;
-
-    /// Apply the pass to `state`.
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect>;
-}
-
 /// One line of the optimizer trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassTrace {
@@ -163,7 +97,7 @@ pub struct PassTrace {
     pub detail: String,
     /// Wall time the pass took. Always measured — two `Instant` reads
     /// per pass are noise — so `EXPLAIN ANALYZE` and the span trace can
-    /// replay per-pass timings without re-running the pipeline.
+    /// replay per-pass timings without re-running the passes.
     pub nanos: u64,
 }
 
@@ -179,46 +113,7 @@ impl fmt::Display for PassTrace {
     }
 }
 
-/// An ordered sequence of passes.
-pub struct Pipeline {
-    passes: Vec<Box<dyn OptPass>>,
-}
-
-impl Pipeline {
-    /// A pipeline running `passes` in order.
-    pub fn new(passes: Vec<Box<dyn OptPass>>) -> Self {
-        Pipeline { passes }
-    }
-
-    /// Run every pass in order, collecting the trace.
-    pub fn run(&self, state: &mut OptState) -> Result<Vec<PassTrace>> {
-        let mut trace = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            let start = std::time::Instant::now();
-            let (fired, detail) = match pass.apply(state)? {
-                PassEffect::Fired(d) => (true, d),
-                PassEffect::Skipped(d) => (false, d),
-            };
-            let nanos = start.elapsed().as_nanos() as u64;
-            trace.push(PassTrace { name: pass.name(), fired, detail, nanos });
-        }
-        Ok(trace)
-    }
-}
-
-/// Knobs of the stage-2 pipeline (mirrors
-/// [`crate::twostage::TwoStageConfig`]).
-#[derive(Debug, Clone)]
-pub struct Stage2Options {
-    pub use_index_joins: bool,
-    /// `selection_pushdown` (rewrite-rule refinement; also the fusion
-    /// gate).
-    pub pushdown: bool,
-    /// `zone_map_pruning` (drop contradicted chunks before decode).
-    pub zone_map_pruning: bool,
-}
-
-/// Result of the stage-2 pipeline.
+/// Result of the stage-2 rewrite.
 pub struct Stage2Plan {
     pub physical: PhysicalPlan,
     /// The (possibly zone-pruned) chunk list the driver must acquire,
@@ -229,50 +124,83 @@ pub struct Stage2Plan {
     pub trace: Vec<PassTrace>,
 }
 
-/// The compile pipeline: spec → logical plan via the `join_order` pass.
+/// Run one pass, appending its timed line to `trace`.
+fn run_pass<T>(
+    trace: &mut Vec<PassTrace>,
+    name: &'static str,
+    pass: impl FnOnce() -> Result<(T, bool, String)>,
+) -> Result<T> {
+    let start = Instant::now();
+    let (out, fired, detail) = pass()?;
+    trace.push(PassTrace { name, fired, detail, nanos: start.elapsed().as_nanos() as u64 });
+    Ok(out)
+}
+
+/// The compile step: spec → logical plan via `join_order`.
 pub fn compile_plan(
     spec: &QuerySpec,
-    db: &Database,
     opts: &PlanOptions,
 ) -> Result<(LogicalPlan, Vec<PassTrace>)> {
-    let pipeline = Pipeline::new(vec![Box::new(JoinOrder::from_options(opts))]);
-    let mut state = OptState::new(db);
-    state.spec = Some(spec);
-    let trace = pipeline.run(&mut state)?;
-    let plan = state.logical.expect("join_order produced a plan").into_owned();
+    let mut trace = Vec::with_capacity(1);
+    let plan = run_pass(&mut trace, "join_order", || join_order(spec, opts))?;
     Ok((plan, trace))
 }
 
-/// The stage-2 pipeline: logical plan + run-time chunk list → physical
-/// plan, through every rewrite rule in order.
+/// The stage-2 rewrite: logical plan + run-time chunk list → physical
+/// plan, through `zone_map_pruning`, `chunk_rewrite` and
+/// `partial_agg_fusion` in order. Reads `zone_map_pruning` and
+/// `use_index_joins` from `config`.
 pub fn rewrite_stage2(
     plan: &LogicalPlan,
     db: &Database,
-    chunks: Option<Vec<ChunkRef>>,
+    mut chunks: Option<Vec<ChunkRef>>,
     zones: Option<&ZoneMapFn<'_>>,
     zone_candidates: Option<&ZoneCandidateFn<'_>>,
     qf_result_id: Option<usize>,
-    opts: &Stage2Options,
+    config: &TwoStageConfig,
 ) -> Result<Stage2Plan> {
-    let pipeline = Pipeline::new(vec![
-        Box::new(ZoneMapPruning { enabled: opts.zone_map_pruning }),
-        Box::new(ChunkRewrite { use_index_joins: opts.use_index_joins }),
-        Box::new(SelectionPushdown { enabled: opts.pushdown }),
-        Box::new(PartialAggFusion),
-    ]);
-    let mut state = OptState::new(db);
-    state.logical = Some(Cow::Borrowed(plan));
-    state.chunks = chunks;
-    state.zones = zones;
-    state.zone_candidates = zone_candidates;
-    state.qf_result_id = qf_result_id;
-    let trace = pipeline.run(&mut state)?;
-    Ok(Stage2Plan {
-        physical: state.physical.expect("chunk_rewrite produced a plan"),
-        chunks: state.chunks,
-        pruned: state.pruned,
-        trace,
-    })
+    let mut trace = Vec::with_capacity(3);
+    let pruned = run_pass(&mut trace, "zone_map_pruning", || {
+        Ok(zone_map_pruning(
+            plan,
+            chunks.as_mut(),
+            zones,
+            zone_candidates,
+            config.zone_map_pruning,
+        ))
+    })?;
+    let physical = run_pass(&mut trace, "chunk_rewrite", || {
+        chunk_rewrite(plan, db, chunks.as_deref(), qf_result_id, config.use_index_joins)
+    })?;
+    let physical =
+        run_pass(&mut trace, "partial_agg_fusion", || Ok(partial_agg_fusion(physical)))?;
+    Ok(Stage2Plan { physical, chunks, pruned, trace })
+}
+
+/// Record a span `name` under the ambient span, from `start_ns` to
+/// now, with one child per pass of `trace`. The passes ran in order, so
+/// each child starts where the previous one's recorded time ended.
+pub fn record_pass_spans(
+    tc: &TraceCollector,
+    name: &'static str,
+    start_ns: u64,
+    trace: &[PassTrace],
+) {
+    let parent = tc.record(
+        tc.ambient(),
+        name,
+        format!("{} passes", trace.len()),
+        start_ns,
+        tc.now_ns().saturating_sub(start_ns),
+        None,
+        None,
+        None,
+    );
+    let mut cursor = start_ns;
+    for p in trace {
+        tc.record(Some(parent), p.name, p.detail.clone(), cursor, p.nanos, None, None, None);
+        cursor += p.nanos;
+    }
 }
 
 /// Render a trace as indented lines (what EXPLAIN appends).

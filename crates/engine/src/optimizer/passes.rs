@@ -1,167 +1,137 @@
-//! The concrete optimizer passes. See the [module docs](super) for the
-//! pipeline order.
+//! The optimizer passes, as plain functions. Each returns its output
+//! plus whether it fired and a one-line detail; [`super::compile_plan`]
+//! and [`super::rewrite_stage2`] call them in order and time them.
 
-use super::{ColumnZone, OptPass, OptState, PassEffect, ZoneCandidates, ZoneConstraint};
-use crate::error::{EngineError, Result};
+use super::{ColumnZone, ZoneCandidateFn, ZoneCandidates, ZoneConstraint, ZoneMapFn};
+use crate::error::Result;
 use crate::expr::{CmpOp, Expr};
 use crate::joinorder::{plan_query, PlanOptions};
 use crate::logical::LogicalPlan;
-use crate::physical::{fuse_partial_agg, lower, LowerOptions, PhysicalPlan};
-use sommelier_storage::Value;
+use crate::physical::{fuse_partial_agg, lower, ChunkRef, LowerOptions, PhysicalPlan};
+use crate::spec::QuerySpec;
+use sommelier_storage::{Database, Value};
 use std::collections::HashSet;
 
 /// `join_order` — the paper's R1–R4 metadata-first decomposition
 /// (`Q = Qf ▷ Qs`) or, for eager plans, the traditional greedy order.
-/// Consumes [`OptState::spec`], produces [`OptState::logical`].
-pub struct JoinOrder {
-    pub options: PlanOptions,
-}
-
-impl JoinOrder {
-    /// Wrap existing plan options.
-    pub fn from_options(opts: &PlanOptions) -> Self {
-        JoinOrder { options: opts.clone() }
-    }
-}
-
-impl OptPass for JoinOrder {
-    fn name(&self) -> &'static str {
-        "join_order"
-    }
-
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect> {
-        let Some(spec) = state.spec else {
-            return Ok(PassEffect::Skipped("no spec to order".into()));
-        };
-        let plan = plan_query(spec, &self.options)?;
-        let detail = if self.options.metadata_first {
-            match plan.qf() {
-                Some(qf) => format!(
-                    "metadata-first: Qf over [{}]{}",
-                    qf.tables().join(", "),
-                    if plan.has_lazy_scan() { ", lazy actual-data scans above" } else { "" }
-                ),
-                None => "metadata-first: no metadata tables (pure actual-data)".into(),
-            }
-        } else {
-            "traditional greedy order (eager plan)".into()
-        };
-        state.logical = Some(std::borrow::Cow::Owned(plan));
-        Ok(PassEffect::Fired(detail))
-    }
+pub fn join_order(
+    spec: &QuerySpec,
+    opts: &PlanOptions,
+) -> Result<(LogicalPlan, bool, String)> {
+    let plan = plan_query(spec, opts)?;
+    let detail = if opts.metadata_first {
+        match plan.qf() {
+            Some(qf) => format!(
+                "metadata-first: Qf over [{}]{}",
+                qf.tables().join(", "),
+                if plan.has_lazy_scan() { ", lazy actual-data scans above" } else { "" }
+            ),
+            None => "metadata-first: no metadata tables (pure actual-data)".into(),
+        }
+    } else {
+        "traditional greedy order (eager plan)".into()
+    };
+    Ok((plan, true, detail))
 }
 
 /// `zone_map_pruning` — drop chunks whose recorded min/max zone maps
 /// contradict the lazy scan's pushed-down predicate, before any decode
 /// is scheduled. With several lazy scans (which share one chunk list),
 /// a chunk is dropped only if *every* scan's predicate contradicts it.
-pub struct ZoneMapPruning {
-    pub enabled: bool,
-}
-
-impl OptPass for ZoneMapPruning {
-    fn name(&self) -> &'static str {
-        "zone_map_pruning"
+/// Returns how many chunks it dropped from `chunks`.
+pub fn zone_map_pruning(
+    plan: &LogicalPlan,
+    chunks: Option<&mut Vec<ChunkRef>>,
+    zones: Option<&ZoneMapFn<'_>>,
+    zone_candidates: Option<&ZoneCandidateFn<'_>>,
+    enabled: bool,
+) -> (usize, bool, String) {
+    let skipped = |detail: &str| (0, false, detail.to_string());
+    if !enabled {
+        return skipped("disabled by config");
     }
-
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect> {
-        if !self.enabled {
-            return Ok(PassEffect::Skipped("disabled by config".into()));
+    let Some(chunks) = chunks else {
+        return skipped("no run-time chunk list");
+    };
+    let Some(zones) = zones else {
+        // EXPLAIN has no zone provider; the pass is armed and applies
+        // once the chunk list is real.
+        return skipped("armed; chunk zones resolved at run time");
+    };
+    let mut predicates: Vec<Option<&Expr>> = Vec::new();
+    plan.visit(&mut |p| {
+        if let LogicalPlan::LazyScan { predicate, .. } = p {
+            predicates.push(predicate.as_ref());
         }
-        let Some(chunks) = state.chunks.as_mut() else {
-            return Ok(PassEffect::Skipped("no run-time chunk list".into()));
-        };
-        let Some(zones) = state.zones else {
-            // Plan-time pipelines (EXPLAIN) have no zone provider; the
-            // pass is armed and applies once the chunk list is real.
-            return Ok(PassEffect::Skipped("armed; chunk zones resolved at run time".into()));
-        };
-        let plan = state.logical.as_ref().ok_or_else(|| {
-            EngineError::Plan("zone_map_pruning needs the logical plan".into())
-        })?;
-        let mut predicates: Vec<Option<&Expr>> = Vec::new();
-        plan.visit(&mut |p| {
-            if let LogicalPlan::LazyScan { predicate, .. } = p {
-                predicates.push(predicate.as_ref());
-            }
-        });
-        if predicates.is_empty() || predicates.iter().any(|p| p.is_none()) {
-            return Ok(PassEffect::Skipped(
-                "no pushed-down predicate on the lazy scans".into(),
-            ));
-        }
-        // Split each predicate into conjuncts once, not once per chunk.
-        let conjunct_sets: Vec<Vec<&Expr>> =
-            predicates.iter().map(|p| p.expect("checked above").conjuncts()).collect();
-        let before = chunks.len();
+    });
+    if predicates.is_empty() || predicates.iter().any(|p| p.is_none()) {
+        return skipped("no pushed-down predicate on the lazy scans");
+    }
+    // Split each predicate into conjuncts once, not once per chunk.
+    let conjunct_sets: Vec<Vec<&Expr>> =
+        predicates.iter().map(|p| p.expect("checked above").conjuncts()).collect();
+    let before = chunks.len();
 
-        // Indexed prefilter: ask the registry's sorted interval index
-        // which chunks may satisfy each scan's constraints
-        // (O(log n + hits) instead of touching every chunk's zones). A
-        // chunk survives if *any* scan's candidate set keeps it; the
-        // exact per-chunk checks below then run on the survivors only —
-        // so an over-approximating index stays sound and the final
-        // chunk list is identical to the unindexed path.
-        let mut indexed = false;
-        if let Some(index) = state.zone_candidates {
-            let mut keep: HashSet<std::sync::Arc<str>> = HashSet::new();
-            let mut keep_all = false;
-            for conjuncts in &conjunct_sets {
-                let constraints: Vec<ZoneConstraint> =
-                    conjuncts.iter().copied().filter_map(as_zone_constraint).collect();
-                match (!constraints.is_empty()).then(|| index(&constraints)).flatten() {
-                    Some(ZoneCandidates::Uris(uris)) => keep.extend(uris),
-                    // This scan constrains nothing the index can see:
-                    // every chunk survives the prefilter.
-                    Some(ZoneCandidates::All) | None => {
-                        keep_all = true;
-                        break;
-                    }
+    // Indexed prefilter: ask the registry's sorted interval index
+    // which chunks may satisfy each scan's constraints
+    // (O(log n + hits) instead of touching every chunk's zones). A
+    // chunk survives if *any* scan's candidate set keeps it; the
+    // exact per-chunk checks below then run on the survivors only —
+    // so an over-approximating index stays sound and the final
+    // chunk list is identical to the unindexed path.
+    let mut indexed = false;
+    if let Some(index) = zone_candidates {
+        let mut keep: HashSet<std::sync::Arc<str>> = HashSet::new();
+        let mut keep_all = false;
+        for conjuncts in &conjunct_sets {
+            let constraints: Vec<ZoneConstraint> =
+                conjuncts.iter().copied().filter_map(as_zone_constraint).collect();
+            match (!constraints.is_empty()).then(|| index(&constraints)).flatten() {
+                Some(ZoneCandidates::Uris(uris)) => keep.extend(uris),
+                // This scan constrains nothing the index can see:
+                // every chunk survives the prefilter.
+                Some(ZoneCandidates::All) | None => {
+                    keep_all = true;
+                    break;
                 }
             }
-            if !keep_all {
-                chunks.retain(|c| keep.contains(c.uri.as_str()));
-                indexed = true;
-            }
         }
+        if !keep_all {
+            chunks.retain(|c| keep.contains(c.uri.as_str()));
+            indexed = true;
+        }
+    }
 
-        // Exact per-chunk zone checks on the (prefiltered) list.
-        chunks.retain(|c| {
-            let Some(zone) = zones(&c.uri) else { return true };
-            // Prunable only if every lazy scan's predicate rules the
-            // chunk out.
-            !conjunct_sets
-                .iter()
-                .all(|conjuncts| conjuncts.iter().any(|c| conjunct_contradicted(c, &zone)))
-        });
-        let pruned = before - chunks.len();
-        state.pruned = pruned;
-        let how = if indexed { "indexed" } else { "scanned" };
-        if pruned == 0 {
-            Ok(PassEffect::Skipped(format!("no chunk of {before} contradicted ({how})")))
-        } else {
-            Ok(PassEffect::Fired(format!("pruned {pruned} of {before} chunks ({how})")))
-        }
+    // Exact per-chunk zone checks on the (prefiltered) list.
+    chunks.retain(|c| {
+        let Some(zone) = zones(&c.uri) else { return true };
+        // Prunable only if every lazy scan's predicate rules the
+        // chunk out.
+        !conjunct_sets
+            .iter()
+            .all(|conjuncts| conjuncts.iter().any(|c| conjunct_contradicted(c, &zone)))
+    });
+    let pruned = before - chunks.len();
+    let how = if indexed { "indexed" } else { "scanned" };
+    if pruned == 0 {
+        (0, false, format!("no chunk of {before} contradicted ({how})"))
+    } else {
+        (pruned, true, format!("pruned {pruned} of {before} chunks ({how})"))
     }
 }
 
-/// Normalize one conjunct into the `column ⟨op⟩ literal` form a zone
-/// interval index can answer; `None` for any other shape.
-pub fn as_zone_constraint(conjunct: &Expr) -> Option<ZoneConstraint> {
-    let Expr::Cmp(op, lhs, rhs) = conjunct else { return None };
-    let (op, col, lit) = match (&**lhs, &**rhs) {
-        (Expr::Col(c), Expr::Lit(v)) => (*op, c, v),
-        (Expr::Lit(v), Expr::Col(c)) => (op.flip(), c, v),
-        _ => return None,
-    };
-    Some(ZoneConstraint { column: col.clone(), op, value: lit.clone() })
+/// A `column ⟨op⟩ literal` conjunct as the constraint a zone interval
+/// index answers ([`Expr::as_range`]); `None` for any other shape.
+fn as_zone_constraint(conjunct: &Expr) -> Option<ZoneConstraint> {
+    let (column, op, value) = conjunct.as_range()?;
+    Some(ZoneConstraint { column: column.into(), op, value: value.clone() })
 }
 
 /// The zone constraints of every lazy scan's pushed-down predicate in
 /// `plan` — one entry per lazy scan carrying a predicate. This is how
 /// `EXPLAIN` probes the registry's zone index for a candidate count
 /// without running the query (at plan time the chunk list is not yet
-/// real, so `ZoneMapPruning` itself only reports "armed").
+/// real, so `zone_map_pruning` itself only reports "armed").
 pub fn plan_zone_constraints(plan: &LogicalPlan) -> Vec<Vec<ZoneConstraint>> {
     let mut out = Vec::new();
     plan.visit(&mut |p| {
@@ -219,133 +189,51 @@ fn contradicted(pred: &Expr, zones: &[ColumnZone]) -> bool {
 }
 
 fn conjunct_contradicted(conjunct: &Expr, zones: &[ColumnZone]) -> bool {
-    // Borrowing normalization (no per-chunk clones): this runs once per
-    // chunk per conjunct in the exact retain pass.
-    let Expr::Cmp(op, lhs, rhs) = conjunct else { return false };
-    let (op, col, lit) = match (&**lhs, &**rhs) {
-        (Expr::Col(c), Expr::Lit(v)) => (*op, c.as_str(), v),
-        (Expr::Lit(v), Expr::Col(c)) => (op.flip(), c.as_str(), v),
-        _ => return false,
-    };
-    zone_conjunct_contradicted(op, col, lit, zones)
+    conjunct
+        .as_range()
+        .is_some_and(|(col, op, lit)| zone_conjunct_contradicted(op, col, lit, zones))
 }
 
 /// `chunk_rewrite` — the run-time rewrite rule (1): every lazy
 /// `scan(a)` becomes the union of cache-scans and chunk-accesses over
-/// the stage-1 chunk list, and the plan lowers to physical operators
-/// (`QfMark` → result-scan, index joins where available). Selections
-/// stay *above* the per-chunk accesses here; `selection_pushdown`
-/// moves them in.
-pub struct ChunkRewrite {
-    pub use_index_joins: bool,
+/// the stage-1 chunk list, with the scan's selection pushed into each
+/// access, and the plan lowers to physical operators (`QfMark` →
+/// result-scan, index joins where available).
+pub fn chunk_rewrite(
+    plan: &LogicalPlan,
+    db: &Database,
+    chunks: Option<&[ChunkRef]>,
+    qf_result_id: Option<usize>,
+    use_index_joins: bool,
+) -> Result<(PhysicalPlan, bool, String)> {
+    let opts = LowerOptions { db, use_index_joins, lazy_chunks: chunks, qf_result_id };
+    let phys = lower(plan, &opts)?;
+    Ok(match chunks {
+        Some(chunks) => {
+            let cached = chunks.iter().filter(|c| c.cached).count();
+            let detail = format!(
+                "lazy scans -> union of {cached} cache-scan + {} chunk-access",
+                chunks.len() - cached
+            );
+            (phys, true, detail)
+        }
+        None => (phys, false, "lowered (no lazy scans)".into()),
+    })
 }
 
-impl OptPass for ChunkRewrite {
-    fn name(&self) -> &'static str {
-        "chunk_rewrite"
-    }
-
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect> {
-        let plan = state
-            .logical
-            .as_ref()
-            .ok_or_else(|| EngineError::Plan("chunk_rewrite needs a logical plan".into()))?;
-        let opts = LowerOptions {
-            db: state.db,
-            use_index_joins: self.use_index_joins,
-            lazy_chunks: state.chunks.as_deref(),
-            chunk_pushdown: false,
-            qf_result_id: state.qf_result_id,
-        };
-        let phys = lower(plan, &opts)?;
-        let detail = match &state.chunks {
-            Some(chunks) => {
-                let cached = chunks.iter().filter(|c| c.cached).count();
-                format!(
-                    "lazy scans -> union of {cached} cache-scan + {} chunk-access",
-                    chunks.len() - cached
-                )
-            }
-            None => "lowered (no lazy scans)".into(),
-        };
-        let fired = state.chunks.is_some();
-        state.physical = Some(phys);
-        if fired {
-            Ok(PassEffect::Fired(detail))
-        } else {
-            Ok(PassEffect::Skipped(detail))
-        }
-    }
-}
-
-/// `selection_pushdown` — move each rewritten scan's selection into
-/// the per-chunk accesses (the paper's rewrite-rule refinement), so
-/// chunks filter as they decode instead of after the union
-/// materializes. Also the gate for `partial_agg_fusion`: without it
-/// the union deliberately materializes (the ablation baseline).
-pub struct SelectionPushdown {
-    pub enabled: bool,
-}
-
-impl OptPass for SelectionPushdown {
-    fn name(&self) -> &'static str {
-        "selection_pushdown"
-    }
-
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect> {
-        let phys = state.physical.as_mut().ok_or_else(|| {
-            EngineError::Plan("selection_pushdown needs a physical plan".into())
-        })?;
-        if !self.enabled {
-            return Ok(PassEffect::Skipped("disabled by config".into()));
-        }
-        let mut unions = 0usize;
-        let mut pushed = 0usize;
-        phys.visit_mut(&mut |p| {
-            if let PhysicalPlan::ChunkUnion { pushdown, predicate, .. } = p {
-                unions += 1;
-                *pushdown = true;
-                if predicate.is_some() {
-                    pushed += 1;
-                }
-            }
-        });
-        if unions == 0 {
-            Ok(PassEffect::Skipped("no chunk unions in the plan".into()))
-        } else {
-            Ok(PassEffect::Fired(format!(
-                "selections pushed into {pushed} of {unions} chunk unions"
-            )))
-        }
-    }
-}
-
-/// `partial_agg_fusion` — rewrite `Aggregate` over a pushdown chunk
-/// union (optionally through residual filters and one hash join
-/// against a chunk-free build side) into a
-/// [`PhysicalPlan::PartialAggUnion`], so stage 2 aggregates
-/// chunk-by-chunk and never materializes the union.
-pub struct PartialAggFusion;
-
-impl OptPass for PartialAggFusion {
-    fn name(&self) -> &'static str {
-        "partial_agg_fusion"
-    }
-
-    fn apply(&self, state: &mut OptState) -> Result<PassEffect> {
-        let phys = state.physical.take().ok_or_else(|| {
-            EngineError::Plan("partial_agg_fusion needs a physical plan".into())
-        })?;
-        let fused = fuse_partial_agg(phys);
-        let count = fused.partial_agg_count();
-        state.physical = Some(fused);
-        if count == 0 {
-            Ok(PassEffect::Skipped("no fusable aggregate-over-union chain".into()))
-        } else {
-            Ok(PassEffect::Fired(format!(
-                "{count} aggregate(s) fused into per-chunk partial aggregation"
-            )))
-        }
+/// `partial_agg_fusion` — rewrite `Aggregate` over a chunk union
+/// (optionally through residual filters and one hash join against a
+/// chunk-free build side) into a [`PhysicalPlan::PartialAggUnion`], so
+/// stage 2 aggregates chunk-by-chunk and never materializes the union.
+pub fn partial_agg_fusion(phys: PhysicalPlan) -> (PhysicalPlan, bool, String) {
+    let fused = fuse_partial_agg(phys);
+    match fused.partial_agg_count() {
+        0 => (fused, false, "no fusable aggregate-over-union chain".into()),
+        n => (
+            fused,
+            true,
+            format!("{n} aggregate(s) fused into per-chunk partial aggregation"),
+        ),
     }
 }
 

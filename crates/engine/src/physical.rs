@@ -117,15 +117,13 @@ pub enum PhysicalPlan {
     SeqScan { table: String, columns: Vec<String>, predicate: Option<Expr> },
     /// Scan of a materialized stage-1 result (`result-scan`).
     ResultScan { id: usize },
-    /// The rewritten `scan(a)`: union of cache-scans and chunk-accesses.
-    /// With `pushdown`, the selection applies inside each per-chunk
-    /// access; otherwise once, above the union.
+    /// The rewritten `scan(a)`: union of cache-scans and chunk-accesses,
+    /// the selection applied inside each per-chunk access.
     ChunkUnion {
         table: String,
         chunks: Vec<ChunkRef>,
         columns: Vec<String>,
         predicate: Option<Expr>,
-        pushdown: bool,
     },
     /// Morsel-parallel aggregation over a rewritten actual-data scan:
     /// per chunk, scan-level projection → pushed-down selection →
@@ -134,7 +132,7 @@ pub enum PhysicalPlan {
     /// chunk order ([`crate::agg::merge_partials`]). The union of chunk
     /// rows is never materialized, and the chunks run on a worker pool.
     /// Produced by [`fuse_partial_agg`] from `Aggregate` roots over
-    /// pushdown `ChunkUnion`s.
+    /// `ChunkUnion`s.
     PartialAggUnion {
         table: String,
         chunks: Vec<ChunkRef>,
@@ -235,8 +233,6 @@ pub struct LowerOptions<'a> {
     /// by the run-time optimizer. `None` means lazy scans are an error
     /// (stage-1 lowering and eager plans).
     pub lazy_chunks: Option<&'a [ChunkRef]>,
-    /// Push selections into per-chunk accesses (rewrite-rule refinement).
-    pub chunk_pushdown: bool,
     /// What [`LogicalPlan::QfMark`] lowers to: a result-scan of the
     /// given materialized id, or (if `None`) inline pass-through.
     pub qf_result_id: Option<usize>,
@@ -274,7 +270,6 @@ pub fn lower(plan: &LogicalPlan, opts: &LowerOptions) -> Result<PhysicalPlan> {
                 chunks: chunks.to_vec(),
                 columns: columns.clone(),
                 predicate: predicate.clone(),
-                pushdown: opts.chunk_pushdown,
             }
         }
         LogicalPlan::QfMark { input } => match opts.qf_result_id {
@@ -348,19 +343,16 @@ pub fn lower(plan: &LogicalPlan, opts: &LowerOptions) -> Result<PhysicalPlan> {
 /// Can this aggregate input chain be fused into a
 /// [`PhysicalPlan::PartialAggUnion`]? The chain may pass through any
 /// number of row-local `Filter`/`Project` nodes and at most one
-/// `HashJoin` whose probe (left) side is a pushdown `ChunkUnion` and
-/// whose build side reads no chunks. Selection pushdown must be on:
-/// without it, the run-time rewrite deliberately materializes the
-/// union before filtering (the ablation baseline).
+/// `HashJoin` whose probe (left) side is a `ChunkUnion` and whose build
+/// side reads no chunks.
 fn fusable(input: &PhysicalPlan) -> bool {
     match input {
         PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
             fusable(input)
         }
-        PhysicalPlan::ChunkUnion { pushdown, .. } => *pushdown,
+        PhysicalPlan::ChunkUnion { .. } => true,
         PhysicalPlan::HashJoin { left, right, .. } => {
-            matches!(&**left, PhysicalPlan::ChunkUnion { pushdown: true, .. })
-                && !contains_chunk_scan(right)
+            matches!(&**left, PhysicalPlan::ChunkUnion { .. }) && !contains_chunk_scan(right)
         }
         _ => false,
     }
@@ -372,7 +364,7 @@ fn contains_chunk_scan(plan: &PhysicalPlan) -> bool {
         || plan.children().iter().any(|c| contains_chunk_scan(c))
 }
 
-/// Rewrite every `Aggregate` whose input chains down to a pushdown
+/// Rewrite every `Aggregate` whose input chains down to a
 /// `ChunkUnion` (optionally through residual filters and one hash join
 /// against a chunk-free build side — the shape of every two-stage
 /// T1–T5 aggregate plan) into a [`PhysicalPlan::PartialAggUnion`], so
@@ -600,7 +592,7 @@ impl PhysicalPlan {
                 writeln!(f)
             }
             PhysicalPlan::ResultScan { id } => writeln!(f, "{pad}ResultScan #{id}"),
-            PhysicalPlan::ChunkUnion { table, chunks, predicate, pushdown, .. } => {
+            PhysicalPlan::ChunkUnion { table, chunks, predicate, .. } => {
                 let cached = chunks.iter().filter(|c| c.cached).count();
                 write!(
                     f,
@@ -608,16 +600,12 @@ impl PhysicalPlan {
                     chunks.len() - cached
                 )?;
                 if let Some(p) = predicate {
-                    write!(
-                        f,
-                        " where {p} ({})",
-                        if *pushdown { "pushed into chunks" } else { "post-union" }
-                    )?;
+                    write!(f, " where {p} (pushed into chunks)")?;
                 }
                 writeln!(f)?;
                 match predicate {
-                    Some(p) if *pushdown => write_ranges(f, &pad, p),
-                    _ => Ok(()),
+                    Some(p) => write_ranges(f, &pad, p),
+                    None => Ok(()),
                 }
             }
             PhysicalPlan::PartialAggUnion {
@@ -810,7 +798,6 @@ mod tests {
             db: &db,
             use_index_joins: true,
             lazy_chunks: None,
-            chunk_pushdown: true,
             qf_result_id: None,
         };
         let phys = lower(&join_plan(), &opts).unwrap();
@@ -831,7 +818,6 @@ mod tests {
             chunks: Vec::new(),
             columns: vec!["D.file_id".into(), "D.sample_value".into()],
             predicate: None,
-            pushdown: true,
         };
         let join = |input: PhysicalPlan| PhysicalPlan::HashJoin {
             left: Box::new(input),
@@ -874,7 +860,6 @@ mod tests {
             db: &db,
             use_index_joins: false,
             lazy_chunks: None,
-            chunk_pushdown: true,
             qf_result_id: None,
         };
         let plan = LogicalPlan::LazyScan {
@@ -896,7 +881,6 @@ mod tests {
             db: &db,
             use_index_joins: false,
             lazy_chunks: Some(&chunks),
-            chunk_pushdown: true,
             qf_result_id: Some(0),
         };
         let plan = LogicalPlan::QfMark {

@@ -9,7 +9,7 @@
 //!    determine the chunk list; every [`crate::logical::LogicalPlan::LazyScan`]
 //!    is rewritten into a union of *cache-scan* (chunk already resident)
 //!    and *chunk-access* (ingest now) entries — rewrite rule (1), with
-//!    optional selection pushdown into the accesses. Aggregates over the
+//!    the scan's selection pushed into each access. Aggregates over the
 //!    rewritten scan additionally fuse into a
 //!    [`crate::physical::PhysicalPlan::PartialAggUnion`]
 //!    ([`crate::physical::fuse_partial_agg`]).
@@ -32,13 +32,10 @@
 use crate::agg::{aggregate, merge_partials, partial_aggregate_over};
 use crate::error::ErrorKind;
 use crate::error::{EngineError, Result};
-use crate::eval::eval_mask;
 use crate::exec::{execute, ChunkPipeline, ExecContext};
 use crate::logical::LogicalPlan;
 use crate::obs::{self, span::fmt_ns, Obs, TraceCollector};
-use crate::optimizer::{
-    self, ColumnZone, PassTrace, Stage2Options, ZoneCandidates, ZoneConstraint,
-};
+use crate::optimizer::{self, ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 use crate::physical::{lower, ChunkRef, LowerOptions, PhysicalPlan};
 use crate::relation::Relation;
 use crate::sched::{DegradationPolicy, SchedPolicy};
@@ -236,11 +233,6 @@ impl Drop for PrefetchGuard {
 /// Two-stage execution configuration.
 #[derive(Debug, Clone)]
 pub struct TwoStageConfig {
-    /// Push selections into per-chunk accesses (rewrite-rule
-    /// refinement). Also gates partial-aggregation fusion: without
-    /// pushdown, stage 2 deliberately materializes the full union (the
-    /// ablation baseline).
-    pub pushdown: bool,
     /// Drop chunks whose zone maps contradict the pushed-down predicate
     /// before any decode is scheduled (the `zone_map_pruning` pass).
     pub zone_map_pruning: bool,
@@ -271,7 +263,6 @@ pub struct TwoStageConfig {
 impl Default for TwoStageConfig {
     fn default() -> Self {
         TwoStageConfig {
-            pushdown: true,
             zone_map_pruning: true,
             use_index_joins: false,
             uri_column: String::new(),
@@ -394,7 +385,6 @@ pub fn execute_plan(
                 db,
                 use_index_joins: config.use_index_joins,
                 lazy_chunks: None,
-                chunk_pushdown: config.pushdown,
                 qf_result_id: None,
             };
             let phys = lower(qf, &opts)?;
@@ -467,9 +457,9 @@ pub fn execute_plan(
         None
     };
 
-    // ---- Stage-2 rewrite pipeline: zone-map pruning, the lazy-scan →
-    // union chunk rewrite (lowering), selection pushdown, partial-
-    // aggregate fusion.
+    // ---- Stage-2 rewrite: zone-map pruning, the lazy-scan → union
+    // chunk rewrite (lowering, selections pushed into the chunks),
+    // partial-aggregate fusion.
     let zones = |uri: &str| access.and_then(|a| a.zone_maps(uri));
     let zone_candidates = |constraints: &[ZoneConstraint]| {
         // The zone-index probe: indexed stage-1 candidate selection.
@@ -497,11 +487,6 @@ pub fn execute_plan(
         config.obs.count("zone.probes", 1);
         r
     };
-    let opts = Stage2Options {
-        use_index_joins: config.use_index_joins,
-        pushdown: config.pushdown,
-        zone_map_pruning: config.zone_map_pruning,
-    };
     let considered = chunk_refs.as_ref().map(Vec::len).unwrap_or(0);
     let rw_start = tracer.map(|tc| tc.now_ns());
     let s2 = optimizer::rewrite_stage2(
@@ -511,35 +496,10 @@ pub fn execute_plan(
         Some(&zones),
         Some(&zone_candidates),
         qf_id,
-        &opts,
+        config,
     )?;
     if let (Some(tc), Some(t0)) = (tracer, rw_start) {
-        let parent = tc.record(
-            tc.ambient(),
-            "rewrite_stage2",
-            format!("{} passes", s2.trace.len()),
-            t0,
-            tc.now_ns().saturating_sub(t0),
-            None,
-            None,
-            None,
-        );
-        // Replay per-pass timings from the pipeline's trace; starts
-        // are reconstructed by accumulation (passes run in order).
-        let mut cursor = t0;
-        for p in &s2.trace {
-            tc.record(
-                Some(parent),
-                p.name,
-                p.detail.clone(),
-                cursor,
-                p.nanos,
-                None,
-                None,
-                None,
-            );
-            cursor += p.nanos;
-        }
+        optimizer::record_pass_spans(tc, "rewrite_stage2", t0, &s2.trace);
     }
     let mut phys = s2.physical;
     let trace = s2.trace;
@@ -671,9 +631,8 @@ pub fn execute_plan(
 /// Run the plan's chunk node as one wave ([`chunk_wave`]) and return
 /// its output: the merged partial states of a
 /// [`PhysicalPlan::PartialAggUnion`], or the in-order concatenation of
-/// a [`PhysicalPlan::ChunkUnion`]'s per-chunk rows — filtered once above
-/// the concatenation when the selection was not pushed down (the
-/// ablation baseline). A node over no chunks yields the table's empty
+/// a [`PhysicalPlan::ChunkUnion`]'s per-chunk filtered rows. A node over
+/// no chunks yields the table's empty
 /// schema, aggregated when the node aggregates, so the plan above keeps
 /// working.
 fn run_chunk_node(
@@ -685,13 +644,13 @@ fn run_chunk_node(
     skipped: &mut Vec<SkippedChunk>,
 ) -> Result<Relation> {
     match node {
-        PhysicalPlan::ChunkUnion { table, chunks, columns, predicate, pushdown } => {
+        PhysicalPlan::ChunkUnion { table, chunks, columns, predicate } => {
             if chunks.is_empty() {
                 return empty_chunk_schema(ctx.db, table, columns);
             }
             let pipeline = ChunkPipeline {
                 columns,
-                predicate: predicate.as_ref().filter(|_| *pushdown),
+                predicate: predicate.as_ref(),
                 build: None,
                 ops: &[],
             };
@@ -703,13 +662,7 @@ fn run_chunk_node(
                 out.union_in_place(part)?;
             }
             stats.rows_union_materialized += out.rows() as u64;
-            match predicate {
-                Some(p) if !*pushdown && out.rows() > 0 => {
-                    let mask = eval_mask(p, &out)?;
-                    Ok(out.filter(&mask))
-                }
-                _ => Ok(out),
-            }
+            Ok(out)
         }
         PhysicalPlan::PartialAggUnion {
             table,
@@ -1196,11 +1149,28 @@ mod tests {
 
     /// A config whose waves run on a fresh shared pool of `n` workers;
     /// the pool is returned so tests can check it was used.
-    fn on_pool(n: usize, pushdown: bool) -> (TwoStageConfig, Arc<MorselScheduler>) {
+    fn on_pool(n: usize) -> (TwoStageConfig, Arc<MorselScheduler>) {
         let pool = Arc::new(MorselScheduler::new(n));
-        let mut config = TwoStageConfig { pushdown, ..test_config() };
+        let mut config = test_config();
         config.sched = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
         (config, pool)
+    }
+
+    /// The unfused reference for an aggregate plan: its input runs as a
+    /// chunk-union wave, then one `aggregate` folds the whole union.
+    fn unfused(
+        db: &Database,
+        plan: &LogicalPlan,
+        residency: &FakeResidency,
+        config: &TwoStageConfig,
+    ) -> QueryOutcome {
+        let LogicalPlan::Aggregate { input, group_by, aggs } = plan else {
+            panic!("not an aggregate plan: {plan:?}");
+        };
+        let mut out = execute_plan(db, input, Some(residency), config).unwrap();
+        assert_eq!(out.stats.partial_agg_chunks, 0, "nothing to fuse below the aggregate");
+        out.relation = aggregate(&out.relation, group_by, aggs).unwrap();
+        out
     }
 
     /// Every cell of `names` in `a` equals the one in `b`, row by row.
@@ -1259,11 +1229,9 @@ mod tests {
         let residency = FakeResidency::new(3);
         let fused =
             execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap();
-        // Pushdown off → no fusion → a chunk-union wave whose rows
-        // materialize a union for the aggregate above it.
-        let config = TwoStageConfig { pushdown: false, ..test_config() };
-        let unioned = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
-        assert_eq!(unioned.stats.partial_agg_chunks, 0);
+        // The unfused reference: a chunk-union wave whose rows
+        // materialize a union for one aggregate over it.
+        let unioned = unfused(&db, &lazy_plan(), &residency, &test_config());
         assert!(unioned.stats.rows_union_materialized > 0);
         match (
             fused.relation.value(0, "avg_v").unwrap(),
@@ -1380,22 +1348,16 @@ mod tests {
     }
 
     #[test]
-    fn chunk_union_with_pushdown() {
+    fn chunk_union_filters_per_chunk() {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
-        let pushed =
+        let out =
             execute_plan(&db, &raw_plan("ISK"), Some(&residency), &test_config()).unwrap();
         // u2's 20, 21, 22 pass the selection; u0's 0, 1, 2 do not.
-        assert_eq!(pushed.relation.rows(), 3);
-        assert_eq!(pushed.stats.rows_union_materialized, 3, "filtered per chunk");
-        // Same rows without pushdown: the whole chunks concatenate, and
-        // the selection runs once above the union.
-        let config = TwoStageConfig { pushdown: false, ..test_config() };
-        let post = execute_plan(&db, &raw_plan("ISK"), Some(&residency), &config).unwrap();
-        assert_same(&pushed.relation, &post.relation, &["v"]);
-        assert_eq!(post.stats.rows_union_materialized, 6, "whole chunks unioned");
-        assert_eq!(post.stats.partial_agg_chunks, 0);
-        assert!(post.stats.accounting_balanced());
+        assert_eq!(out.relation.rows(), 3);
+        assert_eq!(out.stats.rows_union_materialized, 3, "filtered per chunk");
+        assert_eq!(out.stats.partial_agg_chunks, 0);
+        assert!(out.stats.accounting_balanced());
         assert_eq!(residency.pins.load(Ordering::SeqCst), 0);
     }
 
@@ -1405,7 +1367,7 @@ mod tests {
         let residency = FakeResidency::new(3);
         let serial =
             execute_plan(&db, &raw_plan("ISK"), Some(&residency), &test_config()).unwrap();
-        let (config, pool) = on_pool(4, true);
+        let (config, pool) = on_pool(4);
         let parallel =
             execute_plan(&db, &raw_plan("ISK"), Some(&residency), &config).unwrap();
         assert_eq!(pool.stats().tasks, 2, "both chunk pipelines ran on the pool");
@@ -1426,10 +1388,9 @@ mod tests {
                 ],
             )
         };
-        let (fused_config, _pool) = on_pool(4, true);
-        let fused = execute_plan(&db, &plan(), Some(&residency), &fused_config).unwrap();
-        let (unfused_config, _pool) = on_pool(4, false);
-        let want = execute_plan(&db, &plan(), Some(&residency), &unfused_config).unwrap();
+        let (config, _pool) = on_pool(4);
+        let fused = execute_plan(&db, &plan(), Some(&residency), &config).unwrap();
+        let want = unfused(&db, &plan(), &residency, &config);
         // Partial aggregation materialized no union.
         assert_eq!(fused.stats.partial_agg_chunks, 3);
         assert_eq!(fused.stats.rows_union_materialized, 0);
@@ -1449,14 +1410,11 @@ mod tests {
             group_by: vec![],
             aggs: vec![("s".into(), AggFunc::Sum, Expr::col("D.sample_value"))],
         };
-        let (config, _pool) = on_pool(2, true);
+        let (config, _pool) = on_pool(2);
         let fused = execute_plan(&db, &plan, Some(&residency), &config).unwrap();
         assert_eq!(fused.stats.partial_agg_chunks, 2, "join shape fuses");
-        // No-pushdown unions do not fuse (they are the ablation baseline).
-        let (config, _pool) = on_pool(2, false);
-        let unfused = execute_plan(&db, &plan, Some(&residency), &config).unwrap();
-        assert_eq!(unfused.stats.partial_agg_chunks, 0);
-        assert_same(&unfused.relation, &fused.relation, &["s"]);
+        let want = unfused(&db, &plan, &residency, &config);
+        assert_same(&want.relation, &fused.relation, &["s"]);
         assert_eq!(fused.relation.value(0, "s").unwrap(), Value::Float(23.0));
     }
 
@@ -1482,12 +1440,11 @@ mod tests {
                 vec![("s".into(), AggFunc::Sum, Expr::col("doubled"))],
             )
         };
-        let (config, _pool) = on_pool(2, true);
+        let (config, _pool) = on_pool(2);
         let fused = execute_plan(&db, &plan(), Some(&residency), &config).unwrap();
         assert_eq!(fused.stats.partial_agg_chunks, 3, "project chain fuses");
-        let (config, _pool) = on_pool(2, false);
-        let unfused = execute_plan(&db, &plan(), Some(&residency), &config).unwrap();
-        assert_same(&unfused.relation, &fused.relation, &["s"]);
+        let want = unfused(&db, &plan(), &residency, &config);
+        assert_same(&want.relation, &fused.relation, &["s"]);
         assert_eq!(fused.relation.value(0, "s").unwrap(), Value::Float(198.0));
     }
 
@@ -1509,14 +1466,12 @@ mod tests {
     }
 
     #[test]
-    fn unfused_pure_ad_plan_pins_one_chunk_at_a_time() {
-        // Pushdown off: the aggregate sits over a chunk union. Its wave
-        // still drops each chunk's pin as the chunk's rows are gathered,
-        // so a serial run never holds two pins.
+    fn chunk_union_wave_pins_one_chunk_at_a_time() {
+        // A chunk-union wave drops each chunk's pin as the chunk's rows
+        // are gathered, so a serial run never holds two pins.
         let db = metadata_db();
         let residency = FakeResidency::new(3);
-        let config = TwoStageConfig { pushdown: false, ..test_config() };
-        let out = execute_plan(&db, &count_plan(), Some(&residency), &config).unwrap();
+        let out = unfused(&db, &count_plan(), &residency, &test_config());
         assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(9));
         assert_eq!(out.stats.files_loaded, 3);
         assert_eq!(residency.peak_pins.load(Ordering::SeqCst), 1);
@@ -1530,20 +1485,17 @@ mod tests {
         residency.resident.lock().insert("u3".into(), Arc::new(FakeSource::rel_for(3)));
         residency.quarantined.lock().insert("u1".into(), "quarantined earlier".into());
         residency.unreadable.lock().insert("u2".into(), "bad magic".into());
-        for pushdown in [true, false] {
-            let mut config =
-                TwoStageConfig { pushdown, sampling: Some(0.7), ..test_config() };
-            config.sched.degradation = DegradationPolicy::SkipUnreadable;
-            let out = execute_plan(&db, &count_plan(), Some(&residency), &config).unwrap();
-            let s = &out.stats;
-            assert!(s.accounting_balanced(), "{s:?}");
-            assert_eq!((s.files_selected, s.files_sampled_out), (6, 1), "{s:?}");
-            assert_eq!(s.files_loaded + s.cache_hits + s.files_skipped, 5, "{s:?}");
-            assert!(s.files_skipped >= 1 && s.cache_hits >= 1, "{s:?}");
-            assert_eq!(out.skipped.len(), s.files_skipped);
-            let rows = 3 * (s.files_loaded + s.cache_hits) as i64;
-            assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(rows));
-        }
+        let mut config = TwoStageConfig { sampling: Some(0.7), ..test_config() };
+        config.sched.degradation = DegradationPolicy::SkipUnreadable;
+        let out = execute_plan(&db, &count_plan(), Some(&residency), &config).unwrap();
+        let s = &out.stats;
+        assert!(s.accounting_balanced(), "{s:?}");
+        assert_eq!((s.files_selected, s.files_sampled_out), (6, 1), "{s:?}");
+        assert_eq!(s.files_loaded + s.cache_hits + s.files_skipped, 5, "{s:?}");
+        assert!(s.files_skipped >= 1 && s.cache_hits >= 1, "{s:?}");
+        assert_eq!(out.skipped.len(), s.files_skipped);
+        let rows = 3 * (s.files_loaded + s.cache_hits) as i64;
+        assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(rows));
         assert_eq!(residency.pins.load(Ordering::SeqCst), 0);
     }
 

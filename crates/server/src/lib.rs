@@ -9,13 +9,16 @@
 //! (`SommelierConfig::max_threads` persistent workers), so the total
 //! number of live worker threads is bounded no matter how many sessions
 //! are active.
-//! Admission control (`SommelierConfig::admission_*`) queues excess
-//! queries instead of letting them thrash the cellar's byte budget.
-//! The same bounding applies to cold-read bandwidth: raw-byte prefetch
+//! Admission control (`SommelierConfig::admission_*`) bounds how many
+//! queries run at once: the rest queue in priority order, and beyond
+//! the queue limit they are rejected as overloaded. It does not look at
+//! memory; the cellar budget (`SommelierConfig::cellar_bytes`) is the
+//! only bound on chunk memory, staged prefetch bytes included.
+//! Cold reads are bounded like workers: raw-byte prefetch
 //! (`SommelierConfig::prefetch_depth`) runs on the system's **one
 //! shared IO-thread pool**, so concurrent sessions compete for a fixed
-//! set of `somm-io-N` readers (and one staged-byte cap) rather than
-//! spawning per-session prefetchers.
+//! set of `somm-io-N` readers rather than spawning per-session
+//! prefetchers.
 //!
 //! ```no_run
 //! use sommelier_core::adapters::EventLogAdapter;

@@ -19,9 +19,9 @@ use sommelier_core::source::SourceAdapter;
 use sommelier_core::{LoadingMode, QueryResult, Sommelier, SommelierConfig};
 use sommelier_engine::expr::CmpOp;
 use sommelier_engine::logical::LogicalPlan;
-use sommelier_engine::optimizer::{self, Stage2Options, ZoneCandidates, ZoneConstraint};
+use sommelier_engine::optimizer::{self, ZoneCandidates, ZoneConstraint};
 use sommelier_engine::physical::ChunkRef;
-use sommelier_engine::{ColumnZone, Expr, Relation};
+use sommelier_engine::{ColumnZone, Expr, Relation, TwoStageConfig};
 use sommelier_integration::reference::{ReferenceEventLog, ReferenceMseed};
 use sommelier_integration::{ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
@@ -298,8 +298,7 @@ fn indexed_pruning_pass_matches_per_chunk_scan() {
         ),
     };
     let db = Database::in_memory(Default::default());
-    let opts =
-        Stage2Options { use_index_joins: false, pushdown: true, zone_map_pruning: true };
+    let config = TwoStageConfig::default();
     let zones = |uri: &str| registry.zones_of(uri);
     let candidates = |constraints: &[ZoneConstraint]| -> Option<ZoneCandidates> {
         registry.zone_candidates(constraints)
@@ -312,7 +311,7 @@ fn indexed_pruning_pass_matches_per_chunk_scan() {
         Some(&zones),
         Some(&candidates),
         None,
-        &opts,
+        &config,
     )
     .unwrap();
     let scanned = optimizer::rewrite_stage2(
@@ -322,7 +321,7 @@ fn indexed_pruning_pass_matches_per_chunk_scan() {
         Some(&zones),
         None,
         None,
-        &opts,
+        &config,
     )
     .unwrap();
 

@@ -190,13 +190,7 @@ fn explain_prints_the_pass_trace() {
     let plan =
         somm.explain("SELECT AVG(E.val) FROM eventview WHERE G.host = 'web-1'").unwrap();
     assert!(plan.contains("-- optimizer passes"), "{plan}");
-    for pass in [
-        "join_order",
-        "zone_map_pruning",
-        "chunk_rewrite",
-        "selection_pushdown",
-        "partial_agg_fusion",
-    ] {
+    for pass in ["join_order", "zone_map_pruning", "chunk_rewrite", "partial_agg_fusion"] {
         assert!(plan.contains(pass), "missing {pass} in {plan}");
     }
     assert!(plan.contains("partial_agg_fusion: fired"), "{plan}");
@@ -298,6 +292,27 @@ fn explain_prints_the_range_conjuncts() {
             "range D.sample_value (-inf, 3)"
         ]
     );
+    // Raw rows: no aggregate to fuse, so the chunk union stays and
+    // its selection still runs inside each chunk, with its range line.
+    let raw = somm
+        .explain(
+            "SELECT D.sample_value FROM dataview WHERE F.station = 'ISK' \
+             AND D.sample_time >= '2010-01-01T03:00:00.000' \
+             AND D.sample_time < '2010-01-02T21:00:00.000'",
+        )
+        .unwrap();
+    let lines: Vec<&str> = raw.lines().collect();
+    let union = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("ChunkUnion D"))
+        .unwrap_or_else(|| panic!("no ChunkUnion D in {raw}"));
+    assert!(lines[union].ends_with("(pushed into chunks)"), "{raw}");
+    assert_eq!(
+        lines[union + 1].trim(),
+        "range D.sample_time ['2010-01-01T03:00:00.000', '2010-01-02T21:00:00.000')",
+        "{raw}"
+    );
+    assert!(!raw.contains("PartialAggUnion"), "{raw}");
     // No pushed-down selection (T5): no range line.
     assert!(ranges(
         "SELECT AVG(D.sample_value) FROM windowdataview WHERE F.station = 'ISK' \

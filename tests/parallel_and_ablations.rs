@@ -1,6 +1,5 @@
-//! The design-choice ablations, as correctness tests: selection
-//! pushdown, FK verification on lazy loads, and index joins — every
-//! knob must preserve answers.
+//! The design-choice ablations, as correctness tests: FK verification
+//! on lazy loads and index joins — every knob must preserve answers.
 //!
 //! The `serial ≡ parallel` suite additionally pins down the strongest
 //! guarantee of the morsel-parallel stage 2: per-chunk partial
@@ -19,22 +18,6 @@ const Q: &str = "SELECT AVG(D.sample_value) FROM dataview \
                  WHERE F.station = 'FIAM' \
                  AND D.sample_time >= '2010-01-01T00:00:00.000' \
                  AND D.sample_time < '2010-01-05T00:00:00.000'";
-
-#[test]
-fn pushdown_toggle_preserves_answers() {
-    let dir = TempDir::new("pushdown");
-    let repo = fiam_repo(&dir, 4, 64);
-    let with = {
-        let somm = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
-        scalar_f64(&somm.query(Q).unwrap(), "avg").unwrap()
-    };
-    let without = {
-        let config = SommelierConfig { chunk_pushdown: false, ..SommelierConfig::default() };
-        let somm = prepared(&repo, LoadingMode::Lazy, config);
-        scalar_f64(&somm.query(Q).unwrap(), "avg").unwrap()
-    };
-    assert!((with - without).abs() < 1e-9, "{with} vs {without}");
-}
 
 #[test]
 fn lazy_fk_verification_passes_on_consistent_data() {
@@ -273,8 +256,8 @@ fn serial_and_parallel_byte_identical_under_tight_cellar_budget() {
 
 #[test]
 fn all_knobs_combined() {
-    // No pushdown + FK verification + tiny cache: the most hostile
-    // configuration must still answer correctly.
+    // FK verification + tiny cache: the most hostile configuration
+    // must still answer correctly.
     let dir = TempDir::new("all-knobs");
     let repo = fiam_repo(&dir, 4, 32);
     let reference = {
@@ -282,7 +265,6 @@ fn all_knobs_combined() {
         scalar_f64(&somm.query(Q).unwrap(), "avg").unwrap()
     };
     let config = SommelierConfig {
-        chunk_pushdown: false,
         verify_lazy_fk: true,
         cellar_bytes: Some(1),
         ..SommelierConfig::default()
