@@ -393,7 +393,7 @@ pub fn fault_sweep(scale: &BenchScale) -> Result<Table> {
         let mut degraded = 0usize;
         let mut lat = Vec::new();
         let mut faults = 0u64;
-        let retries_before = sommelier_core::fault::io_retries();
+        let mut retries = 0u64;
         for run in 0..runs {
             let mut plan = FaultPlan::transient(rate);
             plan.seed = 0x5eed_f00d ^ (run as u64).wrapping_mul(0x9e37_79b9);
@@ -420,7 +420,11 @@ pub fn fault_sweep(scale: &BenchScale) -> Result<Table> {
                 },
                 ..Default::default()
             };
+            let retried =
+                || guard.somm.metrics_snapshot().counter("fault.io_retries").unwrap_or(0);
+            let before = retried();
             let (r, d) = time_it(|| guard.somm.query_opts(&sql, &opts));
+            retries += retried() - before;
             match r {
                 Ok(res) => {
                     ok += 1;
@@ -458,7 +462,7 @@ pub fn fault_sweep(scale: &BenchScale) -> Result<Table> {
             format!("{:.1}", 100.0 * degraded as f64 / runs as f64),
             q(0.50),
             q(0.99),
-            (sommelier_core::fault::io_retries() - retries_before).to_string(),
+            retries.to_string(),
             faults.to_string(),
         ]);
     }

@@ -61,8 +61,9 @@ pub struct CellarConfig {
     /// running must stay resident); as each pin drops the budget is
     /// enforced again.
     pub budget_bytes: usize,
-    /// Observability handle: worker-pool counters of the decode pools
-    /// flow through it. The cellar's own counters live in its internal
+    /// Observability handle: the decode waves' `pool.*` counters and
+    /// the retries' `fault.io_retries` flow through it. The cellar's
+    /// own counters live in its internal
     /// stats atomics regardless (they are mirrored into the metrics
     /// registry at snapshot time), so `Obs::off()` costs nothing here.
     pub obs: Obs,
@@ -875,7 +876,7 @@ mod tests {
     use crate::dmd::DmdManager;
     use crate::registrar::register_source;
     use crate::source::SourceAdapter;
-    use sommelier_engine::MorselScheduler;
+    use sommelier_engine::{Metric, MetricsRegistry, MorselScheduler, ObsLevel};
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
@@ -1386,7 +1387,7 @@ mod tests {
 
     // ---- Fault tolerance ---------------------------------------------
 
-    use crate::fault::{io_retries, FaultInjector, FaultPlan};
+    use crate::fault::{FaultInjector, FaultPlan};
     use sommelier_engine::sched::CancelToken;
 
     /// Like [`binding`], but every decode is gated through a fault
@@ -1422,14 +1423,18 @@ mod tests {
         let all = uris(&fx);
         let clean = cellar_over(&fx, CellarConfig::default());
         let expect = rows_per_chunk(&clean, &all, &pooled()).unwrap();
-        let before = io_retries();
-        let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), CellarConfig::default());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let config = CellarConfig {
+            obs: Obs::new(ObsLevel::Counters, Arc::clone(&metrics)),
+            ..CellarConfig::default()
+        };
+        let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), config);
         // Strict policy: a chunk that exhausted its retries would fail
         // the wave, never turn into a placeholder.
         let rows = rows_per_chunk(&cellar, &all, &pooled()).unwrap();
         assert_eq!(rows, expect, "retried loads decode the same data");
         cellar.clear();
-        assert!(io_retries() > before, "transient faults were retried");
+        assert!(metrics.get(Metric::FaultIoRetries) > 0, "transient faults were retried");
         assert_eq!(cellar.total_pins(), 0);
     }
 

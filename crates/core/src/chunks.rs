@@ -11,16 +11,15 @@ use crate::fault::FaultInjector;
 use crate::prefetch::{PrefetchStage, RawFetcher};
 use crate::source::{RawChunk, SourceAdapter};
 use parking_lot::Mutex;
-use sommelier_engine::obs::metrics::Counter;
 use sommelier_engine::optimizer::zone_conjunct_contradicted;
 use sommelier_engine::{
-    CmpOp, ColumnZone, EngineError, Obs, Relation, ZoneCandidates, ZoneConstraint,
+    CmpOp, ColumnZone, EngineError, Metric, Obs, Relation, ZoneCandidates, ZoneConstraint,
 };
 use sommelier_storage::{DataType, Database, Value};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One registered chunk file.
 #[derive(Debug, Clone)]
@@ -541,23 +540,6 @@ impl ChunkRegistry {
     }
 }
 
-/// Cached decode-metric handles (registered once at construction so
-/// the hot path never takes the registry's map lock).
-struct DecodeCounters {
-    chunks: Arc<Counter>,
-    rows: Arc<Counter>,
-    bytes: Arc<Counter>,
-    ns: Arc<Counter>,
-}
-
-impl DecodeCounters {
-    fn observe(&self, rel: &Relation, elapsed: Duration) {
-        self.rows.add(rel.rows() as u64);
-        self.bytes.add(rel.approx_bytes() as u64);
-        self.ns.add(elapsed.as_nanos() as u64);
-    }
-}
-
 /// The chunk source of one registered source: resolves URIs through
 /// the registry and decodes through the source's adapter. The cellar is
 /// its only caller.
@@ -568,9 +550,9 @@ pub struct AdapterChunkSource {
     /// Verify FK integrity of every ingested row against the metadata
     /// PK indices — the work the paper's lazy variant skips (§VI-A).
     verify_fk: bool,
-    /// Decode counters, present when built [`Self::with_obs`] at a
-    /// counting level.
-    counters: Option<DecodeCounters>,
+    /// Where `decode.*` is counted ([`Self::with_obs`]; detached by
+    /// default).
+    obs: Obs,
     /// Deterministic fault injection at the decode seam (see
     /// [`crate::FaultPlan`]); `None` in production.
     faults: Option<Arc<FaultInjector>>,
@@ -593,7 +575,7 @@ impl AdapterChunkSource {
             registry,
             db,
             verify_fk,
-            counters: None,
+            obs: Obs::off(),
             faults: None,
             prefetch: None,
         }
@@ -614,15 +596,9 @@ impl AdapterChunkSource {
     }
 
     /// Record `decode.*` metrics (chunks, rows, bytes, ns) into
-    /// `obs`'s registry on every decode. A no-op handle (level `Off` or
-    /// no registry) leaves the hot path untouched.
+    /// `obs`'s registry on every decode.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.counters = obs.metrics().map(|m| DecodeCounters {
-            chunks: m.counter("decode.chunks"),
-            rows: m.counter("decode.rows"),
-            bytes: m.counter("decode.bytes"),
-            ns: m.counter("decode.ns"),
-        });
+        self.obs = obs.clone();
         self
     }
 
@@ -713,10 +689,11 @@ impl AdapterChunkSource {
             None => self.adapter.decode(entry, None)?,
         };
         self.verify(&rel)?;
-        if let Some(c) = &self.counters {
-            c.chunks.inc();
-            c.observe(&rel, t.elapsed());
-        }
+        let o = &self.obs;
+        o.count(Metric::DecodeChunks, 1);
+        o.count(Metric::DecodeRows, rel.rows() as u64);
+        o.count(Metric::DecodeBytes, rel.approx_bytes() as u64);
+        o.count(Metric::DecodeNs, t.elapsed().as_nanos() as u64);
         Ok(rel)
     }
 }

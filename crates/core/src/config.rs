@@ -33,11 +33,10 @@ pub struct SommelierConfig {
     /// registration fan-out. `1` runs every query serially on the
     /// caller's thread. Answers do not depend on it.
     pub max_threads: usize,
-    /// Observability level: `Off` (no accounting beyond
-    /// [`crate::ExecStats`]), `Counters` (atomic metric counters,
-    /// default — what the benchmark measures), or
-    /// `Spans` (counters plus a per-query span trace on every run,
-    /// what `EXPLAIN ANALYZE` forces for its one query).
+    /// Observability level: `Counters` (the metric catalogue's atomic
+    /// counters, default — what the benchmark measures) or `Spans`
+    /// (counters plus a per-query span trace on every run, what
+    /// `EXPLAIN ANALYZE` forces for its one query).
     pub observability: ObsLevel,
     /// Admission control: how many queries may execute concurrently;
     /// the rest queue (priority-ordered, FIFO within a priority).

@@ -12,7 +12,7 @@
 //! every chunk decode.
 
 use parking_lot::Mutex;
-use sommelier_engine::{CancelToken, EngineError, ErrorKind, Obs, TraceCollector};
+use sommelier_engine::{CancelToken, EngineError, ErrorKind, Metric, Obs, TraceCollector};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -314,23 +314,12 @@ impl RetryPolicy {
     }
 }
 
-/// Process-wide count of chunk-IO retries, mirrored into
-/// `metrics_snapshot()` as `fault.io_retries` (same idiom as the
-/// decode arena counters: an atomic the hot path can bump without an
-/// observability handle).
-static IO_RETRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Total chunk-IO retries performed by this process.
-pub fn io_retries() -> u64 {
-    IO_RETRIES.load(Ordering::Relaxed)
-}
-
 /// Run `f`, retrying transient failures under `policy` with bounded
 /// exponential backoff. Permanent failures and cancellations surface
 /// immediately; the backoff sleep is truncated at the cancel token's
 /// deadline, and the token is re-checked after every sleep so a
 /// cancelled query never burns its remaining budget waiting. Each
-/// retry bumps `fault.io_retries` and, when the owning query traces
+/// retry bumps `obs`'s `fault.io_retries` and, when the owning query traces
 /// spans (`tracer`), records a `retry` span under the ambient (load)
 /// span.
 ///
@@ -369,8 +358,7 @@ pub fn with_retries<T>(
         if err.kind() != ErrorKind::Transient || attempt >= max_attempts {
             return Err(err);
         }
-        IO_RETRIES.fetch_add(1, Ordering::Relaxed);
-        obs.count("fault.io_retries", 1);
+        obs.count(Metric::FaultIoRetries, 1);
         let mut delay = policy.backoff(attempt);
         if let Some(d) = cancel.and_then(|c| c.deadline()) {
             delay = delay.min(d.saturating_duration_since(Instant::now()));

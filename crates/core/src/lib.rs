@@ -67,7 +67,7 @@ pub use sommelier_engine::sched::{
 };
 pub use sommelier_engine::twostage::SkippedChunk;
 pub use sommelier_engine::{
-    ErrorKind, MetricsRegistry, MetricsSnapshot, ObsLevel, SpanTrace,
+    ErrorKind, Metric, MetricsRegistry, MetricsSnapshot, ObsLevel, SpanTrace,
 };
 pub use source::{
     DmdAgg, DmdDim, DmdSpec, InferenceRule, SourceAdapter, SourceDescriptor, UnitTableSpec,
@@ -418,8 +418,7 @@ pub struct Sommelier {
     db_dir: Option<PathBuf>,
     /// The system's metrics registry (per instance, not process-global,
     /// so concurrent systems — and concurrent tests — never share
-    /// counters). Populated when [`SommelierConfig::observability`] is
-    /// at least `Counters`; scraped by [`Sommelier::metrics_snapshot`].
+    /// counters); scraped by [`Sommelier::metrics_snapshot`].
     metrics: Arc<MetricsRegistry>,
     /// The shared morsel scheduler: one persistent pool of
     /// `max_threads` workers serving every in-flight query. `None`
@@ -619,14 +618,14 @@ impl Sommelier {
             s.dmd.reset_domain();
         }
         let obs = self.obs();
-        obs.count("registrar.chunks_registered", report.registrar.files);
-        obs.count("registrar.segments", report.registrar.segments);
+        obs.count(Metric::RegistrarChunksRegistered, report.registrar.files);
+        obs.count(Metric::RegistrarSegments, report.registrar.segments);
         let zones_indexed = registries
             .iter()
             .flat_map(|r| r.entries())
             .filter(|e| !e.zones.is_empty())
             .count();
-        obs.count("registrar.zones_indexed", zones_indexed as u64);
+        obs.count(Metric::RegistrarZonesIndexed, zones_indexed as u64);
         for (s, registry) in self.sources.iter().zip(&registries) {
             match mode {
                 LoadingMode::Lazy => {}
@@ -853,7 +852,7 @@ impl Sommelier {
                 Ok(t) => Some(t),
                 Err(AdmissionError::QueueFull { limit }) => {
                     let retry_after_ms = self.overload_retry_after_ms();
-                    self.metrics.gauge("admission.retry_after_ms").set(retry_after_ms);
+                    self.metrics.set(Metric::AdmissionRetryAfterMs, retry_after_ms);
                     return Err(SommelierError::Overloaded {
                         message: format!("admission queue is full ({limit} queued)"),
                         retry_after_ms,
@@ -1054,7 +1053,7 @@ impl Sommelier {
             Ok(other) => return other,
             Err(p) => sommelier_engine::sched::panic_message(p.as_ref()),
         };
-        self.metrics.counter("query.panicked").add(1);
+        self.metrics.add(Metric::QueryPanicked, 1);
         Err(SommelierError::QueryPanicked { query: query.to_string(), payload })
     }
 
@@ -1212,75 +1211,74 @@ impl Sommelier {
         Ok(out)
     }
 
-    /// The instance's metrics registry (live handles; one registry per
-    /// [`Sommelier`], so concurrent instances do not share counters).
+    /// The instance's metrics registry (one per [`Sommelier`], so
+    /// concurrent instances do not share counters), for writers outside
+    /// this crate such as the server's session gauge.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
 
     /// Snapshot every metric by name. Subsystems that keep their own
-    /// atomics for zero-overhead accounting (cellar stats, the decode
-    /// scratch arenas) are mirrored into the registry here, at
-    /// snapshot time — so the snapshot is complete at every
-    /// [`ObsLevel`], including `Off`.
+    /// atomics for zero-overhead accounting (cellar, scheduler,
+    /// admission and prefetch stats, the decode scratch arenas) are
+    /// mirrored into the registry here, at snapshot time.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        use Metric::*;
+        let m = &self.metrics;
         if let Some(cellar) = self.cellar() {
             let s = cellar.stats();
-            let m = &self.metrics;
-            m.counter("cellar.hits").store(s.hits);
-            m.counter("cellar.loads").store(s.loads);
-            m.counter("cellar.joins").store(s.joins);
-            m.counter("cellar.reloads").store(s.reloads);
-            m.counter("cellar.evictions").store(s.evictions);
-            m.counter("cellar.pin_wait_ns").store(s.pin_wait_ns);
-            m.gauge("cellar.resident_bytes").set(cellar.resident_bytes() as u64);
-            m.gauge("cellar.peak_resident_bytes").set(cellar.peak_resident_bytes() as u64);
-            m.gauge("cellar.resident_chunks").set(cellar.resident_chunks() as u64);
+            m.set(CellarHits, s.hits);
+            m.set(CellarLoads, s.loads);
+            m.set(CellarJoins, s.joins);
+            m.set(CellarReloads, s.reloads);
+            m.set(CellarEvictions, s.evictions);
+            m.set(CellarPinWaitNs, s.pin_wait_ns);
+            m.set(CellarResidentBytes, cellar.resident_bytes() as u64);
+            m.set(CellarPeakResidentBytes, cellar.peak_resident_bytes() as u64);
+            m.set(CellarResidentChunks, cellar.resident_chunks() as u64);
         }
+        // Process-wide: the scratch arenas are thread-locals shared by
+        // every system in the process.
         let (reuse, alloc) = source::scratch_counters();
-        self.metrics.counter("decode.arena_reuse").store(reuse);
-        self.metrics.counter("decode.arena_alloc").store(alloc);
+        m.set(DecodeArenaReuse, reuse);
+        m.set(DecodeArenaAlloc, alloc);
         if let Some(s) = &self.scheduler {
             let st = s.stats();
-            self.metrics.gauge("sched.workers").set(st.workers as u64);
-            self.metrics.gauge("sched.queue_depth").set(st.queue_depth as u64);
-            self.metrics.counter("sched.batches").store(st.batches);
-            self.metrics.counter("sched.tasks").store(st.tasks);
-            self.metrics.counter("sched.busy_ns").store(st.busy_ns);
-            self.metrics.counter("sched.panics").store(st.panics);
+            m.set(SchedWorkers, st.workers as u64);
+            m.set(SchedQueueDepth, st.queue_depth as u64);
+            m.set(SchedBatches, st.batches);
+            m.set(SchedTasks, st.tasks);
+            m.set(SchedBusyNs, st.busy_ns);
+            m.set(SchedPanics, st.panics);
         }
         let a = self.admission.stats();
-        self.metrics.counter("admission.admitted").store(a.admitted);
-        self.metrics.counter("admission.rejected").store(a.rejected);
-        self.metrics.counter("admission.cancelled").store(a.cancelled);
-        self.metrics.counter("admission.timeouts").store(a.timeouts);
-        self.metrics.counter("admission.queue_wait_ns").store(a.queue_wait_ns);
-        self.metrics.gauge("admission.running").set(a.running);
-        self.metrics.gauge("admission.queue_depth").set(a.queue_depth);
-        // `fault.io_retries` is process-global (like the decode arena
-        // counters); the rest are per instance.
-        self.metrics.counter("fault.io_retries").store(fault::io_retries());
-        self.metrics
-            .counter("fault.faults_injected")
-            .store(self.fault_injector.as_ref().map_or(0, |f| f.injected().errors()));
+        m.set(AdmissionAdmitted, a.admitted);
+        m.set(AdmissionRejected, a.rejected);
+        m.set(AdmissionCancelled, a.cancelled);
+        m.set(AdmissionTimeouts, a.timeouts);
+        m.set(AdmissionQueueWaitNs, a.queue_wait_ns);
+        m.set(AdmissionRunning, a.running);
+        m.set(AdmissionQueueDepth, a.queue_depth);
+        m.set(
+            FaultFaultsInjected,
+            self.fault_injector.as_ref().map_or(0, |f| f.injected().errors()),
+        );
         let quarantined: usize = self
             .prepared
             .lock()
             .as_ref()
             .map_or(0, |p| p.registries.iter().map(|r| r.quarantined_count()).sum());
-        self.metrics.counter("fault.chunks_quarantined").store(quarantined as u64);
-        self.metrics
-            .counter("fault.queries_degraded")
-            .store(self.queries_degraded.load(Ordering::Relaxed));
+        m.set(FaultChunksQuarantined, quarantined as u64);
+        m.set(FaultQueriesDegraded, self.queries_degraded.load(Ordering::Relaxed));
         if let Some(stage) = &self.prefetch {
             let (issued, hits, wasted, io_wait) = stage.stats();
-            self.metrics.counter("prefetch.issued").store(issued);
-            self.metrics.counter("prefetch.hits").store(hits);
-            self.metrics.counter("prefetch.wasted_bytes").store(wasted);
-            self.metrics.counter("prefetch.io_wait_ns").store(io_wait);
-            self.metrics.gauge("prefetch.staged_bytes").set(stage.staged_bytes() as u64);
+            m.set(PrefetchIssued, issued);
+            m.set(PrefetchHits, hits);
+            m.set(PrefetchWastedBytes, wasted);
+            m.set(PrefetchIoWaitNs, io_wait);
+            m.set(PrefetchStagedBytes, stage.staged_bytes() as u64);
         }
-        self.metrics.snapshot()
+        m.snapshot()
     }
 
     /// The raw-byte prefetch stage, when enabled (`prefetch_depth > 0`).

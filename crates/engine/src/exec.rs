@@ -19,7 +19,7 @@ use crate::error::{EngineError, Result};
 use crate::eval::{eval_mask, eval_scalar};
 use crate::expr::Expr;
 use crate::join::{cross_join, hash_join, index_join, JoinBuild};
-use crate::obs::{self, metrics::COUNT_BUCKETS, Obs};
+use crate::obs::{self, Obs};
 use crate::physical::{ChunkOp, PhysicalPlan};
 use crate::relation::Relation;
 use crate::sched::{self, SchedPolicy};
@@ -177,7 +177,7 @@ impl ChunkPipeline<'_> {
 ///   caller's thread.
 ///
 /// Both branches feed the `pool.*` metrics (batches, tasks, busy/idle
-/// ns, queue depth).
+/// ns, tasks per batch).
 pub fn run_indexed_policy<T: Send>(
     n: usize,
     policy: &SchedPolicy,
@@ -196,10 +196,7 @@ pub fn run_indexed_policy<T: Send>(
     let _tag = obs::current_worker().is_none().then(|| obs::worker_scope(0));
     let out: Vec<T> = (0..n).map(task).collect();
     if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
-        m.counter("pool.batches").inc();
-        m.counter("pool.tasks").add(n as u64);
-        m.counter("pool.busy_ns").add(wall.elapsed().as_nanos() as u64);
-        m.histogram("pool.queue_depth", &COUNT_BUCKETS).observe(n as u64);
+        sched::count_batch(m, n, wall.elapsed().as_nanos() as u64, 0);
     }
     out
 }

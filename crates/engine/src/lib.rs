@@ -54,7 +54,9 @@ pub mod twostage;
 pub use error::{EngineError, ErrorKind, Result};
 pub use expr::{AggFunc, CmpOp, Expr, Func};
 pub use logical::LogicalPlan;
-pub use obs::{MetricsRegistry, MetricsSnapshot, Obs, ObsLevel, SpanTrace, TraceCollector};
+pub use obs::{
+    Metric, MetricsRegistry, MetricsSnapshot, Obs, ObsLevel, SpanTrace, TraceCollector,
+};
 pub use optimizer::{ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 pub use physical::{fuse_partial_agg, PhysicalPlan};
 pub use relation::{Relation, RelationBuilder};

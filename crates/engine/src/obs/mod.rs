@@ -1,20 +1,22 @@
 //! Engine-wide observability: span traces, a metrics registry, and the
-//! level knob that keeps both strictly pay-for-what-you-use.
+//! level knob that turns the per-query span tree on.
 //!
 //! The environment is offline, so — like the shim crates — this is a
 //! homegrown, zero-dependency stand-in for the `tracing`/`metrics`
 //! ecosystem, sized to what the engine actually needs:
 //!
-//! * [`MetricsRegistry`] ([`metrics`]): named atomic counters, gauges,
-//!   and fixed-bucket histograms, snapshotted into a serializable
+//! * [`MetricsRegistry`] ([`metrics`]): one atomic slot per [`Metric`]
+//!   in the typed catalogue (counters, gauges, one fixed-bucket
+//!   histogram), snapshotted by name into a serializable
 //!   [`MetricsSnapshot`] (hand-rolled JSON, no serde).
 //! * [`TraceCollector`] ([`span`]): a per-query tree of timed regions
 //!   (stage 1, optimizer passes, chunk decode/pipeline nodes) rendered
 //!   by `EXPLAIN ANALYZE` and exposed as `QueryResult::span_trace`.
 //! * [`Obs`]: the cheap cloneable handle threaded through the existing
 //!   seams (`TwoStageConfig`, the cellar, the adapter chunk source).
-//!   [`ObsLevel::Off`] costs a branch; `Counters` adds relaxed atomic
-//!   increments; `Spans` additionally records the tree.
+//!   A counter is one relaxed atomic add; [`ObsLevel::Spans`]
+//!   additionally records the tree. [`Obs::off`] is the detached
+//!   handle (no registry) for code run outside a system.
 //!
 //! Morsel tasks run by [`crate::exec::run_indexed_policy`] — on a
 //! shared-pool worker, or inline as worker 0 — carry a thread-local
@@ -24,9 +26,7 @@
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{HistogramSnapshot, Metric, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanRecord, SpanTrace, TraceCollector};
 
 use std::cell::Cell;
@@ -37,9 +37,7 @@ use std::sync::Arc;
 /// every `benchmark/` workload runs at; answers never depend on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsLevel {
-    /// No metrics, no spans.
-    Off,
-    /// Atomic counters/gauges/histograms only.
+    /// Atomic counters/gauges/histogram only.
     #[default]
     Counters,
     /// Counters plus a per-query span tree.
@@ -47,19 +45,14 @@ pub enum ObsLevel {
 }
 
 impl ObsLevel {
-    /// Counters (and everything cheaper) are recorded.
-    pub fn counters(self) -> bool {
-        !matches!(self, ObsLevel::Off)
-    }
-
     /// Span trees are recorded.
     pub fn spans(self) -> bool {
         matches!(self, ObsLevel::Spans)
     }
 }
 
-/// The observability handle threaded through the engine: a level, a
-/// shared registry, and (per query, at `Spans` level) a trace
+/// The observability handle threaded through the engine: a level, the
+/// system's registry, and (per query, at `Spans` level) a trace
 /// collector. Cloning is two refcount bumps.
 #[derive(Clone, Default)]
 pub struct Obs {
@@ -69,18 +62,15 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A disabled handle: every probe is a single branch.
+    /// A detached handle (no registry, no tracer): every probe is a
+    /// single branch.
     pub fn off() -> Self {
-        Obs { level: ObsLevel::Off, metrics: None, tracer: None }
+        Obs::default()
     }
 
-    /// A handle at `level` over `metrics`. `Off` drops the registry so
-    /// the hot paths cannot accidentally pay for it.
+    /// A handle at `level` over `metrics`.
     pub fn new(level: ObsLevel, metrics: Arc<MetricsRegistry>) -> Self {
-        match level {
-            ObsLevel::Off => Obs::off(),
-            _ => Obs { level, metrics: Some(metrics), tracer: None },
-        }
+        Obs { level, metrics: Some(metrics), tracer: None }
     }
 
     /// The same handle with a per-query trace collector attached (only
@@ -92,39 +82,20 @@ impl Obs {
         self
     }
 
-    pub fn level(&self) -> ObsLevel {
-        self.level
-    }
-
-    /// The registry, when counters are on.
+    /// The registry, unless the handle is detached.
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        if self.level.counters() {
-            self.metrics.as_ref()
-        } else {
-            None
-        }
+        self.metrics.as_ref()
     }
 
     /// The per-query trace collector, when spans are on.
     pub fn tracer(&self) -> Option<&Arc<TraceCollector>> {
-        if self.level.spans() {
-            self.tracer.as_ref()
-        } else {
-            None
-        }
+        self.tracer.as_ref()
     }
 
-    /// Bump `name` by `n` (no-op below `Counters`).
-    pub fn count(&self, name: &'static str, n: u64) {
-        if let Some(m) = self.metrics() {
-            m.counter(name).add(n);
-        }
-    }
-
-    /// Set gauge `name` to `v` (no-op below `Counters`).
-    pub fn gauge_set(&self, name: &'static str, v: u64) {
-        if let Some(m) = self.metrics() {
-            m.gauge(name).set(v);
+    /// Bump counter `metric` by `n` (no-op on a detached handle).
+    pub fn count(&self, metric: Metric, n: u64) {
+        if let Some(m) = &self.metrics {
+            m.add(metric, n);
         }
     }
 }
@@ -174,22 +145,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_drops_registry() {
-        let obs = Obs::new(ObsLevel::Off, Arc::new(MetricsRegistry::new()));
-        assert!(obs.metrics().is_none());
-        assert!(obs.tracer().is_none());
-        obs.count("x", 1); // must be a no-op, not a panic
-    }
-
-    #[test]
     fn counters_level_has_metrics_but_no_tracer() {
         let reg = Arc::new(MetricsRegistry::new());
         let obs = Obs::new(ObsLevel::Counters, reg.clone())
             .with_tracer(Arc::new(TraceCollector::new()));
         assert!(obs.metrics().is_some());
         assert!(obs.tracer().is_none(), "tracer only attaches at Spans level");
-        obs.count("x", 3);
-        assert_eq!(reg.counter("x").get(), 3);
+        obs.count(Metric::ZoneProbes, 3);
+        assert_eq!(reg.get(Metric::ZoneProbes), 3);
+        Obs::off().count(Metric::ZoneProbes, 1); // detached: a no-op
     }
 
     #[test]

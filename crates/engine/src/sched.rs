@@ -15,7 +15,7 @@
 //! threads through the two-stage driver and residency layers).
 
 use crate::error::{EngineError, Result};
-use crate::obs::{self, metrics::COUNT_BUCKETS, Obs};
+use crate::obs::{self, Metric, MetricsRegistry, Obs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -518,11 +518,7 @@ impl MorselScheduler {
         if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
             let busy = core.busy_ns.load(Ordering::Relaxed);
             let span = wall.elapsed().as_nanos() as u64 * cap.clamp(1, self.workers) as u64;
-            m.counter("pool.batches").inc();
-            m.counter("pool.tasks").add(n as u64);
-            m.counter("pool.busy_ns").add(busy);
-            m.counter("pool.idle_ns").add(span.saturating_sub(busy));
-            m.histogram("pool.queue_depth", &COUNT_BUCKETS).observe(n as u64);
+            count_batch(m, n, busy, span.saturating_sub(busy));
         }
         if core.panicked.load(Ordering::Acquire) {
             let msg = lock(&core.panic_msg)
@@ -553,6 +549,16 @@ impl std::fmt::Debug for MorselScheduler {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Feed one finished batch of `n` tasks into the `pool.*` metrics
+/// (shared by the pooled and the inline paths).
+pub(crate) fn count_batch(m: &MetricsRegistry, n: usize, busy_ns: u64, idle_ns: u64) {
+    m.add(Metric::PoolBatches, 1);
+    m.add(Metric::PoolTasks, n as u64);
+    m.add(Metric::PoolBusyNs, busy_ns);
+    m.add(Metric::PoolIdleNs, idle_ns);
+    m.observe(Metric::PoolBatchTasks, n as u64);
 }
 
 /// Run one claimed task: catch a panic (recording its payload and the
@@ -711,8 +717,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2))
         });
         let wall = t0.elapsed().as_nanos() as u64;
-        let charged =
-            metrics.counter("pool.busy_ns").get() + metrics.counter("pool.idle_ns").get();
+        let charged = metrics.get(Metric::PoolBusyNs) + metrics.get(Metric::PoolIdleNs);
         assert!(
             charged <= wall * s.worker_count() as u64,
             "busy + idle {charged} ns exceeds wall {wall} ns x {} workers",

@@ -34,7 +34,7 @@ use crate::error::ErrorKind;
 use crate::error::{EngineError, Result};
 use crate::exec::{execute, ChunkPipeline, ExecContext};
 use crate::logical::LogicalPlan;
-use crate::obs::{self, span::fmt_ns, Obs, TraceCollector};
+use crate::obs::{self, span::fmt_ns, Metric, Obs, TraceCollector};
 use crate::optimizer::{self, ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 use crate::physical::{lower, ChunkRef, LowerOptions, PhysicalPlan};
 use crate::relation::Relation;
@@ -484,7 +484,7 @@ pub fn execute_plan(
                 None,
             );
         }
-        config.obs.count("zone.probes", 1);
+        config.obs.count(Metric::ZoneProbes, 1);
         r
     };
     let considered = chunk_refs.as_ref().map(Vec::len).unwrap_or(0);
@@ -505,8 +505,8 @@ pub fn execute_plan(
     let trace = s2.trace;
     stats.files_pruned = s2.pruned;
     if considered > 0 {
-        config.obs.count("zone.chunks_considered", considered as u64);
-        config.obs.count("zone.chunks_pruned", s2.pruned as u64);
+        config.obs.count(Metric::ZoneChunksConsidered, considered as u64);
+        config.obs.count(Metric::ZoneChunksPruned, s2.pruned as u64);
     }
 
     // ---- Async raw-byte prefetch over the surviving chunk list. ----
@@ -612,19 +612,19 @@ pub fn execute_plan(
     stats.stage2 = t.elapsed();
 
     let o = &config.obs;
-    o.count("query.count", 1);
-    o.count("query.stage1_ns", stats.stage1.as_nanos() as u64);
-    o.count("query.load_ns", stats.load.as_nanos() as u64);
-    o.count("query.stage2_ns", stats.stage2.as_nanos() as u64);
-    o.count("chunks.selected", stats.files_selected as u64);
-    o.count("chunks.pruned", stats.files_pruned as u64);
-    o.count("chunks.sampled_out", stats.files_sampled_out as u64);
-    o.count("chunks.loaded", stats.files_loaded as u64);
-    o.count("chunks.cache_hits", stats.cache_hits as u64);
-    o.count("chunks.load_joins", stats.load_joins);
-    o.count("chunks.skipped", stats.files_skipped as u64);
-    o.count("rows.loaded", stats.rows_loaded);
-    o.count("bytes.loaded", stats.bytes_loaded);
+    o.count(Metric::QueryCount, 1);
+    o.count(Metric::QueryStage1Ns, stats.stage1.as_nanos() as u64);
+    o.count(Metric::QueryLoadNs, stats.load.as_nanos() as u64);
+    o.count(Metric::QueryStage2Ns, stats.stage2.as_nanos() as u64);
+    o.count(Metric::ChunksSelected, stats.files_selected as u64);
+    o.count(Metric::ChunksPruned, stats.files_pruned as u64);
+    o.count(Metric::ChunksSampledOut, stats.files_sampled_out as u64);
+    o.count(Metric::ChunksLoaded, stats.files_loaded as u64);
+    o.count(Metric::ChunksCacheHits, stats.cache_hits as u64);
+    o.count(Metric::ChunksLoadJoins, stats.load_joins);
+    o.count(Metric::ChunksSkipped, stats.files_skipped as u64);
+    o.count(Metric::RowsLoaded, stats.rows_loaded);
+    o.count(Metric::BytesLoaded, stats.bytes_loaded);
     Ok(QueryOutcome { relation, stats, trace, skipped })
 }
 
@@ -1224,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_load_all_results_agree() {
+    fn fused_and_unfused_results_agree() {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
         let fused =

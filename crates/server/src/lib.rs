@@ -44,7 +44,7 @@
 //! ```
 
 use sommelier_core::{
-    CancelToken, DegradationPolicy, Priority, QueryOptions, QueryResult, Sommelier,
+    CancelToken, DegradationPolicy, Metric, Priority, QueryOptions, QueryResult, Sommelier,
     SommelierError,
 };
 use std::fmt;
@@ -153,8 +153,7 @@ impl ServerShared {
     fn publish_sessions(&self) {
         self.somm
             .metrics()
-            .gauge("server.active_sessions")
-            .set(self.active_sessions.load(Ordering::Relaxed));
+            .set(Metric::ServerActiveSessions, self.active_sessions.load(Ordering::Relaxed));
     }
 
     fn register_inflight(&self, state: &Arc<HandleState>, cancel: &CancelToken) {

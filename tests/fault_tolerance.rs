@@ -157,6 +157,22 @@ fn retries_surface_in_spans_and_metrics() {
     assert_eq!(snap.counter("fault.queries_degraded"), Some(0));
 }
 
+/// `fault.io_retries` is counted per system: a clean system reports
+/// none of the retries a faulty system in the same process performed.
+#[test]
+fn io_retries_are_counted_per_system() {
+    let dir = TempDir::new("faults-per-system");
+    let logs = eventlog_repo(&dir, 3, 32);
+    let faulty = eventlog_system(&logs, config(2, Some(FaultPlan::transient(1.0))));
+    let clean = eventlog_system(&logs, config(2, None));
+    for somm in [&faulty, &clean] {
+        somm.prepare(LoadingMode::Lazy).unwrap();
+        somm.query(eventlog_queries()[3]).unwrap();
+    }
+    assert!(faulty.metrics_snapshot().counter("fault.io_retries") >= Some(1));
+    assert_eq!(clean.metrics_snapshot().counter("fault.io_retries"), Some(0));
+}
+
 /// A permanently corrupt chunk fails a Strict query with a typed error
 /// naming the chunk, quarantines it, and never poisons unrelated (or
 /// even repeated) queries; the quarantined file is not touched again.

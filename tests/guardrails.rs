@@ -90,6 +90,15 @@
 //! wrapped each pass and the `Stage2Options` copy of the configuration
 //! were removed.
 //!
+//! Every metric is declared once, as a `Metric` in the catalogue that
+//! `MetricsRegistry`'s fixed slots are indexed by. The name-keyed
+//! register-or-get maps, the `Counter`/`Gauge` handles and the cached
+//! `DecodeCounters` they forced, the unused `NS_BUCKETS` and
+//! `Obs::gauge_set`, the `Off` observability level and the process-wide
+//! `IO_RETRIES` copy of `fault.io_retries` were removed; the
+//! tasks-per-batch histogram is `pool.batch_tasks`, not
+//! `pool.queue_depth`.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -191,6 +200,13 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("enum PassEffect", "each pass function returns (output, fired, detail)"),
     ("struct SelectionPushdown", "chunk_rewrite always pushes the selection into each chunk"),
     ("struct Stage2Options", "rewrite_stage2 reads the TwoStageConfig it is given"),
+    ("ObsLevel::Off", "ObsLevel is Counters or Spans; Obs::off() is the detached handle"),
+    ("struct DecodeCounters", "the chunk source counts through its Obs by Metric"),
+    ("fn io_retries", "fault.io_retries is counted per system through Obs"),
+    ("IO_RETRIES", "fault.io_retries is counted per system through Obs"),
+    ("NS_BUCKETS", "the one histogram buckets over COUNT_BUCKETS"),
+    ("fn gauge_set", "MetricsRegistry::set(Metric, v)"),
+    ("\"pool.queue_depth\"", "the tasks-per-batch histogram is pool.batch_tasks"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.

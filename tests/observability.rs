@@ -5,9 +5,11 @@
 //! accounting invariant, and the EXPLAIN / EXPLAIN ANALYZE surfaces.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-use sommelier_core::{LoadingMode, ObsLevel, Sommelier, SommelierConfig};
+use sommelier_core::{LoadingMode, Metric, ObsLevel, Sommelier, SommelierConfig};
+use sommelier_engine::obs::metrics::Kind;
 use sommelier_integration::{ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn obs_config(level: ObsLevel, threads: usize) -> SommelierConfig {
@@ -196,12 +198,10 @@ fn span_trace_shape_covers_the_taxonomy_on_both_adapters() {
 fn spans_absent_below_spans_level() {
     let dir = TempDir::new("obs-levels");
     let repo = ingv_repo(&dir, 2, 32);
-    for level in [ObsLevel::Off, ObsLevel::Counters] {
-        let somm = mseed_system(&repo, level, 2);
-        somm.prepare(LoadingMode::Lazy).unwrap();
-        let r = somm.query(mseed_queries()[3]).unwrap();
-        assert!(r.span_trace.is_none(), "no span trace expected at {level:?}");
-    }
+    let somm = mseed_system(&repo, ObsLevel::Counters, 2);
+    somm.prepare(LoadingMode::Lazy).unwrap();
+    let r = somm.query(mseed_queries()[3]).unwrap();
+    assert!(r.span_trace.is_none(), "no span trace expected at Counters");
 }
 
 #[test]
@@ -210,28 +210,28 @@ fn results_identical_across_observability_levels() {
     let repo = ingv_repo(&dir, 2, 32);
     let logs = eventlog_repo(&dir, 3, 32);
     for adapter in ["mseed", "eventlog"] {
-        let (off, spans, queries) = if adapter == "mseed" {
+        let (counters, spans, queries) = if adapter == "mseed" {
             (
-                mseed_system(&repo, ObsLevel::Off, 4),
+                mseed_system(&repo, ObsLevel::Counters, 4),
                 mseed_system(&repo, ObsLevel::Spans, 4),
                 mseed_queries(),
             )
         } else {
             (
-                eventlog_system(&logs, ObsLevel::Off, 4),
+                eventlog_system(&logs, ObsLevel::Counters, 4),
                 eventlog_system(&logs, ObsLevel::Spans, 4),
                 eventlog_queries(),
             )
         };
-        off.prepare(LoadingMode::Lazy).unwrap();
+        counters.prepare(LoadingMode::Lazy).unwrap();
         spans.prepare(LoadingMode::Lazy).unwrap();
         for (i, sql) in queries.iter().enumerate() {
-            let a = off.query(sql).unwrap();
+            let a = counters.query(sql).unwrap();
             let b = spans.query(sql).unwrap();
             assert_eq!(
                 format!("{:?}", a.relation),
                 format!("{:?}", b.relation),
-                "{adapter} T{}: Off and Spans must be byte-identical",
+                "{adapter} T{}: Counters and Spans must be byte-identical",
                 i + 1
             );
             assert!(a.stats.accounting_balanced() && b.stats.accounting_balanced());
@@ -299,6 +299,35 @@ fn queue_wait_span_appears_once_on_admitted_queries() {
     assert!(text.contains("queue_wait"), "EXPLAIN ANALYZE missing queue_wait:\n{text}");
 }
 
+/// The metric names in README's table: each row names its families
+/// (`` `cellar.*` ``) in the first cell and their members
+/// (`` `hits` ``) in the second.
+fn readme_metric_names() -> BTreeSet<String> {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+            .expect("README.md at the repository root");
+    let ticked = |cell: &str| -> Vec<String> {
+        cell.split('`').skip(1).step_by(2).map(str::to_string).collect()
+    };
+    let mut names = BTreeSet::new();
+    let rows = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| family |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'));
+    for row in rows {
+        let cells: Vec<&str> = row.split('|').collect();
+        let families = ticked(cells[1]);
+        for family in &families {
+            let family = family.strip_suffix(".*").expect("family cells read `name.*`");
+            for member in ticked(cells[2]) {
+                names.insert(format!("{family}.{member}"));
+            }
+        }
+    }
+    names
+}
+
 #[test]
 fn metrics_snapshot_serializes_documented_names() {
     let dir = TempDir::new("obs-snapshot-json");
@@ -307,30 +336,52 @@ fn metrics_snapshot_serializes_documented_names() {
     somm.prepare(LoadingMode::Lazy).unwrap();
     somm.query(mseed_queries()[3]).unwrap();
     let snap = somm.metrics_snapshot();
-    for name in [
-        "query.count",
-        "chunks.selected",
-        "chunks.loaded",
-        "rows.loaded",
-        "bytes.loaded",
-        "registrar.chunks_registered",
-        "cellar.hits",
-        "cellar.pin_wait_ns",
-        "decode.chunks",
-        "decode.bytes",
-        "pool.tasks",
-        "fault.io_retries",
-        "fault.faults_injected",
-        "fault.chunks_quarantined",
-        "fault.queries_degraded",
-    ] {
-        assert!(snap.counter(name).is_some(), "documented counter {name:?} missing");
+    let catalogue: BTreeSet<String> =
+        Metric::ALL.iter().map(|m| m.name().to_string()).collect();
+    assert_eq!(readme_metric_names(), catalogue, "README's metric table is the catalogue");
+    for m in Metric::ALL {
+        let listed = match m.kind() {
+            Kind::Counter => snap.counter(m.name()).is_some(),
+            Kind::Gauge => snap.gauge(m.name()).is_some(),
+            Kind::Histogram => snap.histograms.iter().any(|h| h.name == m.name()),
+        };
+        assert!(listed, "declared {:?} {:?} missing from the snapshot", m.kind(), m.name());
     }
-    assert!(snap.gauge("cellar.resident_bytes").is_some());
     assert!(snap.counter("query.count") >= Some(1));
     let json = snap.to_json();
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "not a JSON object");
     for key in ["\"counters\"", "\"gauges\"", "\"histograms\"", "\"query.count\""] {
         assert!(json.contains(key), "JSON missing {key}:\n{json}");
+    }
+}
+
+/// Every counter (`delta("…")`) and gauge (`.gauge("…")`) the benchmark
+/// reads by name is declared with that kind, so a rename cannot
+/// silently zero a benchmark row.
+#[test]
+fn benchmark_reads_only_declared_metrics() {
+    let layers = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmark/src/layers.rs"
+    ))
+    .expect("benchmark/src/layers.rs");
+    let read = |call: &str| -> Vec<String> {
+        layers
+            .split(call)
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap().to_string())
+            .collect()
+    };
+    for (call, kind, at_least) in
+        [("delta(\"", Kind::Counter, 10), (".gauge(\"", Kind::Gauge, 1)]
+    {
+        let names = read(call);
+        assert!(names.len() >= at_least, "expected {call}…\") reads, found {names:?}");
+        for name in names {
+            assert!(
+                Metric::ALL.iter().any(|m| m.name() == name && m.kind() == kind),
+                "benchmark reads {name:?}, which is not a declared {kind:?}"
+            );
+        }
     }
 }
