@@ -13,7 +13,7 @@ use crate::report::{secs, Table};
 use crate::runner::{bench_config, cold_hot, fresh_system, fresh_system_with, time_it};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sommelier_core::{LoadingMode, Result, Sommelier, SommelierConfig};
+use sommelier_core::{LoadingMode, Metric, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::repo::days_for_sf;
 use sommelier_storage::time::days_from_civil;
 
@@ -420,8 +420,7 @@ pub fn fault_sweep(scale: &BenchScale) -> Result<Table> {
                 },
                 ..Default::default()
             };
-            let retried =
-                || guard.somm.metrics_snapshot().counter("fault.io_retries").unwrap_or(0);
+            let retried = || guard.somm.metrics().get(Metric::FaultIoRetries);
             let before = retried();
             let (r, d) = time_it(|| guard.somm.query_opts(&sql, &opts));
             retries += retried() - before;

@@ -7,10 +7,16 @@
 //!
 //! Tickets are RAII: dropping the [`AdmissionTicket`] releases the
 //! slot and wakes the queue.
+//!
+//! The controller counts the `admission.*` family into the system's
+//! registry as each decision is made; the `admission.running` and
+//! `admission.queue_depth` gauges are set under the state lock, so
+//! they always equal the state they report.
 
 use sommelier_engine::sched::{CancelToken, Priority};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use sommelier_engine::{Metric, MetricsRegistry};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Why a query was not admitted.
@@ -33,26 +39,6 @@ struct State {
     next_seq: u64,
 }
 
-/// Counter snapshot of an [`AdmissionController`], mirrored into
-/// `metrics_snapshot()` under `admission.*` names.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionStats {
-    /// Queries admitted (fast path or after queueing).
-    pub admitted: u64,
-    /// Queries rejected because the queue was full.
-    pub rejected: u64,
-    /// Queries cancelled while queued.
-    pub cancelled: u64,
-    /// Queries timed out while queued.
-    pub timeouts: u64,
-    /// Total nanoseconds spent waiting in the admission queue.
-    pub queue_wait_ns: u64,
-    /// Currently running (ticketed) queries.
-    pub running: u64,
-    /// Currently queued waiters.
-    pub queue_depth: u64,
-}
-
 /// Bounds concurrent query execution; see the module docs.
 pub struct AdmissionController {
     state: Mutex<State>,
@@ -60,11 +46,7 @@ pub struct AdmissionController {
     max_concurrent: usize,
     queue_limit: usize,
     shutting_down: AtomicBool,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    timeouts: AtomicU64,
-    queue_wait_ns: AtomicU64,
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// RAII admission slot; dropping it releases the slot and wakes the
@@ -83,6 +65,7 @@ impl Drop for AdmissionTicket<'_> {
     fn drop(&mut self) {
         let mut st = self.ctl.lock();
         st.running = st.running.saturating_sub(1);
+        self.ctl.publish(&st);
         drop(st);
         self.ctl.cv.notify_all();
     }
@@ -90,24 +73,41 @@ impl Drop for AdmissionTicket<'_> {
 
 impl AdmissionController {
     /// A controller admitting up to `max_concurrent` queries at once
-    /// and queueing at most `queue_limit` more.
-    pub fn new(max_concurrent: usize, queue_limit: usize) -> Self {
+    /// and queueing at most `queue_limit` more, counting into
+    /// `metrics`.
+    pub fn new(
+        max_concurrent: usize,
+        queue_limit: usize,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Self {
         AdmissionController {
             state: Mutex::new(State { running: 0, queued: Vec::new(), next_seq: 0 }),
             cv: Condvar::new(),
             max_concurrent: max_concurrent.max(1),
             queue_limit: queue_limit.max(1),
             shutting_down: AtomicBool::new(false),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            queue_wait_ns: AtomicU64::new(0),
+            metrics,
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Set the `running` and `queue_depth` gauges; the caller holds the
+    /// state lock.
+    fn publish(&self, st: &State) {
+        self.metrics.set(Metric::AdmissionRunning, st.running as u64);
+        self.metrics.set(Metric::AdmissionQueueDepth, st.queued.len() as u64);
+    }
+
+    /// Take waiter `seq`, queued since `started`, out of the queue and
+    /// count its wait and its `outcome`; the caller holds the lock.
+    fn leave_queue(&self, st: &mut State, seq: u64, started: Instant, outcome: Metric) {
+        st.queued.retain(|&(_, s)| s != seq);
+        self.publish(st);
+        self.metrics.add(Metric::AdmissionQueueWaitNs, started.elapsed().as_nanos() as u64);
+        self.metrics.add(outcome, 1);
     }
 
     /// Wait for an admission slot. Returns once admitted, or with a
@@ -119,33 +119,33 @@ impl AdmissionController {
         priority: Priority,
         cancel: Option<&CancelToken>,
     ) -> std::result::Result<AdmissionTicket<'_>, AdmissionError> {
+        let m = &self.metrics;
         if self.is_shutting_down() {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+            m.add(Metric::AdmissionRejected, 1);
             return Err(AdmissionError::ShuttingDown);
         }
         let mut st = self.lock();
         // Fast path: nobody queued ahead of us and a slot is free.
         if st.queued.is_empty() && st.running < self.max_concurrent {
             st.running += 1;
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+            self.publish(&st);
+            m.add(Metric::AdmissionAdmitted, 1);
             return Ok(AdmissionTicket { ctl: self });
         }
         if st.queued.len() >= self.queue_limit {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+            m.add(Metric::AdmissionRejected, 1);
             return Err(AdmissionError::QueueFull { limit: self.queue_limit });
         }
         let seq = st.next_seq;
         st.next_seq += 1;
         st.queued.push((priority, seq));
+        self.publish(&st);
         let started = Instant::now();
         loop {
             // Shutdown while queued: leave the queue with a typed error
             // so drains are not blocked on waiters that can never start.
             if self.is_shutting_down() {
-                st.queued.retain(|&(_, s)| s != seq);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                self.queue_wait_ns
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                self.leave_queue(&mut st, seq, started, Metric::AdmissionRejected);
                 drop(st);
                 self.cv.notify_all();
                 return Err(AdmissionError::ShuttingDown);
@@ -157,22 +157,20 @@ impl AdmissionController {
                 .map(|&(_, s)| s)
                 == Some(seq);
             if at_head && st.running < self.max_concurrent {
-                st.queued.retain(|&(_, s)| s != seq);
                 st.running += 1;
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                self.queue_wait_ns
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                self.leave_queue(&mut st, seq, started, Metric::AdmissionAdmitted);
                 drop(st);
                 // Others may be admissible too.
                 self.cv.notify_all();
                 return Ok(AdmissionTicket { ctl: self });
             }
             if let Some(timed_out) = cancel.and_then(CancelToken::cancelled) {
-                st.queued.retain(|&(_, s)| s != seq);
-                let ctr = if timed_out { &self.timeouts } else { &self.cancelled };
-                ctr.fetch_add(1, Ordering::Relaxed);
-                self.queue_wait_ns
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let outcome = if timed_out {
+                    Metric::AdmissionTimeouts
+                } else {
+                    Metric::AdmissionCancelled
+                };
+                self.leave_queue(&mut st, seq, started, outcome);
                 drop(st);
                 self.cv.notify_all();
                 return Err(AdmissionError::Cancelled { timed_out });
@@ -199,44 +197,28 @@ impl AdmissionController {
     pub fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Acquire)
     }
-
-    /// Counter snapshot for metrics export.
-    pub fn stats(&self) -> AdmissionStats {
-        let st = self.lock();
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            queue_wait_ns: self.queue_wait_ns.load(Ordering::Relaxed),
-            running: st.running as u64,
-            queue_depth: st.queued.len() as u64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
 
     #[test]
     fn fast_path_admits_and_releases() {
-        let ctl = AdmissionController::new(2, 8);
+        let ctl = AdmissionController::new(2, 8, Default::default());
         let t1 = ctl.acquire(Priority::Normal, None).unwrap();
         let t2 = ctl.acquire(Priority::Normal, None).unwrap();
-        assert_eq!(ctl.stats().running, 2);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionRunning), 2);
         drop(t1);
         drop(t2);
-        let st = ctl.stats();
-        assert_eq!(st.running, 0);
-        assert_eq!(st.admitted, 2);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionRunning), 0);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionAdmitted), 2);
     }
 
     #[test]
     fn queue_full_rejects() {
-        let ctl = Arc::new(AdmissionController::new(1, 1));
+        let ctl = Arc::new(AdmissionController::new(1, 1, Default::default()));
         let held = ctl.acquire(Priority::Normal, None).unwrap();
         // Fill the queue from another thread (it will block), then a
         // second waiter must be rejected.
@@ -247,7 +229,7 @@ mod tests {
             })
         };
         // Wait for the spawned waiter to enqueue itself.
-        while ctl.stats().queue_depth == 0 {
+        while ctl.metrics.get(Metric::AdmissionQueueDepth) == 0 {
             std::thread::yield_now();
         }
         let err = ctl.acquire(Priority::Normal, None).unwrap_err();
@@ -258,28 +240,28 @@ mod tests {
 
     #[test]
     fn cancel_while_queued() {
-        let ctl = AdmissionController::new(1, 8);
+        let ctl = Arc::new(AdmissionController::new(1, 8, Default::default()));
         let _held = ctl.acquire(Priority::Normal, None).unwrap();
         let token = CancelToken::new();
         token.cancel();
         let err = ctl.acquire(Priority::Normal, Some(&token)).unwrap_err();
         assert_eq!(err, AdmissionError::Cancelled { timed_out: false });
-        assert_eq!(ctl.stats().cancelled, 1);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionCancelled), 1);
     }
 
     #[test]
     fn timeout_while_queued() {
-        let ctl = AdmissionController::new(1, 8);
+        let ctl = Arc::new(AdmissionController::new(1, 8, Default::default()));
         let _held = ctl.acquire(Priority::Normal, None).unwrap();
         let token = CancelToken::with_timeout(Duration::from_millis(10));
         let err = ctl.acquire(Priority::Normal, Some(&token)).unwrap_err();
         assert_eq!(err, AdmissionError::Cancelled { timed_out: true });
-        assert_eq!(ctl.stats().timeouts, 1);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionTimeouts), 1);
     }
 
     #[test]
     fn priority_orders_the_queue() {
-        let ctl = Arc::new(AdmissionController::new(1, 8));
+        let ctl = Arc::new(AdmissionController::new(1, 8, Default::default()));
         let held = ctl.acquire(Priority::Normal, None).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
         let queued = Arc::new(AtomicUsize::new(0));
@@ -298,7 +280,9 @@ mod tests {
                 drop(t);
             }));
             // Ensure deterministic enqueue order (low enqueues first).
-            while queued.load(Ordering::SeqCst) == 0 || ctl.stats().queue_depth < 1 {
+            while queued.load(Ordering::SeqCst) == 0
+                || ctl.metrics.get(Metric::AdmissionQueueDepth) < 1
+            {
                 std::thread::yield_now();
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -312,14 +296,14 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_and_queued_waiters() {
-        let ctl = Arc::new(AdmissionController::new(1, 8));
+        let ctl = Arc::new(AdmissionController::new(1, 8, Default::default()));
         let held = ctl.acquire(Priority::Normal, None).unwrap();
         // Park a waiter in the queue.
         let bg = {
             let ctl = Arc::clone(&ctl);
             std::thread::spawn(move || ctl.acquire(Priority::Normal, None).map(|_| ()))
         };
-        while ctl.stats().queue_depth == 0 {
+        while ctl.metrics.get(Metric::AdmissionQueueDepth) == 0 {
             std::thread::yield_now();
         }
         ctl.begin_shutdown();
@@ -330,7 +314,7 @@ mod tests {
         assert_eq!(err, AdmissionError::ShuttingDown);
         // The already-admitted ticket still drains normally.
         drop(held);
-        assert_eq!(ctl.stats().running, 0);
-        assert_eq!(ctl.stats().queue_depth, 0);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionRunning), 0);
+        assert_eq!(ctl.metrics.get(Metric::AdmissionQueueDepth), 0);
     }
 }

@@ -47,9 +47,8 @@ use parking_lot::{Condvar, Mutex};
 use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::sched::{DegradationPolicy, SchedPolicy};
 use sommelier_engine::twostage::{AcquiredChunk, ChunkResidency, ChunkSink, PrefetchHandle};
-use sommelier_engine::{ColumnZone, EngineError, ErrorKind, Obs, Relation};
+use sommelier_engine::{ColumnZone, EngineError, ErrorKind, Metric, Obs, Relation};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,11 +60,10 @@ pub struct CellarConfig {
     /// running must stay resident); as each pin drops the budget is
     /// enforced again.
     pub budget_bytes: usize,
-    /// Observability handle: the decode waves' `pool.*` counters and
-    /// the retries' `fault.io_retries` flow through it. The cellar's
-    /// own counters live in its internal
-    /// stats atomics regardless (they are mirrored into the metrics
-    /// registry at snapshot time), so `Obs::off()` costs nothing here.
+    /// Observability handle (the system always attaches its registry):
+    /// the cellar counts `cellar.*` and `fault.chunks_quarantined`
+    /// through it where each event happens, as do the decode waves
+    /// (`pool.*`) and the retries (`fault.io_retries`).
     pub obs: Obs,
     /// Retry budget for transient chunk-IO failures, applied around
     /// every decode (see [`crate::SommelierConfig::io_retry`]).
@@ -95,34 +93,6 @@ pub struct CellarSource {
     pub descriptor: Arc<SourceDescriptor>,
     pub registry: Arc<ChunkRegistry>,
     pub source: Arc<AdapterChunkSource>,
-}
-
-/// Counter snapshot (the bench harness reports these per budget).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellarSnapshot {
-    /// Acquisitions served from residency.
-    pub hits: u64,
-    /// Acquisitions that decoded the chunk.
-    pub loads: u64,
-    /// Acquisitions that joined another thread's in-flight decode.
-    pub joins: u64,
-    /// Loads of chunks that had been evicted before (thrash indicator).
-    pub reloads: u64,
-    /// Evictions (budget pressure, retention policy, or `clear`).
-    pub evictions: u64,
-    /// Total nanoseconds spent blocked on in-flight-load latches
-    /// (single-flight pin waits, across every wait site).
-    pub pin_wait_ns: u64,
-}
-
-#[derive(Default)]
-struct CellarStats {
-    hits: AtomicU64,
-    loads: AtomicU64,
-    joins: AtomicU64,
-    reloads: AtomicU64,
-    evictions: AtomicU64,
-    pin_wait_ns: AtomicU64,
 }
 
 /// What one in-flight load published: the decoded relation and its
@@ -205,7 +175,7 @@ struct Inner {
     slots: HashMap<String, Slot>,
     lru: LruPolicy,
     resident_bytes: usize,
-    peak_resident_bytes: usize,
+    resident_chunks: usize,
     ever_evicted: HashSet<String>,
 }
 
@@ -216,7 +186,6 @@ pub struct Cellar {
     by_uri: HashMap<String, usize>,
     config: CellarConfig,
     inner: Mutex<Inner>,
-    stats: CellarStats,
 }
 
 /// How one chunk of an acquisition wave was classified
@@ -259,24 +228,31 @@ impl Cellar {
                 by_uri.insert(e.uri.clone(), i);
             }
         }
-        Ok(Cellar {
-            sources,
-            by_uri,
-            config,
-            inner: Mutex::new(Inner {
-                slots: HashMap::new(),
-                lru: LruPolicy::default(),
-                resident_bytes: 0,
-                peak_resident_bytes: 0,
-                ever_evicted: HashSet::new(),
-            }),
-            stats: CellarStats::default(),
-        })
+        let inner = Inner {
+            slots: HashMap::new(),
+            lru: LruPolicy::default(),
+            resident_bytes: 0,
+            resident_chunks: 0,
+            ever_evicted: HashSet::new(),
+        };
+        let cellar = Cellar { sources, by_uri, config, inner: Mutex::new(inner) };
+        cellar.publish(&cellar.inner.lock());
+        Ok(cellar)
     }
 
-    /// The sources backing this cellar.
-    pub fn sources(&self) -> &[CellarSource] {
-        &self.sources
+    /// Set the `cellar.resident_*` gauges from `inner` and raise
+    /// `cellar.peak_resident_bytes` (the one record of the high-water
+    /// mark) to it; the caller holds the residency lock.
+    fn publish(&self, inner: &Inner) {
+        if let Some(m) = self.config.obs.metrics() {
+            let bytes = inner.resident_bytes as u64;
+            m.set(Metric::CellarResidentBytes, bytes);
+            m.set(
+                Metric::CellarPeakResidentBytes,
+                m.get(Metric::CellarPeakResidentBytes).max(bytes),
+            );
+            m.set(Metric::CellarResidentChunks, inner.resident_chunks as u64);
+        }
     }
 
     /// A view of this cellar restricted to one source: acquisition and
@@ -303,14 +279,9 @@ impl Cellar {
         self.inner.lock().resident_bytes
     }
 
-    /// High-water mark of [`Self::resident_bytes`].
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.inner.lock().peak_resident_bytes
-    }
-
     /// Number of resident chunks.
     pub fn resident_chunks(&self) -> usize {
-        self.inner.lock().slots.values().filter(|s| matches!(s, Slot::Resident(_))).count()
+        self.inner.lock().resident_chunks
     }
 
     /// Sum of pin counts across all resident chunks. With no query in
@@ -329,18 +300,6 @@ impl Cellar {
             .sum()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CellarSnapshot {
-        CellarSnapshot {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            loads: self.stats.loads.load(Ordering::Relaxed),
-            joins: self.stats.joins.load(Ordering::Relaxed),
-            reloads: self.stats.reloads.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            pin_wait_ns: self.stats.pin_wait_ns.load(Ordering::Relaxed),
-        }
-    }
-
     /// Drop every unpinned resident chunk ("cold" run simulation).
     ///
     /// Like budget eviction this frees memory only: derived metadata
@@ -350,21 +309,21 @@ impl Cellar {
         let mut inner = self.inner.lock();
         let uris: Vec<String> = inner.slots.keys().cloned().collect();
         for uri in uris {
-            Self::evict_locked(&mut inner, &self.stats, &uri);
+            self.evict_locked(&mut inner, &uri);
         }
     }
 
     // ---- Acquisition --------------------------------------------------
 
     /// Wait on an in-flight-load latch, charging the blocked time to
-    /// the `pin_wait_ns` stat. Returns the latch outcome plus how long
+    /// `cellar.pin_wait_ns`. Returns the latch outcome plus how long
     /// this caller actually waited (zero-ish when the load had already
     /// published).
     fn wait_latch(&self, latch: &LoadLatch) -> (LatchOutcome, Duration) {
         let t = Instant::now();
         let outcome = latch.wait();
         let waited = t.elapsed();
-        self.stats.pin_wait_ns.fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
+        self.config.obs.count(Metric::CellarPinWaitNs, waited.as_nanos() as u64);
         (outcome, waited)
     }
 
@@ -386,7 +345,7 @@ impl Cellar {
                     // and retry once it publishes.
                     Some(Slot::Loading(latch)) => Arc::clone(latch),
                     None => {
-                        Self::insert_pinned_locked(&mut inner, uri, &relation);
+                        self.insert_pinned_locked(&mut inner, uri, &relation);
                         return relation;
                     }
                 }
@@ -401,15 +360,16 @@ impl Cellar {
     /// Insert `relation` as resident with one pin, updating byte
     /// accounting and the LRU order. The caller still owes an
     /// [`Self::enforce_budget_locked`].
-    fn insert_pinned_locked(inner: &mut Inner, uri: &str, relation: &Arc<Relation>) {
+    fn insert_pinned_locked(&self, inner: &mut Inner, uri: &str, relation: &Arc<Relation>) {
         let bytes = relation.approx_bytes();
         inner.slots.insert(
             uri.to_string(),
             Slot::Resident(ResidentChunk { relation: Arc::clone(relation), bytes, pins: 1 }),
         );
         inner.resident_bytes += bytes;
-        inner.peak_resident_bytes = inner.peak_resident_bytes.max(inner.resident_bytes);
+        inner.resident_chunks += 1;
         inner.lru.touch(uri);
+        self.publish(inner);
     }
 
     /// Classify one chunk under the lock: pin + touch a resident chunk,
@@ -422,7 +382,7 @@ impl Cellar {
                 r.pins += 1;
                 let rel = Arc::clone(&r.relation);
                 inner.lru.touch(uri);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.config.obs.count(Metric::CellarHits, 1);
                 StreamTask::Hit(rel)
             }
             Some(Slot::Loading(latch)) => StreamTask::Joined(Arc::clone(latch)),
@@ -455,10 +415,10 @@ impl Cellar {
                 let relation = Arc::new(relation);
                 {
                     let mut inner = self.inner.lock();
-                    Self::insert_pinned_locked(&mut inner, uri, &relation);
-                    self.stats.loads.fetch_add(1, Ordering::Relaxed);
+                    self.insert_pinned_locked(&mut inner, uri, &relation);
+                    self.config.obs.count(Metric::CellarLoads, 1);
                     if inner.ever_evicted.contains(uri) {
-                        self.stats.reloads.fetch_add(1, Ordering::Relaxed);
+                        self.config.obs.count(Metric::CellarReloads, 1);
                     }
                     self.enforce_budget_locked(&mut inner);
                 }
@@ -487,7 +447,9 @@ impl Cellar {
             && !matches!(e, EngineError::Cancelled { .. } | EngineError::Panicked { .. })
         {
             if let Ok(s) = self.source_of(uri) {
-                s.registry.quarantine(uri, e.to_string());
+                if s.registry.quarantine(uri, e.to_string()) {
+                    self.config.obs.count(Metric::FaultChunksQuarantined, 1);
+                }
             }
         }
     }
@@ -569,7 +531,7 @@ impl Cellar {
             StreamTask::Joined(_) if aborted() => return,
             StreamTask::Joined(latch) => match self.wait_latch(latch) {
                 (Ok((relation, _)), waited) => {
-                    self.stats.joins.fetch_add(1, Ordering::Relaxed);
+                    self.config.obs.count(Metric::CellarJoins, 1);
                     let relation = self.pin_or_readmit(uri, relation);
                     Ok(AcquiredChunk {
                         pin_wait: waited,
@@ -617,7 +579,7 @@ impl Cellar {
                 )
             };
             match victim {
-                Some(uri) if Self::evict_locked(inner, &self.stats, &uri) => {}
+                Some(uri) if self.evict_locked(inner, &uri) => {}
                 // Everything left is pinned: a query's working set may
                 // transiently exceed the budget; release re-enforces it.
                 _ => break,
@@ -627,16 +589,18 @@ impl Cellar {
 
     /// Evict `uri` if it is resident and unpinned, and say whether it
     /// was. A pinned chunk stays resident: its sink is still reading it.
-    fn evict_locked(inner: &mut Inner, stats: &CellarStats, uri: &str) -> bool {
+    fn evict_locked(&self, inner: &mut Inner, uri: &str) -> bool {
         let bytes = match inner.slots.get(uri) {
             Some(Slot::Resident(r)) if r.pins == 0 => r.bytes,
             _ => return false,
         };
         inner.slots.remove(uri);
         inner.resident_bytes -= bytes;
+        inner.resident_chunks -= 1;
         inner.lru.remove(uri);
         inner.ever_evicted.insert(uri.to_string());
-        stats.evictions.fetch_add(1, Ordering::Relaxed);
+        self.publish(inner);
+        self.config.obs.count(Metric::CellarEvictions, 1);
         true
     }
 
@@ -862,7 +826,6 @@ impl std::fmt::Debug for Cellar {
             .field("budget_bytes", &self.config.budget_bytes)
             .field("resident_chunks", &self.resident_chunks())
             .field("resident_bytes", &self.resident_bytes())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -882,14 +845,32 @@ mod tests {
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
     use sommelier_storage::{ColumnData, ConstraintPolicy, Database};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
+
+    use Metric::*;
+
+    /// The default configuration, counting into a fresh registry.
+    fn counted() -> CellarConfig {
+        let metrics = Arc::new(MetricsRegistry::new());
+        CellarConfig { obs: Obs::new(ObsLevel::Counters, metrics), ..CellarConfig::default() }
+    }
+
+    /// `metrics` as counted in `cellar`'s registry.
+    fn counts<const N: usize>(cellar: &Cellar, metrics: [Metric; N]) -> [u64; N] {
+        metrics.map(|m| cellar.config.obs.metrics().map_or(0, |r| r.get(m)))
+    }
+
+    fn count(cellar: &Cellar, metric: Metric) -> u64 {
+        counts(cellar, [metric])[0]
+    }
 
     /// A policy on a 2-worker pool shared by every test that uses it
     /// (the shipping shape): waves claim on the pool, joins drain
     /// inline on the submitting thread.
     fn pooled() -> SchedPolicy {
         static POOL: OnceLock<Arc<MorselScheduler>> = OnceLock::new();
-        let pool = POOL.get_or_init(|| Arc::new(MorselScheduler::new(2)));
+        let pool = POOL.get_or_init(|| Arc::new(MorselScheduler::new(2, Default::default())));
         SchedPolicy::default().with_scheduler(Some(Arc::clone(pool)))
     }
 
@@ -1002,31 +983,29 @@ mod tests {
     fn budget_enforced_after_release_never_while_pinned() {
         let fx = fixture("budget", 4, 64);
         let all = uris(&fx);
-        let one = chunk_bytes(&cellar_over(&fx, CellarConfig::default()), &all[0]);
+        let one = chunk_bytes(&cellar_over(&fx, counted()), &all[0]);
         // Budget fits ~2 chunks; a 4-chunk query must still run.
-        let cellar = cellar_over(
-            &fx,
-            CellarConfig { budget_bytes: one * 2 + one / 2, ..CellarConfig::default() },
-        );
+        let cellar =
+            cellar_over(&fx, CellarConfig { budget_bytes: one * 2 + one / 2, ..counted() });
         // All four pinned at once (nested sinks): transiently over
         // budget, nothing evicted.
         while_pinned(&cellar, &all, &|| {
             assert_eq!(cellar.resident_chunks(), 4);
             assert!(cellar.resident_bytes() > cellar.budget_bytes());
-            assert_eq!(cellar.stats().evictions, 0);
+            assert_eq!(count(&cellar, CellarEvictions), 0);
         })
         .unwrap();
-        assert_eq!(cellar.stats().loads, 4);
+        assert_eq!(count(&cellar, CellarLoads), 4);
         // Budget enforced once pins dropped.
         assert!(cellar.resident_bytes() <= cellar.budget_bytes());
-        assert!(cellar.stats().evictions >= 2);
+        assert!(count(&cellar, CellarEvictions) >= 2);
     }
 
     #[test]
     fn resident_chunks_hit_without_reload() {
         let fx = fixture("hits", 2, 32);
         let all = uris(&fx);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         let expect_loaded = |loaded: bool| {
             move |_i: usize, a: AcquiredChunk| {
                 assert!(a.loaded == loaded && !a.joined);
@@ -1035,15 +1014,14 @@ mod tests {
         };
         cellar.acquire_each(&all, &pooled(), &expect_loaded(true)).unwrap();
         cellar.acquire_each(&all, &pooled(), &expect_loaded(false)).unwrap();
-        let s = cellar.stats();
-        assert_eq!((s.loads, s.hits, s.reloads), (2, 2, 0));
+        assert_eq!(counts(&cellar, [CellarLoads, CellarHits, CellarReloads]), [2, 2, 0]);
     }
 
     #[test]
     fn single_flight_concurrent_acquires_decode_once() {
         let fx = fixture("flight", 2, 64);
         let all = uris(&fx);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let cellar = &cellar;
@@ -1054,24 +1032,24 @@ mod tests {
                 });
             }
         });
-        let s = cellar.stats();
-        assert_eq!(s.loads, all.len() as u64, "each chunk decoded exactly once");
-        assert_eq!(s.hits + s.joins + s.loads, 8 * all.len() as u64);
-        assert_eq!(s.reloads, 0);
+        let [hits, joins, loads, reloads] =
+            counts(&cellar, [CellarHits, CellarJoins, CellarLoads, CellarReloads]);
+        assert_eq!(loads, all.len() as u64, "each chunk decoded exactly once");
+        assert_eq!(hits + joins + loads, 8 * all.len() as u64);
+        assert_eq!(reloads, 0);
     }
 
     #[test]
     fn zero_budget_cellar_re_ingests_every_acquisition() {
         let fx = fixture("zero-budget", 2, 32);
         let all = uris(&fx);
-        let cellar =
-            cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
+        let cellar = cellar_over(&fx, CellarConfig { budget_bytes: 0, ..counted() });
         cellar.acquire_each(&all, &pooled(), &accept).unwrap();
         assert_eq!(cellar.resident_chunks(), 0);
         cellar.acquire_each(&all, &pooled(), &accept).unwrap();
-        let s = cellar.stats();
-        assert_eq!(s.loads, 2 * all.len() as u64, "every query re-ingests");
-        assert_eq!(s.reloads, all.len() as u64);
+        let [loads, reloads] = counts(&cellar, [CellarLoads, CellarReloads]);
+        assert_eq!(loads, 2 * all.len() as u64, "every query re-ingests");
+        assert_eq!(reloads, all.len() as u64);
     }
 
     #[test]
@@ -1111,11 +1089,10 @@ mod tests {
             )
             .unwrap();
         // Budget 1 byte: everything evicts on release.
-        let cellar =
-            cellar_over(&fx, CellarConfig { budget_bytes: 1, ..CellarConfig::default() });
+        let cellar = cellar_over(&fx, CellarConfig { budget_bytes: 1, ..counted() });
         cellar.acquire_each(&all[..1], &SchedPolicy::default(), &accept).unwrap();
         assert_eq!(cellar.resident_chunks(), 0);
-        assert_eq!(cellar.stats().evictions, 1);
+        assert_eq!(count(&cellar, CellarEvictions), 1);
         // Eviction freed memory only: the storage rows, the derived Y
         // row and its coverage all survive.
         assert_eq!(fx.db.table_rows("E").unwrap(), 3);
@@ -1129,7 +1106,7 @@ mod tests {
         let all = uris(&fx);
         let day0 = days_from_civil(2011, 3, 1) * MS_PER_DAY;
         fx.dmd.mark_covered([(vec!["web-1".to_string(), "api".to_string()], day0)]);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         cellar.acquire_each(&all, &pooled(), &accept).unwrap();
         assert_eq!(cellar.resident_chunks(), 2);
         cellar.clear();
@@ -1143,11 +1120,9 @@ mod tests {
     fn pinned_chunks_are_never_victims() {
         let fx = fixture("pins", 3, 64);
         let all = uris(&fx);
-        let one = chunk_bytes(&cellar_over(&fx, CellarConfig::default()), &all[0]);
-        let cellar = cellar_over(
-            &fx,
-            CellarConfig { budget_bytes: one + one / 2, ..CellarConfig::default() },
-        );
+        let one = chunk_bytes(&cellar_over(&fx, counted()), &all[0]);
+        let cellar =
+            cellar_over(&fx, CellarConfig { budget_bytes: one + one / 2, ..counted() });
         // Hold a pin on chunk 0 (its sink is open) across a second
         // acquisition that overflows the budget.
         let inline = SchedPolicy::default();
@@ -1172,38 +1147,37 @@ mod tests {
     fn evicting_a_chunk_pinned_in_its_sink_leaves_it_resident() {
         let fx = fixture("evict-pinned", 1, 64);
         let all = uris(&fx);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         let inline = SchedPolicy::default();
         let seen = Mutex::new(Vec::new());
         cellar
             .acquire_each(&all, &inline, &|_, chunk| {
                 let bytes = cellar.resident_bytes();
-                let evicted =
-                    Cellar::evict_locked(&mut cellar.inner.lock(), &cellar.stats, &all[0]);
+                let evicted = cellar.evict_locked(&mut cellar.inner.lock(), &all[0]);
                 assert!(!evicted, "a pinned chunk was evicted");
                 assert!(cellar.is_resident(&all[0]));
                 assert_eq!(cellar.resident_bytes(), bytes);
-                assert_eq!(cellar.stats().evictions, 0);
+                assert_eq!(count(&cellar, CellarEvictions), 0);
                 *seen.lock() = bits(&chunk.relation);
                 Ok(())
             })
             .unwrap();
-        let loads = cellar.stats().loads;
+        let loads = count(&cellar, CellarLoads);
         cellar
             .acquire_each(&all, &inline, &|_, chunk| {
                 assert_eq!(bits(&chunk.relation), *seen.lock());
                 Ok(())
             })
             .unwrap();
-        assert_eq!(cellar.stats().loads, loads, "the pinned chunk was never reloaded");
-        assert_eq!(cellar.stats().hits, 1);
+        assert_eq!(count(&cellar, CellarLoads), loads, "the pinned chunk was never reloaded");
+        assert_eq!(count(&cellar, CellarHits), 1);
     }
 
     #[test]
     fn streaming_acquisition_delivers_every_chunk_once() {
         let fx = fixture("stream", 4, 64);
         let all = uris(&fx);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         let delivered = Mutex::new(vec![0usize; all.len()]);
         let rows = AtomicU64::new(0);
         let sink = |i: usize, chunk: AcquiredChunk| {
@@ -1225,34 +1199,31 @@ mod tests {
         };
         cellar.acquire_each(&all, &pooled(), &sink2).unwrap();
         assert_eq!(*hits.lock(), all.len());
-        let s = cellar.stats();
-        assert_eq!(s.loads, all.len() as u64);
-        assert_eq!(s.hits, all.len() as u64);
+        assert_eq!(count(&cellar, CellarLoads), all.len() as u64);
+        assert_eq!(count(&cellar, CellarHits), all.len() as u64);
     }
 
     #[test]
     fn streaming_acquisition_interleaves_eviction_under_tiny_budget() {
         let fx = fixture("stream-tiny", 4, 64);
         let all = uris(&fx);
-        let one = chunk_bytes(&cellar_over(&fx, CellarConfig::default()), &all[0]);
+        let one = chunk_bytes(&cellar_over(&fx, counted()), &all[0]);
         // Budget fits ~1 chunk: the wave holds each pin only during its
         // sink call, so eviction interleaves with delivery and the wave
         // succeeds without the 4-chunk working set ever fitting.
-        let cellar = cellar_over(
-            &fx,
-            CellarConfig { budget_bytes: one + one / 2, ..CellarConfig::default() },
-        );
-        let count = AtomicU64::new(0);
+        let cellar =
+            cellar_over(&fx, CellarConfig { budget_bytes: one + one / 2, ..counted() });
+        let sunk = AtomicU64::new(0);
         let sink = |_i: usize, chunk: AcquiredChunk| {
             assert!(chunk.relation.rows() > 0);
-            count.fetch_add(1, Ordering::Relaxed);
+            sunk.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
         cellar.acquire_each(&all, &pooled(), &sink).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), all.len() as u64);
+        assert_eq!(sunk.load(Ordering::Relaxed), all.len() as u64);
         // Budget holds once the wave is over (no pins survive).
         assert!(cellar.resident_bytes() <= cellar.budget_bytes());
-        assert!(cellar.stats().evictions > 0, "eviction ran during the wave");
+        assert!(count(&cellar, CellarEvictions) > 0, "eviction ran during the wave");
     }
 
     #[test]
@@ -1270,12 +1241,12 @@ mod tests {
         // every wave).
         let fx = fixture("stream-xwave", 4, 32);
         let all = uris(&fx);
-        let pool = Arc::new(MorselScheduler::new(2));
+        let pool_metrics = Arc::new(MetricsRegistry::new());
+        let pool = Arc::new(MorselScheduler::new(2, Arc::clone(&pool_metrics)));
         let serial = SchedPolicy::default();
         let shared = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
         for policy in [&serial, &shared] {
-            let cellar =
-                cellar_over(&fx, CellarConfig { budget_bytes: 0, ..CellarConfig::default() });
+            let cellar = cellar_over(&fx, CellarConfig { budget_bytes: 0, ..counted() });
             let waves_per_thread = 12u64;
             std::thread::scope(|scope| {
                 for t in 0..6usize {
@@ -1304,17 +1275,18 @@ mod tests {
                     });
                 }
             });
-            let s = cellar.stats();
-            assert_eq!(s.hits + s.joins + s.loads, 6 * waves_per_thread * all.len() as u64);
+            let acquisitions: u64 =
+                counts(&cellar, [CellarHits, CellarJoins, CellarLoads]).iter().sum();
+            assert_eq!(acquisitions, 6 * waves_per_thread * all.len() as u64);
         }
-        assert!(pool.stats().tasks > 0, "the shared run claimed on the pool");
+        assert!(pool_metrics.get(SchedTasks) > 0, "the shared run claimed on the pool");
     }
 
     #[test]
     fn streaming_acquisition_propagates_sink_errors_and_unpins() {
         let fx = fixture("stream-err", 3, 32);
         let all = uris(&fx);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         let sink = |i: usize, _chunk: AcquiredChunk| {
             if i == 1 {
                 Err(EngineError::Exec("boom".into()))
@@ -1333,12 +1305,13 @@ mod tests {
     fn peak_tracks_high_water_mark() {
         let fx = fixture("peak", 3, 32);
         let all = uris(&fx);
-        let cellar = cellar_over(&fx, CellarConfig::default());
+        let cellar = cellar_over(&fx, counted());
         cellar.acquire_each(&all, &pooled(), &accept).unwrap();
-        let peak = cellar.peak_resident_bytes();
+        let peak = count(&cellar, CellarPeakResidentBytes) as usize;
         assert_eq!(peak, cellar.resident_bytes());
         cellar.clear();
-        assert_eq!(cellar.peak_resident_bytes(), peak, "peak survives clears");
+        let after = count(&cellar, CellarPeakResidentBytes) as usize;
+        assert_eq!(after, peak, "peak survives clears");
     }
 
     #[test]
@@ -1369,12 +1342,10 @@ mod tests {
             registry: registry_b,
             source: source_b,
         };
-        let cellar = Arc::new(
-            Cellar::new(vec![binding(&fx_a), binding_b], CellarConfig::default()).unwrap(),
-        );
+        let cellar =
+            Arc::new(Cellar::new(vec![binding(&fx_a), binding_b], counted()).unwrap());
         // Overlapping registries are refused outright.
-        assert!(Cellar::new(vec![binding(&fx_a), binding(&fx_a)], CellarConfig::default())
-            .is_err());
+        assert!(Cellar::new(vec![binding(&fx_a), binding(&fx_a)], counted()).is_err());
         assert_eq!(cellar.all_chunks().unwrap().len(), 3, "two sources united");
         assert_eq!(cellar.scoped(0).all_chunks().unwrap().len(), 2);
         assert_eq!(cellar.scoped(1).all_chunks().unwrap().len(), 1);
@@ -1421,12 +1392,12 @@ mod tests {
     fn transient_faults_recover_via_retries_byte_identically() {
         let fx = fixture("retry", 3, 32);
         let all = uris(&fx);
-        let clean = cellar_over(&fx, CellarConfig::default());
+        let clean = cellar_over(&fx, counted());
         let expect = rows_per_chunk(&clean, &all, &pooled()).unwrap();
         let metrics = Arc::new(MetricsRegistry::new());
         let config = CellarConfig {
             obs: Obs::new(ObsLevel::Counters, Arc::clone(&metrics)),
-            ..CellarConfig::default()
+            ..counted()
         };
         let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), config);
         // Strict policy: a chunk that exhausted its retries would fail
@@ -1449,7 +1420,7 @@ mod tests {
         let cellar = faulty_cellar(
             &fx,
             plan,
-            CellarConfig { retry: RetryPolicy::none(), ..CellarConfig::default() },
+            CellarConfig { retry: RetryPolicy::none(), ..counted() },
         );
         let policy = SchedPolicy::default();
         let err = cellar.acquire_each(&all, &policy, &accept).unwrap_err();
@@ -1475,7 +1446,7 @@ mod tests {
         let fx = fixture("quarantine", 2, 16);
         let all = uris(&fx);
         let plan = FaultPlan { corrupt_uris: vec![all[0].clone()], ..FaultPlan::default() };
-        let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
+        let cellar = faulty_cellar(&fx, plan, counted());
         // Strict: the typed error names the chunk, and the chunk lands
         // in quarantine.
         let err = cellar.acquire_each(&all, &pooled(), &accept).unwrap_err();
@@ -1516,7 +1487,7 @@ mod tests {
         let fx = fixture("stream-skip", 3, 16);
         let all = uris(&fx);
         let plan = FaultPlan { corrupt_uris: vec![all[1].clone()], ..FaultPlan::default() };
-        let cellar = faulty_cellar(&fx, plan, CellarConfig::default());
+        let cellar = faulty_cellar(&fx, plan, counted());
         let mut policy = pooled();
         policy.degradation = DegradationPolicy::SkipUnreadable;
         let skipped = Mutex::new(Vec::new());
@@ -1575,12 +1546,12 @@ mod tests {
         let fx = fixture("interleave", 6, 16);
         let all = uris(&fx);
         let reference: HashMap<String, Vec<(String, String)>> = {
-            let clean = cellar_over(&fx, CellarConfig::default());
+            let clean = cellar_over(&fx, counted());
             all.iter()
                 .map(|u| (u.clone(), bits(&clean.sources[0].source.load_chunk(u).unwrap())))
                 .collect()
         };
-        let one = chunk_bytes(&cellar_over(&fx, CellarConfig::default()), &all[0]);
+        let one = chunk_bytes(&cellar_over(&fx, counted()), &all[0]);
         let retry = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
         for (seed, degradation) in [
             (1u64, DegradationPolicy::Strict),
@@ -1590,11 +1561,7 @@ mod tests {
         ] {
             let plan =
                 FaultPlan { seed, max_transient_per_chunk: 2, ..FaultPlan::transient(0.5) };
-            let config = CellarConfig {
-                budget_bytes: one + one / 2,
-                retry,
-                ..CellarConfig::default()
-            };
+            let config = CellarConfig { budget_bytes: one + one / 2, retry, ..counted() };
             let cellar = faulty_cellar(&fx, plan, config);
             // Only transient faults are injected: a strict wave may fail
             // with one, a skipping wave never fails.
@@ -1692,8 +1659,7 @@ mod tests {
             base_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(5),
         };
-        let cellar =
-            faulty_cellar(&fx, plan, CellarConfig { retry, ..CellarConfig::default() });
+        let cellar = faulty_cellar(&fx, plan, CellarConfig { retry, ..counted() });
         let token = CancelToken::new();
         let policy = SchedPolicy { cancel: Some(token.clone()), ..SchedPolicy::default() };
         let canceller = {

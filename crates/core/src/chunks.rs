@@ -421,8 +421,7 @@ pub struct ChunkRegistry {
     uri_arcs: Vec<Arc<str>>,
     /// Chunks found permanently unreadable (uri → reason). Stage 1
     /// consults this before scheduling decodes, so a quarantined
-    /// chunk's file is never touched again until the registry is
-    /// rebuilt (the next `prepare`).
+    /// chunk's file is never touched again for the life of the system.
     quarantined: Mutex<HashMap<String, String>>,
 }
 
@@ -443,20 +442,17 @@ impl ChunkRegistry {
         }
     }
 
-    /// Record a chunk as permanently unreadable. Idempotent (the first
-    /// reason wins).
-    pub fn quarantine(&self, uri: &str, reason: impl Into<String>) {
-        self.quarantined.lock().entry(uri.to_string()).or_insert_with(|| reason.into());
+    /// Record a chunk as permanently unreadable, and say whether it is
+    /// newly quarantined. Idempotent (the first reason wins).
+    pub fn quarantine(&self, uri: &str, reason: impl Into<String>) -> bool {
+        let mut quarantined = self.quarantined.lock();
+        !quarantined.contains_key(uri)
+            && quarantined.insert(uri.into(), reason.into()).is_none()
     }
 
     /// The quarantine reason of a chunk, if it is quarantined.
     pub fn quarantined(&self, uri: &str) -> Option<String> {
         self.quarantined.lock().get(uri).cloned()
-    }
-
-    /// How many chunks are quarantined.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.lock().len()
     }
 
     /// Look up a chunk by URI.

@@ -56,14 +56,14 @@ pub mod query;
 pub mod registrar;
 pub mod source;
 
-pub use admission::{AdmissionController, AdmissionError, AdmissionStats, AdmissionTicket};
+pub use admission::{AdmissionController, AdmissionError, AdmissionTicket};
 pub use config::SommelierConfig;
 pub use error::{Result, SommelierError};
 pub use fault::{FaultCounts, FaultInjector, FaultPlan, RetryPolicy};
 pub use loader::{LoadingMode, PrepReport};
 pub use query::QueryType;
 pub use sommelier_engine::sched::{
-    CancelToken, DegradationPolicy, MorselScheduler, Priority, SchedStats,
+    CancelToken, DegradationPolicy, MorselScheduler, Priority,
 };
 pub use sommelier_engine::twostage::SkippedChunk;
 pub use sommelier_engine::{
@@ -346,10 +346,13 @@ impl SommelierBuilder {
                 true,
             ),
         };
+        // Every subsystem counts into this one registry.
+        let metrics = Arc::new(MetricsRegistry::new());
         let scheduler = if self.config.max_threads > 1 {
             Some(Arc::new(MorselScheduler::with_aging(
                 self.config.max_threads,
                 std::time::Duration::from_millis(self.config.sched_aging_ms),
+                Arc::clone(&metrics),
             )))
         } else {
             None
@@ -357,10 +360,10 @@ impl SommelierBuilder {
         let admission = AdmissionController::new(
             self.config.admission_max_concurrent,
             self.config.admission_queue_limit,
+            Arc::clone(&metrics),
         );
         let fault_injector =
             self.config.fault_plan.clone().map(|plan| Arc::new(FaultInjector::new(plan)));
-        let metrics = Arc::new(MetricsRegistry::new());
         // One prefetch stage (and one IO-thread pool) per system: the
         // server's sessions all share it, so concurrent queries compete
         // for the same bounded read bandwidth instead of spawning
@@ -370,7 +373,7 @@ impl SommelierBuilder {
                 self.config.prefetch_io_threads(),
                 self.config.prefetch_depth,
                 self.config.io_retry,
-                Obs::new(self.config.observability, Arc::clone(&metrics)),
+                Arc::clone(&metrics),
             ))
         });
         let somm = Sommelier {
@@ -386,7 +389,6 @@ impl SommelierBuilder {
             admission,
             fault_injector,
             prefetch,
-            queries_degraded: AtomicU64::new(0),
             latency_ewma_ns: AtomicU64::new(0),
         };
         if opened {
@@ -418,7 +420,8 @@ pub struct Sommelier {
     db_dir: Option<PathBuf>,
     /// The system's metrics registry (per instance, not process-global,
     /// so concurrent systems — and concurrent tests — never share
-    /// counters); scraped by [`Sommelier::metrics_snapshot`].
+    /// counters): the one store every subsystem counts into; read by
+    /// [`Sommelier::metrics_snapshot`].
     metrics: Arc<MetricsRegistry>,
     /// The shared morsel scheduler: one persistent pool of
     /// `max_threads` workers serving every in-flight query. `None`
@@ -441,9 +444,6 @@ pub struct Sommelier {
     /// `prefetch_depth == 0` — the decode path is then byte-for-byte
     /// the classic fused fetch+decode.
     prefetch: Option<Arc<prefetch::PrefetchStage>>,
-    /// How many queries completed degraded (skipped at least one
-    /// unreadable chunk under `SkipUnreadable`).
-    queries_degraded: AtomicU64,
     /// EWMA of successful top-level query latency (α = 1/8), in
     /// nanoseconds. Feeds the `retry_after_ms` backpressure hint on
     /// [`SommelierError::Overloaded`]: clients are told to come back
@@ -599,7 +599,16 @@ impl Sommelier {
     /// (§VI-A), returning the phase-timed report (Figure 6's bars).
     /// Every registered source goes through the same mode; phases
     /// accumulate across sources.
+    ///
+    /// A system is prepared once (a re-opened database arrives
+    /// prepared): a second call is a [`SommelierError::Usage`] error
+    /// that touches nothing. Another mode needs a fresh system.
     pub fn prepare(&self, mode: LoadingMode) -> Result<PrepReport> {
+        if let Some(p) = self.prepared.lock().as_ref() {
+            let msg =
+                format!("already prepared {}; another mode needs a fresh system", p.mode);
+            return Err(SommelierError::Usage(msg));
+        }
         let mut report = PrepReport::default();
         let mut registries = Vec::with_capacity(self.sources.len());
         for s in &self.sources {
@@ -717,8 +726,8 @@ impl Sommelier {
             // Staged prefetch bytes count against the cellar budget:
             // the stage probes residency before issuing each read, so
             // a near-full (or tiny) cellar degrades prefetch toward
-            // depth 0 instead of busting the budget. Weak: the stage
-            // outlives any one cellar (prepare() can rebuild it).
+            // depth 0 instead of busting the budget. Weak: the cellar
+            // holds the stage, so a strong probe would be a cycle.
             let weak = Arc::downgrade(&cellar);
             stage.bind_budget_probe(move || {
                 weak.upgrade()
@@ -944,7 +953,7 @@ impl Sommelier {
         ts_config.sched.degradation = opts.degradation;
         let scoped = cellar.scoped(compiled.source_idx);
         let access = (mode == LoadingMode::Lazy).then_some(&scoped as &dyn ChunkResidency);
-        let evictions_before = cellar.stats().evictions;
+        let evictions_before = self.metrics.get(Metric::CellarEvictions);
         let outcome = execute_plan(&self.db, &plan, access, &ts_config)?;
         trace.extend(outcome.trace);
         let mut stats = outcome.stats;
@@ -952,7 +961,8 @@ impl Sommelier {
         // query's stats (best-effort under concurrency: evictions
         // triggered by overlapping queries land in whichever window
         // observes them).
-        stats.cellar_evictions = cellar.stats().evictions.saturating_sub(evictions_before);
+        stats.cellar_evictions =
+            self.metrics.get(Metric::CellarEvictions).saturating_sub(evictions_before);
         let span_trace = tracer.map(|tc| {
             if let Some(id) = root {
                 tc.end_with(
@@ -968,7 +978,7 @@ impl Sommelier {
         let degraded = if outcome.skipped.is_empty() {
             None
         } else {
-            self.queries_degraded.fetch_add(1, Ordering::Relaxed);
+            self.metrics.add(Metric::FaultQueriesDegraded, 1);
             Some(DegradedReport {
                 skipped_chunks: outcome.skipped.iter().map(|s| s.uri.clone()).collect(),
                 reasons: outcome.skipped.iter().map(|s| s.reason.clone()).collect(),
@@ -1004,9 +1014,9 @@ impl Sommelier {
     /// clamped to [10ms, 10s] so the hint is always actionable even
     /// before any latency samples exist.
     fn overload_retry_after_ms(&self) -> u64 {
-        let st = self.admission.stats();
+        let queued = self.metrics.get(Metric::AdmissionQueueDepth);
         let ewma_ms = (self.latency_ewma_ns.load(Ordering::Relaxed) / 1_000_000).max(1);
-        let rounds = st.queue_depth / self.config.admission_max_concurrent.max(1) as u64 + 1;
+        let rounds = queued / self.config.admission_max_concurrent.max(1) as u64 + 1;
         (rounds * ewma_ms).clamp(10, 10_000)
     }
 
@@ -1071,12 +1081,6 @@ impl Sommelier {
     /// [`SommelierConfig::max_threads`] is above 1).
     pub fn scheduler(&self) -> Option<&Arc<MorselScheduler>> {
         self.scheduler.as_ref()
-    }
-
-    /// Admission-control counters (also mirrored into
-    /// [`Sommelier::metrics_snapshot`] as the `admission.*` family).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.admission.stats()
     }
 
     /// Run an already-bound spec (programmatic clients, benches).
@@ -1212,73 +1216,26 @@ impl Sommelier {
     }
 
     /// The instance's metrics registry (one per [`Sommelier`], so
-    /// concurrent instances do not share counters), for writers outside
-    /// this crate such as the server's session gauge.
+    /// concurrent instances do not share counters): every metric's live
+    /// value, and the store the server's session gauge counts into.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
 
-    /// Snapshot every metric by name. Subsystems that keep their own
-    /// atomics for zero-overhead accounting (cellar, scheduler,
-    /// admission and prefetch stats, the decode scratch arenas) are
-    /// mirrored into the registry here, at snapshot time.
+    /// Snapshot every metric by name. A pure read: every subsystem
+    /// counts into [`Self::metrics`] in place, so this is the registry's
+    /// snapshot plus three values kept outside it — the process-wide
+    /// `decode.arena_reuse`/`decode.arena_alloc` (thread-local scratch
+    /// arenas shared by every system) and `fault.faults_injected`, read
+    /// from the injector's [`FaultCounts`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        use Metric::*;
-        let m = &self.metrics;
-        if let Some(cellar) = self.cellar() {
-            let s = cellar.stats();
-            m.set(CellarHits, s.hits);
-            m.set(CellarLoads, s.loads);
-            m.set(CellarJoins, s.joins);
-            m.set(CellarReloads, s.reloads);
-            m.set(CellarEvictions, s.evictions);
-            m.set(CellarPinWaitNs, s.pin_wait_ns);
-            m.set(CellarResidentBytes, cellar.resident_bytes() as u64);
-            m.set(CellarPeakResidentBytes, cellar.peak_resident_bytes() as u64);
-            m.set(CellarResidentChunks, cellar.resident_chunks() as u64);
-        }
-        // Process-wide: the scratch arenas are thread-locals shared by
-        // every system in the process.
+        let mut snap = self.metrics.snapshot();
         let (reuse, alloc) = source::scratch_counters();
-        m.set(DecodeArenaReuse, reuse);
-        m.set(DecodeArenaAlloc, alloc);
-        if let Some(s) = &self.scheduler {
-            let st = s.stats();
-            m.set(SchedWorkers, st.workers as u64);
-            m.set(SchedQueueDepth, st.queue_depth as u64);
-            m.set(SchedBatches, st.batches);
-            m.set(SchedTasks, st.tasks);
-            m.set(SchedBusyNs, st.busy_ns);
-            m.set(SchedPanics, st.panics);
-        }
-        let a = self.admission.stats();
-        m.set(AdmissionAdmitted, a.admitted);
-        m.set(AdmissionRejected, a.rejected);
-        m.set(AdmissionCancelled, a.cancelled);
-        m.set(AdmissionTimeouts, a.timeouts);
-        m.set(AdmissionQueueWaitNs, a.queue_wait_ns);
-        m.set(AdmissionRunning, a.running);
-        m.set(AdmissionQueueDepth, a.queue_depth);
-        m.set(
-            FaultFaultsInjected,
-            self.fault_injector.as_ref().map_or(0, |f| f.injected().errors()),
-        );
-        let quarantined: usize = self
-            .prepared
-            .lock()
-            .as_ref()
-            .map_or(0, |p| p.registries.iter().map(|r| r.quarantined_count()).sum());
-        m.set(FaultChunksQuarantined, quarantined as u64);
-        m.set(FaultQueriesDegraded, self.queries_degraded.load(Ordering::Relaxed));
-        if let Some(stage) = &self.prefetch {
-            let (issued, hits, wasted, io_wait) = stage.stats();
-            m.set(PrefetchIssued, issued);
-            m.set(PrefetchHits, hits);
-            m.set(PrefetchWastedBytes, wasted);
-            m.set(PrefetchIoWaitNs, io_wait);
-            m.set(PrefetchStagedBytes, stage.staged_bytes() as u64);
-        }
-        m.snapshot()
+        snap.patch(Metric::DecodeArenaReuse, reuse);
+        snap.patch(Metric::DecodeArenaAlloc, alloc);
+        let injected = self.fault_injector.as_ref().map_or(0, |f| f.injected().errors());
+        snap.patch(Metric::FaultFaultsInjected, injected);
+        snap
     }
 
     /// The raw-byte prefetch stage, when enabled (`prefetch_depth > 0`).
@@ -1326,7 +1283,7 @@ impl Sommelier {
 
     /// Every quarantined chunk as `(uri, reason)`, across sources.
     /// Quarantined chunks are excluded from stage 1's chunk selection
-    /// until the system is re-prepared.
+    /// for the life of the system.
     pub fn quarantined_chunks(&self) -> Vec<(String, String)> {
         self.prepared.lock().as_ref().map_or_else(Vec::new, |p| {
             p.registries

@@ -37,9 +37,12 @@
 use crate::fault::{with_retries, RetryPolicy};
 use crate::source::RawChunk;
 use parking_lot::{Condvar, Mutex};
-use sommelier_engine::{CancelToken, EngineError, ErrorKind, Obs, TraceCollector};
+use sommelier_engine::{
+    CancelToken, EngineError, ErrorKind, Metric, MetricsRegistry, Obs, ObsLevel,
+    TraceCollector,
+};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -186,40 +189,39 @@ pub struct PrefetchStage {
     /// Retry/backoff for fetch attempts on the IO thread (same policy
     /// as the cellar's decode retries).
     retry: RetryPolicy,
+    /// Counts `prefetch.*` and the fetches' retries. Its
+    /// `prefetch.staged_bytes` gauge is the one record of the bytes
+    /// staged (Ready, unclaimed), which count against the cellar budget.
+    /// Relaxed like every registry slot: the gauge publishes no data
+    /// (staged bytes are handed over under each latch's lock).
     obs: Obs,
+    metrics: Arc<MetricsRegistry>,
     /// Staged fetches by URI (single-flight per chunk across plans).
     entries: Mutex<HashMap<String, Arc<RawLatch>>>,
-    /// Bytes currently staged (Ready, unclaimed). The budget probe
-    /// counts them against the cellar budget.
-    staged_bytes: AtomicUsize,
     /// `(resident_bytes, budget_bytes)` of the cellar this stage feeds;
     /// bound once after the cellar is built. Issuing checks
     /// `resident + staged + estimate <= budget`.
     budget_probe: Mutex<Option<BudgetProbe>>,
-    // prefetch.* metric family (mirrored by `metrics_snapshot`).
-    issued: AtomicU64,
-    hits: AtomicU64,
-    wasted_bytes: AtomicU64,
-    io_wait_ns: AtomicU64,
 }
 
 impl PrefetchStage {
     /// A stage with `io_threads` dedicated IO workers and a per-plan
-    /// window of `depth`; staged bytes are bounded by the cellar
-    /// budget (see [`Self::bind_budget_probe`]).
-    pub fn new(io_threads: usize, depth: usize, retry: RetryPolicy, obs: Obs) -> Self {
+    /// window of `depth`, counting into `metrics`; staged bytes are
+    /// bounded by the cellar budget (see [`Self::bind_budget_probe`]).
+    pub fn new(
+        io_threads: usize,
+        depth: usize,
+        retry: RetryPolicy,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Self {
         PrefetchStage {
             pool: IoPool::new(io_threads),
             depth: depth.max(1),
             retry,
-            obs,
+            obs: Obs::new(ObsLevel::Counters, Arc::clone(&metrics)),
+            metrics,
             entries: Mutex::new(HashMap::new()),
-            staged_bytes: AtomicUsize::new(0),
             budget_probe: Mutex::new(None),
-            issued: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            wasted_bytes: AtomicU64::new(0),
-            io_wait_ns: AtomicU64::new(0),
         }
     }
 
@@ -233,35 +235,23 @@ impl PrefetchStage {
         *self.budget_probe.lock() = Some(Box::new(probe));
     }
 
-    /// The configured per-plan window depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of dedicated IO threads.
-    pub fn io_threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Bytes currently staged (fetched, not yet claimed).
+    /// Bytes currently staged (fetched, not yet claimed): the
+    /// `prefetch.staged_bytes` gauge.
     pub fn staged_bytes(&self) -> usize {
-        self.staged_bytes.load(Ordering::Acquire)
+        self.metrics.get(Metric::PrefetchStagedBytes) as usize
     }
 
-    /// `(issued, hits, wasted_bytes, io_wait_ns)` counters for
-    /// `metrics_snapshot`.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.issued.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-            self.wasted_bytes.load(Ordering::Relaxed),
-            self.io_wait_ns.load(Ordering::Relaxed),
-        )
+    /// Charge the time a claimer waited out an in-flight fetch.
+    fn note_wait(&self, waited: Option<Instant>) {
+        if let Some(t) = waited {
+            self.obs.count(Metric::PrefetchIoWaitNs, t.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Submit a plan: fetch `uris` (in order) through `fetcher`, at
-    /// most [`Self::depth`] in flight, honoring `cancel`. URIs already
-    /// being fetched by another live plan are skipped (single-flight).
+    /// most the stage's window depth in flight, honoring `cancel`. URIs
+    /// already being fetched by another live plan are skipped
+    /// (single-flight).
     /// The caller must call [`PrefetchPlan::finish`] when the query's
     /// chunk wave ends (success, error, or cancel) so unclaimed bytes
     /// are released.
@@ -308,12 +298,9 @@ impl PrefetchStage {
                     let raw = std::mem::take(raw);
                     *state = RawState::Claimed;
                     drop(state);
-                    self.staged_bytes.fetch_sub(raw.len(), Ordering::AcqRel);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = waited {
-                        self.io_wait_ns
-                            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
+                    self.metrics.sub(Metric::PrefetchStagedBytes, raw.len() as u64);
+                    self.obs.count(Metric::PrefetchHits, 1);
+                    self.note_wait(waited);
                     self.remove_entry(uri, &latch);
                     return Some(Ok(raw));
                 }
@@ -329,10 +316,7 @@ impl PrefetchStage {
                     };
                     *state = RawState::Claimed;
                     drop(state);
-                    if let Some(t) = waited {
-                        self.io_wait_ns
-                            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
+                    self.note_wait(waited);
                     self.remove_entry(uri, &latch);
                     return Some(Err(err));
                 }
@@ -453,7 +437,7 @@ impl PrefetchPlan {
                 mine.push((uri.clone(), Arc::clone(&latch)));
                 latch
             };
-            self.stage.issued.fetch_add(1, Ordering::Relaxed);
+            self.stage.obs.count(Metric::PrefetchIssued, 1);
             self.submitted.fetch_add(1, Ordering::Relaxed);
             self.outstanding.fetch_add(1, Ordering::AcqRel);
             let plan = Arc::clone(self);
@@ -477,7 +461,7 @@ impl PrefetchPlan {
             let mut state = latch.state.lock();
             match (&*state, result) {
                 (RawState::Pending, Ok(raw)) => {
-                    self.stage.staged_bytes.fetch_add(raw.len(), Ordering::AcqRel);
+                    self.stage.metrics.add(Metric::PrefetchStagedBytes, raw.len() as u64);
                     *state = RawState::Ready(raw);
                 }
                 (RawState::Pending, Err(e)) => {
@@ -496,7 +480,7 @@ impl PrefetchPlan {
                 // Plan finished while we were fetching: the buffer is
                 // wasted work, never staged.
                 (_, Ok(raw)) => {
-                    self.stage.wasted_bytes.fetch_add(raw.len() as u64, Ordering::Relaxed);
+                    self.stage.obs.count(Metric::PrefetchWastedBytes, raw.len() as u64);
                 }
                 (_, Err(_)) => {}
             }
@@ -521,8 +505,8 @@ impl PrefetchPlan {
             let mut state = latch.state.lock();
             match std::mem::replace(&mut *state, RawState::Abandoned) {
                 RawState::Ready(raw) => {
-                    self.stage.staged_bytes.fetch_sub(raw.len(), Ordering::AcqRel);
-                    self.stage.wasted_bytes.fetch_add(raw.len() as u64, Ordering::Relaxed);
+                    self.stage.metrics.sub(Metric::PrefetchStagedBytes, raw.len() as u64);
+                    self.stage.obs.count(Metric::PrefetchWastedBytes, raw.len() as u64);
                 }
                 // Keep terminal states terminal (claimers already
                 // consumed them); Pending stays Abandoned so the late
@@ -587,7 +571,15 @@ mod tests {
     }
 
     fn stage(depth: usize) -> Arc<PrefetchStage> {
-        Arc::new(PrefetchStage::new(2, depth, RetryPolicy::default(), Obs::off()))
+        let metrics = Arc::new(MetricsRegistry::new());
+        Arc::new(PrefetchStage::new(2, depth, RetryPolicy::default(), metrics))
+    }
+
+    /// `(issued, hits, wasted_bytes)` as counted in the stage's registry.
+    fn counts(stage: &PrefetchStage) -> (u64, u64, u64) {
+        let m = &stage.metrics;
+        use Metric::*;
+        (m.get(PrefetchIssued), m.get(PrefetchHits), m.get(PrefetchWastedBytes))
     }
 
     #[test]
@@ -604,8 +596,7 @@ mod tests {
         assert_eq!(got.bytes, b"bbbbbb");
         plan.finish();
         assert_eq!(stage.staged_bytes(), 0, "all claims drained the staging area");
-        let (issued, hits, wasted, _) = stage.stats();
-        assert_eq!((issued, hits, wasted), (2, 2, 0));
+        assert_eq!(counts(&stage), (2, 2, 0));
     }
 
     #[test]
@@ -621,7 +612,7 @@ mod tests {
         }
         plan.finish();
         assert_eq!(stage.staged_bytes(), 0, "abandoned bytes are released");
-        let (_, hits, wasted, _) = stage.stats();
+        let (_, hits, wasted) = counts(&stage);
         assert_eq!(hits, 0);
         assert_eq!(wasted, 128);
         assert!(stage.claim(&a).is_none(), "abandoned entries claim as a miss");

@@ -531,8 +531,8 @@ thread_local! {
 /// Process-wide scratch-arena accounting: how many scratch uses found a
 /// warm (already-allocated) buffer vs. started cold. Process-global
 /// because the buffers themselves are thread-locals shared by every
-/// system in the process; [`crate::Sommelier::metrics_snapshot`] copies
-/// the totals into `decode.arena_reuse` / `decode.arena_alloc`.
+/// system in the process; [`crate::Sommelier::metrics_snapshot`] reads
+/// the totals into its `decode.arena_reuse` / `decode.arena_alloc`.
 static SCRATCH_REUSE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static SCRATCH_ALLOC: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 

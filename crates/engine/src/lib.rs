@@ -60,9 +60,7 @@ pub use obs::{
 pub use optimizer::{ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 pub use physical::{fuse_partial_agg, PhysicalPlan};
 pub use relation::{Relation, RelationBuilder};
-pub use sched::{
-    CancelToken, DegradationPolicy, MorselScheduler, Priority, SchedPolicy, SchedStats,
-};
+pub use sched::{CancelToken, DegradationPolicy, MorselScheduler, Priority, SchedPolicy};
 pub use spec::{JoinEdge, QuerySpec, TableRef};
 pub use twostage::{
     AcquiredChunk, ChunkResidency, ChunkSink, ExecStats, SkippedChunk, TwoStageConfig,

@@ -8,6 +8,11 @@
 //! undeclared metric does not compile. Names are stable: they are the
 //! scrape contract documented in the README's metric table, and
 //! snapshots are read back by name.
+//!
+//! The registry is the only store of a counter: each subsystem counts
+//! into it where the event happens and sets each gauge under the lock
+//! that guards the state it reports, so taking a snapshot writes
+//! nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -177,16 +182,23 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Bump counter `metric` by `n`.
+    /// Bump counter `metric` by `n`, or raise gauge `metric` by `n`
+    /// (a gauge moved by deltas from threads that share no lock).
     pub fn add(&self, metric: Metric, n: u64) {
-        debug_assert_eq!(metric.kind(), Kind::Counter, "{}", metric.name());
+        debug_assert_ne!(metric.kind(), Kind::Histogram, "{}", metric.name());
         self.slots[metric as usize].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite `metric`: a gauge's new value, or a counter mirrored
-    /// from a subsystem's own atomic at snapshot time.
+    /// Lower gauge `metric` by `n` (the inverse of a gauge [`Self::add`]).
+    pub fn sub(&self, metric: Metric, n: u64) {
+        debug_assert_eq!(metric.kind(), Kind::Gauge, "{}", metric.name());
+        self.slots[metric as usize].0.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Overwrite gauge `metric` with its new value (set under the lock
+    /// that guards the state it reports). Counters only ever grow.
     pub fn set(&self, metric: Metric, v: u64) {
-        debug_assert_ne!(metric.kind(), Kind::Histogram, "{}", metric.name());
+        debug_assert_eq!(metric.kind(), Kind::Gauge, "{}", metric.name());
         self.slots[metric as usize].0.store(v, Ordering::Relaxed);
     }
 
@@ -251,6 +263,19 @@ impl MetricsSnapshot {
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
             .map(|i| self.gauges[i].1)
+    }
+
+    /// Overwrite `metric`'s value in this snapshot: for the few values
+    /// read from outside the registry when the snapshot is taken.
+    pub fn patch(&mut self, metric: Metric, v: u64) {
+        let list = match metric.kind() {
+            Kind::Counter => &mut self.counters,
+            Kind::Gauge => &mut self.gauges,
+            Kind::Histogram => return,
+        };
+        if let Ok(i) = list.binary_search_by(|(n, _)| n.as_str().cmp(metric.name())) {
+            list[i].1 = v;
+        }
     }
 
     /// Per-counter increase since `earlier` (counters absent earlier

@@ -278,40 +278,15 @@ impl BatchCore {
 unsafe impl Send for BatchCore {}
 unsafe impl Sync for BatchCore {}
 
-#[derive(Default)]
-struct SchedCounters {
-    batches: AtomicU64,
-    tasks: AtomicU64,
-    busy_ns: AtomicU64,
-    panics: AtomicU64,
-}
-
 struct SchedShared {
     queue: Mutex<Vec<Arc<BatchCore>>>,
     work_cv: Condvar,
     shutdown: AtomicBool,
     /// Queue wait that buys one priority rank (see [`BatchCore::score`]).
     aging: Duration,
-    counters: SchedCounters,
-}
-
-/// Point-in-time scheduler statistics, mirrored into
-/// `metrics_snapshot()` as the `sched.*` family.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SchedStats {
-    /// Pool size (== the system's `max_threads`).
-    pub workers: usize,
-    /// Batches submitted over the scheduler's lifetime.
-    pub batches: u64,
-    /// Tasks (morsels) submitted over the scheduler's lifetime.
-    pub tasks: u64,
-    /// Total ns workers spent running tasks.
-    pub busy_ns: u64,
-    /// Batches currently queued or draining.
-    pub queue_depth: usize,
-    /// Morsel tasks that panicked (caught; each fails only its own
-    /// batch). Mirrored into `metrics_snapshot()` as `sched.panics`.
-    pub panics: u64,
+    /// Counts `sched.*` as it happens; `sched.queue_depth` (batches
+    /// queued or draining) is set under the queue lock.
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// The shared worker pool. See the module docs for the model; the
@@ -337,23 +312,29 @@ pub const DEFAULT_AGING: Duration = Duration::from_millis(100);
 
 impl MorselScheduler {
     /// Spawn a pool of `workers` (min 1) persistent threads with the
-    /// default aging quantum ([`DEFAULT_AGING`]).
-    pub fn new(workers: usize) -> Self {
-        Self::with_aging(workers, DEFAULT_AGING)
+    /// default aging quantum ([`DEFAULT_AGING`]), counting into
+    /// `metrics`.
+    pub fn new(workers: usize, metrics: Arc<MetricsRegistry>) -> Self {
+        Self::with_aging(workers, DEFAULT_AGING, metrics)
     }
 
     /// Spawn a pool whose queued batches gain one priority rank per
     /// `aging` waited (zero disables aging — strict priority order,
     /// the pre-aging behavior, under which a saturating `High` tenant
     /// starves `Low` forever).
-    pub fn with_aging(workers: usize, aging: Duration) -> Self {
+    pub fn with_aging(
+        workers: usize,
+        aging: Duration,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Self {
         let workers = workers.max(1);
+        metrics.set(Metric::SchedWorkers, workers as u64);
         let shared = Arc::new(SchedShared {
             queue: Mutex::new(Vec::new()),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             aging,
-            counters: SchedCounters::default(),
+            metrics,
         });
         let handles = (0..workers)
             .map(|w| {
@@ -376,27 +357,6 @@ impl MorselScheduler {
     /// many queries are in flight.
     pub fn worker_count(&self) -> usize {
         self.workers
-    }
-
-    /// Lifetime counters + current queue depth.
-    pub fn stats(&self) -> SchedStats {
-        let c = &self.shared.counters;
-        SchedStats {
-            workers: self.workers,
-            batches: c.batches.load(Ordering::Relaxed),
-            tasks: c.tasks.load(Ordering::Relaxed),
-            busy_ns: c.busy_ns.load(Ordering::Relaxed),
-            queue_depth: lock(&self.shared.queue).len(),
-            panics: c.panics.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Count one caught morsel panic. The worker loop calls this for
-    /// panics that unwound a pool task; layers that convert a panic to
-    /// a typed error *before* it reaches the pool (the cellar's decode
-    /// seam) call it so `sched.panics` counts every isolated panic.
-    pub fn note_panic(&self) {
-        self.shared.counters.panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// True once [`MorselScheduler::shutdown`] ran: the worker pool is
@@ -426,7 +386,12 @@ impl MorselScheduler {
         // and run their remaining tasks here (tasks already claimed by
         // a worker completed before it exited).
         loop {
-            let batch = lock(&self.shared.queue).pop();
+            let batch = {
+                let mut q = lock(&self.shared.queue);
+                let batch = q.pop();
+                self.shared.metrics.set(Metric::SchedQueueDepth, q.len() as u64);
+                batch
+            };
             match batch {
                 Some(b) => drain_batch(&self.shared, &b),
                 None => break,
@@ -486,8 +451,8 @@ impl MorselScheduler {
             finished: Mutex::new(false),
             finished_cv: Condvar::new(),
         });
-        self.shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.shared.counters.tasks.fetch_add(n as u64, Ordering::Relaxed);
+        self.shared.metrics.add(Metric::SchedBatches, 1);
+        self.shared.metrics.add(Metric::SchedTasks, n as u64);
         let inline = {
             let mut q = lock(&self.shared.queue);
             if self.shared.shutdown.load(Ordering::Acquire) {
@@ -495,6 +460,7 @@ impl MorselScheduler {
                 true
             } else {
                 q.push(Arc::clone(&core));
+                self.shared.metrics.set(Metric::SchedQueueDepth, q.len() as u64);
                 false
             }
         };
@@ -513,6 +479,13 @@ impl MorselScheduler {
             while !*fin {
                 fin = core.finished_cv.wait(fin).unwrap_or_else(|e| e.into_inner());
             }
+        }
+        // Leave the queue now rather than at a worker's next sweep, so
+        // `sched.queue_depth` reads 0 once every submitter returned.
+        if !inline {
+            let mut q = lock(&self.shared.queue);
+            q.retain(|b| !Arc::ptr_eq(b, &core));
+            self.shared.metrics.set(Metric::SchedQueueDepth, q.len() as u64);
         }
 
         if let (Some(m), Some(wall)) = (obs.metrics(), wall) {
@@ -577,12 +550,12 @@ fn run_one(shared: &SchedShared, batch: &BatchCore, i: usize) {
                 }
             }
             batch.panicked.store(true, Ordering::Release);
-            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.add(Metric::SchedPanics, 1);
         }
     }
     let dt = t0.elapsed().as_nanos() as u64;
     batch.busy_ns.fetch_add(dt, Ordering::Relaxed);
-    shared.counters.busy_ns.fetch_add(dt, Ordering::Relaxed);
+    shared.metrics.add(Metric::SchedBusyNs, dt);
     let finished = batch.done.fetch_add(1, Ordering::Relaxed) + 1 == batch.n;
     if finished {
         let mut fin = lock(&batch.finished);
@@ -617,7 +590,11 @@ fn worker_loop(shared: &SchedShared, w: usize) {
                 }
                 // Drop fully-claimed batches (their stragglers finish
                 // outside the queue).
+                let before = q.len();
                 q.retain(|b| b.next.load(Ordering::Relaxed) < b.n);
+                if q.len() != before {
+                    shared.metrics.set(Metric::SchedQueueDepth, q.len() as u64);
+                }
                 // Priority with aging (queue wait buys ranks, so a
                 // saturating High tenant cannot starve Low forever),
                 // FIFO within a score.
@@ -666,18 +643,17 @@ mod tests {
 
     #[test]
     fn batch_returns_results_in_index_order() {
-        let s = MorselScheduler::new(4);
+        let s = MorselScheduler::new(4, Default::default());
         let out = s.run_batch(64, 4, Priority::Normal, &Obs::off(), |i| i * 2);
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-        let st = s.stats();
-        assert_eq!(st.workers, 4);
-        assert_eq!(st.batches, 1);
-        assert_eq!(st.tasks, 64);
+        assert_eq!(s.shared.metrics.get(Metric::SchedWorkers), 4);
+        assert_eq!(s.shared.metrics.get(Metric::SchedBatches), 1);
+        assert_eq!(s.shared.metrics.get(Metric::SchedTasks), 64);
     }
 
     #[test]
     fn many_submitters_share_one_pool() {
-        let s = Arc::new(MorselScheduler::new(3));
+        let s = Arc::new(MorselScheduler::new(3, Default::default()));
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let s = Arc::clone(&s);
@@ -687,13 +663,13 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.stats().batches, 8);
-        assert_eq!(s.stats().tasks, 8 * 16);
+        assert_eq!(s.shared.metrics.get(Metric::SchedBatches), 8);
+        assert_eq!(s.shared.metrics.get(Metric::SchedTasks), 8 * 16);
     }
 
     #[test]
     fn cap_limits_concurrent_workers_per_batch() {
-        let s = MorselScheduler::new(4);
+        let s = MorselScheduler::new(4, Default::default());
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         s.run_batch(32, 2, Priority::Normal, &Obs::off(), |_| {
@@ -709,7 +685,7 @@ mod tests {
     fn idle_time_is_charged_only_for_existing_workers() {
         // A cap above the pool size must not count idle time for
         // workers that do not exist.
-        let s = MorselScheduler::new(2);
+        let s = MorselScheduler::new(2, Default::default());
         let metrics = Arc::new(crate::obs::MetricsRegistry::new());
         let obs = Obs::new(crate::obs::ObsLevel::Counters, Arc::clone(&metrics));
         let t0 = Instant::now();
@@ -730,7 +706,7 @@ mod tests {
         // One worker, saturated by a slow batch; a Normal and then a
         // High batch queue behind it. High must start (and finish)
         // before Normal.
-        let s = Arc::new(MorselScheduler::new(1));
+        let s = Arc::new(MorselScheduler::new(1, Default::default()));
         let order = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             {
@@ -765,7 +741,7 @@ mod tests {
 
     #[test]
     fn panicking_task_propagates_to_the_submitter_only() {
-        let s = Arc::new(MorselScheduler::new(2));
+        let s = Arc::new(MorselScheduler::new(2, Default::default()));
         let r = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -810,7 +786,7 @@ mod tests {
 
     #[test]
     fn panic_payload_is_typed_and_counted() {
-        let s = MorselScheduler::new(2);
+        let s = MorselScheduler::new(2, Default::default());
         let r = catch_unwind(AssertUnwindSafe(|| {
             s.run_batch(8, 2, Priority::Normal, &Obs::off(), |i| {
                 if i == 3 {
@@ -822,14 +798,15 @@ mod tests {
         let payload = r.expect_err("batch must re-raise the panic");
         let msg = panic_message(payload.as_ref());
         assert!(msg.contains("boom at morsel 3"), "{msg}");
-        assert_eq!(s.stats().panics, 1);
+        assert_eq!(s.shared.metrics.get(Metric::SchedPanics), 1);
     }
 
     #[test]
     fn aging_lets_low_finish_under_saturating_high_tenant() {
         // One worker with fast aging: a queued Low batch must run even
         // while a stream of High batches keeps arriving.
-        let s = Arc::new(MorselScheduler::with_aging(1, Duration::from_millis(10)));
+        let aging = Duration::from_millis(10);
+        let s = Arc::new(MorselScheduler::with_aging(1, aging, Default::default()));
         let low_done = Arc::new(AtomicBool::new(false));
         std::thread::scope(|scope| {
             // Saturating High tenant: keeps one-morsel batches flowing.
@@ -882,7 +859,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_degrades_to_inline() {
-        let s = MorselScheduler::new(2);
+        let s = MorselScheduler::new(2, Default::default());
         assert!(!s.is_shut_down());
         s.shutdown();
         assert!(s.is_shut_down());
@@ -894,7 +871,7 @@ mod tests {
 
     #[test]
     fn shutdown_while_loaded_drains_queued_batches() {
-        let s = Arc::new(MorselScheduler::new(1));
+        let s = Arc::new(MorselScheduler::new(1, Default::default()));
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let s = Arc::clone(&s);
@@ -911,6 +888,11 @@ mod tests {
             scope.spawn(move || s.shutdown());
         });
         assert!(s.is_shut_down());
-        assert_eq!(s.stats().tasks, 32, "every queued morsel ran");
+        assert_eq!(s.shared.metrics.get(Metric::SchedTasks), 32, "every queued morsel ran");
+        assert_eq!(
+            s.shared.metrics.get(Metric::SchedQueueDepth),
+            0,
+            "the drained queue is empty"
+        );
     }
 }

@@ -887,6 +887,7 @@ mod tests {
     use super::*;
     use crate::exec::run_indexed_policy;
     use crate::expr::{AggFunc, ArithOp, CmpOp, Expr};
+    use crate::obs::MetricsRegistry;
     use crate::sched::MorselScheduler;
     use sommelier_storage::buffer::BufferPoolConfig;
     use sommelier_storage::catalog::Disposition;
@@ -1148,12 +1149,13 @@ mod tests {
     }
 
     /// A config whose waves run on a fresh shared pool of `n` workers;
-    /// the pool is returned so tests can check it was used.
-    fn on_pool(n: usize) -> (TwoStageConfig, Arc<MorselScheduler>) {
-        let pool = Arc::new(MorselScheduler::new(n));
+    /// the pool's registry is returned so tests can check it was used.
+    fn on_pool(n: usize) -> (TwoStageConfig, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let pool = Arc::new(MorselScheduler::new(n, Arc::clone(&metrics)));
         let mut config = test_config();
-        config.sched = SchedPolicy::default().with_scheduler(Some(Arc::clone(&pool)));
-        (config, pool)
+        config.sched = SchedPolicy::default().with_scheduler(Some(pool));
+        (config, metrics)
     }
 
     /// The unfused reference for an aggregate plan: its input runs as a
@@ -1370,7 +1372,7 @@ mod tests {
         let (config, pool) = on_pool(4);
         let parallel =
             execute_plan(&db, &raw_plan("ISK"), Some(&residency), &config).unwrap();
-        assert_eq!(pool.stats().tasks, 2, "both chunk pipelines ran on the pool");
+        assert_eq!(pool.get(Metric::SchedTasks), 2, "both chunk pipelines ran on the pool");
         assert_same(&serial.relation, &parallel.relation, &["v"]);
     }
 

@@ -4,7 +4,7 @@
 pub mod reference;
 
 use sommelier_core::adapters::EventLogAdapter;
-use sommelier_core::{AdmissionStats, LoadingMode, Result, Sommelier, SommelierConfig};
+use sommelier_core::{LoadingMode, MetricsRegistry, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -151,12 +151,12 @@ pub fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Wait (see [`wait_until`]) until `ready` holds for `somm`'s admission
-/// counters.
+/// Wait (see [`wait_until`]) until `ready` holds for `somm`'s metrics
+/// registry (the `admission.*` gauges, typically).
 pub fn wait_for_admission(
     somm: &Sommelier,
     what: &str,
-    ready: impl Fn(&AdmissionStats) -> bool,
+    ready: impl Fn(&MetricsRegistry) -> bool,
 ) {
-    wait_until(what, || ready(&somm.admission_stats()));
+    wait_until(what, || ready(somm.metrics()));
 }

@@ -137,7 +137,6 @@ impl From<SommelierError> for ServerError {
 
 struct ServerShared {
     somm: Arc<Sommelier>,
-    active_sessions: AtomicU64,
     next_session: AtomicU64,
     /// Set once by [`Server::shutdown`]; submits fail fast with
     /// [`ServerError::ShuttingDown`] from then on.
@@ -150,12 +149,6 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    fn publish_sessions(&self) {
-        self.somm
-            .metrics()
-            .set(Metric::ServerActiveSessions, self.active_sessions.load(Ordering::Relaxed));
-    }
-
     fn register_inflight(&self, state: &Arc<HandleState>, cancel: &CancelToken) {
         let mut v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
         v.retain(|(st, _)| !st.finished.load(Ordering::Acquire));
@@ -219,11 +212,12 @@ pub struct ShutdownReport {
     pub cancelled: usize,
     /// Chunk pins still held after the drain (0 on a clean shutdown).
     pub leaked_pins: usize,
-    /// Prefetch bytes still staged after the drain (0 on a clean
-    /// shutdown).
+    /// Prefetch bytes still staged after the drain: the
+    /// `prefetch.staged_bytes` gauge (0 on a clean shutdown).
     pub staged_bytes: usize,
-    /// Admission-queue depth after the drain (0 on a clean shutdown —
-    /// queued waiters are woken with `ShuttingDown`).
+    /// Admission-queue depth after the drain: the
+    /// `admission.queue_depth` gauge (0 on a clean shutdown — queued
+    /// waiters are woken with `ShuttingDown`).
     pub queued: u64,
     /// Wall-clock time the shutdown took.
     pub elapsed: Duration,
@@ -253,7 +247,6 @@ impl Server {
         Server {
             shared: Arc::new(ServerShared {
                 somm,
-                active_sessions: AtomicU64::new(0),
                 next_session: AtomicU64::new(1),
                 shutting_down: AtomicBool::new(false),
                 inflight: Mutex::new(Vec::new()),
@@ -297,8 +290,9 @@ impl Server {
             sched.shutdown();
         }
         let leaked_pins = shared.somm.cellar().map_or(0, |c| c.total_pins());
-        let staged_bytes = shared.somm.prefetch_stage().map_or(0, |s| s.staged_bytes());
-        let queued = shared.somm.admission_stats().queue_depth;
+        let metrics = shared.somm.metrics();
+        let staged_bytes = metrics.get(Metric::PrefetchStagedBytes) as usize;
+        let queued = metrics.get(Metric::AdmissionQueueDepth);
         ShutdownReport {
             drained,
             cancelled,
@@ -318,8 +312,7 @@ impl Server {
     pub fn open_session(&self, options: SessionOptions) -> Session {
         let shared = Arc::clone(&self.shared);
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        shared.active_sessions.fetch_add(1, Ordering::Relaxed);
-        shared.publish_sessions();
+        shared.somm.metrics().add(Metric::ServerActiveSessions, 1);
         Session {
             shared,
             id,
@@ -334,10 +327,10 @@ impl Server {
         &self.shared.somm
     }
 
-    /// Currently open sessions (also the `server.active_sessions`
-    /// gauge in `metrics_snapshot()`).
+    /// Currently open sessions: the system's `server.active_sessions`
+    /// gauge, which every session opens and closes in place.
     pub fn active_sessions(&self) -> u64 {
-        self.shared.active_sessions.load(Ordering::Relaxed)
+        self.shared.somm.metrics().get(Metric::ServerActiveSessions)
     }
 }
 
@@ -514,8 +507,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.shared.active_sessions.fetch_sub(1, Ordering::Relaxed);
-        self.shared.publish_sessions();
+        self.shared.somm.metrics().sub(Metric::ServerActiveSessions, 1);
     }
 }
 
@@ -768,7 +760,10 @@ mod tests {
             "shared staging must not change answers"
         );
         let stage = somm.prefetch_stage().expect("prefetch on by default");
-        let (issued, hits, _, _) = stage.stats();
+        let (issued, hits) = (
+            somm.metrics().get(Metric::PrefetchIssued),
+            somm.metrics().get(Metric::PrefetchHits),
+        );
         assert!(issued >= 1, "cold scans must issue prefetches");
         assert!(hits >= 1, "decodes must consume staged bytes");
         assert_eq!(stage.staged_bytes(), 0, "stage drains once queries end");

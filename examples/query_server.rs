@@ -7,7 +7,7 @@
 //! cargo run --release --example query_server
 //! ```
 
-use sommelier_core::{LoadingMode, Priority, Sommelier, SommelierConfig};
+use sommelier_core::{LoadingMode, Metric, Priority, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
 use std::sync::Arc;
@@ -87,16 +87,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 7. Everything above left a trail in the metrics registry.
     let snap = somm.metrics_snapshot();
-    let adm = somm.admission_stats();
     println!(
         "\nsched.workers = {:?}, sched.batches = {:?}, sched.tasks = {:?}",
         snap.gauge("sched.workers"),
         snap.counter("sched.batches"),
         snap.counter("sched.tasks"),
     );
+    let m = somm.metrics();
     println!(
         "admitted = {}, cancelled = {}, timeouts = {}, queue_wait_ns = {}",
-        adm.admitted, adm.cancelled, adm.timeouts, adm.queue_wait_ns
+        m.get(Metric::AdmissionAdmitted),
+        m.get(Metric::AdmissionCancelled),
+        m.get(Metric::AdmissionTimeouts),
+        m.get(Metric::AdmissionQueueWaitNs),
     );
 
     drop((interactive, batch));

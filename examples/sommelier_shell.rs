@@ -7,7 +7,7 @@
 //! cargo run --release --example sommelier_shell
 //! ```
 
-use sommelier_core::{LoadingMode, Sommelier, SommelierConfig};
+use sommelier_core::{LoadingMode, Metric, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
 use std::io::{BufRead, Write};
 use std::time::Instant;
@@ -66,10 +66,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             somm.flush_caches();
             println!("caches flushed.");
         } else if lower == ".stats" {
+            let m = somm.metrics();
             println!(
-                "mode: {:?}\ncellar: {:?}\nbuffer pool: {:?}\nDMd windows covered: {}",
+                "mode: {:?}\ncellar: {:?}\ncellar counters: {} hits, {} loads, {} joins, \
+                 {} reloads, {} evictions\nbuffer pool: {:?}\nDMd windows covered: {}",
                 somm.mode().map(|m| m.label()),
                 somm.cellar(),
+                m.get(Metric::CellarHits),
+                m.get(Metric::CellarLoads),
+                m.get(Metric::CellarJoins),
+                m.get(Metric::CellarReloads),
+                m.get(Metric::CellarEvictions),
                 somm.db().pool(),
                 somm.dmd_manager().covered_count()
             );

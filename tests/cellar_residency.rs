@@ -12,7 +12,7 @@
 //!    derived from it, so Algorithm 1 never re-derives a covered window.
 
 use proptest::prelude::*;
-use sommelier_core::{LoadingMode, QueryType, Sommelier, SommelierConfig};
+use sommelier_core::{LoadingMode, Metric, QueryType, Sommelier, SommelierConfig};
 use sommelier_integration::{fiam_repo, prepared, TempDir};
 use sommelier_storage::time::{days_from_civil, format_ts, MS_PER_DAY};
 use std::sync::{Arc, OnceLock};
@@ -110,7 +110,7 @@ fn ten_percent_budget_matches_unbounded_results() {
     let unbounded = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
     let full_scan = t4_query(0, DAYS);
     unbounded.query(&full_scan).unwrap();
-    let total = unbounded.cellar().unwrap().peak_resident_bytes();
+    let total = unbounded.metrics().get(Metric::CellarPeakResidentBytes) as usize;
     let budget = (total / 10).max(1);
 
     let bounded = prepared(&repo, LoadingMode::Lazy, budgeted_config(budget));
@@ -134,9 +134,12 @@ fn ten_percent_budget_matches_unbounded_results() {
             cellar.resident_bytes()
         );
     }
-    let s = cellar.stats();
-    assert!(s.evictions > 0, "a 10% budget must evict: {s:?}");
-    assert!(s.reloads > 0, "a repeated workload over a 10% budget must reload: {s:?}");
+    let m = bounded.metrics();
+    assert!(m.get(Metric::CellarEvictions) > 0, "a 10% budget must evict: {cellar:?}");
+    assert!(
+        m.get(Metric::CellarReloads) > 0,
+        "a repeated workload over a 10% budget must reload: {cellar:?}"
+    );
 }
 
 /// Raw rows (no aggregate to fuse into) over every chunk, serially,
@@ -171,7 +174,7 @@ fn raw_row_query_pins_one_chunk_at_a_time() {
     assert_eq!(got.stats.files_loaded, DAYS as usize);
     assert!(want.relation.rows() > 0);
     assert_eq!(canonical(&got.relation), canonical(&want.relation));
-    let peak = bounded.cellar().unwrap().peak_resident_bytes();
+    let peak = bounded.metrics().get(Metric::CellarPeakResidentBytes) as usize;
     assert!(peak <= budget + one, "peak {peak} > budget {budget} + one chunk {one}");
 }
 
@@ -206,10 +209,13 @@ fn concurrent_identical_queries_decode_each_chunk_once() {
     for r in &results[1..] {
         assert_eq!(r, &results[0], "concurrent queries must agree");
     }
-    let s = somm.cellar().unwrap().stats();
-    assert_eq!(s.loads, 6, "each of the 6 chunks decoded exactly once: {s:?}");
-    assert_eq!(s.reloads, 0);
-    assert_eq!(s.hits + s.joins + s.loads, 8 * 6, "every acquisition accounted for: {s:?}");
+    let cellar = somm.cellar().unwrap();
+    let count = |metric| somm.metrics().get(metric);
+    let (hits, joins, loads) =
+        (count(Metric::CellarHits), count(Metric::CellarJoins), count(Metric::CellarLoads));
+    assert_eq!(loads, 6, "each of the 6 chunks decoded exactly once: {cellar:?}");
+    assert_eq!(count(Metric::CellarReloads), 0);
+    assert_eq!(hits + joins + loads, 8 * 6, "every acquisition accounted for: {cellar:?}");
 }
 
 /// Concurrent DMd-referring queries: Algorithm 1 must derive each
@@ -299,9 +305,9 @@ fn eviction_keeps_dmd_coverage() {
 
     // A T4 over the same day re-loads the chunk, which is evicted again
     // at release: derived rows and coverage are untouched.
-    let evictions = bounded.cellar().unwrap().stats().evictions;
+    let evictions = bounded.metrics().get(Metric::CellarEvictions);
     bounded.query(&t4_query(0, 1)).unwrap();
-    assert!(bounded.cellar().unwrap().stats().evictions > evictions, "the T4 evicted");
+    assert!(bounded.metrics().get(Metric::CellarEvictions) > evictions, "the T4 evicted");
     assert_eq!(bounded.cellar().unwrap().resident_chunks(), 0);
     assert_eq!(bounded.db().table_rows("H").unwrap(), h_rows, "H rows kept");
     assert_eq!(bounded.dmd_manager().covered_count(), covered, "coverage kept");

@@ -2,7 +2,7 @@
 //! (Algorithm 1): coverage bookkeeping, partial reuse across
 //! overlapping queries, and equivalence with eager materialization.
 
-use sommelier_core::{LoadingMode, SommelierConfig};
+use sommelier_core::{LoadingMode, Metric, SommelierConfig};
 use sommelier_integration::{fiam_repo, ingv_repo, prepared, TempDir};
 use sommelier_storage::Value;
 
@@ -118,14 +118,14 @@ fn eviction_keeps_derived_windows_covered() {
     let first = somm.query(&q).unwrap();
     assert_eq!(first.dmd.unwrap().missing, 4);
     // A T4 over the same hours loads the chunk; release evicts it.
-    let evictions = somm.cellar().unwrap().stats().evictions;
+    let evictions = somm.metrics().get(Metric::CellarEvictions);
     somm.query(
         "SELECT AVG(D.sample_value) FROM dataview \
          WHERE D.sample_time >= '2010-01-01T00:00:00.000' \
          AND D.sample_time < '2010-01-01T04:00:00.000'",
     )
     .unwrap();
-    assert!(somm.cellar().unwrap().stats().evictions > evictions);
+    assert!(somm.metrics().get(Metric::CellarEvictions) > evictions);
     let again = somm.query(&q).unwrap();
     let dmd = again.dmd.unwrap();
     assert_eq!((dmd.requested, dmd.missing, dmd.files_loaded), (4, 0, 0));

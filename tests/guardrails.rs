@@ -99,6 +99,16 @@
 //! tasks-per-batch histogram is `pool.batch_tasks`, not
 //! `pool.queue_depth`.
 //!
+//! Every counter lives in the registry; subsystems count in place. The
+//! cellar, the morsel scheduler, the admission controller and the
+//! prefetch stage count into the system's registry where each event
+//! happens and set their gauges under the lock that guards the state
+//! they report. Their private copies — `CellarStats`/`CellarSnapshot`,
+//! `SchedCounters`/`SchedStats`, `AdmissionStats` and
+//! `Sommelier::admission_stats`, the `queries_degraded` atomic — and the
+//! block that mirrored them into the registry at snapshot time were
+//! removed: `metrics_snapshot()` is a read.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -207,6 +217,14 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("NS_BUCKETS", "the one histogram buckets over COUNT_BUCKETS"),
     ("fn gauge_set", "MetricsRegistry::set(Metric, v)"),
     ("\"pool.queue_depth\"", "the tasks-per-batch histogram is pool.batch_tasks"),
+    ("struct CellarStats", "the cellar counts cellar.* into the registry through its Obs"),
+    ("struct CellarSnapshot", "read cellar.* from Sommelier::metrics()"),
+    ("struct SchedCounters", "the scheduler counts sched.* into the registry"),
+    ("struct SchedStats", "read sched.* from Sommelier::metrics()"),
+    ("struct AdmissionStats", "admission counts admission.* into the registry"),
+    ("fn admission_stats", "read admission.* from Sommelier::metrics()"),
+    ("queries_degraded: AtomicU64", "fault.queries_degraded is counted in the registry"),
+    ("m.set(CellarHits", "metrics_snapshot() reads the registry; nothing is mirrored"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.

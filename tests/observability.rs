@@ -355,6 +355,41 @@ fn metrics_snapshot_serializes_documented_names() {
     }
 }
 
+/// A snapshot is a pure read: every subsystem counts into the registry
+/// where the event happens, so the live registry already holds what
+/// `metrics_snapshot` reports — bar the three values it reads from
+/// outside the registry — and taking snapshots changes nothing.
+#[test]
+fn metrics_snapshot_is_a_read() {
+    let dir = TempDir::new("obs-snapshot-read");
+    let repo = ingv_repo(&dir, 2, 32);
+    let somm = mseed_system(&repo, ObsLevel::Counters, 2);
+    somm.prepare(LoadingMode::Lazy).unwrap();
+    for sql in &mseed_queries()[..5] {
+        somm.query(sql).unwrap();
+    }
+    // Nobody has called `metrics_snapshot` on this system yet.
+    let live = somm.metrics().snapshot();
+    let snap = somm.metrics_snapshot();
+    let outside =
+        |name: &str| name.starts_with("decode.arena_") || name == "fault.faults_injected";
+    let inside = |pairs: &[(String, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().filter(|(n, _)| !outside(n)).cloned().collect()
+    };
+    assert_eq!(inside(&live.counters), inside(&snap.counters));
+    assert_eq!(live.gauges, snap.gauges);
+    assert_eq!(live.histograms, snap.histograms);
+    assert!(live.counter("cellar.loads") > Some(0), "T4 and T5 loaded chunks");
+    // Back to back: equal, except the process-wide arena counters that
+    // concurrently running tests move.
+    let (a, b) = (somm.metrics_snapshot(), somm.metrics_snapshot());
+    let system = |pairs: &[(String, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().filter(|(n, _)| !n.starts_with("decode.arena_")).cloned().collect()
+    };
+    assert_eq!(system(&a.counters), system(&b.counters), "a snapshot writes nothing");
+    assert_eq!((a.gauges, a.histograms), (b.gauges, b.histograms));
+}
+
 /// Every counter (`delta("…")`) and gauge (`.gauge("…")`) the benchmark
 /// reads by name is declared with that kind, so a rename cannot
 /// silently zero a benchmark row.

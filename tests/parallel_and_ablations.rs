@@ -9,7 +9,9 @@
 //! eviction interleave with execution.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-use sommelier_core::{LoadingMode, QueryOptions, QueryResult, Sommelier, SommelierConfig};
+use sommelier_core::{
+    LoadingMode, Metric, QueryOptions, QueryResult, Sommelier, SommelierConfig,
+};
 use sommelier_integration::{fiam_repo, ingv_repo, prepared, scalar_f64, TempDir};
 use sommelier_mseed::Repository;
 use std::path::Path;
@@ -250,7 +252,8 @@ fn serial_and_parallel_byte_identical_under_tight_cellar_budget() {
         somm.query(sql).unwrap();
     }
     let cellar = somm.cellar().unwrap();
-    assert!(cellar.stats().evictions > 0, "budget forced evictions: {cellar:?}");
+    let evictions = somm.metrics().get(Metric::CellarEvictions);
+    assert!(evictions > 0, "budget forced evictions: {cellar:?}");
     assert!(cellar.resident_bytes() <= cellar.budget_bytes());
 }
 

@@ -1,8 +1,10 @@
 //! Disk-backed operation: catalog persistence, buffer-pool behaviour on
-//! cold runs, and the simulated-I/O substitution used by the figures.
+//! cold runs, the simulated-I/O substitution used by the figures, and
+//! the rule that a system is prepared once.
 
-use sommelier_core::{LoadingMode, SommelierConfig};
-use sommelier_integration::{disk_system, fiam_repo, open_system, TempDir};
+use sommelier_core::adapters::{generate_event_logs, EventLogSpec};
+use sommelier_core::{LoadingMode, SommelierConfig, SommelierError};
+use sommelier_integration::{disk_system, eventlog_system, fiam_repo, open_system, TempDir};
 use sommelier_storage::buffer::BufferPoolConfig;
 use sommelier_storage::Database;
 
@@ -153,4 +155,25 @@ fn reopened_system_restores_prepared_mode() {
     // Join indices are rebuilt on open so index-join plans still work.
     assert!(somm.db().join_index("D", "F").is_some());
     assert_eq!(somm.query(sql).unwrap().relation.value(0, "avg").unwrap(), want);
+}
+
+/// A system is prepared once: a second `prepare`, in any mode, is a
+/// usage error raised before anything is read or written, so the given
+/// metadata and the answers stay as they were.
+#[test]
+fn second_prepare_is_a_usage_error_and_leaves_the_system_intact() {
+    let dir = TempDir::new("re-prepare");
+    let logs = dir.join("logs");
+    generate_event_logs(&logs, &EventLogSpec::small(2, 64)).unwrap();
+    let somm = eventlog_system(&logs, SommelierConfig::default());
+    let sql = "SELECT AVG(E.val) FROM eventview WHERE G.host = 'web-1'";
+    let want = somm.query(sql).unwrap().relation;
+    for mode in [LoadingMode::Lazy, LoadingMode::EagerPlain] {
+        let err = somm.prepare(mode).unwrap_err();
+        assert!(matches!(err, SommelierError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("already prepared"), "{err}");
+    }
+    assert_eq!(somm.db().table_rows("G").unwrap(), 4, "one G row per chunk, no more");
+    assert_eq!(somm.mode(), Some(LoadingMode::Lazy));
+    assert_eq!(format!("{:?}", somm.query(sql).unwrap().relation), format!("{want:?}"));
 }

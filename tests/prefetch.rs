@@ -7,8 +7,8 @@
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{
-    FaultInjector, FaultPlan, LoadingMode, ObsLevel, QueryOptions, RetryPolicy, Sommelier,
-    SommelierConfig, SommelierError,
+    FaultInjector, FaultPlan, LoadingMode, Metric, ObsLevel, QueryOptions, RetryPolicy,
+    Sommelier, SommelierConfig, SommelierError,
 };
 use sommelier_engine::EngineError;
 use sommelier_integration::{ingv_repo, wait_until, TempDir};
@@ -144,8 +144,7 @@ fn taxonomy_byte_identical_across_depths() {
                     );
                     assert_drained(&somm, &ctx);
                     if mode == LoadingMode::Lazy {
-                        let (_, hits, _, _) = somm.prefetch_stage().unwrap().stats();
-                        hits_seen |= hits > 0;
+                        hits_seen |= somm.metrics().get(Metric::PrefetchHits) > 0;
                     }
                 }
             }

@@ -10,7 +10,7 @@
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{
-    FaultPlan, LoadingMode, Priority, Sommelier, SommelierConfig, SommelierError,
+    FaultPlan, LoadingMode, Metric, Priority, Sommelier, SommelierConfig, SommelierError,
 };
 use sommelier_integration::{
     chunk_files, eventlog_system, fiam_repo, prepared, wait_for_admission, wait_until,
@@ -63,7 +63,9 @@ fn shutdown_drains_in_flight_within_deadline() {
     // A second query parked in the admission queue behind the hog: the
     // shutdown must wake it with the typed error, not leave it hanging.
     let queued = session.submit(ALL_DAYS_T4).unwrap();
-    wait_for_admission(server.sommelier(), "queued query", |s| s.queue_depth > 0);
+    wait_for_admission(server.sommelier(), "queued query", |m| {
+        m.get(Metric::AdmissionQueueDepth) > 0
+    });
 
     let deadline = Duration::from_secs(120);
     // The hog stays parked until the shutdown has woken the queued
@@ -99,8 +101,8 @@ fn shutdown_drains_in_flight_within_deadline() {
 
 /// An expired deadline fires the cancel tokens of stragglers; the
 /// bounded grace window lets them observe the token and unwind, so the
-/// ledger is still clean and the straggler fails with the typed
-/// cancellation error.
+/// ledger is still clean, equals the live gauges, and the straggler
+/// fails with the typed cancellation error.
 #[test]
 fn shutdown_deadline_cancels_stragglers_with_balanced_books() {
     let _x = exclusive();
@@ -134,6 +136,14 @@ fn shutdown_deadline_cancels_stragglers_with_balanced_books() {
     let somm = server.sommelier();
     assert_eq!(somm.cellar().unwrap().total_pins(), 0);
     assert_eq!(somm.prefetch_stage().map_or(0, |s| s.staged_bytes()), 0);
+    // The ledger is the live gauges, and they read empty.
+    let m = somm.metrics();
+    assert_eq!(report.queued, m.get(Metric::AdmissionQueueDepth));
+    assert_eq!(report.queued, 0);
+    assert_eq!(report.staged_bytes as u64, m.get(Metric::PrefetchStagedBytes));
+    assert_eq!(report.staged_bytes, 0);
+    assert_eq!(m.get(Metric::AdmissionRunning), 0);
+    assert_eq!(m.get(Metric::SchedQueueDepth), 0);
 }
 
 /// Overload is transient backpressure, not a dead end: a full admission
@@ -166,7 +176,9 @@ fn overload_rejection_carries_retry_after_contract() {
     let hog = session.submit(ALL_DAYS_T4).unwrap();
     hold.wait_parked(1);
     let queued = session.submit(ALL_DAYS_T4).unwrap();
-    wait_for_admission(server.sommelier(), "queued query", |s| s.queue_depth > 0);
+    wait_for_admission(server.sommelier(), "queued query", |m| {
+        m.get(Metric::AdmissionQueueDepth) > 0
+    });
     // Queue full (limit 1): the third query is the one pushed back.
     let err = session.submit(ALL_DAYS_T4).unwrap().wait().unwrap_err();
     match err {
@@ -316,7 +328,9 @@ fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
         }));
     }
     // Both High queries are running before the Low session arrives.
-    wait_for_admission(server.sommelier(), "saturating High tenant", |s| s.running >= 2);
+    wait_for_admission(server.sommelier(), "saturating High tenant", |m| {
+        m.get(Metric::AdmissionRunning) >= 2
+    });
     let low =
         server.open_session(SessionOptions { priority: Priority::Low, ..Default::default() });
     let t0 = Instant::now();

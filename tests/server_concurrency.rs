@@ -7,7 +7,7 @@
 //! the query's loads park until the test releases them.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogSpec};
-use sommelier_core::{FaultPlan, LoadingMode, Priority, Sommelier, SommelierConfig};
+use sommelier_core::{FaultPlan, LoadingMode, Metric, Priority, Sommelier, SommelierConfig};
 use sommelier_integration::{
     eventlog_system, fiam_repo, ingv_repo, prepared, wait_for_admission, wait_until, TempDir,
 };
@@ -144,7 +144,8 @@ fn results_byte_identical_under_concurrent_sessions_on_both_adapters() {
         // Single-chunk waves run inline by design; only multi-chunk
         // queries must have landed on the shared pool.
         if max_selected > 1 {
-            assert!(sched.stats().batches > 0, "morsels actually ran on the shared pool");
+            let batches = server.sommelier().metrics().get(Metric::SchedBatches);
+            assert!(batches > 0, "morsels actually ran on the shared pool");
         }
         // Pins all returned.
         assert_eq!(server.sommelier().cellar().unwrap().total_pins(), 0);
@@ -198,10 +199,13 @@ fn priority_ordering_observable_under_saturated_server() {
         }));
         // Deterministic enqueue order: wait until this waiter is
         // actually queued before releasing the next one.
-        wait_for_admission(server.sommelier(), "queued waiter", |s| s.queue_depth > n as u64);
+        wait_for_admission(server.sommelier(), "queued waiter", |m| {
+            m.get(Metric::AdmissionQueueDepth) > n as u64
+        });
     }
     // The hog is still holding the slot, so ordering says something.
-    assert_eq!(server.sommelier().admission_stats().queue_depth, 2, "both waiters queued");
+    let metrics = server.sommelier().metrics();
+    assert_eq!(metrics.get(Metric::AdmissionQueueDepth), 2, "both waiters queued");
     hold.release();
     running.wait().unwrap();
     for w in waiters {
@@ -212,9 +216,8 @@ fn priority_ordering_observable_under_saturated_server() {
         vec!["high", "low"],
         "high priority must overtake the earlier-queued low-priority query"
     );
-    let stats = server.sommelier().admission_stats();
-    assert_eq!(stats.admitted, 3);
-    assert_eq!(stats.running, 0);
+    assert_eq!(metrics.get(Metric::AdmissionAdmitted), 3);
+    assert_eq!(metrics.get(Metric::AdmissionRunning), 0);
 }
 
 #[test]

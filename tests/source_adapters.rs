@@ -3,7 +3,9 @@
 //! seismology and event-log schemas side by side under one cellar.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-use sommelier_core::{LoadingMode, QueryType, Sommelier, SommelierConfig, SourceAdapter};
+use sommelier_core::{
+    LoadingMode, Metric, QueryType, Sommelier, SommelierConfig, SourceAdapter,
+};
 use sommelier_integration::{ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use std::path::{Path, PathBuf};
@@ -211,17 +213,16 @@ fn dual_source_queries_touch_only_their_own_chunks() {
     let logs = eventlog_repo(&dir, 3, 16);
     let somm = dual_system(&repo, &logs);
     somm.prepare(LoadingMode::Lazy).unwrap();
-    let cellar = somm.cellar().unwrap();
     // A pure actual-data query has no metadata to narrow the chunk
     // list: it must load *every* chunk of its source — and none of the
     // other source's.
     let r = somm.query("SELECT COUNT(E.val) AS n FROM E").unwrap();
     assert_eq!(r.qtype, QueryType::AdOnly);
     assert_eq!(r.stats.files_selected, 6, "all event-log chunks, no seismology chunks");
-    assert_eq!(cellar.stats().loads, 6);
+    assert_eq!(somm.metrics().get(Metric::CellarLoads), 6);
     let r = somm.query("SELECT COUNT(D.sample_value) AS n FROM D").unwrap();
     assert_eq!(r.stats.files_selected, 8, "all seismology chunks, no event-log chunks");
-    assert_eq!(cellar.stats().loads, 14);
+    assert_eq!(somm.metrics().get(Metric::CellarLoads), 14);
     // Selective queries narrow within their own source as usual.
     let r = somm
         .query(
