@@ -69,7 +69,7 @@ impl Table {
     }
 
     /// Render as JSON (`{"title", "rows": [{header: cell, ...}]}`) for
-    /// recorded baselines like `BENCH_stage2.json`. Hand-rolled — the
+    /// recorded baselines like `BENCH_faults.json`. Hand-rolled — the
     /// build environment has no serde — so cells are emitted as JSON
     /// strings with minimal escaping.
     pub fn to_json(&self) -> String {

@@ -839,7 +839,7 @@ mod tests {
     use crate::dmd::DmdManager;
     use crate::registrar::register_source;
     use crate::source::SourceAdapter;
-    use sommelier_engine::{Metric, MetricsRegistry, MorselScheduler, ObsLevel};
+    use sommelier_engine::{Metric, MetricsRegistry, MorselScheduler};
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
@@ -853,7 +853,7 @@ mod tests {
     /// The default configuration, counting into a fresh registry.
     fn counted() -> CellarConfig {
         let metrics = Arc::new(MetricsRegistry::new());
-        CellarConfig { obs: Obs::new(ObsLevel::Counters, metrics), ..CellarConfig::default() }
+        CellarConfig { obs: Obs::new(metrics), ..CellarConfig::default() }
     }
 
     /// `metrics` as counted in `cellar`'s registry.
@@ -1395,10 +1395,7 @@ mod tests {
         let clean = cellar_over(&fx, counted());
         let expect = rows_per_chunk(&clean, &all, &pooled()).unwrap();
         let metrics = Arc::new(MetricsRegistry::new());
-        let config = CellarConfig {
-            obs: Obs::new(ObsLevel::Counters, Arc::clone(&metrics)),
-            ..counted()
-        };
+        let config = CellarConfig { obs: Obs::new(Arc::clone(&metrics)), ..counted() };
         let cellar = faulty_cellar(&fx, FaultPlan::transient(1.0), config);
         // Strict policy: a chunk that exhausted its retries would fail
         // the wave, never turn into a placeholder.

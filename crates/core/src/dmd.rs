@@ -32,10 +32,10 @@
 
 use crate::error::{Result, SommelierError};
 use crate::source::{DmdSpec, SourceDescriptor};
+use crate::QueryResult;
 use parking_lot::Mutex;
 use sommelier_engine::eval::eval_scalar;
 use sommelier_engine::spec::OutputExpr;
-use sommelier_engine::twostage::QueryOutcome;
 use sommelier_engine::{CmpOp, Expr, Func, QuerySpec, Relation, TableRef};
 use sommelier_storage::{ColumnData, ConstraintPolicy, Database, Value};
 use std::borrow::Cow;
@@ -546,7 +546,7 @@ pub fn ensure_dmd(
     manager: &DmdManager,
     descriptor: &SourceDescriptor,
     spec: &QuerySpec,
-    run: &dyn Fn(QuerySpec) -> Result<QueryOutcome>,
+    run: &dyn Fn(QuerySpec) -> Result<QueryResult>,
 ) -> Result<DmdOutcome> {
     let dmd = descriptor.dmd.as_ref().ok_or_else(|| {
         SommelierError::Usage(format!(
@@ -615,7 +615,7 @@ pub fn derive_all(
     db: &Database,
     manager: &DmdManager,
     descriptor: &SourceDescriptor,
-    run: &dyn Fn(QuerySpec) -> Result<QueryOutcome>,
+    run: &dyn Fn(QuerySpec) -> Result<QueryResult>,
 ) -> Result<DmdOutcome> {
     let dmd = descriptor.dmd.as_ref().ok_or_else(|| {
         SommelierError::Usage(format!(
@@ -1074,18 +1074,27 @@ mod tests {
         // (we only check the PSu bookkeeping here; end-to-end
         // derivation is covered by integration tests).
         let runs = std::sync::atomic::AtomicUsize::new(0);
-        let run = |dspec: QuerySpec| -> Result<QueryOutcome> {
+        let run = |dspec: QuerySpec| -> Result<QueryResult> {
             runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let plan = sommelier_engine::joinorder::plan_query(
                 &dspec,
                 &sommelier_engine::joinorder::PlanOptions::eager(),
             )?;
-            Ok(sommelier_engine::twostage::execute_plan(
+            let out = sommelier_engine::twostage::execute_plan(
                 &db,
                 &plan,
                 None,
                 &Default::default(),
-            )?)
+            )?;
+            Ok(QueryResult {
+                relation: out.relation,
+                stats: out.stats,
+                qtype: crate::QueryType::T4,
+                dmd: None,
+                trace: out.trace,
+                span_trace: None,
+                degraded: None,
+            })
         };
         let outcome = ensure_dmd(&db, &manager, &d, &spec, &run).unwrap();
         assert_eq!(outcome.requested, 3);

@@ -12,7 +12,9 @@
 //! every chunk decode.
 
 use parking_lot::Mutex;
-use sommelier_engine::{CancelToken, EngineError, ErrorKind, Metric, Obs, TraceCollector};
+use sommelier_engine::{
+    CancelToken, EngineError, ErrorKind, Metric, Obs, StageTimer, TraceCollector,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -363,23 +365,11 @@ pub fn with_retries<T>(
         if let Some(d) = cancel.and_then(|c| c.deadline()) {
             delay = delay.min(d.saturating_duration_since(Instant::now()));
         }
-        let t0 = Instant::now();
+        let backoff = StageTimer::start(tracer, "retry");
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        if let Some(tc) = tracer {
-            let dur = t0.elapsed().as_nanos() as u64;
-            tc.record(
-                tc.ambient(),
-                "retry",
-                format!("{uri}: attempt {} after: {err}", attempt + 1),
-                tc.now_ns().saturating_sub(dur),
-                dur,
-                None,
-                None,
-                None,
-            );
-        }
+        backoff.stop(|| format!("{uri}: attempt {} after: {err}", attempt + 1), None, None);
     }
 }
 

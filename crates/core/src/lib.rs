@@ -80,12 +80,10 @@ use parking_lot::Mutex;
 use sommelier_engine::joinorder::PlanOptions;
 use sommelier_engine::obs::span::fmt_ns;
 use sommelier_engine::optimizer::{self, PassTrace};
-use sommelier_engine::twostage::{
-    execute_plan, ChunkResidency, QueryOutcome, TwoStageConfig,
-};
+use sommelier_engine::twostage::{execute_plan, ChunkResidency, TwoStageConfig};
 use sommelier_engine::{
-    ColumnZone, ExecStats, LogicalPlan, Obs, QuerySpec, Relation, SchedPolicy,
-    TraceCollector, ZoneCandidates,
+    ColumnZone, Edges, EngineError, ExecStats, LogicalPlan, Obs, QuerySpec, Relation,
+    SchedPolicy, StageTimer, TraceCollector, ZoneCandidates,
 };
 use sommelier_sql::BindCatalog;
 use sommelier_storage::buffer::BufferPoolConfig;
@@ -451,14 +449,42 @@ pub struct Sommelier {
     latency_ewma_ns: AtomicU64,
 }
 
-/// A compiled query, ready to plan: routed to its source, classified,
-/// with the source's inference rules applied. One pipeline feeds
-/// [`Sommelier::query`], [`Sommelier::query_opts`],
-/// [`Sommelier::query_spec`] and [`Sommelier::explain`].
-struct CompiledQuery {
+/// A statement compiled once: routed to its source, classified, with
+/// the source's inference rules applied, and decomposed into the
+/// logical plan `Q = Qf ▷ Qs`. One pipeline ([`Sommelier::plan`])
+/// builds it for [`Sommelier::query`], [`Sommelier::query_opts`],
+/// [`Sommelier::query_spec`], [`Sommelier::explain`],
+/// [`Sommelier::explain_analyze`] and Algorithm 1's derivation queries,
+/// and [`Sommelier::run`] executes it.
+struct QueryPlan {
+    mode: LoadingMode,
     source_idx: usize,
     qtype: QueryType,
     spec: QuerySpec,
+    logical: LogicalPlan,
+    /// The compile pass trace (`join_order`).
+    compile_trace: Vec<PassTrace>,
+    /// Clock edges of routing, classification and inference, and of
+    /// the compile pass: a traced run records them as its `inference`
+    /// and `compile` spans, and its root span starts at the first.
+    inference: Edges,
+    compile: Edges,
+}
+
+/// Whether [`Sommelier::run`] runs a top-level query or a derivation
+/// child of one.
+enum RunCtx<'a> {
+    /// A top-level query: it takes an admission ticket and a root span
+    /// (recorded at `level`), and its options set its priority,
+    /// cancellation, deadline, sampling and degradation.
+    Query { opts: &'a QueryOptions, level: ObsLevel },
+    /// Algorithm 1's derivation child of a running query. It runs under
+    /// its parent's ticket — queueing it would deadlock the parent on
+    /// its own child — with the parent's cancel token (and so its
+    /// deadline) and priority, exactly (no sampling), and always
+    /// `Strict`: a partial derivation must never mark a window
+    /// covered. Its span collector is its own, at the system's level.
+    Derivation { parent: &'a SchedPolicy },
 }
 
 impl Sommelier {
@@ -669,8 +695,9 @@ impl Sommelier {
             let t = Instant::now();
             for s in &self.sources {
                 if s.descriptor.dmd.is_some() {
+                    let parent = SchedPolicy::default();
                     dmd::derive_all(&self.db, &s.dmd, &s.descriptor, &|spec| {
-                        self.run_derivation(spec)
+                        self.run(self.plan(spec)?, RunCtx::Derivation { parent: &parent })
                     })?;
                 }
             }
@@ -680,11 +707,10 @@ impl Sommelier {
         Ok(report)
     }
 
-    /// The system's observability handle at the configured level (no
-    /// tracer attached — per-query tracers are created by the run
-    /// path).
+    /// The system's observability handle (no tracer attached —
+    /// per-query tracers are created by the run path).
     fn obs(&self) -> Obs {
-        Obs::new(self.config.observability, Arc::clone(&self.metrics))
+        Obs::new(Arc::clone(&self.metrics))
     }
 
     /// Assemble the cellar for freshly built registries.
@@ -773,15 +799,43 @@ impl Sommelier {
     }
 
     /// The single compile pipeline: route to a source, classify, apply
-    /// the source's metadata-inference rules.
-    fn compile_spec(&self, mut spec: QuerySpec) -> Result<CompiledQuery> {
+    /// the source's metadata-inference rules, and compile the logical
+    /// plan.
+    fn plan(&self, mut spec: QuerySpec) -> Result<QueryPlan> {
+        let start = Instant::now();
+        let (mode, _) = self.prepared_info()?;
         let source_idx = self.resolve_source(&spec)?;
         let qtype = query::classify(&spec);
         query::apply_inference_rules(
             &mut spec,
             &self.sources[source_idx].descriptor.inference_rules,
         );
-        Ok(CompiledQuery { source_idx, qtype, spec })
+        let inference = Edges::since(start);
+        let opts = self.plan_options(mode, source_idx);
+        let (logical, compile_trace) = optimizer::compile_plan(&spec, &opts)?;
+        let compile = Edges::since(inference.end);
+        Ok(QueryPlan {
+            mode,
+            source_idx,
+            qtype,
+            spec,
+            logical,
+            compile_trace,
+            inference,
+            compile,
+        })
+    }
+
+    /// The plan's header and logical plan, as EXPLAIN and EXPLAIN
+    /// ANALYZE both open.
+    fn plan_header(&self, plan: &QueryPlan) -> String {
+        format!(
+            "-- source: {}, mode: {}, query type: {}\n{}",
+            self.sources[plan.source_idx].descriptor.name,
+            plan.mode,
+            plan.qtype.label(),
+            plan.logical
+        )
     }
 
     fn plan_options(&self, mode: LoadingMode, source_idx: usize) -> PlanOptions {
@@ -804,157 +858,115 @@ impl Sommelier {
         }
     }
 
-    /// Run one internal DMd derivation query, exactly and without
-    /// Algorithm 1 (derivation queries are T4-shaped and cannot
-    /// recurse).
-    fn run_derivation(&self, spec: QuerySpec) -> Result<QueryOutcome> {
-        let r = self.run_spec_opts(spec, false, false, &QueryOptions::default())?;
-        Ok(QueryOutcome {
-            relation: r.relation,
-            stats: r.stats,
-            trace: r.trace,
-            skipped: Vec::new(),
-        })
-    }
-
-    /// Execute a bound spec. `check_dmd` runs Algorithm 1 first when the
-    /// query refers to derived metadata (internal derivation queries
-    /// pass `false`).
-    fn run_spec_opts(
-        &self,
-        spec: QuerySpec,
-        check_dmd: bool,
-        force_spans: bool,
-        opts: &QueryOptions,
-    ) -> Result<QueryResult> {
-        let t_query = Instant::now();
-        let sampling = opts.sampling;
-        let (mode, cellar) = self.prepared_info()?;
-        // One token serves both explicit cancellation and the timeout.
-        let cancel = match (&opts.cancel, opts.timeout) {
-            (Some(c), Some(t)) => {
-                c.set_deadline(Instant::now() + t);
-                Some(c.clone())
+    /// Execute a plan as `ctx` says (see [`RunCtx`]). A top-level query
+    /// runs Algorithm 1 first when it refers to derived metadata; its
+    /// derivation queries run as children of it.
+    fn run(&self, plan: QueryPlan, ctx: RunCtx<'_>) -> Result<QueryResult> {
+        let (_, cellar) = self.prepared_info()?;
+        let mut ts_config = self.two_stage_config(plan.mode, plan.source_idx);
+        let sched = &mut ts_config.sched;
+        // `top` holds a top-level query's options; a derivation child
+        // has none.
+        let (level, top) = match ctx {
+            RunCtx::Query { opts, level } => {
+                ts_config.sampling = opts.sampling;
+                sched.priority = opts.priority;
+                sched.degradation = opts.degradation;
+                // One token serves both explicit cancellation and the
+                // timeout.
+                sched.cancel = match (&opts.cancel, opts.timeout) {
+                    (Some(c), Some(t)) => {
+                        c.set_deadline(Instant::now() + t);
+                        Some(c.clone())
+                    }
+                    (Some(c), None) => Some(c.clone()),
+                    (None, Some(t)) => Some(CancelToken::with_timeout(t)),
+                    (None, None) => None,
+                };
+                (level, Some(opts))
             }
-            (Some(c), None) => Some(c.clone()),
-            (None, Some(t)) => Some(CancelToken::with_timeout(t)),
-            (None, None) => None,
-        };
-        let level = if force_spans { ObsLevel::Spans } else { self.config.observability };
-        let mut obs = Obs::new(level, Arc::clone(&self.metrics));
-        let tracer = if level.spans() { Some(Arc::new(TraceCollector::new())) } else { None };
-        let mut root = None;
-        if let Some(tc) = &tracer {
-            obs = obs.with_tracer(Arc::clone(tc));
-            let id = tc.start(None, "query");
-            tc.set_ambient(Some(id));
-            root = Some(id);
-        }
-        // Admission control: top-level queries take a ticket; internal
-        // DMd-derivation queries (`check_dmd == false`) run under their
-        // parent's ticket — queueing them would deadlock the parent on
-        // its own child. Chunk memory is bounded by the cellar budget
-        // alone, not here.
-        let t_adm = Instant::now();
-        let _ticket = if check_dmd {
-            match self.admission.acquire(opts.priority, cancel.as_ref()) {
-                Ok(t) => Some(t),
-                Err(AdmissionError::QueueFull { limit }) => {
-                    let retry_after_ms = self.overload_retry_after_ms();
-                    self.metrics.set(Metric::AdmissionRetryAfterMs, retry_after_ms);
-                    return Err(SommelierError::Overloaded {
-                        message: format!("admission queue is full ({limit} queued)"),
-                        retry_after_ms,
-                    });
-                }
-                Err(AdmissionError::Cancelled { timed_out }) => {
-                    return Err(sommelier_engine::EngineError::Cancelled { timed_out }.into())
-                }
-                Err(AdmissionError::ShuttingDown) => {
-                    return Err(SommelierError::ShuttingDown)
-                }
+            RunCtx::Derivation { parent } => {
+                sched.priority = parent.priority;
+                sched.cancel = parent.cancel.clone();
+                sched.degradation = DegradationPolicy::Strict;
+                (self.config.observability, None)
             }
-        } else {
-            None
         };
-        if let (Some(tc), true) = (&tracer, _ticket.is_some()) {
-            let dur = t_adm.elapsed().as_nanos() as u64;
-            tc.record(
-                root,
-                "queue_wait",
-                format!("admitted ({:?} priority)", opts.priority),
-                tc.now_ns().saturating_sub(dur),
-                dur,
-                None,
-                None,
-                None,
-            );
+        let tracer =
+            level.spans().then(|| Arc::new(TraceCollector::new(plan.inference.start)));
+        let tc = tracer.as_deref();
+        let root = StageTimer::ambient(tc, "query", plan.inference.start);
+        // Admission control: top-level queries take a ticket; chunk
+        // memory is bounded by the cellar budget alone, not here.
+        let _ticket = match top {
+            Some(opts) => {
+                let wait = StageTimer::start(tc, "queue_wait");
+                let ticket = match self
+                    .admission
+                    .acquire(opts.priority, ts_config.sched.cancel.as_ref())
+                {
+                    Ok(t) => t,
+                    Err(AdmissionError::QueueFull { limit }) => {
+                        let retry_after_ms = self.overload_retry_after_ms();
+                        self.metrics.set(Metric::AdmissionRetryAfterMs, retry_after_ms);
+                        return Err(SommelierError::Overloaded {
+                            message: format!("admission queue is full ({limit} queued)"),
+                            retry_after_ms,
+                        });
+                    }
+                    Err(AdmissionError::Cancelled { timed_out }) => {
+                        return Err(EngineError::Cancelled { timed_out }.into())
+                    }
+                    Err(AdmissionError::ShuttingDown) => {
+                        return Err(SommelierError::ShuttingDown)
+                    }
+                };
+                wait.stop(|| format!("admitted ({:?} priority)", opts.priority), None, None);
+                Some(ticket)
+            }
+            None => None,
+        };
+        if let Some(tc) = tc {
+            let detail = format!("classified {}", plan.qtype.label());
+            tc.record_stage(tc.ambient(), "inference", detail, plan.inference, None, None);
         }
-        let t_inf = Instant::now();
-        let compiled = self.compile_spec(spec)?;
-        if let Some(tc) = &tracer {
-            let dur = t_inf.elapsed().as_nanos() as u64;
-            tc.record(
-                root,
-                "inference",
-                format!("classified {}", compiled.qtype.label()),
-                tc.now_ns().saturating_sub(dur),
-                dur,
-                None,
-                None,
-                None,
-            );
-        }
-        let source = &self.sources[compiled.source_idx];
-        let t_dmd = Instant::now();
-        let dmd_outcome = if check_dmd
-            && compiled.qtype.refers_dmd()
-            && !mode.materializes_dmd()
+        let source = &self.sources[plan.source_idx];
+        let dmd_outcome = if top.is_some()
+            && plan.qtype.refers_dmd()
+            && !plan.mode.materializes_dmd()
             && source.descriptor.dmd.is_some()
         {
-            Some(dmd::ensure_dmd(
+            let ensure = StageTimer::start(tc, "dmd_ensure");
+            let parent = &ts_config.sched;
+            let dmd = dmd::ensure_dmd(
                 &self.db,
                 &source.dmd,
                 &source.descriptor,
-                &compiled.spec,
-                &|s| self.run_derivation(s),
-            )?)
-        } else {
-            None
-        };
-        if let (Some(tc), Some(dmd)) = (&tracer, &dmd_outcome) {
-            let dur = t_dmd.elapsed().as_nanos() as u64;
-            tc.record(
-                root,
-                "dmd_ensure",
+                &plan.spec,
+                &|s| self.run(self.plan(s)?, RunCtx::Derivation { parent }),
+            )?;
+            let detail = || {
                 format!(
                     "{} of {} windows derived, {} rows",
                     dmd.missing, dmd.requested, dmd.rows_inserted
-                ),
-                tc.now_ns().saturating_sub(dur),
-                dur,
-                None,
-                Some(dmd.rows_inserted),
-                None,
-            );
-        }
-        let plan_opts = self.plan_options(mode, compiled.source_idx);
-        let t_plan = tracer.as_ref().map(|tc| tc.now_ns());
-        let (plan, mut trace) = optimizer::compile_plan(&compiled.spec, &plan_opts)?;
-        if let (Some(tc), Some(start)) = (&tracer, t_plan) {
+                )
+            };
+            ensure.stop(detail, Some(dmd.rows_inserted), None);
+            Some(dmd)
+        } else {
+            None
+        };
+        if let Some(tc) = tc {
             // The ambient span is still the query root.
-            optimizer::record_pass_spans(tc, "compile", start, &trace);
+            optimizer::record_pass_spans(tc, "compile", plan.compile, &plan.compile_trace);
         }
-        let mut ts_config = self.two_stage_config(mode, compiled.source_idx);
-        ts_config.sampling = sampling;
-        ts_config.obs = obs;
-        ts_config.sched.priority = opts.priority;
-        ts_config.sched.cancel = cancel;
-        ts_config.sched.degradation = opts.degradation;
-        let scoped = cellar.scoped(compiled.source_idx);
-        let access = (mode == LoadingMode::Lazy).then_some(&scoped as &dyn ChunkResidency);
+        ts_config.obs = self.obs().with_tracer(tracer.clone());
+        let scoped = cellar.scoped(plan.source_idx);
+        let access =
+            (plan.mode == LoadingMode::Lazy).then_some(&scoped as &dyn ChunkResidency);
         let evictions_before = self.metrics.get(Metric::CellarEvictions);
-        let outcome = execute_plan(&self.db, &plan, access, &ts_config)?;
+        let outcome = execute_plan(&self.db, &plan.logical, access, &ts_config)?;
+        let mut trace = plan.compile_trace;
         trace.extend(outcome.trace);
         let mut stats = outcome.stats;
         // Fold the residency manager's eviction activity into the
@@ -963,18 +975,8 @@ impl Sommelier {
         // observes them).
         stats.cellar_evictions =
             self.metrics.get(Metric::CellarEvictions).saturating_sub(evictions_before);
-        let span_trace = tracer.map(|tc| {
-            if let Some(id) = root {
-                tc.end_with(
-                    id,
-                    Some(format!("{} rows", outcome.relation.rows())),
-                    Some(outcome.relation.rows() as u64),
-                    None,
-                );
-            }
-            tc.set_ambient(None);
-            tc.finish()
-        });
+        let rows = outcome.relation.rows();
+        let elapsed = root.stop(|| format!("{rows} rows"), Some(rows as u64), None).dur();
         let degraded = if outcome.skipped.is_empty() {
             None
         } else {
@@ -984,16 +986,16 @@ impl Sommelier {
                 reasons: outcome.skipped.iter().map(|s| s.reason.clone()).collect(),
             })
         };
-        if check_dmd {
-            self.note_query_latency(t_query.elapsed());
+        if top.is_some() {
+            self.note_query_latency(elapsed);
         }
         Ok(QueryResult {
             relation: outcome.relation,
             stats,
-            qtype: compiled.qtype,
+            qtype: plan.qtype,
             dmd: dmd_outcome,
             trace,
-            span_trace,
+            span_trace: tracer.map(|tc| tc.finish()),
             degraded,
         })
     }
@@ -1041,8 +1043,8 @@ impl Sommelier {
             }
         }
         self.guarded(sql, || {
-            let spec = sommelier_sql::compile(sql, &self.catalog)?;
-            self.run_spec_opts(spec, true, false, opts)
+            let plan = self.plan(sommelier_sql::compile(sql, &self.catalog)?)?;
+            self.run(plan, RunCtx::Query { opts, level: self.config.observability })
         })
     }
 
@@ -1087,7 +1089,11 @@ impl Sommelier {
     /// Panic isolated like [`Self::query_opts`].
     pub fn query_spec(&self, spec: QuerySpec) -> Result<QueryResult> {
         self.guarded("query spec", || {
-            self.run_spec_opts(spec, true, false, &QueryOptions::default())
+            let opts = &QueryOptions::default();
+            self.run(
+                self.plan(spec)?,
+                RunCtx::Query { opts, level: self.config.observability },
+            )
         })
     }
 
@@ -1099,25 +1105,21 @@ impl Sommelier {
     /// placeholder, so run-time-only effects (chunks pruned by zone
     /// maps) show as the pass being armed.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let (mode, _) = self.prepared_info()?;
-        let spec = sommelier_sql::compile(sql, &self.catalog)?;
-        let compiled = self.compile_spec(spec)?;
-        let opts = self.plan_options(mode, compiled.source_idx);
-        let (plan, compile_trace) = optimizer::compile_plan(&compiled.spec, &opts)?;
-        let chunks = if plan.has_lazy_scan() { Some(Vec::new()) } else { None };
+        let plan = self.plan(sommelier_sql::compile(sql, &self.catalog)?)?;
+        let logical = &plan.logical;
         let s2 = optimizer::rewrite_stage2(
-            &plan,
+            logical,
             &self.db,
-            chunks,
+            logical.has_lazy_scan().then(Vec::new),
             None,
             None,
-            plan.qf().map(|_| 0),
-            &self.two_stage_config(mode, compiled.source_idx),
+            logical.qf().map(|_| 0),
+            &self.two_stage_config(plan.mode, plan.source_idx),
         )?;
         // Stage-2 trace, annotated: the zone-index candidate count is a
         // stage-1 quantity the registry can answer statically, so
         // EXPLAIN shows it next to the pruning pass it feeds.
-        let zone_note = self.zone_candidate_note(&plan, compiled.source_idx);
+        let zone_note = self.zone_candidate_note(logical, plan.source_idx);
         let mut s2_lines = String::new();
         for p in &s2.trace {
             s2_lines.push_str("  ");
@@ -1132,13 +1134,11 @@ impl Sommelier {
             s2_lines.push('\n');
         }
         Ok(format!(
-            "-- source: {}, mode: {mode}, query type: {}\n{plan}\
-             -- stage-2 physical shape (chunk list resolved at run time)\n{}\
+            "{}-- stage-2 physical shape (chunk list resolved at run time)\n{}\
              -- optimizer passes\n{}{}",
-            self.sources[compiled.source_idx].descriptor.name,
-            compiled.qtype.label(),
+            self.plan_header(&plan),
             s2.physical,
-            optimizer::format_trace(&compile_trace),
+            optimizer::format_trace(&plan.compile_trace),
             s2_lines,
         ))
     }
@@ -1160,59 +1160,53 @@ impl Sommelier {
         Some(format!("zone index: {k} of {total} chunks candidate"))
     }
 
-    /// EXPLAIN ANALYZE: run the query once with span tracing forced on
-    /// (whatever [`SommelierConfig::observability`] says) and render
-    /// the plan next to the measured span tree, the per-pass optimizer
-    /// timings, and the stage/chunk accounting. Panic isolated like
-    /// [`Self::query_opts`].
+    /// EXPLAIN ANALYZE: compile the query once, run that plan with span
+    /// tracing forced on (whatever [`SommelierConfig::observability`]
+    /// says) and render it next to the measured span tree, the
+    /// per-pass optimizer timings, and the stage/chunk accounting.
+    /// Panic isolated like [`Self::query_opts`].
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        self.guarded(sql, || self.explain_analyze_unguarded(sql))
-    }
-
-    fn explain_analyze_unguarded(&self, sql: &str) -> Result<String> {
-        let (mode, _) = self.prepared_info()?;
-        let spec = sommelier_sql::compile(sql, &self.catalog)?;
-        let compiled = self.compile_spec(spec.clone())?;
-        let opts = self.plan_options(mode, compiled.source_idx);
-        let (plan, _) = optimizer::compile_plan(&compiled.spec, &opts)?;
-        let result = self.run_spec_opts(spec, true, true, &QueryOptions::default())?;
-        let stats = &result.stats;
-        let mut out = format!(
-            "-- source: {}, mode: {mode}, query type: {}\n{plan}-- spans\n{}",
-            self.sources[compiled.source_idx].descriptor.name,
-            compiled.qtype.label(),
-            result.span_trace.as_ref().map(|t| t.render_tree()).unwrap_or_default(),
-        );
-        out.push_str("-- optimizer passes\n");
-        for p in &result.trace {
-            out.push_str(&format!("  {p} [{}]\n", fmt_ns(p.nanos)));
-        }
-        out.push_str(&format!(
-            "-- stages: stage1 {} + load {} + stage2 {} = {}\n",
-            fmt_ns(stats.stage1.as_nanos() as u64),
-            fmt_ns(stats.load.as_nanos() as u64),
-            fmt_ns(stats.stage2.as_nanos() as u64),
-            fmt_ns(stats.total().as_nanos() as u64),
-        ));
-        out.push_str(&format!(
-            "-- chunks: {} selected = {} pruned + {} sampled out + {} loaded + {} cache hits \
-             + {} skipped; {} rows out\n",
-            stats.files_selected,
-            stats.files_pruned,
-            stats.files_sampled_out,
-            stats.files_loaded,
-            stats.cache_hits,
-            stats.files_skipped,
-            result.relation.rows(),
-        ));
-        if let Some(d) = &result.degraded {
+        self.guarded(sql, || {
+            let plan = self.plan(sommelier_sql::compile(sql, &self.catalog)?)?;
+            let mut out = self.plan_header(&plan);
+            let opts = &QueryOptions::default();
+            let result = self.run(plan, RunCtx::Query { opts, level: ObsLevel::Spans })?;
+            let stats = &result.stats;
+            out.push_str("-- spans\n");
+            out.push_str(
+                &result.span_trace.as_ref().map(|t| t.render_tree()).unwrap_or_default(),
+            );
+            out.push_str("-- optimizer passes\n");
+            for p in &result.trace {
+                out.push_str(&format!("  {p} [{}]\n", fmt_ns(p.nanos)));
+            }
             out.push_str(&format!(
-                "-- DEGRADED: skipped {} unreadable chunk(s): {}\n",
-                d.skipped_chunks.len(),
-                d.skipped_chunks.join(", "),
+                "-- stages: stage1 {} + load {} + stage2 {} = {}\n",
+                fmt_ns(stats.stage1.as_nanos() as u64),
+                fmt_ns(stats.load.as_nanos() as u64),
+                fmt_ns(stats.stage2.as_nanos() as u64),
+                fmt_ns(stats.total().as_nanos() as u64),
             ));
-        }
-        Ok(out)
+            out.push_str(&format!(
+                "-- chunks: {} selected = {} pruned + {} sampled out + {} loaded + {} cache \
+                 hits + {} skipped; {} rows out\n",
+                stats.files_selected,
+                stats.files_pruned,
+                stats.files_sampled_out,
+                stats.files_loaded,
+                stats.cache_hits,
+                stats.files_skipped,
+                result.relation.rows(),
+            ));
+            if let Some(d) = &result.degraded {
+                out.push_str(&format!(
+                    "-- DEGRADED: skipped {} unreadable chunk(s): {}\n",
+                    d.skipped_chunks.len(),
+                    d.skipped_chunks.join(", "),
+                ));
+            }
+            Ok(out)
+        })
     }
 
     /// The instance's metrics registry (one per [`Sommelier`], so

@@ -38,8 +38,7 @@ use crate::fault::{with_retries, RetryPolicy};
 use crate::source::RawChunk;
 use parking_lot::{Condvar, Mutex};
 use sommelier_engine::{
-    CancelToken, EngineError, ErrorKind, Metric, MetricsRegistry, Obs, ObsLevel,
-    TraceCollector,
+    CancelToken, EngineError, ErrorKind, Metric, MetricsRegistry, Obs, TraceCollector,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -218,7 +217,7 @@ impl PrefetchStage {
             pool: IoPool::new(io_threads),
             depth: depth.max(1),
             retry,
-            obs: Obs::new(ObsLevel::Counters, Arc::clone(&metrics)),
+            obs: Obs::new(Arc::clone(&metrics)),
             metrics,
             entries: Mutex::new(HashMap::new()),
             budget_probe: Mutex::new(None),

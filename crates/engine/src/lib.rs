@@ -55,7 +55,8 @@ pub use error::{EngineError, ErrorKind, Result};
 pub use expr::{AggFunc, CmpOp, Expr, Func};
 pub use logical::LogicalPlan;
 pub use obs::{
-    Metric, MetricsRegistry, MetricsSnapshot, Obs, ObsLevel, SpanTrace, TraceCollector,
+    Edges, Metric, MetricsRegistry, MetricsSnapshot, Obs, ObsLevel, SpanTrace, StageTimer,
+    TraceCollector,
 };
 pub use optimizer::{ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 pub use physical::{fuse_partial_agg, PhysicalPlan};

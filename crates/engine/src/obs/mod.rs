@@ -27,7 +27,7 @@ pub mod metrics;
 pub mod span;
 
 pub use metrics::{HistogramSnapshot, Metric, MetricsRegistry, MetricsSnapshot};
-pub use span::{SpanRecord, SpanTrace, TraceCollector};
+pub use span::{Edges, SpanRecord, SpanTrace, StageTimer, TraceCollector};
 
 use std::cell::Cell;
 use std::fmt;
@@ -51,12 +51,11 @@ impl ObsLevel {
     }
 }
 
-/// The observability handle threaded through the engine: a level, the
-/// system's registry, and (per query, at `Spans` level) a trace
-/// collector. Cloning is two refcount bumps.
+/// The observability handle threaded through the engine: the system's
+/// registry and, when the query records spans, its trace collector.
+/// Cloning is two refcount bumps.
 #[derive(Clone, Default)]
 pub struct Obs {
-    level: ObsLevel,
     metrics: Option<Arc<MetricsRegistry>>,
     tracer: Option<Arc<TraceCollector>>,
 }
@@ -68,17 +67,15 @@ impl Obs {
         Obs::default()
     }
 
-    /// A handle at `level` over `metrics`.
-    pub fn new(level: ObsLevel, metrics: Arc<MetricsRegistry>) -> Self {
-        Obs { level, metrics: Some(metrics), tracer: None }
+    /// A handle over `metrics`, without a trace collector.
+    pub fn new(metrics: Arc<MetricsRegistry>) -> Self {
+        Obs { metrics: Some(metrics), tracer: None }
     }
 
-    /// The same handle with a per-query trace collector attached (only
-    /// meaningful at `Spans` level; ignored below it).
-    pub fn with_tracer(mut self, tracer: Arc<TraceCollector>) -> Self {
-        if self.level.spans() {
-            self.tracer = Some(tracer);
-        }
+    /// The same handle with the query's trace collector, if it records
+    /// spans.
+    pub fn with_tracer(mut self, tracer: Option<Arc<TraceCollector>>) -> Self {
+        self.tracer = tracer;
         self
     }
 
@@ -102,10 +99,7 @@ impl Obs {
 
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Obs")
-            .field("level", &self.level)
-            .field("tracer", &self.tracer.is_some())
-            .finish()
+        f.debug_struct("Obs").field("tracer", &self.tracer.is_some()).finish()
     }
 }
 
@@ -147,10 +141,9 @@ mod tests {
     #[test]
     fn counters_level_has_metrics_but_no_tracer() {
         let reg = Arc::new(MetricsRegistry::new());
-        let obs = Obs::new(ObsLevel::Counters, reg.clone())
-            .with_tracer(Arc::new(TraceCollector::new()));
+        let obs = Obs::new(reg.clone());
         assert!(obs.metrics().is_some());
-        assert!(obs.tracer().is_none(), "tracer only attaches at Spans level");
+        assert!(obs.tracer().is_none(), "no collector until a query attaches one");
         obs.count(Metric::ZoneProbes, 3);
         assert_eq!(reg.get(Metric::ZoneProbes), 3);
         Obs::off().count(Metric::ZoneProbes, 1); // detached: a no-op

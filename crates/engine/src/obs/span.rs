@@ -1,17 +1,19 @@
 //! Per-query span traces: a tree of timed regions collected while the
 //! two-stage driver runs, rendered by `EXPLAIN ANALYZE`.
 //!
-//! A span is recorded either *complete* (start and duration already
-//! known — e.g. an optimizer pass replayed from its `PassTrace`
-//! timing) or *opened* with [`TraceCollector::start`] and closed with
-//! [`TraceCollector::end`]. Parent links make the tree; the *ambient*
-//! parent lets deeply nested probes (a chunk pipeline inside the
-//! cellar's decode pool) attach to the right stage span without
-//! threading an id through every call signature.
+//! A stage is timed by a [`StageTimer`], which reads each of its two
+//! clock edges once: the stage's span and every figure its caller
+//! derives from the returned [`Edges`] (an `ExecStats` field, a
+//! `query.*_ns` counter) carry the same duration. Regions whose timing
+//! is already known (an optimizer pass replayed from its `PassTrace`,
+//! a chunk's decode plus pipeline) are recorded complete. Parent links
+//! make the tree; the *ambient* parent lets deeply nested probes (a
+//! chunk pipeline inside the cellar's decode pool) attach to the right
+//! stage span without threading an id through every call signature.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const NO_SPAN: usize = usize::MAX;
 
@@ -35,6 +37,25 @@ pub struct SpanRecord {
     pub bytes: Option<u64>,
 }
 
+/// The two clock edges of one timed stage.
+#[derive(Debug, Clone, Copy)]
+pub struct Edges {
+    pub start: Instant,
+    pub end: Instant,
+}
+
+impl Edges {
+    /// The edges from `start` to now.
+    pub fn since(start: Instant) -> Self {
+        Edges { start, end: Instant::now() }
+    }
+
+    /// The time between the two edges.
+    pub fn dur(&self) -> Duration {
+        self.end.saturating_duration_since(self.start)
+    }
+}
+
 /// Collects one query's spans. Shared (`Arc`) between the driver and
 /// the worker pools; recording is a short mutex-guarded push.
 #[derive(Debug)]
@@ -44,24 +65,20 @@ pub struct TraceCollector {
     ambient: AtomicUsize,
 }
 
-impl Default for TraceCollector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TraceCollector {
-    pub fn new() -> Self {
+    /// A collector whose spans count time from `epoch` (the query
+    /// start).
+    pub fn new(epoch: Instant) -> Self {
         TraceCollector {
-            epoch: Instant::now(),
+            epoch,
             spans: Mutex::new(Vec::new()),
             ambient: AtomicUsize::new(NO_SPAN),
         }
     }
 
-    /// Nanoseconds since the query epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+    /// Nanoseconds from the query epoch to `t` (0 before it).
+    pub(crate) fn offset_ns(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// Record a region whose timing is already known. Returns its id.
@@ -93,35 +110,18 @@ impl TraceCollector {
         id
     }
 
-    /// Open a region now; close it with [`end`](Self::end).
-    pub fn start(&self, parent: Option<usize>, name: &'static str) -> usize {
-        let now = self.now_ns();
-        self.record(parent, name, String::new(), now, 0, None, None, None)
-    }
-
-    /// Close a region opened by [`start`](Self::start).
-    pub fn end(&self, id: usize) {
-        self.end_with(id, None, None, None);
-    }
-
-    /// Close a region, attaching a detail and row/byte counts.
-    pub fn end_with(
+    /// Record a finished stage from its clock edges. Returns its id.
+    pub fn record_stage(
         &self,
-        id: usize,
-        detail: Option<String>,
+        parent: Option<usize>,
+        name: &'static str,
+        detail: impl Into<String>,
+        edges: Edges,
         rows: Option<u64>,
         bytes: Option<u64>,
-    ) {
-        let now = self.now_ns();
-        let mut spans = self.spans.lock();
-        if let Some(span) = spans.get_mut(id) {
-            span.dur_ns = now.saturating_sub(span.start_ns);
-            if let Some(d) = detail {
-                span.detail = d;
-            }
-            span.rows = rows.or(span.rows);
-            span.bytes = bytes.or(span.bytes);
-        }
+    ) -> usize {
+        let (start, dur) = (self.offset_ns(edges.start), edges.dur().as_nanos() as u64);
+        self.record(parent, name, detail, start, dur, None, rows, bytes)
     }
 
     /// Set the ambient parent: spans recorded by nested probes that do
@@ -141,6 +141,70 @@ impl TraceCollector {
     /// Freeze the collected spans into a [`SpanTrace`].
     pub fn finish(&self) -> SpanTrace {
         SpanTrace { spans: self.spans.lock().clone() }
+    }
+}
+
+/// Times one stage of a query, reading each clock edge once (see the
+/// module docs). Without a collector it is only a clock.
+pub struct StageTimer<'t> {
+    start: Instant,
+    name: &'static str,
+    tracer: Option<&'t TraceCollector>,
+    /// An ambient stage's span, opened at the start edge, and the
+    /// ambient parent it displaced.
+    open: Option<(usize, Option<usize>)>,
+}
+
+impl<'t> StageTimer<'t> {
+    /// Start a stage now. Its span is recorded under the ambient parent
+    /// when the stage stops.
+    pub fn start(tracer: Option<&'t TraceCollector>, name: &'static str) -> Self {
+        StageTimer { start: Instant::now(), name, tracer, open: None }
+    }
+
+    /// Start a stage at `start` whose span opens at once under the
+    /// ambient parent and is the ambient parent until the stage stops,
+    /// so spans recorded inside the stage — on this thread or on pool
+    /// workers — attach under it.
+    pub fn ambient(
+        tracer: Option<&'t TraceCollector>,
+        name: &'static str,
+        start: Instant,
+    ) -> Self {
+        let open = tracer.map(|tc| {
+            let outer = tc.ambient();
+            let id = tc.record(outer, name, "", tc.offset_ns(start), 0, None, None, None);
+            tc.set_ambient(Some(id));
+            (id, outer)
+        });
+        StageTimer { start, name, tracer, open }
+    }
+
+    /// Read the end edge and give the stage's span `detail` and its
+    /// row and byte counts: record it, or close the open one and
+    /// restore the ambient parent. Returns both edges.
+    pub fn stop(
+        self,
+        detail: impl FnOnce() -> String,
+        rows: Option<u64>,
+        bytes: Option<u64>,
+    ) -> Edges {
+        let edges = Edges::since(self.start);
+        let Some(tc) = self.tracer else { return edges };
+        match self.open {
+            None => {
+                tc.record_stage(tc.ambient(), self.name, detail(), edges, rows, bytes);
+            }
+            Some((id, outer)) => {
+                if let Some(span) = tc.spans.lock().get_mut(id) {
+                    span.dur_ns = edges.dur().as_nanos() as u64;
+                    span.detail = detail();
+                    (span.rows, span.bytes) = (rows, bytes);
+                }
+                tc.set_ambient(outer);
+            }
+        }
+        edges
     }
 }
 
@@ -272,16 +336,20 @@ mod tests {
 
     #[test]
     fn start_end_builds_tree() {
-        let tc = TraceCollector::new();
-        let root = tc.start(None, "query");
-        let child = tc.start(Some(root), "stage1");
-        tc.end(child);
-        tc.end_with(root, Some("t4".into()), Some(10), None);
+        let tc = TraceCollector::new(Instant::now());
+        let root = StageTimer::ambient(Some(&tc), "query", Instant::now());
+        let child = StageTimer::start(Some(&tc), "stage1");
+        let child_edges = child.stop(|| "Qf".into(), Some(3), None);
+        let root_edges = root.stop(|| "t4".into(), Some(10), None);
+        assert_eq!(tc.ambient(), None, "the root restores the ambient parent");
         let trace = tc.finish();
         assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.spans[1].parent, Some(root));
-        assert_eq!(trace.find("query").unwrap().rows, Some(10));
-        assert!(trace.find("query").unwrap().dur_ns >= trace.spans[1].dur_ns);
+        assert_eq!(trace.spans[1].parent, Some(0));
+        let (q, s1) = (trace.find("query").unwrap(), trace.find("stage1").unwrap());
+        assert_eq!(q.rows, Some(10));
+        assert_eq!(q.dur_ns, root_edges.dur().as_nanos() as u64);
+        assert_eq!(s1.dur_ns, child_edges.dur().as_nanos() as u64);
+        assert!(q.dur_ns >= s1.dur_ns);
         let tree = trace.render_tree();
         assert!(tree.contains("query"));
         assert!(tree.contains("\n  stage1"), "child must be indented: {tree}");
@@ -289,9 +357,9 @@ mod tests {
 
     #[test]
     fn ambient_parent_round_trips() {
-        let tc = TraceCollector::new();
+        let tc = TraceCollector::new(Instant::now());
         assert_eq!(tc.ambient(), None);
-        let id = tc.start(None, "load");
+        let id = tc.record(None, "load", "", 0, 0, None, None, None);
         tc.set_ambient(Some(id));
         assert_eq!(tc.ambient(), Some(id));
         tc.set_ambient(None);
@@ -300,12 +368,11 @@ mod tests {
 
     #[test]
     fn render_folds_long_sibling_runs() {
-        let tc = TraceCollector::new();
-        let root = tc.start(None, "load");
+        let tc = TraceCollector::new(Instant::now());
+        let root = tc.record(None, "load", "", 0, 2000, None, None, None);
         for i in 0..20 {
             tc.record(Some(root), "chunk", format!("uri{i}"), 0, 100, Some(0), Some(5), None);
         }
-        tc.end(root);
         let tree = tc.finish().render_tree();
         assert_eq!(tree.matches("\n  chunk").count(), RENDER_SHOWN);
         assert!(tree.contains("16 more \"chunk\" spans"), "{tree}");

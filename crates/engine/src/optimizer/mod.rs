@@ -30,7 +30,7 @@ pub use passes::{
 use crate::error::Result;
 use crate::joinorder::PlanOptions;
 use crate::logical::LogicalPlan;
-use crate::obs::TraceCollector;
+use crate::obs::{Edges, TraceCollector};
 use crate::physical::{ChunkRef, PhysicalPlan};
 use crate::spec::QuerySpec;
 use crate::twostage::TwoStageConfig;
@@ -177,26 +177,18 @@ pub fn rewrite_stage2(
     Ok(Stage2Plan { physical, chunks, pruned, trace })
 }
 
-/// Record a span `name` under the ambient span, from `start_ns` to
-/// now, with one child per pass of `trace`. The passes ran in order, so
-/// each child starts where the previous one's recorded time ended.
+/// Record a span `name` under the ambient span, between `edges`, with
+/// one child per pass of `trace`. The passes ran in order, so each
+/// child starts where the previous one's recorded time ended.
 pub fn record_pass_spans(
     tc: &TraceCollector,
     name: &'static str,
-    start_ns: u64,
+    edges: Edges,
     trace: &[PassTrace],
 ) {
-    let parent = tc.record(
-        tc.ambient(),
-        name,
-        format!("{} passes", trace.len()),
-        start_ns,
-        tc.now_ns().saturating_sub(start_ns),
-        None,
-        None,
-        None,
-    );
-    let mut cursor = start_ns;
+    let detail = format!("{} passes", trace.len());
+    let parent = tc.record_stage(tc.ambient(), name, detail, edges, None, None);
+    let mut cursor = tc.offset_ns(edges.start);
     for p in trace {
         tc.record(Some(parent), p.name, p.detail.clone(), cursor, p.nanos, None, None, None);
         cursor += p.nanos;

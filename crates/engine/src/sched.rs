@@ -687,7 +687,7 @@ mod tests {
         // workers that do not exist.
         let s = MorselScheduler::new(2, Default::default());
         let metrics = Arc::new(crate::obs::MetricsRegistry::new());
-        let obs = Obs::new(crate::obs::ObsLevel::Counters, Arc::clone(&metrics));
+        let obs = Obs::new(Arc::clone(&metrics));
         let t0 = Instant::now();
         s.run_batch(4, 8, Priority::Normal, &obs, |_| {
             std::thread::sleep(Duration::from_millis(2))

@@ -34,7 +34,7 @@ use crate::error::ErrorKind;
 use crate::error::{EngineError, Result};
 use crate::exec::{execute, ChunkPipeline, ExecContext};
 use crate::logical::LogicalPlan;
-use crate::obs::{self, span::fmt_ns, Metric, Obs, TraceCollector};
+use crate::obs::{self, span::fmt_ns, Edges, Metric, Obs, StageTimer, TraceCollector};
 use crate::optimizer::{self, ColumnZone, PassTrace, ZoneCandidates, ZoneConstraint};
 use crate::physical::{lower, ChunkRef, LowerOptions, PhysicalPlan};
 use crate::relation::Relation;
@@ -380,7 +380,7 @@ pub fn execute_plan(
     // ---- Stage 1: evaluate the metadata branch Qf, if marked. ------
     let qf_id = match plan.qf() {
         Some(qf) => {
-            let t = Instant::now();
+            let stage1 = StageTimer::start(tracer, "stage1");
             let opts = LowerOptions {
                 db,
                 use_index_joins: config.use_index_joins,
@@ -389,21 +389,8 @@ pub fn execute_plan(
             };
             let phys = lower(qf, &opts)?;
             let rf = execute(&phys, &ctx)?;
-            stats.stage1 = t.elapsed();
-            if let Some(tc) = tracer {
-                let dur = stats.stage1.as_nanos() as u64;
-                let end = tc.now_ns();
-                tc.record(
-                    tc.ambient(),
-                    "stage1",
-                    "Qf (metadata branch)",
-                    end.saturating_sub(dur),
-                    dur,
-                    None,
-                    Some(rf.rows() as u64),
-                    None,
-                );
-            }
+            let rows = Some(rf.rows() as u64);
+            stats.stage1 = stage1.stop(|| "Qf (metadata branch)".into(), rows, None).dur();
             ctx.materialized.push(Arc::new(rf));
             Some(0usize)
         }
@@ -463,32 +450,19 @@ pub fn execute_plan(
     let zones = |uri: &str| access.and_then(|a| a.zone_maps(uri));
     let zone_candidates = |constraints: &[ZoneConstraint]| {
         // The zone-index probe: indexed stage-1 candidate selection.
-        let t0 = Instant::now();
+        let probe = StageTimer::start(tracer, "zone_index_probe");
         let r = access.and_then(|a| a.zone_candidates(constraints));
-        if let Some(tc) = tracer {
-            let dur = t0.elapsed().as_nanos() as u64;
-            let end = tc.now_ns();
-            let detail = match &r {
-                Some(ZoneCandidates::Uris(uris)) => format!("{} candidates", uris.len()),
-                Some(ZoneCandidates::All) => "all chunks candidate".to_string(),
-                None => "no index".to_string(),
-            };
-            tc.record(
-                tc.ambient(),
-                "zone_index_probe",
-                detail,
-                end.saturating_sub(dur),
-                dur,
-                None,
-                None,
-                None,
-            );
-        }
+        let detail = || match &r {
+            Some(ZoneCandidates::Uris(uris)) => format!("{} candidates", uris.len()),
+            Some(ZoneCandidates::All) => "all chunks candidate".to_string(),
+            None => "no index".to_string(),
+        };
+        probe.stop(detail, None, None);
         config.obs.count(Metric::ZoneProbes, 1);
         r
     };
     let considered = chunk_refs.as_ref().map(Vec::len).unwrap_or(0);
-    let rw_start = tracer.map(|tc| tc.now_ns());
+    let rw_start = Instant::now();
     let s2 = optimizer::rewrite_stage2(
         plan,
         db,
@@ -498,8 +472,8 @@ pub fn execute_plan(
         qf_id,
         config,
     )?;
-    if let (Some(tc), Some(t0)) = (tracer, rw_start) {
-        optimizer::record_pass_spans(tc, "rewrite_stage2", t0, &s2.trace);
+    if let Some(tc) = tracer {
+        optimizer::record_pass_spans(tc, "rewrite_stage2", Edges::since(rw_start), &s2.trace);
     }
     let mut phys = s2.physical;
     let trace = s2.trace;
@@ -519,23 +493,16 @@ pub fn execute_plan(
         (Some(refs), Some(residency)) if !refs.is_empty() => {
             let to_fetch: Vec<String> =
                 refs.iter().filter(|r| !r.cached).map(|r| r.uri.clone()).collect();
+            let submit = StageTimer::start(tracer, "prefetch");
             let handle = if to_fetch.is_empty() {
                 None
             } else {
                 residency.prefetch(&to_fetch, &config.policy())
             };
-            if let (Some(tc), Some(h)) = (tracer, handle.as_deref()) {
-                let now = tc.now_ns();
-                tc.record(
-                    tc.ambient(),
-                    "prefetch",
-                    format!("{} issued over {} candidates", h.submitted(), to_fetch.len()),
-                    now,
-                    0,
-                    None,
-                    None,
-                    None,
-                );
+            if let Some(h) = handle.as_deref() {
+                let detail =
+                    || format!("{} issued over {} candidates", h.submitted(), to_fetch.len());
+                submit.stop(detail, None, None);
             }
             handle.map(PrefetchGuard)
         }
@@ -546,7 +513,6 @@ pub fn execute_plan(
     // Cancellation checkpoint before any decode work is scheduled: a
     // cancel here means no pins were ever taken.
     config.sched.check_cancel()?;
-    let outer_span = tracer.map(|tc| tc.ambient());
     // A chunk node implies lazy scans, which come with a chunk source
     // (checked above).
     if let (Some(node), Some(residency)) =
@@ -554,31 +520,22 @@ pub fn execute_plan(
     {
         // The load span is ambient while the wave runs, so per-chunk
         // spans recorded on pool workers attach under it.
-        let load_span = tracer.map(|tc| {
-            let id = tc.start(tc.ambient(), "load");
-            tc.set_ambient(Some(id));
-            id
-        });
-        let t = Instant::now();
+        let load = StageTimer::ambient(tracer, "load", Instant::now());
         let out = run_chunk_node(&node, residency, &ctx, config, &mut stats, &mut skipped)?;
-        stats.load = t.elapsed();
+        let detail = || {
+            let s = &stats;
+            format!(
+                "{} loaded, {} hits, {} joined",
+                s.files_loaded, s.cache_hits, s.load_joins
+            )
+        };
+        let (rows, bytes) = (Some(stats.rows_loaded), Some(stats.bytes_loaded));
+        stats.load = load.stop(detail, rows, bytes).dur();
         ctx.materialized.push(Arc::new(out));
         // The chunk wave is over: everything prefetched was either
         // claimed by a decode or is now wasted — release it before
         // stage 2 runs.
         drop(prefetch_guard);
-        if let (Some(tc), Some(id)) = (tracer, load_span) {
-            tc.end_with(
-                id,
-                Some(format!(
-                    "{} loaded, {} hits, {} joined",
-                    stats.files_loaded, stats.cache_hits, stats.load_joins
-                )),
-                Some(stats.rows_loaded),
-                Some(stats.bytes_loaded),
-            );
-            tc.set_ambient(outer_span.flatten());
-        }
     }
 
     // Chunk accounting must balance on every path: each selected chunk
@@ -598,18 +555,10 @@ pub fn execute_plan(
 
     // ---- Stage 2: the remainder Qs. ---------------------------------
     config.sched.check_cancel()?;
-    let t = Instant::now();
-    let stage2_span = tracer.map(|tc| {
-        let id = tc.start(tc.ambient(), "stage2");
-        tc.set_ambient(Some(id));
-        id
-    });
+    let stage2 = StageTimer::ambient(tracer, "stage2", Instant::now());
     let relation = execute(&phys, &ctx)?;
-    if let (Some(tc), Some(id)) = (tracer, stage2_span) {
-        tc.end_with(id, Some("Qs (remainder)".into()), Some(relation.rows() as u64), None);
-        tc.set_ambient(outer_span.flatten());
-    }
-    stats.stage2 = t.elapsed();
+    let rows = Some(relation.rows() as u64);
+    stats.stage2 = stage2.stop(|| "Qs (remainder)".into(), rows, None).dur();
 
     let o = &config.obs;
     o.count(Metric::QueryCount, 1);
@@ -814,7 +763,7 @@ fn record_chunk_span(
     } else {
         "hit".to_string()
     };
-    let end = tc.now_ns();
+    let end = tc.offset_ns(Instant::now());
     tc.record(
         tc.ambient(),
         "chunk",

@@ -1,10 +1,20 @@
 //! End-to-end behaviour of incremental metadata derivation
 //! (Algorithm 1): coverage bookkeeping, partial reuse across
-//! overlapping queries, and equivalence with eager materialization.
+//! overlapping queries, equivalence with eager materialization, and
+//! derivation as a child of its query (its cancel, deadline and a
+//! `Strict` policy whatever the query's).
 
-use sommelier_core::{LoadingMode, Metric, SommelierConfig};
-use sommelier_integration::{fiam_repo, ingv_repo, prepared, TempDir};
+use sommelier_core::{
+    CancelToken, DegradationPolicy, FaultPlan, LoadingMode, Metric, QueryOptions, Sommelier,
+    SommelierConfig, SommelierError,
+};
+use sommelier_engine::EngineError;
+use sommelier_integration::{
+    chunk_files, fiam_repo, ingv_repo, prepared, wait_until, TempDir,
+};
+use sommelier_mseed::Repository;
 use sommelier_storage::Value;
+use std::time::Duration;
 
 fn window_query(from_hour: &str, to_hour: &str) -> String {
     format!(
@@ -207,4 +217,102 @@ fn derived_metadata_values_are_window_statistics() {
             other => panic!("unexpected {other:?}"),
         }
     }
+}
+
+/// Every FIAM window of the first three days: deriving them loads
+/// three chunks, one after another on a one-worker system.
+fn three_days() -> String {
+    window_query("2010-01-01T00:00:00.000", "2010-01-04T00:00:00.000")
+}
+
+/// A lazy system on one worker over `repo`, with fault injection wired
+/// in so a test can hold its chunk loads.
+fn one_worker_system(repo: &Repository, plan: FaultPlan) -> Sommelier {
+    let config = SommelierConfig {
+        max_threads: 1,
+        fault_plan: Some(plan),
+        ..SommelierConfig::default()
+    };
+    prepared(repo, LoadingMode::Lazy, config)
+}
+
+/// Run [`three_days`] under `opts` while chunk loads are held. Once the
+/// first derivation load has parked, `fire` makes the event under test
+/// happen and the loads are released. Returns the query's error.
+fn derive_held(somm: &Sommelier, opts: &QueryOptions, fire: impl Fn()) -> SommelierError {
+    let hold = somm.fault_injector().unwrap().hold();
+    std::thread::scope(|scope| {
+        let query = scope.spawn(|| somm.query_opts(&three_days(), opts));
+        hold.wait_parked(1);
+        fire();
+        hold.release();
+        query.join().unwrap().expect_err("the query must not complete")
+    })
+}
+
+/// After a failed derivation: no window covered, at most the one parked
+/// load done, and every pin released.
+fn assert_derived_nothing(somm: &Sommelier) {
+    assert_eq!(somm.dmd_manager().covered_count(), 0, "a failed derivation covers nothing");
+    assert_eq!(somm.db().table_rows("H").unwrap(), 0);
+    let loads = somm.metrics().get(Metric::CellarLoads);
+    assert!(loads <= 1, "derivation kept loading after its query stopped: {loads} loads");
+    assert_eq!(somm.cellar().unwrap().total_pins(), 0);
+}
+
+#[test]
+fn cancel_stops_derivation() {
+    let dir = TempDir::new("dmd-cancel");
+    let somm = one_worker_system(&fiam_repo(&dir, 3, 64), FaultPlan::default());
+    let token = CancelToken::new();
+    let opts = QueryOptions { cancel: Some(token.clone()), ..QueryOptions::default() };
+    let err = derive_held(&somm, &opts, || token.cancel());
+    assert!(
+        matches!(err, SommelierError::Engine(EngineError::Cancelled { timed_out: false })),
+        "{err:?}"
+    );
+    assert_derived_nothing(&somm);
+}
+
+#[test]
+fn timeout_stops_derivation() {
+    let dir = TempDir::new("dmd-timeout");
+    let somm = one_worker_system(&fiam_repo(&dir, 3, 64), FaultPlan::default());
+    // The token only lets the test see the deadline pass; the query's
+    // timeout installs it.
+    let token = CancelToken::new();
+    let opts = QueryOptions {
+        cancel: Some(token.clone()),
+        timeout: Some(Duration::from_secs(1)),
+        ..QueryOptions::default()
+    };
+    let err = derive_held(&somm, &opts, || {
+        wait_until("query deadline", || token.cancelled() == Some(true))
+    });
+    assert!(
+        matches!(err, SommelierError::Engine(EngineError::Cancelled { timed_out: true })),
+        "{err:?}"
+    );
+    assert_derived_nothing(&somm);
+}
+
+#[test]
+fn derivation_stays_strict_under_a_skipping_query() {
+    let dir = TempDir::new("dmd-strict");
+    let repo = fiam_repo(&dir, 3, 64);
+    let victim = chunk_files(repo.dir())[0].clone();
+    let plan = FaultPlan { corrupt_uris: vec![victim.clone()], ..FaultPlan::default() };
+    let somm = one_worker_system(&repo, plan);
+    let opts =
+        QueryOptions { degradation: DegradationPolicy::SkipUnreadable, ..Default::default() };
+    let err = somm.query_opts(&three_days(), &opts).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            SommelierError::Engine(EngineError::ChunkLoad { uri, .. }) if *uri == victim
+        ),
+        "a derivation skips nothing: {err:?}"
+    );
+    assert_eq!(somm.dmd_manager().covered_count(), 0, "a partial derivation covers nothing");
+    assert_eq!(somm.db().table_rows("H").unwrap(), 0);
 }

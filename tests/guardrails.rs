@@ -109,6 +109,17 @@
 //! block that mirrored them into the registry at snapshot time were
 //! removed: `metrics_snapshot()` is a read.
 //!
+//! A statement compiles once, into one `QueryPlan`, and one `run` takes
+//! it as a top-level query or as Algorithm 1's derivation child of one
+//! (no ticket; the parent's cancel token, deadline and priority; always
+//! `Strict`). `CompiledQuery`, `compile_spec`, the two-flag
+//! `run_spec_opts` (`check_dmd`, `force_spans`),
+//! `explain_analyze_unguarded` with its second compile, and
+//! `run_derivation`, which ran derivation with default options, were
+//! removed. Each stage's two clock edges are read once, by a
+//! `StageTimer`, so its span and its `ExecStats` field are equal; the
+//! collector's `start`/`end`/`end_with` were removed.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -179,7 +190,7 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn settle_retry", "the cellar's one engine is the streaming wave"),
     ("fn decode_claims", "the cellar's one engine is the streaming wave"),
     ("fn query_approx", "query_opts with QueryOptions::sampling"),
-    ("fn run_spec_sampled", "run_spec_opts with QueryOptions::sampling"),
+    ("fn run_spec_sampled", "query_opts with QueryOptions::sampling"),
     ("struct SimIo", "FaultPlan spikes slow chunk loads; the buffer pool reads real pages"),
     ("fn sim_io_total", "FaultPlan spikes slow chunk loads"),
     ("fn charge_sim_io", "FaultInjector::before_load gates every chunk load"),
@@ -225,6 +236,14 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn admission_stats", "read admission.* from Sommelier::metrics()"),
     ("queries_degraded: AtomicU64", "fault.queries_degraded is counted in the registry"),
     ("m.set(CellarHits", "metrics_snapshot() reads the registry; nothing is mirrored"),
+    ("struct CompiledQuery", "Sommelier::plan builds one QueryPlan per statement"),
+    ("fn compile_spec", "Sommelier::plan builds one QueryPlan per statement"),
+    ("fn run_spec_opts", "Sommelier::run takes a QueryPlan and a RunCtx"),
+    ("fn explain_analyze_unguarded", "explain_analyze runs the one plan it renders"),
+    ("fn run_derivation", "derivation runs as RunCtx::Derivation, a child of its query"),
+    ("force_spans", "RunCtx::Query carries the span level"),
+    ("check_dmd: bool", "RunCtx says whether a run is a top-level query"),
+    ("fn end_with", "StageTimer reads each stage's two clock edges once"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.
