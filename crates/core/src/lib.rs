@@ -483,7 +483,8 @@ enum RunCtx<'a> {
     /// its own child — with the parent's cancel token (and so its
     /// deadline) and priority, exactly (no sampling), and always
     /// `Strict`: a partial derivation must never mark a window
-    /// covered. Its span collector is its own, at the system's level.
+    /// covered. It records no spans: nothing reads a collector of its
+    /// own, and its spans belong under its parent's `dmd_ensure`.
     Derivation { parent: &'a SchedPolicy },
 }
 
@@ -889,7 +890,7 @@ impl Sommelier {
                 sched.priority = parent.priority;
                 sched.cancel = parent.cancel.clone();
                 sched.degradation = DegradationPolicy::Strict;
-                (self.config.observability, None)
+                (ObsLevel::Counters, None)
             }
         };
         let tracer =
@@ -960,6 +961,7 @@ impl Sommelier {
             // The ambient span is still the query root.
             optimizer::record_pass_spans(tc, "compile", plan.compile, &plan.compile_trace);
         }
+        ts_config.sched.tracer = tracer.clone();
         ts_config.obs = self.obs().with_tracer(tracer.clone());
         let scoped = cellar.scoped(plan.source_idx);
         let access =
@@ -1507,6 +1509,59 @@ mod tests {
         let r2 = somm.query(sql).unwrap();
         assert_eq!(r2.dmd.unwrap().missing, 0);
         assert_eq!(r2.relation.rows(), r.relation.rows());
+        let _ = std::fs::remove_dir_all(&repo);
+    }
+
+    /// Algorithm 1's derivation children record no spans, even at
+    /// `Spans`, and the traced parent's tree holds its own stages only.
+    #[test]
+    fn derivation_children_record_no_spans() {
+        let repo = temp_repo("derive-spans", 3, 32);
+        let somm = Sommelier::builder()
+            .config(SommelierConfig { observability: ObsLevel::Spans, ..Default::default() })
+            .source(EventLogAdapter::new(&repo))
+            .build()
+            .unwrap();
+        somm.prepare(LoadingMode::Lazy).unwrap();
+        let t2 = |day: u32| {
+            format!(
+                "SELECT day_start_ts, day_max_val FROM Y \
+                 WHERE day_host = 'web-1' AND day_service = 'api' \
+                 AND day_start_ts >= '2011-03-0{day}T00:00:00.000' \
+                 AND day_start_ts < '2011-03-0{}T00:00:00.000'",
+                day + 1
+            )
+        };
+        // Day 1's windows, derived as a top-level query derives them.
+        let plan = somm.plan(sommelier_sql::compile(&t2(1), &somm.catalog).unwrap()).unwrap();
+        let source = &somm.sources[plan.source_idx];
+        let parent = SchedPolicy::default();
+        let traced = Mutex::new(Vec::new());
+        let outcome =
+            dmd::ensure_dmd(&somm.db, &source.dmd, &source.descriptor, &plan.spec, &|s| {
+                let r = somm.run(somm.plan(s)?, RunCtx::Derivation { parent: &parent })?;
+                traced.lock().push(r.span_trace.is_some());
+                Ok(r)
+            })
+            .unwrap();
+        assert_eq!(outcome.missing, 1);
+        let traced = traced.into_inner();
+        assert!(!traced.is_empty(), "day 1 was derived");
+        assert!(traced.iter().all(|t| !t), "a derivation child returned a span trace");
+        // Day 2 through a top-level query: one root, one of each stage,
+        // and nothing hung under `dmd_ensure`.
+        let r = somm.query(&t2(2)).unwrap();
+        assert_eq!(r.dmd.as_ref().map(|d| d.missing), Some(1), "day 2 was derived");
+        let trace = r.span_trace.expect("spans level traces the query");
+        for stage in ["query", "queue_wait", "inference", "dmd_ensure", "stage1", "stage2"] {
+            assert_eq!(trace.count(stage), 1, "{stage} in\n{}", trace.render_tree());
+        }
+        let ensure = trace.find("dmd_ensure").unwrap().id;
+        assert!(
+            trace.spans.iter().all(|s| s.parent != Some(ensure)),
+            "derivation spans hung under dmd_ensure:\n{}",
+            trace.render_tree()
+        );
         let _ = std::fs::remove_dir_all(&repo);
     }
 

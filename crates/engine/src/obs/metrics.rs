@@ -113,6 +113,7 @@ catalogue! {
     SchedTasks = "sched.tasks", Counter;
     SchedWorkers = "sched.workers", Gauge;
     ServerActiveSessions = "server.active_sessions", Gauge;
+    ServerControlThreads = "server.control_threads", Gauge;
     ZoneChunksConsidered = "zone.chunks_considered", Counter;
     ZoneChunksPruned = "zone.chunks_pruned", Counter;
     ZoneProbes = "zone.probes", Counter;

@@ -255,8 +255,8 @@ pub struct TwoStageConfig {
     /// runs: the shared scheduler (`None` runs waves inline on the
     /// caller), priority, cancellation (checked
     /// between stages and at chunk-pipeline boundaries) and what to do
-    /// with unreadable chunks. Its `tracer` is filled from [`Self::obs`]
-    /// by [`Self::policy`].
+    /// with unreadable chunks. Its `tracer` is the collector attached
+    /// to [`Self::obs`]; whoever attaches one sets both.
     pub sched: SchedPolicy,
 }
 
@@ -270,14 +270,6 @@ impl Default for TwoStageConfig {
             obs: Obs::off(),
             sched: SchedPolicy::default(),
         }
-    }
-}
-
-impl TwoStageConfig {
-    /// The scheduling policy for this query's morsel batches: the
-    /// stored [`Self::sched`] with the query's span collector attached.
-    pub fn policy(&self) -> SchedPolicy {
-        SchedPolicy { tracer: self.obs.tracer().cloned(), ..self.sched.clone() }
     }
 }
 
@@ -497,7 +489,7 @@ pub fn execute_plan(
             let handle = if to_fetch.is_empty() {
                 None
             } else {
-                residency.prefetch(&to_fetch, &config.policy())
+                residency.prefetch(&to_fetch, &config.sched)
             };
             if let Some(h) = handle.as_deref() {
                 let detail =
@@ -716,7 +708,7 @@ fn chunk_wave<T: Send>(
         *slots[i].lock() = Some((acquisition, out));
         Ok(())
     };
-    residency.acquire_each(&uris, &config.policy(), &sink)?;
+    residency.acquire_each(&uris, &config.sched, &sink)?;
     let mut outs = Vec::with_capacity(uris.len());
     for (uri, slot) in uris.into_iter().zip(slots) {
         let Some((acquisition, out)) = slot.into_inner() else {

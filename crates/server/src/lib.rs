@@ -19,6 +19,12 @@
 //! shared IO-thread pool**, so concurrent sessions compete for a fixed
 //! set of `somm-io-N` readers rather than spawning per-session
 //! prefetchers.
+//! Each submitted query runs on a **control thread** of its own, which
+//! blocks in admission and on the scheduler while the morsels run on
+//! the pool. Control threads are reused: a finished one parks until
+//! the next submit, and one is spawned only when none is parked, so
+//! their number is bounded by the peak number of in-flight queries.
+//! Parked threads exit when the last [`Server`] clone drops.
 //!
 //! ```no_run
 //! use sommelier_core::adapters::EventLogAdapter;
@@ -44,11 +50,12 @@
 //! ```
 
 use sommelier_core::{
-    CancelToken, DegradationPolicy, Metric, Priority, QueryOptions, QueryResult, Sommelier,
-    SommelierError,
+    CancelToken, DegradationPolicy, Metric, MetricsRegistry, Priority, QueryOptions,
+    QueryResult, Sommelier, SommelierError,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SendError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -146,6 +153,8 @@ struct ServerShared {
     /// the client keeping its [`QueryHandle`] alive. Finished entries
     /// are pruned on each registration.
     inflight: Mutex<Vec<(Arc<HandleState>, CancelToken)>>,
+    /// The control threads that run submitted queries.
+    control: Arc<ControlPool>,
 }
 
 impl ServerShared {
@@ -197,6 +206,9 @@ impl Drop for ServerShared {
             let deadline = std::time::Instant::now() + Duration::from_secs(2);
             self.drain_until(deadline);
         }
+        // Parked control threads exit now; a straggler exits once its
+        // query has published.
+        self.control.close();
     }
 }
 
@@ -244,12 +256,17 @@ impl Server {
     /// are bounded either way: every morsel runs on the system's shared
     /// scheduler, or inline when `max_threads` is 1.
     pub fn new(somm: Arc<Sommelier>) -> Self {
+        let control = Arc::new(ControlPool {
+            metrics: Arc::clone(somm.metrics()),
+            idle: Mutex::new(Idle { parked: Vec::new(), closed: false }),
+        });
         Server {
             shared: Arc::new(ServerShared {
                 somm,
                 next_session: AtomicU64::new(1),
                 shutting_down: AtomicBool::new(false),
                 inflight: Mutex::new(Vec::new()),
+                control,
             }),
         }
     }
@@ -431,8 +448,10 @@ impl Session {
     }
 
     /// Submit a query under the session's policy. Returns immediately
-    /// with a [`QueryHandle`]; the query runs asynchronously (queued
-    /// by admission control when the server is busy).
+    /// with a [`QueryHandle`]; the query starts at once on a control
+    /// thread of its own — a parked one reused, or a new one when none
+    /// is parked — and runs asynchronously (queued by admission control
+    /// when the server is busy).
     pub fn submit(&self, sql: &str) -> Result<QueryHandle, ServerError> {
         self.submit_with(sql, &SubmitOptions::default())
     }
@@ -452,7 +471,7 @@ impl Session {
             return Err(ServerError::Quarantined { fingerprint });
         }
         let limit = self.options.max_in_flight.max(1);
-        // Claim a quota slot (released by the query thread when done).
+        // Claim a quota slot (released as the result is published).
         if self
             .in_flight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
@@ -475,33 +494,17 @@ impl Session {
             cv: Condvar::new(),
             finished: AtomicBool::new(false),
         });
-        let somm = Arc::clone(&self.shared.somm);
-        let sql = sql.to_string();
-        let in_flight = Arc::clone(&self.in_flight);
-        let st = Arc::clone(&state);
-        let quarantined = Arc::clone(&self.quarantined);
         self.shared.register_inflight(&state, &cancel);
-        // One lightweight control thread per in-flight query: it blocks
-        // in admission and on the scheduler; the actual morsel work
-        // runs on the shared pool, so worker threads stay bounded by
-        // `max_threads`.
-        let thread = std::thread::Builder::new()
-            .name(format!("somm-query-s{}", self.id))
-            .spawn(move || {
-                let res = somm.query_opts(&sql, &qopts).map_err(ServerError::from);
-                if matches!(
-                    &res,
-                    Err(ServerError::Query(SommelierError::QueryPanicked { .. }))
-                ) {
-                    quarantined.lock().unwrap_or_else(|e| e.into_inner()).insert(fingerprint);
-                }
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                *st.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-                st.finished.store(true, Ordering::Release);
-                st.cv.notify_all();
-            })
-            .expect("spawn query control thread");
-        Ok(QueryHandle { cancel, state, thread: Some(thread) })
+        self.shared.control.dispatch(Job {
+            somm: Arc::clone(&self.shared.somm),
+            sql: sql.to_string(),
+            opts: qopts,
+            fingerprint,
+            quarantined: Arc::clone(&self.quarantined),
+            in_flight: Arc::clone(&self.in_flight),
+            state: Arc::clone(&state),
+        });
+        Ok(QueryHandle { cancel, state })
     }
 }
 
@@ -522,6 +525,125 @@ impl fmt::Debug for Session {
 }
 
 // ---------------------------------------------------------------------
+// Control threads
+
+/// One submitted query, as a control thread runs it.
+struct Job {
+    somm: Arc<Sommelier>,
+    sql: String,
+    opts: QueryOptions,
+    fingerprint: u64,
+    quarantined: Arc<Mutex<std::collections::HashSet<u64>>>,
+    in_flight: Arc<AtomicUsize>,
+    state: Arc<HandleState>,
+}
+
+/// A finished query, not yet handed to its waiter.
+struct Done {
+    result: Result<QueryResult, ServerError>,
+    in_flight: Arc<AtomicUsize>,
+    state: Arc<HandleState>,
+}
+
+impl Job {
+    /// Run the query (it blocks in admission and on the scheduler; the
+    /// morsels run on the shared pool) and quarantine it if it
+    /// panicked. The system handle drops here, before the result is
+    /// published.
+    fn run(self) -> Done {
+        let result = self.somm.query_opts(&self.sql, &self.opts).map_err(ServerError::from);
+        if matches!(&result, Err(ServerError::Query(SommelierError::QueryPanicked { .. }))) {
+            self.quarantined
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(self.fingerprint);
+        }
+        Done { result, in_flight: self.in_flight, state: self.state }
+    }
+}
+
+impl Done {
+    /// Release the quota slot and hand the result to the waiter.
+    fn publish(self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        *self.state.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(self.result);
+        self.state.finished.store(true, Ordering::Release);
+        self.state.cv.notify_all();
+    }
+}
+
+/// The server's control threads. A thread runs one query at a time;
+/// between queries it parks on a one-slot mailbox in the idle list,
+/// which is popped last-in first-out so the most recently active
+/// threads (and their warm malloc arenas) serve the next submits. A
+/// thread is spawned only when none is parked, so live threads never
+/// outnumber the peak of in-flight queries. Closing the pool drops the
+/// parked mailboxes, and their threads exit; a busy one exits after
+/// publishing its result.
+struct ControlPool {
+    metrics: Arc<MetricsRegistry>,
+    idle: Mutex<Idle>,
+}
+
+struct Idle {
+    parked: Vec<SyncSender<Job>>,
+    closed: bool,
+}
+
+impl ControlPool {
+    /// Start `job` on a parked control thread, or on a new one.
+    fn dispatch(self: &Arc<Self>, mut job: Job) {
+        let parked = self.idle.lock().unwrap_or_else(|e| e.into_inner()).parked.pop();
+        if let Some(mailbox) = parked {
+            // A parked thread holds its receiver until a job arrives;
+            // should it have died instead, a new thread takes the job.
+            match mailbox.send(job) {
+                Ok(()) => return,
+                Err(SendError(back)) => job = back,
+            }
+        }
+        let pool = Arc::clone(self);
+        std::thread::Builder::new()
+            .name("somm-control".into())
+            .spawn(move || pool.serve(job))
+            .expect("start a server control thread");
+    }
+
+    /// A control thread's life: run jobs until the pool closes.
+    fn serve(&self, mut job: Job) {
+        self.metrics.add(Metric::ServerControlThreads, 1);
+        loop {
+            let done = job.run();
+            // Park before publishing, so that the woken client's next
+            // submit finds this thread instead of spawning another.
+            let (mailbox, next) = sync_channel(1);
+            self.park(mailbox);
+            done.publish();
+            match next.recv() {
+                Ok(next) => job = next,
+                Err(_) => break,
+            }
+        }
+        self.metrics.sub(Metric::ServerControlThreads, 1);
+    }
+
+    /// Put `mailbox` on the idle list, or drop it once the pool is
+    /// closed.
+    fn park(&self, mailbox: SyncSender<Job>) {
+        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        if !idle.closed {
+            idle.parked.push(mailbox);
+        }
+    }
+
+    fn close(&self) {
+        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        idle.closed = true;
+        idle.parked.clear();
+    }
+}
+
+// ---------------------------------------------------------------------
 // QueryHandle
 
 struct HandleState {
@@ -535,7 +657,6 @@ struct HandleState {
 pub struct QueryHandle {
     cancel: CancelToken,
     state: Arc<HandleState>,
-    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl QueryHandle {
@@ -557,17 +678,14 @@ impl QueryHandle {
     }
 
     /// Block until the query finishes and return its result.
-    pub fn wait(mut self) -> Result<QueryResult, ServerError> {
+    pub fn wait(self) -> Result<QueryResult, ServerError> {
         let mut guard = self.state.result.lock().unwrap_or_else(|e| e.into_inner());
-        while guard.is_none() {
+        loop {
+            if let Some(res) = guard.take() {
+                return res;
+            }
             guard = self.state.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
-        let res = guard.take().expect("result present");
-        drop(guard);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        res
     }
 
     /// Wait up to `timeout` for the result. `None` means the query is
@@ -579,18 +697,15 @@ impl QueryHandle {
     ) -> Option<Result<QueryResult, ServerError>> {
         let mut guard = self.state.result.lock().unwrap_or_else(|e| e.into_inner());
         let deadline = std::time::Instant::now() + timeout;
-        while guard.is_none() {
+        loop {
+            if let Some(res) = guard.take() {
+                return Some(res);
+            }
             let left = deadline.checked_duration_since(std::time::Instant::now())?;
             let (g, _) =
                 self.state.cv.wait_timeout(guard, left).unwrap_or_else(|e| e.into_inner());
             guard = g;
         }
-        let res = guard.take().expect("result present");
-        drop(guard);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        Some(res)
     }
 }
 

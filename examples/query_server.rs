@@ -101,6 +101,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.get(Metric::AdmissionTimeouts),
         m.get(Metric::AdmissionQueueWaitNs),
     );
+    // Each submit ran on a control thread; finished ones park and
+    // serve the next submit, so two sufficed for everything above.
+    println!("control threads = {}", m.get(Metric::ServerControlThreads));
 
     drop((interactive, batch));
     println!("sessions open after drop: {}", server.active_sessions());

@@ -118,7 +118,15 @@
 //! `run_derivation`, which ran derivation with default options, were
 //! removed. Each stage's two clock edges are read once, by a
 //! `StageTimer`, so its span and its `ExecStats` field are equal; the
-//! collector's `start`/`end`/`end_with` were removed.
+//! collector's `start`/`end`/`end_with` were removed. A traced run's
+//! collector is set on its `TwoStageConfig` once, in `obs` and in
+//! `sched`; `TwoStageConfig::policy()`, which cloned the whole
+//! `SchedPolicy` to copy it across on every wave, was removed.
+//!
+//! The server runs each submitted query on a control thread of its own
+//! and reuses them: a finished thread parks until the next submit. The
+//! OS thread that `Session::submit_with` spawned and joined for every
+//! query (`somm-query-s<session>`) was removed.
 //!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
@@ -244,6 +252,9 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("force_spans", "RunCtx::Query carries the span level"),
     ("check_dmd: bool", "RunCtx says whether a run is a top-level query"),
     ("fn end_with", "StageTimer reads each stage's two clock edges once"),
+    ("spawn query control thread", "submits reuse the server's parked control threads"),
+    ("somm-query-s", "submits reuse the server's parked control threads"),
+    ("fn policy(", "core sets TwoStageConfig::sched's tracer where it attaches obs's"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.

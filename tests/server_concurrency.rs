@@ -2,7 +2,8 @@
 //! results under 1/4/16 concurrent sessions on both source adapters,
 //! bounded worker threads under concurrency (the shared morsel
 //! scheduler), observable priority ordering under a saturated server,
-//! typed timeout errors, and the cancellation pin-leak regression.
+//! typed timeout errors, the cancellation pin-leak regression, and
+//! control threads reused across submits.
 //! Events that must land mid-query do so on a fault-injector hold:
 //! the query's loads park until the test releases them.
 
@@ -432,4 +433,44 @@ fn scheduler_and_admission_metrics_reach_the_snapshot() {
     drop(session);
     let snap = server.sommelier().metrics_snapshot();
     assert_eq!(snap.gauge("server.active_sessions"), Some(0));
+}
+
+/// Control threads are reused: one session's closed loop runs on one
+/// thread, four sessions' closed loops on at most four, and every
+/// thread exits once the last server clone drops.
+#[test]
+fn control_threads_are_reused_and_exit_with_the_server() {
+    let _x = exclusive();
+    let dir = TempDir::new("server-control-threads");
+    let repo = ingv_repo(&dir, 2, 32);
+    let somm = Arc::new(mseed_system(&repo, server_config(2)));
+    let threads = || somm.metrics().get(Metric::ServerControlThreads);
+    let queries = mseed_queries();
+    {
+        let server = Server::new(Arc::clone(&somm));
+        let session = server.open_session(SessionOptions::default());
+        for _ in 0..200 {
+            session.submit(queries[0]).unwrap().wait().unwrap();
+        }
+        assert_eq!(threads(), 1, "a closed loop on one session reuses one control thread");
+        std::thread::scope(|scope| {
+            for s in 0..4 {
+                let session = server.open_session(SessionOptions::default());
+                let (queries, threads) = (&queries, &threads);
+                scope.spawn(move || {
+                    for k in 0..25 {
+                        session
+                            .submit(queries[(k + s) % queries.len()])
+                            .unwrap()
+                            .wait()
+                            .unwrap();
+                        let live = threads();
+                        assert!(live <= 4, "{live} control threads for 4 closed loops");
+                    }
+                });
+            }
+        });
+        assert!(threads() <= 4, "{} control threads for 4 closed loops", threads());
+    }
+    wait_until("control threads to exit", || threads() == 0);
 }
