@@ -389,8 +389,7 @@ fn decode_columns(
             b.i64_mut(c).extend(std::iter::repeat_n(seg_base + k as i64, n));
         }
         if let Some(c) = time_col {
-            let times = b.i64_mut(c);
-            times.extend((0..meta.sample_count).map(|i| meta.sample_time(i)));
+            meta.extend_sample_times(b.i64_mut(c));
         }
         match val_col {
             Some(c) => {

@@ -65,6 +65,29 @@ impl SegmentMeta {
         self.start_time.checked_add(offset as i64)
     }
 
+    /// Append the timestamps of all `sample_count` samples to `out`,
+    /// each equal to [`SegmentMeta::sample_time`]. The offsets are
+    /// monotone in `i` (`i·1000` is exact below 2^53 and a correctly
+    /// rounded division is monotone), so when the last one lies in
+    /// `[0, 2^52]` every one does, and they round exactly by adding
+    /// 2^52, in a loop free of libm calls that the compiler vectorises.
+    /// Otherwise each sample takes `sample_time`.
+    pub fn extend_sample_times(&self, out: &mut Vec<i64>) {
+        let Some(last) = self.sample_count.checked_sub(1) else {
+            return;
+        };
+        let f = self.frequency;
+        let start = self.start_time;
+        if in_round_domain((last as f64) * 1000.0 / f) {
+            out.extend(
+                (0..self.sample_count)
+                    .map(|i| start + round_half_away((i as f64) * 1000.0 / f)),
+            );
+        } else {
+            out.extend((0..self.sample_count).map(|i| self.sample_time(i)));
+        }
+    }
+
     /// End of the segment (timestamp just after the last sample).
     pub fn end_time(&self) -> i64 {
         if self.sample_count == 0 {
@@ -73,6 +96,31 @@ impl SegmentMeta {
             self.sample_time(self.sample_count - 1) + 1
         }
     }
+}
+
+/// 2^52: from here up every `f64` is an integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// Is `x` in `[0, 2^52]`, where [`round_half_away`] is exact? False
+/// for NaN.
+#[inline]
+fn in_round_domain(x: f64) -> bool {
+    (0.0..=TWO_POW_52).contains(&x)
+}
+
+/// `x.round() as i64` for `x` in `[0, 2^52]` (see [`in_round_domain`]),
+/// without the libm call `f64::round` is on the baseline x86-64 target.
+/// Adding 2^52 rounds `x` to an integer, ties to even, whose value is
+/// the distance of the sum's bit pattern from 2^52's (`x + 2^52` lies in
+/// `[2^52, 2^53]`, where the bits count in steps of 1). `x − r` is exact
+/// by Sterbenz's lemma, and equals 0.5 exactly on a tie rounded down,
+/// which rounding half away from zero takes up.
+#[inline(always)]
+fn round_half_away(x: f64) -> i64 {
+    let shifted = x + TWO_POW_52;
+    let r = shifted - TWO_POW_52;
+    let int = (shifted.to_bits() - TWO_POW_52.to_bits()) as i64;
+    int + i64::from(x - r == 0.5)
 }
 
 /// A segment with its decoded samples.
@@ -101,6 +149,8 @@ impl MseedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sample_times_follow_frequency() {
@@ -123,6 +173,89 @@ mod tests {
         let late = SegmentMeta { start_time: i64::MAX - 60, ..m };
         assert_eq!(late.checked_sample_time(1), Some(i64::MAX - 10));
         assert_eq!(late.checked_sample_time(2), None);
+    }
+
+    #[test]
+    fn round_half_away_is_libm_round_on_its_domain() {
+        let two51 = 2f64.powi(51);
+        let two52 = 2f64.powi(52);
+        let inside = [
+            (0.0, 0),
+            (-0.0, 0),
+            (0.5, 1),
+            (1.5, 2),
+            (2.5, 3),
+            (0.49999999999999994, 0),
+            (two51 - 0.5, 1 << 51),
+            (two51 + 0.5, (1 << 51) + 1),
+            (two52 - 0.5, 1 << 52),
+            (two52, 1 << 52),
+        ];
+        for (x, want) in inside {
+            assert!(in_round_domain(x), "{x:e}");
+            assert_eq!(x.round() as i64, want, "{x:e}");
+            assert_eq!(round_half_away(x), want, "{x:e}");
+        }
+        // Where the helper would be wrong, the domain check sends the
+        // bulk fill to `sample_time` instead.
+        let negatives = inside.iter().map(|&(x, _)| -x).filter(|&x| x != 0.0);
+        let outside = [two52 + 1.0, 9.3e18, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for x in outside.into_iter().chain(negatives) {
+            assert!(!in_round_domain(x), "{x:e}");
+        }
+        let mut rng = SmallRng::seed_from_u64(52);
+        for _ in 0..100_000 {
+            let bits = rng.random_range(0..=52u32);
+            let x = rng.random::<f64>() * 2f64.powi(bits as i32);
+            let tie = (x as i64 as f64) + 0.5;
+            for x in [x, tie] {
+                if in_round_domain(x) {
+                    assert_eq!(round_half_away(x), x.round() as i64, "{x:e}");
+                }
+            }
+        }
+    }
+
+    /// The bulk fill equals `sample_time` sample for sample on every
+    /// frequency shape it meets: the generator's `n·1000/span`, integer
+    /// Hz, exact half-millisecond offsets (ties), and tiny frequencies
+    /// whose offsets lie near or beyond 2^52, where it falls back.
+    #[test]
+    fn extend_sample_times_matches_sample_time() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        for case in 0..2_000 {
+            let n = rng.random_range(0..=4_096u32);
+            let frequency = match case % 5 {
+                0 => {
+                    let span_ms = rng.random_range(1_000..=7_200_000i64);
+                    (n as f64 * 1000.0 / span_ms as f64).max(0.001)
+                }
+                1 => rng.random_range(1..=1_000u32) as f64,
+                2 => [2000.0, 400.0, 80.0, 16.0][rng.random_range(0..4usize)],
+                3 => {
+                    // The last offset straddles 2^52.
+                    let last = 2f64.powi(52) * rng.random_range(0.999_999..1.000_001);
+                    n.saturating_sub(1).max(1) as f64 * 1000.0 / last
+                }
+                _ => {
+                    // Offsets far into or beyond the fast domain, short of
+                    // overflowing the sum.
+                    let last = 2f64.powi(rng.random_range(40..=59i32));
+                    n.saturating_sub(1).max(1) as f64 * 1000.0 / last
+                }
+            };
+            let meta = SegmentMeta {
+                seg_index: 0,
+                start_time: rng.random_range(-1_000_000_000_000..=1_000_000_000_000i64),
+                frequency,
+                sample_count: n,
+            };
+            let mut bulk = vec![7];
+            meta.extend_sample_times(&mut bulk);
+            let one_by_one: Vec<i64> =
+                std::iter::once(7).chain((0..n).map(|i| meta.sample_time(i))).collect();
+            assert_eq!(bulk, one_by_one, "{meta:?}");
+        }
     }
 
     #[test]

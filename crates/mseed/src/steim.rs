@@ -93,11 +93,32 @@ pub fn decode_each(bytes: &[u8], expected: usize, mut emit: impl FnMut(i32)) -> 
     emit(first);
     let mut pos = 4;
     let mut prev = first;
-    for _ in 1..expected {
+    let mut left = expected - 1;
+    while left > 0 {
+        // Smooth traces average about one byte per delta: take the run
+        // of one-byte varints straight off the slice, and anything else
+        // (every error included) from `read_varint`. `pos` never passes
+        // the end of `bytes`.
+        let run = &bytes[pos..];
+        let mut taken = 0;
+        for &byte in &run[..run.len().min(left)] {
+            if byte >= 0x80 {
+                break;
+            }
+            prev = prev.wrapping_add(unzigzag(u32::from(byte)));
+            emit(prev);
+            taken += 1;
+        }
+        pos += taken;
+        left -= taken;
+        if left == 0 {
+            break;
+        }
         let (zz, next) = read_varint(bytes, pos)?;
         pos = next;
         prev = prev.wrapping_add(unzigzag(zz));
         emit(prev);
+        left -= 1;
     }
     if pos != bytes.len() {
         return Err(MseedError::Corrupt(format!(
@@ -174,6 +195,112 @@ mod tests {
         let mut bytes = 7i32.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
         assert!(decode(&bytes, 2).is_err());
+    }
+
+    /// The differential oracle for `decode_each`: the same loop with
+    /// every delta read through `read_varint`.
+    fn decode_each_via_read_varint(
+        bytes: &[u8],
+        expected: usize,
+        mut emit: impl FnMut(i32),
+    ) -> Result<()> {
+        if expected == 0 {
+            if bytes.is_empty() {
+                return Ok(());
+            }
+            return Err(MseedError::Corrupt("payload bytes for zero samples".into()));
+        }
+        if bytes.len() < 4 {
+            return Err(MseedError::Corrupt("payload shorter than first sample".into()));
+        }
+        let first = i32::from_le_bytes(bytes[0..4].try_into().unwrap());
+        emit(first);
+        let mut pos = 4;
+        let mut prev = first;
+        for _ in 1..expected {
+            let (zz, next) = read_varint(bytes, pos)?;
+            pos = next;
+            prev = prev.wrapping_add(unzigzag(zz));
+            emit(prev);
+        }
+        if pos != bytes.len() {
+            return Err(MseedError::Corrupt(format!(
+                "payload has {} trailing bytes",
+                bytes.len() - pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// The one-byte fast path accepts, yields and rejects exactly what
+    /// the `read_varint` loop does, error messages included, on seeded
+    /// payloads of mixed 1- to 5-byte deltas, whole or damaged:
+    /// truncated, with a trailing `0x80`, a 6-byte overlong varint,
+    /// trailing bytes, or random bytes overwritten.
+    #[test]
+    fn fast_path_matches_read_varint_loop() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let run = |bytes: &[u8], expected: usize| {
+            let mut samples = Vec::new();
+            let res = decode_each(bytes, expected, |s| samples.push(s));
+            (samples, res.map_err(|e| e.to_string()))
+        };
+        let run_reference = |bytes: &[u8], expected: usize| {
+            let mut samples = Vec::new();
+            let res = decode_each_via_read_varint(bytes, expected, |s| samples.push(s));
+            (samples, res.map_err(|e| e.to_string()))
+        };
+        let mut rng = SmallRng::seed_from_u64(96);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4_000 {
+            let n = rng.random_range(0..=300usize);
+            let mut samples = vec![rng.random::<u64>() as i32];
+            for _ in 1..n {
+                // A zig-zag code of 1 to 5 varint bytes.
+                let width = rng.random_range(1..=5u32);
+                let lo = if width == 1 { 0 } else { 1u64 << (7 * (width - 1)) };
+                let hi = (1u64 << (7 * width)).min(1 << 32);
+                let zz = rng.random_range(lo..hi) as u32;
+                samples.push(samples.last().unwrap().wrapping_add(unzigzag(zz)));
+            }
+            samples.truncate(n);
+            let mut bytes = encode(&samples);
+            let mut expected = n;
+            match case % 6 {
+                0 => {}
+                1 => bytes.truncate(rng.random_range(0..=bytes.len())),
+                2 => bytes.push(0x80),
+                3 => {
+                    let overlong = [0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+                    let at = rng.random_range(4.min(bytes.len())..=bytes.len());
+                    bytes.splice(at..at, overlong);
+                    expected += 1;
+                }
+                4 => bytes.extend(
+                    (0..rng.random_range(1..4usize)).map(|_| rng.random::<u64>() as u8),
+                ),
+                _ => {
+                    for _ in 0..rng.random_range(1..4usize) {
+                        if !bytes.is_empty() {
+                            let at = rng.random_range(0..bytes.len());
+                            bytes[at] = rng.random::<u64>() as u8;
+                        }
+                    }
+                    expected =
+                        (expected as i64 + rng.random_range(-1..=1i64)).max(0) as usize;
+                }
+            }
+            let got = run(&bytes, expected);
+            assert_eq!(got, run_reference(&bytes, expected), "case {case}: {bytes:x?}");
+            if got.1.is_ok() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        // Both outcomes are well represented.
+        assert!(accepted > 500 && rejected > 500, "{accepted} accepted, {rejected} rejected");
     }
 
     proptest! {

@@ -56,7 +56,7 @@ use sommelier_core::{
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SendError, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -150,9 +150,11 @@ struct ServerShared {
     shutting_down: AtomicBool,
     /// Every in-flight query's completion state + cancel token, so
     /// shutdown (and the drop drain) can watch and fire them without
-    /// the client keeping its [`QueryHandle`] alive. Finished entries
-    /// are pruned on each registration.
-    inflight: Mutex<Vec<(Arc<HandleState>, CancelToken)>>,
+    /// the client keeping its [`QueryHandle`] alive. The list holds the
+    /// state weakly: a detached query's result is freed as its control
+    /// thread publishes it. Dead and finished entries are pruned on
+    /// each registration.
+    inflight: Mutex<Vec<(Weak<HandleState>, CancelToken)>>,
     /// The control threads that run submitted queries.
     control: Arc<ControlPool>,
 }
@@ -160,20 +162,20 @@ struct ServerShared {
 impl ServerShared {
     fn register_inflight(&self, state: &Arc<HandleState>, cancel: &CancelToken) {
         let mut v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        v.retain(|(st, _)| !st.finished.load(Ordering::Acquire));
-        v.push((Arc::clone(state), cancel.clone()));
+        v.retain(|(st, _)| is_unfinished(st));
+        v.push((Arc::downgrade(state), cancel.clone()));
     }
 
     fn unfinished_inflight(&self) -> usize {
         let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        v.iter().filter(|(st, _)| !st.finished.load(Ordering::Acquire)).count()
+        v.iter().filter(|(st, _)| is_unfinished(st)).count()
     }
 
     fn cancel_inflight(&self) -> usize {
         let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
         let mut fired = 0;
         for (st, cancel) in v.iter() {
-            if !st.finished.load(Ordering::Acquire) {
+            if is_unfinished(st) {
                 cancel.cancel();
                 fired += 1;
             }
@@ -192,6 +194,13 @@ impl ServerShared {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
+}
+
+/// Is an in-flight entry's query still running? Its control thread
+/// holds the state until it publishes, so a state nobody holds has
+/// finished.
+fn is_unfinished(state: &Weak<HandleState>) -> bool {
+    state.upgrade().is_some_and(|st| !st.finished.load(Ordering::Acquire))
 }
 
 impl Drop for ServerShared {
@@ -741,6 +750,28 @@ mod tests {
         assert_eq!(session.in_flight(), 0);
         drop(session);
         assert_eq!(server.active_sessions(), 0);
+    }
+
+    #[test]
+    fn detached_result_is_freed_when_published() {
+        let server = test_server("detach");
+        let session = server.open_session(SessionOptions::default());
+        let handle = session.submit("SELECT AVG(E.val) FROM eventview").unwrap();
+        let entry = {
+            let v = server.shared.inflight.lock().unwrap();
+            assert_eq!(v.len(), 1);
+            Weak::clone(&v[0].0)
+        };
+        drop(handle);
+        // Once the control thread has published, nothing holds the
+        // state, and with it the result.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while entry.upgrade().is_some() {
+            assert!(std::time::Instant::now() < deadline, "detached state still held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.shared.unfinished_inflight(), 0);
+        assert_eq!(session.in_flight(), 0);
     }
 
     #[test]
