@@ -807,13 +807,20 @@ impl Sommelier {
         let (mode, _) = self.prepared_info()?;
         let source_idx = self.resolve_source(&spec)?;
         let qtype = query::classify(&spec);
-        query::apply_inference_rules(
-            &mut spec,
-            &self.sources[source_idx].descriptor.inference_rules,
-        );
+        let descriptor = &self.sources[source_idx].descriptor;
+        query::apply_inference_rules(&mut spec, &descriptor.inference_rules);
+        // Literals carried across join edges narrow the scans only:
+        // Algorithm 1 bounds the derived key space by the query's own
+        // predicates, so they leave the spec once the plan is compiled.
+        let own = spec.predicates.len();
+        query::transfer_join_literals(&mut spec, &|qualified| {
+            let (table, column) = qualified.split_once('.')?;
+            descriptor.schema(table)?.col_type(column).ok()
+        });
         let inference = Edges::since(start);
         let opts = self.plan_options(mode, source_idx);
         let (logical, compile_trace) = optimizer::compile_plan(&spec, &opts)?;
+        spec.predicates.truncate(own);
         let compile = Edges::since(inference.end);
         Ok(QueryPlan {
             mode,

@@ -9,7 +9,7 @@
 
 use crate::source::InferenceRule;
 use sommelier_engine::{CmpOp, Expr, QuerySpec};
-use sommelier_storage::TableClass;
+use sommelier_storage::{DataType, TableClass};
 
 /// The paper's query taxonomy (Table I): which data classes a query
 /// refers to.
@@ -144,6 +144,53 @@ pub fn apply_inference_rules(spec: &mut QuerySpec, rules: &[InferenceRule]) {
     spec.predicates.extend(inferred);
 }
 
+/// Carry literal equalities across the query's join edges: when
+/// `F.station = 'AQU'` and an edge states `F.station = H.window_station`
+/// between plain columns of one type (`type_of` gives a qualified
+/// column's type), every joined row has `H.window_station = 'AQU'`
+/// too, so `H` gets that predicate and its scan a key prefix. Every
+/// edge is an inner equi-join, so this is sound; a key computed by a
+/// function (`DAY_BUCKET`, …) carries nothing. Repeats until nothing
+/// new follows, so literals travel along chains of edges.
+pub fn transfer_join_literals(
+    spec: &mut QuerySpec,
+    type_of: &dyn Fn(&str) -> Option<DataType>,
+) {
+    loop {
+        let mut carried: Vec<(String, Expr)> = Vec::new();
+        for edge in &spec.joins {
+            for (a, b) in edge.left_keys.iter().zip(&edge.right_keys) {
+                let (Expr::Col(a), Expr::Col(b)) = (a, b) else { continue };
+                if type_of(a).is_none() || type_of(a) != type_of(b) {
+                    continue;
+                }
+                for (from, to, table) in [(a, b, &edge.right), (b, a, &edge.left)] {
+                    for conjunct in spec.predicates.iter().flat_map(|(_, p)| p.conjuncts()) {
+                        let Some((col, CmpOp::Eq, lit)) = conjunct.as_range() else {
+                            continue;
+                        };
+                        if col != from {
+                            continue;
+                        }
+                        let pred = (table.clone(), Expr::col(to).eq(Expr::Lit(lit.clone())));
+                        let known = spec
+                            .predicates
+                            .iter()
+                            .any(|(t, p)| *t == pred.0 && p.conjuncts().contains(&&pred.1));
+                        if !known && !carried.contains(&pred) {
+                            carried.push(pred);
+                        }
+                    }
+                }
+            }
+        }
+        if carried.is_empty() {
+            return;
+        }
+        spec.predicates.extend(carried);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +279,58 @@ mod tests {
         let before = spec.predicates.iter().filter(|(t, _)| t == "G").count();
         apply_inference_rules(&mut spec, &rules());
         assert_eq!(spec.predicates.iter().filter(|(t, _)| t == "G").count(), before + 1);
+    }
+
+    /// The types of the test source's columns.
+    fn type_of(qualified: &str) -> Option<DataType> {
+        let (table, column) = qualified.split_once('.')?;
+        EventLogAdapter::descriptor_for_tests().schema(table)?.col_type(column).ok()
+    }
+
+    /// The predicates `spec` holds on `table`, rendered.
+    fn on(spec: &QuerySpec, table: &str) -> Vec<String> {
+        spec.predicates
+            .iter()
+            .filter(|(t, _)| t == table)
+            .flat_map(|(_, p)| p.conjuncts().into_iter().map(|c| c.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn literal_equalities_cross_plain_join_edges() {
+        // `dayview` joins G and Y on host and service.
+        let mut spec = spec_of(
+            "SELECT Y.day_max_val FROM dayview \
+             WHERE G.host = 'web-1' AND G.service <> 'api' AND Y.day_max_val > 10",
+        );
+        transfer_join_literals(&mut spec, &type_of);
+        assert_eq!(on(&spec, "Y"), ["(Y.day_max_val > 10)", "(Y.day_host = 'web-1')"]);
+        // Carrying again finds nothing new.
+        let before = spec.predicates.len();
+        transfer_join_literals(&mut spec, &type_of);
+        assert_eq!(spec.predicates.len(), before);
+
+        // `daylogview` also joins G.day_ts = Y.day_start_ts (plain, so a
+        // literal crosses it either way) and E to Y through a time
+        // bucket (a function: nothing crosses).
+        let mut spec = spec_of(
+            "SELECT E.val FROM daylogview \
+             WHERE Y.day_start_ts = '2011-03-02T00:00:00.000' \
+             AND '2011-03-02T00:00:00.000' = E.ts AND Y.day_service = 'api'",
+        );
+        transfer_join_literals(&mut spec, &type_of);
+        assert_eq!(
+            on(&spec, "G"),
+            ["(G.service = 'api')", "(G.day_ts = '2011-03-02T00:00:00.000')"]
+        );
+        assert_eq!(on(&spec, "E"), ["('2011-03-02T00:00:00.000' = E.ts)"]);
+
+        // Columns of different types carry nothing.
+        let mut spec = spec_of("SELECT Y.day_max_val FROM dayview WHERE G.host = 'web-1'");
+        transfer_join_literals(&mut spec, &|c| {
+            (c != "Y.day_host").then_some(DataType::Text).or(Some(DataType::Int64))
+        });
+        assert!(on(&spec, "Y").is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! - any other conjunct is evaluated on the candidate rows only;
 //! - a probe on sorted keys
 //!   ([`crate::join::JoinBuild::probe_candidates`]) keeps the matched
-//!   key runs as ranges;
+//!   key runs as ranges, found by galloping ([`gallop`]);
 //! - partial aggregation ([`crate::agg::partial_aggregate_over`]) folds
 //!   the ranges in row order.
 //!
@@ -28,8 +28,9 @@ use crate::error::Result;
 use crate::eval::{eval_column, eval_mask, eval_scalar};
 use crate::expr::{CmpOp, Expr};
 use crate::relation::Relation;
-use sommelier_storage::ColumnData;
+use sommelier_storage::{ColumnData, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -39,18 +40,45 @@ pub(crate) struct Candidates {
     rel: Relation,
     /// Ascending, disjoint and non-empty.
     ranges: Vec<Range<usize>>,
+    /// Columns the rows are sorted by, lexicographically (positions in
+    /// `rel`): within a run where the leading columns are fixed, the
+    /// next one is sorted. Empty when nothing is known.
+    order: Vec<usize>,
+}
+
+/// What [`Candidates::narrow`] answered by binary search, and what it
+/// left for row-wise evaluation.
+#[derive(Debug, Default)]
+pub(crate) struct Narrowed<'e> {
+    /// Conjuncts no order answers.
+    pub residual: Vec<&'e Expr>,
+    /// Leading columns of the lexicographic order that bounded the rows.
+    pub prefix: usize,
+    /// Bit `i`: a bound on sorted column `i` (outside the prefix).
+    pub sorted: u64,
 }
 
 impl Candidates {
     /// Every row of `rel`.
     pub(crate) fn all(rel: Relation) -> Candidates {
+        Candidates::ordered(rel, Vec::new())
+    }
+
+    /// Every row of `rel`, whose rows are sorted lexicographically by
+    /// the columns at positions `order`.
+    pub(crate) fn ordered(rel: Relation, order: Vec<usize>) -> Candidates {
         let n = rel.rows();
-        Candidates { rel, ranges: (n > 0).then_some(0..n).into_iter().collect() }
+        Candidates { rel, ranges: (n > 0).then_some(0..n).into_iter().collect(), order }
     }
 
     /// The relation the ranges index.
     pub(crate) fn relation(&self) -> &Relation {
         &self.rel
+    }
+
+    /// The columns the rows are sorted by, lexicographically.
+    pub(crate) fn order(&self) -> &[usize] {
+        &self.order
     }
 
     /// The selected row ranges, ascending and disjoint.
@@ -112,18 +140,84 @@ impl Candidates {
         Ok(self.rel.project_named(names.iter().map(|&n| (n, n)))?.take_ranges(&self.ranges))
     }
 
-    /// Keep the candidates that satisfy `pred`. Conjuncts comparing a
-    /// sorted integer column with a literal narrow the ranges by binary
-    /// search; the other conjuncts are evaluated on the candidate rows
-    /// only (also when none are left, so type errors still surface).
+    /// Keep the candidates that satisfy `pred`: [`Candidates::narrow`]
+    /// by binary search, then [`Candidates::keep`] the rest.
     pub(crate) fn filter(&mut self, pred: &Expr) -> Result<()> {
-        let mut residual = Vec::new();
-        for conjunct in pred.conjuncts() {
-            match self.bounds(conjunct) {
-                Some(b) => self.intersect(b),
-                None => residual.push(conjunct),
+        let narrowed = self.narrow(pred);
+        self.keep(&narrowed.residual)
+    }
+
+    /// Narrow the candidates with the conjuncts of `pred` that compare
+    /// an ordered column with a literal coercing to its type (what the
+    /// row-wise comparison uses), each by binary search:
+    ///
+    /// - on the lexicographic order, literal equalities on its leading
+    ///   columns and the comparisons on the column after them, within
+    ///   every candidate range;
+    /// - on a column flagged sorted, any comparison, over the relation.
+    ///
+    /// Returns the other conjuncts, left for [`Candidates::keep`].
+    pub(crate) fn narrow<'e>(&mut self, pred: &'e Expr) -> Narrowed<'e> {
+        let mut out = Narrowed { residual: pred.conjuncts(), ..Narrowed::default() };
+        // Prefix bounds, in key order: a column's own bounds apply
+        // where the columns before it are fixed.
+        let mut steps: Vec<(usize, CmpOp, Key<'e>)> = Vec::new();
+        for &col in &self.order {
+            let before = steps.len();
+            out.residual.retain(|c| match self.bound_of(c) {
+                Some((i, op, key)) if i == col => {
+                    steps.push((i, op, key));
+                    false
+                }
+                _ => true,
+            });
+            if steps.len() == before {
+                break;
+            }
+            out.prefix += 1;
+            if !steps[before..].iter().any(|s| s.1 == CmpOp::Eq) {
+                break;
             }
         }
+        if !steps.is_empty() {
+            let rel = &self.rel;
+            self.ranges.retain_mut(|r| {
+                for &(i, op, key) in &steps {
+                    *r = bounds_within(rel.column_at(i), r.clone(), op, key);
+                }
+                r.start < r.end
+            });
+        }
+        // Bounds on columns sorted over the whole relation.
+        let n = self.rel.rows();
+        let mut residual = std::mem::take(&mut out.residual);
+        residual.retain(|c| match self.bound_of(c) {
+            Some((i, op, key)) if self.rel.is_sorted(i) => {
+                let b = bounds_within(self.rel.column_at(i), 0..n, op, key);
+                self.intersect(b);
+                out.sorted |= 1 << i;
+                false
+            }
+            _ => true,
+        });
+        out.residual = residual;
+        out
+    }
+
+    /// Keep the candidates that satisfy every conjunct, evaluated on the
+    /// candidate rows only (also when none are left, so type errors
+    /// still surface): comparisons between a column and a literal
+    /// first, then the other conjuncts on the rows those keep.
+    pub(crate) fn keep(&mut self, residual: &[&Expr]) -> Result<()> {
+        let (plain, computed): (Vec<&Expr>, Vec<&Expr>) =
+            residual.iter().partition(|c| c.as_range().is_some());
+        self.keep_all(&plain)?;
+        self.keep_all(&computed)
+    }
+
+    /// Keep the candidates that satisfy every conjunct of `residual`,
+    /// evaluated together over the candidate rows.
+    fn keep_all(&mut self, residual: &[&Expr]) -> Result<()> {
         if residual.is_empty() {
             return Ok(());
         }
@@ -131,7 +225,7 @@ impl Candidates {
         let rows = if self.is_whole() {
             &self.rel
         } else {
-            gathered = self.gather_for(&residual)?;
+            gathered = self.gather_for(residual)?;
             &gathered
         };
         let mut mask = eval_mask(residual[0], rows)?;
@@ -144,28 +238,14 @@ impl Candidates {
         Ok(())
     }
 
-    /// The rows of the relation satisfying `conjunct`, when it compares
-    /// a sorted integer column with a literal that coerces to the
-    /// column's type (what the row-wise comparison would use).
-    fn bounds(&self, conjunct: &Expr) -> Option<Range<usize>> {
+    /// `conjunct` as `(column position, op, key)` when it compares a
+    /// column of the relation with a literal that coerces to the
+    /// column's type. Float columns have no total order and never
+    /// qualify.
+    fn bound_of<'e>(&self, conjunct: &'e Expr) -> Option<(usize, CmpOp, Key<'e>)> {
         let (name, op, lit) = conjunct.as_range()?;
         let i = self.rel.resolve(name).ok()?;
-        if !self.rel.is_sorted(i) {
-            return None;
-        }
-        let col = self.rel.column_at(i);
-        let v = col.as_i64().ok()?;
-        let x = lit.coerce_to(col.data_type()).ok()?.as_i64().ok()?;
-        let lt = v.partition_point(|&e| e < x);
-        let le = lt + v[lt..].partition_point(|&e| e <= x);
-        Some(match op {
-            CmpOp::Eq => lt..le,
-            CmpOp::Lt => 0..lt,
-            CmpOp::Le => 0..le,
-            CmpOp::Gt => le..v.len(),
-            CmpOp::Ge => lt..v.len(),
-            CmpOp::Ne => unreachable!("as_range excludes <>"),
-        })
+        Some((i, op, Key::of(self.rel.column_at(i), lit)?))
     }
 
     /// Intersect every range with `b`.
@@ -199,8 +279,9 @@ impl Candidates {
     }
 
     /// Apply a projection. Renaming plain columns keeps the ranges (and
-    /// the sortedness flags); a computed column gathers the candidates
-    /// first and evaluates over the copy.
+    /// the sortedness flags, but not the lexicographic order); a
+    /// computed column gathers the candidates first and evaluates over
+    /// the copy.
     pub(crate) fn project(self, exprs: &[(String, Expr)]) -> Result<Candidates> {
         let plain: Option<Vec<(&str, &str)>> = exprs
             .iter()
@@ -211,7 +292,7 @@ impl Candidates {
             .collect();
         if let Some(plain) = plain {
             let rel = self.rel.project_named(plain)?;
-            return Ok(Candidates { rel, ranges: self.ranges });
+            return Ok(Candidates { rel, ranges: self.ranges, order: Vec::new() });
         }
         let part = self.materialize();
         // Plain column references still share the gathered payload;
@@ -227,6 +308,99 @@ impl Candidates {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Candidates::all(Relation::from_shared(cols)?))
+    }
+}
+
+/// A literal as a bound on an ordered column: an integer or timestamp
+/// value, or text compared by content.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub(crate) enum Key<'v> {
+    Int(i64),
+    Text(&'v str),
+}
+
+impl<'v> Key<'v> {
+    /// `lit` as a key of `col`'s type, coerced as the row-wise
+    /// comparison coerces it; `None` for float columns and literals
+    /// the comparison would reject.
+    pub(crate) fn of(col: &ColumnData, lit: &'v Value) -> Option<Key<'v>> {
+        match col {
+            ColumnData::Int64(_) | ColumnData::Timestamp(_) => {
+                Some(Key::Int(lit.coerce_to(col.data_type()).ok()?.as_i64().ok()?))
+            }
+            ColumnData::Text(_) => Some(Key::Text(lit.as_str().ok()?)),
+            ColumnData::Float64(_) => None,
+        }
+    }
+
+    /// Row `i` of an integer, timestamp or text column, as a key.
+    pub(crate) fn at(col: &'v ColumnData, i: usize) -> Key<'v> {
+        match col {
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => Key::Int(v[i]),
+            ColumnData::Text(t) => Key::Text(t.get(i)),
+            ColumnData::Float64(_) => unreachable!("float columns have no key order"),
+        }
+    }
+}
+
+/// How row `i` of `col` compares with `key` (of the column's type).
+pub(crate) fn cmp_key(col: &ColumnData, i: usize, key: Key) -> Ordering {
+    match (col, key) {
+        (ColumnData::Int64(v) | ColumnData::Timestamp(v), Key::Int(x)) => v[i].cmp(&x),
+        (ColumnData::Text(t), Key::Text(s)) => t.get(i).cmp(s),
+        _ => unreachable!("a key has its column's type"),
+    }
+}
+
+/// The first row in `r` where `pred` fails, given that it holds on a
+/// prefix of `r`.
+pub(crate) fn partition(r: Range<usize>, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (r.start, r.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// [`partition`], galloping from `r.start`: the probes double in
+/// distance until `pred` fails, then bisect. Costs `O(log k)` for an
+/// answer `k` rows in, so a walk over ascending keys stays local.
+pub(crate) fn gallop(r: Range<usize>, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (r.start, r.end, 1);
+    while lo < hi {
+        let probe = (lo + step - 1).min(hi - 1);
+        if !pred(probe) {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        step *= 2;
+    }
+    partition(lo..hi, pred)
+}
+
+/// The rows of `r` where `col op key` holds, given that `col` is
+/// non-decreasing over `r`.
+pub(crate) fn bounds_within(
+    col: &ColumnData,
+    r: Range<usize>,
+    op: CmpOp,
+    key: Key,
+) -> Range<usize> {
+    let lt = partition(r.clone(), |i| cmp_key(col, i, key).is_lt());
+    let le = gallop(lt..r.end, |i| cmp_key(col, i, key).is_le());
+    match op {
+        CmpOp::Eq => lt..le,
+        CmpOp::Lt => r.start..lt,
+        CmpOp::Le => r.start..le,
+        CmpOp::Gt => le..r.end,
+        CmpOp::Ge => lt..r.end,
+        CmpOp::Ne => unreachable!("as_range excludes <>"),
     }
 }
 
@@ -248,33 +422,6 @@ fn true_runs(mask: &[bool]) -> impl Iterator<Item = Range<usize>> + '_ {
         i = start + mask[start..].iter().position(|&k| !k).unwrap_or(mask.len() - start);
         Some(start..i)
     })
-}
-
-/// The end of the run starting at `start` (`< end`): the first row in
-/// `start..end` where `same` fails, given that `same` holds on a prefix
-/// of the rows. Gallops, then bisects, so a run of length `k` costs
-/// `O(log k)` checks.
-pub(crate) fn run_end(start: usize, end: usize, same: impl Fn(usize) -> bool) -> usize {
-    // Rows below `lo` are in the run; `hi` is out of it, or `end`.
-    let (mut lo, mut hi, mut step) = (start + 1, end, 1);
-    while lo < end {
-        let probe = (lo + step - 1).min(end - 1);
-        if !same(probe) {
-            hi = probe;
-            break;
-        }
-        lo = probe + 1;
-        step *= 2;
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if same(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -601,8 +748,10 @@ mod tests {
         let v = [1, 1, 1, 1, 1, 2, 2, 3];
         for start in 0..v.len() {
             let want = (start..v.len()).find(|&i| v[i] != v[start]).unwrap_or(v.len());
-            assert_eq!(run_end(start, v.len(), |i| v[i] == v[start]), want, "start {start}");
+            let end = gallop(start + 1..v.len(), |i| v[i] == v[start]);
+            assert_eq!(end, want, "start {start}");
         }
-        assert_eq!(run_end(1, 3, |i| v[i] == 1), 3, "bounded by end");
+        assert_eq!(gallop(2..3, |i| v[i] == 1), 3, "bounded by the range");
+        assert_eq!(gallop(3..3, |_| unreachable!()), 3, "empty range");
     }
 }

@@ -13,13 +13,14 @@
 //! the shared [`crate::sched::MorselScheduler`] when the policy carries
 //! one, inline on the caller otherwise.
 
+use crate::access::{self, Access};
 use crate::agg::{aggregate, distinct};
 use crate::candidates::Candidates;
 use crate::error::{EngineError, Result};
 use crate::eval::{eval_mask, eval_scalar};
 use crate::expr::Expr;
 use crate::join::{cross_join, hash_join, index_join, JoinBuild};
-use crate::obs::{self, Obs};
+use crate::obs::{self, Obs, StageTimer, TraceCollector};
 use crate::physical::{ChunkOp, PhysicalPlan};
 use crate::relation::Relation;
 use crate::sched::{self, SchedPolicy};
@@ -34,31 +35,43 @@ pub struct ExecContext<'a> {
     /// `ResultScan { id }`. Shared (`Arc`) so a result referenced
     /// several times is never deep-copied.
     pub materialized: Vec<Arc<Relation>>,
+    /// The query's span collector: each base-table scan records a
+    /// `scan` span naming its access path.
+    pub tracer: Option<&'a TraceCollector>,
 }
 
 impl<'a> ExecContext<'a> {
     /// A context with no materialized results.
     pub fn new(db: &'a Database) -> Self {
-        ExecContext { db, materialized: Vec::new() }
+        ExecContext { db, materialized: Vec::new(), tracer: None }
+    }
+
+    /// Run one base-table access and record its `scan` span.
+    fn access<'p>(
+        &self,
+        run: impl FnOnce() -> Result<(Relation, Access<'p>)>,
+    ) -> Result<Relation> {
+        let timer = self.tracer.map(|tc| StageTimer::start(Some(tc), "scan"));
+        let (rel, access) = run()?;
+        if let Some(timer) = timer {
+            timer.stop(|| access.to_string(), Some(rel.rows() as u64), None);
+        }
+        Ok(rel)
     }
 }
 
-/// Scan a base table into a qualified, provenance-carrying relation.
-pub fn scan_base_table(
+/// The mask-then-copy scan the access paths replaced, kept as their
+/// oracle: copy every row, attach `0..rows` as provenance, and filter
+/// by the predicate's mask.
+#[cfg(test)]
+pub(crate) fn scan_masked(
     db: &Database,
     table: &str,
     columns: &[String],
-    predicate: Option<&crate::expr::Expr>,
+    predicate: Option<&Expr>,
 ) -> Result<Relation> {
     let prefix = format!("{table}.");
-    let raw: Vec<&str> = columns
-        .iter()
-        .map(|c| {
-            c.strip_prefix(&prefix).ok_or_else(|| {
-                EngineError::Plan(format!("scan column {c:?} not qualified by {table}"))
-            })
-        })
-        .collect::<Result<_>>()?;
+    let raw: Vec<&str> = columns.iter().map(|c| c.strip_prefix(&prefix).unwrap()).collect();
     let data = db.scan_columns(table, &raw)?;
     let rel = Relation::new(columns.iter().cloned().zip(data).collect())?;
     let rows: Vec<u32> = (0..rel.rows() as u32).collect();
@@ -205,7 +218,7 @@ pub fn run_indexed_policy<T: Send>(
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
     match plan {
         PhysicalPlan::SeqScan { table, columns, predicate } => {
-            scan_base_table(ctx.db, table, columns, predicate.as_ref())
+            ctx.access(|| access::scan(ctx.db, table, columns, predicate.as_ref()))
         }
         PhysicalPlan::ResultScan { id } => ctx
             .materialized
@@ -218,6 +231,28 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
         }
         PhysicalPlan::HashJoin { left, right, left_keys, right_keys } => {
             let l = execute(left, ctx)?;
+            // A build side that is a base-table scan is joined by key
+            // runs when its order allows, and hash-joined otherwise.
+            if let PhysicalPlan::SeqScan { table, columns, predicate } = &**right {
+                let predicate = predicate.as_ref();
+                let mut by_runs = false;
+                let rel = ctx.access(|| {
+                    match access::key_run_join(
+                        ctx.db, &l, table, columns, predicate, left_keys, right_keys,
+                    )? {
+                        Some(joined) => {
+                            by_runs = true;
+                            Ok(joined)
+                        }
+                        None => access::scan(ctx.db, table, columns, predicate),
+                    }
+                })?;
+                return if by_runs {
+                    Ok(rel)
+                } else {
+                    hash_join(&l, &rel, left_keys, right_keys)
+                };
+            }
             let r = execute(right, ctx)?;
             hash_join(&l, &r, left_keys, right_keys)
         }
@@ -237,7 +272,8 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
                     )))
                 }
             }
-            let parent = scan_base_table(ctx.db, parent_table, parent_columns, None)?;
+            let parent =
+                ctx.access(|| access::scan(ctx.db, parent_table, parent_columns, None))?;
             let ji = ctx.db.join_index(child_table, parent_table).ok_or_else(|| {
                 EngineError::Exec(format!(
                     "no join index from {child_table} to {parent_table}"
@@ -336,7 +372,7 @@ mod tests {
     #[test]
     fn scan_with_predicate_and_provenance() {
         let db = db();
-        let rel = scan_base_table(
+        let (rel, _) = access::scan(
             &db,
             "D",
             &["D.file_id".into(), "D.sample_value".into()],

@@ -1,7 +1,7 @@
 //! Join implementations: multi-key hash join, cross join, and the
 //! index join over a materialized FK join index.
 
-use crate::candidates::{push_range, run_end, Candidates};
+use crate::candidates::{gallop, push_range, Candidates};
 use crate::error::{EngineError, Result};
 use crate::eval::{eval_column, eval_mask, eval_scalar};
 use crate::expr::{Expr, Func};
@@ -160,7 +160,7 @@ impl JoinBuild {
                 let mut end = r.end;
                 for (k, col) in keys.iter().zip(&mut at) {
                     let key = k.at(start);
-                    end = run_end(start, end, |i| k.at(i) == key);
+                    end = gallop(start + 1..end, |i| k.at(i) == key);
                     if let ColumnData::Int64(v) = col {
                         v[0] = key;
                     }

@@ -32,6 +32,7 @@
 //! pipeline, which narrows a candidate list of row
 //! ranges over the chunk instead of copying rows at each step.
 
+mod access;
 pub mod agg;
 mod candidates;
 pub mod error;

@@ -92,7 +92,7 @@ impl Relation {
 
     /// Flag column `i` as non-decreasing. Errors unless the column is
     /// `Int64` or `Timestamp`.
-    fn mark_sorted(&mut self, i: usize) -> Result<()> {
+    pub(crate) fn mark_sorted(&mut self, i: usize) -> Result<()> {
         let Ok(v) = self.cols[i].1.as_i64() else {
             return Err(EngineError::Exec(format!(
                 "only integer and timestamp columns can be flagged sorted, not {}",

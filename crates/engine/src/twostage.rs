@@ -366,13 +366,14 @@ pub fn execute_plan(
     let mut stats = ExecStats::default();
     let mut skipped: Vec<SkippedChunk> = Vec::new();
     config.sched.check_cancel()?;
-    let mut ctx = ExecContext::new(db);
     let tracer: Option<&TraceCollector> = config.obs.tracer().map(Arc::as_ref);
+    let mut ctx = ExecContext { tracer, ..ExecContext::new(db) };
 
     // ---- Stage 1: evaluate the metadata branch Qf, if marked. ------
     let qf_id = match plan.qf() {
         Some(qf) => {
-            let stage1 = StageTimer::start(tracer, "stage1");
+            // Ambient, so each scan's access-path span nests under it.
+            let stage1 = StageTimer::ambient(tracer, "stage1", Instant::now());
             let opts = LowerOptions {
                 db,
                 use_index_joins: config.use_index_joins,

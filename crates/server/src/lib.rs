@@ -183,16 +183,24 @@ impl ServerShared {
         fired
     }
 
-    /// Poll until every registered query finished or `deadline` passes.
-    /// Returns the number still unfinished.
+    /// Wait until every registered query finished or `deadline` passes,
+    /// on each unfinished query's completion condvar in turn, so the
+    /// drain returns as the last one publishes. Returns the number
+    /// still unfinished.
     fn drain_until(&self, deadline: std::time::Instant) -> usize {
-        loop {
-            let left = self.unfinished_inflight();
-            if left == 0 || std::time::Instant::now() >= deadline {
-                return left;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        let running: Vec<Arc<HandleState>> = {
+            let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            v.iter().filter_map(|(st, _)| st.upgrade()).collect()
+        };
+        for state in running {
+            let guard = state.result.lock().unwrap_or_else(|e| e.into_inner());
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let _ = state
+                .cv
+                .wait_timeout_while(guard, left, |_| !state.finished.load(Ordering::Acquire))
+                .unwrap_or_else(|e| e.into_inner());
         }
+        self.unfinished_inflight()
     }
 }
 
@@ -575,8 +583,12 @@ impl Done {
     /// Release the quota slot and hand the result to the waiter.
     fn publish(self) {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        *self.state.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(self.result);
+        // `finished` flips under the result lock, so a waiter that saw
+        // it unset while holding the lock is parked before the notify.
+        let mut result = self.state.result.lock().unwrap_or_else(|e| e.into_inner());
+        *result = Some(self.result);
         self.state.finished.store(true, Ordering::Release);
+        drop(result);
         self.state.cv.notify_all();
     }
 }

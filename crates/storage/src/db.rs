@@ -10,8 +10,8 @@ use crate::catalog::{Catalog, Disposition};
 use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
 use crate::index::{HashIndex, JoinIndex};
-use crate::schema::TableSchema;
-use crate::table::Table;
+use crate::schema::{TableClass, TableSchema};
+use crate::table::{RowOrder, Table};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -45,6 +45,22 @@ impl ConstraintPolicy {
     pub fn none() -> Self {
         ConstraintPolicy { verify_pk: false, verify_fk: false }
     }
+}
+
+/// Columns of one table scan, shared with the store, and what the
+/// table's order facts ([`crate::table::RowOrder`]) say about them.
+#[derive(Debug)]
+pub struct SharedScan {
+    /// The scanned columns, in the order asked for.
+    pub columns: Vec<Arc<ColumnData>>,
+    /// When the rows are in primary-key order: positions (in the scan's
+    /// column list) of the longest key prefix the scan reads, in key
+    /// order. Empty otherwise.
+    pub pk_prefix: Vec<usize>,
+    /// Length of the table's primary key.
+    pub pk_len: usize,
+    /// Per scanned column: it never decreases down the table.
+    pub non_decreasing: Vec<bool>,
 }
 
 /// Materialized primary-key state: the PK columns plus their hash index.
@@ -108,6 +124,7 @@ impl Database {
     /// Open an existing on-disk database.
     pub fn open(dir: &Path, config: BufferPoolConfig) -> Result<Self> {
         let catalog = Catalog::load(&dir.join("catalog.somm"))?;
+        let pool = Arc::new(BufferPool::new(config));
         let mut tables = HashMap::new();
         for entry in catalog.iter() {
             let name = entry.schema.name.clone();
@@ -115,6 +132,7 @@ impl Database {
                 Disposition::Persistent => Table::open_persistent(
                     entry.schema.clone(),
                     &dir.join("tables").join(&name),
+                    &pool,
                 )?,
                 // Resident tables start empty after a restart (they are
                 // caches / scratch space by definition).
@@ -124,7 +142,7 @@ impl Database {
         }
         Ok(Database {
             dir: Some(dir.to_path_buf()),
-            pool: Arc::new(BufferPool::new(config)),
+            pool,
             inner: RwLock::new(Inner { catalog, tables }),
         })
     }
@@ -290,7 +308,20 @@ impl Database {
         }
         let state = inner.tables.get_mut(name).expect("checked above");
         let was_persistent = state.table.is_persistent();
-        let n = state.table.append(cols)?;
+        // A derived table stays in primary-key order by construction: a
+        // batch that lands before its last key is merged into the rows,
+        // which moves them, so the PK index is rebuilt on next use.
+        // (No foreign key references a derived table, so no join index
+        // holds its row positions.)
+        let merge = schema.class == TableClass::MetadataDerived
+            && !schema.primary_key.is_empty()
+            && !state.table.order_after(cols).pk_ordered;
+        let n = if merge {
+            state.pk = None;
+            state.table.merge_in_pk_order(&self.pool, cols)?
+        } else {
+            state.table.append(cols)?
+        };
         // Any previously built join indices on this table are stale.
         state.join_indices.clear();
         if was_persistent {
@@ -344,6 +375,50 @@ impl Database {
         cols.iter()
             .map(|c| state.table.scan_column(&self.pool, schema.col_index(c)?))
             .collect()
+    }
+
+    /// The order facts of `name`'s rows.
+    pub fn row_order(&self, name: &str) -> Result<RowOrder> {
+        let inner = self.inner.read();
+        let state = inner
+            .tables
+            .get(name)
+            .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?;
+        Ok(state.table.order().clone())
+    }
+
+    /// Selected columns of `name`, shared with the store when it is
+    /// resident (no copy), with the table's order facts over them.
+    pub fn scan_shared(&self, name: &str, cols: &[&str]) -> Result<SharedScan> {
+        let inner = self.inner.read();
+        let state = inner
+            .tables
+            .get(name)
+            .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?;
+        let table = &state.table;
+        let schema = table.schema();
+        let idx: Vec<usize> =
+            cols.iter().map(|c| schema.col_index(c)).collect::<Result<_>>()?;
+        let columns = idx
+            .iter()
+            .map(|&i| table.scan_column_shared(&self.pool, i))
+            .collect::<Result<_>>()?;
+        let order = table.order();
+        let pk_prefix = if order.pk_ordered {
+            schema
+                .primary_key
+                .iter()
+                .map_while(|k| cols.iter().position(|c| c == k))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Ok(SharedScan {
+            columns,
+            pk_prefix,
+            pk_len: schema.primary_key.len(),
+            non_decreasing: idx.iter().map(|&i| order.non_decreasing[i]).collect(),
+        })
     }
 
     /// Build the PK hash index of `name` (idempotent).

@@ -99,32 +99,45 @@ pub fn rows_equal(
 /// run at once, since it equals nothing. Rows of one run hash alike and
 /// compare equal to exactly the same keys, so one probe or group lookup
 /// made for `start` serves the whole run.
+///
+/// The rows are checked in blocks that double in size, every column
+/// per block, so finding a run costs about its length times the key
+/// width: a leading column that is constant down the relation is not
+/// scanned to its end for every run.
 pub fn key_run_end(cols: &[&ColumnData], start: usize, rows: usize) -> usize {
-    let mut end = rows;
-    for col in cols {
-        let differs = match col {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
-                let k = v[start];
-                v[start + 1..end].iter().position(|&x| x != k)
-            }
-            ColumnData::Float64(v) => {
-                let k = v[start];
-                if k.is_nan() {
-                    Some(0)
-                } else {
-                    v[start + 1..end].iter().position(|x| x.to_bits() != k.to_bits())
-                }
-            }
-            ColumnData::Text(t) => {
-                let k = t.codes[start];
-                t.codes[start + 1..end].iter().position(|&c| c != k)
-            }
-        };
-        if let Some(p) = differs {
-            end = start + 1 + p;
-        }
+    if cols.iter().any(|c| matches!(c, ColumnData::Float64(v) if v[start].is_nan())) {
+        return start + 1;
     }
-    end
+    let (mut lo, mut width) = (start + 1, 16);
+    while lo < rows {
+        let hi = (lo + width).min(rows);
+        let mut end = hi;
+        for col in cols {
+            let differs = match col {
+                ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
+                    let k = v[start];
+                    v[lo..end].iter().position(|&x| x != k)
+                }
+                ColumnData::Float64(v) => {
+                    let k = v[start].to_bits();
+                    v[lo..end].iter().position(|x| x.to_bits() != k)
+                }
+                ColumnData::Text(t) => {
+                    let k = t.codes[start];
+                    t.codes[lo..end].iter().position(|&c| c != k)
+                }
+            };
+            if let Some(p) = differs {
+                end = lo + p;
+            }
+        }
+        if end < hi {
+            return end;
+        }
+        lo = hi;
+        width *= 2;
+    }
+    rows
 }
 
 /// The index payload: generic hashed composite keys, or the exact
@@ -511,6 +524,65 @@ impl JoinIndex {
 mod tests {
     use super::*;
     use crate::column::TextColumn;
+
+    /// `key_run_end` against its row-by-row definition, on generated
+    /// keys whose leading column is often constant for long stretches
+    /// (runs longer than the first blocks), with NaNs and ±0.0.
+    #[test]
+    fn key_run_end_matches_the_row_wise_definition() {
+        let same = |c: &ColumnData, a: usize, b: usize| match c {
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => v[a] == v[b],
+            ColumnData::Float64(v) => !v[a].is_nan() && v[a].to_bits() == v[b].to_bits(),
+            ColumnData::Text(t) => t.codes[a] == t.codes[b],
+        };
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut below = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..300 {
+            let n = 1 + below(200) as usize;
+            let mut lead = Vec::with_capacity(n);
+            let (mut tail, mut floats, mut text) = (Vec::new(), Vec::new(), Vec::new());
+            let floats_of = [0.0, -0.0, 1.5, f64::NAN];
+            for _ in 0..n {
+                if lead.is_empty() || below(90) == 0 {
+                    lead.push(below(3) as i64);
+                } else {
+                    lead.push(*lead.last().unwrap());
+                }
+                tail.push(below(40) as i64 / 39);
+                floats.push(floats_of[usize::from(below(30) == 0) * (1 + below(3) as usize)]);
+                text.push(["a", "b"][usize::from(below(50) == 0)]);
+            }
+            let cols = [
+                ColumnData::Int64(lead),
+                ColumnData::Timestamp(tail),
+                ColumnData::Float64(floats),
+                ColumnData::Text(TextColumn::from_strs(text)),
+            ];
+            for width in 1..=cols.len() {
+                let keys: Vec<&ColumnData> = cols[..width].iter().collect();
+                for start in 0..n {
+                    let want = (start + 1..n)
+                        .find(|&r| !keys.iter().all(|c| same(c, start, r)))
+                        .unwrap_or(n);
+                    let want = if keys.iter().any(|c| !same(c, start, start)) {
+                        start + 1
+                    } else {
+                        want
+                    };
+                    assert_eq!(
+                        key_run_end(&keys, start, n),
+                        want,
+                        "start {start}, {width} keys"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn hash_index_probe_finds_rows() {

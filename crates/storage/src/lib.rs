@@ -43,8 +43,8 @@ pub mod value;
 pub use buffer::{BufferPool, BufferPoolConfig, PoolStats};
 pub use catalog::Catalog;
 pub use column::{ColumnData, TextColumn};
-pub use db::{ConstraintPolicy, Database};
+pub use db::{ConstraintPolicy, Database, SharedScan};
 pub use error::{classify_io, ErrorKind, Result, StorageError};
 pub use schema::{ColumnDef, ForeignKey, TableClass, TableSchema};
-pub use table::Table;
+pub use table::{RowOrder, Table};
 pub use value::{DataType, Value};

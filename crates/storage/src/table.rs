@@ -1,20 +1,41 @@
-//! Tables: a schema plus column storage (resident or persistent).
+//! Tables: a schema plus column storage (resident or persistent), and
+//! for metadata tables the order facts of their rows.
 
 use crate::buffer::BufferPool;
 use crate::colfile::ColumnFile;
 use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
 use crate::schema::TableSchema;
+use crate::value::{DataType, Value};
+use std::cmp::Ordering;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Column storage for one table.
 #[derive(Debug)]
 pub enum TableStore {
     /// Memory-resident columns (temporary chunk tables, derived metadata
-    /// in lazy mode, tests).
-    Resident(Vec<ColumnData>),
+    /// in lazy mode, tests). Shared, so a scan hands them out without
+    /// copying; an append to a column a reader still holds copies it.
+    Resident(Vec<Arc<ColumnData>>),
     /// Paged on-disk columns, read through the buffer pool.
     Persistent(Vec<ColumnFile>),
+}
+
+/// What a metadata table knows about the order of its rows: whether
+/// they are in primary-key order, and which integer and timestamp
+/// columns never decrease down the table. [`Table::append`] keeps both
+/// at O(batch) cost plus one boundary compare with the previous last
+/// row; a persistent table recomputes them when it opens. Actual-data
+/// tables keep no facts (everything `false`).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RowOrder {
+    /// Rows are in non-decreasing lexicographic primary-key order
+    /// (integers and timestamps by value, text by content).
+    pub pk_ordered: bool,
+    /// Per schema column: an integer or timestamp column whose values
+    /// never decrease down the table.
+    pub non_decreasing: Vec<bool>,
 }
 
 /// One table.
@@ -23,14 +44,38 @@ pub struct Table {
     schema: TableSchema,
     store: TableStore,
     rows: u64,
+    /// Order facts (metadata tables only).
+    order: RowOrder,
+    /// The last row, for the next append's boundary compare (metadata
+    /// tables only; empty while the table is).
+    tail: Vec<Value>,
 }
 
 impl Table {
     /// Create an empty memory-resident table.
     pub fn new_resident(schema: TableSchema) -> Result<Self> {
         schema.validate()?;
-        let cols = schema.columns.iter().map(|c| ColumnData::empty(c.dtype)).collect();
-        Ok(Table { schema, store: TableStore::Resident(cols), rows: 0 })
+        let cols =
+            schema.columns.iter().map(|c| Arc::new(ColumnData::empty(c.dtype))).collect();
+        Ok(Table::empty(schema, TableStore::Resident(cols)))
+    }
+
+    /// An empty table over `store`: every order fact holds vacuously.
+    fn empty(schema: TableSchema, store: TableStore) -> Self {
+        let order = vacuous_order(&schema);
+        Table { schema, store, rows: 0, order, tail: Vec::new() }
+    }
+
+    /// Take the row count, order facts and last row from `cols`, every
+    /// row the table stores.
+    fn describe(&mut self, cols: &[ColumnData]) {
+        self.order = vacuous_order(&self.schema);
+        self.tail.clear();
+        self.order = self.order_after(cols);
+        self.rows = cols.first().map_or(0, ColumnData::len) as u64;
+        if self.rows > 0 && self.schema.class.is_metadata() {
+            self.tail = last_row(cols);
+        }
     }
 
     /// Create an empty persistent table; column files live in `dir` as
@@ -43,11 +88,17 @@ impl Table {
         for c in &schema.columns {
             files.push(ColumnFile::create(&dir.join(format!("{}.col", c.name)), c.dtype)?);
         }
-        Ok(Table { schema, store: TableStore::Persistent(files), rows: 0 })
+        Ok(Table::empty(schema, TableStore::Persistent(files)))
     }
 
-    /// Re-open a persistent table from `dir`.
-    pub fn open_persistent(schema: TableSchema, dir: &Path) -> Result<Self> {
+    /// Re-open a persistent table from `dir`. Its order facts are
+    /// recomputed from the stored rows (metadata tables only), through
+    /// `pool`.
+    pub fn open_persistent(
+        schema: TableSchema,
+        dir: &Path,
+        pool: &BufferPool,
+    ) -> Result<Self> {
         schema.validate()?;
         let mut files = Vec::with_capacity(schema.columns.len());
         let mut rows: Option<u64> = None;
@@ -76,7 +127,13 @@ impl Table {
             }
             files.push(cf);
         }
-        Ok(Table { schema, store: TableStore::Persistent(files), rows: rows.unwrap_or(0) })
+        let mut table = Table::empty(schema, TableStore::Persistent(files));
+        table.rows = rows.unwrap_or(0);
+        if table.schema.class.is_metadata() && table.rows > 0 {
+            let cols = table.scan(pool)?;
+            table.describe(&cols);
+        }
+        Ok(table)
     }
 
     /// The table schema.
@@ -87,6 +144,45 @@ impl Table {
     /// Row count.
     pub fn rows(&self) -> u64 {
         self.rows
+    }
+
+    /// The order facts of the rows (see [`RowOrder`]).
+    pub fn order(&self) -> &RowOrder {
+        &self.order
+    }
+
+    /// Schema positions of the primary-key columns, in key order.
+    fn pk_positions(&self) -> Vec<usize> {
+        self.schema.primary_key.iter().filter_map(|c| self.schema.col_index(c).ok()).collect()
+    }
+
+    /// The order facts after appending `cols` (already validated): the
+    /// batch's own order, and its first row against the current last.
+    pub(crate) fn order_after(&self, cols: &[ColumnData]) -> RowOrder {
+        let mut order = self.order.clone();
+        let n = cols.first().map_or(0, ColumnData::len);
+        if n == 0 || !self.schema.class.is_metadata() {
+            return order;
+        }
+        let tail = (!self.tail.is_empty()).then_some(self.tail.as_slice());
+        for (i, col) in cols.iter().enumerate() {
+            if order.non_decreasing[i] {
+                let v = col.as_i64().expect("only integer columns are tracked");
+                order.non_decreasing[i] = v.windows(2).all(|w| w[0] <= w[1])
+                    && tail.is_none_or(|t| t[i].as_i64().is_ok_and(|last| last <= v[0]));
+            }
+        }
+        if order.pk_ordered {
+            let pk = self.pk_positions();
+            let key: Vec<&ColumnData> = pk.iter().map(|&i| &cols[i]).collect();
+            order.pk_ordered = (1..n)
+                .all(|r| key_cmp(&key, r - 1, r).is_some_and(Ordering::is_le))
+                && tail.is_none_or(|t| {
+                    let first = pk.iter().map(|&i| (&t[i], cols[i].get(0)));
+                    tuple_cmp(first).is_some_and(Ordering::is_le)
+                });
+        }
+        order
     }
 
     /// True if the store is persistent.
@@ -143,10 +239,11 @@ impl Table {
     /// Append a batch of columns.
     pub fn append(&mut self, cols: &[ColumnData]) -> Result<usize> {
         let n = self.check_append(cols)?;
+        let order = self.order_after(cols);
         match &mut self.store {
             TableStore::Resident(existing) => {
                 for (e, c) in existing.iter_mut().zip(cols) {
-                    e.append(c)?;
+                    Arc::make_mut(e).append(c)?;
                 }
             }
             TableStore::Persistent(files) => {
@@ -156,14 +253,71 @@ impl Table {
             }
         }
         self.rows += n as u64;
+        self.order = order;
+        if n > 0 && self.schema.class.is_metadata() {
+            self.tail = last_row(cols);
+        }
+        Ok(n)
+    }
+
+    /// Append a batch and put every row in primary-key order: the
+    /// stored rows and the batch are merged (stably) and the table is
+    /// rewritten (a persistent table's files in place, their pooled
+    /// pages dropped). For a batch that lands before the table's last
+    /// key; the caller drops whatever index holds row positions.
+    pub fn merge_in_pk_order(
+        &mut self,
+        pool: &BufferPool,
+        cols: &[ColumnData],
+    ) -> Result<usize> {
+        let n = self.check_append(cols)?;
+        let mut all = self.scan(pool)?;
+        for (a, c) in all.iter_mut().zip(cols) {
+            a.append(c)?;
+        }
+        let pk = self.pk_positions();
+        let key: Vec<&ColumnData> = pk.iter().map(|&i| &all[i]).collect();
+        let mut perm: Vec<u32> = (0..all.first().map_or(0, ColumnData::len) as u32).collect();
+        perm.sort_by(|&a, &b| {
+            key_cmp(&key, a as usize, b as usize).unwrap_or(Ordering::Equal)
+        });
+        let sorted: Vec<ColumnData> = all.iter().map(|c| c.take(&perm)).collect();
+        match &mut self.store {
+            TableStore::Resident(existing) => {
+                *existing = sorted.iter().cloned().map(Arc::new).collect();
+            }
+            TableStore::Persistent(files) => {
+                for (f, c) in files.iter_mut().zip(&sorted) {
+                    *f = ColumnFile::create(f.path(), f.data_type())?;
+                    f.append(c)?;
+                    // The pool's pages of the file hold the old rows.
+                    if let Some(fid) = pool.disk().forget(f.path()) {
+                        pool.invalidate_file(fid);
+                    }
+                }
+            }
+        }
+        self.describe(&sorted);
         Ok(n)
     }
 
     /// Materialize one column.
     pub fn scan_column(&self, pool: &BufferPool, idx: usize) -> Result<ColumnData> {
         match &self.store {
-            TableStore::Resident(cols) => Ok(cols[idx].clone()),
+            TableStore::Resident(cols) => Ok(ColumnData::clone(&cols[idx])),
             TableStore::Persistent(files) => files[idx].read_all(pool),
+        }
+    }
+
+    /// One column, shared with the store when it is resident (no copy).
+    pub fn scan_column_shared(
+        &self,
+        pool: &BufferPool,
+        idx: usize,
+    ) -> Result<Arc<ColumnData>> {
+        match &self.store {
+            TableStore::Resident(cols) => Ok(Arc::clone(&cols[idx])),
+            TableStore::Persistent(files) => files[idx].read_all(pool).map(Arc::new),
         }
     }
 
@@ -187,6 +341,52 @@ impl Table {
             TableStore::Persistent(_) => 0,
         }
     }
+}
+
+/// The order facts of no rows: all hold (metadata tables only).
+fn vacuous_order(schema: &TableSchema) -> RowOrder {
+    let tracked = schema.class.is_metadata();
+    RowOrder {
+        pk_ordered: tracked && !schema.primary_key.is_empty(),
+        non_decreasing: schema
+            .columns
+            .iter()
+            .map(|c| tracked && matches!(c.dtype, DataType::Int64 | DataType::Timestamp))
+            .collect(),
+    }
+}
+
+/// The last row of `cols` (non-empty), as values.
+fn last_row(cols: &[ColumnData]) -> Vec<Value> {
+    cols.iter().map(|c| c.get(c.len() - 1)).collect()
+}
+
+/// Compare rows `a` and `b` lexicographically over `key`: integers and
+/// timestamps by value, text by content, floats by their partial order
+/// (`None` when a NaN makes the rows unordered).
+fn key_cmp(key: &[&ColumnData], a: usize, b: usize) -> Option<Ordering> {
+    for col in key {
+        let ord = match col {
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => v[a].cmp(&v[b]),
+            ColumnData::Float64(v) => v[a].partial_cmp(&v[b])?,
+            ColumnData::Text(t) => t.get(a).cmp(t.get(b)),
+        };
+        if ord != Ordering::Equal {
+            return Some(ord);
+        }
+    }
+    Some(Ordering::Equal)
+}
+
+/// Compare two value tuples lexicographically (`None`: unordered).
+fn tuple_cmp<'a>(pairs: impl Iterator<Item = (&'a Value, Value)>) -> Option<Ordering> {
+    for (a, b) in pairs {
+        match a.compare(&b).ok()? {
+            Ordering::Equal => {}
+            ord => return Some(ord),
+        }
+    }
+    Some(Ordering::Equal)
 }
 
 #[cfg(test)]
@@ -232,7 +432,7 @@ mod tests {
         assert!(t.disk_bytes() > 0);
 
         let pool = BufferPool::new(BufferPoolConfig::default());
-        let t2 = Table::open_persistent(schema(), &dir).unwrap();
+        let t2 = Table::open_persistent(schema(), &dir, &pool).unwrap();
         assert_eq!(t2.rows(), 2);
         let cols = t2.scan(&pool).unwrap();
         assert_eq!(cols[0].as_i64().unwrap(), &[1, 2]);
@@ -275,7 +475,84 @@ mod tests {
         let wrong = TableSchema::new("F", TableClass::MetadataGiven)
             .column("file_id", DataType::Float64)
             .column("station", DataType::Text);
-        assert!(Table::open_persistent(wrong, &dir).is_err());
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        assert!(Table::open_persistent(wrong, &dir, &pool).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A table keyed on `(station, ts)`, with a second integer column.
+    fn keyed(class: TableClass) -> TableSchema {
+        TableSchema::new("H", class)
+            .column("station", DataType::Text)
+            .column("ts", DataType::Timestamp)
+            .column("n", DataType::Int64)
+            .primary_key(["station", "ts"])
+    }
+
+    fn rows(stations: &[&str], ts: &[i64], n: &[i64]) -> Vec<ColumnData> {
+        vec![
+            ColumnData::Text(TextColumn::from_strs(stations.iter().copied())),
+            ColumnData::Timestamp(ts.to_vec()),
+            ColumnData::Int64(n.to_vec()),
+        ]
+    }
+
+    #[test]
+    fn append_keeps_the_order_facts() {
+        let mut t = Table::new_resident(keyed(TableClass::MetadataDerived)).unwrap();
+        let facts = |t: &Table| (t.order().pk_ordered, t.order().non_decreasing.clone());
+        assert_eq!(facts(&t), (true, vec![false, true, true]), "empty: vacuously ordered");
+        // Text compares by content, not by dictionary code.
+        t.append(&rows(&["B", "A"], &[5, 1], &[1, 2])).unwrap();
+        assert_eq!(facts(&t), (false, vec![false, false, true]));
+        let mut t = Table::new_resident(keyed(TableClass::MetadataDerived)).unwrap();
+        t.append(&rows(&["A", "A", "B"], &[1, 2, 0], &[1, 1, 2])).unwrap();
+        assert_eq!(facts(&t), (true, vec![false, false, true]));
+        // The boundary compare: equal to the last key keeps the order.
+        t.append(&rows(&["B"], &[0], &[2])).unwrap();
+        assert_eq!(facts(&t), (true, vec![false, false, true]));
+        t.append(&rows(&["A"], &[9], &[3])).unwrap();
+        assert_eq!(facts(&t), (false, vec![false, false, true]));
+        t.append(&rows(&["C"], &[9], &[1])).unwrap();
+        assert_eq!(facts(&t), (false, vec![false, false, false]), "facts never come back");
+        // Actual-data tables keep none.
+        let t = Table::new_resident(keyed(TableClass::ActualData)).unwrap();
+        assert_eq!(facts(&t), (false, vec![false; 3]));
+    }
+
+    #[test]
+    fn merge_puts_every_row_in_key_order() {
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        let dir =
+            std::env::temp_dir().join(format!("somm-table-merge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = keyed(TableClass::MetadataDerived);
+        for mut t in [
+            Table::new_resident(schema.clone()).unwrap(),
+            Table::new_persistent(schema.clone(), &dir).unwrap(),
+        ] {
+            t.append(&rows(&["B", "B"], &[3, 4], &[1, 2])).unwrap();
+            assert_eq!(
+                t.merge_in_pk_order(&pool, &rows(&["A", "B"], &[7, 1], &[3, 4])).unwrap(),
+                2
+            );
+            assert_eq!(t.rows(), 4);
+            assert!(t.order().pk_ordered);
+            let cols = t.scan(&pool).unwrap();
+            let station = cols[0].as_text().unwrap();
+            let keys: Vec<(&str, i64)> =
+                (0..4).map(|i| (station.get(i), cols[1].as_i64().unwrap()[i])).collect();
+            assert_eq!(keys, [("A", 7), ("B", 1), ("B", 3), ("B", 4)]);
+            assert_eq!(cols[2].as_i64().unwrap(), &[3, 4, 1, 2], "rows move whole");
+            // The next in-order append is a plain append.
+            t.append(&rows(&["C"], &[0], &[5])).unwrap();
+            assert!(t.order().pk_ordered);
+        }
+        // A reopened table recomputes its facts.
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        let t = Table::open_persistent(schema, &dir, &pool).unwrap();
+        assert_eq!((t.rows(), t.order().pk_ordered), (5, true));
+        assert_eq!(t.order().non_decreasing, vec![false, false, false]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

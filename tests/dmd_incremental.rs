@@ -160,6 +160,86 @@ fn reset_dmd_forces_rederivation() {
     assert_eq!(somm.dmd_manager().covered_count(), 3);
 }
 
+/// A relation's rows, ordered by their exact (non-float) cells.
+fn sorted_rows(rel: &sommelier_engine::Relation) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = (0..rel.rows())
+        .map(|r| rel.columns().iter().map(|(_, c)| c.get(r)).collect())
+        .collect();
+    rows.sort_by_cached_key(|row| {
+        row.iter()
+            .filter(|v| !matches!(v, Value::Float(_)))
+            .map(|v| format!("{v:?}"))
+            .collect::<Vec<_>>()
+    });
+    rows
+}
+
+/// Windows derived out of order — later days first, then the first
+/// day, then the gap between, for two stations — leave the derived
+/// table in primary-key order, and T2, T3 and T5 answers equal an
+/// eagerly materialized system's.
+#[test]
+fn out_of_order_derivation_keeps_windows_in_key_order() {
+    let dir = TempDir::new("dmd-order");
+    let repo = ingv_repo(&dir, 4, 32);
+    let lazy = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
+    let eager = prepared(&repo, LoadingMode::EagerDmd, SommelierConfig::default());
+    let day = |d: u32| format!("2010-01-0{}T00:00:00.000", d + 1);
+    let t2 = |station: &str, channel: &str, from: u32, to: u32| {
+        format!(
+            "SELECT window_start_ts, window_max_val, window_std_dev FROM H \
+             WHERE window_station = '{station}' AND window_channel = '{channel}' \
+             AND window_start_ts >= '{}' AND window_start_ts < '{}' \
+             ORDER BY window_start_ts",
+            day(from),
+            day(to)
+        )
+    };
+    let sensors = [("TRI", "HHE"), ("AQU", "BHZ")];
+    for (from, to) in [(3, 4), (0, 1), (1, 3)] {
+        for (station, channel) in sensors {
+            let r = lazy.query(&t2(station, channel, from, to)).unwrap();
+            assert_eq!(r.dmd.unwrap().missing, 24 * (to - from) as usize);
+        }
+    }
+    let order = lazy.db().row_order("H").unwrap();
+    assert!(order.pk_ordered, "H left out of key order: {order:?}");
+    assert_eq!(lazy.db().table_rows("H").unwrap(), 2 * 4 * 24);
+    let mut queries: Vec<String> = sensors.iter().map(|(s, c)| t2(s, c, 0, 4)).collect();
+    for (station, channel) in sensors {
+        queries.push(format!(
+            "SELECT H.window_start_ts, H.window_max_val, F.network FROM windowview \
+             WHERE F.station = '{station}' AND F.channel = '{channel}' \
+             AND H.window_start_ts >= '{}' AND H.window_start_ts < '{}'",
+            day(1),
+            day(3)
+        ));
+        queries.push(format!(
+            "SELECT AVG(D.sample_value) AS avg, COUNT(*) AS n FROM windowdataview \
+             WHERE F.station = '{station}' AND F.channel = '{channel}' \
+             AND H.window_start_ts >= '{}' AND H.window_start_ts < '{}' \
+             AND H.window_max_val > 0",
+            day(0),
+            day(4)
+        ));
+    }
+    for q in &queries {
+        let (got, want) = (lazy.query(q).unwrap(), eager.query(q).unwrap());
+        assert!(want.relation.rows() > 0, "{q}");
+        let (got, want) = (sorted_rows(&got.relation), sorted_rows(&want.relation));
+        assert_eq!(got.len(), want.len(), "{q}");
+        for (a, b) in got.iter().flatten().zip(want.iter().flatten()) {
+            match (a, b) {
+                (Value::Float(x), Value::Float(y)) => {
+                    assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0), "{q}: {x} vs {y}")
+                }
+                _ => assert_eq!(a, b, "{q}"),
+            }
+        }
+    }
+    assert!(lazy.db().row_order("H").unwrap().pk_ordered);
+}
+
 #[test]
 fn t5_uses_windows_to_prune_chunks() {
     // The point of DMd in the lazy system: a T5 whose window predicate

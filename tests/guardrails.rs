@@ -128,6 +128,13 @@
 //! OS thread that `Session::submit_with` spawned and joined for every
 //! query (`somm-query-s<session>`) was removed.
 //!
+//! A base-table scan takes its table's access path
+//! (`engine::access::scan`): binary searches on the order facts, then
+//! the rest of the predicate on what is left. `scan_base_table`'s
+//! mask-then-copy scan survives only as `exec::scan_masked`, the oracle
+//! of the access paths' tests, and the chunk probe's `run_end` became
+//! `candidates::gallop`.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -255,6 +262,8 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("spawn query control thread", "submits reuse the server's parked control threads"),
     ("somm-query-s", "submits reuse the server's parked control threads"),
     ("fn policy(", "core sets TwoStageConfig::sched's tracer where it attaches obs's"),
+    ("fn scan_base_table", "base-table scans take their access path (engine::access::scan)"),
+    ("fn run_end(", "candidates::gallop finds the end of a sorted run"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.

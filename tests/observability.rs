@@ -280,6 +280,64 @@ fn explain_analyze_renders_spans_passes_and_accounting() {
     assert!(somm.explain(&format!("ANALYZE {t4}")).is_err());
 }
 
+/// EXPLAIN ANALYZE names each stage-1 scan's access path and the rows
+/// it touched: on a T5, `F` is scanned whole, `S` by the key runs of
+/// the surviving files, and `H` by the key runs of their sensor within
+/// a range on its full key (the station and channel carried over from
+/// `F`).
+#[test]
+fn explain_analyze_names_stage1_access_paths() {
+    let dir = TempDir::new("obs-access-paths");
+    let repo = ingv_repo(&dir, 3, 32);
+    let somm = mseed_system(&repo, ObsLevel::Counters, 2);
+    somm.prepare(LoadingMode::Lazy).unwrap();
+    let t5 = "SELECT AVG(D.sample_value) FROM windowdataview \
+              WHERE F.station = 'ISK' AND F.channel = 'BHE' \
+              AND H.window_start_ts >= '2010-01-02T00:00:00.000' \
+              AND H.window_start_ts < '2010-01-03T00:00:00.000' \
+              AND H.window_max_val > -1000000000";
+    // A first run derives the windows; the second reads them.
+    somm.query(t5).unwrap();
+    let text = somm.explain_analyze(t5).unwrap();
+    let (_, spans) = text.split_once("-- spans\n").unwrap();
+    let stage1 = spans.lines().position(|l| l.trim_start().starts_with("stage1 ")).unwrap();
+    let scans: Vec<&str> = spans
+        .lines()
+        .skip(stage1 + 1)
+        .take_while(|l| l.starts_with("    "))
+        .filter(|l| l.trim_start().starts_with("scan "))
+        .collect();
+    let line = |table: &str| {
+        *scans
+            .iter()
+            .find(|l| l.contains(&format!("({table}: ")))
+            .unwrap_or_else(|| panic!("no {table} scan under stage1 in:\n{text}"))
+    };
+    // "<touched> of <rows> rows"
+    let touched = |l: &str| -> (u64, u64) {
+        let (_, tail) = l.rsplit_once(", ").unwrap();
+        let (n, rest) = tail.split_once(" of ").unwrap();
+        (n.parse().unwrap(), rest.split(' ').next().unwrap().parse().unwrap())
+    };
+    let f = line("F");
+    assert!(f.contains("F: full scan, "), "{f}");
+    let (n, total) = touched(f);
+    assert_eq!(n, total, "{f}");
+    let s = line("S");
+    assert!(s.contains("S: key runs of F.file_id, "), "{s}");
+    let (n, total) = touched(s);
+    assert!(0 < n && n < total, "{s}");
+    let h = line("H");
+    assert!(
+        h.contains(
+            "H: key runs of F.station, F.channel + range on PK prefix (3 of 3 cols), "
+        ),
+        "{h}"
+    );
+    let (n, total) = touched(h);
+    assert!(n == 24 && n < total, "{h}");
+}
+
 #[test]
 fn explain_and_explain_analyze_render_one_plan() {
     let dir = TempDir::new("obs-explain-one-plan");

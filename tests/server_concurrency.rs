@@ -302,6 +302,50 @@ fn session_quota_rejects_excess_in_flight_queries() {
     session.submit(ALL_DAYS_T4).unwrap().wait().unwrap();
 }
 
+/// A shutdown whose drain waits on one in-flight query returns as that
+/// query publishes its result, not on the next tick of a poll: over 20
+/// trials the median gap between the query finishing and `shutdown`
+/// returning stays under 0.5 ms.
+#[test]
+fn shutdown_returns_as_the_last_query_finishes() {
+    let _x = exclusive();
+    let dir = TempDir::new("server-drain-wakeup");
+    let repo = fiam_repo(&dir, 2, 32);
+    // One thread: no scheduler workers to join, so the shutdown's own
+    // work after the drain is a few reads.
+    let config =
+        SommelierConfig { fault_plan: Some(FaultPlan::default()), ..server_config(1) };
+    let mut lags: Vec<Duration> = (0..20u32)
+        .map(|trial| {
+            let server = Server::new(Arc::new(mseed_system(&repo, config.clone())));
+            let session = server.open_session(SessionOptions::default());
+            let hold = server.sommelier().fault_injector().unwrap().hold();
+            let handle = session.submit(ALL_DAYS_T4).unwrap();
+            hold.wait_parked(1);
+            let draining = server.clone();
+            let shutdown = std::thread::spawn(move || {
+                let report = draining.shutdown(Duration::from_secs(30));
+                (std::time::Instant::now(), report)
+            });
+            // Let the shutdown reach its drain before the query can end;
+            // the 0.1 ms steps spread the release over a 2 ms poll tick.
+            std::thread::sleep(Duration::from_millis(5) + Duration::from_micros(100) * trial);
+            hold.release();
+            handle.wait().unwrap();
+            let finished = std::time::Instant::now();
+            let (returned, report) = shutdown.join().unwrap();
+            assert_eq!((report.drained, report.cancelled), (1, 0), "{report:?}");
+            returned.saturating_duration_since(finished)
+        })
+        .collect();
+    lags.sort();
+    let median = lags[lags.len() / 2];
+    assert!(
+        median < Duration::from_micros(500),
+        "shutdown returned a median {median:?} after the query finished: {lags:?}"
+    );
+}
+
 /// Drop-order lifecycle: dropping the last `Server` clone (and its
 /// sessions) with queries still mid-flight, mid-retry-backoff, or
 /// mid-prefetch must cancel and drain them — zero pinned chunks and
