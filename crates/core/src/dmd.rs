@@ -35,7 +35,6 @@ use crate::source::{DmdSpec, SourceDescriptor};
 use crate::QueryResult;
 use parking_lot::Mutex;
 use sommelier_engine::eval::eval_scalar;
-use sommelier_engine::sort::sort_relation;
 use sommelier_engine::spec::OutputExpr;
 use sommelier_engine::{CmpOp, Expr, Func, QuerySpec, Relation, TableRef};
 use sommelier_storage::{ColumnData, ConstraintPolicy, Database, Value};
@@ -589,13 +588,11 @@ pub fn ensure_dmd(
     Ok(outcome)
 }
 
-/// Append derivation-result rows to the derived table, sorted by its
-/// primary key: a batch that lands after the table's last key is a
-/// plain append, and one that lands before it is merged into order by
-/// the table ([`Database::append`]), so the derived table stays in key
-/// order whatever order its windows are derived in. The derivation
-/// output is dims, bucket, aggregates — exactly the derived table's
-/// column order (validated at build time).
+/// Append derivation-result rows to the derived table, which keeps
+/// itself in primary-key order whatever order its windows are derived
+/// in ([`Database::append`]). The derivation output is dims, bucket,
+/// aggregates — exactly the derived table's column order (validated at
+/// build time).
 fn insert_derived(
     db: &Database,
     dmd: &DmdSpec,
@@ -605,9 +602,6 @@ fn insert_derived(
     if rel.rows() == 0 {
         return Ok(());
     }
-    let key: Vec<(String, bool)> =
-        db.table_schema(&dmd.table)?.primary_key.into_iter().map(|k| (k, true)).collect();
-    let rel = sort_relation(rel, &key)?;
     let batch: Vec<ColumnData> =
         rel.columns().iter().map(|(_, c)| ColumnData::clone(c)).collect();
     outcome.rows_inserted += rel.rows() as u64;

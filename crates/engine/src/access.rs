@@ -12,22 +12,23 @@
 //!   conjuncts an order answers, evaluates the other conjuncts on the
 //!   remaining rows only, and copies only the rows it keeps, whose
 //!   provenance is their row ids;
-//! - [`key_run_join`] replaces a hash join whose build side is such a
-//!   scan, keyed on columns its order follows: it binary-searches one
-//!   run of build rows per distinct probe key instead of hashing the
-//!   table, evaluates the scan's predicate on those runs only, and
-//!   compares any other key pairs once per run.
+//! - [`join_scan`] answers a hash join whose build side is such a
+//!   scan. When the scan's order follows every join key, it
+//!   binary-searches one run of build rows per distinct probe key
+//!   instead of hashing the table, and evaluates the scan's predicate
+//!   on those runs only; otherwise it hash-joins the scan's rows.
 //!
 //! A table without facts is one range over every row, through the same
 //! code.
 
-use crate::candidates::{bounds_within, cmp_key, gallop, push_range, Candidates, Key};
+use crate::candidates::{bounds_within, cmp_key, gallop, push_range, Candidates};
 use crate::error::{EngineError, Result};
 use crate::eval::eval_column;
 use crate::expr::{CmpOp, Expr};
 use crate::join::hash_join;
 use crate::relation::Relation;
 use sommelier_storage::index::key_run_end;
+use sommelier_storage::order::SortKey;
 use sommelier_storage::{ColumnData, Database};
 use std::borrow::Cow;
 use std::fmt;
@@ -92,9 +93,13 @@ impl fmt::Display for Access<'_> {
 }
 
 /// `table`'s scan columns (qualified `table.column`), shared with
-/// storage, as candidates carrying the table's order facts; plus the
-/// key length.
-fn open(db: &Database, table: &str, columns: &[String]) -> Result<(Candidates, usize)> {
+/// storage, as candidates carrying the table's order facts; and the
+/// access they start, over every row.
+fn open<'a>(
+    db: &Database,
+    table: &'a str,
+    columns: &'a [String],
+) -> Result<(Candidates, Access<'a>)> {
     let prefix = format!("{table}.");
     let raw: Vec<&str> = columns
         .iter()
@@ -109,7 +114,33 @@ fn open(db: &Database, table: &str, columns: &[String]) -> Result<(Candidates, u
     for (i, _) in scan.non_decreasing.iter().enumerate().filter(|(_, &nd)| nd) {
         rel.mark_sorted(i)?;
     }
-    Ok((Candidates::ordered(rel, scan.pk_prefix), scan.pk_len))
+    let rows = rel.rows();
+    let access = Access {
+        table,
+        columns,
+        keys: &[],
+        runs: 0,
+        prefix: 0,
+        pk_len: scan.pk_len,
+        sorted: 0,
+        touched: rows,
+        rows,
+    };
+    Ok((Candidates::ordered(rel, scan.pk_prefix), access))
+}
+
+/// Keep the candidates `predicate` holds on: binary searches for the
+/// conjuncts the table's order answers, row-wise evaluation of the
+/// rest on the rows left. Records both in `access`.
+fn filter(
+    cands: &mut Candidates,
+    predicate: Option<&Expr>,
+    access: &mut Access,
+) -> Result<()> {
+    let narrowed = predicate.map(|p| cands.narrow(p)).unwrap_or_default();
+    (access.prefix, access.sorted) = (narrowed.prefix, narrowed.sorted);
+    access.touched = cands.rows();
+    cands.keep(&narrowed.residual)
 }
 
 /// The selected rows, copied, with their row ids as provenance.
@@ -128,38 +159,21 @@ pub(crate) fn scan<'a>(
     columns: &'a [String],
     predicate: Option<&Expr>,
 ) -> Result<(Relation, Access<'a>)> {
-    let (mut cands, pk_len) = open(db, table, columns)?;
-    let rows = cands.relation().rows();
-    let narrowed = predicate.map(|p| cands.narrow(p)).unwrap_or_default();
-    let touched = cands.rows();
-    cands.keep(&narrowed.residual)?;
-    let access = Access {
-        table,
-        columns,
-        keys: &[],
-        runs: 0,
-        prefix: narrowed.prefix,
-        pk_len,
-        sorted: narrowed.sorted,
-        touched,
-        rows,
-    };
+    let (mut cands, mut access) = open(db, table, columns)?;
+    filter(&mut cands, predicate, &mut access)?;
     Ok((gather(&cands, table), access))
 }
 
 /// The equi-join `left ⋈ scan(table)` on `left_keys = right_keys`,
-/// answered by key runs when some right keys are plain scan columns
-/// that the table's order follows ([`run_columns`]). Each run of equal
-/// left keys binary-searches its run of right rows; the scan's
-/// predicate is evaluated on those runs only, and the other key pairs
-/// are compared once per run and kept right row, with the hash join's
-/// equality. `None` when no right key qualifies; the caller
-/// hash-joins.
+/// opening the table once. When its order follows every right key
+/// ([`run_columns`]), each run of equal left keys binary-searches its
+/// run of right rows and the scan's predicate is evaluated on those
+/// runs only; otherwise the [`scan`]'s rows are hash-joined.
 ///
-/// The output equals [`crate::join::hash_join`] of `left` with the
-/// scan, row order included: left rows in order, each followed by its
-/// matching right rows ascending.
-pub(crate) fn key_run_join<'a>(
+/// Either way the output equals [`hash_join`] of `left` with the
+/// [`scan`], row order included: left rows in order, each followed by
+/// its matching right rows ascending.
+pub(crate) fn join_scan<'a>(
     db: &Database,
     left: &Relation,
     table: &'a str,
@@ -167,26 +181,15 @@ pub(crate) fn key_run_join<'a>(
     predicate: Option<&Expr>,
     left_keys: &'a [Expr],
     right_keys: &[Expr],
-) -> Result<Option<(Relation, Access<'a>)>> {
-    if left_keys.len() != right_keys.len() || right_keys.is_empty() {
-        return Ok(None);
-    }
-    let (mut cands, pk_len) = open(db, table, columns)?;
+) -> Result<(Relation, Access<'a>)> {
+    let (mut cands, mut access) = open(db, table, columns)?;
     let Some(run_keys) = run_columns(&cands, left, left_keys, right_keys)? else {
-        return Ok(None);
+        filter(&mut cands, predicate, &mut access)?;
+        let right = gather(&cands, table);
+        return Ok((hash_join(left, &right, left_keys, right_keys)?, access));
     };
     let rel = cands.relation();
-    // The key pairs the runs do not follow are compared per right row,
-    // once per run of equal left keys.
-    let extra: Vec<usize> =
-        (0..right_keys.len()).filter(|&k| run_keys.iter().all(|(_, r)| r.key != k)).collect();
-    let extra_left = extra
-        .iter()
-        .map(|&k| eval_column(&left_keys[k], left))
-        .collect::<Result<Vec<_>>>()?;
     let key_cols: Vec<&ColumnData> = run_keys.iter().map(|(_, k)| k.left.as_ref()).collect();
-    let all_cols: Vec<&ColumnData> =
-        key_cols.iter().copied().chain(extra_left.iter().map(|c| c.as_ref())).collect();
     // One run of right rows per run of equal left keys. Ascending left
     // keys (the usual case: both sides in key order) gallop on from the
     // previous run, so the walk stays local.
@@ -195,8 +198,8 @@ pub(crate) fn key_run_join<'a>(
     let mut runs: Vec<(Range<usize>, Range<usize>)> = Vec::new();
     let (mut start, mut from, mut prev) = (0, 0, None);
     while start < n {
-        let end = key_run_end(&all_cols, start, n);
-        let key = Key::at(key_cols[0], start);
+        let end = key_run_end(&key_cols, start, n);
+        let key = SortKey::at(key_cols[0], start);
         if prev.is_none_or(|p| key < p) {
             from = 0;
         }
@@ -204,7 +207,7 @@ pub(crate) fn key_run_join<'a>(
         let mut r = lt..gallop(lt..rows, |i| cmp_key(lead, i, key).is_le());
         (from, prev) = (lt, Some(key));
         for ((o, _), col) in run_keys.iter().zip(&key_cols).skip(1) {
-            r = bounds_within(rel.column_at(*o), r, CmpOp::Eq, Key::at(col, start));
+            r = bounds_within(rel.column_at(*o), r, CmpOp::Eq, SortKey::at(col, start));
         }
         runs.push((start..end, r));
         start = end;
@@ -219,60 +222,21 @@ pub(crate) fn key_run_join<'a>(
         push_range(&mut merged, r);
     }
     cands.set_ranges(merged);
-    let narrowed = predicate.map(|p| cands.narrow(p)).unwrap_or_default();
-    let touched = cands.rows();
-    cands.keep(&narrowed.residual)?;
-    let access = Access {
-        table,
-        columns,
-        keys: left_keys,
-        runs: run_keys.iter().fold(0, |bits, (_, k)| bits | 1 << k.key.min(63)),
-        prefix: narrowed.prefix,
-        pk_len,
-        sorted: narrowed.sorted,
-        touched,
-        rows,
-    };
-    // The right values of the other key pairs, over the kept rows.
-    let extra_right =
-        extra.iter().map(|&k| cands.column(&right_keys[k])).collect::<Result<Vec<_>>>()?;
+    access.keys = left_keys;
+    access.runs = run_keys.iter().fold(0, |bits, (_, k)| bits | 1 << k.key.min(63));
+    filter(&mut cands, predicate, &mut access)?;
+    // Pair each left run with the kept rows of its right run, as the
+    // hash join's probe does: `left_idx` stays `None` while every left
+    // row so far matched exactly one right row.
     let kept = cands.ranges();
-    let compares: usize = runs.iter().map(|(_, r)| overlap(kept, r)).sum();
-    if !extra.is_empty() && compares > 8 * (n + cands.rows()) {
-        // Comparing run by run would cost more than hashing the kept
-        // rows (rows outside the runs match no left key anyway).
-        let right = gather(&cands, table);
-        return Ok(Some((hash_join(left, &right, left_keys, right_keys)?, access)));
-    }
-    // Pair each left run with the kept rows of its right run that match
-    // its other keys, as the hash join's probe does: `left_idx` stays
-    // `None` while every left row so far matched exactly one right row.
     let mut left_idx: Option<Vec<u32>> = None;
     let mut right_idx: Vec<u32> = Vec::new();
-    // Where each kept range starts among the kept rows.
-    let base: Vec<usize> = kept
-        .iter()
-        .scan(0, |seen, k| {
-            *seen += k.len();
-            Some(*seen - k.len())
-        })
-        .collect();
     let mut hits = Vec::new();
     for (l, r) in &runs {
         hits.clear();
         let first = kept.partition_point(|k| k.end <= r.start);
-        for (j, k) in kept.iter().enumerate().skip(first).take_while(|(_, k)| k.start < r.end)
-        {
-            for row in k.start.max(r.start)..k.end.min(r.end) {
-                let at = base[j] + row - k.start;
-                let matches = extra_left
-                    .iter()
-                    .zip(&extra_right)
-                    .all(|(a, b)| same_key(a, l.start, b, at));
-                if matches {
-                    hits.push(row as u32);
-                }
-            }
+        for k in kept[first..].iter().take_while(|k| k.start < r.end) {
+            hits.extend(k.start.max(r.start) as u32..k.end.min(r.end) as u32);
         }
         if left_idx.is_none() && hits.len() != 1 {
             left_idx = Some((0..l.start as u32).collect());
@@ -292,17 +256,7 @@ pub(crate) fn key_run_join<'a>(
         Some(idx) => left.take(idx),
         None => left.clone(),
     };
-    Ok(Some((out.hconcat(&right.take(&right_idx))?, access)))
-}
-
-/// Rows of `r` inside the ascending, disjoint `kept` ranges.
-fn overlap(kept: &[Range<usize>], r: &Range<usize>) -> usize {
-    let first = kept.partition_point(|k| k.end <= r.start);
-    kept[first..]
-        .iter()
-        .take_while(|k| k.start < r.end)
-        .map(|k| k.end.min(r.end) - k.start.max(r.start))
-        .sum()
+    Ok((out.hconcat(&right.take(&right_idx))?, access))
 }
 
 /// One key pair the runs follow: the right column's position in the
@@ -312,18 +266,21 @@ struct RunKey<'l> {
     left: Cow<'l, ColumnData>,
 }
 
-/// The right keys the runs follow, in order — the longest prefix of the
-/// scan's key order whose every column is a right key, or else one
-/// right key column that never decreases — each with the left key's
-/// values. A left key of another type family than its column's
-/// (integers and timestamps, or text) does not qualify. `None` when no
-/// right key does.
+/// The key pairs when the table's order follows every right key, in
+/// the order the runs take them — the key prefix the scan reads, or
+/// one right key column that never decreases — each with the left
+/// key's values. `None` when some right key is computed or outside
+/// that order, or a left key is of another type family than its
+/// column (integers and timestamps, or text): the caller hash-joins.
 fn run_columns<'l>(
     cands: &Candidates,
     left: &'l Relation,
     left_keys: &[Expr],
     right_keys: &[Expr],
 ) -> Result<Option<Vec<(usize, RunKey<'l>)>>> {
+    if left_keys.len() != right_keys.len() || right_keys.is_empty() {
+        return Ok(None);
+    }
     let rel = cands.relation();
     let plain: Vec<Option<usize>> = right_keys
         .iter()
@@ -359,24 +316,7 @@ fn run_columns<'l>(
             }
         }
     }
-    Ok((!runs.is_empty()).then_some(runs))
-}
-
-/// Key equality as the hash join decides it: integers and timestamps by
-/// value, floats by their bits (never a NaN), text by content; keys of
-/// different type families never match.
-fn same_key(a: &ColumnData, i: usize, b: &ColumnData, j: usize) -> bool {
-    match (a, b) {
-        (
-            ColumnData::Int64(x) | ColumnData::Timestamp(x),
-            ColumnData::Int64(y) | ColumnData::Timestamp(y),
-        ) => x[i] == y[j],
-        (ColumnData::Float64(x), ColumnData::Float64(y)) => {
-            x[i] == y[j] && x[i].to_bits() == y[j].to_bits()
-        }
-        (ColumnData::Text(x), ColumnData::Text(y)) => x.get(i) == y.get(j),
-        _ => false,
-    }
+    Ok((runs.len() == right_keys.len()).then_some(runs))
 }
 
 #[cfg(test)]
@@ -589,12 +529,12 @@ mod tests {
         );
     }
 
-    /// A probe side for a key-run join against `table`: 0-30 rows in
-    /// runs of equal keys, or 300 in runs of one (keys repeating,
-    /// interleaving, absent from the table), and the key pairs. The
-    /// keys are the key prefix in any order, the non-decreasing column,
-    /// or shapes no run can follow (a float key, a computed key, a
-    /// column outside the order), sometimes with one more pair.
+    /// A probe side for a join against `table`: 0-30 rows in runs of
+    /// equal keys, or 300 in runs of one (keys repeating, interleaving,
+    /// absent from the table), and the key pairs. The keys are the key
+    /// prefix in any order, the non-decreasing column, or shapes no run
+    /// can follow (a float key, a computed key, a column outside the
+    /// order), sometimes with one more pair.
     fn probe(rng: &mut Rng, db: &Database, table: &str) -> (Relation, Vec<Expr>, Vec<Expr>) {
         let shapes: &[&[&str]] = if table == "W" {
             &[
@@ -610,8 +550,7 @@ mod tests {
             &[&["seg"], &["file"], &["ts"], &["station"], &["file", "seg"]]
         };
         let shape = rng.pick(shapes);
-        // Sometimes many short runs: comparing the other key pairs run
-        // by run then costs more than hashing, and the join hashes.
+        // Sometimes many short runs, each its own binary search.
         let (n, run) = match rng.below(8) {
             0 => (0, 1),
             1 => (300, 1),
@@ -662,8 +601,9 @@ mod tests {
         }
         let mut right_keys: Vec<Expr> =
             shape.iter().map(|c| Expr::col(format!("{table}.{c}"))).collect();
-        // Sometimes a key pair no run answers, compared run by run: a
-        // day bucket, a float (±0, NaN), a key column outside the runs,
+        // Sometimes one more pair, which the runs follow (the next key
+        // column) or which sends the join to the hash join: a day
+        // bucket, a float (±0, NaN), a key column outside the order,
         // integers against floats (which never match).
         let day = |e: Expr| Expr::Call(crate::expr::Func::DayBucket, vec![e]);
         let (right, dtype, column) = match rng.below(7) {
@@ -697,12 +637,13 @@ mod tests {
         (left, left_keys, right_keys)
     }
 
-    /// The range scan equals the mask-then-copy scan, and the key-run
-    /// join equals the hash join over it, in rows, row order and
-    /// provenance, on generated metadata tables and predicates.
+    /// The range scan equals the mask-then-copy scan, and the join with
+    /// a scan (by key runs or hashed) equals the hash join over it, in
+    /// rows, row order and provenance, on generated metadata tables and
+    /// predicates.
     #[test]
     fn access_paths_match_the_mask_oracle() {
-        let (mut ranged, mut by_runs, mut empty, mut one_row) = (0, 0, 0, 0);
+        let (mut ranged, mut by_runs, mut hashed, mut empty, mut one_row) = (0, 0, 0, 0, 0);
         for seed in 1..=1500u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
             let db = Database::in_memory(BufferPoolConfig::default());
@@ -744,7 +685,7 @@ mod tests {
             // The scan's own predicate on a third of the joins (it
             // keeps few rows).
             let pred = pred.filter(|_| rng.one_in(3));
-            let joined = key_run_join(
+            let (got, access) = join_scan(
                 &db,
                 &left,
                 &table,
@@ -754,16 +695,19 @@ mod tests {
                 &right_keys,
             )
             .unwrap();
-            if let Some((got, _)) = joined {
-                let right = scan_masked(&db, &table, &all_columns, pred.as_ref()).unwrap();
-                let want = hash_join(&left, &right, &left_keys, &right_keys).unwrap();
-                assert_same(&got, &want, &what);
+            let right = scan_masked(&db, &table, &all_columns, pred.as_ref()).unwrap();
+            let want = hash_join(&left, &right, &left_keys, &right_keys).unwrap();
+            assert_same(&got, &want, &what);
+            if access.runs != 0 {
                 by_runs += 1;
+            } else {
+                hashed += 1;
             }
         }
         assert!(empty > 0 && one_row > 0, "{empty} empty, {one_row} one-row tables");
         assert!(ranged > 300, "only {ranged} scans narrowed by binary search");
         assert!(by_runs > 300, "only {by_runs} joins by key runs");
+        assert!(hashed > 300, "only {hashed} joins hashed");
     }
 
     #[test]

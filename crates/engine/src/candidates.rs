@@ -28,6 +28,7 @@ use crate::error::Result;
 use crate::eval::{eval_column, eval_mask, eval_scalar};
 use crate::expr::{CmpOp, Expr};
 use crate::relation::Relation;
+use sommelier_storage::order::{self, SortKey};
 use sommelier_storage::{ColumnData, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -161,7 +162,7 @@ impl Candidates {
         let mut out = Narrowed { residual: pred.conjuncts(), ..Narrowed::default() };
         // Prefix bounds, in key order: a column's own bounds apply
         // where the columns before it are fixed.
-        let mut steps: Vec<(usize, CmpOp, Key<'e>)> = Vec::new();
+        let mut steps: Vec<(usize, CmpOp, SortKey<'e>)> = Vec::new();
         for &col in &self.order {
             let before = steps.len();
             out.residual.retain(|c| match self.bound_of(c) {
@@ -242,10 +243,10 @@ impl Candidates {
     /// column of the relation with a literal that coerces to the
     /// column's type. Float columns have no total order and never
     /// qualify.
-    fn bound_of<'e>(&self, conjunct: &'e Expr) -> Option<(usize, CmpOp, Key<'e>)> {
+    fn bound_of<'e>(&self, conjunct: &'e Expr) -> Option<(usize, CmpOp, SortKey<'e>)> {
         let (name, op, lit) = conjunct.as_range()?;
         let i = self.rel.resolve(name).ok()?;
-        Some((i, op, Key::of(self.rel.column_at(i), lit)?))
+        Some((i, op, literal_key(self.rel.column_at(i), lit)?))
     }
 
     /// Intersect every range with `b`.
@@ -311,45 +312,24 @@ impl Candidates {
     }
 }
 
-/// A literal as a bound on an ordered column: an integer or timestamp
-/// value, or text compared by content.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub(crate) enum Key<'v> {
-    Int(i64),
-    Text(&'v str),
-}
-
-impl<'v> Key<'v> {
-    /// `lit` as a key of `col`'s type, coerced as the row-wise
-    /// comparison coerces it; `None` for float columns and literals
-    /// the comparison would reject.
-    pub(crate) fn of(col: &ColumnData, lit: &'v Value) -> Option<Key<'v>> {
-        match col {
-            ColumnData::Int64(_) | ColumnData::Timestamp(_) => {
-                Some(Key::Int(lit.coerce_to(col.data_type()).ok()?.as_i64().ok()?))
-            }
-            ColumnData::Text(_) => Some(Key::Text(lit.as_str().ok()?)),
-            ColumnData::Float64(_) => None,
+/// `lit` as a bound on `col`, coerced as the row-wise comparison
+/// coerces it: an integer or timestamp value, or text. `None` for float
+/// columns (no total order) and literals the comparison would reject.
+fn literal_key<'v>(col: &ColumnData, lit: &'v Value) -> Option<SortKey<'v>> {
+    match col {
+        ColumnData::Int64(_) | ColumnData::Timestamp(_) => {
+            Some(SortKey::Int(lit.coerce_to(col.data_type()).ok()?.as_i64().ok()?))
         }
-    }
-
-    /// Row `i` of an integer, timestamp or text column, as a key.
-    pub(crate) fn at(col: &'v ColumnData, i: usize) -> Key<'v> {
-        match col {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => Key::Int(v[i]),
-            ColumnData::Text(t) => Key::Text(t.get(i)),
-            ColumnData::Float64(_) => unreachable!("float columns have no key order"),
-        }
+        ColumnData::Text(_) => Some(SortKey::Text(lit.as_str().ok()?)),
+        ColumnData::Float64(_) => None,
     }
 }
 
-/// How row `i` of `col` compares with `key` (of the column's type).
-pub(crate) fn cmp_key(col: &ColumnData, i: usize, key: Key) -> Ordering {
-    match (col, key) {
-        (ColumnData::Int64(v) | ColumnData::Timestamp(v), Key::Int(x)) => v[i].cmp(&x),
-        (ColumnData::Text(t), Key::Text(s)) => t.get(i).cmp(s),
-        _ => unreachable!("a key has its column's type"),
-    }
+/// How row `i` of `col` compares with `key`, in the row order storage
+/// keeps ([`order::cmp_key`]); `key` is an integer or text of the
+/// column's type family.
+pub(crate) fn cmp_key(col: &ColumnData, i: usize, key: SortKey) -> Ordering {
+    order::cmp_key(col, i, key).expect("an integer or text key of the column's family")
 }
 
 /// The first row in `r` where `pred` fails, given that it holds on a
@@ -390,7 +370,7 @@ pub(crate) fn bounds_within(
     col: &ColumnData,
     r: Range<usize>,
     op: CmpOp,
-    key: Key,
+    key: SortKey,
 ) -> Range<usize> {
     let lt = partition(r.clone(), |i| cmp_key(col, i, key).is_lt());
     let le = gallop(lt..r.end, |i| cmp_key(col, i, key).is_le());

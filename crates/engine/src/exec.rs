@@ -46,7 +46,8 @@ impl<'a> ExecContext<'a> {
         ExecContext { db, materialized: Vec::new(), tracer: None }
     }
 
-    /// Run one base-table access and record its `scan` span.
+    /// Run one base-table access (a scan, or a join whose build side is
+    /// one) and record its `scan` span.
     fn access<'p>(
         &self,
         run: impl FnOnce() -> Result<(Relation, Access<'p>)>,
@@ -234,24 +235,12 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Relation> {
             // A build side that is a base-table scan is joined by key
             // runs when its order allows, and hash-joined otherwise.
             if let PhysicalPlan::SeqScan { table, columns, predicate } = &**right {
-                let predicate = predicate.as_ref();
-                let mut by_runs = false;
-                let rel = ctx.access(|| {
-                    match access::key_run_join(
+                return ctx.access(|| {
+                    let predicate = predicate.as_ref();
+                    access::join_scan(
                         ctx.db, &l, table, columns, predicate, left_keys, right_keys,
-                    )? {
-                        Some(joined) => {
-                            by_runs = true;
-                            Ok(joined)
-                        }
-                        None => access::scan(ctx.db, table, columns, predicate),
-                    }
-                })?;
-                return if by_runs {
-                    Ok(rel)
-                } else {
-                    hash_join(&l, &rel, left_keys, right_keys)
-                };
+                    )
+                });
             }
             let r = execute(right, ctx)?;
             hash_join(&l, &r, left_keys, right_keys)

@@ -185,22 +185,33 @@ impl ServerShared {
 
     /// Wait until every registered query finished or `deadline` passes,
     /// on each unfinished query's completion condvar in turn, so the
-    /// drain returns as the last one publishes. Returns the number
-    /// still unfinished.
+    /// drain returns as the last one publishes. The list is read again
+    /// after each round: a submit that passed the shutdown check just
+    /// before it was set registers late and is waited on too. Returns
+    /// the number still unfinished.
     fn drain_until(&self, deadline: std::time::Instant) -> usize {
-        let running: Vec<Arc<HandleState>> = {
-            let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            v.iter().filter_map(|(st, _)| st.upgrade()).collect()
-        };
-        for state in running {
-            let guard = state.result.lock().unwrap_or_else(|e| e.into_inner());
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            let _ = state
-                .cv
-                .wait_timeout_while(guard, left, |_| !state.finished.load(Ordering::Acquire))
-                .unwrap_or_else(|e| e.into_inner());
+        loop {
+            let running: Vec<Arc<HandleState>> = {
+                let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+                v.iter()
+                    .filter_map(|(st, _)| st.upgrade())
+                    .filter(|st| !st.finished.load(Ordering::Acquire))
+                    .collect()
+            };
+            if running.is_empty() || std::time::Instant::now() >= deadline {
+                return running.len();
+            }
+            for state in running {
+                let guard = state.result.lock().unwrap_or_else(|e| e.into_inner());
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                let _ = state
+                    .cv
+                    .wait_timeout_while(guard, left, |_| {
+                        !state.finished.load(Ordering::Acquire)
+                    })
+                    .unwrap_or_else(|e| e.into_inner());
+            }
         }
-        self.unfinished_inflight()
     }
 }
 
@@ -784,6 +795,46 @@ mod tests {
         }
         assert_eq!(server.shared.unfinished_inflight(), 0);
         assert_eq!(session.in_flight(), 0);
+    }
+
+    /// A query that registers while the drain waits on another is
+    /// waited on too: the drain reads the in-flight list again after
+    /// each round.
+    #[test]
+    fn drain_waits_for_a_query_registered_during_the_drain() {
+        let server = test_server("late");
+        let shared = Arc::clone(&server.shared);
+        let state = || {
+            Arc::new(HandleState {
+                result: Mutex::new(None),
+                cv: Condvar::new(),
+                finished: AtomicBool::new(false),
+            })
+        };
+        let finish = |st: &HandleState| {
+            let guard = st.result.lock().unwrap();
+            st.finished.store(true, Ordering::Release);
+            drop(guard);
+            st.cv.notify_all();
+        };
+        let (first, late) = (state(), state());
+        shared.register_inflight(&first, &CancelToken::new());
+        let drain = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                shared.drain_until(std::time::Instant::now() + Duration::from_secs(10))
+            })
+        };
+        // The drain is waiting on `first` when `late` registers. (The
+        // sleep only gives it time to get there: a drain that has not
+        // yet read the list finds both states, and passes either way.)
+        std::thread::sleep(Duration::from_millis(20));
+        shared.register_inflight(&late, &CancelToken::new());
+        finish(&first);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!drain.is_finished(), "the drain returned with a query running");
+        finish(&late);
+        assert_eq!(drain.join().unwrap(), 0);
     }
 
     #[test]

@@ -90,6 +90,40 @@ impl ColumnFile {
         total
     }
 
+    /// Flush the column's files (data and dictionary) to the device.
+    pub fn sync_all(&self) -> Result<()> {
+        let mut paths = vec![self.path.clone()];
+        if self.dict.is_some() {
+            paths.push(dict_path(&self.path));
+        }
+        for p in paths {
+            File::open(&p)
+                .and_then(|f| f.sync_all())
+                .map_err(|e| StorageError::io(format!("syncing {}", p.display()), e))?;
+        }
+        Ok(())
+    }
+
+    /// Move this column's files over those of the column at `path`,
+    /// replacing them (the dictionary first, then the data file); the
+    /// handle then names `path`.
+    pub fn rename_over(&mut self, path: &Path) -> Result<()> {
+        let rename = |from: &Path, to: &Path| {
+            std::fs::rename(from, to).map_err(|e| {
+                StorageError::io(
+                    format!("renaming {} to {}", from.display(), to.display()),
+                    e,
+                )
+            })
+        };
+        if self.dict.is_some() {
+            rename(&dict_path(&self.path), &dict_path(path))?;
+        }
+        rename(&self.path, path)?;
+        self.path = path.to_path_buf();
+        Ok(())
+    }
+
     /// Append a column vector. The caller must invalidate the buffer
     /// pool for this file afterwards (see [`crate::db::Database`]).
     pub fn append(&mut self, data: &ColumnData) -> Result<()> {

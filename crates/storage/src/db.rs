@@ -13,6 +13,7 @@ use crate::index::{HashIndex, JoinIndex};
 use crate::schema::{TableClass, TableSchema};
 use crate::table::{RowOrder, Table};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -236,7 +237,10 @@ impl Database {
         Ok(state.table.rows())
     }
 
-    /// Append a batch, verifying constraints per `policy`.
+    /// Append a batch, verifying constraints per `policy`. A derived
+    /// table stays in primary-key order by construction: its batch is
+    /// sorted by the key first, and one that lands before the table's
+    /// last key is merged into the stored rows.
     pub fn append(
         &self,
         name: &str,
@@ -245,14 +249,16 @@ impl Database {
     ) -> Result<usize> {
         let mut inner = self.inner.write();
         let inner = &mut *inner;
-        // Primary-key verification: maintain the PK index incrementally.
-        let schema = inner
+        let table = &inner
             .tables
             .get(name)
             .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?
-            .table
-            .schema()
-            .clone();
+            .table;
+        let schema = table.schema().clone();
+        let derived = schema.class == TableClass::MetadataDerived;
+        let sorted = if derived { table.in_pk_order(cols) } else { Cow::Borrowed(cols) };
+        let cols = &*sorted;
+        // Primary-key verification: maintain the PK index incrementally.
         if policy.verify_pk && !schema.primary_key.is_empty() {
             Self::ensure_pk_built(&self.pool, inner, name)?;
             let pk_col_idxs: Vec<usize> = schema
@@ -308,13 +314,12 @@ impl Database {
         }
         let state = inner.tables.get_mut(name).expect("checked above");
         let was_persistent = state.table.is_persistent();
-        // A derived table stays in primary-key order by construction: a
-        // batch that lands before its last key is merged into the rows,
-        // which moves them, so the PK index is rebuilt on next use.
-        // (No foreign key references a derived table, so no join index
-        // holds its row positions.)
-        let merge = schema.class == TableClass::MetadataDerived
-            && !schema.primary_key.is_empty()
+        // A merge moves the stored rows, so the PK index is rebuilt on
+        // next use. (No foreign key references a derived table, so no
+        // join index holds its row positions.) A table out of order
+        // already (a NaN key) appends: merging could not order it.
+        let merge = derived
+            && state.table.order().pk_ordered
             && !state.table.order_after(cols).pk_ordered;
         let n = if merge {
             state.pk = None;

@@ -26,6 +26,8 @@
 //! * [`schema`] / [`catalog`] / [`table`] / [`db`] — table metadata, the
 //!   persisted catalog, and the database façade.
 //! * [`index`] — PK hash indices and FK join indices.
+//! * [`order`] — the primary-key row order metadata tables keep, and
+//!   the comparisons readers binary-search it with.
 
 pub mod buffer;
 pub mod catalog;
@@ -34,6 +36,7 @@ pub mod column;
 pub mod db;
 pub mod error;
 pub mod index;
+pub mod order;
 pub mod page;
 pub mod schema;
 pub mod table;

@@ -3,11 +3,14 @@
 
 use crate::buffer::BufferPool;
 use crate::colfile::ColumnFile;
-use crate::column::ColumnData;
+use crate::column::{ColumnData, TextColumn};
 use crate::error::{Result, StorageError};
+use crate::order::{cmp_rows, is_sorted, sort_permutation};
 use crate::schema::TableSchema;
-use crate::value::{DataType, Value};
+use crate::value::DataType;
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -46,9 +49,9 @@ pub struct Table {
     rows: u64,
     /// Order facts (metadata tables only).
     order: RowOrder,
-    /// The last row, for the next append's boundary compare (metadata
-    /// tables only; empty while the table is).
-    tail: Vec<Value>,
+    /// The last row, one-row columns for the next append's boundary
+    /// compare (metadata tables only; empty while the table is).
+    tail: Vec<ColumnData>,
 }
 
 impl Table {
@@ -167,20 +170,20 @@ impl Table {
         let tail = (!self.tail.is_empty()).then_some(self.tail.as_slice());
         for (i, col) in cols.iter().enumerate() {
             if order.non_decreasing[i] {
-                let v = col.as_i64().expect("only integer columns are tracked");
-                order.non_decreasing[i] = v.windows(2).all(|w| w[0] <= w[1])
-                    && tail.is_none_or(|t| t[i].as_i64().is_ok_and(|last| last <= v[0]));
+                let after_tail = tail.is_none_or(|t| {
+                    cmp_rows(&[&t[i]], 0, &[col], 0).is_some_and(Ordering::is_le)
+                });
+                order.non_decreasing[i] = after_tail && is_sorted(&[col]);
             }
         }
         if order.pk_ordered {
             let pk = self.pk_positions();
             let key: Vec<&ColumnData> = pk.iter().map(|&i| &cols[i]).collect();
-            order.pk_ordered = (1..n)
-                .all(|r| key_cmp(&key, r - 1, r).is_some_and(Ordering::is_le))
-                && tail.is_none_or(|t| {
-                    let first = pk.iter().map(|&i| (&t[i], cols[i].get(0)));
-                    tuple_cmp(first).is_some_and(Ordering::is_le)
-                });
+            let after_tail = tail.is_none_or(|t| {
+                let last: Vec<&ColumnData> = pk.iter().map(|&i| &t[i]).collect();
+                cmp_rows(&last, 0, &key, 0).is_some_and(Ordering::is_le)
+            });
+            order.pk_ordered = after_tail && is_sorted(&key);
         }
         order
     }
@@ -260,11 +263,23 @@ impl Table {
         Ok(n)
     }
 
+    /// The rows of `cols` (a batch for this table) in primary-key
+    /// order, stably; borrowed when they already are.
+    pub fn in_pk_order<'c>(&self, cols: &'c [ColumnData]) -> Cow<'c, [ColumnData]> {
+        let key: Vec<&ColumnData> = self.pk_positions().iter().map(|&i| &cols[i]).collect();
+        if is_sorted(&key) {
+            return Cow::Borrowed(cols);
+        }
+        let perm = sort_permutation(&key);
+        Cow::Owned(cols.iter().map(|c| c.take(&perm)).collect())
+    }
+
     /// Append a batch and put every row in primary-key order: the
-    /// stored rows and the batch are merged (stably) and the table is
-    /// rewritten (a persistent table's files in place, their pooled
-    /// pages dropped). For a batch that lands before the table's last
-    /// key; the caller drops whatever index holds row positions.
+    /// stored rows and the batch are sorted together (stably, stored
+    /// rows first) and the table is rewritten, a persistent table's
+    /// files all or none. For a batch that lands before the table's
+    /// last key; the caller drops whatever index holds row positions.
+    /// On an error the table is unchanged.
     pub fn merge_in_pk_order(
         &mut self,
         pool: &BufferPool,
@@ -275,27 +290,12 @@ impl Table {
         for (a, c) in all.iter_mut().zip(cols) {
             a.append(c)?;
         }
-        let pk = self.pk_positions();
-        let key: Vec<&ColumnData> = pk.iter().map(|&i| &all[i]).collect();
-        let mut perm: Vec<u32> = (0..all.first().map_or(0, ColumnData::len) as u32).collect();
-        perm.sort_by(|&a, &b| {
-            key_cmp(&key, a as usize, b as usize).unwrap_or(Ordering::Equal)
-        });
-        let sorted: Vec<ColumnData> = all.iter().map(|c| c.take(&perm)).collect();
+        let sorted = self.in_pk_order(&all).into_owned();
         match &mut self.store {
             TableStore::Resident(existing) => {
                 *existing = sorted.iter().cloned().map(Arc::new).collect();
             }
-            TableStore::Persistent(files) => {
-                for (f, c) in files.iter_mut().zip(&sorted) {
-                    *f = ColumnFile::create(f.path(), f.data_type())?;
-                    f.append(c)?;
-                    // The pool's pages of the file hold the old rows.
-                    if let Some(fid) = pool.disk().forget(f.path()) {
-                        pool.invalidate_file(fid);
-                    }
-                }
-            }
+            TableStore::Persistent(files) => rewrite_files(files, &sorted, pool)?,
         }
         self.describe(&sorted);
         Ok(n)
@@ -343,6 +343,57 @@ impl Table {
     }
 }
 
+/// Replace the rows of a table's column files with `cols`, all or
+/// none: every column is written in full to a file of the same name in
+/// the scratch directory `.merge` of the table's directory and synced,
+/// and only then is each renamed over its original (its dictionary
+/// first) and the pool's pages of the old file dropped; the table's
+/// directory is synced last. A failed write removes the scratch files
+/// and leaves the table's files as they were; only a crash or a failed
+/// rename between the renames can leave columns of different lengths.
+fn rewrite_files(
+    files: &mut [ColumnFile],
+    cols: &[ColumnData],
+    pool: &BufferPool,
+) -> Result<()> {
+    let Some(dir) = files.first().and_then(|f| f.path().parent()).map(Path::to_path_buf)
+    else {
+        return Ok(());
+    };
+    let scratch = dir.join(".merge");
+    std::fs::create_dir_all(&scratch)
+        .map_err(|e| StorageError::io(format!("creating {}", scratch.display()), e))?;
+    let written = files
+        .iter()
+        .zip(cols)
+        .map(|(f, c)| {
+            let name = f.path().file_name().expect("a column file has a name");
+            let mut tmp = ColumnFile::create(&scratch.join(name), f.data_type())?;
+            tmp.append(c)?;
+            tmp.sync_all()?;
+            Ok(tmp)
+        })
+        .collect::<Result<Vec<_>>>();
+    let written = match written {
+        Ok(written) => written,
+        Err(e) => {
+            let _ = std::fs::remove_dir_all(&scratch);
+            return Err(e);
+        }
+    };
+    for (f, mut tmp) in files.iter_mut().zip(written) {
+        tmp.rename_over(f.path())?;
+        *f = tmp;
+        if let Some(fid) = pool.disk().forget(f.path()) {
+            pool.invalidate_file(fid);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+    File::open(&dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StorageError::io(format!("syncing {}", dir.display()), e))
+}
+
 /// The order facts of no rows: all hold (metadata tables only).
 fn vacuous_order(schema: &TableSchema) -> RowOrder {
     let tracked = schema.class.is_metadata();
@@ -356,37 +407,18 @@ fn vacuous_order(schema: &TableSchema) -> RowOrder {
     }
 }
 
-/// The last row of `cols` (non-empty), as values.
-fn last_row(cols: &[ColumnData]) -> Vec<Value> {
-    cols.iter().map(|c| c.get(c.len() - 1)).collect()
-}
-
-/// Compare rows `a` and `b` lexicographically over `key`: integers and
-/// timestamps by value, text by content, floats by their partial order
-/// (`None` when a NaN makes the rows unordered).
-fn key_cmp(key: &[&ColumnData], a: usize, b: usize) -> Option<Ordering> {
-    for col in key {
-        let ord = match col {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => v[a].cmp(&v[b]),
-            ColumnData::Float64(v) => v[a].partial_cmp(&v[b])?,
-            ColumnData::Text(t) => t.get(a).cmp(t.get(b)),
-        };
-        if ord != Ordering::Equal {
-            return Some(ord);
-        }
-    }
-    Some(Ordering::Equal)
-}
-
-/// Compare two value tuples lexicographically (`None`: unordered).
-fn tuple_cmp<'a>(pairs: impl Iterator<Item = (&'a Value, Value)>) -> Option<Ordering> {
-    for (a, b) in pairs {
-        match a.compare(&b).ok()? {
-            Ordering::Equal => {}
-            ord => return Some(ord),
-        }
-    }
-    Some(Ordering::Equal)
+/// The last row of `cols` (non-empty), as one-row columns. Text gets a
+/// dictionary of its own: a slice would keep the batch's whole
+/// dictionary alive after the batch is dropped.
+fn last_row(cols: &[ColumnData]) -> Vec<ColumnData> {
+    cols.iter()
+        .map(|c| match c {
+            ColumnData::Text(t) => {
+                ColumnData::Text(TextColumn::from_strs([t.get(t.len() - 1)]))
+            }
+            _ => c.slice(c.len() - 1, c.len()),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -553,6 +585,40 @@ mod tests {
         let t = Table::open_persistent(schema, &dir, &pool).unwrap();
         assert_eq!((t.rows(), t.order().pk_ordered), (5, true));
         assert_eq!(t.order().non_decreasing, vec![false, false, false]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A merge whose second column cannot be written leaves a
+    /// persistent table as it was, in memory and on disk.
+    #[test]
+    fn failed_merge_leaves_the_table_intact() {
+        let pool = BufferPool::new(BufferPoolConfig::default());
+        let dir = std::env::temp_dir()
+            .join(format!("somm-table-merge-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = keyed(TableClass::MetadataDerived);
+        let mut t = Table::new_persistent(schema.clone(), &dir).unwrap();
+        t.append(&rows(&["B", "C"], &[3, 4], &[1, 2])).unwrap();
+        // Every stored value, column by column.
+        let values = |t: &Table| -> Vec<Vec<crate::value::Value>> {
+            let cols = t.scan(&pool).unwrap();
+            cols.iter().map(|c| (0..c.len()).map(|i| c.get(i)).collect()).collect()
+        };
+        let before = (t.rows(), t.order().clone(), values(&t));
+        // A directory where the merge writes the `ts` column: the
+        // `station` column is written, then `ts` fails.
+        std::fs::create_dir_all(dir.join(".merge").join("ts.col")).unwrap();
+        let batch = rows(&["A"], &[9], &[3]);
+        assert!(t.merge_in_pk_order(&pool, &batch).is_err());
+        assert_eq!((t.rows(), t.order().clone(), values(&t)), before);
+        assert!(!dir.join(".merge").exists(), "the scratch files are removed");
+        let reopened = Table::open_persistent(schema.clone(), &dir, &pool).unwrap();
+        assert_eq!(values(&reopened), before.2);
+        // With the obstacle gone the same merge goes through.
+        assert_eq!(t.merge_in_pk_order(&pool, &batch).unwrap(), 1);
+        let reopened = Table::open_persistent(schema, &dir, &pool).unwrap();
+        assert_eq!((reopened.rows(), reopened.order().pk_ordered), (3, true));
+        assert_eq!(reopened.scan(&pool).unwrap()[2].as_i64().unwrap(), &[3, 1, 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
