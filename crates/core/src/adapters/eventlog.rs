@@ -40,18 +40,19 @@ use crate::error::{Result, SommelierError};
 use crate::source::{
     DmdAgg, DmdDim, DmdSpec, InferenceRule, RawChunk, SourceAdapter, SourceDescriptor,
 };
-use parking_lot::Mutex;
 use sommelier_engine::expr::ArithOp;
 use sommelier_engine::relation::RelationBuilder;
 use sommelier_engine::{AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Relation};
 use sommelier_sql::ViewDef;
 use sommelier_storage::column::TextColumn;
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::time::{civil_from_days, days_from_civil, MS_PER_DAY};
 use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Schema of the given-metadata log-file table `G`.
 fn g_schema() -> TableSchema {
@@ -509,7 +510,7 @@ impl SourceAdapter for EventLogAdapter {
                 scope.spawn(move || {
                     let mut i = w;
                     while i < files.len() {
-                        *slots[i].lock() = Some(read_header(&files[i]));
+                        *unpoison(slots[i].lock()) = Some(read_header(&files[i]));
                         i += workers;
                     }
                 });
@@ -522,7 +523,7 @@ impl SourceAdapter for EventLogAdapter {
         let mut services = TextColumn::new();
         let mut day_ts = Vec::with_capacity(files.len());
         for (i, (path, slot)) in files.iter().zip(slots).enumerate() {
-            let header = slot.into_inner().expect("all slots filled")?;
+            let header = unpoison(slot.into_inner()).expect("all slots filled")?;
             let uri = path.to_string_lossy().into_owned();
             log_ids.push(i as i64);
             uris.push(&uri);

@@ -15,8 +15,9 @@
 
 use sommelier_engine::sched::{CancelToken, Priority};
 use sommelier_engine::{Metric, MetricsRegistry};
+use sommelier_storage::sync::unpoison;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why a query was not admitted.
@@ -63,7 +64,7 @@ impl std::fmt::Debug for AdmissionTicket<'_> {
 
 impl Drop for AdmissionTicket<'_> {
     fn drop(&mut self) {
-        let mut st = self.ctl.lock();
+        let mut st = unpoison(self.ctl.state.lock());
         st.running = st.running.saturating_sub(1);
         self.ctl.publish(&st);
         drop(st);
@@ -88,10 +89,6 @@ impl AdmissionController {
             shutting_down: AtomicBool::new(false),
             metrics,
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Set the `running` and `queue_depth` gauges; the caller holds the
@@ -124,7 +121,7 @@ impl AdmissionController {
             m.add(Metric::AdmissionRejected, 1);
             return Err(AdmissionError::ShuttingDown);
         }
-        let mut st = self.lock();
+        let mut st = unpoison(self.state.lock());
         // Fast path: nobody queued ahead of us and a slot is free.
         if st.queued.is_empty() && st.running < self.max_concurrent {
             st.running += 1;
@@ -176,11 +173,7 @@ impl AdmissionController {
                 return Err(AdmissionError::Cancelled { timed_out });
             }
             // Short timeout so cancellation is observed promptly.
-            let (g, _) = self
-                .cv
-                .wait_timeout(st, Duration::from_millis(5))
-                .unwrap_or_else(|p| p.into_inner());
-            st = g;
+            st = unpoison(self.cv.wait_timeout(st, Duration::from_millis(5))).0;
         }
     }
 

@@ -43,13 +43,13 @@ use crate::chunks::{AdapterChunkSource, ChunkRegistry};
 use crate::error::SommelierError;
 use crate::fault::{with_retries, RetryPolicy};
 use crate::source::SourceDescriptor;
-use parking_lot::{Condvar, Mutex};
 use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::sched::{DegradationPolicy, SchedPolicy};
 use sommelier_engine::twostage::{AcquiredChunk, ChunkResidency, ChunkSink, PrefetchHandle};
 use sommelier_engine::{ColumnZone, EngineError, ErrorKind, Metric, Obs, Relation};
+use sommelier_storage::sync::unpoison;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Cellar configuration (derived from [`crate::SommelierConfig`]).
@@ -124,7 +124,7 @@ impl LoadLatch {
     }
 
     fn publish(&self, outcome: LatchOutcome) {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         *st = match outcome {
             Ok((rel, cost)) => LatchState::Done(rel, cost),
             Err((kind, msg)) => LatchState::Failed(kind, msg),
@@ -133,10 +133,10 @@ impl LoadLatch {
     }
 
     fn wait(&self) -> LatchOutcome {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         loop {
             match &*st {
-                LatchState::Pending => self.cv.wait(&mut st),
+                LatchState::Pending => st = unpoison(self.cv.wait(st)),
                 LatchState::Done(rel, cost) => return Ok((Arc::clone(rel), *cost)),
                 LatchState::Failed(kind, msg) => return Err((*kind, msg.clone())),
             }
@@ -236,7 +236,9 @@ impl Cellar {
             ever_evicted: HashSet::new(),
         };
         let cellar = Cellar { sources, by_uri, config, inner: Mutex::new(inner) };
-        cellar.publish(&cellar.inner.lock());
+        let inner = unpoison(cellar.inner.lock());
+        cellar.publish(&inner);
+        drop(inner);
         Ok(cellar)
     }
 
@@ -276,12 +278,12 @@ impl Cellar {
 
     /// Bytes of decoded chunk data currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().resident_bytes
+        unpoison(self.inner.lock()).resident_bytes
     }
 
     /// Number of resident chunks.
     pub fn resident_chunks(&self) -> usize {
-        self.inner.lock().resident_chunks
+        unpoison(self.inner.lock()).resident_chunks
     }
 
     /// Sum of pin counts across all resident chunks. With no query in
@@ -289,8 +291,7 @@ impl Cellar {
     /// timed-out one) may never leak pins; the cancellation regression
     /// test asserts on it.
     pub fn total_pins(&self) -> usize {
-        self.inner
-            .lock()
+        unpoison(self.inner.lock())
             .slots
             .values()
             .map(|s| match s {
@@ -306,7 +307,7 @@ impl Cellar {
     /// (an incrementally materialized view over immutable chunk files)
     /// stays valid and covered.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         let uris: Vec<String> = inner.slots.keys().cloned().collect();
         for uri in uris {
             self.evict_locked(&mut inner, &uri);
@@ -332,7 +333,7 @@ impl Cellar {
     fn pin_or_readmit(&self, uri: &str, relation: Arc<Relation>) -> Arc<Relation> {
         loop {
             let latch = {
-                let mut inner = self.inner.lock();
+                let mut inner = unpoison(self.inner.lock());
                 match inner.slots.get_mut(uri) {
                     Some(Slot::Resident(r)) => {
                         r.pins += 1;
@@ -414,7 +415,7 @@ impl Cellar {
             Ok((relation, cost)) => {
                 let relation = Arc::new(relation);
                 {
-                    let mut inner = self.inner.lock();
+                    let mut inner = unpoison(self.inner.lock());
                     self.insert_pinned_locked(&mut inner, uri, &relation);
                     self.config.obs.count(Metric::CellarLoads, 1);
                     if inner.ever_evicted.contains(uri) {
@@ -426,7 +427,7 @@ impl Cellar {
                 Ok((relation, cost))
             }
             Err(e) => {
-                self.inner.lock().slots.remove(uri);
+                unpoison(self.inner.lock()).slots.remove(uri);
                 latch.publish(Err((publish_kind(&e), e.to_string())));
                 self.note_load_failure(uri, &e);
                 Err(e)
@@ -489,9 +490,9 @@ impl Cellar {
     /// pin is still released — claimed loads even complete and publish,
     /// so a cancelled query never hangs concurrent joiners.
     fn run_task(&self, i: usize, uri: &str, task: &StreamTask, tctx: &TaskCtx<'_>) {
-        let aborted = || tctx.first_error.lock().is_some();
+        let aborted = || unpoison(tctx.first_error.lock()).is_some();
         let record = |e: EngineError| {
-            let mut guard = tctx.first_error.lock();
+            let mut guard = unpoison(tctx.first_error.lock());
             if guard.is_none() {
                 *guard = Some(e);
             }
@@ -542,7 +543,9 @@ impl Cellar {
                 // cancelled); the slot was withdrawn, so re-classify
                 // once and hit, claim (with our own retry budget) or join.
                 (Err((ErrorKind::Transient, _)), _) => {
-                    let task = self.classify_locked(&mut self.inner.lock(), uri);
+                    let mut inner = unpoison(self.inner.lock());
+                    let task = self.classify_locked(&mut inner, uri);
+                    drop(inner);
                     return self.run_task(i, uri, &task, tctx);
                 }
                 (Err((kind, msg)), _) => Err(EngineError::ChunkLoad {
@@ -605,7 +608,7 @@ impl Cellar {
     }
 
     fn release(&self, uri: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         if let Some(Slot::Resident(r)) = inner.slots.get_mut(uri) {
             r.pins = r.pins.saturating_sub(1);
         }
@@ -615,7 +618,7 @@ impl Cellar {
 
 impl ChunkResidency for Cellar {
     fn is_resident(&self, uri: &str) -> bool {
-        matches!(self.inner.lock().slots.get(uri), Some(Slot::Resident(_)))
+        matches!(unpoison(self.inner.lock()).slots.get(uri), Some(Slot::Resident(_)))
     }
 
     fn quarantined(&self, uri: &str) -> Option<String> {
@@ -659,7 +662,7 @@ impl ChunkResidency for Cellar {
         // so a concurrent release cannot evict them before their sink
         // runs; misses install the in-flight latch.
         let tasks: Vec<StreamTask> = {
-            let mut inner = self.inner.lock();
+            let mut inner = unpoison(self.inner.lock());
             uris.iter().map(|uri| self.classify_locked(&mut inner, uri)).collect()
         };
         let (mut eager, joins): (Vec<usize>, Vec<usize>) =
@@ -672,7 +675,7 @@ impl ChunkResidency for Cellar {
         let run = |&i: &usize| self.run_task(i, &uris[i], &tasks[i], &tctx);
         run_indexed_policy(eager.len(), policy, &self.config.obs, |k| run(&eager[k]));
         joins.iter().for_each(&run);
-        match tctx.first_error.into_inner() {
+        match unpoison(tctx.first_error.into_inner()) {
             Some(e) => Err(e),
             None => Ok(()),
         }
@@ -973,10 +976,10 @@ mod tests {
     ) -> sommelier_engine::Result<Vec<usize>> {
         let rows = Mutex::new(vec![0; uris.len()]);
         cellar.acquire_each(uris, policy, &|i, chunk| {
-            rows.lock()[i] = chunk.relation.rows();
+            unpoison(rows.lock())[i] = chunk.relation.rows();
             Ok(())
         })?;
-        Ok(rows.into_inner())
+        Ok(unpoison(rows.into_inner()))
     }
 
     #[test]
@@ -1153,19 +1156,21 @@ mod tests {
         cellar
             .acquire_each(&all, &inline, &|_, chunk| {
                 let bytes = cellar.resident_bytes();
-                let evicted = cellar.evict_locked(&mut cellar.inner.lock(), &all[0]);
+                let mut inner = unpoison(cellar.inner.lock());
+                let evicted = cellar.evict_locked(&mut inner, &all[0]);
+                drop(inner);
                 assert!(!evicted, "a pinned chunk was evicted");
                 assert!(cellar.is_resident(&all[0]));
                 assert_eq!(cellar.resident_bytes(), bytes);
                 assert_eq!(count(&cellar, CellarEvictions), 0);
-                *seen.lock() = bits(&chunk.relation);
+                *unpoison(seen.lock()) = bits(&chunk.relation);
                 Ok(())
             })
             .unwrap();
         let loads = count(&cellar, CellarLoads);
         cellar
             .acquire_each(&all, &inline, &|_, chunk| {
-                assert_eq!(bits(&chunk.relation), *seen.lock());
+                assert_eq!(bits(&chunk.relation), *unpoison(seen.lock()));
                 Ok(())
             })
             .unwrap();
@@ -1181,24 +1186,24 @@ mod tests {
         let delivered = Mutex::new(vec![0usize; all.len()]);
         let rows = AtomicU64::new(0);
         let sink = |i: usize, chunk: AcquiredChunk| {
-            delivered.lock()[i] += 1;
+            unpoison(delivered.lock())[i] += 1;
             rows.fetch_add(chunk.relation.rows() as u64, Ordering::Relaxed);
             assert!(chunk.loaded);
             Ok(())
         };
         cellar.acquire_each(&all, &pooled(), &sink).unwrap();
-        let counts = delivered.lock().clone();
+        let counts = unpoison(delivered.lock()).clone();
         assert!(counts.iter().all(|&n| n == 1), "{counts:?}");
         assert!(rows.load(Ordering::Relaxed) > 0);
         // No pins survive the wave; the second pass is all hits.
         let hits = Mutex::new(0usize);
         let sink2 = |_i: usize, chunk: AcquiredChunk| {
             assert!(!chunk.loaded);
-            *hits.lock() += 1;
+            *unpoison(hits.lock()) += 1;
             Ok(())
         };
         cellar.acquire_each(&all, &pooled(), &sink2).unwrap();
-        assert_eq!(*hits.lock(), all.len());
+        assert_eq!(*unpoison(hits.lock()), all.len());
         assert_eq!(count(&cellar, CellarLoads), all.len() as u64);
         assert_eq!(count(&cellar, CellarHits), all.len() as u64);
     }
@@ -1467,11 +1472,11 @@ mod tests {
             // Only the readable chunk holds a pin while its sink runs.
             let pins = usize::from(a.skipped.is_none());
             assert_eq!(cellar.total_pins(), pins, "slot {i}");
-            got.lock().push((i, a.skipped, a.relation.rows()));
+            unpoison(got.lock()).push((i, a.skipped, a.relation.rows()));
             Ok(())
         };
         cellar.acquire_each(&all, &policy, &sink).unwrap();
-        let mut got = got.into_inner();
+        let mut got = unpoison(got.into_inner());
         got.sort_by_key(|(i, ..)| *i);
         assert!(got[0].1.as_deref().unwrap().contains("bad magic"));
         assert_eq!(got[0].2, 0);
@@ -1490,7 +1495,7 @@ mod tests {
         let skipped = Mutex::new(Vec::new());
         let sink = |i: usize, chunk: AcquiredChunk| {
             if let Some(reason) = &chunk.skipped {
-                skipped.lock().push((i, reason.clone()));
+                unpoison(skipped.lock()).push((i, reason.clone()));
                 assert_eq!(chunk.relation.rows(), 0);
             } else {
                 assert!(chunk.relation.rows() > 0);
@@ -1498,7 +1503,7 @@ mod tests {
             Ok(())
         };
         cellar.acquire_each(&all, &policy, &sink).unwrap();
-        let skipped = skipped.into_inner();
+        let skipped = unpoison(skipped.into_inner());
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].0, 1, "slot 1 carries the skip");
         assert!(skipped[0].1.contains("bad magic"));
@@ -1623,7 +1628,10 @@ mod tests {
             assert_eq!(cellar.total_pins(), 0, "seed {seed}");
             assert!(cellar.resident_bytes() <= cellar.budget_bytes(), "seed {seed}");
             assert!(
-                !cellar.inner.lock().slots.values().any(|s| matches!(s, Slot::Loading(_))),
+                !unpoison(cellar.inner.lock())
+                    .slots
+                    .values()
+                    .any(|s| matches!(s, Slot::Loading(_))),
                 "seed {seed}: a latch stayed loading"
             );
             // A chunk whose fault budget is not yet spent may fail one

@@ -10,15 +10,15 @@
 use crate::fault::FaultInjector;
 use crate::prefetch::{PrefetchStage, RawFetcher};
 use crate::source::{RawChunk, SourceAdapter};
-use parking_lot::Mutex;
 use sommelier_engine::optimizer::zone_conjunct_contradicted;
 use sommelier_engine::{
     CmpOp, ColumnZone, EngineError, Metric, Obs, Relation, ZoneCandidates, ZoneConstraint,
 };
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::{DataType, Database, Value};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One registered chunk file.
@@ -445,14 +445,14 @@ impl ChunkRegistry {
     /// Record a chunk as permanently unreadable, and say whether it is
     /// newly quarantined. Idempotent (the first reason wins).
     pub fn quarantine(&self, uri: &str, reason: impl Into<String>) -> bool {
-        let mut quarantined = self.quarantined.lock();
+        let mut quarantined = unpoison(self.quarantined.lock());
         !quarantined.contains_key(uri)
             && quarantined.insert(uri.into(), reason.into()).is_none()
     }
 
     /// The quarantine reason of a chunk, if it is quarantined.
     pub fn quarantined(&self, uri: &str) -> Option<String> {
-        self.quarantined.lock().get(uri).cloned()
+        unpoison(self.quarantined.lock()).get(uri).cloned()
     }
 
     /// Look up a chunk by URI.

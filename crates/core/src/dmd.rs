@@ -33,14 +33,14 @@
 use crate::error::{Result, SommelierError};
 use crate::source::{DmdSpec, SourceDescriptor};
 use crate::QueryResult;
-use parking_lot::Mutex;
 use sommelier_engine::eval::eval_scalar;
 use sommelier_engine::spec::OutputExpr;
 use sommelier_engine::{CmpOp, Expr, Func, QuerySpec, Relation, TableRef};
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::{ColumnData, ConstraintPolicy, Database, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One derived-metadata primary key: the text dimension values (in
@@ -188,12 +188,12 @@ impl DmdManager {
 
     /// Number of covered keys.
     pub fn covered_count(&self) -> usize {
-        self.covered.lock().keys
+        unpoison(self.covered.lock()).keys
     }
 
     /// Mark keys as materialized.
     pub fn mark_covered(&self, keys: impl IntoIterator<Item = DmdKey>) {
-        let mut covered = self.covered.lock();
+        let mut covered = unpoison(self.covered.lock());
         let w = covered.bucket_ms;
         for (dims, bucket) in keys {
             covered.cover(&dims, (bucket, bucket + w));
@@ -202,20 +202,20 @@ impl DmdManager {
 
     /// Forget every covered key (tests; dropping a DMd table).
     pub fn clear(&self) {
-        let mut covered = self.covered.lock();
+        let mut covered = unpoison(self.covered.lock());
         *covered = Coverage::new(covered.bucket_ms);
     }
 
     /// Drop the cached key-space domain: the given metadata it was read
     /// from has just been (re-)registered.
     pub fn reset_domain(&self) {
-        *self.domain.lock() = None;
+        *unpoison(self.domain.lock()) = None;
     }
 
     /// The key-space domain, read from the given metadata on first use
     /// after a [`DmdManager::reset_domain`].
     fn domain(&self, db: &Database, dmd: &DmdSpec) -> Result<Arc<KeyDomain>> {
-        let mut slot = self.domain.lock();
+        let mut slot = unpoison(self.domain.lock());
         if let Some(domain) = &*slot {
             return Ok(Arc::clone(domain));
         }
@@ -561,15 +561,15 @@ pub fn ensure_dmd(
     let mut outcome = DmdOutcome { requested: space.size(), ..DmdOutcome::default() };
     // Steps 4–5 under the coverage lock alone: a query whose windows
     // are all materialized never waits behind a derivation.
-    if manager.covered.lock().missing(&space) > 0 {
+    if unpoison(manager.covered.lock()).missing(&space) > 0 {
         // Serialize Algorithm 1: two concurrent queries over the same
         // uncovered window must not both derive it (the second insert
         // would trip the derived table's primary key), so PSu is
         // recomputed under the lock. The derivation queries themselves
         // never re-enter (they are T4-shaped), so holding the lock
         // across `run` cannot deadlock.
-        let _derivation = manager.derivation.lock();
-        let psu = manager.covered.lock().missing_ranges(&space);
+        let _derivation = unpoison(manager.derivation.lock());
+        let psu = unpoison(manager.covered.lock()).missing_ranges(&space);
         // Step 6: one derivation per uncovered range of a combination.
         for (dims, ranges) in psu {
             let fixed: Vec<Option<&str>> = dims.iter().map(|d| Some(d.as_str())).collect();
@@ -580,7 +580,7 @@ pub fn ensure_dmd(
                 // The derivation's predicates fix the dims and its
                 // bucket range is exactly the gap, so every row is new.
                 insert_derived(db, dmd, &result.relation, &mut outcome)?;
-                manager.covered.lock().cover(&dims, (lo, hi));
+                unpoison(manager.covered.lock()).cover(&dims, (lo, hi));
             }
         }
     }
@@ -626,12 +626,12 @@ pub fn derive_all(
         ))
     })?;
     let t0 = Instant::now();
-    let _derivation = manager.derivation.lock();
+    let _derivation = unpoison(manager.derivation.lock());
     let domain = manager.domain(db, dmd)?;
     let space = domain.whole(dmd.bucket_ms);
     let mut outcome = DmdOutcome {
         requested: space.size(),
-        missing: manager.covered.lock().missing(&space),
+        missing: unpoison(manager.covered.lock()).missing(&space),
         ..DmdOutcome::default()
     };
     if outcome.missing > 0 {
@@ -643,7 +643,7 @@ pub fn derive_all(
         // keep only the rows PSm lacks.
         let rel = &result.relation;
         let fresh = {
-            let covered = manager.covered.lock();
+            let covered = unpoison(manager.covered.lock());
             let dim_cols = dmd
                 .dims
                 .iter()
@@ -659,7 +659,7 @@ pub fn derive_all(
             rel.filter(&keep)
         };
         insert_derived(db, dmd, &fresh, &mut outcome)?;
-        let mut covered = manager.covered.lock();
+        let mut covered = unpoison(manager.covered.lock());
         for dims in space.combinations() {
             covered.cover(&dims, space.buckets);
         }
@@ -715,7 +715,7 @@ mod tests {
 
     fn is_covered(m: &DmdManager, (dims, bucket): &DmdKey) -> bool {
         let dims: Vec<&str> = dims.iter().map(String::as_str).collect();
-        m.covered.lock().contains(&dims, *bucket)
+        unpoison(m.covered.lock()).contains(&dims, *bucket)
     }
 
     impl KeySpace<'_> {
@@ -869,7 +869,7 @@ mod tests {
                     0..=2 => {
                         let lo = rng.range(-10, 10) * w;
                         let hi = lo + rng.range(0, 5) * w;
-                        m.covered.lock().cover(&combo, (lo, hi));
+                        unpoison(m.covered.lock()).cover(&combo, (lo, hi));
                         let mut b = lo;
                         while b < hi {
                             model.insert((combo.clone(), b));
@@ -891,7 +891,7 @@ mod tests {
                         assert_eq!(space.size(), psq.len(), "seed {seed} step {step}");
                         let want: HashSet<DmdKey> =
                             psq.into_iter().filter(|k| !model.contains(k)).collect();
-                        let covered = m.covered.lock();
+                        let covered = unpoison(m.covered.lock());
                         assert_eq!(
                             covered.missing(&space),
                             want.len(),
@@ -920,7 +920,7 @@ mod tests {
                         assert_eq!(got, want, "seed {seed} step {step}");
                     }
                 }
-                let covered = m.covered.lock();
+                let covered = unpoison(m.covered.lock());
                 assert_eq!(covered.keys, model.len(), "seed {seed} step {step}");
                 for ranges in covered.ranges.values() {
                     for pair in ranges.windows(2) {
@@ -1142,7 +1142,7 @@ mod tests {
         assert!(is_covered(&manager, &key("web-2", "api", MS_PER_DAY)));
         assert!(!is_covered(&manager, &key("web-2", "api", 0)));
         // web-1's two adjacent days restore into one coalesced range.
-        let covered = manager.covered.lock();
+        let covered = unpoison(manager.covered.lock());
         assert_eq!(covered.ranges[&strings(&["web-1", "api"])], vec![(0, 2 * MS_PER_DAY)]);
     }
 }

@@ -11,13 +11,13 @@
 //! [`with_retries`] is the recovery half, applied by the cellar around
 //! every chunk decode.
 
-use parking_lot::Mutex;
 use sommelier_engine::{
     CancelToken, EngineError, ErrorKind, Metric, Obs, StageTimer, TraceCollector,
 };
+use sommelier_storage::sync::unpoison;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -149,12 +149,8 @@ impl FaultInjector {
     /// the hold once the event under test has fired. One hold at a
     /// time.
     pub fn hold(self: &Arc<Self>) -> LoadHold {
-        self.gate().0 = true;
+        unpoison(self.gate.lock()).0 = true;
         LoadHold(Arc::clone(self))
-    }
-
-    fn gate(&self) -> std::sync::MutexGuard<'_, (bool, usize)> {
-        self.gate.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Gate one load attempt of `uri`: park while a [`LoadHold`] is in
@@ -162,18 +158,18 @@ impl FaultInjector {
     /// attempt if the plan says so. Deterministic in `(seed, uri,
     /// attempt number)`.
     pub fn before_load(&self, uri: &str) -> Result<(), EngineError> {
-        let mut gate = self.gate();
+        let mut gate = unpoison(self.gate.lock());
         if gate.0 {
             gate.1 += 1;
             self.gate_cv.notify_all();
             while gate.0 {
-                gate = self.gate_cv.wait(gate).unwrap_or_else(|e| e.into_inner());
+                gate = unpoison(self.gate_cv.wait(gate));
             }
             gate.1 -= 1;
         }
         drop(gate);
         let (attempt, transient_so_far) = {
-            let mut state = self.state.lock();
+            let mut state = unpoison(self.state.lock());
             let e = state.entry(uri.to_string()).or_insert((0, 0));
             let snapshot = *e;
             e.0 += 1;
@@ -209,7 +205,7 @@ impl FaultInjector {
             && transient_so_far < self.plan.max_transient_per_chunk
             && unit_hash(self.plan.seed, uri, attempt) < self.plan.transient_rate
         {
-            self.state.lock().entry(uri.to_string()).or_insert((0, 0)).1 += 1;
+            unpoison(self.state.lock()).entry(uri.to_string()).or_insert((0, 0)).1 += 1;
             self.transient.fetch_add(1, Ordering::Relaxed);
             return Err(EngineError::ChunkLoad {
                 uri: uri.to_string(),
@@ -243,11 +239,9 @@ impl LoadHold {
     /// Panics after 30 s with the parked count, so a load that never
     /// arrives fails by name instead of hanging the suite.
     pub fn wait_parked(&self, n: usize) {
-        let (gate, waited) = self
-            .0
-            .gate_cv
-            .wait_timeout_while(self.0.gate(), Duration::from_secs(30), |g| g.1 < n)
-            .unwrap_or_else(|e| e.into_inner());
+        let (gate, cv) = (unpoison(self.0.gate.lock()), &self.0.gate_cv);
+        let (gate, waited) =
+            unpoison(cv.wait_timeout_while(gate, Duration::from_secs(30), |g| g.1 < n));
         assert!(!waited.timed_out(), "{} of {n} loads parked after 30 s", gate.1);
     }
 
@@ -257,7 +251,7 @@ impl LoadHold {
 
 impl Drop for LoadHold {
     fn drop(&mut self) {
-        self.0.gate().0 = false;
+        unpoison(self.0.gate.lock()).0 = false;
         self.0.gate_cv.notify_all();
     }
 }

@@ -76,7 +76,6 @@ pub use source::{
 use cellar::{Cellar, CellarConfig, CellarSource};
 use chunks::{AdapterChunkSource, ChunkRegistry};
 use dmd::{DmdManager, DmdOutcome};
-use parking_lot::Mutex;
 use sommelier_engine::joinorder::PlanOptions;
 use sommelier_engine::obs::span::fmt_ns;
 use sommelier_engine::optimizer::{self, PassTrace};
@@ -88,10 +87,11 @@ use sommelier_engine::{
 use sommelier_sql::BindCatalog;
 use sommelier_storage::buffer::BufferPoolConfig;
 use sommelier_storage::catalog::Disposition;
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::Database;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Name of the file (inside a disk-backed system's directory) that
@@ -178,13 +178,6 @@ pub struct DegradedReport {
 /// `Default` reproduces [`Sommelier::query`] exactly.
 #[derive(Clone, Debug, Default)]
 pub struct QueryOptions {
-    /// Deterministic chunk-sampling fraction in `(0, 1]`; `None` is
-    /// exact. Approximate execution (the paper's §VIII future-work
-    /// sketch): in lazy mode only this fraction of the selected chunks
-    /// is ingested, so `AVG`/`MIN`/`MAX` are estimated from the sample
-    /// while `COUNT` and `SUM` scale down with it. Eager modes have all
-    /// data loaded and answer exactly.
-    pub sampling: Option<f64>,
     /// Scheduling priority: position in the admission queue and of the
     /// query's morsel batches on the shared scheduler.
     pub priority: Priority,
@@ -476,12 +469,12 @@ struct QueryPlan {
 enum RunCtx<'a> {
     /// A top-level query: it takes an admission ticket and a root span
     /// (recorded at `level`), and its options set its priority,
-    /// cancellation, deadline, sampling and degradation.
+    /// cancellation, deadline and degradation.
     Query { opts: &'a QueryOptions, level: ObsLevel },
     /// Algorithm 1's derivation child of a running query. It runs under
     /// its parent's ticket — queueing it would deadlock the parent on
     /// its own child — with the parent's cancel token (and so its
-    /// deadline) and priority, exactly (no sampling), and always
+    /// deadline) and priority, and always
     /// `Strict`: a partial derivation must never mark a window
     /// covered. It records no spans: nothing reads a collector of its
     /// own, and its spans belong under its parent's `dmd_ensure`.
@@ -547,7 +540,7 @@ impl Sommelier {
             }
         }
         let cellar = self.build_cellar(&registries)?;
-        *self.prepared.lock() = Some(Prepared { mode, registries, cellar });
+        *unpoison(self.prepared.lock()) = Some(Prepared { mode, registries, cellar });
         Ok(())
     }
 
@@ -631,7 +624,7 @@ impl Sommelier {
     /// prepared): a second call is a [`SommelierError::Usage`] error
     /// that touches nothing. Another mode needs a fresh system.
     pub fn prepare(&self, mode: LoadingMode) -> Result<PrepReport> {
-        if let Some(p) = self.prepared.lock().as_ref() {
+        if let Some(p) = unpoison(self.prepared.lock()).as_ref() {
             let msg =
                 format!("already prepared {}; another mode needs a fresh system", p.mode);
             return Err(SommelierError::Usage(msg));
@@ -691,7 +684,7 @@ impl Sommelier {
         }
         let cellar = self.build_cellar(&registries)?;
         self.persist_zone_maps(&registries)?;
-        *self.prepared.lock() = Some(Prepared { mode, registries, cellar });
+        *unpoison(self.prepared.lock()) = Some(Prepared { mode, registries, cellar });
         if mode.materializes_dmd() {
             let t = Instant::now();
             for s in &self.sources {
@@ -766,7 +759,7 @@ impl Sommelier {
     }
 
     fn prepared_info(&self) -> Result<(LoadingMode, Arc<Cellar>)> {
-        let guard = self.prepared.lock();
+        let guard = unpoison(self.prepared.lock());
         let p = guard.as_ref().ok_or_else(|| {
             SommelierError::Usage("call prepare(mode) before querying".into())
         })?;
@@ -860,7 +853,6 @@ impl Sommelier {
             zone_map_pruning: self.config.zone_map_pruning,
             use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
-            sampling: None,
             obs: Obs::off(),
             sched: SchedPolicy::default().with_scheduler(self.scheduler.clone()),
         }
@@ -877,7 +869,6 @@ impl Sommelier {
         // has none.
         let (level, top) = match ctx {
             RunCtx::Query { opts, level } => {
-                ts_config.sampling = opts.sampling;
                 sched.priority = opts.priority;
                 sched.degradation = opts.degradation;
                 // One token serves both explicit cancellation and the
@@ -1037,20 +1028,13 @@ impl Sommelier {
     }
 
     /// Compile and run a SQL query with per-query [`QueryOptions`]:
-    /// priority, cancellation, timeout, sampling. This is the entry
+    /// priority, cancellation, timeout, degradation. This is the entry
     /// point the `sommelier-server` session API builds on.
     ///
     /// Panic isolated like every query entry point: a panic anywhere in
     /// the pipeline fails this query alone with
     /// [`SommelierError::QueryPanicked`].
     pub fn query_opts(&self, sql: &str, opts: &QueryOptions) -> Result<QueryResult> {
-        if let Some(f) = opts.sampling {
-            if !(0.0..=1.0).contains(&f) || f == 0.0 {
-                return Err(SommelierError::Usage(format!(
-                    "sampling fraction must be in (0, 1], got {f}"
-                )));
-            }
-        }
         self.guarded(sql, || {
             let plan = self.plan(sommelier_sql::compile(sql, &self.catalog)?)?;
             self.run(plan, RunCtx::Query { opts, level: self.config.observability })
@@ -1158,7 +1142,7 @@ impl Sommelier {
         let constraints =
             optimizer::plan_zone_constraints(plan).into_iter().find(|c| !c.is_empty())?;
         let registry = {
-            let guard = self.prepared.lock();
+            let guard = unpoison(self.prepared.lock());
             Arc::clone(&guard.as_ref()?.registries[source_idx])
         };
         let total = registry.len();
@@ -1197,11 +1181,10 @@ impl Sommelier {
                 fmt_ns(stats.total().as_nanos() as u64),
             ));
             out.push_str(&format!(
-                "-- chunks: {} selected = {} pruned + {} sampled out + {} loaded + {} cache \
-                 hits + {} skipped; {} rows out\n",
+                "-- chunks: {} selected = {} pruned + {} loaded + {} cache hits + {} \
+                 skipped; {} rows out\n",
                 stats.files_selected,
                 stats.files_pruned,
-                stats.files_sampled_out,
                 stats.files_loaded,
                 stats.cache_hits,
                 stats.files_skipped,
@@ -1249,7 +1232,7 @@ impl Sommelier {
     /// Drop buffered pages and cached chunks ("cold" run).
     pub fn flush_caches(&self) {
         self.db.flush_caches();
-        if let Some(p) = self.prepared.lock().as_ref() {
+        if let Some(p) = unpoison(self.prepared.lock()).as_ref() {
             p.cellar.clear();
         }
     }
@@ -1274,7 +1257,7 @@ impl Sommelier {
 
     /// The chunk residency manager, once prepared.
     pub fn cellar(&self) -> Option<Arc<Cellar>> {
-        self.prepared.lock().as_ref().map(|p| Arc::clone(&p.cellar))
+        unpoison(self.prepared.lock()).as_ref().map(|p| Arc::clone(&p.cellar))
     }
 
     /// The fault injector every chunk load passes through, when fault
@@ -1288,7 +1271,7 @@ impl Sommelier {
     /// Quarantined chunks are excluded from stage 1's chunk selection
     /// for the life of the system.
     pub fn quarantined_chunks(&self) -> Vec<(String, String)> {
-        self.prepared.lock().as_ref().map_or_else(Vec::new, |p| {
+        unpoison(self.prepared.lock()).as_ref().map_or_else(Vec::new, |p| {
             p.registries
                 .iter()
                 .flat_map(|r| {
@@ -1324,13 +1307,12 @@ impl Sommelier {
 
     /// The active loading mode, if prepared.
     pub fn mode(&self) -> Option<LoadingMode> {
-        self.prepared.lock().as_ref().map(|p| p.mode)
+        unpoison(self.prepared.lock()).as_ref().map(|p| p.mode)
     }
 
     /// Number of registered chunks, across all sources.
     pub fn registered_chunks(&self) -> usize {
-        self.prepared
-            .lock()
+        unpoison(self.prepared.lock())
             .as_ref()
             .map_or(0, |p| p.registries.iter().map(|r| r.len()).sum())
     }
@@ -1377,13 +1359,38 @@ mod tests {
     use sommelier_storage::Value;
     use std::path::PathBuf;
 
-    fn temp_repo(tag: &str, days: u32, events: u32) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-core-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A fresh directory under the system temp dir, removed when
+    /// dropped (also when its test fails).
+    pub(crate) struct TempDir(pub(crate) PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "somm-core-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_repo(tag: &str, days: u32, events: u32) -> TempDir {
+        let dir = TempDir::new(tag);
         generate_event_logs(&dir, &EventLogSpec::small(days, events)).unwrap();
         dir
     }
@@ -1408,7 +1415,6 @@ mod tests {
             somm.query("SELECT COUNT(*) FROM G"),
             Err(SommelierError::Usage(_))
         ));
-        let _ = std::fs::remove_dir_all(&repo);
     }
 
     #[test]
@@ -1418,13 +1424,7 @@ mod tests {
 
     #[test]
     fn sidecar_roundtrip_detects_corruption_accepts_legacy() {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-sidecar-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("sidecar");
         let p = dir.join("x.sidecar");
         write_sidecar_atomic(&p, "hello\nworld\n").unwrap();
         assert_eq!(read_sidecar(&p).as_deref(), Some("hello\nworld\n"));
@@ -1437,18 +1437,16 @@ mod tests {
         std::fs::write(&p, "legacy\n").unwrap();
         assert_eq!(read_sidecar(&p).as_deref(), Some("legacy\n"));
         assert_eq!(read_sidecar(&dir.join("absent")), None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn duplicate_sources_rejected() {
         let repo = temp_repo("dup", 1, 8);
         let result = Sommelier::builder()
-            .source(EventLogAdapter::new(&repo))
-            .source(EventLogAdapter::new(&repo))
+            .source(EventLogAdapter::new(&*repo))
+            .source(EventLogAdapter::new(&*repo))
             .build();
         assert!(matches!(result, Err(SommelierError::Usage(_))));
-        let _ = std::fs::remove_dir_all(&repo);
     }
 
     #[test]
@@ -1471,7 +1469,6 @@ mod tests {
             .unwrap();
         assert_eq!(r2.stats.cache_hits, 2);
         assert_eq!(r2.stats.files_loaded, 0);
-        let _ = std::fs::remove_dir_all(&repo);
     }
 
     #[test]
@@ -1492,8 +1489,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&repo);
-        let _ = std::fs::remove_dir_all(&repo_b);
     }
 
     #[test]
@@ -1516,7 +1511,6 @@ mod tests {
         let r2 = somm.query(sql).unwrap();
         assert_eq!(r2.dmd.unwrap().missing, 0);
         assert_eq!(r2.relation.rows(), r.relation.rows());
-        let _ = std::fs::remove_dir_all(&repo);
     }
 
     /// Algorithm 1's derivation children record no spans, even at
@@ -1526,7 +1520,7 @@ mod tests {
         let repo = temp_repo("derive-spans", 3, 32);
         let somm = Sommelier::builder()
             .config(SommelierConfig { observability: ObsLevel::Spans, ..Default::default() })
-            .source(EventLogAdapter::new(&repo))
+            .source(EventLogAdapter::new(&*repo))
             .build()
             .unwrap();
         somm.prepare(LoadingMode::Lazy).unwrap();
@@ -1547,12 +1541,12 @@ mod tests {
         let outcome =
             dmd::ensure_dmd(&somm.db, &source.dmd, &source.descriptor, &plan.spec, &|s| {
                 let r = somm.run(somm.plan(s)?, RunCtx::Derivation { parent: &parent })?;
-                traced.lock().push(r.span_trace.is_some());
+                unpoison(traced.lock()).push(r.span_trace.is_some());
                 Ok(r)
             })
             .unwrap();
         assert_eq!(outcome.missing, 1);
-        let traced = traced.into_inner();
+        let traced = unpoison(traced.into_inner());
         assert!(!traced.is_empty(), "day 1 was derived");
         assert!(traced.iter().all(|t| !t), "a derivation child returned a span trace");
         // Day 2 through a top-level query: one root, one of each stage,
@@ -1569,7 +1563,6 @@ mod tests {
             "derivation spans hung under dmd_ensure:\n{}",
             trace.render_tree()
         );
-        let _ = std::fs::remove_dir_all(&repo);
     }
 
     #[test]
@@ -1587,7 +1580,6 @@ mod tests {
             .unwrap();
         assert!(r.dmd.is_none(), "eager_dmd answers straight from Y");
         assert!(r.relation.rows() > 0);
-        let _ = std::fs::remove_dir_all(&repo);
     }
 
     #[test]

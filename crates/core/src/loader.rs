@@ -21,10 +21,12 @@ use crate::registrar::RegistrarReport;
 use crate::source::{SourceAdapter, SourceDescriptor};
 use sommelier_engine::Relation;
 use sommelier_storage::column::TextColumn;
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::{ColumnData, ConstraintPolicy, DataType, Database};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The loading approach (paper §VI-A).
@@ -152,8 +154,8 @@ fn decode_wave(
     wave: &[usize],
     max_threads: usize,
 ) -> Result<Vec<Vec<ColumnData>>> {
-    let slots: Vec<parking_lot::Mutex<Option<Result<Vec<ColumnData>>>>> =
-        (0..wave.len()).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<Vec<ColumnData>>>>> =
+        (0..wave.len()).map(|_| Mutex::new(None)).collect();
     let workers = wave.len().clamp(1, max_threads.max(1));
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -166,13 +168,13 @@ fn decode_wave(
                         .decode(entry, None)
                         .map_err(Into::into)
                         .and_then(|rel| relation_batch(&rel, adapter.descriptor()));
-                    *slots[i].lock() = Some(out);
+                    *unpoison(slots[i].lock()) = Some(out);
                     i += workers;
                 }
             });
         }
     });
-    slots.into_iter().map(|s| s.into_inner().expect("slot filled")).collect()
+    slots.into_iter().map(|s| unpoison(s.into_inner()).expect("slot filled")).collect()
 }
 
 /// Eager plain: decode everything and load into the actual-data table.
@@ -384,8 +386,8 @@ pub fn load_eager_csv(
         .iter()
         .map(|e| source_dir.join(format!("file_{}.csv", e.file_id)))
         .collect();
-    let bytes_written: Vec<parking_lot::Mutex<Result<u64>>> =
-        (0..registry.len()).map(|_| parking_lot::Mutex::new(Ok(0))).collect();
+    let bytes_written: Vec<Mutex<Result<u64>>> =
+        (0..registry.len()).map(|_| Mutex::new(Ok(0))).collect();
     let workers = registry.len().clamp(1, max_threads.max(1));
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -400,14 +402,14 @@ pub fn load_eager_csv(
                         .map_err(Into::into)
                         .and_then(|rel| relation_batch(&rel, descriptor))
                         .and_then(|batch| batch_to_csv(&batch, &csv_paths[i]));
-                    *bytes_written[i].lock() = out;
+                    *unpoison(bytes_written[i].lock()) = out;
                     i += workers;
                 }
             });
         }
     });
     for b in bytes_written {
-        report.csv_bytes += b.into_inner()?;
+        report.csv_bytes += unpoison(b.into_inner())?;
     }
     report.chunks_to_csv += t.elapsed();
 
@@ -415,8 +417,8 @@ pub fn load_eager_csv(
     let t = Instant::now();
     let indices: Vec<usize> = (0..registry.len()).collect();
     for wave in indices.chunks(WAVE) {
-        let slots: Vec<parking_lot::Mutex<Option<Result<Vec<ColumnData>>>>> =
-            (0..wave.len()).map(|_| parking_lot::Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<Result<Vec<ColumnData>>>>> =
+            (0..wave.len()).map(|_| Mutex::new(None)).collect();
         let workers = wave.len().clamp(1, max_threads.max(1));
         std::thread::scope(|scope| {
             for w in 0..workers {
@@ -426,14 +428,15 @@ pub fn load_eager_csv(
                 scope.spawn(move || {
                     let mut i = w;
                     while i < wave.len() {
-                        *slots[i].lock() = Some(csv_to_batch(&csv_paths[wave[i]], dtypes));
+                        *unpoison(slots[i].lock()) =
+                            Some(csv_to_batch(&csv_paths[wave[i]], dtypes));
                         i += workers;
                     }
                 });
             }
         });
         for s in slots {
-            let batch = s.into_inner().expect("slot filled")?;
+            let batch = unpoison(s.into_inner()).expect("slot filled")?;
             report.rows_loaded += batch[0].len() as u64;
             db.append(&descriptor.ad_table, &batch, ConstraintPolicy::pk_only())?;
         }

@@ -36,13 +36,13 @@
 
 use crate::fault::{with_retries, RetryPolicy};
 use crate::source::RawChunk;
-use parking_lot::{Condvar, Mutex};
 use sommelier_engine::{
     CancelToken, EngineError, ErrorKind, Metric, MetricsRegistry, Obs, TraceCollector,
 };
+use sommelier_storage::sync::unpoison;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// A fetch closure: read one chunk's raw bytes (passing the fault
@@ -84,7 +84,7 @@ impl IoPool {
                     .name(format!("somm-io-{i}"))
                     .spawn(move || loop {
                         let job = {
-                            let mut q = shared.queue.lock();
+                            let mut q = unpoison(shared.queue.lock());
                             loop {
                                 if let Some(job) = q.pop_front() {
                                     break job;
@@ -92,7 +92,7 @@ impl IoPool {
                                 if shared.shutdown.load(Ordering::Acquire) {
                                     return;
                                 }
-                                shared.cv.wait(&mut q);
+                                q = unpoison(shared.cv.wait(q));
                             }
                         };
                         job();
@@ -109,7 +109,7 @@ impl IoPool {
     }
 
     fn submit(&self, job: IoJob) {
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoison(self.shared.queue.lock());
         q.push_back(job);
         self.shared.cv.notify_one();
     }
@@ -123,7 +123,7 @@ impl Drop for IoPool {
             // sees the flag or is already parked when we notify (a
             // flip between its check and its park would be a lost
             // wakeup, and the join below would wait forever).
-            let _q = self.shared.queue.lock();
+            let _q = unpoison(self.shared.queue.lock());
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.cv.notify_all();
@@ -231,7 +231,7 @@ impl PrefetchStage {
         &self,
         probe: impl Fn() -> (usize, usize) + Send + Sync + 'static,
     ) {
-        *self.budget_probe.lock() = Some(Box::new(probe));
+        *unpoison(self.budget_probe.lock()) = Some(Box::new(probe));
     }
 
     /// Bytes currently staged (fetched, not yet claimed): the
@@ -284,14 +284,14 @@ impl PrefetchStage {
     /// entry is consumed either way, so the caller's retry loop falls
     /// back to the direct path.
     pub fn claim(&self, uri: &str) -> Option<Result<RawChunk, EngineError>> {
-        let latch = self.entries.lock().get(uri).map(Arc::clone)?;
+        let latch = unpoison(self.entries.lock()).get(uri).map(Arc::clone)?;
         let mut waited = None;
-        let mut state = latch.state.lock();
+        let mut state = unpoison(latch.state.lock());
         loop {
             match &mut *state {
                 RawState::Pending => {
                     waited.get_or_insert_with(Instant::now);
-                    latch.cv.wait(&mut state);
+                    state = unpoison(latch.cv.wait(state));
                 }
                 RawState::Ready(raw) => {
                     let raw = std::mem::take(raw);
@@ -330,7 +330,7 @@ impl PrefetchStage {
     /// Drop the map entry, but only if it still refers to `latch` (a
     /// newer plan may have re-staged the same URI).
     fn remove_entry(&self, uri: &str, latch: &Arc<RawLatch>) {
-        let mut entries = self.entries.lock();
+        let mut entries = unpoison(self.entries.lock());
         if let Some(cur) = entries.get(uri) {
             if Arc::ptr_eq(cur, latch) {
                 entries.remove(uri);
@@ -408,7 +408,7 @@ impl PrefetchPlan {
             // what the staged buffer will hold.
             let est = std::fs::metadata(uri).map(|m| m.len() as usize).unwrap_or(0);
             let staged = self.stage.staged_bytes();
-            if let Some(probe) = &*self.stage.budget_probe.lock() {
+            if let Some(probe) = &*unpoison(self.stage.budget_probe.lock()) {
                 let (resident, budget) = probe();
                 if resident + staged + est > budget {
                     // The cellar could not admit this chunk right now:
@@ -423,11 +423,11 @@ impl PrefetchPlan {
             // registered here is always swept: a pump racing `finish`
             // either registers before the sweep or sees the flag.
             let latch = {
-                let mut mine = self.mine.lock();
+                let mut mine = unpoison(self.mine.lock());
                 if self.finished.load(Ordering::Acquire) {
                     return;
                 }
-                let mut entries = self.stage.entries.lock();
+                let mut entries = unpoison(self.stage.entries.lock());
                 if entries.contains_key(uri) {
                     continue;
                 }
@@ -457,7 +457,7 @@ impl PrefetchPlan {
             || (self.fetcher)(&uri),
         );
         {
-            let mut state = latch.state.lock();
+            let mut state = unpoison(latch.state.lock());
             match (&*state, result) {
                 (RawState::Pending, Ok(raw)) => {
                     self.stage.metrics.add(Metric::PrefetchStagedBytes, raw.len() as u64);
@@ -494,14 +494,14 @@ impl PrefetchPlan {
     /// discard their buffers on completion. Idempotent.
     pub fn finish(&self) {
         let mine = {
-            let mut mine = self.mine.lock();
+            let mut mine = unpoison(self.mine.lock());
             if self.finished.swap(true, Ordering::AcqRel) {
                 return;
             }
             std::mem::take(&mut *mine)
         };
         for (uri, latch) in mine {
-            let mut state = latch.state.lock();
+            let mut state = unpoison(latch.state.lock());
             match std::mem::replace(&mut *state, RawState::Abandoned) {
                 RawState::Ready(raw) => {
                     self.stage.metrics.sub(Metric::PrefetchStagedBytes, raw.len() as u64);
@@ -533,31 +533,15 @@ impl std::fmt::Debug for PrefetchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::TempDir;
     use std::io::Write;
-    use std::path::PathBuf;
 
-    struct TempDir(PathBuf);
     impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!(
-                "somm-prefetch-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
         fn file(&self, name: &str, bytes: &[u8]) -> String {
             let path = self.0.join(name);
             let mut f = std::fs::File::create(&path).unwrap();
             f.write_all(bytes).unwrap();
             path.to_string_lossy().into_owned()
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
         }
     }
 

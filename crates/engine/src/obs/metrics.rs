@@ -74,7 +74,6 @@ catalogue! {
     ChunksLoadJoins = "chunks.load_joins", Counter;
     ChunksLoaded = "chunks.loaded", Counter;
     ChunksPruned = "chunks.pruned", Counter;
-    ChunksSampledOut = "chunks.sampled_out", Counter;
     ChunksSelected = "chunks.selected", Counter;
     ChunksSkipped = "chunks.skipped", Counter;
     DecodeArenaAlloc = "decode.arena_alloc", Counter;

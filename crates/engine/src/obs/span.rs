@@ -11,8 +11,9 @@
 //! chunk pipeline inside the cellar's decode pool) attach to the right
 //! stage span without threading an id through every call signature.
 
-use parking_lot::Mutex;
+use sommelier_storage::sync::unpoison;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const NO_SPAN: usize = usize::MAX;
@@ -94,7 +95,7 @@ impl TraceCollector {
         rows: Option<u64>,
         bytes: Option<u64>,
     ) -> usize {
-        let mut spans = self.spans.lock();
+        let mut spans = unpoison(self.spans.lock());
         let id = spans.len();
         spans.push(SpanRecord {
             id,
@@ -140,7 +141,7 @@ impl TraceCollector {
 
     /// Freeze the collected spans into a [`SpanTrace`].
     pub fn finish(&self) -> SpanTrace {
-        SpanTrace { spans: self.spans.lock().clone() }
+        SpanTrace { spans: unpoison(self.spans.lock()).clone() }
     }
 }
 
@@ -196,7 +197,7 @@ impl<'t> StageTimer<'t> {
                 tc.record_stage(tc.ambient(), self.name, detail(), edges, rows, bytes);
             }
             Some((id, outer)) => {
-                if let Some(span) = tc.spans.lock().get_mut(id) {
+                if let Some(span) = unpoison(tc.spans.lock()).get_mut(id) {
                     span.dur_ns = edges.dur().as_nanos() as u64;
                     span.detail = detail();
                     (span.rows, span.bytes) = (rows, bytes);

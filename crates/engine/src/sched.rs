@@ -16,6 +16,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::obs::{self, Metric, MetricsRegistry, Obs};
+use sommelier_storage::sync::unpoison;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -127,12 +128,12 @@ impl CancelToken {
 
     /// Install (or overwrite) the absolute deadline.
     pub fn set_deadline(&self, deadline: Instant) {
-        *self.inner.deadline.lock().unwrap_or_else(|e| e.into_inner()) = Some(deadline);
+        *unpoison(self.inner.deadline.lock()) = Some(deadline);
     }
 
     /// The absolute deadline, if one was set.
     pub fn deadline(&self) -> Option<Instant> {
-        *self.inner.deadline.lock().unwrap_or_else(|e| e.into_inner())
+        *unpoison(self.inner.deadline.lock())
     }
 
     /// Request cancellation. Idempotent; already-running morsels finish,
@@ -375,11 +376,11 @@ impl MorselScheduler {
             // Flag and enqueue are ordered by the queue lock: any batch
             // enqueued before the flip is visible to the drain below;
             // any submitter that sees the flag runs inline instead.
-            let _q = lock(&self.shared.queue);
+            let _q = unpoison(self.shared.queue.lock());
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.work_cv.notify_all();
-        for h in lock(&self.handles).drain(..) {
+        for h in unpoison(self.handles.lock()).drain(..) {
             let _ = h.join();
         }
         // Workers may have exited without touching late batches; claim
@@ -387,7 +388,7 @@ impl MorselScheduler {
         // a worker completed before it exited).
         loop {
             let batch = {
-                let mut q = lock(&self.shared.queue);
+                let mut q = unpoison(self.shared.queue.lock());
                 let batch = q.pop();
                 self.shared.metrics.set(Metric::SchedQueueDepth, q.len() as u64);
                 batch
@@ -430,7 +431,7 @@ impl MorselScheduler {
         unsafe fn call<T, F: Fn(usize) -> T>(p: *const (), i: usize) {
             let e = unsafe { &*(p as *const Erased<'_, T, F>) };
             let v = (e.task)(i);
-            *e.slots[i].lock().unwrap_or_else(|x| x.into_inner()) = Some(v);
+            *unpoison(e.slots[i].lock()) = Some(v);
         }
 
         let erased = Erased { task: &task, slots: &slots };
@@ -454,7 +455,7 @@ impl MorselScheduler {
         self.shared.metrics.add(Metric::SchedBatches, 1);
         self.shared.metrics.add(Metric::SchedTasks, n as u64);
         let inline = {
-            let mut q = lock(&self.shared.queue);
+            let mut q = unpoison(self.shared.queue.lock());
             if self.shared.shutdown.load(Ordering::Acquire) {
                 // Shut-down pool: no workers left; run on the submitter.
                 true
@@ -475,15 +476,15 @@ impl MorselScheduler {
         // concurrently with shutdown is drained inline by `shutdown`,
         // so this wait always terminates.)
         {
-            let mut fin = lock(&core.finished);
+            let mut fin = unpoison(core.finished.lock());
             while !*fin {
-                fin = core.finished_cv.wait(fin).unwrap_or_else(|e| e.into_inner());
+                fin = unpoison(core.finished_cv.wait(fin));
             }
         }
         // Leave the queue now rather than at a worker's next sweep, so
         // `sched.queue_depth` reads 0 once every submitter returned.
         if !inline {
-            let mut q = lock(&self.shared.queue);
+            let mut q = unpoison(self.shared.queue.lock());
             q.retain(|b| !Arc::ptr_eq(b, &core));
             self.shared.metrics.set(Metric::SchedQueueDepth, q.len() as u64);
         }
@@ -494,16 +495,14 @@ impl MorselScheduler {
             count_batch(m, n, busy, span.saturating_sub(busy));
         }
         if core.panicked.load(Ordering::Acquire) {
-            let msg = lock(&core.panic_msg)
+            let msg = unpoison(core.panic_msg.lock())
                 .take()
                 .unwrap_or_else(|| "a morsel task panicked on the shared scheduler".into());
             std::panic::panic_any(MorselPanic(msg));
         }
         slots
             .into_iter()
-            .map(|s| {
-                s.into_inner().unwrap_or_else(|e| e.into_inner()).expect("every morsel ran")
-            })
+            .map(|s| unpoison(s.into_inner()).expect("every morsel ran"))
             .collect()
     }
 }
@@ -518,10 +517,6 @@ impl std::fmt::Debug for MorselScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MorselScheduler").field("workers", &self.workers).finish()
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Feed one finished batch of `n` tasks into the `pool.*` metrics
@@ -544,7 +539,7 @@ fn run_one(shared: &SchedShared, batch: &BatchCore, i: usize) {
         let r = catch_unwind(AssertUnwindSafe(|| unsafe { (batch.run)(batch.ctx, i) }));
         if let Err(payload) = r {
             {
-                let mut msg = lock(&batch.panic_msg);
+                let mut msg = unpoison(batch.panic_msg.lock());
                 if msg.is_none() {
                     *msg = Some(panic_message(payload.as_ref()));
                 }
@@ -558,7 +553,7 @@ fn run_one(shared: &SchedShared, batch: &BatchCore, i: usize) {
     shared.metrics.add(Metric::SchedBusyNs, dt);
     let finished = batch.done.fetch_add(1, Ordering::Relaxed) + 1 == batch.n;
     if finished {
-        let mut fin = lock(&batch.finished);
+        let mut fin = unpoison(batch.finished.lock());
         *fin = true;
         drop(fin);
         batch.finished_cv.notify_all();
@@ -583,7 +578,7 @@ fn worker_loop(shared: &SchedShared, w: usize) {
     loop {
         // Claim one morsel from the best runnable batch.
         let claimed = {
-            let mut q = lock(&shared.queue);
+            let mut q = unpoison(shared.queue.lock());
             loop {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
@@ -615,11 +610,8 @@ fn worker_loop(shared: &SchedShared, w: usize) {
                     None => {
                         // Bounded wait: an aging batch can become the
                         // best choice without any new work arriving.
-                        let (g, _) = shared
-                            .work_cv
-                            .wait_timeout(q, Duration::from_millis(5))
-                            .unwrap_or_else(|e| e.into_inner());
-                        q = g;
+                        let wait = Duration::from_millis(5);
+                        q = unpoison(shared.work_cv.wait_timeout(q, wait)).0;
                     }
                 }
             }
@@ -722,7 +714,7 @@ mod tests {
                 let (s, order) = (Arc::clone(&s), Arc::clone(&order));
                 scope.spawn(move || {
                     s.run_batch(1, 1, Priority::Normal, &Obs::off(), |_| {
-                        lock(&order).push("normal")
+                        unpoison(order.lock()).push("normal")
                     });
                 });
             }
@@ -731,12 +723,12 @@ mod tests {
                 let (s, order) = (Arc::clone(&s), Arc::clone(&order));
                 scope.spawn(move || {
                     s.run_batch(1, 1, Priority::High, &Obs::off(), |_| {
-                        lock(&order).push("high")
+                        unpoison(order.lock()).push("high")
                     });
                 });
             }
         });
-        assert_eq!(*lock(&order), vec!["high", "normal"]);
+        assert_eq!(*unpoison(order.lock()), vec!["high", "normal"]);
     }
 
     #[test]

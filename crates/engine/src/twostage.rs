@@ -39,9 +39,9 @@ use crate::optimizer::{self, ColumnZone, PassTrace, ZoneCandidates, ZoneConstrai
 use crate::physical::{lower, ChunkRef, LowerOptions, PhysicalPlan};
 use crate::relation::Relation;
 use crate::sched::{DegradationPolicy, SchedPolicy};
-use parking_lot::Mutex;
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::{ColumnData, Database};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One chunk handed out by a [`ChunkResidency`] manager: the loaded
@@ -243,11 +243,6 @@ pub struct TwoStageConfig {
     /// descriptor (e.g. `F.uri` for the mSEED adapter); plans with lazy
     /// scans fail if it is left empty.
     pub uri_column: String,
-    /// Approximate query answering (the paper's §VIII future work):
-    /// ingest only this fraction of the selected chunks, chosen
-    /// deterministically. Aggregates like AVG remain (approximately)
-    /// unbiased; COUNT/SUM scale down with the fraction. `None` = exact.
-    pub sampling: Option<f64>,
     /// Observability handle for this query: pool/query counters, and —
     /// when a per-query tracer is attached — the span tree.
     pub obs: Obs,
@@ -266,7 +261,6 @@ impl Default for TwoStageConfig {
             zone_map_pruning: true,
             use_index_joins: false,
             uri_column: String::new(),
-            sampling: None,
             obs: Obs::off(),
             sched: SchedPolicy::default(),
         }
@@ -286,8 +280,6 @@ pub struct ExecStats {
     pub stage2: Duration,
     /// Chunks selected by `Qf`.
     pub files_selected: usize,
-    /// Chunks skipped by approximate-answering sampling.
-    pub files_sampled_out: usize,
     /// Chunks dropped by the `zone_map_pruning` pass (never decoded).
     pub files_pruned: usize,
     /// Chunks actually ingested (cache misses).
@@ -326,15 +318,11 @@ impl ExecStats {
     }
 
     /// The chunk-accounting invariant every run must satisfy: each
-    /// selected chunk is pruned, sampled out, loaded, a cache hit, or
-    /// skipped as unreadable — exactly one of the five.
+    /// selected chunk is pruned, loaded, a cache hit, or skipped as
+    /// unreadable — exactly one of the four.
     pub fn accounting_balanced(&self) -> bool {
         self.files_selected
-            == self.files_pruned
-                + self.files_sampled_out
-                + self.files_loaded
-                + self.cache_hits
-                + self.files_skipped
+            == self.files_pruned + self.files_loaded + self.cache_hits + self.files_skipped
     }
 }
 
@@ -404,7 +392,6 @@ pub fn execute_plan(
             None => residency.all_chunks()?,
         };
         stats.files_selected = uris.len();
-        let uris = sample_uris(uris, config.sampling, &mut stats);
         // Quarantine check: chunks recorded as permanently unreadable
         // never reach the decode wave, and their files are never
         // touched again. Under `Strict` the query fails here, fast and
@@ -532,14 +519,13 @@ pub fn execute_plan(
     }
 
     // Chunk accounting must balance on every path: each selected chunk
-    // is pruned, sampled out, loaded, a cache hit, or skipped.
+    // is pruned, loaded, a cache hit, or skipped.
     if !stats.accounting_balanced() {
         return Err(EngineError::Exec(format!(
-            "chunk accounting out of balance: selected {} != pruned {} + sampled_out {} \
-             + loaded {} + hits {} + skipped {}",
+            "chunk accounting out of balance: selected {} != pruned {} + loaded {} \
+             + hits {} + skipped {}",
             stats.files_selected,
             stats.files_pruned,
-            stats.files_sampled_out,
             stats.files_loaded,
             stats.cache_hits,
             stats.files_skipped
@@ -560,7 +546,6 @@ pub fn execute_plan(
     o.count(Metric::QueryStage2Ns, stats.stage2.as_nanos() as u64);
     o.count(Metric::ChunksSelected, stats.files_selected as u64);
     o.count(Metric::ChunksPruned, stats.files_pruned as u64);
-    o.count(Metric::ChunksSampledOut, stats.files_sampled_out as u64);
     o.count(Metric::ChunksLoaded, stats.files_loaded as u64);
     o.count(Metric::ChunksCacheHits, stats.cache_hits as u64);
     o.count(Metric::ChunksLoadJoins, stats.load_joins);
@@ -706,13 +691,13 @@ fn chunk_wave<T: Send>(
         if let Some(tc) = tracer {
             record_chunk_span(tc, &uris[i], &acquisition, chunk.decode, t0.elapsed());
         }
-        *slots[i].lock() = Some((acquisition, out));
+        *unpoison(slots[i].lock()) = Some((acquisition, out));
         Ok(())
     };
     residency.acquire_each(&uris, &config.sched, &sink)?;
     let mut outs = Vec::with_capacity(uris.len());
     for (uri, slot) in uris.into_iter().zip(slots) {
-        let Some((acquisition, out)) = slot.into_inner() else {
+        let Some((acquisition, out)) = unpoison(slot.into_inner()) else {
             return Err(EngineError::Exec(format!(
                 "chunk {uri:?} never reached its pipeline"
             )));
@@ -767,38 +752,6 @@ fn record_chunk_span(
         Some(a.rows),
         Some(a.bytes),
     );
-}
-
-/// Approximate answering: keep a deterministic sample of the selected
-/// chunks (stable across repeated runs of the query).
-fn sample_uris(
-    uris: Vec<String>,
-    sampling: Option<f64>,
-    stats: &mut ExecStats,
-) -> Vec<String> {
-    match sampling {
-        Some(fraction) if fraction < 1.0 && uris.len() > 1 => {
-            let keep = ((uris.len() as f64 * fraction.clamp(0.0, 1.0)).ceil() as usize)
-                .clamp(1, uris.len());
-            let mut ranked: Vec<(u64, String)> = uris
-                .into_iter()
-                .map(|u| {
-                    use std::hash::{Hash, Hasher};
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    u.hash(&mut h);
-                    (h.finish(), u)
-                })
-                .collect();
-            ranked.sort();
-            stats.files_sampled_out = ranked.len() - keep;
-            ranked.truncate(keep);
-            // Restore a deterministic (name) order for loading.
-            let mut kept: Vec<String> = ranked.into_iter().map(|(_, u)| u).collect();
-            kept.sort();
-            kept
-        }
-        _ => uris,
-    }
 }
 
 /// Distinct URIs from the stage-1 result, in first-appearance order.
@@ -928,7 +881,7 @@ mod tests {
             policy: &SchedPolicy,
             sink: &ChunkSink<'_>,
         ) -> Result<()> {
-            let unreadable = self.unreadable.lock().get(uri).cloned();
+            let unreadable = unpoison(self.unreadable.lock()).get(uri).cloned();
             if let Some(reason) = unreadable {
                 return match policy.degradation {
                     DegradationPolicy::SkipUnreadable => {
@@ -943,7 +896,7 @@ mod tests {
             }
             self.pin();
             let chunk = {
-                let mut resident = self.resident.lock();
+                let mut resident = unpoison(self.resident.lock());
                 match resident.get(uri) {
                     Some(rel) => Ok(AcquiredChunk::untimed(Arc::clone(rel), false, false)),
                     // Retaining manager: always decodes full width.
@@ -962,7 +915,7 @@ mod tests {
 
     impl ChunkResidency for FakeResidency {
         fn is_resident(&self, uri: &str) -> bool {
-            self.resident.lock().contains_key(uri)
+            unpoison(self.resident.lock()).contains_key(uri)
         }
 
         fn acquire_each(
@@ -983,7 +936,7 @@ mod tests {
         }
 
         fn quarantined(&self, uri: &str) -> Option<String> {
-            self.quarantined.lock().get(uri).cloned()
+            unpoison(self.quarantined.lock()).get(uri).cloned()
         }
     }
 
@@ -1237,7 +1190,7 @@ mod tests {
     fn skip_mode_completes_over_readable_chunks() {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
-        residency.unreadable.lock().insert("u2".into(), "bad magic".into());
+        unpoison(residency.unreadable.lock()).insert("u2".into(), "bad magic".into());
         let mut config = test_config();
         config.sched.degradation = DegradationPolicy::SkipUnreadable;
         let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
@@ -1256,7 +1209,7 @@ mod tests {
     fn strict_mode_fails_with_typed_error_naming_the_chunk() {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
-        residency.unreadable.lock().insert("u2".into(), "bad magic".into());
+        unpoison(residency.unreadable.lock()).insert("u2".into(), "bad magic".into());
         let err =
             execute_plan(&db, &lazy_plan(), Some(&residency), &test_config()).unwrap_err();
         match err {
@@ -1272,7 +1225,8 @@ mod tests {
     fn quarantined_chunk_skipped_without_being_touched() {
         let db = metadata_db();
         let residency = FakeResidency::new(3);
-        residency.quarantined.lock().insert("u2".into(), "quarantined earlier".into());
+        unpoison(residency.quarantined.lock())
+            .insert("u2".into(), "quarantined earlier".into());
         let mut config = test_config();
         config.sched.degradation = DegradationPolicy::SkipUnreadable;
         let out = execute_plan(&db, &lazy_plan(), Some(&residency), &config).unwrap();
@@ -1423,23 +1377,25 @@ mod tests {
     }
 
     #[test]
-    fn accounting_balances_over_sampling_quarantine_and_skip() {
+    fn accounting_balances_over_quarantine_and_skip() {
         let db = metadata_db();
         let residency = FakeResidency::new(6);
-        residency.resident.lock().insert("u3".into(), Arc::new(FakeSource::rel_for(3)));
-        residency.quarantined.lock().insert("u1".into(), "quarantined earlier".into());
-        residency.unreadable.lock().insert("u2".into(), "bad magic".into());
-        let mut config = TwoStageConfig { sampling: Some(0.7), ..test_config() };
+        unpoison(residency.resident.lock())
+            .insert("u3".into(), Arc::new(FakeSource::rel_for(3)));
+        unpoison(residency.quarantined.lock())
+            .insert("u1".into(), "quarantined earlier".into());
+        unpoison(residency.unreadable.lock()).insert("u2".into(), "bad magic".into());
+        let mut config = test_config();
         config.sched.degradation = DegradationPolicy::SkipUnreadable;
         let out = execute_plan(&db, &count_plan(), Some(&residency), &config).unwrap();
         let s = &out.stats;
         assert!(s.accounting_balanced(), "{s:?}");
-        assert_eq!((s.files_selected, s.files_sampled_out), (6, 1), "{s:?}");
-        assert_eq!(s.files_loaded + s.cache_hits + s.files_skipped, 5, "{s:?}");
-        assert!(s.files_skipped >= 1 && s.cache_hits >= 1, "{s:?}");
-        assert_eq!(out.skipped.len(), s.files_skipped);
-        let rows = 3 * (s.files_loaded + s.cache_hits) as i64;
-        assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(rows));
+        // u3 is a hit, u1 (quarantined) and u2 (unreadable) are skipped,
+        // and the other three load: 6 = 3 + 1 + 2.
+        let counts = (s.files_selected, s.files_loaded, s.cache_hits, s.files_skipped);
+        assert_eq!(counts, (6, 3, 1, 2), "{s:?}");
+        assert_eq!(out.skipped.len(), 2);
+        assert_eq!(out.relation.value(0, "n").unwrap(), Value::Int(3 * 4));
         assert_eq!(residency.pins.load(Ordering::SeqCst), 0);
     }
 

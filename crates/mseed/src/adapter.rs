@@ -20,7 +20,6 @@
 use crate::reader::{parse_full_bytes, read_full_bytes_into, FileHeader};
 use crate::repo::Repository;
 use crate::steim;
-use parking_lot::Mutex;
 use sommelier_core::chunks::FileEntry;
 use sommelier_core::source::{
     empty_ad_relation, DmdAgg, DmdDim, DmdSpec, InferenceRule, RawChunk, SourceAdapter,
@@ -32,11 +31,13 @@ use sommelier_engine::relation::RelationBuilder;
 use sommelier_engine::{AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Relation};
 use sommelier_sql::ViewDef;
 use sommelier_storage::column::TextColumn;
+use sommelier_storage::sync::unpoison;
 use sommelier_storage::time::MS_PER_HOUR;
 use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Schema of the given-metadata file table `F`.
 pub fn f_schema() -> TableSchema {
@@ -334,7 +335,7 @@ pub fn read_all_headers(files: &[PathBuf], max_threads: usize) -> Result<Vec<Fil
             scope.spawn(move || {
                 let mut i = w;
                 while i < files.len() {
-                    *slots[i].lock() = Some(crate::read_metadata(&files[i]));
+                    *unpoison(slots[i].lock()) = Some(crate::read_metadata(&files[i]));
                     i += workers;
                 }
             });
@@ -343,7 +344,7 @@ pub fn read_all_headers(files: &[PathBuf], max_threads: usize) -> Result<Vec<Fil
     slots
         .into_iter()
         .map(|s| {
-            s.into_inner()
+            unpoison(s.into_inner())
                 .expect("all slots filled")
                 .map_err(|e| SommelierError::Adapter(e.to_string()))
         })

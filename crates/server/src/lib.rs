@@ -53,6 +53,7 @@ use sommelier_core::{
     CancelToken, DegradationPolicy, Metric, MetricsRegistry, Priority, QueryOptions,
     QueryResult, Sommelier, SommelierError,
 };
+use sommelier_storage::sync::unpoison;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SendError, SyncSender};
@@ -161,18 +162,18 @@ struct ServerShared {
 
 impl ServerShared {
     fn register_inflight(&self, state: &Arc<HandleState>, cancel: &CancelToken) {
-        let mut v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        let mut v = unpoison(self.inflight.lock());
         v.retain(|(st, _)| is_unfinished(st));
         v.push((Arc::downgrade(state), cancel.clone()));
     }
 
     fn unfinished_inflight(&self) -> usize {
-        let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        let v = unpoison(self.inflight.lock());
         v.iter().filter(|(st, _)| is_unfinished(st)).count()
     }
 
     fn cancel_inflight(&self) -> usize {
-        let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        let v = unpoison(self.inflight.lock());
         let mut fired = 0;
         for (st, cancel) in v.iter() {
             if is_unfinished(st) {
@@ -192,7 +193,7 @@ impl ServerShared {
     fn drain_until(&self, deadline: std::time::Instant) -> usize {
         loop {
             let running: Vec<Arc<HandleState>> = {
-                let v = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+                let v = unpoison(self.inflight.lock());
                 v.iter()
                     .filter_map(|(st, _)| st.upgrade())
                     .filter(|st| !st.finished.load(Ordering::Acquire))
@@ -202,14 +203,11 @@ impl ServerShared {
                 return running.len();
             }
             for state in running {
-                let guard = state.result.lock().unwrap_or_else(|e| e.into_inner());
+                let guard = unpoison(state.result.lock());
                 let left = deadline.saturating_duration_since(std::time::Instant::now());
-                let _ = state
-                    .cv
-                    .wait_timeout_while(guard, left, |_| {
-                        !state.finished.load(Ordering::Acquire)
-                    })
-                    .unwrap_or_else(|e| e.into_inner());
+                let _ = unpoison(state.cv.wait_timeout_while(guard, left, |_| {
+                    !state.finished.load(Ordering::Acquire)
+                }));
             }
         }
     }
@@ -425,8 +423,6 @@ pub struct SubmitOptions {
     pub priority: Option<Priority>,
     /// Override the session default timeout for this query.
     pub timeout: Option<Duration>,
-    /// Approximate execution: deterministic chunk-sampling fraction.
-    pub sampling: Option<f64>,
     /// Override the session degradation policy for this query.
     pub degradation: Option<DegradationPolicy>,
 }
@@ -461,7 +457,7 @@ impl Session {
 
     /// Queries of this session quarantined after panicking.
     pub fn quarantined_count(&self) -> usize {
-        self.quarantined.lock().unwrap_or_else(|e| e.into_inner()).len()
+        unpoison(self.quarantined.lock()).len()
     }
 
     /// Queries of this session currently in flight.
@@ -495,7 +491,7 @@ impl Session {
             return Err(ServerError::ShuttingDown);
         }
         let fingerprint = query_fingerprint(sql);
-        if self.quarantined.lock().unwrap_or_else(|e| e.into_inner()).contains(&fingerprint) {
+        if unpoison(self.quarantined.lock()).contains(&fingerprint) {
             return Err(ServerError::Quarantined { fingerprint });
         }
         let limit = self.options.max_in_flight.max(1);
@@ -511,7 +507,6 @@ impl Session {
         }
         let cancel = CancelToken::new();
         let qopts = QueryOptions {
-            sampling: overrides.sampling,
             priority: overrides.priority.unwrap_or(self.options.priority),
             cancel: Some(cancel.clone()),
             timeout: overrides.timeout.or(self.options.default_timeout),
@@ -581,10 +576,7 @@ impl Job {
     fn run(self) -> Done {
         let result = self.somm.query_opts(&self.sql, &self.opts).map_err(ServerError::from);
         if matches!(&result, Err(ServerError::Query(SommelierError::QueryPanicked { .. }))) {
-            self.quarantined
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(self.fingerprint);
+            unpoison(self.quarantined.lock()).insert(self.fingerprint);
         }
         Done { result, in_flight: self.in_flight, state: self.state }
     }
@@ -596,7 +588,7 @@ impl Done {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         // `finished` flips under the result lock, so a waiter that saw
         // it unset while holding the lock is parked before the notify.
-        let mut result = self.state.result.lock().unwrap_or_else(|e| e.into_inner());
+        let mut result = unpoison(self.state.result.lock());
         *result = Some(self.result);
         self.state.finished.store(true, Ordering::Release);
         drop(result);
@@ -625,7 +617,7 @@ struct Idle {
 impl ControlPool {
     /// Start `job` on a parked control thread, or on a new one.
     fn dispatch(self: &Arc<Self>, mut job: Job) {
-        let parked = self.idle.lock().unwrap_or_else(|e| e.into_inner()).parked.pop();
+        let parked = unpoison(self.idle.lock()).parked.pop();
         if let Some(mailbox) = parked {
             // A parked thread holds its receiver until a job arrives;
             // should it have died instead, a new thread takes the job.
@@ -662,14 +654,14 @@ impl ControlPool {
     /// Put `mailbox` on the idle list, or drop it once the pool is
     /// closed.
     fn park(&self, mailbox: SyncSender<Job>) {
-        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        let mut idle = unpoison(self.idle.lock());
         if !idle.closed {
             idle.parked.push(mailbox);
         }
     }
 
     fn close(&self) {
-        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        let mut idle = unpoison(self.idle.lock());
         idle.closed = true;
         idle.parked.clear();
     }
@@ -711,12 +703,12 @@ impl QueryHandle {
 
     /// Block until the query finishes and return its result.
     pub fn wait(self) -> Result<QueryResult, ServerError> {
-        let mut guard = self.state.result.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = unpoison(self.state.result.lock());
         loop {
             if let Some(res) = guard.take() {
                 return res;
             }
-            guard = self.state.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+            guard = unpoison(self.state.cv.wait(guard));
         }
     }
 
@@ -727,15 +719,14 @@ impl QueryHandle {
         &mut self,
         timeout: Duration,
     ) -> Option<Result<QueryResult, ServerError>> {
-        let mut guard = self.state.result.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = unpoison(self.state.result.lock());
         let deadline = std::time::Instant::now() + timeout;
         loop {
             if let Some(res) = guard.take() {
                 return Some(res);
             }
             let left = deadline.checked_duration_since(std::time::Instant::now())?;
-            let (g, _) =
-                self.state.cv.wait_timeout(guard, left).unwrap_or_else(|e| e.into_inner());
+            let (g, _) = unpoison(self.state.cv.wait_timeout(guard, left));
             guard = g;
         }
     }
@@ -753,13 +744,33 @@ mod tests {
     use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
     use sommelier_core::LoadingMode;
 
-    fn test_server(tag: &str) -> Server {
+    /// A server over a generated event-log repository, which is
+    /// removed when the server is dropped (also when its test fails).
+    struct TestServer {
+        server: Server,
+        dir: std::path::PathBuf,
+    }
+
+    impl std::ops::Deref for TestServer {
+        type Target = Server;
+        fn deref(&self) -> &Server {
+            &self.server
+        }
+    }
+
+    impl Drop for TestServer {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn test_server(tag: &str) -> TestServer {
         let dir = std::env::temp_dir()
             .join(format!("somm-server-unit-{tag}-{}", std::process::id()));
         generate_event_logs(&dir, &EventLogSpec::small(2, 128)).unwrap();
         let somm = Sommelier::builder().source(EventLogAdapter::new(&dir)).build().unwrap();
         somm.prepare(LoadingMode::Lazy).unwrap();
-        Server::new(Arc::new(somm))
+        TestServer { server: Server::new(Arc::new(somm)), dir }
     }
 
     #[test]

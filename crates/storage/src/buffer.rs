@@ -8,13 +8,13 @@
 
 use crate::error::{Result, StorageError};
 use crate::page::{page_offset, FileId, PageBuf, PageKey, PAGE_SIZE};
-use parking_lot::{Mutex, RwLock};
+use crate::sync::unpoison;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Pool configuration.
 #[derive(Debug, Clone)]
@@ -75,35 +75,33 @@ impl DiskManager {
 
     /// Register (or re-open) `path`, returning its stable id.
     pub fn register(&self, path: &Path) -> Result<FileId> {
-        if let Some(&id) = self.by_path.read().get(path) {
+        if let Some(&id) = unpoison(self.by_path.read()).get(path) {
             return Ok(id);
         }
         let file = File::open(path)
             .map_err(|e| StorageError::io(format!("opening {}", path.display()), e))?;
         let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.by_path.write().insert(path.to_path_buf(), id);
-        self.files.write().insert(id, Arc::new(Mutex::new(file)));
+        unpoison(self.by_path.write()).insert(path.to_path_buf(), id);
+        unpoison(self.files.write()).insert(id, Arc::new(Mutex::new(file)));
         Ok(id)
     }
 
     /// Forget a file (e.g. after it has been rewritten); the id becomes
     /// invalid and subsequent `register` calls get a new one.
     pub fn forget(&self, path: &Path) -> Option<FileId> {
-        let id = self.by_path.write().remove(path)?;
-        self.files.write().remove(&id);
+        let id = unpoison(self.by_path.write()).remove(path)?;
+        unpoison(self.files.write()).remove(&id);
         Some(id)
     }
 
     /// Read up to `buf.len()` bytes at `offset`; returns bytes read
     /// (short at end-of-file).
     pub fn read_at(&self, id: FileId, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let file = self
-            .files
-            .read()
+        let file = unpoison(self.files.read())
             .get(&id)
             .cloned()
             .ok_or_else(|| StorageError::Corrupt(format!("unknown file id {id:?}")))?;
-        let mut guard = file.lock();
+        let mut guard = unpoison(file.lock());
         guard.seek(SeekFrom::Start(offset)).map_err(|e| StorageError::io("seek", e))?;
         let mut total = 0;
         while total < buf.len() {
@@ -158,7 +156,7 @@ impl BufferPool {
     /// Fetch a page, from the pool if resident, else from disk.
     pub fn get_page(&self, key: PageKey) -> Result<Arc<PageBuf>> {
         {
-            let mut st = self.state.lock();
+            let mut st = unpoison(self.state.lock());
             if let Some((page, old_tick)) =
                 st.pages.get(&key).map(|(p, t)| (Arc::clone(p), *t))
             {
@@ -179,7 +177,7 @@ impl BufferPool {
         let valid = self.disk.read_at(key.file, page_offset(key.page_no), &mut data)?;
         self.stats.bytes_read.fetch_add(valid as u64, Ordering::Relaxed);
         let page = Arc::new(PageBuf { data, valid });
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         if st.pages.contains_key(&key) {
             // Raced with another reader; keep the existing copy.
             return Ok(Arc::clone(&st.pages[&key].0));
@@ -218,7 +216,7 @@ impl BufferPool {
 
     /// Drop every page belonging to `file` (e.g. after the file grew).
     pub fn invalidate_file(&self, file: FileId) {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         let victims: Vec<(u64, PageKey)> = st
             .pages
             .iter()
@@ -234,7 +232,7 @@ impl BufferPool {
 
     /// Drop all resident pages ("cold" run simulation).
     pub fn clear(&self) {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         st.pages.clear();
         st.order.clear();
         st.resident_bytes = 0;
@@ -242,7 +240,7 @@ impl BufferPool {
 
     /// Bytes of page data currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.state.lock().resident_bytes
+        unpoison(self.state.lock()).resident_bytes
     }
 }
 

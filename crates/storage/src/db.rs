@@ -11,12 +11,12 @@ use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
 use crate::index::{HashIndex, JoinIndex};
 use crate::schema::{TableClass, TableSchema};
+use crate::sync::unpoison;
 use crate::table::{RowOrder, Table};
-use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Which constraints to verify on append.
 ///
@@ -118,7 +118,7 @@ impl Database {
             pool: Arc::new(BufferPool::new(config)),
             inner: RwLock::new(Inner { catalog: Catalog::new(), tables: HashMap::new() }),
         };
-        db.inner.read().catalog.save(&catalog_path)?;
+        unpoison(db.inner.read()).catalog.save(&catalog_path)?;
         Ok(db)
     }
 
@@ -165,7 +165,7 @@ impl Database {
     /// Create a table. In-memory databases force `Resident`.
     pub fn create_table(&self, schema: TableSchema, disposition: Disposition) -> Result<()> {
         let name = schema.name.clone();
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         let effective = match (&self.dir, disposition) {
             (None, _) => Disposition::Resident,
             (Some(_), d) => d,
@@ -186,7 +186,7 @@ impl Database {
 
     /// Drop a table and delete its files.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         inner.catalog.drop_table(name)?;
         if let Some(state) = inner.tables.remove(name) {
             for path in state.table.column_paths() {
@@ -214,22 +214,22 @@ impl Database {
 
     /// True if `name` exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.inner.read().catalog.contains(name)
+        unpoison(self.inner.read()).catalog.contains(name)
     }
 
     /// Clone of the schema of `name`.
     pub fn table_schema(&self, name: &str) -> Result<TableSchema> {
-        Ok(self.inner.read().catalog.get(name)?.schema.clone())
+        Ok(unpoison(self.inner.read()).catalog.get(name)?.schema.clone())
     }
 
     /// All table schemas.
     pub fn schemas(&self) -> Vec<TableSchema> {
-        self.inner.read().catalog.iter().map(|e| e.schema.clone()).collect()
+        unpoison(self.inner.read()).catalog.iter().map(|e| e.schema.clone()).collect()
     }
 
     /// Row count of `name`.
     pub fn table_rows(&self, name: &str) -> Result<u64> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let state = inner
             .tables
             .get(name)
@@ -247,7 +247,7 @@ impl Database {
         cols: &[ColumnData],
         policy: ConstraintPolicy,
     ) -> Result<usize> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         let inner = &mut *inner;
         let table = &inner
             .tables
@@ -361,7 +361,7 @@ impl Database {
 
     /// Materialize all columns of `name`.
     pub fn scan_table(&self, name: &str) -> Result<Vec<ColumnData>> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let state = inner
             .tables
             .get(name)
@@ -371,7 +371,7 @@ impl Database {
 
     /// Materialize selected columns of `name` (by column name).
     pub fn scan_columns(&self, name: &str, cols: &[&str]) -> Result<Vec<ColumnData>> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let state = inner
             .tables
             .get(name)
@@ -384,7 +384,7 @@ impl Database {
 
     /// The order facts of `name`'s rows.
     pub fn row_order(&self, name: &str) -> Result<RowOrder> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let state = inner
             .tables
             .get(name)
@@ -395,7 +395,7 @@ impl Database {
     /// Selected columns of `name`, shared with the store when it is
     /// resident (no copy), with the table's order facts over them.
     pub fn scan_shared(&self, name: &str, cols: &[&str]) -> Result<SharedScan> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let state = inner
             .tables
             .get(name)
@@ -428,7 +428,7 @@ impl Database {
 
     /// Build the PK hash index of `name` (idempotent).
     pub fn build_pk_index(&self, name: &str) -> Result<()> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         Self::ensure_pk_built(&self.pool, &mut inner, name)
     }
 
@@ -439,14 +439,14 @@ impl Database {
         for fk in &schema.foreign_keys {
             // Parent PK columns + index.
             {
-                let mut inner = self.inner.write();
+                let mut inner = unpoison(self.inner.write());
                 Self::ensure_pk_built(&self.pool, &mut inner, &fk.parent_table)?;
             }
             let child_cols = {
                 let names: Vec<&str> = fk.columns.iter().map(|s| s.as_str()).collect();
                 self.scan_columns(name, &names)?
             };
-            let mut inner = self.inner.write();
+            let mut inner = unpoison(self.inner.write());
             let inner = &mut *inner;
             let parent = inner.tables.get(&fk.parent_table).ok_or_else(|| {
                 StorageError::Catalog(format!("no such table {:?}", fk.parent_table))
@@ -474,7 +474,7 @@ impl Database {
     /// Delete all rows of `name` (drop + recreate, schema preserved).
     pub fn truncate_table(&self, name: &str) -> Result<()> {
         let (schema, disposition) = {
-            let inner = self.inner.read();
+            let inner = unpoison(self.inner.read());
             let entry = inner.catalog.get(name)?;
             (entry.schema.clone(), entry.disposition)
         };
@@ -488,10 +488,10 @@ impl Database {
     /// skips when ingesting chunks (§VI-A); exposed for the ablation.
     pub fn pk_probe_i64(&self, table: &str, keys: &[i64]) -> Result<()> {
         {
-            let mut inner = self.inner.write();
+            let mut inner = unpoison(self.inner.write());
             Self::ensure_pk_built(&self.pool, &mut inner, table)?;
         }
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let state = inner
             .tables
             .get(table)
@@ -514,13 +514,13 @@ impl Database {
 
     /// The FK join index from `child` to `parent`, if built.
     pub fn join_index(&self, child: &str, parent: &str) -> Option<Arc<JoinIndex>> {
-        self.inner.read().tables.get(child)?.join_indices.get(parent).cloned()
+        unpoison(self.inner.read()).tables.get(child)?.join_indices.get(parent).cloned()
     }
 
     /// Approximate bytes of all in-memory index structures
     /// (Table III "+keys").
     pub fn index_bytes(&self) -> u64 {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         inner
             .tables
             .values()
@@ -537,7 +537,7 @@ impl Database {
 
     /// Bytes on disk across all tables.
     pub fn disk_bytes(&self) -> u64 {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         inner
             .tables
             .values()
@@ -547,7 +547,7 @@ impl Database {
 
     /// Bytes on disk for metadata-class tables only (Table III "Lazy").
     pub fn metadata_bytes(&self) -> u64 {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         inner
             .tables
             .values()
@@ -566,7 +566,7 @@ impl Database {
 
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         f.debug_struct("Database")
             .field("dir", &self.dir)
             .field("tables", &inner.catalog.len())

@@ -28,6 +28,7 @@
 //! * [`index`] — PK hash indices and FK join indices.
 //! * [`order`] — the primary-key row order metadata tables keep, and
 //!   the comparisons readers binary-search it with.
+//! * [`sync`] — the one lock-poison policy, [`sync::unpoison`].
 
 pub mod buffer;
 pub mod catalog;
@@ -39,6 +40,7 @@ pub mod index;
 pub mod order;
 pub mod page;
 pub mod schema;
+pub mod sync;
 pub mod table;
 pub mod time;
 pub mod value;

@@ -15,20 +15,9 @@ use proptest::prelude::*;
 use sommelier_core::{LoadingMode, Metric, QueryType, Sommelier, SommelierConfig};
 use sommelier_integration::{fiam_repo, prepared, TempDir};
 use sommelier_storage::time::{days_from_civil, format_ts, MS_PER_DAY};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const DAYS: i64 = 10;
-
-/// One shared 10-day FIAM repository for the property tests (generated
-/// once; each case builds fresh systems over it).
-fn shared_repo() -> &'static TempDir {
-    static REPO: OnceLock<TempDir> = OnceLock::new();
-    REPO.get_or_init(|| {
-        let dir = TempDir::new("cellar-prop");
-        fiam_repo(&dir, DAYS as u32, 64);
-        dir
-    })
-}
 
 fn t4_query(start_day: i64, window: i64) -> String {
     window_query("AVG(D.sample_value)", start_day, window)
@@ -64,16 +53,18 @@ fn budgeted_config(budget: usize) -> SommelierConfig {
     SommelierConfig { cellar_bytes: Some(budget), ..SommelierConfig::default() }
 }
 
-proptest! {
-    /// Any query sequence, tiny budget: residency never exceeds the
-    /// budget once the query returns, and every answer matches an
-    /// unbounded twin system's byte for byte.
-    #[test]
-    fn budget_is_never_exceeded_and_answers_never_change(
-        queries in proptest::collection::vec((0i64..9, 1i64..4), 1..6),
-        budget_kb in 1usize..80,
-    ) {
-        let repo = sommelier_mseed::Repository::at(shared_repo().join("repo"));
+/// Any query sequence, tiny budget: residency never exceeds the budget
+/// once the query returns, and every answer matches an unbounded twin
+/// system's byte for byte. One 10-day FIAM repository serves every case
+/// (each builds fresh systems over it) and is removed at the end.
+#[test]
+fn budget_is_never_exceeded_and_answers_never_change() {
+    let dir = TempDir::new("cellar-prop");
+    let repo = fiam_repo(&dir, DAYS as u32, 64);
+    let queries_in = proptest::collection::vec((0i64..9, 1i64..4), 1..6);
+    let name = "budget_is_never_exceeded_and_answers_never_change";
+    proptest::TestRunner::for_property(name).run(|rng| {
+        let (queries, budget_kb) = (queries_in.generate(rng), (1usize..80).generate(rng));
         let budget = budget_kb * 1024;
         let bounded = prepared(&repo, LoadingMode::Lazy, budgeted_config(budget));
         let unbounded = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
@@ -97,7 +88,8 @@ proptest! {
                 sql
             );
         }
-    }
+        Ok(())
+    });
 }
 
 /// The acceptance-criteria configuration: a budget of 10 % of the

@@ -55,9 +55,13 @@
 //! load-all acquisition: `acquire_many`/`release_many`, the driver's
 //! `PinGuard` that held pins across stage 2, its `chunk.load` span, and
 //! the executor's pre-loaded chunk map with its `resolve_chunks` and
-//! `ExecCounters`. Approximate answers are `QueryOptions::sampling` through
-//! `query_opts`; `query_approx` and the `run_spec`/`run_spec_sampled`
-//! wrappers were removed.
+//! `ExecCounters`. The approximate-answering wrappers `query_approx` and
+//! `run_spec`/`run_spec_sampled` were removed, and so was the sampling
+//! they wrapped: `QueryOptions::sampling`, `TwoStageConfig::sampling`,
+//! `SubmitOptions::sampling`, `sample_uris`, `files_sampled_out` and the
+//! `chunks.sampled_out` counter. A sample made `COUNT` and `SUM` return a
+//! fraction of the true value, unscaled and with no stated error; every
+//! answer is now exact.
 //!
 //! `FaultPlan` is the one way to slow or fail a chunk load: a spike at
 //! rate 1.0 slows every load, and `FaultInjector::hold` parks loads
@@ -135,6 +139,13 @@
 //! of the access paths' tests, and the chunk probe's `run_end` became
 //! `candidates::gallop`.
 //!
+//! Every lock is a plain `std::sync` lock, and a poisoned one is
+//! recovered in one function, `sommelier_storage::sync::unpoison`. The
+//! `parking_lot` shim that swallowed poison inside its own guard types,
+//! the scheduler's and the admission controller's private `lock`
+//! helpers and the inline `unwrap_or_else(|e| e.into_inner())` calls
+//! were removed.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -204,8 +215,8 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn settle_acquired", "the cellar's one engine is the streaming wave"),
     ("fn settle_retry", "the cellar's one engine is the streaming wave"),
     ("fn decode_claims", "the cellar's one engine is the streaming wave"),
-    ("fn query_approx", "query_opts with QueryOptions::sampling"),
-    ("fn run_spec_sampled", "query_opts with QueryOptions::sampling"),
+    ("fn query_approx", "query_opts; every answer is exact"),
+    ("fn run_spec_sampled", "query_opts; every answer is exact"),
     ("struct SimIo", "FaultPlan spikes slow chunk loads; the buffer pool reads real pages"),
     ("fn sim_io_total", "FaultPlan spikes slow chunk loads"),
     ("fn charge_sim_io", "FaultInjector::before_load gates every chunk load"),
@@ -264,6 +275,11 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn policy(", "core sets TwoStageConfig::sched's tracer where it attaches obs's"),
     ("fn scan_base_table", "base-table scans take their access path (engine::access::scan)"),
     ("fn run_end(", "candidates::gallop finds the end of a sorted run"),
+    ("parking_lot::", "std::sync locks through sommelier_storage::sync::unpoison"),
+    ("sample_uris", "every selected chunk is pruned, loaded, a hit or skipped"),
+    ("files_sampled_out", "every selected chunk is pruned, loaded, a hit or skipped"),
+    ("ChunksSampledOut", "chunks.selected = pruned + loaded + cache_hits + skipped"),
+    ("sampling: Option<f64>", "every answer is exact; nothing scales a sample"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.
@@ -272,7 +288,7 @@ const CONFIG_FIELDS: &[(&str, &str, usize)] = &[
     ("crates/storage/src/buffer.rs", "BufferPoolConfig", 1),
     ("crates/core/src/fault.rs", "FaultPlan", 8),
     ("crates/core/src/cellar/mod.rs", "CellarConfig", 4),
-    ("crates/engine/src/twostage.rs", "TwoStageConfig", 6),
+    ("crates/engine/src/twostage.rs", "TwoStageConfig", 5),
     ("crates/engine/src/sched.rs", "SchedPolicy", 5),
 ];
 
@@ -296,6 +312,7 @@ const DELETED_FILES: &[&str] = &[
     "crates/bench/benches/ablations.rs",
     "crates/bench/benches/experiments.rs",
     "crates/shims/criterion/src/lib.rs",
+    "crates/shims/parking_lot/src/lib.rs",
 ];
 
 fn workspace_root() -> PathBuf {
@@ -391,4 +408,28 @@ fn config_structs_keep_their_field_counts() {
             fields.len()
         );
     }
+}
+
+/// Lock poison is recovered in one place: `sync::unpoison`. Any other
+/// line that maps a `PoisonError` back to its guard is a second policy.
+#[test]
+fn poison_is_recovered_in_one_function() {
+    let policy =
+        fs::read_to_string(workspace_root().join("crates/storage/src/sync.rs")).unwrap();
+    assert!(policy.contains("pub fn unpoison<G>(r: LockResult<G>) -> G"), "unpoison moved");
+    let mut hits = Vec::new();
+    for file in crate_sources() {
+        if file.ends_with("storage/src/sync.rs") {
+            continue;
+        }
+        let text = fs::read_to_string(&file).unwrap();
+        for (no, line) in text.lines().enumerate() {
+            let recovers = line.contains("PoisonError")
+                || (line.contains("unwrap_or_else(|") && line.contains(".into_inner()"));
+            if recovers && !line.trim_start().starts_with("//") {
+                hits.push(format!("{}:{}: {}", file.display(), no + 1, line.trim()));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "recover poison through sync::unpoison:\n{}", hits.join("\n"));
 }

@@ -9,9 +9,7 @@
 //! eviction interleave with execution.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-use sommelier_core::{
-    LoadingMode, Metric, QueryOptions, QueryResult, Sommelier, SommelierConfig,
-};
+use sommelier_core::{LoadingMode, Metric, QueryResult, Sommelier, SommelierConfig};
 use sommelier_integration::{fiam_repo, ingv_repo, prepared, scalar_f64, TempDir};
 use sommelier_mseed::Repository;
 use std::path::Path;
@@ -70,39 +68,6 @@ fn static_parallelism_loads_every_file_exactly_once() {
     let meta = somm.query("SELECT SUM(S.sample_count) AS s FROM segview").unwrap();
     let expected = scalar_f64(&meta, "s").unwrap();
     assert_eq!(total as f64, expected);
-}
-
-#[test]
-fn approximate_answering_samples_chunks() {
-    // The paper's §VIII future-work sketch, implemented: a sampled
-    // query ingests a fraction of the selected chunks.
-    let dir = TempDir::new("approx");
-    let repo = fiam_repo(&dir, 10, 64);
-    let somm = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
-    let sql = "SELECT AVG(D.sample_value) FROM dataview \
-               WHERE D.sample_time < '2010-01-11T00:00:00.000'";
-    let sampled = |f: f64| {
-        somm.query_opts(sql, &QueryOptions { sampling: Some(f), ..Default::default() })
-    };
-    let exact = somm.query(sql).unwrap();
-    assert_eq!(exact.stats.files_selected, 10);
-    somm.flush_caches();
-    let approx = sampled(0.3).unwrap();
-    assert_eq!(approx.stats.files_selected, 10, "selection is unchanged");
-    assert_eq!(approx.stats.files_sampled_out, 7, "ceil(0.3 × 10) = 3 kept");
-    assert_eq!(approx.stats.files_loaded, 3);
-    // Deterministic: the same sample every time.
-    somm.flush_caches();
-    let again = sampled(0.3).unwrap();
-    assert_eq!(scalar_f64(&approx, "avg").unwrap(), scalar_f64(&again, "avg").unwrap());
-    // Fraction 1.0 is exact.
-    somm.flush_caches();
-    let full = sampled(1.0).unwrap();
-    assert_eq!(full.stats.files_sampled_out, 0);
-    assert_eq!(scalar_f64(&full, "avg").unwrap(), scalar_f64(&exact, "avg").unwrap());
-    // Invalid fractions rejected.
-    assert!(sampled(0.0).is_err());
-    assert!(sampled(1.5).is_err());
 }
 
 // ---- serial ≡ parallel, byte for byte ------------------------------

@@ -18,6 +18,7 @@ use sommelier_integration::{
 };
 use sommelier_mseed::Repository;
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
+use sommelier_storage::sync::unpoison;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 /// timing-sensitive and want an unloaded machine.
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
+    unpoison(LOCK.get_or_init(|| Mutex::new(())).lock())
 }
 
 fn mseed_system(repo: &Repository, config: SommelierConfig) -> Sommelier {

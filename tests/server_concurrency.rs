@@ -14,6 +14,7 @@ use sommelier_integration::{
 };
 use sommelier_mseed::Repository;
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
+use sommelier_storage::sync::unpoison;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -21,7 +22,7 @@ use std::time::Duration;
 /// want an unloaded machine.
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
+    unpoison(LOCK.get_or_init(|| Mutex::new(())).lock())
 }
 
 fn server_config(threads: usize) -> SommelierConfig {
