@@ -40,19 +40,20 @@ use crate::error::{Result, SommelierError};
 use crate::source::{
     DmdAgg, DmdDim, DmdSpec, InferenceRule, RawChunk, SourceAdapter, SourceDescriptor,
 };
+use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::expr::ArithOp;
 use sommelier_engine::relation::RelationBuilder;
-use sommelier_engine::{AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Relation};
+use sommelier_engine::{
+    AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Obs, Relation, SchedPolicy,
+};
 use sommelier_sql::ViewDef;
 use sommelier_storage::column::TextColumn;
-use sommelier_storage::sync::unpoison;
 use sommelier_storage::time::{civil_from_days, days_from_civil, MS_PER_DAY};
 use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Schema of the given-metadata log-file table `G`.
 fn g_schema() -> TableSchema {
@@ -497,33 +498,19 @@ impl SourceAdapter for EventLogAdapter {
         &self.descriptor
     }
 
-    fn register(&self, db: &Database, max_threads: usize) -> Result<Vec<FileEntry>> {
+    fn register(&self, db: &Database, policy: &SchedPolicy) -> Result<Vec<FileEntry>> {
         let files = self.list()?;
-        // Header-only scan, in parallel, preserving file order.
-        let slots: Vec<Mutex<Option<Result<LogHeader>>>> =
-            (0..files.len()).map(|_| Mutex::new(None)).collect();
-        let workers = files.len().clamp(1, max_threads.max(1));
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let files = &files;
-                scope.spawn(move || {
-                    let mut i = w;
-                    while i < files.len() {
-                        *unpoison(slots[i].lock()) = Some(read_header(&files[i]));
-                        i += workers;
-                    }
-                });
-            }
-        });
+        // Header-only scan: one pool batch, results in file order.
+        let headers =
+            run_indexed_policy(files.len(), policy, &Obs::off(), |i| read_header(&files[i]));
         let mut entries = Vec::with_capacity(files.len());
         let mut log_ids = Vec::with_capacity(files.len());
         let mut uris = TextColumn::new();
         let mut hosts = TextColumn::new();
         let mut services = TextColumn::new();
         let mut day_ts = Vec::with_capacity(files.len());
-        for (i, (path, slot)) in files.iter().zip(slots).enumerate() {
-            let header = unpoison(slot.into_inner()).expect("all slots filled")?;
+        for (i, (path, header)) in files.iter().zip(headers).enumerate() {
+            let header = header?;
             let uri = path.to_string_lossy().into_owned();
             log_ids.push(i as i64);
             uris.push(&uri);
@@ -612,16 +599,10 @@ pub fn write_log_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{pooled, TempDir};
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-evl-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn temp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("evl-{tag}"))
     }
 
     fn fresh_db() -> Database {
@@ -651,24 +632,21 @@ mod tests {
             names.iter().map(|p| std::fs::read_to_string(p).unwrap()).collect::<Vec<_>>()
         };
         assert_eq!(read(&a), read(&b));
-        let _ = std::fs::remove_dir_all(&a);
-        let _ = std::fs::remove_dir_all(&b);
     }
 
     #[test]
     fn register_loads_given_metadata_only() {
         let dir = temp_dir("register");
         generate_event_logs(&dir, &EventLogSpec::small(3, 8)).unwrap();
-        let adapter = EventLogAdapter::new(&dir);
+        let adapter = EventLogAdapter::new(&*dir);
         let db = fresh_db();
-        let entries = adapter.register(&db, 4).unwrap();
+        let entries = adapter.register(&db, &pooled()).unwrap();
         assert_eq!(entries.len(), 6);
         assert_eq!(db.table_rows("G").unwrap(), 6);
         assert_eq!(db.table_rows("E").unwrap(), 0, "no actual data ingested");
         // file_id matches the loaded chunk-id column.
         let ids = db.scan_columns("G", &["log_id"]).unwrap()[0].as_i64().unwrap().to_vec();
         assert_eq!(ids, (0..6).collect::<Vec<i64>>());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -677,7 +655,7 @@ mod tests {
         let path = dir.join("h-a-x.evl");
         write_log_file(&path, "h", "a", 1_000_000, &[(1_000_100, 1.5), (1_000_200, -2.0)])
             .unwrap();
-        let adapter = EventLogAdapter::new(&dir);
+        let adapter = EventLogAdapter::new(&*dir);
         let entry = FileEntry {
             uri: path.to_string_lossy().into_owned(),
             file_id: 42,
@@ -690,25 +668,27 @@ mod tests {
         assert_eq!(rel.column("E.log_id").unwrap().as_i64().unwrap(), &[42, 42]);
         assert_eq!(rel.column("E.ts").unwrap().as_i64().unwrap(), &[1_000_100, 1_000_200]);
         assert_eq!(rel.column("E.val").unwrap().as_f64().unwrap(), &[1.5, -2.0]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn malformed_files_are_reported() {
         let dir = temp_dir("bad");
+        // Two good files beside the bad one, so the header scan is a
+        // batch of three on the pool rather than one inline task.
+        generate_event_logs(&dir, &EventLogSpec::small(1, 4)).unwrap();
         std::fs::write(dir.join("x.evl"), "only-one-field\n").unwrap();
-        let adapter = EventLogAdapter::new(&dir);
+        let adapter = EventLogAdapter::new(&*dir);
         let db = fresh_db();
-        assert!(adapter.register(&db, 1).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+        let err = adapter.register(&db, &pooled()).unwrap_err().to_string();
+        assert!(err.contains("x.evl"), "{err}");
+        assert_eq!(db.table_rows("G").unwrap(), 0, "a failed scan loads nothing");
     }
 
     #[test]
     fn source_bytes_counts_the_repository() {
         let dir = temp_dir("bytes");
         generate_event_logs(&dir, &EventLogSpec::small(1, 4)).unwrap();
-        let adapter = EventLogAdapter::new(&dir);
+        let adapter = EventLogAdapter::new(&*dir);
         assert!(adapter.source_bytes().unwrap() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

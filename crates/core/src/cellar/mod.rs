@@ -840,16 +840,15 @@ mod tests {
         generate_event_logs, write_log_file, EventLogAdapter, EventLogSpec,
     };
     use crate::dmd::DmdManager;
-    use crate::registrar::register_source;
+    use crate::registrar::register;
     use crate::source::SourceAdapter;
+    use crate::tests::{pooled, TempDir};
     use sommelier_engine::{Metric, MetricsRegistry, MorselScheduler};
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
     use sommelier_storage::{ColumnData, ConstraintPolicy, Database};
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
 
     use Metric::*;
 
@@ -868,38 +867,18 @@ mod tests {
         counts(cellar, [metric])[0]
     }
 
-    /// A policy on a 2-worker pool shared by every test that uses it
-    /// (the shipping shape): waves claim on the pool, joins drain
-    /// inline on the submitting thread.
-    fn pooled() -> SchedPolicy {
-        static POOL: OnceLock<Arc<MorselScheduler>> = OnceLock::new();
-        let pool = POOL.get_or_init(|| Arc::new(MorselScheduler::new(2, Default::default())));
-        SchedPolicy::default().with_scheduler(Some(Arc::clone(pool)))
-    }
-
     struct Fixture {
-        dir: PathBuf,
+        dir: TempDir,
         db: Arc<Database>,
         adapter: Arc<EventLogAdapter>,
         registry: Arc<ChunkRegistry>,
         dmd: Arc<DmdManager>,
     }
 
-    impl Drop for Fixture {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-
     /// A registered single-host event-log repository with `days` daily
     /// chunks.
     fn fixture(tag: &str, days: u32, events: u32) -> Fixture {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-cellar-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("cellar-{tag}"));
         let mut spec = EventLogSpec::small(days, events);
         spec.hosts = vec!["web-1".into()];
         generate_event_logs(&dir.join("repo"), &spec).unwrap();
@@ -908,7 +887,7 @@ mod tests {
         for s in &adapter.descriptor().schemas {
             db.create_table(s.clone(), Disposition::Resident).unwrap();
         }
-        let (registry, _) = register_source(&db, adapter.as_ref(), 2).unwrap();
+        let (registry, _) = register(&db, adapter.as_ref(), &pooled()).unwrap();
         Fixture {
             dir,
             db,

@@ -29,9 +29,9 @@ pub struct SommelierConfig {
     pub verify_lazy_fk: bool,
     /// Worker threads: the size of the shared morsel pool that runs
     /// every query's decode waves (one task per chunk) and per-chunk
-    /// pipelines, hence the cap on workers per wave, and the
-    /// registration fan-out. `1` runs every query serially on the
-    /// caller's thread. Answers do not depend on it.
+    /// pipelines, hence the cap on workers per wave, and `prepare`'s
+    /// header scan and eager decode. `1` runs every batch serially on
+    /// the caller's thread. Answers do not depend on it.
     pub max_threads: usize,
     /// Observability level: `Counters` (the metric catalogue's atomic
     /// counters, default — what the benchmark measures) or `Spans`

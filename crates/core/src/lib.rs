@@ -415,9 +415,9 @@ pub struct Sommelier {
     /// [`Sommelier::metrics_snapshot`].
     metrics: Arc<MetricsRegistry>,
     /// The shared morsel scheduler: one persistent pool of
-    /// `max_threads` workers serving every in-flight query. `None`
-    /// when `max_threads <= 1`: every batch then runs inline on the
-    /// querying thread.
+    /// `max_threads` workers serving `prepare` and every in-flight
+    /// query. `None` when `max_threads <= 1`: every batch then runs
+    /// inline on the calling thread.
     scheduler: Option<Arc<MorselScheduler>>,
     /// Admission control for top-level queries (internal DMd
     /// derivation runs under the parent's ticket and skips this —
@@ -618,7 +618,8 @@ impl Sommelier {
     /// Prepare the system with one of the five loading approaches
     /// (§VI-A), returning the phase-timed report (Figure 6's bars).
     /// Every registered source goes through the same mode; phases
-    /// accumulate across sources.
+    /// accumulate across sources. Header scans and eager decoding run
+    /// as batches on the system's morsel pool, the one queries use.
     ///
     /// A system is prepared once (a re-opened database arrives
     /// prepared): a second call is a [`SommelierError::Usage`] error
@@ -631,12 +632,9 @@ impl Sommelier {
         }
         let mut report = PrepReport::default();
         let mut registries = Vec::with_capacity(self.sources.len());
+        let policy = self.pool_policy();
         for s in &self.sources {
-            let (registry, reg) = registrar::register_source(
-                &self.db,
-                s.adapter.as_ref(),
-                self.config.max_threads,
-            )?;
+            let (registry, reg) = registrar::register(&self.db, s.adapter.as_ref(), &policy)?;
             report.register += reg.duration;
             report.registrar.files += reg.files;
             report.registrar.segments += reg.segments;
@@ -664,7 +662,7 @@ impl Sommelier {
                         s.adapter.as_ref(),
                         registry,
                         &self.csv_dir,
-                        self.config.max_threads,
+                        &policy,
                         &mut report,
                     )?;
                 }
@@ -673,7 +671,7 @@ impl Sommelier {
                         &self.db,
                         s.adapter.as_ref(),
                         registry,
-                        self.config.max_threads,
+                        &policy,
                         &mut report,
                     )?;
                 }
@@ -854,8 +852,14 @@ impl Sommelier {
             use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
             obs: Obs::off(),
-            sched: SchedPolicy::default().with_scheduler(self.scheduler.clone()),
+            sched: self.pool_policy(),
         }
+    }
+
+    /// Batches on the system's morsel pool (inline when it has none),
+    /// at default priority: setup and queries run on the same workers.
+    fn pool_policy(&self) -> SchedPolicy {
+        SchedPolicy::default().with_scheduler(self.scheduler.clone())
     }
 
     /// Execute a plan as `ctx` says (see [`RunCtx`]). A top-level query
@@ -1389,6 +1393,15 @@ mod tests {
         }
     }
 
+    /// A policy on a 2-worker pool shared by every test that uses it
+    /// (the shipping shape): batches claim on the pool, the cellar's
+    /// joins drain inline on the submitting thread.
+    pub(crate) fn pooled() -> SchedPolicy {
+        static POOL: std::sync::OnceLock<Arc<MorselScheduler>> = std::sync::OnceLock::new();
+        let pool = POOL.get_or_init(|| Arc::new(MorselScheduler::new(2, Default::default())));
+        SchedPolicy::default().with_scheduler(Some(Arc::clone(pool)))
+    }
+
     fn temp_repo(tag: &str, days: u32, events: u32) -> TempDir {
         let dir = TempDir::new(tag);
         generate_event_logs(&dir, &EventLogSpec::small(days, events)).unwrap();
@@ -1489,6 +1502,42 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn setup_runs_on_the_pool() {
+        let repo = temp_repo("setup-pool", 3, 16);
+        let build = |max_threads| {
+            let config = SommelierConfig { max_threads, ..SommelierConfig::default() };
+            Sommelier::builder().source(EventLogAdapter::new(&*repo)).config(config).build()
+        };
+        let tasks = |somm: &Sommelier| somm.metrics().get(Metric::SchedTasks);
+        let g_rows = |somm: &Sommelier| {
+            let cols = ["log_id", "uri", "host", "service", "day_ts"];
+            let cols = somm.db().scan_columns("G", &cols).unwrap();
+            let values = |c: &sommelier_storage::ColumnData| {
+                (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>()
+            };
+            format!("{:?}", cols.iter().map(values).collect::<Vec<_>>())
+        };
+
+        // Each system counts into its own registry, from 0.
+        let lazy = build(3).unwrap();
+        lazy.prepare(LoadingMode::Lazy).unwrap();
+        let files = lazy.registered_chunks() as u64;
+        assert_eq!(files, 6, "3 days × 2 hosts");
+        assert!(tasks(&lazy) >= files, "one header task per file on the pool");
+
+        let eager = build(3).unwrap();
+        eager.prepare(LoadingMode::EagerPlain).unwrap();
+        assert!(tasks(&eager) >= 2 * files, "header scan plus one decode per chunk");
+
+        // No pool at one thread: the same setup runs inline, serially.
+        let serial = build(1).unwrap();
+        assert!(serial.scheduler().is_none());
+        serial.prepare(LoadingMode::Lazy).unwrap();
+        assert_eq!(g_rows(&serial), g_rows(&lazy));
+        assert_eq!(g_rows(&serial), g_rows(&eager));
     }
 
     #[test]

@@ -19,14 +19,13 @@ use crate::chunks::ChunkRegistry;
 use crate::error::{Result, SommelierError};
 use crate::registrar::RegistrarReport;
 use crate::source::{SourceAdapter, SourceDescriptor};
-use sommelier_engine::Relation;
+use sommelier_engine::exec::run_indexed_policy;
+use sommelier_engine::{Obs, Relation, SchedPolicy};
 use sommelier_storage::column::TextColumn;
-use sommelier_storage::sync::unpoison;
 use sommelier_storage::{ColumnData, ConstraintPolicy, DataType, Database};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The loading approach (paper §VI-A).
@@ -146,53 +145,28 @@ fn relation_batch(rel: &Relation, descriptor: &SourceDescriptor) -> Result<Vec<C
         .collect()
 }
 
-/// Decode a slice of chunk files in parallel into actual-data column
-/// batches (order preserved).
-fn decode_wave(
-    adapter: &dyn SourceAdapter,
-    registry: &ChunkRegistry,
-    wave: &[usize],
-    max_threads: usize,
-) -> Result<Vec<Vec<ColumnData>>> {
-    let slots: Vec<Mutex<Option<Result<Vec<ColumnData>>>>> =
-        (0..wave.len()).map(|_| Mutex::new(None)).collect();
-    let workers = wave.len().clamp(1, max_threads.max(1));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            scope.spawn(move || {
-                let mut i = w;
-                while i < wave.len() {
-                    let entry = &registry.entries()[wave[i]];
-                    let out = adapter
-                        .decode(entry, None)
-                        .map_err(Into::into)
-                        .and_then(|rel| relation_batch(&rel, adapter.descriptor()));
-                    *unpoison(slots[i].lock()) = Some(out);
-                    i += workers;
-                }
-            });
-        }
-    });
-    slots.into_iter().map(|s| unpoison(s.into_inner()).expect("slot filled")).collect()
-}
-
 /// Eager plain: decode everything and load into the actual-data table.
+/// Each wave of chunk files decodes as one batch on `policy`'s pool.
 pub fn load_eager_plain(
     db: &Database,
     adapter: &dyn SourceAdapter,
     registry: &ChunkRegistry,
-    max_threads: usize,
+    policy: &SchedPolicy,
     report: &mut PrepReport,
 ) -> Result<()> {
     let t = Instant::now();
-    let ad_table = adapter.descriptor().ad_table.clone();
-    let indices: Vec<usize> = (0..registry.len()).collect();
-    for wave in indices.chunks(WAVE) {
-        let batches = decode_wave(adapter, registry, wave, max_threads)?;
+    let descriptor = adapter.descriptor();
+    for wave in registry.entries().chunks(WAVE) {
+        let batches: Vec<Vec<ColumnData>> =
+            run_indexed_policy(wave.len(), policy, &Obs::off(), |i| {
+                let rel = adapter.decode(&wave[i], None)?;
+                relation_batch(&rel, descriptor)
+            })
+            .into_iter()
+            .collect::<Result<_>>()?;
         for batch in batches {
             report.rows_loaded += batch[0].len() as u64;
-            db.append(&ad_table, &batch, ConstraintPolicy::pk_only())?;
+            db.append(&descriptor.ad_table, &batch, ConstraintPolicy::pk_only())?;
         }
     }
     report.chunks_to_db += t.elapsed();
@@ -368,7 +342,7 @@ pub fn load_eager_csv(
     adapter: &dyn SourceAdapter,
     registry: &ChunkRegistry,
     csv_dir: &Path,
-    max_threads: usize,
+    policy: &SchedPolicy,
     report: &mut PrepReport,
 ) -> Result<()> {
     std::fs::create_dir_all(csv_dir).map_err(|e| io_err("creating csv dir", e))?;
@@ -379,64 +353,28 @@ pub fn load_eager_csv(
         .schema(&descriptor.ad_table)
         .map(|s| s.columns.iter().map(|c| c.dtype).collect())
         .unwrap_or_default();
-    // Phase 1: chunk decode → CSV (parallel over files).
+    // Phase 1: chunk decode → CSV (one pool batch over every file).
     let t = Instant::now();
-    let csv_paths: Vec<PathBuf> = registry
-        .entries()
-        .iter()
-        .map(|e| source_dir.join(format!("file_{}.csv", e.file_id)))
-        .collect();
-    let bytes_written: Vec<Mutex<Result<u64>>> =
-        (0..registry.len()).map(|_| Mutex::new(Ok(0))).collect();
-    let workers = registry.len().clamp(1, max_threads.max(1));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let bytes_written = &bytes_written;
-            let csv_paths = &csv_paths;
-            scope.spawn(move || {
-                let mut i = w;
-                while i < registry.len() {
-                    let entry = &registry.entries()[i];
-                    let out = adapter
-                        .decode(entry, None)
-                        .map_err(Into::into)
-                        .and_then(|rel| relation_batch(&rel, descriptor))
-                        .and_then(|batch| batch_to_csv(&batch, &csv_paths[i]));
-                    *unpoison(bytes_written[i].lock()) = out;
-                    i += workers;
-                }
-            });
-        }
+    let entries = registry.entries();
+    let csv_paths: Vec<PathBuf> =
+        entries.iter().map(|e| source_dir.join(format!("file_{}.csv", e.file_id))).collect();
+    let written = run_indexed_policy(entries.len(), policy, &Obs::off(), |i| {
+        let rel = adapter.decode(&entries[i], None)?;
+        batch_to_csv(&relation_batch(&rel, descriptor)?, &csv_paths[i])
     });
-    for b in bytes_written {
-        report.csv_bytes += unpoison(b.into_inner())?;
+    for bytes in written {
+        report.csv_bytes += bytes?;
     }
     report.chunks_to_csv += t.elapsed();
 
-    // Phase 2: CSV → DB (parse rows, append).
+    // Phase 2: CSV → DB (parse a wave of files per pool batch, append).
     let t = Instant::now();
-    let indices: Vec<usize> = (0..registry.len()).collect();
-    for wave in indices.chunks(WAVE) {
-        let slots: Vec<Mutex<Option<Result<Vec<ColumnData>>>>> =
-            (0..wave.len()).map(|_| Mutex::new(None)).collect();
-        let workers = wave.len().clamp(1, max_threads.max(1));
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let csv_paths = &csv_paths;
-                let dtypes = &dtypes;
-                scope.spawn(move || {
-                    let mut i = w;
-                    while i < wave.len() {
-                        *unpoison(slots[i].lock()) =
-                            Some(csv_to_batch(&csv_paths[wave[i]], dtypes));
-                        i += workers;
-                    }
-                });
-            }
+    for wave in csv_paths.chunks(WAVE) {
+        let batches = run_indexed_policy(wave.len(), policy, &Obs::off(), |i| {
+            csv_to_batch(&wave[i], &dtypes)
         });
-        for s in slots {
-            let batch = unpoison(s.into_inner()).expect("slot filled")?;
+        for batch in batches {
+            let batch = batch?;
             report.rows_loaded += batch[0].len() as u64;
             db.append(&descriptor.ad_table, &batch, ConstraintPolicy::pk_only())?;
         }
@@ -466,24 +404,14 @@ pub fn build_indices(
 mod tests {
     use super::*;
     use crate::adapters::eventlog::{generate_event_logs, EventLogAdapter, EventLogSpec};
-    use crate::registrar::register_source;
+    use crate::registrar::register;
+    use crate::tests::{pooled, TempDir};
     use sommelier_storage::catalog::Disposition;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-loader-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn setup(
         tag: &str,
-    ) -> (PathBuf, Database, EventLogAdapter, ChunkRegistry, PrepReport, u64) {
-        let dir = temp_dir(tag);
+    ) -> (TempDir, Database, EventLogAdapter, ChunkRegistry, PrepReport, u64) {
+        let dir = TempDir::new(&format!("loader-{tag}"));
         let spec = EventLogSpec::small(2, 16);
         generate_event_logs(&dir.join("repo"), &spec).unwrap();
         let adapter = EventLogAdapter::new(dir.join("repo"));
@@ -492,7 +420,7 @@ mod tests {
             db.create_table(s.clone(), Disposition::Resident).unwrap();
         }
         let mut report = PrepReport::default();
-        let (registry, reg_report) = register_source(&db, &adapter, 4).unwrap();
+        let (registry, reg_report) = register(&db, &adapter, &pooled()).unwrap();
         report.register = reg_report.duration;
         report.registrar = reg_report;
         let events = 2 * 2 * 16; // days × hosts × events_per_file
@@ -501,28 +429,27 @@ mod tests {
 
     #[test]
     fn eager_plain_loads_every_event() {
-        let (dir, db, adapter, registry, mut report, events) = setup("plain");
-        load_eager_plain(&db, &adapter, &registry, 4, &mut report).unwrap();
+        let (_dir, db, adapter, registry, mut report, events) = setup("plain");
+        load_eager_plain(&db, &adapter, &registry, &pooled(), &mut report).unwrap();
         assert_eq!(report.rows_loaded, events);
         assert_eq!(db.table_rows("E").unwrap(), events);
         assert!(report.chunks_to_db > Duration::ZERO);
         assert!(report.total() >= report.chunks_to_db);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eager_csv_matches_plain_and_reports_csv_size() {
         let (dir, db, adapter, registry, mut report, events) = setup("csv");
-        load_eager_csv(&db, &adapter, &registry, &dir.join("csv"), 4, &mut report).unwrap();
+        load_eager_csv(&db, &adapter, &registry, &dir.join("csv"), &pooled(), &mut report)
+            .unwrap();
         assert_eq!(report.rows_loaded, events);
         assert_eq!(db.table_rows("E").unwrap(), events);
         assert!(report.csv_bytes > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn csv_round_trip_is_lossless() {
-        let dir = temp_dir("roundtrip");
+        let dir = TempDir::new("loader-roundtrip");
         let path = dir.join("x.csv");
         let batch = vec![
             ColumnData::Int64(vec![1, -2, 3]),
@@ -544,18 +471,16 @@ mod tests {
         // reader is line-based) rather than corrupting the file.
         let bad = vec![ColumnData::Text(TextColumn::from_strs(["two\nlines"]))];
         assert!(batch_to_csv(&bad, &dir.join("bad.csv")).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn indices_build_after_load() {
-        let (dir, db, adapter, registry, mut report, _) = setup("index");
-        load_eager_plain(&db, &adapter, &registry, 4, &mut report).unwrap();
+        let (_dir, db, adapter, registry, mut report, _) = setup("index");
+        load_eager_plain(&db, &adapter, &registry, &pooled(), &mut report).unwrap();
         build_indices(&db, adapter.descriptor(), &mut report).unwrap();
         assert!(db.join_index("E", "G").is_some());
         assert!(report.indexing > Duration::ZERO);
         assert!(db.index_bytes() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //! 2. **Register** — [`SourceAdapter::register`] scans the repository
 //!    *headers only*, bulk-loads the given-metadata tables, and returns
 //!    one [`FileEntry`] per chunk. `file_id` values must match the
-//!    chunk-id column loaded into the chunk table.
+//!    chunk-id column loaded into the chunk table. Fan out through the
+//!    [`SchedPolicy`] you are given (one
+//!    [`run_indexed_policy`](sommelier_engine::exec::run_indexed_policy)
+//!    batch); do not start threads.
 //! 3. **Decode** — [`SourceAdapter::decode`] decodes one chunk into
 //!    a relation shaped like the actual-data table, with qualified
 //!    column names (`"D.sample_value"`) and the system keys assigned at
@@ -53,7 +56,7 @@
 
 use crate::chunks::FileEntry;
 use crate::error::{Result, SommelierError};
-use sommelier_engine::{AggFunc, Expr, JoinEdge, Relation};
+use sommelier_engine::{AggFunc, Expr, JoinEdge, Relation, SchedPolicy};
 use sommelier_sql::{BindCatalog, ViewDef};
 use sommelier_storage::{ColumnData, DataType, Database, TableClass, TableSchema};
 use std::collections::HashMap;
@@ -466,7 +469,12 @@ pub trait SourceAdapter: Send + Sync {
     /// including the zone maps for the descriptor's
     /// [`SourceDescriptor::prunable_columns`], when the headers carry
     /// the bounds. This is the entire up-front cost of lazy loading.
-    fn register(&self, db: &Database, max_threads: usize) -> Result<Vec<FileEntry>>;
+    ///
+    /// Fan out through `policy` — one
+    /// [`run_indexed_policy`](sommelier_engine::exec::run_indexed_policy)
+    /// batch on the system's morsel pool, inline when it has none — and
+    /// start no threads of your own.
+    fn register(&self, db: &Database, policy: &SchedPolicy) -> Result<Vec<FileEntry>>;
 
     /// Decode one registered chunk into a relation shaped like the
     /// actual-data table (qualified column names, system keys from

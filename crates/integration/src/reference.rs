@@ -9,7 +9,7 @@ use sommelier_core::adapters::EventLogAdapter;
 use sommelier_core::chunks::FileEntry;
 use sommelier_core::source::{empty_ad_relation, SourceAdapter, SourceDescriptor};
 use sommelier_core::Result;
-use sommelier_engine::{EngineError, Relation};
+use sommelier_engine::{EngineError, Relation, SchedPolicy};
 use sommelier_mseed::{MseedAdapter, SegmentData};
 use sommelier_storage::{ColumnData, Database};
 use std::path::Path;
@@ -29,8 +29,8 @@ impl SourceAdapter for ReferenceMseed {
         self.0.descriptor()
     }
 
-    fn register(&self, db: &Database, max_threads: usize) -> Result<Vec<FileEntry>> {
-        self.0.register(db, max_threads)
+    fn register(&self, db: &Database, policy: &SchedPolicy) -> Result<Vec<FileEntry>> {
+        self.0.register(db, policy)
     }
 
     /// One relation per segment, unioned into the output — O(segments)
@@ -96,8 +96,8 @@ impl SourceAdapter for ReferenceEventLog {
         self.0.descriptor()
     }
 
-    fn register(&self, db: &Database, max_threads: usize) -> Result<Vec<FileEntry>> {
-        self.0.register(db, max_threads)
+    fn register(&self, db: &Database, policy: &SchedPolicy) -> Result<Vec<FileEntry>> {
+        self.0.register(db, policy)
     }
 
     /// A per-chunk allocation of the file text and unsized column

@@ -26,18 +26,19 @@ use sommelier_core::source::{
     SourceDescriptor, UnitTableSpec,
 };
 use sommelier_core::{Result, SommelierError};
+use sommelier_engine::exec::run_indexed_policy;
 use sommelier_engine::expr::ArithOp;
 use sommelier_engine::relation::RelationBuilder;
-use sommelier_engine::{AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Relation};
+use sommelier_engine::{
+    AggFunc, ColumnZone, EngineError, Expr, Func, JoinEdge, Obs, Relation, SchedPolicy,
+};
 use sommelier_sql::ViewDef;
 use sommelier_storage::column::TextColumn;
-use sommelier_storage::sync::unpoison;
 use sommelier_storage::time::MS_PER_HOUR;
 use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
 /// Schema of the given-metadata file table `F`.
 pub fn f_schema() -> TableSchema {
@@ -324,33 +325,6 @@ fn time_zone_of(segments: &[crate::SegmentMeta]) -> Vec<ColumnZone> {
     }]
 }
 
-/// Read headers of all files, in parallel, preserving file order.
-pub fn read_all_headers(files: &[PathBuf], max_threads: usize) -> Result<Vec<FileHeader>> {
-    let workers = files.len().clamp(1, max_threads.max(1));
-    let slots: Vec<Mutex<Option<crate::Result<FileHeader>>>> =
-        (0..files.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            scope.spawn(move || {
-                let mut i = w;
-                while i < files.len() {
-                    *unpoison(slots[i].lock()) = Some(crate::read_metadata(&files[i]));
-                    i += workers;
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            unpoison(s.into_inner())
-                .expect("all slots filled")
-                .map_err(|e| SommelierError::Adapter(e.to_string()))
-        })
-        .collect()
-}
-
 /// Decode one chunk file's payloads straight into pre-sized column
 /// buffers — a single pass over the segments, no per-segment relations
 /// and no union re-copies. The builders are sized from the header's
@@ -455,9 +429,17 @@ impl SourceAdapter for MseedAdapter {
 
     /// Register the repository: extract headers (never touching the
     /// compressed payloads), assign system keys, bulk-load `F` and `S`.
-    fn register(&self, db: &Database, max_threads: usize) -> Result<Vec<FileEntry>> {
-        let files = self.repo.list().map_err(|e| SommelierError::Adapter(e.to_string()))?;
-        let headers = read_all_headers(&files, max_threads)?;
+    fn register(&self, db: &Database, policy: &SchedPolicy) -> Result<Vec<FileEntry>> {
+        let adapter_err = |e: crate::MseedError| SommelierError::Adapter(e.to_string());
+        let files = self.repo.list().map_err(adapter_err)?;
+        // Header-only scan: one pool batch, results in file order.
+        let headers: Vec<FileHeader> =
+            run_indexed_policy(files.len(), policy, &Obs::off(), |i| {
+                crate::read_metadata(&files[i])
+            })
+            .into_iter()
+            .collect::<crate::Result<_>>()
+            .map_err(adapter_err)?;
 
         // Assign system keys in file order; segment ids are contiguous
         // per file, which the chunk-access operator relies on.
@@ -598,20 +580,17 @@ mod tests {
     use super::*;
     use crate::repo::DatasetSpec;
     use crate::{FileMeta, MseedFile, SegmentData, SegmentMeta};
-    use sommelier_core::registrar::register_source;
+    use sommelier_core::registrar::{register, register_source};
     use sommelier_core::source::{assemble_catalog, restore_registry};
+    use sommelier_core::{
+        LoadingMode, Metric, MetricsRegistry, MorselScheduler, Sommelier, SommelierConfig,
+    };
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::Value;
+    use std::sync::Arc;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-mseed-adapter-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn temp_dir(tag: &str) -> crate::TempDir {
+        crate::TempDir::new(&format!("adapter-{tag}"))
     }
 
     fn fresh_db() -> Database {
@@ -677,13 +656,21 @@ mod tests {
     #[test]
     fn registers_a_small_repository() {
         let dir = temp_dir("basic");
-        let repo = Repository::at(&dir);
+        let repo = Repository::at(&dir.0);
         let mut spec = DatasetSpec::ingv(1, 8);
         spec.days = 2; // 8 files
         let stats = repo.generate(&spec).unwrap();
         let db = fresh_db();
         let adapter = MseedAdapter::new(repo);
-        let (registry, report) = register_source(&db, &adapter, 4).unwrap();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let pool = Arc::new(MorselScheduler::new(4, Arc::clone(&metrics)));
+        let policy = SchedPolicy::default().with_scheduler(Some(pool));
+        let (registry, report) = register(&db, &adapter, &policy).unwrap();
+        assert_eq!(
+            metrics.get(Metric::SchedTasks),
+            8,
+            "one header task per file on the pool"
+        );
         assert_eq!(report.files, 8);
         assert_eq!(report.segments, stats.segments);
         assert_eq!(db.table_rows("F").unwrap(), 8);
@@ -691,13 +678,12 @@ mod tests {
         assert_eq!(db.table_rows("D").unwrap(), 0, "no actual data ingested");
         assert_eq!(registry.len(), 8);
         assert_eq!(registry.total_segments(), stats.segments);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn segment_ids_are_contiguous_per_file() {
         let dir = temp_dir("contig");
-        let repo = Repository::at(&dir);
+        let repo = Repository::at(&dir.0);
         let mut spec = DatasetSpec::fiam(1, 8);
         spec.days = 3;
         repo.generate(&spec).unwrap();
@@ -709,13 +695,12 @@ mod tests {
             assert_eq!(e.seg_base, expected_base);
             expected_base += e.seg_count as i64;
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn station_metadata_lands_in_f() {
         let dir = temp_dir("meta");
-        let repo = Repository::at(&dir);
+        let repo = Repository::at(&dir.0);
         let mut spec = DatasetSpec::ingv(1, 8);
         spec.days = 1; // 4 files, one per station
         repo.generate(&spec).unwrap();
@@ -731,13 +716,12 @@ mod tests {
             .collect();
         stations.sort();
         assert_eq!(stations, vec!["AQU", "FIAM", "ISK", "TRI"]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn registry_roundtrips_through_db() {
         let dir = temp_dir("roundtrip");
-        let repo = Repository::at(&dir);
+        let repo = Repository::at(&dir.0);
         let mut spec = DatasetSpec::fiam(1, 8);
         spec.days = 2;
         repo.generate(&spec).unwrap();
@@ -752,7 +736,33 @@ mod tests {
             assert_eq!(a.seg_base, b.seg_base);
             assert_eq!(a.seg_count, b.seg_count);
         }
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prepare_registers_the_same_metadata_with_and_without_a_pool() {
+        let dir = temp_dir("pool");
+        let mut spec = DatasetSpec::ingv(1, 8);
+        spec.days = 2;
+        Repository::at(&dir.0).generate(&spec).unwrap();
+        let tables = |max_threads| {
+            let config = SommelierConfig { max_threads, ..SommelierConfig::default() };
+            let somm = Sommelier::builder()
+                .source(MseedAdapter::new(Repository::at(&dir.0)))
+                .config(config)
+                .build()
+                .unwrap();
+            assert_eq!(somm.scheduler().is_some(), max_threads > 1);
+            somm.prepare(LoadingMode::Lazy).unwrap();
+            [f_schema(), s_schema()].map(|schema| {
+                let cols: Vec<&str> =
+                    schema.columns.iter().map(|c| c.name.as_str()).collect();
+                let cols = somm.db().scan_columns(&schema.name, &cols).unwrap();
+                let values =
+                    |c: &ColumnData| (0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>();
+                format!("{:?}", cols.iter().map(values).collect::<Vec<_>>())
+            })
+        };
+        assert_eq!(tables(1), tables(3));
     }
 
     fn write_test_chunk(dir: &Path) -> FileEntry {
@@ -793,8 +803,8 @@ mod tests {
     #[test]
     fn load_chunk_assigns_system_keys() {
         let dir = temp_dir("load");
-        let entry = write_test_chunk(&dir);
-        let adapter = MseedAdapter::new(Repository::at(&dir));
+        let entry = write_test_chunk(&dir.0);
+        let adapter = MseedAdapter::new(Repository::at(&dir.0));
         let rel = adapter.decode(&entry, None).unwrap();
         assert_eq!(rel.rows(), 5);
         assert_eq!(rel.column("D.file_id").unwrap().as_i64().unwrap(), &[7, 7, 7, 7, 7]);
@@ -811,6 +821,5 @@ mod tests {
             rel.column("D.sample_value").unwrap().as_f64().unwrap(),
             &[5.0, 6.0, 7.0, -1.0, -2.0]
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

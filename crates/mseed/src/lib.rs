@@ -49,3 +49,29 @@ pub use reader::{read_full, read_metadata};
 pub use record::{FileMeta, MseedFile, SegmentData, SegmentMeta};
 pub use repo::{DatasetSpec, RepoStats, Repository, StationSpec};
 pub use writer::write_file;
+
+/// A fresh directory under the system temp dir, removed when dropped
+/// (also when its test fails).
+#[cfg(test)]
+pub(crate) struct TempDir(pub(crate) std::path::PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    pub(crate) fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "somm-mseed-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -166,25 +166,7 @@ mod tests {
     use super::*;
     use crate::record::{FileMeta, SegmentData, SegmentMeta};
     use crate::writer::write_file;
-    use std::path::PathBuf;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!(
-                "somm-mseed-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    use crate::TempDir;
 
     fn sample_file() -> MseedFile {
         MseedFile {

@@ -312,25 +312,7 @@ impl Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!(
-                "somm-repo-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    use crate::TempDir;
 
     fn tiny_spec() -> DatasetSpec {
         let mut spec = DatasetSpec::ingv(1, 16);
@@ -350,7 +332,7 @@ mod tests {
 
     #[test]
     fn generate_and_list() {
-        let dir = TempDir::new("gen");
+        let dir = TempDir::new("repo-gen");
         let repo = Repository::at(&dir.0);
         let spec = tiny_spec();
         let stats = repo.generate(&spec).unwrap();
@@ -368,8 +350,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let dir_a = TempDir::new("det-a");
-        let dir_b = TempDir::new("det-b");
+        let dir_a = TempDir::new("repo-det-a");
+        let dir_b = TempDir::new("repo-det-b");
         let spec = tiny_spec();
         Repository::at(&dir_a.0).generate(&spec).unwrap();
         Repository::at(&dir_b.0).generate(&spec).unwrap();
@@ -384,7 +366,7 @@ mod tests {
 
     #[test]
     fn generated_files_parse_back() {
-        let dir = TempDir::new("parse");
+        let dir = TempDir::new("repo-parse");
         let repo = Repository::at(&dir.0);
         repo.generate(&tiny_spec()).unwrap();
         for path in repo.list().unwrap() {

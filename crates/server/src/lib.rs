@@ -6,9 +6,10 @@
 //! default timeout. Sessions submit SQL and get back a
 //! [`QueryHandle`] — cancellable, timeout-able, waitable — while every
 //! query's morsels run on the system's **one shared scheduler**
-//! (`SommelierConfig::max_threads` persistent workers), so the total
-//! number of live worker threads is bounded no matter how many sessions
-//! are active.
+//! (`SommelierConfig::max_threads` persistent workers, which also ran
+//! the system's registration and eager loading), so the total number
+//! of live worker threads is bounded no matter how many sessions are
+//! active.
 //! Admission control (`SommelierConfig::admission_*`) bounds how many
 //! queries run at once: the rest queue in priority order, and beyond
 //! the queue limit they are rejected as overloaded. It does not look at

@@ -10,7 +10,15 @@
 //! thread pool — `run_indexed`, `run_indexed_obs`, the
 //! `legacy_pool_spawns` counter and the `shared_scheduler` knob that
 //! selected it — was removed too, which is what bounds live worker
-//! threads by `max_threads` by construction.
+//! threads by `max_threads` by construction. Setup runs on the same
+//! pool: registration's header scans and eager loading's decode, CSV
+//! write and CSV parse are each one batch under the system's
+//! `SchedPolicy`, and `SourceAdapter::register` takes that policy
+//! instead of a thread count. The strided `std::thread::scope` loops
+//! they ran on — mSEED's `read_all_headers`, the event-log header scan,
+//! the loader's `decode_wave` and its two CSV phases — were removed.
+//! Outside test code only the pools start threads (see
+//! [`THREAD_OWNERS`]).
 //!
 //! The cellar has one residency mode: it always retains decoded chunks,
 //! full width, until budget pressure evicts them (a zero budget retains
@@ -280,6 +288,20 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("files_sampled_out", "every selected chunk is pruned, loaded, a hit or skipped"),
     ("ChunksSampledOut", "chunks.selected = pruned + loaded + cache_hits + skipped"),
     ("sampling: Option<f64>", "every answer is exact; nothing scales a sample"),
+    ("fn read_all_headers", "MseedAdapter::register scans headers in one pool batch"),
+    ("fn decode_wave", "load_eager_plain decodes each wave in one pool batch"),
+    ("db: &Database, max_threads", "SourceAdapter::register takes the system's SchedPolicy"),
+];
+
+/// The only product sources that may start threads: `(path prefix,
+/// what runs there)`. Everything else fans out through a
+/// `SchedPolicy`.
+const THREAD_OWNERS: &[(&str, &str)] = &[
+    ("crates/engine/src/sched.rs", "the morsel pool"),
+    ("crates/server/src/lib.rs", "the server's control pool"),
+    ("crates/core/src/prefetch.rs", "the prefetch IO pool, until prefetch is deleted"),
+    ("crates/mseed/src/repo.rs", "the fixture generator"),
+    ("crates/bench/", "the paper-figure drivers, until the crate is deleted"),
 ];
 
 /// `pub` fields per configuration struct: `(file, struct, count)`.
@@ -432,4 +454,61 @@ fn poison_is_recovered_in_one_function() {
         }
     }
     assert!(hits.is_empty(), "recover poison through sync::unpoison:\n{}", hits.join("\n"));
+}
+
+/// The lines of `text` outside comments and `#[cfg(test)]` items (each
+/// gated item is skipped to the line that closes its outermost brace,
+/// or to its `;`), with their 0-based line numbers.
+fn product_lines(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut lines = text.lines().enumerate();
+    while let Some((no, line)) = lines.next() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("//") {
+            continue;
+        }
+        if trimmed.starts_with("#[cfg(test)]") {
+            let mut depth = 0usize;
+            for (_, gated) in lines.by_ref() {
+                depth += gated.matches('{').count();
+                depth = depth.saturating_sub(gated.matches('}').count());
+                let braced = gated.contains('{') || gated.contains('}');
+                if depth == 0 && (braced || gated.trim_end().ends_with(';')) {
+                    break;
+                }
+            }
+            continue;
+        }
+        out.push((no, line));
+    }
+    out
+}
+
+/// Product code starts threads only in [`THREAD_OWNERS`]; every other
+/// parallel loop is a `run_indexed_policy` batch on the morsel pool.
+#[test]
+fn only_the_pools_start_threads() {
+    const NEEDLES: [&str; 3] = ["thread::scope", "thread::spawn", "thread::Builder"];
+    let root = workspace_root();
+    let (mut owned, mut hits) = (0, Vec::new());
+    for file in crate_sources() {
+        let rel = file.strip_prefix(&root).unwrap().to_string_lossy().replace('\\', "/");
+        let text = fs::read_to_string(&file).unwrap();
+        for (no, line) in product_lines(&text) {
+            if !NEEDLES.iter().any(|n| line.contains(n)) {
+                continue;
+            }
+            if THREAD_OWNERS.iter().any(|(owner, _)| rel.starts_with(owner)) {
+                owned += 1;
+            } else {
+                hits.push(format!("{rel}:{}: {}", no + 1, line.trim()));
+            }
+        }
+    }
+    assert!(owned > 0, "the scan found not even the morsel pool's threads");
+    assert!(
+        hits.is_empty(),
+        "start no threads here; fan out through the SchedPolicy you are given:\n{}",
+        hits.join("\n")
+    );
 }

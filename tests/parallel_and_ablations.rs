@@ -6,7 +6,8 @@
 //! aggregation merges in chunk order, so the *bytes* of every T1–T5
 //! answer are identical no matter how many workers ran the pipelines —
 //! on both built-in adapters, and even when a tight cellar budget makes
-//! eviction interleave with execution.
+//! eviction interleave with execution. Eager loading decodes on the
+//! same pool, and its answers are pinned byte for byte the same way.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{LoadingMode, Metric, QueryResult, Sommelier, SommelierConfig};
@@ -137,20 +138,22 @@ fn config_with(max_threads: usize) -> SommelierConfig {
     SommelierConfig { max_threads, ..SommelierConfig::default() }
 }
 
-/// Run every query on a freshly prepared lazy system, fingerprinting
-/// the answers.
+/// Run every query on a system freshly prepared in `mode`,
+/// fingerprinting the answers.
 fn mseed_fingerprints(
     repo: &Repository,
     queries: &[String],
+    mode: LoadingMode,
     config: SommelierConfig,
 ) -> Vec<String> {
-    let somm = prepared(repo, LoadingMode::Lazy, config);
+    let somm = prepared(repo, mode, config);
     queries.iter().map(|sql| fingerprint(&somm.query(sql).unwrap())).collect()
 }
 
 fn eventlog_fingerprints(
     logs: &Path,
     queries: &[String],
+    mode: LoadingMode,
     config: SommelierConfig,
 ) -> Vec<String> {
     let somm = Sommelier::builder()
@@ -158,7 +161,7 @@ fn eventlog_fingerprints(
         .config(config)
         .build()
         .unwrap();
-    somm.prepare(LoadingMode::Lazy).unwrap();
+    somm.prepare(mode).unwrap();
     queries.iter().map(|sql| fingerprint(&somm.query(sql).unwrap())).collect()
 }
 
@@ -173,8 +176,8 @@ fn serial_and_parallel_results_byte_identical_mseed() {
     let dir = TempDir::new("bytes-mseed");
     let repo = fiam_repo(&dir, 4, 64);
     let queries = mseed_t_queries();
-    let serial = mseed_fingerprints(&repo, &queries, config_with(1));
-    let par8 = mseed_fingerprints(&repo, &queries, config_with(8));
+    let serial = mseed_fingerprints(&repo, &queries, LoadingMode::Lazy, config_with(1));
+    let par8 = mseed_fingerprints(&repo, &queries, LoadingMode::Lazy, config_with(8));
     assert_identical(&serial, &par8, &queries, "mseed 8 workers");
     // The T4 shape really did run the fused partial-agg path.
     let somm = prepared(&repo, LoadingMode::Lazy, config_with(8));
@@ -189,9 +192,29 @@ fn serial_and_parallel_results_byte_identical_eventlog() {
     let logs = dir.join("logs");
     generate_event_logs(&logs, &EventLogSpec::small(4, 48)).unwrap();
     let queries = eventlog_t_queries();
-    let serial = eventlog_fingerprints(&logs, &queries, config_with(1));
-    let par8 = eventlog_fingerprints(&logs, &queries, config_with(8));
+    let serial = eventlog_fingerprints(&logs, &queries, LoadingMode::Lazy, config_with(1));
+    let par8 = eventlog_fingerprints(&logs, &queries, LoadingMode::Lazy, config_with(8));
     assert_identical(&serial, &par8, &queries, "eventlog 8 workers");
+}
+
+#[test]
+fn serial_and_parallel_eager_loading_byte_identical() {
+    // Eager loading decodes on the morsel pool: the loaded tables, and
+    // so every answer over them, must not depend on how many workers
+    // decoded the chunks.
+    let dir = TempDir::new("bytes-eager");
+    let repo = fiam_repo(&dir, 4, 64);
+    let logs = dir.join("logs");
+    generate_event_logs(&logs, &EventLogSpec::small(4, 48)).unwrap();
+    let (mseed_q, evl_q) = (mseed_t_queries(), eventlog_t_queries());
+    for mode in [LoadingMode::EagerPlain, LoadingMode::EagerCsv] {
+        let serial = mseed_fingerprints(&repo, &mseed_q, mode, config_with(1));
+        let par4 = mseed_fingerprints(&repo, &mseed_q, mode, config_with(4));
+        assert_identical(&serial, &par4, &mseed_q, &format!("mseed {mode} 4 workers"));
+        let serial = eventlog_fingerprints(&logs, &evl_q, mode, config_with(1));
+        let par4 = eventlog_fingerprints(&logs, &evl_q, mode, config_with(4));
+        assert_identical(&serial, &par4, &evl_q, &format!("eventlog {mode} 4 workers"));
+    }
 }
 
 #[test]
@@ -202,13 +225,13 @@ fn serial_and_parallel_byte_identical_under_tight_cellar_budget() {
     let dir = TempDir::new("bytes-tight");
     let repo = fiam_repo(&dir, 4, 64);
     let queries = mseed_t_queries();
-    let unbounded = mseed_fingerprints(&repo, &queries, config_with(8));
+    let unbounded = mseed_fingerprints(&repo, &queries, LoadingMode::Lazy, config_with(8));
     let tight = |threads: usize| SommelierConfig {
         cellar_bytes: Some(32 * 1024),
         ..config_with(threads)
     };
-    let serial_tight = mseed_fingerprints(&repo, &queries, tight(1));
-    let par_tight = mseed_fingerprints(&repo, &queries, tight(8));
+    let serial_tight = mseed_fingerprints(&repo, &queries, LoadingMode::Lazy, tight(1));
+    let par_tight = mseed_fingerprints(&repo, &queries, LoadingMode::Lazy, tight(8));
     assert_identical(&unbounded, &serial_tight, &queries, "tight-1 vs unbounded");
     assert_identical(&unbounded, &par_tight, &queries, "tight-8 vs unbounded");
     // The tight budget really did evict mid-workload.
