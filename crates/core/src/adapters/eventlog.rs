@@ -52,7 +52,7 @@ use sommelier_storage::time::{civil_from_days, days_from_civil, MS_PER_DAY};
 use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
 /// Schema of the given-metadata log-file table `G`.
@@ -437,60 +437,6 @@ impl EventLogAdapter {
     pub(crate) fn descriptor_for_tests() -> SourceDescriptor {
         descriptor()
     }
-
-    /// The single-pass pre-sized decode over already-read file text —
-    /// shared by [`SourceAdapter::decode`] (which reads into a scratch
-    /// buffer first) and [`SourceAdapter::decode_bytes`] (which gets
-    /// prefetched bytes).
-    fn decode_text(
-        &self,
-        entry: &FileEntry,
-        text: &str,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
-        let want = |col: &str| projection.is_none_or(|p| p.iter().any(|c| c == col));
-        let events = text.lines().skip(1).filter(|l| !l.is_empty()).count();
-        let mut b = RelationBuilder::new();
-        let id_col = want("E.log_id").then(|| b.add("E.log_id", DataType::Int64, events));
-        let ts_col = want("E.ts").then(|| b.add("E.ts", DataType::Timestamp, events));
-        let val_col = want("E.val").then(|| b.add("E.val", DataType::Float64, events));
-        // `E.log_id` is constant; `E.ts` is flagged sorted only if this
-        // pass sees it never decrease.
-        let mut ts_sorted = true;
-        let mut prev_ts = i64::MIN;
-        for line in text.lines().skip(1) {
-            if line.is_empty() {
-                continue;
-            }
-            let bad =
-                || EngineError::Chunk(format!("malformed event {line:?} in {}", entry.uri));
-            let (t, v) = line.split_once(',').ok_or_else(bad)?;
-            // Every field is validated regardless of the projection —
-            // whether a malformed file errors must not depend on an
-            // optimizer knob — but only referenced columns are
-            // materialized (the projection-pushdown decode path).
-            let t = t.parse::<i64>().map_err(|_| bad())?;
-            let v = v.parse::<f64>().map_err(|_| bad())?;
-            ts_sorted &= prev_ts <= t;
-            prev_ts = t;
-            if let Some(c) = id_col {
-                b.i64_mut(c).push(entry.file_id);
-            }
-            if let Some(c) = ts_col {
-                b.i64_mut(c).push(t);
-            }
-            if let Some(c) = val_col {
-                b.f64_mut(c).push(v);
-            }
-        }
-        if let Some(c) = id_col {
-            b.mark_sorted(c);
-        }
-        if let Some(c) = ts_col.filter(|_| ts_sorted) {
-            b.mark_sorted(c);
-        }
-        b.finish()
-    }
 }
 
 impl SourceAdapter for EventLogAdapter {
@@ -539,25 +485,9 @@ impl SourceAdapter for EventLogAdapter {
         Ok(entries)
     }
 
-    /// Single-pass pre-sized decode: the file text lands in a reusable
-    /// per-worker scratch buffer, a cheap line count sizes the column
-    /// builders, and one parsing pass fills them directly.
-    fn decode(
-        &self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
-        crate::source::with_text_scratch(|text| {
-            std::fs::File::open(&entry.uri)
-                .and_then(|mut f| f.read_to_string(text))
-                .map_err(|e| EngineError::Chunk(format!("reading {}: {e}", entry.uri)))?;
-            self.decode_text(entry, text, projection)
-        })
-    }
-
-    /// Decode from prefetched bytes: validate UTF-8 and run the same
-    /// single-pass decode as [`Self::decode`] — no file IO on the
-    /// decode worker.
+    /// Single-pass pre-sized decode: validate the fetched bytes as
+    /// UTF-8, size the column builders with a cheap line count, and
+    /// fill them in one parsing pass.
     fn decode_bytes(
         &self,
         entry: &FileEntry,
@@ -567,7 +497,48 @@ impl SourceAdapter for EventLogAdapter {
         let text = std::str::from_utf8(&raw.bytes).map_err(|e| {
             EngineError::Chunk(format!("{}: invalid UTF-8 in log file: {e}", entry.uri))
         })?;
-        self.decode_text(entry, text, projection)
+        let want = |col: &str| projection.is_none_or(|p| p.iter().any(|c| c == col));
+        let events = text.lines().skip(1).filter(|l| !l.is_empty()).count();
+        let mut b = RelationBuilder::new();
+        let id_col = want("E.log_id").then(|| b.add("E.log_id", DataType::Int64, events));
+        let ts_col = want("E.ts").then(|| b.add("E.ts", DataType::Timestamp, events));
+        let val_col = want("E.val").then(|| b.add("E.val", DataType::Float64, events));
+        // `E.log_id` is constant; `E.ts` is flagged sorted only if this
+        // pass sees it never decrease.
+        let mut ts_sorted = true;
+        let mut prev_ts = i64::MIN;
+        for line in text.lines().skip(1) {
+            if line.is_empty() {
+                continue;
+            }
+            let bad =
+                || EngineError::Chunk(format!("malformed event {line:?} in {}", entry.uri));
+            let (t, v) = line.split_once(',').ok_or_else(bad)?;
+            // Every field is validated regardless of the projection —
+            // whether a malformed file errors must not depend on an
+            // optimizer knob — but only referenced columns are
+            // materialized (the projection-pushdown decode path).
+            let t = t.parse::<i64>().map_err(|_| bad())?;
+            let v = v.parse::<f64>().map_err(|_| bad())?;
+            ts_sorted &= prev_ts <= t;
+            prev_ts = t;
+            if let Some(c) = id_col {
+                b.i64_mut(c).push(entry.file_id);
+            }
+            if let Some(c) = ts_col {
+                b.i64_mut(c).push(t);
+            }
+            if let Some(c) = val_col {
+                b.f64_mut(c).push(v);
+            }
+        }
+        if let Some(c) = id_col {
+            b.mark_sorted(c);
+        }
+        if let Some(c) = ts_col.filter(|_| ts_sorted) {
+            b.mark_sorted(c);
+        }
+        b.finish()
     }
 
     fn source_bytes(&self) -> Result<u64> {
@@ -663,7 +634,8 @@ mod tests {
             seg_count: 1,
             zones: vec![],
         };
-        let rel = adapter.decode(&entry, None).unwrap();
+        let raw = adapter.fetch_bytes(&entry).unwrap();
+        let rel = adapter.decode_bytes(&entry, raw, None).unwrap();
         assert_eq!(rel.rows(), 2);
         assert_eq!(rel.column("E.log_id").unwrap().as_i64().unwrap(), &[42, 42]);
         assert_eq!(rel.column("E.ts").unwrap().as_i64().unwrap(), &[1_000_100, 1_000_200]);

@@ -546,15 +546,14 @@ pub struct AdapterChunkSource {
     /// Verify FK integrity of every ingested row against the metadata
     /// PK indices — the work the paper's lazy variant skips (§VI-A).
     verify_fk: bool,
-    /// Where `decode.*` is counted ([`Self::with_obs`]; detached by
-    /// default).
+    /// Where `decode.*` and `fault.faults_injected` are counted
+    /// ([`Self::with_obs`]; detached by default).
     obs: Obs,
-    /// Deterministic fault injection at the decode seam (see
+    /// Deterministic fault injection at the read seam (see
     /// [`crate::FaultPlan`]); `None` in production.
     faults: Option<Arc<FaultInjector>>,
-    /// The system's prefetch stage: decodes claim staged raw bytes from
-    /// here before falling back to the direct (fused fetch+decode)
-    /// path. `None` = prefetch off; the hot path is untouched.
+    /// The system's prefetch stage: loads claim staged raw bytes from
+    /// here before reading the file themselves. `None` = prefetch off.
     prefetch: Option<Arc<PrefetchStage>>,
 }
 
@@ -584,54 +583,39 @@ impl AdapterChunkSource {
         self
     }
 
-    /// Gate every decode attempt through a shared [`FaultInjector`]
-    /// (tests and benches; default off).
+    /// Gate every fetch through a shared [`FaultInjector`] (tests and
+    /// benches; default off).
     pub fn with_faults(mut self, faults: Option<Arc<FaultInjector>>) -> Self {
         self.faults = faults;
         self
     }
 
     /// Record `decode.*` metrics (chunks, rows, bytes, ns) into
-    /// `obs`'s registry on every decode.
+    /// `obs`'s registry on every decode, and each injected fault.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.obs = obs.clone();
         self
     }
 
-    /// The fetch closure the prefetch stage runs on its IO threads:
-    /// fault injection fires *inside* it, so an injected spike or hold
-    /// lands on the IO thread and genuinely overlaps with decode work
-    /// (the direct path gates on the decode worker instead).
-    pub fn raw_fetcher(&self) -> RawFetcher {
-        let adapter = Arc::clone(&self.adapter);
-        let registry = Arc::clone(&self.registry);
-        let faults = self.faults.clone();
-        Arc::new(move |uri: &str| -> sommelier_engine::Result<RawChunk> {
-            if let Some(f) = &faults {
-                f.before_load(uri)?;
-            }
-            let entry = registry.get(uri).ok_or_else(|| {
-                EngineError::Chunk(format!("chunk {uri:?} is not registered"))
-            })?;
-            adapter.fetch_bytes(entry)
-        })
+    /// The fetch closure the prefetch stage runs on its IO threads: the
+    /// same read seam as a direct load, so an injected spike or hold
+    /// lands on the IO thread and genuinely overlaps with decode work.
+    pub fn raw_fetcher(self: &Arc<Self>) -> RawFetcher {
+        let source = Arc::clone(self);
+        Arc::new(move |uri: &str| source.fetch(uri).map(|(_, raw)| raw))
     }
 
-    /// Claim staged bytes for `uri` if a prefetch fetched them:
-    /// `Some(raw)` means the IO cost (fault gate, file read) was
-    /// already paid on the IO thread and the caller only
-    /// decodes; `None` means no prefetch covered this chunk (or it
-    /// failed, already surfaced as an error by `claim`) and the caller
-    /// runs the classic fused path.
-    fn claim_prefetched(&self, uri: &str) -> sommelier_engine::Result<Option<RawChunk>> {
-        match self.prefetch.as_ref().and_then(|s| s.claim(uri)) {
-            None => Ok(None),
-            Some(Ok(raw)) => Ok(Some(raw)),
-            // A failed prefetch surfaces exactly like a failed load;
-            // the entry was consumed, so the caller's retry loop falls
-            // back to the direct read path.
-            Some(Err(e)) => Err(e),
+    /// The one read seam, on a prefetch IO thread and on the decode
+    /// worker alike: the fault gate, the registry lookup, then the
+    /// adapter's [`SourceAdapter::fetch_bytes`]. An injected error is
+    /// counted in `fault.faults_injected` here, where it happens.
+    fn fetch(&self, uri: &str) -> sommelier_engine::Result<(&FileEntry, RawChunk)> {
+        if let Some(f) = &self.faults {
+            f.before_load(uri)
+                .inspect_err(|_| self.obs.count(Metric::FaultFaultsInjected, 1))?;
         }
+        let entry = self.entry(uri)?;
+        Ok((entry, self.adapter.fetch_bytes(entry)?))
     }
 
     /// The registry backing this source.
@@ -639,7 +623,7 @@ impl AdapterChunkSource {
         &self.registry
     }
 
-    fn entry(&self, uri: &str) -> sommelier_engine::Result<&crate::chunks::FileEntry> {
+    fn entry(&self, uri: &str) -> sommelier_engine::Result<&FileEntry> {
         self.registry
             .get(uri)
             .ok_or_else(|| EngineError::Chunk(format!("chunk {uri:?} is not registered")))
@@ -670,26 +654,24 @@ impl AdapterChunkSource {
     /// table's schema (qualified column names, e.g. `D.sample_time`).
     /// The cellar retains it for later queries over any column set.
     pub(crate) fn load_chunk(&self, uri: &str) -> sommelier_engine::Result<Relation> {
-        // Prefetched chunk: the IO (and its fault gate) already ran on
-        // an IO thread — only decode here.
-        let raw = self.claim_prefetched(uri)?;
-        if raw.is_none() {
-            if let Some(f) = &self.faults {
-                f.before_load(uri)?;
-            }
-        }
-        let entry = self.entry(uri)?;
-        let t = Instant::now();
-        let rel = match raw {
-            Some(raw) => self.adapter.decode_bytes(entry, raw, None)?,
-            None => self.adapter.decode(entry, None)?,
+        // Bytes a prefetch staged were fetched, through the same seam,
+        // on an IO thread; a failed prefetch surfaces exactly like a
+        // failed load (the entry was consumed, so the caller's retry
+        // reads directly).
+        let staged = self.prefetch.as_ref().and_then(|s| s.claim(uri)).transpose()?;
+        let (entry, raw) = match staged {
+            Some(raw) => (self.entry(uri)?, raw),
+            None => self.fetch(uri)?,
         };
+        let t = Instant::now();
+        let rel = self.adapter.decode_bytes(entry, raw, None)?;
+        let decode_ns = t.elapsed().as_nanos() as u64;
         self.verify(&rel)?;
         let o = &self.obs;
         o.count(Metric::DecodeChunks, 1);
         o.count(Metric::DecodeRows, rel.rows() as u64);
         o.count(Metric::DecodeBytes, rel.approx_bytes() as u64);
-        o.count(Metric::DecodeNs, t.elapsed().as_nanos() as u64);
+        o.count(Metric::DecodeNs, decode_ns);
         Ok(rel)
     }
 }

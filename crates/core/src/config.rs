@@ -64,8 +64,8 @@ pub struct SommelierConfig {
     /// Async raw-byte prefetch window: while workers decode chunk `k`,
     /// dedicated IO threads read the bytes of chunks `k+1..k+depth`
     /// from the surviving (post-pruning) chunk list. `0` disables
-    /// prefetch entirely (the decode path is then byte-for-byte the
-    /// classic fused fetch+decode). Staged bytes count against the
+    /// prefetch entirely (each load then fetches on its decode worker,
+    /// through the same read seam). Staged bytes count against the
     /// cellar budget, so prefetch degrades to depth 0 under a tiny
     /// budget instead of busting it.
     pub prefetch_depth: usize,

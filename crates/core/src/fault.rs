@@ -25,8 +25,9 @@ use std::time::{Duration, Instant};
 
 /// A deterministic fault-injection plan (see
 /// [`crate::SommelierConfig::fault_plan`]; default off — `None`).
-/// Configured once, applied at both chunk-load seams: the direct load
-/// (`AdapterChunkSource::load_chunk`) and the prefetch IO thread.
+/// Configured once, applied at the one chunk read seam
+/// (`AdapterChunkSource`'s fetch), on the decode worker and on the
+/// prefetch IO thread alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-attempt fault decision. Same seed + same
@@ -107,7 +108,7 @@ impl FaultCounts {
 }
 
 /// Deterministic, seeded fault injector sitting in front of chunk
-/// decodes. One instance per [`crate::Sommelier`] (held by its adapter
+/// reads. One instance per [`crate::Sommelier`] (held by its adapter
 /// chunk sources), so counters line up with the instance's metrics.
 #[derive(Debug)]
 pub struct FaultInjector {

@@ -407,6 +407,9 @@ pub struct Sommelier {
     catalog: BindCatalog,
     sources: Vec<SourceRuntime>,
     prepared: Mutex<Option<Prepared>>,
+    /// Where `EagerCsv` writes its CSV files: `csv_cache` in the
+    /// database directory, kept; for an in-memory system a temp
+    /// directory, removed once `prepare` has parsed it back.
     csv_dir: PathBuf,
     db_dir: Option<PathBuf>,
     /// The system's metrics registry (per instance, not process-global,
@@ -432,8 +435,8 @@ pub struct Sommelier {
     /// plus the staging area where fetched-but-not-yet-decoded bytes
     /// wait for their decode worker. One per system, shared by every
     /// session (see [`SommelierConfig::prefetch_depth`]). `None` when
-    /// `prefetch_depth == 0` — the decode path is then byte-for-byte
-    /// the classic fused fetch+decode.
+    /// `prefetch_depth == 0`: every load then fetches on its decode
+    /// worker.
     prefetch: Option<Arc<prefetch::PrefetchStage>>,
     /// EWMA of successful top-level query latency (α = 1/8), in
     /// nanoseconds. Feeds the `retry_after_ms` backpressure hint on
@@ -657,14 +660,21 @@ impl Sommelier {
             match mode {
                 LoadingMode::Lazy => {}
                 LoadingMode::EagerCsv => {
-                    loader::load_eager_csv(
+                    let loaded = loader::load_eager_csv(
                         &self.db,
                         s.adapter.as_ref(),
                         registry,
                         &self.csv_dir,
                         &policy,
                         &mut report,
-                    )?;
+                    );
+                    // An in-memory system keeps no CSV cache: once
+                    // parsed back, its CSV files are only litter in the
+                    // temp dir (`report.csv_bytes` keeps their size).
+                    if self.db_dir.is_none() {
+                        let _ = std::fs::remove_dir_all(&self.csv_dir);
+                    }
+                    loaded?;
                 }
                 LoadingMode::EagerPlain | LoadingMode::EagerIndex | LoadingMode::EagerDmd => {
                     loader::load_eager_plain(
@@ -1212,20 +1222,11 @@ impl Sommelier {
         &self.metrics
     }
 
-    /// Snapshot every metric by name. A pure read: every subsystem
-    /// counts into [`Self::metrics`] in place, so this is the registry's
-    /// snapshot plus three values kept outside it — the process-wide
-    /// `decode.arena_reuse`/`decode.arena_alloc` (thread-local scratch
-    /// arenas shared by every system) and `fault.faults_injected`, read
-    /// from the injector's [`FaultCounts`].
+    /// Snapshot every metric by name: a pure read of
+    /// [`Self::metrics`], into which every subsystem counts where the
+    /// event happens.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        let (reuse, alloc) = source::scratch_counters();
-        snap.patch(Metric::DecodeArenaReuse, reuse);
-        snap.patch(Metric::DecodeArenaAlloc, alloc);
-        let injected = self.fault_injector.as_ref().map_or(0, |f| f.injected().errors());
-        snap.patch(Metric::FaultFaultsInjected, injected);
-        snap
+        self.metrics.snapshot()
     }
 
     /// The raw-byte prefetch stage, when enabled (`prefetch_depth > 0`).
@@ -1450,6 +1451,18 @@ mod tests {
         std::fs::write(&p, "legacy\n").unwrap();
         assert_eq!(read_sidecar(&p).as_deref(), Some("legacy\n"));
         assert_eq!(read_sidecar(&dir.join("absent")), None);
+    }
+
+    #[test]
+    fn in_memory_eager_csv_leaves_no_csv_files() {
+        let repo = temp_repo("csv-cleanup", 2, 16);
+        let somm = system(&repo);
+        let csv_dir = somm.csv_dir.clone();
+        let report = somm.prepare(LoadingMode::EagerCsv).unwrap();
+        assert!(report.csv_bytes > 0, "the CSV round trip ran");
+        assert_eq!(somm.db().table_rows("E").unwrap(), report.rows_loaded);
+        drop(somm);
+        assert!(!csv_dir.exists(), "{} was left behind", csv_dir.display());
     }
 
     #[test]

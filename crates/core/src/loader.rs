@@ -159,7 +159,8 @@ pub fn load_eager_plain(
     for wave in registry.entries().chunks(WAVE) {
         let batches: Vec<Vec<ColumnData>> =
             run_indexed_policy(wave.len(), policy, &Obs::off(), |i| {
-                let rel = adapter.decode(&wave[i], None)?;
+                let entry = &wave[i];
+                let rel = adapter.decode_bytes(entry, adapter.fetch_bytes(entry)?, None)?;
                 relation_batch(&rel, descriptor)
             })
             .into_iter()
@@ -359,7 +360,8 @@ pub fn load_eager_csv(
     let csv_paths: Vec<PathBuf> =
         entries.iter().map(|e| source_dir.join(format!("file_{}.csv", e.file_id))).collect();
     let written = run_indexed_policy(entries.len(), policy, &Obs::off(), |i| {
-        let rel = adapter.decode(&entries[i], None)?;
+        let entry = &entries[i];
+        let rel = adapter.decode_bytes(entry, adapter.fetch_bytes(entry)?, None)?;
         batch_to_csv(&relation_batch(&rel, descriptor)?, &csv_paths[i])
     });
     for bytes in written {

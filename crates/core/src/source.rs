@@ -37,9 +37,12 @@
 //!    [`SchedPolicy`] you are given (one
 //!    [`run_indexed_policy`](sommelier_engine::exec::run_indexed_policy)
 //!    batch); do not start threads.
-//! 3. **Decode** — [`SourceAdapter::decode`] decodes one chunk into
-//!    a relation shaped like the actual-data table, with qualified
-//!    column names (`"D.sample_value"`) and the system keys assigned at
+//! 3. **Load** — two methods, and every chunk load runs both in turn:
+//!    [`SourceAdapter::fetch_bytes`] reads one chunk's raw bytes (the
+//!    default reads the whole file at its URI), and
+//!    [`SourceAdapter::decode_bytes`] parses them into a relation
+//!    shaped like the actual-data table, with qualified column names
+//!    (`"D.sample_value"`) and the system keys assigned at
 //!    registration — restricted to a column projection when the caller
 //!    passes one (the engine always decodes full width, because the
 //!    cellar retains chunks for later queries over other columns).
@@ -434,9 +437,10 @@ impl SourceDescriptor {
 }
 
 /// The raw, undecoded bytes of one chunk file, as produced by
-/// [`SourceAdapter::fetch_bytes`] — the fetch half of the fetch/decode
-/// seam the prefetcher pipelines. Carrying a plain owned buffer keeps
-/// the IO threads format-agnostic: they only read files, never parse.
+/// [`SourceAdapter::fetch_bytes`] — the fetch half of every chunk load,
+/// handed to [`SourceAdapter::decode_bytes`]. Carrying a plain owned
+/// buffer keeps the prefetcher's IO threads format-agnostic: they only
+/// read files, never parse.
 #[derive(Debug, Clone, Default)]
 pub struct RawChunk {
     /// The chunk file's full contents.
@@ -476,25 +480,12 @@ pub trait SourceAdapter: Send + Sync {
     /// start no threads of your own.
     fn register(&self, db: &Database, policy: &SchedPolicy) -> Result<Vec<FileEntry>>;
 
-    /// Decode one registered chunk into a relation shaped like the
-    /// actual-data table (qualified column names, system keys from
-    /// registration). With a `projection`, only the named columns need
-    /// to be materialized; the engine passes `None`, since retained
-    /// chunks must serve later queries over any column set. A chunk
-    /// with no rows must still produce the correctly-shaped empty
-    /// relation (see [`empty_ad_relation`]).
-    fn decode(
-        &self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation>;
-
-    /// The fetch half of the fetch/decode seam: read one chunk's raw
-    /// bytes without parsing anything. The prefetcher runs this on its
-    /// dedicated IO threads so the (seek-dominated) read of chunk k+1
-    /// overlaps with decoding chunk k. The default reads the whole file
-    /// at `entry.uri`, which is correct for any adapter whose
-    /// [`Self::decode`] starts by slurping its file.
+    /// The fetch half of a chunk load: read one chunk's raw bytes
+    /// without parsing anything. Every load reads through here — the
+    /// prefetcher on its IO threads, so the read of chunk k+1 overlaps
+    /// with decoding chunk k, and the cellar's direct load and the
+    /// eager loaders on the decode worker. The default reads the whole
+    /// file at `entry.uri`.
     fn fetch_bytes(&self, entry: &FileEntry) -> sommelier_engine::Result<RawChunk> {
         let bytes = std::fs::read(&entry.uri).map_err(|e| {
             sommelier_engine::EngineError::Chunk(format!("read {:?}: {e}", entry.uri))
@@ -502,100 +493,28 @@ pub trait SourceAdapter: Send + Sync {
         Ok(RawChunk { bytes })
     }
 
-    /// The decode half of the fetch/decode seam: parse already-fetched
-    /// bytes into the actual-data relation, exactly as [`Self::decode`]
-    /// would have (same shape, same projection contract). Adapters that
-    /// cannot decode from a detached buffer keep the default, which
-    /// ignores `raw` and re-runs the fused fetch+decode — correct but
-    /// without pipelining benefit.
+    /// The decode half of a chunk load: parse the bytes
+    /// [`Self::fetch_bytes`] returned into a relation shaped like the
+    /// actual-data table (qualified column names, system keys from
+    /// registration), with no file IO of its own. With a `projection`,
+    /// only the named columns need to be materialized; the engine
+    /// passes `None`, since retained chunks must serve later queries
+    /// over any column set. A chunk with no rows must still produce
+    /// the correctly-shaped empty relation (see [`empty_ad_relation`]).
     fn decode_bytes(
         &self,
         entry: &FileEntry,
         raw: RawChunk,
         projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
-        let _ = raw;
-        self.decode(entry, projection)
-    }
+    ) -> sommelier_engine::Result<Relation>;
 
     /// Total bytes of the source repository (Table III's raw-format
     /// column).
     fn source_bytes(&self) -> Result<u64>;
 }
 
-/// Retention cap for the per-worker decode scratch buffers: a worker
-/// that decoded one outsized chunk must not pin that much heap for the
-/// rest of the process — after each use the buffer shrinks back to
-/// this bound.
-const SCRATCH_RETAIN_BYTES: usize = 8 * 1024 * 1024;
-
-thread_local! {
-    static BYTE_SCRATCH: std::cell::RefCell<Vec<u8>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    static TEXT_SCRATCH: std::cell::RefCell<String> =
-        const { std::cell::RefCell::new(String::new()) };
-}
-
-/// Process-wide scratch-arena accounting: how many scratch uses found a
-/// warm (already-allocated) buffer vs. started cold. Process-global
-/// because the buffers themselves are thread-locals shared by every
-/// system in the process; [`crate::Sommelier::metrics_snapshot`] reads
-/// the totals into its `decode.arena_reuse` / `decode.arena_alloc`.
-static SCRATCH_REUSE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SCRATCH_ALLOC: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-fn note_scratch_use(warm: bool) {
-    use std::sync::atomic::Ordering;
-    if warm {
-        SCRATCH_REUSE.fetch_add(1, Ordering::Relaxed);
-    } else {
-        SCRATCH_ALLOC.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Process-wide `(reuse, alloc)` totals of the decode scratch buffers:
-/// uses that found a warm buffer vs. uses that started from an empty
-/// one.
-pub fn scratch_counters() -> (u64, u64) {
-    use std::sync::atomic::Ordering;
-    (SCRATCH_REUSE.load(Ordering::Relaxed), SCRATCH_ALLOC.load(Ordering::Relaxed))
-}
-
-/// Run `f` over this worker's reusable byte buffer (cleared before the
-/// call, shrunk back to the retention cap afterwards). Adapters decode
-/// chunk after chunk through here, so a worker allocates the file
-/// buffer once (amortized) instead of once per chunk per query.
-pub fn with_byte_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-    BYTE_SCRATCH.with(|scratch| {
-        let mut buf = scratch.borrow_mut();
-        note_scratch_use(buf.capacity() > 0);
-        buf.clear();
-        let result = f(&mut buf);
-        if buf.capacity() > SCRATCH_RETAIN_BYTES {
-            buf.clear();
-            buf.shrink_to(SCRATCH_RETAIN_BYTES);
-        }
-        result
-    })
-}
-
-/// [`with_byte_scratch`] for text formats.
-pub fn with_text_scratch<R>(f: impl FnOnce(&mut String) -> R) -> R {
-    TEXT_SCRATCH.with(|scratch| {
-        let mut buf = scratch.borrow_mut();
-        note_scratch_use(buf.capacity() > 0);
-        buf.clear();
-        let result = f(&mut buf);
-        if buf.capacity() > SCRATCH_RETAIN_BYTES {
-            buf.clear();
-            buf.shrink_to(SCRATCH_RETAIN_BYTES);
-        }
-        result
-    })
-}
-
 /// The correctly-shaped *empty* actual-data relation for a descriptor
-/// (what [`SourceAdapter::decode`] must return for chunks with no
+/// (what [`SourceAdapter::decode_bytes`] must return for chunks with no
 /// rows), restricted to `projection` when one is pushed down.
 pub fn empty_ad_relation(
     descriptor: &SourceDescriptor,

@@ -7,7 +7,7 @@
 
 use sommelier_core::adapters::EventLogAdapter;
 use sommelier_core::chunks::FileEntry;
-use sommelier_core::source::{empty_ad_relation, SourceAdapter, SourceDescriptor};
+use sommelier_core::source::{empty_ad_relation, RawChunk, SourceAdapter, SourceDescriptor};
 use sommelier_core::Result;
 use sommelier_engine::{EngineError, Relation, SchedPolicy};
 use sommelier_mseed::{MseedAdapter, SegmentData};
@@ -34,10 +34,13 @@ impl SourceAdapter for ReferenceMseed {
     }
 
     /// One relation per segment, unioned into the output — O(segments)
-    /// column re-copies per chunk.
-    fn decode(
+    /// column re-copies per chunk. Ignores `raw` and re-reads the file
+    /// through `read_full`, so the oracle shares no parsing with the
+    /// production decode.
+    fn decode_bytes(
         &self,
         entry: &FileEntry,
+        _raw: RawChunk,
         projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Relation> {
         let file = sommelier_mseed::read_full(Path::new(&entry.uri))
@@ -101,10 +104,12 @@ impl SourceAdapter for ReferenceEventLog {
     }
 
     /// A per-chunk allocation of the file text and unsized column
-    /// vectors.
-    fn decode(
+    /// vectors. Ignores `raw` and re-reads the file, so the oracle
+    /// shares no parsing with the production decode.
+    fn decode_bytes(
         &self,
         entry: &FileEntry,
+        _raw: RawChunk,
         projection: Option<&[String]>,
     ) -> sommelier_engine::Result<Relation> {
         let (want_id, want_ts, want_val) = (

@@ -17,7 +17,7 @@
 //! `windowdataview` (= F ⋈ S ⋈ D ⋈ H), `segview` (= F ⋈ S) and
 //! `windowview` (= F ⋈ H).
 
-use crate::reader::{parse_full_bytes, read_full_bytes_into, FileHeader};
+use crate::reader::{parse_full_bytes, FileHeader};
 use crate::repo::Repository;
 use crate::steim;
 use sommelier_core::chunks::FileEntry;
@@ -38,7 +38,6 @@ use sommelier_storage::time::MS_PER_HOUR;
 use sommelier_storage::{
     ColumnData, ConstraintPolicy, DataType, Database, TableClass, TableSchema, Value,
 };
-use std::path::Path;
 
 /// Schema of the given-metadata file table `F`.
 pub fn f_schema() -> TableSchema {
@@ -525,33 +524,11 @@ impl SourceAdapter for MseedAdapter {
         Ok(entries)
     }
 
-    /// Single-pass columnar decode: the raw bytes land in a reusable
-    /// per-worker scratch buffer, the column builders are pre-sized
-    /// from the header's sample counts, and the payloads decode
-    /// straight into the destination buffers — one pass, no per-segment
+    /// Single-pass columnar decode of the fetched bytes: parse the
+    /// header and segment directory, pre-size the column builders from
+    /// the header's sample counts, and decode the payloads straight
+    /// into the destination buffers — one pass, no per-segment
     /// relations, no union re-copies.
-    fn decode(
-        &self,
-        entry: &FileEntry,
-        projection: Option<&[String]>,
-    ) -> sommelier_engine::Result<Relation> {
-        sommelier_core::source::with_byte_scratch(|bytes| {
-            let header = read_full_bytes_into(Path::new(&entry.uri), bytes)
-                .map_err(|e| EngineError::Chunk(e.to_string()))?;
-            decode_columns(
-                bytes,
-                &header,
-                entry.file_id,
-                entry.seg_base,
-                projection,
-                &self.descriptor,
-            )
-        })
-    }
-
-    /// Decode from prefetched bytes: parse the header out of the staged
-    /// buffer and run the same single-pass columnar decode as
-    /// [`Self::decode`] — no file IO on the decode worker.
     fn decode_bytes(
         &self,
         entry: &FileEntry,
@@ -587,6 +564,7 @@ mod tests {
     };
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::Value;
+    use std::path::Path;
     use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> crate::TempDir {
@@ -805,7 +783,8 @@ mod tests {
         let dir = temp_dir("load");
         let entry = write_test_chunk(&dir.0);
         let adapter = MseedAdapter::new(Repository::at(&dir.0));
-        let rel = adapter.decode(&entry, None).unwrap();
+        let raw = adapter.fetch_bytes(&entry).unwrap();
+        let rel = adapter.decode_bytes(&entry, raw, None).unwrap();
         assert_eq!(rel.rows(), 5);
         assert_eq!(rel.column("D.file_id").unwrap().as_i64().unwrap(), &[7, 7, 7, 7, 7]);
         assert_eq!(

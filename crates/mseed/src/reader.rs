@@ -103,9 +103,9 @@ fn parse_header(bytes: &[u8], what: &str) -> Result<FileHeader> {
 }
 
 /// Parse the header + segment directory out of a chunk file's full
-/// bytes that were fetched elsewhere (the prefetcher's IO threads hand
-/// decode workers raw buffers; `what` labels errors in place of a
-/// path).
+/// bytes, fetched elsewhere (every chunk load reads through
+/// `SourceAdapter::fetch_bytes` first; `what` labels errors in place of
+/// a path).
 pub fn parse_full_bytes(bytes: &[u8], what: &str) -> Result<FileHeader> {
     parse_header(bytes, what)
 }
@@ -129,19 +129,6 @@ pub fn read_metadata(path: &Path) -> Result<FileHeader> {
             Err(_) => continue,                // maybe truncated: read more
         }
     }
-}
-
-/// Read the raw bytes of `path` into a caller-provided scratch buffer
-/// (cleared, then filled) and parse its header — the decode hot path
-/// reuses one thread-local buffer across chunks instead of allocating a
-/// fresh `Vec<u8>` per chunk per query.
-pub fn read_full_bytes_into(path: &Path, buf: &mut Vec<u8>) -> Result<FileHeader> {
-    buf.clear();
-    let mut f = std::fs::File::open(path)
-        .map_err(|e| MseedError::io(format!("opening {}", path.display()), e))?;
-    f.read_to_end(buf)
-        .map_err(|e| MseedError::io(format!("reading {}", path.display()), e))?;
-    parse_header(buf, &path.display().to_string())
 }
 
 /// Read and fully decode `path`.

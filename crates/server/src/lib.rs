@@ -743,13 +743,57 @@ impl fmt::Debug for QueryHandle {
 mod tests {
     use super::*;
     use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
-    use sommelier_core::LoadingMode;
+    use sommelier_core::{LoadingMode, SommelierConfig};
 
-    /// A server over a generated event-log repository, which is
-    /// removed when the server is dropped (also when its test fails).
+    /// A generated event-log repository in the temp dir, removed when
+    /// dropped (also when its test fails).
+    struct TestRepo(std::path::PathBuf);
+
+    impl TestRepo {
+        fn new(tag: &str, days: u32, events: u32) -> Self {
+            let repo = TestRepo(
+                std::env::temp_dir()
+                    .join(format!("somm-server-unit-{tag}-{}", std::process::id())),
+            );
+            let _ = std::fs::remove_dir_all(&repo.0);
+            generate_event_logs(&repo.0, &EventLogSpec::small(days, events)).unwrap();
+            repo
+        }
+
+        /// The chunk files' URIs, sorted.
+        fn chunks(&self) -> Vec<String> {
+            let mut chunks: Vec<String> = std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|e| e.unwrap().path().to_string_lossy().into_owned())
+                .collect();
+            chunks.sort();
+            chunks
+        }
+    }
+
+    impl Drop for TestRepo {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A server over a lazily prepared system on a [`TestRepo`], which
+    /// goes when the server does.
     struct TestServer {
         server: Server,
-        dir: std::path::PathBuf,
+        _repo: TestRepo,
+    }
+
+    impl TestServer {
+        fn new(repo: TestRepo, config: SommelierConfig) -> Self {
+            let somm = Sommelier::builder()
+                .config(config)
+                .source(EventLogAdapter::new(&repo.0))
+                .build()
+                .unwrap();
+            somm.prepare(LoadingMode::Lazy).unwrap();
+            TestServer { server: Server::new(Arc::new(somm)), _repo: repo }
+        }
     }
 
     impl std::ops::Deref for TestServer {
@@ -759,19 +803,8 @@ mod tests {
         }
     }
 
-    impl Drop for TestServer {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-
     fn test_server(tag: &str) -> TestServer {
-        let dir = std::env::temp_dir()
-            .join(format!("somm-server-unit-{tag}-{}", std::process::id()));
-        generate_event_logs(&dir, &EventLogSpec::small(2, 128)).unwrap();
-        let somm = Sommelier::builder().source(EventLogAdapter::new(&dir)).build().unwrap();
-        somm.prepare(LoadingMode::Lazy).unwrap();
-        TestServer { server: Server::new(Arc::new(somm)), dir }
+        TestServer::new(TestRepo::new(tag, 2, 128), SommelierConfig::default())
     }
 
     #[test]
@@ -894,38 +927,18 @@ mod tests {
 
     #[test]
     fn panicking_query_is_typed_and_quarantined() {
-        use sommelier_core::{FaultPlan, SommelierConfig};
-        let dir =
-            std::env::temp_dir().join(format!("somm-server-panic-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        generate_event_logs(&dir, &EventLogSpec::small(2, 64)).unwrap();
-        let mut chunks = Vec::new();
-        fn walk(dir: &std::path::Path, out: &mut Vec<String>) {
-            for e in std::fs::read_dir(dir).unwrap().flatten() {
-                let p = e.path();
-                if p.is_dir() {
-                    walk(&p, out);
-                } else {
-                    out.push(p.to_string_lossy().into_owned());
-                }
-            }
-        }
-        walk(&dir, &mut chunks);
-        chunks.sort();
-        let somm = Sommelier::builder()
-            .config(SommelierConfig {
-                fault_plan: Some(FaultPlan {
-                    panic_uris: vec![chunks[0].clone()],
-                    ..FaultPlan::default()
-                }),
-                ..Default::default()
-            })
-            .source(EventLogAdapter::new(&dir))
-            .build()
-            .unwrap();
-        somm.prepare(LoadingMode::Lazy).unwrap();
-        let somm = Arc::new(somm);
-        let server = Server::new(Arc::clone(&somm));
+        use sommelier_core::FaultPlan;
+        let repo = TestRepo::new("panic", 2, 64);
+        let chunks = repo.chunks();
+        let config = SommelierConfig {
+            fault_plan: Some(FaultPlan {
+                panic_uris: vec![chunks[0].clone()],
+                ..FaultPlan::default()
+            }),
+            ..Default::default()
+        };
+        let server = TestServer::new(repo, config);
+        let somm = server.sommelier();
         let session = server.open_session(SessionOptions::default());
         let sql = "SELECT AVG(E.val) FROM eventview";
         // First submit: the injected decode panic fails only this
@@ -953,20 +966,13 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(r.relation.rows(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sessions_share_one_prefetch_stage() {
-        use sommelier_core::LoadingMode;
-        let dir =
-            std::env::temp_dir().join(format!("somm-server-prefetch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        generate_event_logs(&dir, &EventLogSpec::small(3, 64)).unwrap();
-        let somm = Sommelier::builder().source(EventLogAdapter::new(&dir)).build().unwrap();
-        somm.prepare(LoadingMode::Lazy).unwrap();
-        let somm = Arc::new(somm);
-        let server = Server::new(Arc::clone(&somm));
+        let server =
+            TestServer::new(TestRepo::new("prefetch", 3, 64), SommelierConfig::default());
+        let somm = server.sommelier();
         // Two sessions race cold multi-chunk scans: both windows run on
         // the system's single IO pool and stage, whose issue/hit
         // counters therefore accumulate across sessions.
@@ -988,44 +994,22 @@ mod tests {
         assert!(issued >= 1, "cold scans must issue prefetches");
         assert!(hits >= 1, "decodes must consume staged bytes");
         assert_eq!(stage.staged_bytes(), 0, "stage drains once queries end");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn per_session_degradation_policy() {
-        use sommelier_core::{FaultPlan, SommelierConfig};
-        let dir =
-            std::env::temp_dir().join(format!("somm-server-degraded-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        generate_event_logs(&dir, &EventLogSpec::small(2, 64)).unwrap();
+        use sommelier_core::FaultPlan;
         // Declare one chunk file permanently corrupt via the injector.
-        fn walk(dir: &std::path::Path, out: &mut Vec<String>) {
-            for e in std::fs::read_dir(dir).unwrap().flatten() {
-                let p = e.path();
-                if p.is_dir() {
-                    walk(&p, out);
-                } else {
-                    out.push(p.to_string_lossy().into_owned());
-                }
-            }
-        }
-        let mut chunks = Vec::new();
-        walk(&dir, &mut chunks);
-        chunks.sort();
-        let victim = chunks[0].clone();
-        let somm = Sommelier::builder()
-            .config(SommelierConfig {
-                fault_plan: Some(FaultPlan {
-                    corrupt_uris: vec![victim.clone()],
-                    ..FaultPlan::default()
-                }),
-                ..Default::default()
-            })
-            .source(EventLogAdapter::new(&dir))
-            .build()
-            .unwrap();
-        somm.prepare(LoadingMode::Lazy).unwrap();
-        let server = Server::new(Arc::new(somm));
+        let repo = TestRepo::new("degraded", 2, 64);
+        let victim = repo.chunks()[0].clone();
+        let config = SommelierConfig {
+            fault_plan: Some(FaultPlan {
+                corrupt_uris: vec![victim.clone()],
+                ..FaultPlan::default()
+            }),
+            ..Default::default()
+        };
+        let server = TestServer::new(repo, config);
         // A strict session fails with a typed error naming the chunk...
         let strict = server.open_session(SessionOptions::default());
         assert_eq!(strict.degradation_policy(), DegradationPolicy::Strict);
@@ -1043,6 +1027,5 @@ mod tests {
         let d = r.degraded.expect("degraded report present");
         assert_eq!(d.skipped_chunks, vec![victim]);
         assert_eq!(d.reasons.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,13 +1,15 @@
-//! Decode-hot-path equivalence: the single-pass arena-backed chunk
-//! decode and the indexed stage-1 candidate selection must never change
-//! answers, only costs.
+//! Decode-hot-path equivalence: the single-pass chunk decode and the
+//! indexed stage-1 candidate selection must never change answers, only
+//! costs.
 //!
 //! * T1–T5 on both built-in adapters, new decode vs the test-support
 //!   reference decoders (`sommelier_integration::reference`),
 //!   byte-identical.
 //! * Per-chunk decode equality across projections, including the
 //!   projection × empty-chunk regression (the projected width must
-//!   survive a chunk with no rows on both adapters).
+//!   survive a chunk with no rows on both adapters). Each chunk loads
+//!   the one way the system loads it: `fetch_bytes`, then
+//!   `decode_bytes` over the fetched bytes.
 //! * The zone interval index used as the pruning pass's prefilter must
 //!   leave the surviving chunk list identical to the per-chunk scan.
 
@@ -96,6 +98,17 @@ fn eventlog_queries() -> Vec<&'static str> {
     ]
 }
 
+/// Load one chunk as every chunk load does: fetch its bytes, then
+/// decode them under `projection`.
+fn load(
+    adapter: &dyn SourceAdapter,
+    entry: &FileEntry,
+    projection: Option<&[String]>,
+) -> Relation {
+    let raw = adapter.fetch_bytes(entry).unwrap();
+    adapter.decode_bytes(entry, raw, projection).unwrap()
+}
+
 /// Exact bit-level rendering of a result (floats as their raw bits).
 fn bits(r: &QueryResult) -> String {
     relation_bits(&r.relation)
@@ -175,8 +188,8 @@ fn mseed_per_chunk_decode_matches_reference_across_projections() {
     for entry in registry.entries() {
         for projection in &projections {
             let p = projection.as_deref();
-            let new = adapter.decode(entry, p).unwrap();
-            let old = reference.decode(entry, p).unwrap();
+            let new = load(adapter, entry, p);
+            let old = load(&reference, entry, p);
             assert_eq!(
                 relation_bits(&new),
                 relation_bits(&old),
@@ -219,8 +232,8 @@ fn empty_chunks_keep_projected_width() {
     ];
     for (projection, want) in &cases {
         for rel in [
-            adapter.decode(&entry, projection.as_deref()).unwrap(),
-            reference.decode(&entry, projection.as_deref()).unwrap(),
+            load(adapter, &entry, projection.as_deref()),
+            load(&reference, &entry, projection.as_deref()),
         ] {
             assert_eq!(rel.rows(), 0);
             assert_eq!(&rel.names(), want, "projection {projection:?}");
@@ -246,8 +259,8 @@ fn empty_chunks_keep_projected_width() {
     ];
     for (projection, want) in &cases {
         for rel in [
-            adapter.decode(&entry, projection.as_deref()).unwrap(),
-            reference.decode(&entry, projection.as_deref()).unwrap(),
+            load(adapter, &entry, projection.as_deref()),
+            load(&reference, &entry, projection.as_deref()),
         ] {
             assert_eq!(rel.rows(), 0);
             assert_eq!(&rel.names(), want, "projection {projection:?}");
@@ -358,7 +371,7 @@ fn check_sorted_flags(adapter: &dyn SourceAdapter, time_column: &str) -> usize {
     assert!(!registry.entries().is_empty());
     let mut time_flagged = 0;
     for entry in registry.entries() {
-        let rel = adapter.decode(entry, None).unwrap();
+        let rel = load(adapter, entry, None);
         for (i, (name, col)) in rel.columns().iter().enumerate() {
             if !rel.is_sorted(i) {
                 continue;
@@ -439,7 +452,7 @@ fn overlapping_segments_are_flagged_unsorted_and_answer_alike() {
             .unwrap();
     }
     let (registry, _) = sommelier_core::registrar::register_source(&db, &adapter, 1).unwrap();
-    let rel = adapter.decode(&registry.entries()[0], None).unwrap();
+    let rel = load(&adapter, &registry.entries()[0], None);
     for (i, name) in rel.names().iter().enumerate() {
         let want = matches!(*name, "D.file_id" | "D.seg_id");
         assert_eq!(rel.is_sorted(i), want, "{name}");

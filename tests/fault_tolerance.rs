@@ -1,17 +1,22 @@
 //! Fault-tolerant chunk IO end to end: deterministic injection at the
-//! decode seam, retry/backoff recovery that stays byte-identical to the
-//! fault-free run, strict-vs-skip degradation, chunk quarantine, and
-//! pin hygiene under cancellation mid-backoff.
+//! read seam, retry/backoff recovery that stays byte-identical to the
+//! fault-free run, strict-vs-skip degradation, chunk quarantine, pin
+//! hygiene under cancellation mid-backoff, and one read error for a
+//! missing chunk file on every load path.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
+use sommelier_core::chunks::FileEntry;
+use sommelier_core::source::{RawChunk, SourceAdapter, SourceDescriptor};
 use sommelier_core::{
     DegradationPolicy, FaultPlan, LoadingMode, ObsLevel, QueryOptions, RetryPolicy,
     Sommelier, SommelierConfig, SommelierError,
 };
-use sommelier_engine::EngineError;
+use sommelier_engine::{EngineError, ErrorKind, Relation, SchedPolicy};
 use sommelier_integration::{chunk_files, ingv_repo, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
+use sommelier_storage::Database;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn config(threads: usize, plan: Option<FaultPlan>) -> SommelierConfig {
@@ -155,6 +160,32 @@ fn retries_surface_in_spans_and_metrics() {
     assert!(snap.counter("fault.faults_injected") >= Some(1), "injections counted");
     assert_eq!(snap.counter("fault.chunks_quarantined"), Some(0));
     assert_eq!(snap.counter("fault.queries_degraded"), Some(0));
+}
+
+/// `fault.faults_injected` is counted at the read seam, once per
+/// injected error, so it equals the injector's own
+/// `FaultCounts::errors()`. Prefetch is off, so no IO thread is still
+/// fetching when the two are read.
+#[test]
+fn faults_injected_counts_each_injected_error() {
+    let dir = TempDir::new("faults-count");
+    let logs = eventlog_repo(&dir, 3, 32);
+    let somm = eventlog_system(
+        &logs,
+        SommelierConfig {
+            fault_plan: Some(FaultPlan::transient(0.5)),
+            prefetch_depth: 0,
+            ..SommelierConfig::default()
+        },
+    );
+    somm.prepare(LoadingMode::Lazy).unwrap();
+    for sql in eventlog_queries() {
+        somm.flush_caches();
+        somm.query(sql).unwrap();
+    }
+    let injected = somm.fault_injector().unwrap().injected().errors();
+    assert!(injected > 0, "a 50% fault rate must inject something");
+    assert_eq!(somm.metrics_snapshot().counter("fault.faults_injected"), Some(injected));
 }
 
 /// `fault.io_retries` is counted per system: a clean system reports
@@ -311,4 +342,108 @@ fn cancellation_during_backoff_releases_all_pins() {
         somm.fault_injector().unwrap().injected().transient > 0,
         "the query did hit the injector"
     );
+}
+
+/// A source that deletes one of its chunk files right after
+/// registering it, so the file is gone by the time any load reads it.
+/// Loads go through the wrapped adapter unchanged.
+struct DeletedAfterRegister {
+    inner: Arc<dyn SourceAdapter>,
+    victim: PathBuf,
+}
+
+impl SourceAdapter for DeletedAfterRegister {
+    fn descriptor(&self) -> &SourceDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn register(
+        &self,
+        db: &Database,
+        policy: &SchedPolicy,
+    ) -> sommelier_core::Result<Vec<FileEntry>> {
+        let entries = self.inner.register(db, policy)?;
+        std::fs::remove_file(&self.victim).unwrap();
+        Ok(entries)
+    }
+
+    fn fetch_bytes(&self, entry: &FileEntry) -> sommelier_engine::Result<RawChunk> {
+        self.inner.fetch_bytes(entry)
+    }
+
+    fn decode_bytes(
+        &self,
+        entry: &FileEntry,
+        raw: RawChunk,
+        projection: Option<&[String]>,
+    ) -> sommelier_engine::Result<Relation> {
+        self.inner.decode_bytes(entry, raw, projection)
+    }
+
+    fn source_bytes(&self) -> sommelier_core::Result<u64> {
+        self.inner.source_bytes()
+    }
+}
+
+/// Every chunk load reads through one seam: a chunk file deleted after
+/// registration fails a lazy query with prefetch off, a lazy query at
+/// the default prefetch depth and an eager load the same way — the
+/// same retry classification and the same `fetch_bytes` read error —
+/// on both adapters. Each path gets a fresh system over a restored
+/// file, since a permanent failure quarantines the chunk.
+#[test]
+fn a_deleted_chunk_fails_alike_on_every_load_path() {
+    let dir = TempDir::new("faults-read-seam");
+    let repo = ingv_repo(&dir, 2, 16);
+    let logs = eventlog_repo(&dir, 2, 16);
+    let mseed: Arc<dyn SourceAdapter> =
+        Arc::new(MseedAdapter::new(Repository::at(repo.dir())));
+    let events: Arc<dyn SourceAdapter> = Arc::new(EventLogAdapter::new(&logs));
+    let default_depth = SommelierConfig::default().prefetch_depth;
+    assert!(default_depth > 0, "prefetch is on by default");
+    for (inner, chunks, sql) in [
+        (mseed, chunk_files(repo.dir()), "SELECT AVG(D.sample_value) FROM dataview"),
+        (events, chunk_files(&logs), "SELECT AVG(E.val) FROM eventview"),
+    ] {
+        let adapter = &inner.descriptor().name;
+        let victim = PathBuf::from(&chunks[0]);
+        let bytes = std::fs::read(&victim).unwrap();
+        // The seam's own message for the missing file.
+        std::fs::remove_file(&victim).unwrap();
+        let entry = FileEntry {
+            uri: chunks[0].clone(),
+            file_id: 0,
+            seg_base: 0,
+            seg_count: 1,
+            zones: vec![],
+        };
+        let read_error = match inner.fetch_bytes(&entry) {
+            Err(EngineError::Chunk(message)) => message,
+            other => panic!("{adapter}: a missing file must fail the read: {other:?}"),
+        };
+        assert!(read_error.starts_with("read "), "{adapter}: {read_error}");
+        for (path, mode, prefetch_depth) in [
+            ("lazy, prefetch off", LoadingMode::Lazy, 0),
+            ("lazy, default prefetch", LoadingMode::Lazy, default_depth),
+            ("eager plain", LoadingMode::EagerPlain, default_depth),
+        ] {
+            std::fs::write(&victim, &bytes).unwrap();
+            let source =
+                DeletedAfterRegister { inner: Arc::clone(&inner), victim: victim.clone() };
+            let somm = Sommelier::builder()
+                .source(source)
+                .config(SommelierConfig { prefetch_depth, ..SommelierConfig::default() })
+                .build()
+                .unwrap();
+            let err = somm.prepare(mode).and_then(|_| somm.query(sql)).unwrap_err();
+            assert!(!victim.exists(), "{adapter}, {path}: the file was deleted");
+            assert_eq!(err.kind(), ErrorKind::Permanent, "{adapter}, {path}: {err}");
+            let text = err.to_string();
+            assert!(
+                text.contains(&read_error),
+                "{adapter}, {path}: {text}\nwant {read_error}"
+            );
+        }
+        std::fs::write(&victim, &bytes).unwrap();
+    }
 }

@@ -154,6 +154,16 @@
 //! helpers and the inline `unwrap_or_else(|e| e.into_inner())` calls
 //! were removed.
 //!
+//! Every chunk load is `SourceAdapter::fetch_bytes`, then
+//! `decode_bytes` over the fetched bytes: the cellar's direct load, the
+//! prefetched load and both eager loaders. The fused
+//! `SourceAdapter::decode`, the thread-local decode scratch
+//! (`BYTE_SCRATCH`, `TEXT_SCRATCH`, `with_byte_scratch`,
+//! `with_text_scratch`), its process-wide `scratch_counters`, mSEED's
+//! `read_full_bytes_into`, the event log's `decode_text` and
+//! `MetricsSnapshot::patch`, which wrote values from outside the
+//! registry into a snapshot, were removed.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -210,8 +220,8 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("ChunkUnit", "stage 2 decodes one task per whole chunk"),
     ("fn chunk_units", "stage 2 decodes one task per whole chunk"),
     ("decode_exchange", "the cellar's streaming wave decodes one task per chunk"),
-    ("fn decode_segment", "chunks decode whole through SourceAdapter::decode"),
-    ("fn read_full_bytes(", "the decode path reads through read_full_bytes_into"),
+    ("fn decode_segment", "chunks decode whole through SourceAdapter::decode_bytes"),
+    ("fn read_full_bytes(", "chunk loads read through SourceAdapter::fetch_bytes"),
     ("decode.units", "one decode task per chunk: decode.chunks counts them"),
     ("SchedPolicy::new", "SchedPolicy::default() plus with_scheduler"),
     ("fn serial()", "SchedPolicy::default() runs batches inline"),
@@ -291,6 +301,16 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("fn read_all_headers", "MseedAdapter::register scans headers in one pool batch"),
     ("fn decode_wave", "load_eager_plain decodes each wave in one pool batch"),
     ("db: &Database, max_threads", "SourceAdapter::register takes the system's SchedPolicy"),
+    ("adapter.decode(", "every chunk load is fetch_bytes, then decode_bytes"),
+    ("fn decode_text", "EventLogAdapter::decode_bytes parses the fetched text"),
+    ("read_full_bytes_into", "chunk loads read through SourceAdapter::fetch_bytes"),
+    ("BYTE_SCRATCH", "decode_bytes decodes the fetched bytes; no decode scratch"),
+    ("TEXT_SCRATCH", "decode_bytes decodes the fetched bytes; no decode scratch"),
+    ("with_byte_scratch", "decode_bytes decodes the fetched bytes; no decode scratch"),
+    ("with_text_scratch", "decode_bytes decodes the fetched bytes; no decode scratch"),
+    ("scratch_counters", "decode.arena_reuse and decode.arena_alloc are retired"),
+    ("fn patch(", "metrics_snapshot() is the registry's snapshot"),
+    ("MetricsSnapshot::patch", "metrics_snapshot() is the registry's snapshot"),
 ];
 
 /// The only product sources that may start threads: `(path prefix,

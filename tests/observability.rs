@@ -94,11 +94,10 @@ fn eventlog_queries() -> Vec<&'static str> {
 }
 
 /// Counters whose deltas must repeat exactly across identical warm
-/// runs. Timings (`*_ns`, `decode.ns`), pool busy/idle accounting and
-/// the process-global scratch-arena counters (shared with concurrently
-/// running tests) are inherently nondeterministic and excluded.
+/// runs. Timings (`*_ns`, `decode.ns`, pool busy/idle accounting) are
+/// inherently nondeterministic and excluded.
 fn is_deterministic(name: &str) -> bool {
-    !name.ends_with("_ns") && name != "decode.ns" && !name.starts_with("decode.arena")
+    !name.ends_with("_ns") && name != "decode.ns"
 }
 
 #[test]
@@ -446,9 +445,9 @@ fn metrics_snapshot_serializes_documented_names() {
 }
 
 /// A snapshot is a pure read: every subsystem counts into the registry
-/// where the event happens, so the live registry already holds what
-/// `metrics_snapshot` reports — bar the three values it reads from
-/// outside the registry — and taking snapshots changes nothing.
+/// where the event happens, so the live registry already holds every
+/// value `metrics_snapshot` reports, and taking snapshots changes
+/// nothing.
 #[test]
 fn metrics_snapshot_is_a_read() {
     let dir = TempDir::new("obs-snapshot-read");
@@ -461,23 +460,10 @@ fn metrics_snapshot_is_a_read() {
     // Nobody has called `metrics_snapshot` on this system yet.
     let live = somm.metrics().snapshot();
     let snap = somm.metrics_snapshot();
-    let outside =
-        |name: &str| name.starts_with("decode.arena_") || name == "fault.faults_injected";
-    let inside = |pairs: &[(String, u64)]| -> Vec<(String, u64)> {
-        pairs.iter().filter(|(n, _)| !outside(n)).cloned().collect()
-    };
-    assert_eq!(inside(&live.counters), inside(&snap.counters));
-    assert_eq!(live.gauges, snap.gauges);
-    assert_eq!(live.histograms, snap.histograms);
+    assert_eq!(live, snap);
     assert!(live.counter("cellar.loads") > Some(0), "T4 and T5 loaded chunks");
-    // Back to back: equal, except the process-wide arena counters that
-    // concurrently running tests move.
-    let (a, b) = (somm.metrics_snapshot(), somm.metrics_snapshot());
-    let system = |pairs: &[(String, u64)]| -> Vec<(String, u64)> {
-        pairs.iter().filter(|(n, _)| !n.starts_with("decode.arena_")).cloned().collect()
-    };
-    assert_eq!(system(&a.counters), system(&b.counters), "a snapshot writes nothing");
-    assert_eq!((a.gauges, a.histograms), (b.gauges, b.histograms));
+    // Back to back: equal.
+    assert_eq!(somm.metrics_snapshot(), somm.metrics_snapshot(), "a snapshot writes nothing");
 }
 
 /// Every counter (`delta("…")`) and gauge (`.gauge("…")`) the benchmark

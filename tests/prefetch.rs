@@ -1,9 +1,9 @@
-//! Prefetch pipeline end to end: answers stay byte-identical to the
-//! classic fused fetch+decode path at every window depth, under
-//! transient faults, and under a ~1-chunk cellar budget (where the
-//! window must degrade to depth 0 instead of deadlocking or busting
-//! the budget); cancellation mid-prefetch leaves zero staged bytes and
-//! zero pinned chunks.
+//! Prefetch pipeline end to end: answers stay byte-identical to depth
+//! 0 (each load fetches on its decode worker) at every window depth,
+//! under transient faults, and under a ~1-chunk cellar budget (where
+//! the window must degrade to depth 0 instead of deadlocking or
+//! busting the budget); cancellation mid-prefetch leaves zero staged
+//! bytes and zero pinned chunks.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
 use sommelier_core::{
@@ -126,7 +126,7 @@ fn taxonomy_byte_identical_across_depths() {
         for mode in [LoadingMode::Lazy, LoadingMode::EagerIndex] {
             for threads in [1usize, 8] {
                 // Control: same adapter, mode, and worker count with the
-                // window off — the classic fused fetch+decode path.
+                // window off — each load fetches on its decode worker.
                 let reference = {
                     let somm = build(0, threads);
                     assert!(somm.prefetch_stage().is_none(), "depth 0 builds no stage");
