@@ -4,11 +4,18 @@
 //! Supports the paper's aggregate set: COUNT, SUM, AVG, MIN, MAX and
 //! STDDEV (population — what the `H.window_std_dev` summary metadata
 //! stores). Every one of them is *mergeable*: a partition's rows
-//! collapse into a running state (count + sum + sum-of-squares +
-//! min/max), and states from different partitions combine without
-//! revisiting rows. That is what lets the chunk-parallel executor
+//! collapse into a running state, and states from different partitions
+//! combine without revisiting rows. That is what lets the
+//! chunk-parallel executor
 //! ([`crate::physical::PhysicalPlan::PartialAggUnion`]) aggregate each
 //! chunk independently and never materialize the union.
+//!
+//! Each function keeps only the state its answer reads, and folds it
+//! with a kernel of its own, chosen once per aggregate: COUNT adds
+//! range lengths, SUM and AVG keep count + sum, STDDEV count + sum +
+//! sum-of-squares, MIN and MAX their one extreme. A kernel adds the
+//! same values in the same order into one accumulator as a per-row
+//! update of every field would, so answers are bit-identical to it.
 //!
 //! Determinism: [`merge_partials`] combines partitions in the order
 //! given, and groups keep first-appearance order across that sequence —
@@ -32,7 +39,9 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// Running state for one aggregate over one group.
+/// Running state for one aggregate over one group. Its kernel (see
+/// [`Kernel`]) writes only the fields its function's
+/// [`AggState::finish`] reads; the others keep their initial values.
 #[derive(Debug, Clone)]
 struct AggState {
     count: u64,
@@ -55,20 +64,6 @@ impl AggState {
             min_i: i64::MAX,
             max_i: i64::MIN,
         }
-    }
-
-    fn update_f(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.sum_sq += v * v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn update_i(&mut self, v: i64) {
-        self.update_f(v as f64);
-        self.min_i = self.min_i.min(v);
-        self.max_i = self.max_i.max(v);
     }
 
     /// Fold another partition's state into this one.
@@ -116,6 +111,62 @@ enum FinishedAgg {
     Int(i64),
     Float(f64),
     Time(i64),
+}
+
+/// One aggregate's fold of a slice of values that all belong to one
+/// group, in row order.
+type Kernel<T> = fn(&mut AggState, &[T]);
+
+/// An aggregate argument's element, folded as `f64` the way SUM, AVG
+/// and STDDEV read it.
+trait Num: Copy {
+    fn f64(self) -> f64;
+}
+
+impl Num for f64 {
+    fn f64(self) -> f64 {
+        self
+    }
+}
+
+impl Num for i64 {
+    fn f64(self) -> f64 {
+        self as f64
+    }
+}
+
+/// SUM and AVG: `count` once per slice, `sum` in a register.
+fn sum<T: Num>(st: &mut AggState, v: &[T]) {
+    st.count += v.len() as u64;
+    st.sum = v.iter().fold(st.sum, |s, &x| s + x.f64());
+}
+
+/// STDDEV: `count`, `sum` and `sum_sq`.
+fn stddev<T: Num>(st: &mut AggState, v: &[T]) {
+    st.count += v.len() as u64;
+    let (mut s, mut sq) = (st.sum, st.sum_sq);
+    for &x in v {
+        let x = x.f64();
+        s += x;
+        sq += x * x;
+    }
+    (st.sum, st.sum_sq) = (s, sq);
+}
+
+fn min_f(st: &mut AggState, v: &[f64]) {
+    st.min = v.iter().fold(st.min, |m, &x| m.min(x));
+}
+
+fn max_f(st: &mut AggState, v: &[f64]) {
+    st.max = v.iter().fold(st.max, |m, &x| m.max(x));
+}
+
+fn min_i(st: &mut AggState, v: &[i64]) {
+    st.min_i = v.iter().fold(st.min_i, |m, &x| m.min(x));
+}
+
+fn max_i(st: &mut AggState, v: &[i64]) {
+    st.max_i = v.iter().fold(st.max_i, |m, &x| m.max(x));
 }
 
 /// Result column type of `func` over an input of `input_type`.
@@ -168,10 +219,12 @@ pub fn partial_aggregate(
 
 /// [`partial_aggregate`] over the candidate rows of a relation: plain
 /// column arguments fold slice by slice straight from the relation's
-/// payload, `COUNT` without `GROUP BY` sums the range lengths, and
-/// group keys and computed arguments are evaluated over the candidates.
-/// Rows fold in ascending order, so the states are bit-identical to
-/// aggregating the gathered rows.
+/// payload, and group keys and computed arguments are evaluated over
+/// the candidates. Each aggregate folds with its function's kernel,
+/// one call per piece of a slice that lies in one run of equal group
+/// keys (the whole slice without `GROUP BY`); `COUNT` adds the runs'
+/// lengths. Rows fold in ascending order, so the states are
+/// bit-identical to aggregating the gathered rows.
 pub(crate) fn partial_aggregate_over(
     input: &Candidates,
     group_by: &[(String, Expr)],
@@ -185,13 +238,13 @@ pub(crate) fn partial_aggregate_over(
     // Group discovery (representative row per group); a global
     // aggregate has one group, if any rows exist.
     let mut reps: Vec<u32> = Vec::new();
-    let group_of = if group_by.is_empty() {
-        if rows > 0 {
-            reps.push(0);
-        }
-        None
+    let runs = if !group_by.is_empty() {
+        discover_groups(&key_refs, rows, &mut reps)
+    } else if rows > 0 {
+        reps.push(0);
+        vec![(0, 0..rows)]
     } else {
-        Some(discover_groups(&key_refs, rows, &mut reps))
+        Vec::new()
     };
 
     let mut states: Vec<Vec<AggState>> = vec![vec![AggState::new(); aggs.len()]; reps.len()];
@@ -208,20 +261,33 @@ pub(crate) fn partial_aggregate_over(
             // literal argument (`COUNT(*)`) is never broadcast.
             Expr::Lit(v) if *func == AggFunc::Count && v.data_type().is_some() => {
                 arg_types.push(v.data_type().expect("checked"));
-                count_rows(&mut states, ai, group_of.as_deref(), rows);
+                count_rows(&mut states, ai, &runs);
                 continue;
             }
             _ => (input.column(e)?, std::slice::from_ref(&dense)),
         };
         arg_types.push(col.data_type());
-        let group_of = group_of.as_deref();
         match (func, col.as_ref()) {
-            (AggFunc::Count, _) => count_rows(&mut states, ai, group_of, rows),
-            (_, ColumnData::Int64(v) | ColumnData::Timestamp(v)) => {
-                fold(&mut states, ai, group_of, slices(v, ranges), AggState::update_i)
-            }
+            (AggFunc::Count, _) => count_rows(&mut states, ai, &runs),
             (_, ColumnData::Float64(v)) => {
-                fold(&mut states, ai, group_of, slices(v, ranges), AggState::update_f)
+                let kernel: Kernel<f64> = match func {
+                    AggFunc::Min => min_f,
+                    AggFunc::Max => max_f,
+                    AggFunc::StdDev => stddev,
+                    AggFunc::Sum | AggFunc::Avg => sum,
+                    AggFunc::Count => unreachable!("counted above"),
+                };
+                fold(&mut states, ai, &runs, slices(v, ranges), kernel)
+            }
+            (_, ColumnData::Int64(v) | ColumnData::Timestamp(v)) => {
+                let kernel: Kernel<i64> = match func {
+                    AggFunc::Min => min_i,
+                    AggFunc::Max => max_i,
+                    AggFunc::StdDev => stddev,
+                    AggFunc::Sum | AggFunc::Avg => sum,
+                    AggFunc::Count => unreachable!("counted above"),
+                };
+                fold(&mut states, ai, &runs, slices(v, ranges), kernel)
             }
             (_, ColumnData::Text(_)) if rows > 0 => {
                 return Err(EngineError::Exec(format!("{} over text column", func.name())));
@@ -242,12 +308,15 @@ fn slices<'v, T>(v: &'v [T], ranges: &'v [Range<usize>]) -> impl Iterator<Item =
     ranges.iter().map(move |r| &v[r.clone()])
 }
 
-/// Assign every row its group id, creating groups (and their
-/// representative rows) in first-seen order. One hash lookup serves
-/// each run of identical keys ([`key_run_end`]).
-fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Vec<u32> {
+/// A run of rows (in candidate space) that share one group id.
+type GroupRun = (u32, Range<usize>);
+
+/// Split the rows into runs of equal keys and give each its group id,
+/// creating groups (and their representative rows) in first-seen
+/// order. One hash lookup serves each run ([`key_run_end`]).
+fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Vec<GroupRun> {
     let mut groups: HashMap<u64, Vec<u32>> = HashMap::new(); // hash -> group ids
-    let mut group_of: Vec<u32> = Vec::with_capacity(rows);
+    let mut runs = Vec::new();
     let mut start = 0;
     while start < rows {
         let end = key_run_end(keys, start, rows);
@@ -262,61 +331,42 @@ fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Ve
             bucket.push(g);
             g
         });
-        group_of.resize(end, gid);
+        runs.push((gid, start..end));
         start = end;
     }
-    group_of
+    runs
 }
 
-/// Fold `values` (slices in row order) into aggregate `ai`'s states.
-fn fold<'v, T: Copy + 'v>(
+/// Fold `values` (slices in row order, together covering the rows
+/// `runs` cover) into aggregate `ai`'s states: one `kernel` call per
+/// piece of a slice that lies in one run.
+fn fold<'v, T: 'v>(
     states: &mut [Vec<AggState>],
     ai: usize,
-    group_of: Option<&[u32]>,
+    runs: &[GroupRun],
     values: impl Iterator<Item = &'v [T]>,
-    update: impl Fn(&mut AggState, T),
+    kernel: Kernel<T>,
 ) {
-    match group_of {
-        Some(groups) => {
-            let mut start = 0;
-            for slice in values {
-                let slice_groups = &groups[start..start + slice.len()];
-                for (&g, &v) in slice_groups.iter().zip(slice) {
-                    update(&mut states[g as usize][ai], v);
-                }
-                start += slice.len();
+    let mut runs = runs.iter();
+    let (mut g, mut end, mut at) = (0, 0, 0);
+    for mut slice in values {
+        while !slice.is_empty() {
+            if at == end {
+                let (next, r) = runs.next().expect("the runs cover every row");
+                (g, end) = (*next as usize, r.end);
             }
-        }
-        None => {
-            if let Some(st) = states.first_mut().map(|s| &mut s[ai]) {
-                for slice in values {
-                    for &v in slice {
-                        update(st, v);
-                    }
-                }
-            }
+            let (piece, rest) = slice.split_at(slice.len().min(end - at));
+            kernel(&mut states[g][ai], piece);
+            at += piece.len();
+            slice = rest;
         }
     }
 }
 
-/// Count rows into aggregate `ai`'s states.
-fn count_rows(
-    states: &mut [Vec<AggState>],
-    ai: usize,
-    group_of: Option<&[u32]>,
-    rows: usize,
-) {
-    match group_of {
-        Some(groups) => {
-            for &g in groups {
-                states[g as usize][ai].count += 1;
-            }
-        }
-        None => {
-            if let Some(st) = states.first_mut().map(|s| &mut s[ai]) {
-                st.count += rows as u64;
-            }
-        }
+/// Count rows into aggregate `ai`'s states, one addition per run.
+fn count_rows(states: &mut [Vec<AggState>], ai: usize, runs: &[GroupRun]) {
+    for (g, r) in runs {
+        states[*g as usize][ai].count += r.len() as u64;
     }
 }
 
@@ -453,6 +503,7 @@ pub fn distinct(input: &Relation) -> Result<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::ArithOp;
     use sommelier_storage::column::TextColumn;
     use sommelier_storage::Value;
 
@@ -580,6 +631,26 @@ mod tests {
         assert_eq!(out.value(1, "n").unwrap(), Value::Int(2));
     }
 
+    /// The per-row update of every field that the kernels replaced,
+    /// kept as their oracle: whatever the function, each row updates
+    /// `count`, `sum`, `sum_sq`, `min` and `max` (and an integer's
+    /// `min_i` and `max_i`).
+    impl AggState {
+        fn update_f(&mut self, v: f64) {
+            self.count += 1;
+            self.sum += v;
+            self.sum_sq += v * v;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn update_i(&mut self, v: i64) {
+            self.update_f(v as f64);
+            self.min_i = self.min_i.min(v);
+            self.max_i = self.max_i.max(v);
+        }
+    }
+
     /// The row-at-a-time fold that [`partial_aggregate`] replaced, kept
     /// as its oracle: one hash lookup and one type dispatch per row.
     fn per_row_partial(
@@ -634,12 +705,39 @@ mod tests {
         }
     }
 
-    /// Column-major accumulation over borrowed columns, with one group
-    /// lookup per run of equal keys, is bit-identical to the per-row
-    /// fold: same groups in the same order, same sums to the bit.
+    /// Finished aggregates agree: same groups in the same order, same
+    /// values, floats to the bit. A NaN equals any NaN: Rust leaves the
+    /// sign and payload of a NaN that arithmetic produces unspecified
+    /// (the compiler may commute `a + b`), so no fold fixes them.
+    fn assert_bit_identical(got: &Relation, want: &Relation, what: &str) {
+        assert_eq!(got.names(), want.names(), "{what}");
+        assert_eq!(got.rows(), want.rows(), "{what}");
+        for (a, b) in got.columns().iter().zip(want.columns()) {
+            for row in 0..want.rows() {
+                let (x, y) = (a.1.get(row), b.1.get(row));
+                let same = match (&x, &y) {
+                    (Value::Float(x), Value::Float(y)) => {
+                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+                    }
+                    _ => x == y,
+                };
+                assert!(same, "{what}: {}[{row}] = {x:?}, want {y:?}", a.0);
+            }
+        }
+    }
+
+    /// Every function's kernel, over whole relations and over
+    /// fragmented candidate ranges, with and without GROUP BY, is
+    /// bit-identical to the per-row update of every field: same groups
+    /// in the same order, same sums to the bit. The values mix
+    /// magnitudes (so a reordered sum changes bits), carry NaN, ±0.0
+    /// and ±∞, and the integers reach both ends of `i64`.
     #[test]
     fn column_major_fold_matches_the_per_row_oracle() {
-        const FLOATS: [f64; 5] = [0.0, -0.0, 1.5, f64::NAN, 0.1];
+        const KEYS: [f64; 5] = [0.0, -0.0, 1.5, f64::NAN, 0.1];
+        const SPECIALS: [f64; 8] =
+            [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308, 5e-324];
+        const INTS: [i64; 8] = [i64::MIN, i64::MIN + 1, -7, 0, 1, 3, i64::MAX - 1, i64::MAX];
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut below = |n: usize| {
             x ^= x << 13;
@@ -647,22 +745,35 @@ mod tests {
             x ^= x << 17;
             (x % n as u64) as usize
         };
-        let all_aggs = vec![
-            agg("n", AggFunc::Count, "v"),
+        const FUNCS: [AggFunc; 6] = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::StdDev,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        let mut all_aggs = vec![
             ("star".into(), AggFunc::Count, Expr::lit(1i64)),
             agg("ns", AggFunc::Count, "s"),
-            agg("s", AggFunc::Sum, "v"),
-            agg("a", AggFunc::Avg, "v"),
-            agg("sd", AggFunc::StdDev, "v"),
-            agg("mn", AggFunc::Min, "t"),
-            agg("mx", AggFunc::Max, "i"),
+            (
+                "twice".into(),
+                AggFunc::Sum,
+                Expr::Arith(ArithOp::Mul, Box::new(Expr::col("v")), Box::new(Expr::lit(2.0))),
+            ),
         ];
-        for seed in 0..200 {
+        for col in ["v", "x", "n", "t"] {
+            for f in FUNCS {
+                all_aggs.push(agg(&format!("{}_{col}", f.name()), f, col));
+            }
+        }
+        let (mut fragmented, mut empty) = (0, 0);
+        for seed in 0..400 {
             // Runs of repeated keys (lengths 1-4), so key runs, NaN
             // keys and ±0.0 all occur.
             let (mut f, mut i, mut st) = (Vec::new(), Vec::new(), Vec::new());
             while f.len() < below(30) {
-                let (kf, ki, ks) = (FLOATS[below(5)], below(3) as i64, ["a", "b"][below(2)]);
+                let (kf, ki, ks) = (KEYS[below(5)], below(3) as i64, ["a", "b"][below(2)]);
                 for _ in 0..1 + below(4) {
                     f.push(kf);
                     i.push(ki);
@@ -670,41 +781,57 @@ mod tests {
                 }
             }
             let n = f.len();
+            // `v`: finite, from 1e-12 to 1e16 in either sign; `x`: one
+            // row in three a special value; `n` and `t`: near both ends
+            // of i64 or small.
+            let v: Vec<f64> = (0..n)
+                .map(|_| (below(2001) as f64 - 1000.0) * 10f64.powi(below(8) as i32 * 4 - 12))
+                .collect();
+            let xs: Vec<f64> = (0..n)
+                .map(|k| if below(3) == 0 { SPECIALS[below(8)] } else { v[k] / 3.0 })
+                .collect();
+            let mut ints = || (0..n).map(|_| INTS[below(8)]).collect::<Vec<i64>>();
+            let (ns, ts) = (ints(), ints());
             let r = Relation::new(vec![
                 ("f".into(), ColumnData::Float64(f)),
                 ("i".into(), ColumnData::Int64(i)),
                 ("s".into(), ColumnData::Text(TextColumn::from_strs(st))),
-                ("v".into(), ColumnData::Float64((0..n).map(|k| k as f64 * 0.1).collect())),
-                ("t".into(), ColumnData::Timestamp((0..n as i64).rev().collect())),
+                ("v".into(), ColumnData::Float64(v)),
+                ("x".into(), ColumnData::Float64(xs)),
+                ("n".into(), ColumnData::Int64(ns)),
+                ("t".into(), ColumnData::Timestamp(ts)),
             ])
             .unwrap();
             let key = |c: &str| (c.to_string(), Expr::col(c));
             let group_bys =
                 [vec![], vec![key("f")], vec![key("s"), key("i")], vec![key("i")]];
             let group_by = &group_bys[seed % group_bys.len()];
-            let got = merge_partials(
-                vec![partial_aggregate(&r, group_by, &all_aggs).unwrap()],
-                group_by,
-                &all_aggs,
-            )
-            .unwrap();
-            let want = merge_partials(
-                vec![per_row_partial(&r, group_by, &all_aggs)],
-                group_by,
-                &all_aggs,
-            )
-            .unwrap();
-            assert_eq!(got.rows(), want.rows(), "seed {seed}");
-            for (a, b) in got.columns().iter().zip(want.columns()) {
-                for row in 0..want.rows() {
-                    let same = match (a.1.get(row), b.1.get(row)) {
-                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                        (x, y) => x == y,
-                    };
-                    assert!(same, "seed {seed}: {}[{row}]", a.0);
-                }
+            let finish = |part| merge_partials(vec![part], group_by, &all_aggs).unwrap();
+            let oracle = |rel: &Relation| finish(per_row_partial(rel, group_by, &all_aggs));
+            let got = finish(partial_aggregate(&r, group_by, &all_aggs).unwrap());
+            assert_bit_identical(&got, &oracle(&r), &format!("seed {seed}, all rows"));
+
+            // Fragmented candidates: alternate skipped and kept stretches
+            // of 0-4 rows; sometimes none is kept at all.
+            let mut ranges: Vec<Range<usize>> = Vec::new();
+            let mut at = below(3);
+            while at < n {
+                let end = (at + 1 + below(4)).min(n);
+                ranges.push(at..end);
+                at = end + 1 + below(4);
             }
+            if below(8) == 0 {
+                ranges.clear();
+            }
+            fragmented += usize::from(ranges.len() > 1);
+            empty += usize::from(ranges.is_empty());
+            let mut cands = Candidates::all(r.clone());
+            cands.set_ranges(ranges.clone());
+            let got = finish(partial_aggregate_over(&cands, group_by, &all_aggs).unwrap());
+            let what = format!("seed {seed}, ranges {ranges:?}");
+            assert_bit_identical(&got, &oracle(&r.take_ranges(&ranges)), &what);
         }
+        assert!(fragmented > 100 && empty > 10, "{fragmented} fragmented, {empty} empty");
     }
 
     /// Partition a relation by row ranges and check the merged partials

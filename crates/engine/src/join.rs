@@ -141,39 +141,42 @@ impl JoinBuild {
     }
 
     /// The unique-match runs of sorted probe keys inside `ranges`, or
-    /// `None` at the first run hitting several build rows.
+    /// `None` if a run hits several build rows.
     fn sorted_runs(
         &self,
         ranges: &[Range<usize>],
         keys: &[SortedKey],
     ) -> Option<Vec<Range<usize>>> {
-        let rk_refs: Vec<&ColumnData> = self.keys.iter().map(|k| &**k).collect();
-        // One-row key columns, rewritten at each run's start (integer
-        // and timestamp keys hash and compare alike).
-        let mut at: Vec<ColumnData> =
-            keys.iter().map(|_| ColumnData::Int64(vec![0])).collect();
-        let mut out = Vec::new();
-        let mut hits = Vec::new();
+        // Find the runs first, each key's value per run as one row of
+        // an integer column (integer and timestamp keys hash and
+        // compare alike); then probe once per row.
+        let mut runs = Vec::new();
+        let mut at: Vec<Vec<i64>> = vec![Vec::new(); keys.len()];
         for r in ranges {
             let mut start = r.start;
             while start < r.end {
                 let mut end = r.end;
-                for (k, col) in keys.iter().zip(&mut at) {
-                    let key = k.at(start);
-                    end = gallop(start + 1..end, |i| k.at(i) == key);
-                    if let ColumnData::Int64(v) = col {
-                        v[0] = key;
-                    }
+                for (k, values) in keys.iter().zip(&mut at) {
+                    let (key, run_end) = k.run(start, end);
+                    values.push(key);
+                    end = run_end;
                 }
-                hits.clear();
-                let at_refs: Vec<&ColumnData> = at.iter().collect();
-                self.index.probe_into(&rk_refs, &at_refs, 0, &mut hits);
-                match hits.len() {
-                    0 => {}
-                    1 => push_range(&mut out, start..end),
-                    _ => return None,
-                }
+                runs.push(start..end);
                 start = end;
+            }
+        }
+        let at: Vec<ColumnData> = at.into_iter().map(ColumnData::Int64).collect();
+        let at_refs: Vec<&ColumnData> = at.iter().collect();
+        let rk_refs: Vec<&ColumnData> = self.keys.iter().map(|k| &**k).collect();
+        let mut out = Vec::new();
+        let mut hits = Vec::new();
+        for (i, run) in runs.into_iter().enumerate() {
+            hits.clear();
+            self.index.probe_into(&rk_refs, &at_refs, i, &mut hits);
+            match hits.len() {
+                0 => {}
+                1 => push_range(&mut out, run),
+                _ => return None,
             }
         }
         Some(out)
@@ -189,13 +192,26 @@ struct SortedKey<'a> {
 }
 
 impl SortedKey<'_> {
-    /// The key at row `i`, as the row-wise evaluation computes it.
-    fn at(&self, i: usize) -> i64 {
-        let t = self.values[i];
-        match self.width {
-            Some(w) => t.div_euclid(w) * w,
-            None => t,
+    /// The key at row `start`, as the row-wise evaluation computes it,
+    /// and the end of its run within `start..end`. The column being
+    /// sorted, the run is the rows below the next key's first value:
+    /// one probe at `end - 1` finds a run filling the range (a key
+    /// constant over a chunk or a segment), a gallop any other.
+    fn run(&self, start: usize, end: usize) -> (i64, usize) {
+        let t = self.values[start];
+        let (key, next) = match self.width {
+            Some(w) => {
+                let key = t.div_euclid(w) * w;
+                (key, key.checked_add(w))
+            }
+            None => (t, t.checked_add(1)),
+        };
+        // No next key above `i64::MAX`: the run fills the range.
+        let in_run = |i: usize| next.is_none_or(|n| self.values[i] < n);
+        if in_run(end - 1) {
+            return (key, end);
         }
+        (key, gallop(start + 1..end - 1, in_run))
     }
 }
 
@@ -438,6 +454,32 @@ mod tests {
         got
     }
 
+    /// Probe the candidate `ranges` of `left` through
+    /// [`JoinBuild::probe_candidates`] (key runs found by galloping
+    /// when every probe key is flagged sorted and no build column is
+    /// kept) and check the gathered rows against the per-row oracle
+    /// over the same rows.
+    fn check_candidates(
+        left: &Relation,
+        right: &Relation,
+        left_keys: &[Expr],
+        right_keys: &[Expr],
+        keep: &dyn Fn(&str) -> bool,
+        ranges: &[Range<usize>],
+        what: &str,
+    ) {
+        let mut cands = Candidates::all(left.clone());
+        cands.set_ranges(ranges.to_vec());
+        let got = JoinBuild::new(right.clone(), right_keys, keep)
+            .unwrap()
+            .probe_candidates(cands, left_keys)
+            .unwrap()
+            .materialize();
+        let want =
+            per_row_join(&left.take_ranges(ranges), right, left_keys, right_keys, keep);
+        assert_same(&got, &want, &format!("{what}, candidates {ranges:?}"));
+    }
+
     /// A small xorshift generator: the oracle test is seeded, so a
     /// failure names a reproducible case.
     struct Rng(u64);
@@ -462,13 +504,18 @@ mod tests {
         Text,
         /// Probe `HOUR_BUCKET(D.t)` against build hour starts.
         Hour,
+        /// An integer key with one value on the whole probe side, as
+        /// `D.file_id` has over a chunk.
+        Const,
     }
 
     fn key_column(kind: KeyKind, picks: &[usize], probe: bool, rng: &mut Rng) -> ColumnData {
         const FLOATS: [f64; 5] = [0.0, -0.0, 1.5, f64::NAN, 2.5];
         const TEXTS: [&str; 5] = ["ISK", "FIAM", "BHE", "HHZ", "IV"];
         match kind {
-            KeyKind::Int => ColumnData::Int64(picks.iter().map(|&p| p as i64).collect()),
+            KeyKind::Int | KeyKind::Const => {
+                ColumnData::Int64(picks.iter().map(|&p| p as i64).collect())
+            }
             KeyKind::Float => ColumnData::Float64(picks.iter().map(|&p| FLOATS[p]).collect()),
             // Each side interns its own dictionary, in its own order.
             KeyKind::Text => {
@@ -493,7 +540,7 @@ mod tests {
 
     #[test]
     fn run_probe_matches_the_per_row_oracle() {
-        let shapes: [&[KeyKind]; 7] = [
+        let shapes: [&[KeyKind]; 10] = [
             &[KeyKind::Int],
             &[KeyKind::Int, KeyKind::Int],
             &[KeyKind::Int, KeyKind::Int, KeyKind::Int],
@@ -501,6 +548,9 @@ mod tests {
             &[KeyKind::Text],
             &[KeyKind::Text, KeyKind::Int],
             &[KeyKind::Int, KeyKind::Hour],
+            &[KeyKind::Const],
+            &[KeyKind::Const, KeyKind::Int],
+            &[KeyKind::Int, KeyKind::Const],
         ];
         type Keep<'a> = (&'a str, &'a dyn Fn(&str) -> bool);
         let keeps: [Keep; 3] = [
@@ -529,14 +579,25 @@ mod tests {
                 ),
             ];
             // Probe side: runs of equal keys (lengths 1-5), values drawn
-            // independently per run, so runs interleave (A A B A).
+            // independently per run, so runs interleave (A A B A). With
+            // a constant key the probe side is longer and its runs are
+            // sorted, so every integer key is a sorted column whose runs
+            // merge into long ones.
+            let constant = shape.iter().any(|k| matches!(k, KeyKind::Const));
+            let c = rng.below(5);
             let mut runs: Vec<(Vec<usize>, usize)> = Vec::new();
             let mut np = 0;
-            while np < rng.below(40) {
-                let key: Vec<usize> = shape.iter().map(|_| rng.below(5)).collect();
+            while np < rng.below(if constant { 200 } else { 40 }) {
+                let key: Vec<usize> = shape
+                    .iter()
+                    .map(|k| if matches!(k, KeyKind::Const) { c } else { rng.below(5) })
+                    .collect();
                 let len = 1 + rng.below(5);
                 np += len;
                 runs.push((key, len));
+            }
+            if constant {
+                runs.sort();
             }
             let mut left = vec![(
                 "D.v".to_string(),
@@ -566,11 +627,48 @@ mod tests {
                 });
             }
             let provenance: Vec<u32> = (0..np as u32).map(|i| 10 + 2 * i).collect();
-            let left = Relation::new(left).unwrap().with_provenance("D", provenance);
+            let mut left = Relation::new(left).unwrap().with_provenance("D", provenance);
+            // Flag every non-decreasing integer probe key sorted, as a
+            // decoder would, so the candidate probe may gallop.
+            for k in 0..shape.len() {
+                let name = format!("D.k{k}");
+                let sorted = left
+                    .column(&name)
+                    .unwrap()
+                    .as_i64()
+                    .is_ok_and(|v| v.windows(2).all(|w| w[0] <= w[1]));
+                if sorted {
+                    left = left.with_sorted(&name).unwrap();
+                }
+            }
             let right = Relation::new(right).unwrap();
+            // Candidate ranges: every row, none, or stretches of 1-8
+            // rows with gaps of 1-4.
+            let ranges: Vec<Range<usize>> = match rng.below(4) {
+                0 => (np > 0).then_some(0..np).into_iter().collect(),
+                1 => Vec::new(),
+                _ => {
+                    let (mut out, mut at) = (Vec::new(), rng.below(3));
+                    while at < np {
+                        let end = (at + 1 + rng.below(8)).min(np);
+                        out.push(at..end);
+                        at = end + 1 + rng.below(4);
+                    }
+                    out
+                }
+            };
             for (name, keep) in keeps {
                 let what = format!("seed {seed}, keys {shape:?}, keep {name}");
                 check(&left, &right, &left_keys, &right_keys, keep, &what);
+                check_candidates(
+                    &left,
+                    &right,
+                    &left_keys,
+                    &right_keys,
+                    keep,
+                    &ranges,
+                    &what,
+                );
             }
         }
     }
