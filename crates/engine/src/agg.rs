@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 /// Running state for one aggregate over one group. Its kernel (see
-/// [`Kernel`]) writes only the fields its function's
+/// [`fold`]) writes only the fields its function's
 /// [`AggState::finish`] reads; the others keep their initial values.
 #[derive(Debug, Clone)]
 struct AggState {
@@ -113,10 +113,6 @@ enum FinishedAgg {
     Time(i64),
 }
 
-/// One aggregate's fold of a slice of values that all belong to one
-/// group, in row order.
-type Kernel<T> = fn(&mut AggState, &[T]);
-
 /// An aggregate argument's element, folded as `f64` the way SUM, AVG
 /// and STDDEV read it.
 trait Num: Copy {
@@ -134,6 +130,9 @@ impl Num for i64 {
         self as f64
     }
 }
+
+// The kernels: each folds a slice of values that all belong to one
+// group, in row order.
 
 /// SUM and AVG: `count` once per slice, `sum` in a register.
 fn sum<T: Num>(st: &mut AggState, v: &[T]) {
@@ -238,13 +237,16 @@ pub(crate) fn partial_aggregate_over(
     // Group discovery (representative row per group); a global
     // aggregate has one group, if any rows exist.
     let mut reps: Vec<u32> = Vec::new();
-    let runs = if !group_by.is_empty() {
-        discover_groups(&key_refs, rows, &mut reps)
+    let (grouped, whole);
+    let runs: &[GroupRun] = if !group_by.is_empty() {
+        grouped = discover_groups(&key_refs, rows, &mut reps);
+        &grouped
     } else if rows > 0 {
         reps.push(0);
-        vec![(0, 0..rows)]
+        whole = [(0, rows as u32)];
+        &whole
     } else {
-        Vec::new()
+        &[]
     };
 
     let mut states: Vec<Vec<AggState>> = vec![vec![AggState::new(); aggs.len()]; reps.len()];
@@ -261,33 +263,34 @@ pub(crate) fn partial_aggregate_over(
             // literal argument (`COUNT(*)`) is never broadcast.
             Expr::Lit(v) if *func == AggFunc::Count && v.data_type().is_some() => {
                 arg_types.push(v.data_type().expect("checked"));
-                count_rows(&mut states, ai, &runs);
+                count_rows(&mut states, ai, runs);
                 continue;
             }
             _ => (input.column(e)?, std::slice::from_ref(&dense)),
         };
         arg_types.push(col.data_type());
+        let st = &mut states;
         match (func, col.as_ref()) {
-            (AggFunc::Count, _) => count_rows(&mut states, ai, &runs),
+            (AggFunc::Count, _) => count_rows(st, ai, runs),
             (_, ColumnData::Float64(v)) => {
-                let kernel: Kernel<f64> = match func {
-                    AggFunc::Min => min_f,
-                    AggFunc::Max => max_f,
-                    AggFunc::StdDev => stddev,
-                    AggFunc::Sum | AggFunc::Avg => sum,
+                let v = slices(v, ranges);
+                match func {
+                    AggFunc::Min => fold(st, ai, runs, v, min_f),
+                    AggFunc::Max => fold(st, ai, runs, v, max_f),
+                    AggFunc::StdDev => fold(st, ai, runs, v, stddev),
+                    AggFunc::Sum | AggFunc::Avg => fold(st, ai, runs, v, sum),
                     AggFunc::Count => unreachable!("counted above"),
-                };
-                fold(&mut states, ai, &runs, slices(v, ranges), kernel)
+                }
             }
             (_, ColumnData::Int64(v) | ColumnData::Timestamp(v)) => {
-                let kernel: Kernel<i64> = match func {
-                    AggFunc::Min => min_i,
-                    AggFunc::Max => max_i,
-                    AggFunc::StdDev => stddev,
-                    AggFunc::Sum | AggFunc::Avg => sum,
+                let v = slices(v, ranges);
+                match func {
+                    AggFunc::Min => fold(st, ai, runs, v, min_i),
+                    AggFunc::Max => fold(st, ai, runs, v, max_i),
+                    AggFunc::StdDev => fold(st, ai, runs, v, stddev),
+                    AggFunc::Sum | AggFunc::Avg => fold(st, ai, runs, v, sum),
                     AggFunc::Count => unreachable!("counted above"),
-                };
-                fold(&mut states, ai, &runs, slices(v, ranges), kernel)
+                }
             }
             (_, ColumnData::Text(_)) if rows > 0 => {
                 return Err(EngineError::Exec(format!("{} over text column", func.name())));
@@ -308,12 +311,16 @@ fn slices<'v, T>(v: &'v [T], ranges: &'v [Range<usize>]) -> impl Iterator<Item =
     ranges.iter().map(move |r| &v[r.clone()])
 }
 
-/// A run of rows (in candidate space) that share one group id.
-type GroupRun = (u32, Range<usize>);
+/// A run of rows (in candidate space) that share one group id: the id
+/// and the run's end; it starts where the previous run ends.
+type GroupRun = (u32, u32);
 
 /// Split the rows into runs of equal keys and give each its group id,
 /// creating groups (and their representative rows) in first-seen
-/// order. One hash lookup serves each run ([`key_run_end`]).
+/// order. One hash lookup serves each run ([`key_run_end`]). This pays
+/// when keys form long runs, as the window derivation's dimension and
+/// time-bucket keys do over sorted chunks; keys that change every row
+/// cost one lookup and 8 bytes per row.
 fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Vec<GroupRun> {
     let mut groups: HashMap<u64, Vec<u32>> = HashMap::new(); // hash -> group ids
     let mut runs = Vec::new();
@@ -331,7 +338,7 @@ fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Ve
             bucket.push(g);
             g
         });
-        runs.push((gid, start..end));
+        runs.push((gid, end as u32));
         start = end;
     }
     runs
@@ -339,21 +346,22 @@ fn discover_groups(keys: &[&ColumnData], rows: usize, reps: &mut Vec<u32>) -> Ve
 
 /// Fold `values` (slices in row order, together covering the rows
 /// `runs` cover) into aggregate `ai`'s states: one `kernel` call per
-/// piece of a slice that lies in one run.
+/// piece of a slice that lies in one run. Each kernel is its own
+/// instance of this loop, so a short piece costs an inlined call.
 fn fold<'v, T: 'v>(
     states: &mut [Vec<AggState>],
     ai: usize,
     runs: &[GroupRun],
     values: impl Iterator<Item = &'v [T]>,
-    kernel: Kernel<T>,
+    kernel: impl Fn(&mut AggState, &[T]),
 ) {
     let mut runs = runs.iter();
     let (mut g, mut end, mut at) = (0, 0, 0);
     for mut slice in values {
         while !slice.is_empty() {
             if at == end {
-                let (next, r) = runs.next().expect("the runs cover every row");
-                (g, end) = (*next as usize, r.end);
+                let &(next, run_end) = runs.next().expect("the runs cover every row");
+                (g, end) = (next as usize, run_end as usize);
             }
             let (piece, rest) = slice.split_at(slice.len().min(end - at));
             kernel(&mut states[g][ai], piece);
@@ -365,8 +373,10 @@ fn fold<'v, T: 'v>(
 
 /// Count rows into aggregate `ai`'s states, one addition per run.
 fn count_rows(states: &mut [Vec<AggState>], ai: usize, runs: &[GroupRun]) {
-    for (g, r) in runs {
-        states[*g as usize][ai].count += r.len() as u64;
+    let mut start = 0;
+    for &(g, end) in runs {
+        states[g as usize][ai].count += u64::from(end - start);
+        start = end;
     }
 }
 
@@ -636,7 +646,7 @@ mod tests {
     /// `count`, `sum`, `sum_sq`, `min` and `max` (and an integer's
     /// `min_i` and `max_i`).
     impl AggState {
-        fn update_f(&mut self, v: f64) {
+        fn update_every_field_f(&mut self, v: f64) {
             self.count += 1;
             self.sum += v;
             self.sum_sq += v * v;
@@ -644,8 +654,8 @@ mod tests {
             self.max = self.max.max(v);
         }
 
-        fn update_i(&mut self, v: i64) {
-            self.update_f(v as f64);
+        fn update_every_field_i(&mut self, v: i64) {
+            self.update_every_field_f(v as f64);
             self.min_i = self.min_i.min(v);
             self.max_i = self.max_i.max(v);
         }
@@ -691,9 +701,9 @@ mod tests {
             for (ai, col) in arg_cols.iter().enumerate() {
                 match col {
                     ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
-                        states[g][ai].update_i(v[r])
+                        states[g][ai].update_every_field_i(v[r])
                     }
-                    ColumnData::Float64(v) => states[g][ai].update_f(v[r]),
+                    ColumnData::Float64(v) => states[g][ai].update_every_field_f(v[r]),
                     ColumnData::Text(_) => states[g][ai].count += 1,
                 }
             }
@@ -706,18 +716,20 @@ mod tests {
     }
 
     /// Finished aggregates agree: same groups in the same order, same
-    /// values, floats to the bit. A NaN equals any NaN: Rust leaves the
-    /// sign and payload of a NaN that arithmetic produces unspecified
-    /// (the compiler may commute `a + b`), so no fold fixes them.
-    fn assert_bit_identical(got: &Relation, want: &Relation, what: &str) {
+    /// values, floats to the bit. The first `keys` columns are group
+    /// keys, copied from a row, so even their NaNs match by bits. In an
+    /// aggregate column a NaN equals any NaN: Rust leaves the sign and
+    /// payload of a NaN that arithmetic produces unspecified (the
+    /// compiler may commute `a + b`), so no fold fixes them.
+    fn assert_bit_identical(got: &Relation, want: &Relation, keys: usize, what: &str) {
         assert_eq!(got.names(), want.names(), "{what}");
         assert_eq!(got.rows(), want.rows(), "{what}");
-        for (a, b) in got.columns().iter().zip(want.columns()) {
+        for (c, (a, b)) in got.columns().iter().zip(want.columns()).enumerate() {
             for row in 0..want.rows() {
                 let (x, y) = (a.1.get(row), b.1.get(row));
                 let same = match (&x, &y) {
                     (Value::Float(x), Value::Float(y)) => {
-                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+                        x.to_bits() == y.to_bits() || (c >= keys && x.is_nan() && y.is_nan())
                     }
                     _ => x == y,
                 };
@@ -809,7 +821,8 @@ mod tests {
             let finish = |part| merge_partials(vec![part], group_by, &all_aggs).unwrap();
             let oracle = |rel: &Relation| finish(per_row_partial(rel, group_by, &all_aggs));
             let got = finish(partial_aggregate(&r, group_by, &all_aggs).unwrap());
-            assert_bit_identical(&got, &oracle(&r), &format!("seed {seed}, all rows"));
+            let keys = group_by.len();
+            assert_bit_identical(&got, &oracle(&r), keys, &format!("seed {seed}, all rows"));
 
             // Fragmented candidates: alternate skipped and kept stretches
             // of 0-4 rows; sometimes none is kept at all.
@@ -829,7 +842,7 @@ mod tests {
             cands.set_ranges(ranges.clone());
             let got = finish(partial_aggregate_over(&cands, group_by, &all_aggs).unwrap());
             let what = format!("seed {seed}, ranges {ranges:?}");
-            assert_bit_identical(&got, &oracle(&r.take_ranges(&ranges)), &what);
+            assert_bit_identical(&got, &oracle(&r.take_ranges(&ranges)), keys, &what);
         }
         assert!(fragmented > 100 && empty > 10, "{fragmented} fragmented, {empty} empty");
     }

@@ -141,42 +141,39 @@ impl JoinBuild {
     }
 
     /// The unique-match runs of sorted probe keys inside `ranges`, or
-    /// `None` if a run hits several build rows.
+    /// `None` at the first run hitting several build rows.
     fn sorted_runs(
         &self,
         ranges: &[Range<usize>],
         keys: &[SortedKey],
     ) -> Option<Vec<Range<usize>>> {
-        // Find the runs first, each key's value per run as one row of
-        // an integer column (integer and timestamp keys hash and
-        // compare alike); then probe once per row.
-        let mut runs = Vec::new();
-        let mut at: Vec<Vec<i64>> = vec![Vec::new(); keys.len()];
+        let rk_refs: Vec<&ColumnData> = self.keys.iter().map(|k| &**k).collect();
+        // One-row key columns, rewritten at each run's start (integer
+        // and timestamp keys hash and compare alike).
+        let mut at: Vec<ColumnData> =
+            keys.iter().map(|_| ColumnData::Int64(vec![0])).collect();
+        let mut out = Vec::new();
+        let mut hits = Vec::new();
         for r in ranges {
             let mut start = r.start;
             while start < r.end {
                 let mut end = r.end;
-                for (k, values) in keys.iter().zip(&mut at) {
+                for (k, col) in keys.iter().zip(&mut at) {
                     let (key, run_end) = k.run(start, end);
-                    values.push(key);
                     end = run_end;
+                    if let ColumnData::Int64(v) = col {
+                        v[0] = key;
+                    }
                 }
-                runs.push(start..end);
+                hits.clear();
+                let at_refs: Vec<&ColumnData> = at.iter().collect();
+                self.index.probe_into(&rk_refs, &at_refs, 0, &mut hits);
+                match hits.len() {
+                    0 => {}
+                    1 => push_range(&mut out, start..end),
+                    _ => return None,
+                }
                 start = end;
-            }
-        }
-        let at: Vec<ColumnData> = at.into_iter().map(ColumnData::Int64).collect();
-        let at_refs: Vec<&ColumnData> = at.iter().collect();
-        let rk_refs: Vec<&ColumnData> = self.keys.iter().map(|k| &**k).collect();
-        let mut out = Vec::new();
-        let mut hits = Vec::new();
-        for (i, run) in runs.into_iter().enumerate() {
-            hits.clear();
-            self.index.probe_into(&rk_refs, &at_refs, i, &mut hits);
-            match hits.len() {
-                0 => {}
-                1 => push_range(&mut out, run),
-                _ => return None,
             }
         }
         Some(out)

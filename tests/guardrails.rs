@@ -167,15 +167,13 @@
 //! Partial aggregation folds each aggregate with its function's own
 //! kernel, which keeps only the state that function's answer reads. The
 //! per-row update of every field whatever the function
-//! (`AggState::update_f`/`update_i`) survives only as the oracle in
-//! `agg.rs`'s tests.
+//! (`AggState::update_f`/`update_i`) was removed; `agg.rs`'s tests keep
+//! it as their oracle under another name.
 //!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
-//! lines to [`FORBIDDEN`] and [`DELETED_FILES`], or to
-//! [`FORBIDDEN_IN_PRODUCT`] when a test keeps the deleted code as its
-//! oracle.
+//! lines to [`FORBIDDEN`] and [`DELETED_FILES`].
 //!
 //! The configuration structs are pinned too: [`CONFIG_FIELDS`] holds
 //! each one's count of `pub` fields, so growing (or shrinking) a
@@ -319,11 +317,6 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("scratch_counters", "decode.arena_reuse and decode.arena_alloc are retired"),
     ("fn patch(", "metrics_snapshot() is the registry's snapshot"),
     ("MetricsSnapshot::patch", "metrics_snapshot() is the registry's snapshot"),
-];
-
-/// Code that must not reappear outside `#[cfg(test)]` items, where a
-/// test keeps it as its oracle: `(needle, what replaced it)`.
-const FORBIDDEN_IN_PRODUCT: &[(&str, &str)] = &[
     ("fn update_f(", "each aggregate folds only its own state, with its function's kernel"),
     ("fn update_i(", "each aggregate folds only its own state, with its function's kernel"),
 ];
@@ -414,17 +407,6 @@ fn deleted_symbols_stay_deleted() {
                 if line.contains(needle) {
                     hits.push(format!(
                         "{}:{}: `{needle}` was deleted ({replacement})",
-                        file.display(),
-                        no + 1
-                    ));
-                }
-            }
-        }
-        for (no, line) in product_lines(&text) {
-            for (needle, replacement) in FORBIDDEN_IN_PRODUCT {
-                if line.contains(needle) {
-                    hits.push(format!(
-                        "{}:{}: `{needle}` was deleted from product code ({replacement})",
                         file.display(),
                         no + 1
                     ));
