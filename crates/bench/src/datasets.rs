@@ -155,15 +155,13 @@ mod tests {
 
     #[test]
     fn dataset_cache_roundtrip() {
+        let data = sommelier_storage::tempdir::TempDir::new("bench-ds");
         let mut scale = BenchScale::tiny();
-        scale.data_dir =
-            std::env::temp_dir().join(format!("somm-bench-ds-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
+        scale.data_dir = data.to_path_buf();
         let (_, first) = dataset(&scale, DatasetKind::Fiam, 1);
         assert!(first.files > 0);
         // Second call must come from the marker, byte-identical stats.
         let (_, second) = dataset(&scale, DatasetKind::Fiam, 1);
         assert_eq!(first, second);
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 }

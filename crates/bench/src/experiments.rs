@@ -11,10 +11,9 @@ use crate::datasets::{dataset, BenchScale, DatasetKind};
 use crate::queries;
 use crate::report::{secs, Table};
 use crate::runner::{bench_config, cold_hot, fresh_system, fresh_system_with, time_it};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use sommelier_core::{LoadingMode, Metric, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::repo::days_for_sf;
+use sommelier_storage::rng::Rng;
 use sommelier_storage::time::days_from_civil;
 
 /// First day of every synthetic dataset (2010-01-01), in days.
@@ -296,7 +295,7 @@ pub fn fig9(scale: &BenchScale) -> Result<Table> {
                                 guard.somm.reset_dmd()?;
                             }
                             let wdays = ((total_days * wsel as i64) / 100).max(qdays);
-                            let mut rng = SmallRng::seed_from_u64(
+                            let mut rng = Rng::new(
                                 0xF19_u64
                                     ^ (sf as u64) << 32
                                     ^ (n as u64) << 16
@@ -305,8 +304,7 @@ pub fn fig9(scale: &BenchScale) -> Result<Table> {
                             );
                             for _ in 0..n {
                                 let span = (wdays - qdays).max(0);
-                                let offset =
-                                    if span == 0 { 0 } else { rng.random_range(0..=span) };
+                                let offset = if span == 0 { 0 } else { rng.range(0..=span) };
                                 let (a, b) = queries::day_range(d0 + offset, qdays);
                                 let sql = if qtype == "T3" {
                                     queries::t3_selectivity(a, b)
@@ -622,13 +620,13 @@ pub fn chaos(scale: &BenchScale) -> Result<Table> {
         let server = Server::new(Arc::clone(&somm));
 
         // The schedule is a pure function of the seed.
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let schedule: Vec<(usize, u64, u64)> = (0..ops_per_seed)
             .map(|k| {
-                let q = if k % 8 == 7 { poison_op } else { rng.random_range(0..poison_op) };
+                let q = if k % 8 == 7 { poison_op } else { rng.below(poison_op) };
                 // action: 0..=5 wait, 6..=7 cancel after 0..30ms,
                 // 8..=9 timeout 1..=40ms.
-                (q, rng.random_range(0..10u64), rng.random_range(0..40u64))
+                (q, rng.range(0..10) as u64, rng.range(0..40) as u64)
             })
             .collect();
 
@@ -767,27 +765,27 @@ pub fn chaos(scale: &BenchScale) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sommelier_storage::tempdir::TempDir;
 
-    fn tiny(tag: &str) -> BenchScale {
+    /// The tiny scale, its datasets under a fresh temp dir.
+    fn tiny(tag: &str) -> (TempDir, BenchScale) {
+        let dir = TempDir::new(&format!("exp-{tag}"));
         let mut scale = BenchScale::tiny();
-        scale.data_dir =
-            std::env::temp_dir().join(format!("somm-exp-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
-        scale
+        scale.data_dir = dir.to_path_buf();
+        (dir, scale)
     }
 
     #[test]
     fn table2_shape() {
-        let scale = tiny("t2");
+        let (_dir, scale) = tiny("t2");
         let t = table2(&scale);
         assert_eq!(t.rows.len(), 1);
         assert_eq!(t.rows[0][2], "160", "sf-1 has the paper's 160 files");
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 
     #[test]
     fn table3_fig6_shapes() {
-        let scale = tiny("t3f6");
+        let (_dir, scale) = tiny("t3f6");
         let (t3, f6) = table3_and_fig6(&scale).unwrap();
         assert_eq!(t3.rows.len(), 1);
         assert_eq!(f6.rows.len(), 5, "five approaches");
@@ -805,12 +803,11 @@ mod tests {
         assert!(mseed * 3 < csv, "csv expansion: mseed {mseed} vs csv {csv}");
         assert!(keys > 0, "indexes add bytes");
         assert!(lazy < db, "metadata {lazy} smaller than the loaded db {db}");
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 
     #[test]
     fn chaos_shape() {
-        let scale = tiny("chaos");
+        let (_dir, scale) = tiny("chaos");
         let t = chaos(&scale).unwrap();
         // 3 seeds; survivor byte-identity and typed-failure-only are
         // asserted inside the experiment itself.
@@ -820,6 +817,5 @@ mod tests {
             let ok: usize = row[3].parse().unwrap();
             assert!(ok > 0, "seed {}: chaos must not kill the whole schedule", row[0]);
         }
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 }

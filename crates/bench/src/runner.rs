@@ -109,13 +109,13 @@ pub fn cold_hot(
 mod tests {
     use super::*;
     use crate::datasets::{dataset, DatasetKind};
+    use sommelier_storage::tempdir::TempDir;
 
     #[test]
     fn fresh_system_prepares_and_cleans_up() {
+        let data = TempDir::new("runner");
         let mut scale = BenchScale::tiny();
-        scale.data_dir =
-            std::env::temp_dir().join(format!("somm-runner-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
+        scale.data_dir = data.to_path_buf();
         let (repo, _) = dataset(&scale, DatasetKind::Fiam, 1);
         let db_dir;
         {
@@ -128,6 +128,5 @@ mod tests {
             assert!(hot > Duration::ZERO);
         }
         assert!(!db_dir.exists(), "scratch database removed on drop");
-        let _ = std::fs::remove_dir_all(&scale.data_dir);
     }
 }

@@ -570,11 +570,8 @@ pub fn write_log_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{pooled, TempDir};
-
-    fn temp_dir(tag: &str) -> TempDir {
-        TempDir::new(&format!("evl-{tag}"))
-    }
+    use crate::tests::pooled;
+    use sommelier_storage::tempdir::TempDir;
 
     fn fresh_db() -> Database {
         let db = Database::in_memory(Default::default());
@@ -591,8 +588,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = temp_dir("gen-a");
-        let b = temp_dir("gen-b");
+        let a = TempDir::new("evl-gen-a");
+        let b = TempDir::new("evl-gen-b");
         let spec = EventLogSpec::small(2, 16);
         assert_eq!(generate_event_logs(&a, &spec).unwrap(), 4, "2 days × 2 hosts × 1 svc");
         generate_event_logs(&b, &spec).unwrap();
@@ -607,7 +604,7 @@ mod tests {
 
     #[test]
     fn register_loads_given_metadata_only() {
-        let dir = temp_dir("register");
+        let dir = TempDir::new("evl-register");
         generate_event_logs(&dir, &EventLogSpec::small(3, 8)).unwrap();
         let adapter = EventLogAdapter::new(&*dir);
         let db = fresh_db();
@@ -622,7 +619,7 @@ mod tests {
 
     #[test]
     fn load_chunk_parses_events_with_system_keys() {
-        let dir = temp_dir("load");
+        let dir = TempDir::new("evl-load");
         let path = dir.join("h-a-x.evl");
         write_log_file(&path, "h", "a", 1_000_000, &[(1_000_100, 1.5), (1_000_200, -2.0)])
             .unwrap();
@@ -644,7 +641,7 @@ mod tests {
 
     #[test]
     fn malformed_files_are_reported() {
-        let dir = temp_dir("bad");
+        let dir = TempDir::new("evl-bad");
         // Two good files beside the bad one, so the header scan is a
         // batch of three on the pool rather than one inline task.
         generate_event_logs(&dir, &EventLogSpec::small(1, 4)).unwrap();
@@ -658,7 +655,7 @@ mod tests {
 
     #[test]
     fn source_bytes_counts_the_repository() {
-        let dir = temp_dir("bytes");
+        let dir = TempDir::new("evl-bytes");
         generate_event_logs(&dir, &EventLogSpec::small(1, 4)).unwrap();
         let adapter = EventLogAdapter::new(&*dir);
         assert!(adapter.source_bytes().unwrap() > 0);

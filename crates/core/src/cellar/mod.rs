@@ -842,10 +842,12 @@ mod tests {
     use crate::dmd::DmdManager;
     use crate::registrar::register;
     use crate::source::SourceAdapter;
-    use crate::tests::{pooled, TempDir};
+    use crate::tests::pooled;
     use sommelier_engine::{Metric, MetricsRegistry, MorselScheduler};
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
+    use sommelier_storage::rng::Rng;
+    use sommelier_storage::tempdir::TempDir;
     use sommelier_storage::time::{days_from_civil, MS_PER_DAY};
     use sommelier_storage::{ColumnData, ConstraintPolicy, Database};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1490,19 +1492,6 @@ mod tests {
         assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_some());
     }
 
-    /// A seeded splitmix64 stream.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
     /// A relation's columns, floats by their bit patterns.
     fn bits(rel: &Relation) -> Vec<(String, String)> {
         let render = |c: &ColumnData| match c {
@@ -1559,16 +1548,13 @@ mod tests {
                     let (cellar, all, reference, start) = (&cellar, &all, &reference, &start);
                     scope.spawn(move || {
                         start.wait();
-                        let mut rng = Rng(seed << 8 | t);
+                        let mut rng = Rng::new(seed << 8 | t);
                         let mut policy =
                             if t % 2 == 0 { pooled() } else { SchedPolicy::default() };
                         policy.degradation = degradation;
                         for _ in 0..24 {
-                            let subset: Vec<String> = all
-                                .iter()
-                                .filter(|_| rng.next().is_multiple_of(2))
-                                .cloned()
-                                .collect();
+                            let subset: Vec<String> =
+                                all.iter().filter(|_| rng.one_in(2)).cloned().collect();
                             // A delivered chunk decodes to the reference;
                             // true if it is pinned (not a placeholder).
                             let verify = |wave: &[String], i: usize, c: &AcquiredChunk| {
@@ -1580,14 +1566,13 @@ mod tests {
                                 verify(&subset, i, &c);
                                 Ok(())
                             };
-                            if rng.next().is_multiple_of(2) {
+                            if rng.one_in(2) {
                                 // Held pin: the wave runs inside the sink
                                 // of an inline one-chunk wave. (One chunk:
                                 // a wave whose claims are still pending
                                 // must not block in a sink, or a joiner of
                                 // one of them would wait forever.)
-                                let held =
-                                    std::slice::from_ref(&all[rng.next() as usize % 6]);
+                                let held = std::slice::from_ref(&all[rng.below(6)]);
                                 let inline =
                                     SchedPolicy { degradation, ..Default::default() };
                                 let hold = |i: usize, c: AcquiredChunk| {

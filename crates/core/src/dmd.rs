@@ -698,6 +698,7 @@ mod tests {
     use crate::source::assemble_catalog;
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::column::TextColumn;
+    use sommelier_storage::rng::Rng;
     use sommelier_storage::time::{parse_ts, MS_PER_DAY, MS_PER_HOUR};
     use std::collections::HashSet;
 
@@ -744,28 +745,6 @@ mod tests {
                 }
             }
             out
-        }
-    }
-
-    /// A seeded splitmix64 stream.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        /// Uniform in `[lo, hi)`.
-        fn range(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + self.below((hi - lo) as usize) as i64
         }
     }
 
@@ -839,8 +818,8 @@ mod tests {
                 _ => Cow::Borrowed(all.as_slice()),
             })
             .collect();
-        let lo = rng.range(-12, 12) * w;
-        KeySpace { dims, buckets: (lo, lo + rng.range(0, 8) * w), bucket_ms: w }
+        let lo = rng.range(-12..12) * w;
+        KeySpace { dims, buckets: (lo, lo + rng.range(0..8) * w), bucket_ms: w }
     }
 
     /// Range coverage against the brute-force oracle: a few hundred
@@ -855,7 +834,7 @@ mod tests {
             range: (-8 * w, 8 * w),
         };
         for seed in 0..4 {
-            let mut rng = Rng(seed);
+            let mut rng = Rng::new(seed);
             let m = DmdManager::new(w);
             let mut model: HashSet<DmdKey> = HashSet::new();
             for step in 0..300 {
@@ -867,8 +846,8 @@ mod tests {
                     // Short ranges over a narrow span: overlapping and
                     // adjacent ranges are common, so coalescing runs.
                     0..=2 => {
-                        let lo = rng.range(-10, 10) * w;
-                        let hi = lo + rng.range(0, 5) * w;
+                        let lo = rng.range(-10..10) * w;
+                        let hi = lo + rng.range(0..5) * w;
                         unpoison(m.covered.lock()).cover(&combo, (lo, hi));
                         let mut b = lo;
                         while b < hi {
@@ -877,7 +856,7 @@ mod tests {
                         }
                     }
                     3 => {
-                        let k = (combo, rng.range(-10, 10) * w);
+                        let k = (combo, rng.range(-10..10) * w);
                         m.mark_covered([k.clone()]);
                         model.insert(k);
                     }
@@ -955,13 +934,13 @@ mod tests {
             CmpOp::Ge => b >= t,
             CmpOp::Ne => true,
         };
-        let mut rng = Rng(26);
+        let mut rng = Rng::new(26);
         for case in 0..300 {
             let mut spec = base.clone();
             let mut bounds = Vec::new();
             for _ in 0..rng.below(3) {
                 let op = ops[rng.below(ops.len())];
-                let t = rng.range(-6, 6) * w + [0, 1, w - 1][rng.below(3)];
+                let t = rng.range(-6..6) * w + [0, 1, w - 1][rng.below(3)];
                 let (col, lit) = (Expr::col("Y.day_start_ts"), Expr::Lit(Value::Time(t)));
                 let pred = if rng.below(2) == 0 {
                     col.cmp(op, lit)

@@ -1361,38 +1361,8 @@ impl std::fmt::Debug for Sommelier {
 mod tests {
     use super::*;
     use adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
+    use sommelier_storage::tempdir::TempDir;
     use sommelier_storage::Value;
-    use std::path::PathBuf;
-
-    /// A fresh directory under the system temp dir, removed when
-    /// dropped (also when its test fails).
-    pub(crate) struct TempDir(pub(crate) PathBuf);
-
-    impl TempDir {
-        pub(crate) fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!(
-                "somm-core-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-
-    impl std::ops::Deref for TempDir {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     /// A policy on a 2-worker pool shared by every test that uses it
     /// (the shipping shape): batches claim on the pool, the cellar's

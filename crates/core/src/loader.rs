@@ -407,8 +407,9 @@ mod tests {
     use super::*;
     use crate::adapters::eventlog::{generate_event_logs, EventLogAdapter, EventLogSpec};
     use crate::registrar::register;
-    use crate::tests::{pooled, TempDir};
+    use crate::tests::pooled;
     use sommelier_storage::catalog::Disposition;
+    use sommelier_storage::tempdir::TempDir;
 
     fn setup(
         tag: &str,

@@ -533,16 +533,14 @@ impl std::fmt::Debug for PrefetchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::TempDir;
-    use std::io::Write;
+    use sommelier_storage::tempdir::TempDir;
+    use std::path::Path;
 
-    impl TempDir {
-        fn file(&self, name: &str, bytes: &[u8]) -> String {
-            let path = self.0.join(name);
-            let mut f = std::fs::File::create(&path).unwrap();
-            f.write_all(bytes).unwrap();
-            path.to_string_lossy().into_owned()
-        }
+    /// Write `bytes` to `dir/name`; its URI.
+    fn file(dir: &Path, name: &str, bytes: &[u8]) -> String {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path.to_string_lossy().into_owned()
     }
 
     fn read_fetcher() -> RawFetcher {
@@ -568,8 +566,8 @@ mod tests {
     #[test]
     fn staged_bytes_are_claimed_once_and_accounted() {
         let dir = TempDir::new("claim");
-        let a = dir.file("a.bin", b"aaaa");
-        let b = dir.file("b.bin", b"bbbbbb");
+        let a = file(&dir, "a.bin", b"aaaa");
+        let b = file(&dir, "b.bin", b"bbbbbb");
         let stage = stage(4);
         let plan = stage.submit(vec![a.clone(), b.clone()], read_fetcher(), None, None);
         let got = stage.claim(&a).expect("staged").expect("fetch ok");
@@ -585,7 +583,7 @@ mod tests {
     #[test]
     fn finish_releases_unclaimed_bytes_as_wasted() {
         let dir = TempDir::new("finish");
-        let a = dir.file("a.bin", &[7u8; 128]);
+        let a = file(&dir, "a.bin", &[7u8; 128]);
         let stage = stage(4);
         let plan = stage.submit(vec![a.clone()], read_fetcher(), None, None);
         // Wait for the fetch to land, then abandon it (the query was
@@ -637,7 +635,7 @@ mod tests {
     fn finish_racing_window_slides_leaks_no_staged_bytes() {
         let dir = TempDir::new("race");
         let uris: Vec<String> =
-            (0..16).map(|i| dir.file(&format!("{i}.bin"), &[i as u8; 32])).collect();
+            (0..16).map(|i| file(&dir, &format!("{i}.bin"), &[i as u8; 32])).collect();
         let stage = stage(2);
         for round in 0..300 {
             let plan = stage.submit(uris.clone(), read_fetcher(), None, None);
@@ -657,7 +655,7 @@ mod tests {
     #[test]
     fn chunk_over_the_whole_budget_is_never_issued() {
         let dir = TempDir::new("oversized");
-        let a = dir.file("a.bin", &[1u8; 4096]);
+        let a = file(&dir, "a.bin", &[1u8; 4096]);
         let stage = stage(8);
         // An empty cellar whose whole budget is far below one file.
         stage.bind_budget_probe(|| (0, 16));
@@ -671,7 +669,7 @@ mod tests {
     #[test]
     fn budget_probe_gates_issuing() {
         let dir = TempDir::new("budget");
-        let a = dir.file("a.bin", &[1u8; 1024]);
+        let a = file(&dir, "a.bin", &[1u8; 1024]);
         let stage = stage(8);
         // A cellar whose budget is already spoken for.
         stage.bind_budget_probe(|| (100, 101));
@@ -685,7 +683,7 @@ mod tests {
     fn cancelled_plan_stops_issuing() {
         let dir = TempDir::new("cancel");
         let uris: Vec<String> =
-            (0..4).map(|i| dir.file(&format!("{i}.bin"), &[i as u8; 64])).collect();
+            (0..4).map(|i| file(&dir, &format!("{i}.bin"), &[i as u8; 64])).collect();
         let cancel = CancelToken::new();
         cancel.cancel();
         let stage = stage(2);

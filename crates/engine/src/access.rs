@@ -326,29 +326,9 @@ mod tests {
     use crate::join::hash_join;
     use sommelier_storage::buffer::BufferPoolConfig;
     use sommelier_storage::catalog::Disposition;
+    use sommelier_storage::rng::Rng;
     use sommelier_storage::{ConstraintPolicy, DataType, TableClass, TableSchema, Value};
     use std::cmp::Ordering;
-
-    /// A small xorshift generator: the oracle is seeded, so a failure
-    /// names a reproducible case.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % n as u64) as usize
-        }
-
-        fn one_in(&mut self, n: usize) -> bool {
-            self.below(n) == 0
-        }
-
-        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-            items[self.below(items.len())]
-        }
-    }
 
     /// Text keys: `AAA` and `ZZZ` sort outside every stored value and
     /// `J` between two of them; none of the three is ever stored.
@@ -645,7 +625,7 @@ mod tests {
     fn access_paths_match_the_mask_oracle() {
         let (mut ranged, mut by_runs, mut hashed, mut empty, mut one_row) = (0, 0, 0, 0, 0);
         for seed in 1..=1500u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut rng = Rng::new(seed);
             let db = Database::in_memory(BufferPoolConfig::default());
             let windows = rng.one_in(2);
             let shuffled = rng.one_in(4);
@@ -713,7 +693,7 @@ mod tests {
     #[test]
     fn explain_names_the_access_path() {
         let db = Database::in_memory(BufferPoolConfig::default());
-        let mut rng = Rng(7);
+        let mut rng = Rng::new(7);
         let table = table(&mut rng, &db, true, false);
         let rows = db.table_rows(&table).unwrap();
         let columns: Vec<String> =

@@ -71,8 +71,8 @@ impl AggState {
         self.count += other.count;
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = min_f64(self.min, other.min);
+        self.max = max_f64(self.max, other.max);
         self.min_i = self.min_i.min(other.min_i);
         self.max_i = self.max_i.max(other.max_i);
     }
@@ -152,12 +152,38 @@ fn stddev<T: Num>(st: &mut AggState, v: &[T]) {
     (st.sum, st.sum_sq) = (s, sq);
 }
 
+/// MIN folds with `f64::min`, which is fast but may return either
+/// zero; a zero answer is folded again in the signed-zero order of
+/// [`min_f64`]. Any other answer has one bit pattern.
 fn min_f(st: &mut AggState, v: &[f64]) {
-    st.min = v.iter().fold(st.min, |m, &x| m.min(x));
+    let m = v.iter().fold(st.min, |m, &x| m.min(x));
+    st.min = if m == 0.0 { v.iter().fold(st.min, |m, &x| min_f64(m, x)) } else { m };
 }
 
+/// MAX, as [`min_f`] with [`max_f64`].
 fn max_f(st: &mut AggState, v: &[f64]) {
-    st.max = v.iter().fold(st.max, |m, &x| m.max(x));
+    let m = v.iter().fold(st.max, |m, &x| m.max(x));
+    st.max = if m == 0.0 { v.iter().fold(st.max, |m, &x| max_f64(m, x)) } else { m };
+}
+
+/// `a.min(b)`, but with −0.0 below +0.0: `f64::min` may return either
+/// zero, so MIN's bits would depend on the order rows and partial
+/// states are folded in. A NaN gives way to the other operand.
+fn min_f64(a: f64, b: f64) -> f64 {
+    if b < a || (b == a && b.is_sign_negative()) || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
+/// `a.max(b)`, but with +0.0 above −0.0 (see [`min_f64`]).
+fn max_f64(a: f64, b: f64) -> f64 {
+    if b > a || (b == a && a.is_sign_negative()) || a.is_nan() {
+        b
+    } else {
+        a
+    }
 }
 
 fn min_i(st: &mut AggState, v: &[i64]) {
@@ -584,6 +610,30 @@ mod tests {
         assert_eq!(out.value(1, "n").unwrap(), Value::Int(1));
     }
 
+    /// MIN and MAX order −0.0 below +0.0 whichever order the rows and
+    /// the partial states arrive in, so that their answers' bits depend
+    /// neither on row order nor on chunking.
+    #[test]
+    fn min_and_max_order_negative_zero_below_zero() {
+        let bits = |v: Value| v.as_f64().unwrap().to_bits();
+        for v in [vec![0.0, -0.0], vec![-0.0, 0.0], vec![-0.0, 0.0, -0.0]] {
+            let r = Relation::new(vec![("v".into(), ColumnData::Float64(v))]).unwrap();
+            let aggs = [agg("mn", AggFunc::Min, "v"), agg("mx", AggFunc::Max, "v")];
+            let out = aggregate(&r, &[], &aggs).unwrap();
+            assert_eq!(bits(out.value(0, "mn").unwrap()), (-0.0f64).to_bits());
+            assert_eq!(bits(out.value(0, "mx").unwrap()), 0.0f64.to_bits());
+        }
+        for (a, b) in [(0.0, -0.0), (-0.0, 0.0)] {
+            let (mut x, mut y) = (AggState::new(), AggState::new());
+            for (st, v) in [(&mut x, a), (&mut y, b)] {
+                min_f(st, &[v]);
+                max_f(st, &[v]);
+            }
+            x.merge(&y);
+            assert_eq!((x.min.to_bits(), x.max.to_bits()), ((-0.0f64).to_bits(), 0));
+        }
+    }
+
     #[test]
     fn min_max_on_timestamps() {
         let out = aggregate(
@@ -650,8 +700,8 @@ mod tests {
             self.count += 1;
             self.sum += v;
             self.sum_sq += v * v;
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
+            self.min = min_f64(self.min, v);
+            self.max = max_f64(self.max, v);
         }
 
         fn update_every_field_i(&mut self, v: i64) {
@@ -750,13 +800,8 @@ mod tests {
         const SPECIALS: [f64; 8] =
             [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308, 5e-324];
         const INTS: [i64; 8] = [i64::MIN, i64::MIN + 1, -7, 0, 1, 3, i64::MAX - 1, i64::MAX];
-        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-        let mut below = |n: usize| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % n as u64) as usize
-        };
+        let mut rng = sommelier_storage::rng::Rng::new(1);
+        let mut below = |n: usize| rng.below(n);
         const FUNCS: [AggFunc; 6] = [
             AggFunc::Count,
             AggFunc::Sum,

@@ -413,26 +413,10 @@ mod tests {
     use crate::join::JoinBuild;
     use crate::physical::ChunkOp;
     use sommelier_storage::column::TextColumn;
+    use sommelier_storage::rng::Rng;
     use sommelier_storage::Value;
 
     const HOUR: i64 = 3_600_000;
-
-    /// A small xorshift generator: the oracle is seeded, so a failure
-    /// names a reproducible case.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % n as u64) as usize
-        }
-
-        fn one_in(&mut self, n: usize) -> bool {
-            self.below(n) == 0
-        }
-    }
 
     /// One generated chunk: `D.file_id` (constant), `D.seg_id`
     /// (ascending), `D.sample_time` and `D.sample_value`, with the
@@ -601,7 +585,7 @@ mod tests {
         // Empty and one-row chunks seen.
         let (mut empty, mut one_row) = (0, 0);
         for seed in 1..=1500u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut rng = Rng::new(seed);
             let sorted = !rng.one_in(3);
             let chunk = chunk(&mut rng, sorted);
             empty += usize::from(chunk.rows() == 0);

@@ -311,6 +311,7 @@ mod tests {
     use super::*;
     use crate::expr::Func;
     use sommelier_storage::column::TextColumn;
+    use sommelier_storage::rng::Rng;
     use sommelier_storage::Value;
 
     fn d() -> Relation {
@@ -477,19 +478,6 @@ mod tests {
         assert_same(&got, &want, &format!("{what}, candidates {ranges:?}"));
     }
 
-    /// A small xorshift generator: the oracle test is seeded, so a
-    /// failure names a reproducible case.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % n as u64) as usize
-        }
-    }
-
     const HOUR: i64 = 3_600_000;
 
     /// One key column of each shape, drawn from `domain` indices: the
@@ -556,7 +544,7 @@ mod tests {
             ("payload", &|n: &str| n == "F.name" || n == "F.x"),
         ];
         for seed in 1..=300u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut rng = Rng::new(seed);
             let shape = shapes[rng.below(shapes.len())];
             // Build side: few rows over a 4-value domain, so keys repeat
             // (one run matching several build rows) and the probe's

@@ -6,36 +6,10 @@ pub mod reference;
 use sommelier_core::adapters::EventLogAdapter;
 use sommelier_core::{LoadingMode, MetricsRegistry, Result, Sommelier, SommelierConfig};
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// A self-cleaning scratch directory.
-pub struct TempDir(pub PathBuf);
-
-impl TempDir {
-    /// Create under the system temp dir, uniquely named.
-    pub fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-it-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-
-    /// Path inside the directory.
-    pub fn join(&self, p: &str) -> PathBuf {
-        self.0.join(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+pub use sommelier_storage::tempdir::TempDir;
 
 /// Generate a small INGV-like repository (4 stations × `days`).
 pub fn ingv_repo(dir: &TempDir, days: u32, samples: u32) -> Repository {

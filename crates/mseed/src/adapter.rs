@@ -563,13 +563,10 @@ mod tests {
         LoadingMode, Metric, MetricsRegistry, MorselScheduler, Sommelier, SommelierConfig,
     };
     use sommelier_storage::catalog::Disposition;
+    use sommelier_storage::tempdir::TempDir;
     use sommelier_storage::Value;
     use std::path::Path;
     use std::sync::Arc;
-
-    fn temp_dir(tag: &str) -> crate::TempDir {
-        crate::TempDir::new(&format!("adapter-{tag}"))
-    }
 
     fn fresh_db() -> Database {
         let db = Database::in_memory(Default::default());
@@ -633,8 +630,8 @@ mod tests {
 
     #[test]
     fn registers_a_small_repository() {
-        let dir = temp_dir("basic");
-        let repo = Repository::at(&dir.0);
+        let dir = TempDir::new("adapter-basic");
+        let repo = Repository::at(dir.to_path_buf());
         let mut spec = DatasetSpec::ingv(1, 8);
         spec.days = 2; // 8 files
         let stats = repo.generate(&spec).unwrap();
@@ -660,8 +657,8 @@ mod tests {
 
     #[test]
     fn segment_ids_are_contiguous_per_file() {
-        let dir = temp_dir("contig");
-        let repo = Repository::at(&dir.0);
+        let dir = TempDir::new("adapter-contig");
+        let repo = Repository::at(dir.to_path_buf());
         let mut spec = DatasetSpec::fiam(1, 8);
         spec.days = 3;
         repo.generate(&spec).unwrap();
@@ -677,8 +674,8 @@ mod tests {
 
     #[test]
     fn station_metadata_lands_in_f() {
-        let dir = temp_dir("meta");
-        let repo = Repository::at(&dir.0);
+        let dir = TempDir::new("adapter-meta");
+        let repo = Repository::at(dir.to_path_buf());
         let mut spec = DatasetSpec::ingv(1, 8);
         spec.days = 1; // 4 files, one per station
         repo.generate(&spec).unwrap();
@@ -698,8 +695,8 @@ mod tests {
 
     #[test]
     fn registry_roundtrips_through_db() {
-        let dir = temp_dir("roundtrip");
-        let repo = Repository::at(&dir.0);
+        let dir = TempDir::new("adapter-roundtrip");
+        let repo = Repository::at(dir.to_path_buf());
         let mut spec = DatasetSpec::fiam(1, 8);
         spec.days = 2;
         repo.generate(&spec).unwrap();
@@ -718,14 +715,14 @@ mod tests {
 
     #[test]
     fn prepare_registers_the_same_metadata_with_and_without_a_pool() {
-        let dir = temp_dir("pool");
+        let dir = TempDir::new("adapter-pool");
         let mut spec = DatasetSpec::ingv(1, 8);
         spec.days = 2;
-        Repository::at(&dir.0).generate(&spec).unwrap();
+        Repository::at(dir.to_path_buf()).generate(&spec).unwrap();
         let tables = |max_threads| {
             let config = SommelierConfig { max_threads, ..SommelierConfig::default() };
             let somm = Sommelier::builder()
-                .source(MseedAdapter::new(Repository::at(&dir.0)))
+                .source(MseedAdapter::new(Repository::at(dir.to_path_buf())))
                 .config(config)
                 .build()
                 .unwrap();
@@ -780,9 +777,9 @@ mod tests {
 
     #[test]
     fn load_chunk_assigns_system_keys() {
-        let dir = temp_dir("load");
-        let entry = write_test_chunk(&dir.0);
-        let adapter = MseedAdapter::new(Repository::at(&dir.0));
+        let dir = TempDir::new("adapter-load");
+        let entry = write_test_chunk(&dir);
+        let adapter = MseedAdapter::new(Repository::at(dir.to_path_buf()));
         let raw = adapter.fetch_bytes(&entry).unwrap();
         let rel = adapter.decode_bytes(&entry, raw, None).unwrap();
         assert_eq!(rel.rows(), 5);

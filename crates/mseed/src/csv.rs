@@ -87,17 +87,7 @@ pub fn import_csv(csv_path: &Path) -> Result<Vec<CsvRow>> {
 mod tests {
     use super::*;
     use crate::record::{FileMeta, SegmentData, SegmentMeta};
-    use std::path::PathBuf;
-
-    fn temp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "somm-csv-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use sommelier_storage::tempdir::TempDir;
 
     fn sample_file() -> MseedFile {
         MseedFile {
@@ -116,7 +106,7 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let dir = temp("roundtrip");
+        let dir = TempDir::new("csv-roundtrip");
         let path = dir.join("x.csv");
         let bytes = export_csv(&sample_file(), &path).unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
@@ -125,13 +115,12 @@ mod tests {
         assert_eq!(rows[0], CsvRow { seg_index: 3, sample_time: 1_000, sample_value: 7.0 });
         assert_eq!(rows[1].sample_time, 1_100);
         assert_eq!(rows[1].sample_value, -8.0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn csv_is_much_larger_than_binary() {
         // The Table III effect in miniature.
-        let dir = temp("size");
+        let dir = TempDir::new("csv-size");
         let path = dir.join("x.csv");
         let mut file = sample_file();
         file.segments[0].samples = (0..10_000).map(|i| (i % 100) - 50).collect();
@@ -139,12 +128,11 @@ mod tests {
         let csv_bytes = export_csv(&file, &path).unwrap();
         let msd_bytes = crate::writer::to_bytes(&file).unwrap().len() as u64;
         assert!(csv_bytes > 10 * msd_bytes, "csv {csv_bytes} vs msd {msd_bytes}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn malformed_lines_rejected() {
-        let dir = temp("bad");
+        let dir = TempDir::new("csv-bad");
         for (i, content) in [
             "notanumber,1970-01-01T00:00:00.000,1\n",
             "1,not-a-time,1\n",
@@ -158,17 +146,15 @@ mod tests {
             std::fs::write(&path, content).unwrap();
             assert!(import_csv(&path).is_err(), "should reject {content:?}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn blank_lines_skipped() {
-        let dir = temp("blank");
+        let dir = TempDir::new("csv-blank");
         let path = dir.join("x.csv");
         std::fs::write(&path, "1,1970-01-01T00:00:00.000,5\n\n2,1970-01-01T00:00:01.000,6\n")
             .unwrap();
         let rows = import_csv(&path).unwrap();
         assert_eq!(rows.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

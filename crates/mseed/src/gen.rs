@@ -15,8 +15,7 @@
 //! (dataset seed, station, channel, day), so regenerating a repository
 //! yields byte-identical files.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use sommelier_storage::rng::Rng;
 use std::f64::consts::TAU;
 use std::hash::{Hash, Hasher};
 
@@ -69,15 +68,15 @@ pub fn generate_segment(
     frequency: f64,
     n: usize,
 ) -> Vec<i32> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut out = Vec::with_capacity(n);
     let mut ar = 0.0f64;
 
     // Decide up front whether this segment contains an event.
-    let event = if rng.random::<f64>() < params.event_probability {
-        let onset = rng.random_range(0..n.max(1));
-        let amplitude = rng.random_range(params.event_amplitude.0..=params.event_amplitude.1);
-        let period_samples = rng.random_range(6.0..40.0);
+    let event = if rng.f64() < params.event_probability {
+        let onset = rng.below(n.max(1));
+        let amplitude = rng.f64_range(params.event_amplitude.0..params.event_amplitude.1);
+        let period_samples = rng.f64_range(6.0..40.0);
         Some((onset, amplitude, period_samples))
     } else {
         None
@@ -86,7 +85,7 @@ pub fn generate_segment(
     for i in 0..n {
         // Gaussian-ish innovation from the sum of uniforms (Irwin–Hall,
         // k=4): cheap and close enough for signal synthesis.
-        let u: f64 = (0..4).map(|_| rng.random::<f64>()).sum::<f64>() - 2.0;
+        let u: f64 = (0..4).map(|_| rng.f64()).sum::<f64>() - 2.0;
         ar = params.ar_coefficient * ar + u * params.noise_sigma;
 
         let t_ms = t0_ms + (i as f64 * 1000.0 / frequency) as i64;

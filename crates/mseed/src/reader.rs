@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use crate::record::{FileMeta, SegmentData, SegmentMeta};
     use crate::writer::write_file;
-    use crate::TempDir;
+    use sommelier_storage::tempdir::TempDir;
 
     fn sample_file() -> MseedFile {
         MseedFile {
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn full_roundtrip() {
         let dir = TempDir::new("roundtrip");
-        let path = dir.0.join("x.msd");
+        let path = dir.join("x.msd");
         let original = sample_file();
         write_file(&path, &original).unwrap();
         let back = read_full(&path).unwrap();
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn metadata_only_matches() {
         let dir = TempDir::new("meta");
-        let path = dir.0.join("x.msd");
+        let path = dir.join("x.msd");
         let original = sample_file();
         write_file(&path, &original).unwrap();
         let header = read_metadata(&path).unwrap();
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn corrupt_magic_rejected() {
         let dir = TempDir::new("magic");
-        let path = dir.0.join("x.msd");
+        let path = dir.join("x.msd");
         std::fs::write(&path, b"JUNKJUNKJUNK").unwrap();
         assert!(matches!(read_metadata(&path), Err(MseedError::Corrupt(_))));
         assert!(read_full(&path).is_err());
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn truncated_payload_rejected() {
         let dir = TempDir::new("trunc");
-        let path = dir.0.join("x.msd");
+        let path = dir.join("x.msd");
         let original = sample_file();
         let bytes = crate::writer::to_bytes(&original).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn zero_segment_file() {
         let dir = TempDir::new("empty");
-        let path = dir.0.join("x.msd");
+        let path = dir.join("x.msd");
         let f = MseedFile { meta: FileMeta::new("IV", "ISK", "", "BHE"), segments: vec![] };
         write_file(&path, &f).unwrap();
         let back = read_full(&path).unwrap();
@@ -271,7 +271,7 @@ mod tests {
     fn many_segments_force_header_regrowth() {
         // A directory larger than the reader's first 16 KiB read.
         let dir = TempDir::new("grow");
-        let path = dir.0.join("x.msd");
+        let path = dir.join("x.msd");
         let segments: Vec<SegmentData> = (0..1_000)
             .map(|i| SegmentData {
                 meta: SegmentMeta {

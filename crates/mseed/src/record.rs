@@ -149,8 +149,7 @@ impl MseedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use sommelier_storage::rng::Rng;
 
     #[test]
     fn sample_times_follow_frequency() {
@@ -203,10 +202,10 @@ mod tests {
         for x in outside.into_iter().chain(negatives) {
             assert!(!in_round_domain(x), "{x:e}");
         }
-        let mut rng = SmallRng::seed_from_u64(52);
+        let mut rng = Rng::new(52);
         for _ in 0..100_000 {
-            let bits = rng.random_range(0..=52u32);
-            let x = rng.random::<f64>() * 2f64.powi(bits as i32);
+            let bits = rng.range(0..=52);
+            let x = rng.f64() * 2f64.powi(bits as i32);
             let tie = (x as i64 as f64) + 0.5;
             for x in [x, tie] {
                 if in_round_domain(x) {
@@ -222,31 +221,31 @@ mod tests {
     /// whose offsets lie near or beyond 2^52, where it falls back.
     #[test]
     fn extend_sample_times_matches_sample_time() {
-        let mut rng = SmallRng::seed_from_u64(41);
+        let mut rng = Rng::new(41);
         for case in 0..2_000 {
-            let n = rng.random_range(0..=4_096u32);
+            let n = rng.range(0..=4_096) as u32;
             let frequency = match case % 5 {
                 0 => {
-                    let span_ms = rng.random_range(1_000..=7_200_000i64);
+                    let span_ms = rng.range(1_000..=7_200_000);
                     (n as f64 * 1000.0 / span_ms as f64).max(0.001)
                 }
-                1 => rng.random_range(1..=1_000u32) as f64,
-                2 => [2000.0, 400.0, 80.0, 16.0][rng.random_range(0..4usize)],
+                1 => rng.range(1..=1_000) as f64,
+                2 => rng.pick(&[2000.0, 400.0, 80.0, 16.0]),
                 3 => {
                     // The last offset straddles 2^52.
-                    let last = 2f64.powi(52) * rng.random_range(0.999_999..1.000_001);
+                    let last = 2f64.powi(52) * rng.f64_range(0.999_999..1.000_001);
                     n.saturating_sub(1).max(1) as f64 * 1000.0 / last
                 }
                 _ => {
                     // Offsets far into or beyond the fast domain, short of
                     // overflowing the sum.
-                    let last = 2f64.powi(rng.random_range(40..=59i32));
+                    let last = 2f64.powi(rng.range(40..=59) as i32);
                     n.saturating_sub(1).max(1) as f64 * 1000.0 / last
                 }
             };
             let meta = SegmentMeta {
                 seg_index: 0,
-                start_time: rng.random_range(-1_000_000_000_000..=1_000_000_000_000i64),
+                start_time: rng.range(-1_000_000_000_000..=1_000_000_000_000),
                 frequency,
                 sample_count: n,
             };

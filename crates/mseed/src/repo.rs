@@ -21,8 +21,7 @@ use crate::error::{MseedError, Result};
 use crate::gen::{cell_seed, generate_segment, WaveformParams};
 use crate::record::{FileMeta, MseedFile, SegmentData, SegmentMeta};
 use crate::writer::write_file;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use sommelier_storage::rng::Rng;
 use sommelier_storage::time::{civil_from_days, days_from_civil, MS_PER_DAY};
 use std::path::{Path, PathBuf};
 
@@ -164,16 +163,17 @@ impl DatasetSpec {
 /// with the sampling frequency derived so the samples span the segment.
 pub fn build_file(spec: &DatasetSpec, station: &StationSpec, day: i64) -> MseedFile {
     let seed = cell_seed(spec.seed, &station.station, &station.channel, day);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     // Jitter segment count ±33%.
     let base = spec.segments_per_file;
-    let seg_count = rng.random_range((base - base / 3).max(1)..=base + base / 3);
+    let seg_count =
+        rng.range((base - base / 3).max(1) as i64..=(base + base / 3) as i64) as u32;
     let day_start_ms = day * MS_PER_DAY;
     let slot_ms = MS_PER_DAY / seg_count as i64;
     let mut segments = Vec::with_capacity(seg_count as usize);
     for s in 0..seg_count {
         // Gap of 0–10% at the start of each slot.
-        let gap = (rng.random::<f64>() * 0.1 * slot_ms as f64) as i64;
+        let gap = (rng.f64() * 0.1 * slot_ms as f64) as i64;
         let start = day_start_ms + s as i64 * slot_ms + gap;
         let span_ms = slot_ms - gap;
         let n = spec.samples_per_segment;
@@ -312,7 +312,7 @@ impl Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TempDir;
+    use sommelier_storage::tempdir::TempDir;
 
     fn tiny_spec() -> DatasetSpec {
         let mut spec = DatasetSpec::ingv(1, 16);
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn generate_and_list() {
         let dir = TempDir::new("repo-gen");
-        let repo = Repository::at(&dir.0);
+        let repo = Repository::at(dir.to_path_buf());
         let spec = tiny_spec();
         let stats = repo.generate(&spec).unwrap();
         assert_eq!(stats.files, spec.expected_files());
@@ -353,10 +353,10 @@ mod tests {
         let dir_a = TempDir::new("repo-det-a");
         let dir_b = TempDir::new("repo-det-b");
         let spec = tiny_spec();
-        Repository::at(&dir_a.0).generate(&spec).unwrap();
-        Repository::at(&dir_b.0).generate(&spec).unwrap();
-        let files_a = Repository::at(&dir_a.0).list().unwrap();
-        let files_b = Repository::at(&dir_b.0).list().unwrap();
+        Repository::at(dir_a.to_path_buf()).generate(&spec).unwrap();
+        Repository::at(dir_b.to_path_buf()).generate(&spec).unwrap();
+        let files_a = Repository::at(dir_a.to_path_buf()).list().unwrap();
+        let files_b = Repository::at(dir_b.to_path_buf()).list().unwrap();
         assert_eq!(files_a.len(), files_b.len());
         for (a, b) in files_a.iter().zip(&files_b) {
             assert_eq!(a.file_name(), b.file_name());
@@ -364,10 +364,30 @@ mod tests {
         }
     }
 
+    /// The generator's output is pinned: the FNV-1a hash of the tiny
+    /// repository's file names and bytes, recorded from the generator
+    /// the benchmark fixtures were first built with. A change to the
+    /// seeded stream or to how the generator draws from it fails here
+    /// rather than silently changing every fixture.
+    #[test]
+    fn generated_bytes_are_pinned() {
+        let dir = TempDir::new("repo-pinned");
+        let repo = Repository::at(dir.to_path_buf());
+        repo.generate(&tiny_spec()).unwrap();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for path in repo.list().unwrap() {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            for b in name.bytes().chain(std::fs::read(&path).unwrap()) {
+                hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 6782837040138586344);
+    }
+
     #[test]
     fn generated_files_parse_back() {
         let dir = TempDir::new("repo-parse");
-        let repo = Repository::at(&dir.0);
+        let repo = Repository::at(dir.to_path_buf());
         repo.generate(&tiny_spec()).unwrap();
         for path in repo.list().unwrap() {
             let header = crate::reader::read_metadata(&path).unwrap();

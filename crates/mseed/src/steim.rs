@@ -139,7 +139,7 @@ pub fn decode(bytes: &[u8], expected: usize) -> Result<Vec<i32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use sommelier_storage::rng::{check, Rng};
 
     #[test]
     fn zigzag_roundtrip_edges() {
@@ -239,8 +239,6 @@ mod tests {
     /// trailing bytes, or random bytes overwritten.
     #[test]
     fn fast_path_matches_read_varint_loop() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let run = |bytes: &[u8], expected: usize| {
             let mut samples = Vec::new();
             let res = decode_each(bytes, expected, |s| samples.push(s));
@@ -251,17 +249,17 @@ mod tests {
             let res = decode_each_via_read_varint(bytes, expected, |s| samples.push(s));
             (samples, res.map_err(|e| e.to_string()))
         };
-        let mut rng = SmallRng::seed_from_u64(96);
+        let mut rng = Rng::new(96);
         let (mut accepted, mut rejected) = (0, 0);
         for case in 0..4_000 {
-            let n = rng.random_range(0..=300usize);
-            let mut samples = vec![rng.random::<u64>() as i32];
+            let n = rng.range(0..=300) as usize;
+            let mut samples = vec![rng.next_u64() as i32];
             for _ in 1..n {
                 // A zig-zag code of 1 to 5 varint bytes.
-                let width = rng.random_range(1..=5u32);
-                let lo = if width == 1 { 0 } else { 1u64 << (7 * (width - 1)) };
-                let hi = (1u64 << (7 * width)).min(1 << 32);
-                let zz = rng.random_range(lo..hi) as u32;
+                let width = rng.range(1..=5);
+                let lo = if width == 1 { 0 } else { 1 << (7 * (width - 1)) };
+                let hi = (1 << (7 * width)).min(1 << 32);
+                let zz = rng.range(lo..hi) as u32;
                 samples.push(samples.last().unwrap().wrapping_add(unzigzag(zz)));
             }
             samples.truncate(n);
@@ -269,26 +267,24 @@ mod tests {
             let mut expected = n;
             match case % 6 {
                 0 => {}
-                1 => bytes.truncate(rng.random_range(0..=bytes.len())),
+                1 => bytes.truncate(rng.range(0..=bytes.len() as i64) as usize),
                 2 => bytes.push(0x80),
                 3 => {
                     let overlong = [0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
-                    let at = rng.random_range(4.min(bytes.len())..=bytes.len());
+                    let at =
+                        rng.range(4.min(bytes.len()) as i64..=bytes.len() as i64) as usize;
                     bytes.splice(at..at, overlong);
                     expected += 1;
                 }
-                4 => bytes.extend(
-                    (0..rng.random_range(1..4usize)).map(|_| rng.random::<u64>() as u8),
-                ),
+                4 => bytes.extend((0..rng.range(1..4)).map(|_| rng.next_u64() as u8)),
                 _ => {
-                    for _ in 0..rng.random_range(1..4usize) {
+                    for _ in 0..rng.range(1..4) {
                         if !bytes.is_empty() {
-                            let at = rng.random_range(0..bytes.len());
-                            bytes[at] = rng.random::<u64>() as u8;
+                            let at = rng.below(bytes.len());
+                            bytes[at] = rng.next_u64() as u8;
                         }
                     }
-                    expected =
-                        (expected as i64 + rng.random_range(-1..=1i64)).max(0) as usize;
+                    expected = (expected as i64 + rng.range(-1..=1)).max(0) as usize;
                 }
             }
             let got = run(&bytes, expected);
@@ -303,38 +299,49 @@ mod tests {
         assert!(accepted > 500 && rejected > 500, "{accepted} accepted, {rejected} rejected");
     }
 
-    proptest! {
-        #[test]
-        fn roundtrip_random(samples in proptest::collection::vec(any::<i32>(), 0..2_000)) {
+    /// Up to 2 000 samples of any value.
+    fn any_samples(rng: &mut Rng) -> Vec<i32> {
+        (0..rng.range(0..2_000)).map(|_| rng.next_u64() as i32).collect()
+    }
+
+    #[test]
+    fn roundtrip_random() {
+        check("roundtrip_random", |rng| {
+            let samples = any_samples(rng);
             let enc = encode(&samples);
             let dec = decode(&enc, samples.len()).unwrap();
-            prop_assert_eq!(dec, samples);
-        }
+            assert_eq!(dec, samples);
+        });
+    }
 
-        /// The direct-to-column decode must agree with the segment
-        /// decode sample for sample — the round-trip guarantee behind
-        /// the adapter's single-pass columnar decode path.
-        #[test]
-        fn decode_each_matches_decode(samples in proptest::collection::vec(any::<i32>(), 0..2_000)) {
+    /// The direct-to-column decode must agree with the segment
+    /// decode sample for sample — the round-trip guarantee behind
+    /// the adapter's single-pass columnar decode path.
+    #[test]
+    fn decode_each_matches_decode() {
+        check("decode_each_matches_decode", |rng| {
+            let samples = any_samples(rng);
             let enc = encode(&samples);
             let mut direct: Vec<f64> = Vec::new();
             decode_each(&enc, samples.len(), |s| direct.push(s as f64)).unwrap();
             let via_vec: Vec<f64> =
                 decode(&enc, samples.len()).unwrap().iter().map(|&v| v as f64).collect();
-            prop_assert_eq!(direct, via_vec);
-        }
+            assert_eq!(direct, via_vec);
+        });
+    }
 
-        #[test]
-        fn roundtrip_smooth(start in -1_000_000i32..1_000_000,
-                            deltas in proptest::collection::vec(-50i32..50, 1..2_000)) {
-            let mut samples = vec![start];
-            for d in deltas {
+    #[test]
+    fn roundtrip_smooth() {
+        check("roundtrip_smooth", |rng| {
+            let mut samples = vec![rng.range(-1_000_000..1_000_000) as i32];
+            for _ in 0..rng.range(1..2_000) {
+                let d = rng.range(-50..50) as i32;
                 samples.push(samples.last().unwrap().wrapping_add(d));
             }
             let enc = encode(&samples);
             // Small deltas: at most 2 bytes each.
-            prop_assert!(enc.len() <= 4 + (samples.len() - 1) * 2);
-            prop_assert_eq!(decode(&enc, samples.len()).unwrap(), samples);
-        }
+            assert!(enc.len() <= 4 + (samples.len() - 1) * 2);
+            assert_eq!(decode(&enc, samples.len()).unwrap(), samples);
+        });
     }
 }

@@ -744,51 +744,38 @@ mod tests {
     use super::*;
     use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
     use sommelier_core::{LoadingMode, SommelierConfig};
+    use sommelier_storage::tempdir::TempDir;
+    use std::path::Path;
 
-    /// A generated event-log repository in the temp dir, removed when
-    /// dropped (also when its test fails).
-    struct TestRepo(std::path::PathBuf);
-
-    impl TestRepo {
-        fn new(tag: &str, days: u32, events: u32) -> Self {
-            let repo = TestRepo(
-                std::env::temp_dir()
-                    .join(format!("somm-server-unit-{tag}-{}", std::process::id())),
-            );
-            let _ = std::fs::remove_dir_all(&repo.0);
-            generate_event_logs(&repo.0, &EventLogSpec::small(days, events)).unwrap();
-            repo
-        }
-
-        /// The chunk files' URIs, sorted.
-        fn chunks(&self) -> Vec<String> {
-            let mut chunks: Vec<String> = std::fs::read_dir(&self.0)
-                .unwrap()
-                .map(|e| e.unwrap().path().to_string_lossy().into_owned())
-                .collect();
-            chunks.sort();
-            chunks
-        }
+    /// A generated event-log repository in a fresh temp dir.
+    fn test_repo(tag: &str, days: u32, events: u32) -> TempDir {
+        let repo = TempDir::new(&format!("server-unit-{tag}"));
+        generate_event_logs(&repo, &EventLogSpec::small(days, events)).unwrap();
+        repo
     }
 
-    impl Drop for TestRepo {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
+    /// The chunk files' URIs in `repo`, sorted.
+    fn chunks(repo: &Path) -> Vec<String> {
+        let mut chunks: Vec<String> = std::fs::read_dir(repo)
+            .unwrap()
+            .map(|e| e.unwrap().path().to_string_lossy().into_owned())
+            .collect();
+        chunks.sort();
+        chunks
     }
 
-    /// A server over a lazily prepared system on a [`TestRepo`], which
+    /// A server over a lazily prepared system on a [`test_repo`], which
     /// goes when the server does.
     struct TestServer {
         server: Server,
-        _repo: TestRepo,
+        _repo: TempDir,
     }
 
     impl TestServer {
-        fn new(repo: TestRepo, config: SommelierConfig) -> Self {
+        fn new(repo: TempDir, config: SommelierConfig) -> Self {
             let somm = Sommelier::builder()
                 .config(config)
-                .source(EventLogAdapter::new(&repo.0))
+                .source(EventLogAdapter::new(&*repo))
                 .build()
                 .unwrap();
             somm.prepare(LoadingMode::Lazy).unwrap();
@@ -804,7 +791,7 @@ mod tests {
     }
 
     fn test_server(tag: &str) -> TestServer {
-        TestServer::new(TestRepo::new(tag, 2, 128), SommelierConfig::default())
+        TestServer::new(test_repo(tag, 2, 128), SommelierConfig::default())
     }
 
     #[test]
@@ -928,8 +915,8 @@ mod tests {
     #[test]
     fn panicking_query_is_typed_and_quarantined() {
         use sommelier_core::FaultPlan;
-        let repo = TestRepo::new("panic", 2, 64);
-        let chunks = repo.chunks();
+        let repo = test_repo("panic", 2, 64);
+        let chunks = chunks(&repo);
         let config = SommelierConfig {
             fault_plan: Some(FaultPlan {
                 panic_uris: vec![chunks[0].clone()],
@@ -971,7 +958,7 @@ mod tests {
     #[test]
     fn sessions_share_one_prefetch_stage() {
         let server =
-            TestServer::new(TestRepo::new("prefetch", 3, 64), SommelierConfig::default());
+            TestServer::new(test_repo("prefetch", 3, 64), SommelierConfig::default());
         let somm = server.sommelier();
         // Two sessions race cold multi-chunk scans: both windows run on
         // the system's single IO pool and stage, whose issue/hit
@@ -1000,8 +987,8 @@ mod tests {
     fn per_session_degradation_policy() {
         use sommelier_core::FaultPlan;
         // Declare one chunk file permanently corrupt via the injector.
-        let repo = TestRepo::new("degraded", 2, 64);
-        let victim = repo.chunks()[0].clone();
+        let repo = test_repo("degraded", 2, 64);
+        let victim = chunks(&repo)[0].clone();
         let config = SommelierConfig {
             fault_plan: Some(FaultPlan {
                 corrupt_uris: vec![victim.clone()],

@@ -258,44 +258,17 @@ impl std::fmt::Debug for BufferPool {
 mod tests {
     use super::*;
     use crate::page::DATA_START;
+    use crate::tempdir::TempDir;
     use std::io::Write;
 
-    fn temp_file(bytes: &[u8]) -> (tempdir::TempDirGuard, PathBuf) {
-        let dir = tempdir::tempdir("bufferpool");
-        let path = dir.path().join("data.bin");
+    fn temp_file(bytes: &[u8]) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("bufferpool");
+        let path = dir.join("data.bin");
         let mut f = File::create(&path).unwrap();
         // Header region, then data.
         f.write_all(&vec![0u8; DATA_START as usize]).unwrap();
         f.write_all(bytes).unwrap();
         (dir, path)
-    }
-
-    /// Minimal temp-dir helper (std-only).
-    mod tempdir {
-        use std::path::{Path, PathBuf};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        static N: AtomicU64 = AtomicU64::new(0);
-
-        pub struct TempDirGuard(PathBuf);
-        impl TempDirGuard {
-            pub fn path(&self) -> &Path {
-                &self.0
-            }
-        }
-        impl Drop for TempDirGuard {
-            fn drop(&mut self) {
-                let _ = std::fs::remove_dir_all(&self.0);
-            }
-        }
-
-        pub fn tempdir(tag: &str) -> TempDirGuard {
-            let n = N.fetch_add(1, Ordering::Relaxed);
-            let dir =
-                std::env::temp_dir().join(format!("somm-{tag}-{}-{n}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDirGuard(dir)
-        }
     }
 
     #[test]

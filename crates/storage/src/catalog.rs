@@ -340,13 +340,11 @@ mod tests {
 
     #[test]
     fn save_and_load() {
-        let dir = std::env::temp_dir().join(format!("somm-catalog-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::tempdir::TempDir::new("catalog");
         let path = dir.join("catalog.somm");
         let c = sample_catalog();
         c.save(&path).unwrap();
         let back = Catalog::load(&path).unwrap();
         assert_eq!(back.serialize(), c.serialize());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -332,25 +332,8 @@ fn read_dict(path: &Path) -> Result<Dict> {
 mod tests {
     use super::*;
     use crate::buffer::BufferPoolConfig;
+    use crate::tempdir::TempDir;
     use crate::value::Value;
-
-    struct TempDir(PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!(
-                "somm-colfile-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     fn pool() -> BufferPool {
         BufferPool::new(BufferPoolConfig::default())
@@ -359,7 +342,7 @@ mod tests {
     #[test]
     fn int_roundtrip() {
         let dir = TempDir::new("int");
-        let path = dir.0.join("c.col");
+        let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Int64).unwrap();
         cf.append(&ColumnData::Int64(vec![1, -2, 3])).unwrap();
         cf.append(&ColumnData::Int64(vec![4])).unwrap();
@@ -378,7 +361,7 @@ mod tests {
     #[test]
     fn float_and_range_reads() {
         let dir = TempDir::new("float");
-        let path = dir.0.join("c.col");
+        let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Float64).unwrap();
         let vals: Vec<f64> = (0..20_000).map(|i| i as f64 * 0.5).collect();
         cf.append(&ColumnData::Float64(vals.clone())).unwrap();
@@ -396,7 +379,7 @@ mod tests {
     #[test]
     fn text_roundtrip_with_dict_merge() {
         let dir = TempDir::new("text");
-        let path = dir.0.join("c.col");
+        let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Text).unwrap();
         cf.append(&ColumnData::Text(TextColumn::from_strs(["ISK", "FIAM", "ISK"]))).unwrap();
         // Second append with a different dictionary ordering.
@@ -420,7 +403,7 @@ mod tests {
     #[test]
     fn bad_magic_is_corrupt() {
         let dir = TempDir::new("magic");
-        let path = dir.0.join("c.col");
+        let path = dir.join("c.col");
         std::fs::write(&path, b"NOPExxxxxxxxxxxxxxxxxxxxxxxx").unwrap();
         match ColumnFile::open(&path) {
             Err(StorageError::Corrupt(_)) => {}
@@ -431,7 +414,7 @@ mod tests {
     #[test]
     fn type_mismatch_on_append() {
         let dir = TempDir::new("mismatch");
-        let path = dir.0.join("c.col");
+        let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Int64).unwrap();
         assert!(cf.append(&ColumnData::Float64(vec![1.0])).is_err());
     }
@@ -439,7 +422,7 @@ mod tests {
     #[test]
     fn disk_bytes_grows_with_data() {
         let dir = TempDir::new("size");
-        let path = dir.0.join("c.col");
+        let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Int64).unwrap();
         let empty = cf.disk_bytes();
         cf.append(&ColumnData::Int64(vec![0; 1000])).unwrap();

@@ -579,6 +579,7 @@ mod tests {
     use super::*;
     use crate::column::TextColumn;
     use crate::schema::TableClass;
+    use crate::tempdir::TempDir;
     use crate::value::DataType;
 
     fn f_schema() -> TableSchema {
@@ -724,8 +725,8 @@ mod tests {
 
     #[test]
     fn persistent_create_open_cycle() {
-        let dir = std::env::temp_dir().join(format!("somm-db-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("db");
+        let dir = tmp.join("db");
         {
             let db = Database::create(&dir, BufferPoolConfig::default()).unwrap();
             db.create_table(f_schema(), Disposition::Persistent).unwrap();
@@ -754,8 +755,8 @@ mod tests {
 
     #[test]
     fn drop_table_removes_files() {
-        let dir = std::env::temp_dir().join(format!("somm-dbdrop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("dbdrop");
+        let dir = tmp.join("db");
         let db = Database::create(&dir, BufferPoolConfig::default()).unwrap();
         db.create_table(f_schema(), Disposition::Persistent).unwrap();
         assert!(dir.join("tables").join("F").exists());

@@ -535,27 +535,21 @@ mod tests {
             ColumnData::Float64(v) => !v[a].is_nan() && v[a].to_bits() == v[b].to_bits(),
             ColumnData::Text(t) => t.codes[a] == t.codes[b],
         };
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut below = |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
+        let mut rng = crate::rng::Rng::new(0);
         for _ in 0..300 {
-            let n = 1 + below(200) as usize;
+            let n = 1 + rng.below(200);
             let mut lead = Vec::with_capacity(n);
             let (mut tail, mut floats, mut text) = (Vec::new(), Vec::new(), Vec::new());
             let floats_of = [0.0, -0.0, 1.5, f64::NAN];
             for _ in 0..n {
-                if lead.is_empty() || below(90) == 0 {
-                    lead.push(below(3) as i64);
+                if lead.is_empty() || rng.one_in(90) {
+                    lead.push(rng.range(0..3));
                 } else {
                     lead.push(*lead.last().unwrap());
                 }
-                tail.push(below(40) as i64 / 39);
-                floats.push(floats_of[usize::from(below(30) == 0) * (1 + below(3) as usize)]);
-                text.push(["a", "b"][usize::from(below(50) == 0)]);
+                tail.push(rng.range(0..40) / 39);
+                floats.push(floats_of[usize::from(rng.one_in(30)) * (1 + rng.below(3))]);
+                text.push(["a", "b"][usize::from(rng.one_in(50))]);
             }
             let cols = [
                 ColumnData::Int64(lead),

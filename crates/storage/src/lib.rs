@@ -29,6 +29,9 @@
 //! * [`order`] — the primary-key row order metadata tables keep, and
 //!   the comparisons readers binary-search it with.
 //! * [`sync`] — the one lock-poison policy, [`sync::unpoison`].
+//! * [`rng`] / [`tempdir`] — the one seeded generator (the dataset
+//!   generators' and the tests'), the property-case runner, and the
+//!   tests' scratch-directory guard.
 
 pub mod buffer;
 pub mod catalog;
@@ -39,9 +42,11 @@ pub mod error;
 pub mod index;
 pub mod order;
 pub mod page;
+pub mod rng;
 pub mod schema;
 pub mod sync;
 pub mod table;
+pub mod tempdir;
 pub mod time;
 pub mod value;
 

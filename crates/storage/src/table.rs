@@ -427,6 +427,7 @@ mod tests {
     use crate::buffer::BufferPoolConfig;
     use crate::column::TextColumn;
     use crate::schema::TableClass;
+    use crate::tempdir::TempDir;
     use crate::value::DataType;
 
     fn schema() -> TableSchema {
@@ -457,8 +458,7 @@ mod tests {
 
     #[test]
     fn persistent_roundtrip_and_reopen() {
-        let dir = std::env::temp_dir().join(format!("somm-table-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("table");
         let mut t = Table::new_persistent(schema(), &dir).unwrap();
         t.append(&batch()).unwrap();
         assert!(t.disk_bytes() > 0);
@@ -472,7 +472,6 @@ mod tests {
             ColumnData::Text(tc) => assert_eq!(tc.get(1), "FIAM"),
             other => panic!("unexpected {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -499,9 +498,7 @@ mod tests {
 
     #[test]
     fn open_detects_type_drift() {
-        let dir =
-            std::env::temp_dir().join(format!("somm-table-drift-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("table-drift");
         let mut t = Table::new_persistent(schema(), &dir).unwrap();
         t.append(&batch()).unwrap();
         let wrong = TableSchema::new("F", TableClass::MetadataGiven)
@@ -509,7 +506,6 @@ mod tests {
             .column("station", DataType::Text);
         let pool = BufferPool::new(BufferPoolConfig::default());
         assert!(Table::open_persistent(wrong, &dir, &pool).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A table keyed on `(station, ts)`, with a second integer column.
@@ -555,9 +551,7 @@ mod tests {
     #[test]
     fn merge_puts_every_row_in_key_order() {
         let pool = BufferPool::new(BufferPoolConfig::default());
-        let dir =
-            std::env::temp_dir().join(format!("somm-table-merge-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("table-merge");
         let schema = keyed(TableClass::MetadataDerived);
         for mut t in [
             Table::new_resident(schema.clone()).unwrap(),
@@ -585,7 +579,6 @@ mod tests {
         let t = Table::open_persistent(schema, &dir, &pool).unwrap();
         assert_eq!((t.rows(), t.order().pk_ordered), (5, true));
         assert_eq!(t.order().non_decreasing, vec![false, false, false]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A merge whose second column cannot be written leaves a
@@ -593,9 +586,7 @@ mod tests {
     #[test]
     fn failed_merge_leaves_the_table_intact() {
         let pool = BufferPool::new(BufferPoolConfig::default());
-        let dir = std::env::temp_dir()
-            .join(format!("somm-table-merge-fail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("table-merge-fail");
         let schema = keyed(TableClass::MetadataDerived);
         let mut t = Table::new_persistent(schema.clone(), &dir).unwrap();
         t.append(&rows(&["B", "C"], &[3, 4], &[1, 2])).unwrap();
@@ -619,6 +610,5 @@ mod tests {
         let reopened = Table::open_persistent(schema, &dir, &pool).unwrap();
         assert_eq!((reopened.rows(), reopened.order().pk_ordered), (3, true));
         assert_eq!(reopened.scan(&pool).unwrap()[2].as_i64().unwrap(), &[3, 1, 2]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,36 +2,36 @@
 //! round trips across page boundaries, catalog serialization, civil
 //! time conversion, and dictionary encoding.
 
-use proptest::prelude::*;
 use sommelier_storage::buffer::{BufferPool, BufferPoolConfig};
 use sommelier_storage::catalog::{Catalog, Disposition};
 use sommelier_storage::colfile::ColumnFile;
 use sommelier_storage::column::TextColumn;
+use sommelier_storage::rng::{check, Rng};
+use sommelier_storage::tempdir::TempDir;
 use sommelier_storage::time::{civil_from_days, days_from_civil, format_ts, parse_ts};
 use sommelier_storage::{ColumnData, DataType, TableClass, TableSchema};
-use std::path::PathBuf;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "somm-prop-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// `len` (drawn from `lens`) strings of `chars` letters from `alphabet`.
+fn words(
+    rng: &mut Rng,
+    lens: std::ops::Range<i64>,
+    chars: std::ops::RangeInclusive<i64>,
+    alphabet: &[u8],
+) -> Vec<String> {
+    (0..rng.range(lens.clone()))
+        .map(|_| (0..rng.range(chars.clone())).map(|_| rng.pick(alphabet) as char).collect())
+        .collect()
 }
 
-proptest! {
-    /// Writing any i64 column in arbitrary batches and reading any
-    /// sub-range returns exactly the written values.
-    #[test]
-    fn colfile_int_roundtrip(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(any::<i64>(), 0..3000), 1..5),
-        range in any::<(u16, u16)>(),
-    ) {
-        let dir = scratch("int");
+/// Writing any i64 column in arbitrary batches and reading any
+/// sub-range returns exactly the written values.
+#[test]
+fn colfile_int_roundtrip() {
+    check("colfile_int_roundtrip", |rng| {
+        let batches: Vec<Vec<i64>> = (0..rng.range(1..5))
+            .map(|_| (0..rng.range(0..3000)).map(|_| rng.next_u64() as i64).collect())
+            .collect();
+        let dir = TempDir::new("prop-int");
         let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Int64).unwrap();
         let mut all = Vec::new();
@@ -41,53 +41,55 @@ proptest! {
         }
         let pool = BufferPool::new(BufferPoolConfig::default());
         let back = cf.read_all(&pool).unwrap();
-        prop_assert_eq!(back.as_i64().unwrap(), &all[..]);
+        assert_eq!(back.as_i64().unwrap(), &all[..]);
         // Arbitrary range (clamped by the implementation).
-        let (a, b) = (range.0 as u64, range.1 as u64);
+        let (a, b) =
+            (rng.range(0..=u16::MAX as i64) as u64, rng.range(0..=u16::MAX as i64) as u64);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let sub = cf.read_range(&pool, lo, hi).unwrap();
         let lo_c = (lo as usize).min(all.len());
         let hi_c = (hi as usize).min(all.len());
-        prop_assert_eq!(sub.as_i64().unwrap(), &all[lo_c..hi_c.max(lo_c)]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        assert_eq!(sub.as_i64().unwrap(), &all[lo_c..hi_c.max(lo_c)]);
+    });
+}
 
-    /// Text columns round-trip through the dictionary-coded file,
-    /// including re-opening from disk.
-    #[test]
-    fn colfile_text_roundtrip(
-        strings in proptest::collection::vec("[a-z]{0,8}", 1..200),
-    ) {
-        let dir = scratch("text");
+/// Text columns round-trip through the dictionary-coded file,
+/// including re-opening from disk.
+#[test]
+fn colfile_text_roundtrip() {
+    check("colfile_text_roundtrip", |rng| {
+        let strings = words(rng, 1..200, 0..=8, b"abcdefghijklmnopqrstuvwxyz");
+        let dir = TempDir::new("prop-text");
         let path = dir.join("c.col");
         let mut cf = ColumnFile::create(&path, DataType::Text).unwrap();
-        let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
-        cf.append(&ColumnData::Text(TextColumn::from_strs(refs.iter().copied()))).unwrap();
+        cf.append(&ColumnData::Text(TextColumn::from_strs(
+            strings.iter().map(String::as_str),
+        )))
+        .unwrap();
         let pool = BufferPool::new(BufferPoolConfig::default());
         let reopened = ColumnFile::open(&path).unwrap();
         let back = reopened.read_all(&pool).unwrap();
         let got: Vec<String> = (0..back.len())
-            .map(|i| back.get(i).as_str().map(str::to_string).unwrap_or_else(|_| match back.get(i) {
+            .map(|i| match back.get(i) {
                 sommelier_storage::Value::Text(s) => s,
-                _ => unreachable!(),
-            }))
+                other => panic!("{other:?} is not text"),
+            })
             .collect();
-        prop_assert_eq!(got, strings);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        assert_eq!(got, strings);
+    });
+}
 
-    /// Catalog text serialization is loss-free for arbitrary schemas.
-    #[test]
-    fn catalog_roundtrip(
-        n_cols in 1usize..6,
-        pk in proptest::bool::ANY,
-        class_pick in 0u8..3,
-    ) {
-        let class = match class_pick {
-            0 => TableClass::MetadataGiven,
-            1 => TableClass::MetadataDerived,
-            _ => TableClass::ActualData,
-        };
+/// Catalog text serialization is loss-free for arbitrary schemas.
+#[test]
+fn catalog_roundtrip() {
+    check("catalog_roundtrip", |rng| {
+        let n_cols = rng.range(1..6) as usize;
+        let pk = rng.one_in(2);
+        let class = rng.pick(&[
+            TableClass::MetadataGiven,
+            TableClass::MetadataDerived,
+            TableClass::ActualData,
+        ]);
         let mut schema = TableSchema::new("T", class);
         for i in 0..n_cols {
             let dtype = match i % 4 {
@@ -105,45 +107,52 @@ proptest! {
         catalog.add_table(schema, Disposition::Persistent).unwrap();
         let text = catalog.serialize();
         let back = Catalog::deserialize(&text).unwrap();
-        prop_assert_eq!(back.serialize(), text);
+        assert_eq!(back.serialize(), text);
         let entry = back.get("T").unwrap();
-        prop_assert_eq!(entry.schema.columns.len(), n_cols);
-        prop_assert_eq!(entry.schema.class, class);
-    }
+        assert_eq!(entry.schema.columns.len(), n_cols);
+        assert_eq!(entry.schema.class, class);
+    });
+}
 
-    /// Civil-date conversion is a bijection over a wide day range.
-    #[test]
-    fn civil_days_bijection(day in -1_000_000i64..1_000_000) {
+/// Civil-date conversion is a bijection over a wide day range.
+#[test]
+fn civil_days_bijection() {
+    check("civil_days_bijection", |rng| {
+        let day = rng.range(-1_000_000..1_000_000);
         let (y, m, d) = civil_from_days(day);
-        prop_assert_eq!(days_from_civil(y, m, d), day);
-        prop_assert!((1..=12).contains(&m));
-        prop_assert!((1..=31).contains(&d));
-    }
+        assert_eq!(days_from_civil(y, m, d), day);
+        assert!((1..=12).contains(&m));
+        assert!((1..=31).contains(&d));
+    });
+}
 
-    /// Timestamp formatting parses back to the same instant.
-    #[test]
-    fn timestamp_format_parse_roundtrip(ms in -4_102_444_800_000i64..4_102_444_800_000) {
-        prop_assert_eq!(parse_ts(&format_ts(ms)).unwrap(), ms);
-    }
+/// Timestamp formatting parses back to the same instant.
+#[test]
+fn timestamp_format_parse_roundtrip() {
+    check("timestamp_format_parse_roundtrip", |rng| {
+        let ms = rng.range(-4_102_444_800_000..4_102_444_800_000);
+        assert_eq!(parse_ts(&format_ts(ms)).unwrap(), ms);
+    });
+}
 
-    /// Dictionary append between arbitrary columns preserves content.
-    #[test]
-    fn text_append_remap(
-        a in proptest::collection::vec("[a-d]{1,3}", 0..30),
-        b in proptest::collection::vec("[c-f]{1,3}", 0..30),
-    ) {
+/// Dictionary append between arbitrary columns preserves content.
+#[test]
+fn text_append_remap() {
+    check("text_append_remap", |rng| {
+        let a = words(rng, 0..30, 1..=3, b"abcd");
+        let b = words(rng, 0..30, 1..=3, b"cdef");
         let mut ca = TextColumn::from_strs(a.iter().map(|s| s.as_str()));
         let cb = TextColumn::from_strs(b.iter().map(|s| s.as_str()));
         ca.append(&cb);
         let want: Vec<&String> = a.iter().chain(b.iter()).collect();
-        prop_assert_eq!(ca.len(), want.len());
+        assert_eq!(ca.len(), want.len());
         for (i, w) in want.iter().enumerate() {
-            prop_assert_eq!(ca.get(i), w.as_str());
+            assert_eq!(ca.get(i), w.as_str());
         }
         // Dictionary stays minimal: only distinct strings.
         let mut distinct: Vec<&String> = want.clone();
         distinct.sort();
         distinct.dedup();
-        prop_assert_eq!(ca.dict.len(), distinct.len());
-    }
+        assert_eq!(ca.dict.len(), distinct.len());
+    });
 }

@@ -11,9 +11,9 @@
 //! 4. **Eviction frees memory only** — evicting a chunk keeps the DMd
 //!    derived from it, so Algorithm 1 never re-derives a covered window.
 
-use proptest::prelude::*;
 use sommelier_core::{LoadingMode, Metric, QueryType, Sommelier, SommelierConfig};
 use sommelier_integration::{fiam_repo, prepared, TempDir};
+use sommelier_storage::rng::check;
 use sommelier_storage::time::{days_from_civil, format_ts, MS_PER_DAY};
 use std::sync::Arc;
 
@@ -61,11 +61,10 @@ fn budgeted_config(budget: usize) -> SommelierConfig {
 fn budget_is_never_exceeded_and_answers_never_change() {
     let dir = TempDir::new("cellar-prop");
     let repo = fiam_repo(&dir, DAYS as u32, 64);
-    let queries_in = proptest::collection::vec((0i64..9, 1i64..4), 1..6);
-    let name = "budget_is_never_exceeded_and_answers_never_change";
-    proptest::TestRunner::for_property(name).run(|rng| {
-        let (queries, budget_kb) = (queries_in.generate(rng), (1usize..80).generate(rng));
-        let budget = budget_kb * 1024;
+    check("budget_is_never_exceeded_and_answers_never_change", |rng| {
+        let queries: Vec<(i64, i64)> =
+            (0..rng.range(1..6)).map(|_| (rng.range(0..9), rng.range(1..4))).collect();
+        let budget = rng.range(1..80) as usize * 1024;
         let bounded = prepared(&repo, LoadingMode::Lazy, budgeted_config(budget));
         let unbounded = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
         let cellar = bounded.cellar().expect("prepared");
@@ -74,13 +73,12 @@ fn budget_is_never_exceeded_and_answers_never_change() {
             let sql = t4_query(start, window);
             let got = bounded.query(&sql).unwrap();
             let want = unbounded.query(&sql).unwrap();
-            prop_assert_eq!(
+            assert_eq!(
                 canonical(&got.relation),
                 canonical(&want.relation),
-                "bounded vs unbounded diverged on {:?}",
-                sql
+                "bounded vs unbounded diverged on {sql:?}"
             );
-            prop_assert!(
+            assert!(
                 cellar.resident_bytes() <= budget,
                 "resident {} exceeds budget {} after {}",
                 cellar.resident_bytes(),
@@ -88,7 +86,6 @@ fn budget_is_never_exceeded_and_answers_never_change() {
                 sql
             );
         }
-        Ok(())
     });
 }
 

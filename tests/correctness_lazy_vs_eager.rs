@@ -5,6 +5,7 @@
 
 use sommelier_core::{LoadingMode, QueryType, SommelierConfig};
 use sommelier_integration::{ingv_repo, prepared, TempDir};
+use sommelier_storage::rng::Rng;
 use sommelier_storage::Value;
 
 /// The five benchmark queries over the same small dataset, then two
@@ -210,18 +211,6 @@ fn lazy_aggregate_matches_manual_recomputation() {
     assert!((a - s / n).abs() < 1e-9, "AVG {a} vs SUM/COUNT {}", s / n);
 }
 
-/// A small xorshift generator, so a failing window names its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 % n as u64) as usize
-    }
-}
-
 /// Seeded T4 and T5 windows that start and end on chunk boundaries
 /// (day starts) and segment boundaries (a segment's first sample, its
 /// last, the instant after it), one millisecond either side of them,
@@ -267,13 +256,13 @@ fn seeded_windows_on_chunk_and_segment_boundaries_agree() {
 
     let mut non_empty = 0;
     for seed in 1..=40u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let mut pick = || bounds[rng.below(bounds.len())] + [-1, 0, 0, 1][rng.below(4)];
+        let mut rng = Rng::new(seed);
+        let mut pick = || rng.pick(&bounds) + rng.pick(&[-1, 0, 0, 1]);
         let (a, b) = (pick(), pick());
         // One window in five is empty (it ends before it starts).
         let (lo, hi) =
             if seed % 5 == 0 { (a.max(b), a.min(b)) } else { (a.min(b), a.max(b)) };
-        let (lo_op, hi_op) = ([">=", ">"][rng.below(2)], ["<", "<="][rng.below(2)]);
+        let (lo_op, hi_op) = (rng.pick(&[">=", ">"]), rng.pick(&["<", "<="]));
         let (lo, hi) = (format_ts(lo), format_ts(hi));
         let sql = if seed % 4 == 3 {
             format!(

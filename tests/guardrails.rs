@@ -170,6 +170,15 @@
 //! (`AggState::update_f`/`update_i`) was removed; `agg.rs`'s tests keep
 //! it as their oracle under another name.
 //!
+//! Randomness has one source, `sommelier_storage::rng::Rng`
+//! (xoshiro256** seeded by splitmix64), and property tests one runner,
+//! `rng::check`: a fixed 64 cases per property, seeded from its name.
+//! The `rand` and `proptest` shims under `crates/shims/`, the seven
+//! private `struct Rng(u64)` generators and two inline xorshift
+//! closures of test code were removed, and so were six copies of the
+//! temp-dir guard (`TempDirGuard`, the server's `TestRepo`, ...): tests
+//! take `sommelier_storage::tempdir::TempDir`.
+//!
 //! This test scans every `crates/*/src/**/*.rs` file (comment lines
 //! skipped, so prose citing the paper's Recycler stays legal) and fails
 //! if any of those symbols reappear. A later deletion adds its own
@@ -319,6 +328,12 @@ const FORBIDDEN: &[(&str, &str)] = &[
     ("MetricsSnapshot::patch", "metrics_snapshot() is the registry's snapshot"),
     ("fn update_f(", "each aggregate folds only its own state, with its function's kernel"),
     ("fn update_i(", "each aggregate folds only its own state, with its function's kernel"),
+    ("use rand", "sommelier_storage::rng::Rng is the one generator"),
+    ("use proptest", "sommelier_storage::rng::check runs every property"),
+    ("SmallRng", "sommelier_storage::rng::Rng is the one generator"),
+    ("struct Rng(", "sommelier_storage::rng::Rng is the one generator"),
+    ("TempDirGuard", "sommelier_storage::tempdir::TempDir is the one temp-dir guard"),
+    ("struct TestRepo", "sommelier_storage::tempdir::TempDir is the one temp-dir guard"),
 ];
 
 /// The only product sources that may start threads: `(path prefix,
@@ -363,6 +378,8 @@ const DELETED_FILES: &[&str] = &[
     "crates/bench/benches/experiments.rs",
     "crates/shims/criterion/src/lib.rs",
     "crates/shims/parking_lot/src/lib.rs",
+    "crates/shims/rand/src/lib.rs",
+    "crates/shims/proptest/src/lib.rs",
 ];
 
 fn workspace_root() -> PathBuf {

@@ -18,6 +18,7 @@ use sommelier_integration::{
 };
 use sommelier_mseed::Repository;
 use sommelier_server::{Server, ServerError, SessionOptions, SubmitOptions};
+use sommelier_storage::rng::Rng;
 use sommelier_storage::sync::unpoison;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -348,25 +349,6 @@ fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
     );
 }
 
-/// Tiny deterministic PRNG (xorshift64*) so the chaos schedule is a
-/// pure function of its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// What the seeded schedule does with one submitted query.
 #[derive(Clone, Copy, Debug)]
 enum Action {
@@ -443,16 +425,16 @@ fn chaos_schedule_survivors_byte_identical_and_leak_free() {
     // The seeded schedule: 48 operations, each a (workload op, action)
     // pair, drawn deterministically. Same seed, same schedule.
     const SEED: u64 = 0x01ce_2015_c4a6;
-    let mut rng = Rng(SEED);
+    let mut rng = Rng::new(SEED);
     let ops: Vec<(usize, Action)> = (0..48)
         .map(|k| {
             // Every 8th op is the poison query; the rest spread over
             // the healthy workload.
-            let q = if k % 8 == 7 { poison_op } else { rng.below(poison_op as u64) as usize };
+            let q = if k % 8 == 7 { poison_op } else { rng.below(poison_op) };
             let action = match rng.below(10) {
                 0..=5 => Action::Wait,
-                6..=7 => Action::CancelAfter(rng.below(30)),
-                _ => Action::Timeout(1 + rng.below(40)),
+                6..=7 => Action::CancelAfter(rng.below(30) as u64),
+                _ => Action::Timeout(1 + rng.below(40) as u64),
             };
             (q, action)
         })
