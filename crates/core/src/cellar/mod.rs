@@ -614,13 +614,13 @@ impl Cellar {
         }
         self.enforce_budget_locked(&mut inner);
     }
-}
 
-impl ChunkResidency for Cellar {
+    /// Whether `uri` is decoded and resident (any source).
     fn is_resident(&self, uri: &str) -> bool {
         matches!(unpoison(self.inner.lock()).slots.get(uri), Some(Slot::Resident(_)))
     }
 
+    /// Why `uri` is quarantined by its source's registry, if it is.
     fn quarantined(&self, uri: &str) -> Option<String> {
         let &i = self.by_uri.get(uri)?;
         self.sources[i].registry.quarantined(uri)
@@ -681,33 +681,9 @@ impl ChunkResidency for Cellar {
         }
     }
 
-    fn all_chunks(&self) -> sommelier_engine::Result<Vec<String>> {
-        Ok(self
-            .sources
-            .iter()
-            .flat_map(|s| s.registry.entries().iter().map(|e| e.uri.clone()))
-            .collect())
-    }
-
-    fn zone_maps(&self, uri: &str) -> Option<Vec<ColumnZone>> {
-        let &i = self.by_uri.get(uri)?;
-        self.sources[i].registry.zones_of(uri)
-    }
-
-    fn zone_candidates(
-        &self,
-        constraints: &[sommelier_engine::ZoneConstraint],
-    ) -> Option<sommelier_engine::ZoneCandidates> {
-        // Candidate sets are per-registry; with several sources a set
-        // from one registry would wrongly exclude every other source's
-        // chunks. Single-source cellars answer; multi-source access
-        // goes through the per-source [`ScopedCellar`] views.
-        match self.sources.as_slice() {
-            [only] => only.registry.zone_candidates(constraints),
-            _ => None,
-        }
-    }
-
+    /// Submit the non-resident chunks of `uris` to the prefetch stage,
+    /// one plan per source; `None` when prefetch is off or nothing is
+    /// left to read.
     fn prefetch(
         &self,
         uris: &[String],
@@ -777,7 +753,7 @@ impl ChunkResidency for ScopedCellar {
     }
 
     fn quarantined(&self, uri: &str) -> Option<String> {
-        ChunkResidency::quarantined(&*self.cellar, uri)
+        self.cellar.quarantined(uri)
     }
 
     fn acquire_each(
@@ -901,12 +877,7 @@ mod tests {
 
     fn binding(fx: &Fixture) -> CellarSource {
         let adapter: Arc<dyn SourceAdapter> = Arc::clone(&fx.adapter) as _;
-        let source = Arc::new(AdapterChunkSource::new(
-            Arc::clone(&adapter),
-            Arc::clone(&fx.registry),
-            Arc::clone(&fx.db),
-            false,
-        ));
+        let source = Arc::new(AdapterChunkSource::new(adapter, Arc::clone(&fx.registry)));
         CellarSource {
             descriptor: Arc::new(fx.adapter.descriptor().clone()),
             registry: Arc::clone(&fx.registry),
@@ -1320,8 +1291,6 @@ mod tests {
         let source_b = Arc::new(AdapterChunkSource::new(
             Arc::clone(&adapter_b) as Arc<dyn SourceAdapter>,
             Arc::clone(&registry_b),
-            Arc::clone(&fx_a.db),
-            false,
         ));
         let binding_b = CellarSource {
             descriptor: Arc::new(adapter_b.descriptor().clone()),
@@ -1332,7 +1301,6 @@ mod tests {
             Arc::new(Cellar::new(vec![binding(&fx_a), binding_b], counted()).unwrap());
         // Overlapping registries are refused outright.
         assert!(Cellar::new(vec![binding(&fx_a), binding(&fx_a)], counted()).is_err());
-        assert_eq!(cellar.all_chunks().unwrap().len(), 3, "two sources united");
         assert_eq!(cellar.scoped(0).all_chunks().unwrap().len(), 2);
         assert_eq!(cellar.scoped(1).all_chunks().unwrap().len(), 1);
         // Acquiring through a scoped view still shares the one budget.
@@ -1353,13 +1321,8 @@ mod tests {
         let injector = Arc::new(FaultInjector::new(plan));
         let adapter: Arc<dyn SourceAdapter> = Arc::clone(&fx.adapter) as _;
         let source = Arc::new(
-            AdapterChunkSource::new(
-                Arc::clone(&adapter),
-                Arc::clone(&fx.registry),
-                Arc::clone(&fx.db),
-                false,
-            )
-            .with_faults(Some(Arc::clone(&injector))),
+            AdapterChunkSource::new(adapter, Arc::clone(&fx.registry))
+                .with_faults(Some(Arc::clone(&injector))),
         );
         let binding = CellarSource {
             descriptor: Arc::new(fx.adapter.descriptor().clone()),
@@ -1410,10 +1373,7 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::Transient, "{err}");
         assert!(err.to_string().contains(&all[0]), "{err}");
         assert_eq!(cellar.total_pins(), 0, "failed acquisition leaked pins");
-        assert!(
-            ChunkResidency::quarantined(&cellar, &all[0]).is_none(),
-            "transient failures never quarantine"
-        );
+        assert!(cellar.quarantined(&all[0]).is_none(), "transient failures never quarantine");
         let delivered = AtomicU64::new(0);
         let sink = |_i: usize, a: AcquiredChunk| {
             assert!(a.loaded && a.skipped.is_none());
@@ -1439,9 +1399,9 @@ mod tests {
         );
         assert_eq!(err.kind(), ErrorKind::Permanent);
         assert_eq!(cellar.total_pins(), 0);
-        let reason = ChunkResidency::quarantined(&cellar, &all[0]).expect("quarantined");
+        let reason = cellar.quarantined(&all[0]).expect("quarantined");
         assert!(reason.contains("bad magic"), "{reason}");
-        assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_none());
+        assert!(cellar.quarantined(&all[1]).is_none());
         // Skip mode: the batch completes, the corrupt chunk becomes a
         // schema-correct empty placeholder carrying the reason.
         let policy = SchedPolicy {
@@ -1489,7 +1449,7 @@ mod tests {
         assert_eq!(skipped[0].0, 1, "slot 1 carries the skip");
         assert!(skipped[0].1.contains("bad magic"));
         assert_eq!(cellar.total_pins(), 0);
-        assert!(ChunkResidency::quarantined(&cellar, &all[1]).is_some());
+        assert!(cellar.quarantined(&all[1]).is_some());
     }
 
     /// A relation's columns, floats by their bit patterns.
@@ -1643,9 +1603,6 @@ mod tests {
         canceller.join().unwrap();
         assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
         assert_eq!(cellar.total_pins(), 0, "cancelled wave leaked pins");
-        assert!(
-            ChunkResidency::quarantined(&cellar, &all[0]).is_none(),
-            "cancellation never quarantines"
-        );
+        assert!(cellar.quarantined(&all[0]).is_none(), "cancellation never quarantines");
     }
 }

@@ -15,7 +15,7 @@ use sommelier_engine::{
     CmpOp, ColumnZone, EngineError, Metric, Obs, Relation, ZoneCandidates, ZoneConstraint,
 };
 use sommelier_storage::sync::unpoison;
-use sommelier_storage::{DataType, Database, Value};
+use sommelier_storage::{DataType, Value};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -542,10 +542,6 @@ impl ChunkRegistry {
 pub struct AdapterChunkSource {
     adapter: Arc<dyn SourceAdapter>,
     registry: Arc<ChunkRegistry>,
-    db: Arc<Database>,
-    /// Verify FK integrity of every ingested row against the metadata
-    /// PK indices — the work the paper's lazy variant skips (§VI-A).
-    verify_fk: bool,
     /// Where `decode.*` and `fault.faults_injected` are counted
     /// ([`Self::with_obs`]; detached by default).
     obs: Obs,
@@ -559,17 +555,10 @@ pub struct AdapterChunkSource {
 
 impl AdapterChunkSource {
     /// Create a source over `registry`, decoding through `adapter`.
-    pub fn new(
-        adapter: Arc<dyn SourceAdapter>,
-        registry: Arc<ChunkRegistry>,
-        db: Arc<Database>,
-        verify_fk: bool,
-    ) -> Self {
+    pub fn new(adapter: Arc<dyn SourceAdapter>, registry: Arc<ChunkRegistry>) -> Self {
         AdapterChunkSource {
             adapter,
             registry,
-            db,
-            verify_fk,
             obs: Obs::off(),
             faults: None,
             prefetch: None,
@@ -629,27 +618,6 @@ impl AdapterChunkSource {
             .ok_or_else(|| EngineError::Chunk(format!("chunk {uri:?} is not registered")))
     }
 
-    /// Probe every foreign key of the actual-data table against its
-    /// parent's primary-key index (schema-driven; no format knowledge).
-    fn verify(&self, rel: &Relation) -> sommelier_engine::Result<()> {
-        if !self.verify_fk {
-            return Ok(());
-        }
-        let d = self.adapter.descriptor();
-        let schema = self
-            .db
-            .table_schema(&d.ad_table)
-            .map_err(|e| EngineError::Chunk(e.to_string()))?;
-        for fk in &schema.foreign_keys {
-            let [col] = fk.columns.as_slice() else { continue };
-            let keys = rel.column(&format!("{}.{col}", d.ad_table))?.as_i64()?.to_vec();
-            self.db.pk_probe_i64(&fk.parent_table, &keys).map_err(|e| {
-                EngineError::Chunk(format!("lazy FK verification failed: {e}"))
-            })?;
-        }
-        Ok(())
-    }
-
     /// Ingest one chunk, full width, as a relation in the actual-data
     /// table's schema (qualified column names, e.g. `D.sample_time`).
     /// The cellar retains it for later queries over any column set.
@@ -666,7 +634,6 @@ impl AdapterChunkSource {
         let t = Instant::now();
         let rel = self.adapter.decode_bytes(entry, raw, None)?;
         let decode_ns = t.elapsed().as_nanos() as u64;
-        self.verify(&rel)?;
         let o = &self.obs;
         o.count(Metric::DecodeChunks, 1);
         o.count(Metric::DecodeRows, rel.rows() as u64);

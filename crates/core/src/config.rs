@@ -8,6 +8,12 @@ use sommelier_engine::ObsLevel;
 pub const DEFAULT_CELLAR_BYTES: usize = 256 * 1024 * 1024;
 
 /// Configuration of a [`crate::Sommelier`] instance.
+///
+/// What the loaded system already determines is not configured: lazy
+/// chunk loads skip FK checks ("safe by design", §VI-A), a join runs as
+/// an index join wherever the loading mode built the join index, and
+/// queued morsel batches gain one priority rank per
+/// [`sommelier_engine::sched::DEFAULT_AGING`] of queue wait.
 #[derive(Debug, Clone)]
 pub struct SommelierConfig {
     /// Buffer-pool capacity for persistent base tables (bytes).
@@ -23,10 +29,6 @@ pub struct SommelierConfig {
     /// `zone_map_pruning` pass). Kept as a knob: turned off, it is the
     /// reference the optimizer equivalence tests compare against.
     pub zone_map_pruning: bool,
-    /// Verify FK constraints when lazily ingesting chunks. The paper
-    /// omits them ("safe by design", §VI-A); enabling this is the
-    /// ablation knob.
-    pub verify_lazy_fk: bool,
     /// Worker threads: the size of the shared morsel pool that runs
     /// every query's decode waves (one task per chunk) and per-chunk
     /// pipelines, hence the cap on workers per wave, and `prepare`'s
@@ -44,12 +46,6 @@ pub struct SommelierConfig {
     /// Admission control: queries queued beyond this limit are rejected
     /// with a typed "overloaded" error instead of waiting.
     pub admission_queue_limit: usize,
-    /// Scheduler priority aging: a queued morsel batch gains one
-    /// priority rank per this many milliseconds of queue wait
-    /// (saturating at `High`), so a saturating high-priority tenant
-    /// cannot starve `Low` sessions forever. `0` disables aging
-    /// (strict priority order).
-    pub sched_aging_ms: u64,
     /// Deterministic fault injection at the chunk-load seam (default
     /// off — `None`), the one way to slow or fail a chunk load: tests
     /// and benches use it to make transient IO errors, corrupt
@@ -90,12 +86,10 @@ impl Default for SommelierConfig {
             buffer_pool_bytes: 256 * 1024 * 1024,
             cellar_bytes: None,
             zone_map_pruning: true,
-            verify_lazy_fk: false,
             max_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8),
             observability: ObsLevel::Counters,
             admission_max_concurrent: 32,
             admission_queue_limit: 1024,
-            sched_aging_ms: 100,
             fault_plan: None,
             io_retry: RetryPolicy::default(),
             prefetch_depth: 2,
@@ -111,13 +105,11 @@ mod tests {
     fn defaults_are_sensible() {
         let c = SommelierConfig::default();
         assert!(c.buffer_pool_bytes > 0);
-        assert!(!c.verify_lazy_fk);
         assert_eq!(c.effective_cellar_bytes(), DEFAULT_CELLAR_BYTES);
         let c = SommelierConfig { cellar_bytes: Some(1234), ..c };
         assert_eq!(c.effective_cellar_bytes(), 1234);
         assert!(c.admission_max_concurrent > 0);
         assert!(c.admission_queue_limit > 0);
-        assert!(c.sched_aging_ms > 0, "aging is on by default (bounded starvation)");
         assert!(c.fault_plan.is_none(), "fault injection is off by default");
         assert!(c.io_retry.max_attempts > 1, "transient failures retry by default");
         assert!(c.prefetch_depth > 0, "prefetch is on by default");

@@ -340,9 +340,8 @@ impl SommelierBuilder {
         // Every subsystem counts into this one registry.
         let metrics = Arc::new(MetricsRegistry::new());
         let scheduler = if self.config.max_threads > 1 {
-            Some(Arc::new(MorselScheduler::with_aging(
+            Some(Arc::new(MorselScheduler::new(
                 self.config.max_threads,
-                std::time::Duration::from_millis(self.config.sched_aging_ms),
                 Arc::clone(&metrics),
             )))
         } else {
@@ -724,15 +723,10 @@ impl Sommelier {
             .zip(registries)
             .map(|(s, registry)| {
                 let source = Arc::new(
-                    AdapterChunkSource::new(
-                        Arc::clone(&s.adapter),
-                        Arc::clone(registry),
-                        Arc::clone(&self.db),
-                        self.config.verify_lazy_fk,
-                    )
-                    .with_obs(&obs)
-                    .with_faults(self.fault_injector.clone())
-                    .with_prefetch(self.prefetch.clone()),
+                    AdapterChunkSource::new(Arc::clone(&s.adapter), Arc::clone(registry))
+                        .with_obs(&obs)
+                        .with_faults(self.fault_injector.clone())
+                        .with_prefetch(self.prefetch.clone()),
                 );
                 CellarSource {
                     descriptor: Arc::clone(&s.descriptor),
@@ -856,10 +850,9 @@ impl Sommelier {
         }
     }
 
-    fn two_stage_config(&self, mode: LoadingMode, source_idx: usize) -> TwoStageConfig {
+    fn two_stage_config(&self, source_idx: usize) -> TwoStageConfig {
         TwoStageConfig {
             zone_map_pruning: self.config.zone_map_pruning,
-            use_index_joins: mode.builds_indices(),
             uri_column: self.sources[source_idx].descriptor.uri_column(),
             obs: Obs::off(),
             sched: self.pool_policy(),
@@ -877,7 +870,7 @@ impl Sommelier {
     /// derivation queries run as children of it.
     fn run(&self, plan: QueryPlan, ctx: RunCtx<'_>) -> Result<QueryResult> {
         let (_, cellar) = self.prepared_info()?;
-        let mut ts_config = self.two_stage_config(plan.mode, plan.source_idx);
+        let mut ts_config = self.two_stage_config(plan.source_idx);
         let sched = &mut ts_config.sched;
         // `top` holds a top-level query's options; a derivation child
         // has none.
@@ -1121,7 +1114,7 @@ impl Sommelier {
             None,
             None,
             logical.qf().map(|_| 0),
-            &self.two_stage_config(plan.mode, plan.source_idx),
+            &self.two_stage_config(plan.source_idx),
         )?;
         // Stage-2 trace, annotated: the zone-index candidate count is a
         // stage-1 quantity the registry can answer statically, so

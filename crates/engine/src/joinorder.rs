@@ -26,9 +26,9 @@ use crate::spec::{OutputExpr, QuerySpec};
 /// How to plan a query.
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
-    /// Metadata-first (two-stage) shape vs. traditional shape.
-    pub metadata_first: bool,
-    /// Emit `LazyScan` leaves for actual-data tables (lazy loading).
+    /// Lazy loading: the metadata-first (two-stage) shape with
+    /// `LazyScan` leaves for actual-data tables, vs. the traditional
+    /// shape over fully loaded tables.
     pub lazy: bool,
     /// Extra columns the `Qf` output must retain (e.g. `F.uri` and
     /// `F.file_id` so the run-time optimizer can name the chunks).
@@ -39,7 +39,6 @@ impl PlanOptions {
     /// The paper's lazy two-stage planning.
     pub fn lazy(qf_extra: &[&str]) -> Self {
         PlanOptions {
-            metadata_first: true,
             lazy: true,
             qf_extra_columns: qf_extra.iter().map(|s| s.to_string()).collect(),
         }
@@ -47,7 +46,7 @@ impl PlanOptions {
 
     /// Traditional planning over fully loaded tables.
     pub fn eager() -> Self {
-        PlanOptions { metadata_first: false, lazy: false, qf_extra_columns: Vec::new() }
+        PlanOptions { lazy: false, qf_extra_columns: Vec::new() }
     }
 }
 
@@ -55,7 +54,7 @@ impl PlanOptions {
 /// (join tree + aggregation/projection/ordering).
 pub fn plan_query(spec: &QuerySpec, opts: &PlanOptions) -> Result<LogicalPlan> {
     let graph = QueryGraph::from_spec(spec)?;
-    let join_tree = if opts.metadata_first {
+    let join_tree = if opts.lazy {
         order_metadata_first(&graph, spec, opts)?
     } else {
         order_traditional(&graph, spec)?

@@ -148,8 +148,8 @@ pub fn compile_plan(
 
 /// The stage-2 rewrite: logical plan + run-time chunk list → physical
 /// plan, through `zone_map_pruning`, `chunk_rewrite` and
-/// `partial_agg_fusion` in order. Reads `zone_map_pruning` and
-/// `use_index_joins` from `config`.
+/// `partial_agg_fusion` in order. Reads `zone_map_pruning` from
+/// `config`.
 pub fn rewrite_stage2(
     plan: &LogicalPlan,
     db: &Database,
@@ -170,7 +170,7 @@ pub fn rewrite_stage2(
         ))
     })?;
     let physical = run_pass(&mut trace, "chunk_rewrite", || {
-        chunk_rewrite(plan, db, chunks.as_deref(), qf_result_id, config.use_index_joins)
+        chunk_rewrite(plan, db, chunks.as_deref(), qf_result_id)
     })?;
     let physical =
         run_pass(&mut trace, "partial_agg_fusion", || Ok(partial_agg_fusion(physical)))?;

@@ -19,7 +19,7 @@ pub fn join_order(
     opts: &PlanOptions,
 ) -> Result<(LogicalPlan, bool, String)> {
     let plan = plan_query(spec, opts)?;
-    let detail = if opts.metadata_first {
+    let detail = if opts.lazy {
         match plan.qf() {
             Some(qf) => format!(
                 "metadata-first: Qf over [{}]{}",
@@ -198,15 +198,14 @@ fn conjunct_contradicted(conjunct: &Expr, zones: &[ColumnZone]) -> bool {
 /// `scan(a)` becomes the union of cache-scans and chunk-accesses over
 /// the stage-1 chunk list, with the scan's selection pushed into each
 /// access, and the plan lowers to physical operators (`QfMark` →
-/// result-scan, index joins where available).
+/// result-scan, index joins where `db` holds the join index).
 pub fn chunk_rewrite(
     plan: &LogicalPlan,
     db: &Database,
     chunks: Option<&[ChunkRef]>,
     qf_result_id: Option<usize>,
-    use_index_joins: bool,
 ) -> Result<(PhysicalPlan, bool, String)> {
-    let opts = LowerOptions { db, use_index_joins, lazy_chunks: chunks, qf_result_id };
+    let opts = LowerOptions { db, lazy_chunks: chunks, qf_result_id };
     let phys = lower(plan, &opts)?;
     Ok(match chunks {
         Some(chunks) => {

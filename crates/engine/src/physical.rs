@@ -225,10 +225,9 @@ fn write_ranges(f: &mut fmt::Formatter<'_>, pad: &str, pred: &Expr) -> fmt::Resu
 
 /// Options controlling logical → physical lowering.
 pub struct LowerOptions<'a> {
-    /// The database (for index lookups).
+    /// The database: a join lowers to an index join where it holds the
+    /// FK join index (only the *eager index* variants build one).
     pub db: &'a Database,
-    /// Use FK join indices where available (the *eager index* variant).
-    pub use_index_joins: bool,
     /// Expansion of [`LogicalPlan::LazyScan`]: the chunk list computed
     /// by the run-time optimizer. `None` means lazy scans are an error
     /// (stage-1 lowering and eager plans).
@@ -279,12 +278,12 @@ pub fn lower(plan: &LogicalPlan, opts: &LowerOptions) -> Result<PhysicalPlan> {
         LogicalPlan::Join { left, right, left_keys, right_keys } => {
             // Index-join detection: child chain ⋈ parent base scan on a
             // simple FK → PK column equality, with the join index built.
-            if opts.use_index_joins {
-                if let (
-                    Some(child_table),
-                    LogicalPlan::Scan { table: parent, columns, predicate },
-                ) = (provenance_table(left), &**right)
-                {
+            if let (
+                Some(child_table),
+                LogicalPlan::Scan { table: parent, columns, predicate },
+            ) = (provenance_table(left), &**right)
+            {
+                if opts.db.join_index(child_table, parent).is_some() {
                     let simple = left_keys.iter().zip(right_keys).all(|(l, r)| {
                         matches!(
                             (l, r),
@@ -293,7 +292,7 @@ pub fn lower(plan: &LogicalPlan, opts: &LowerOptions) -> Result<PhysicalPlan> {
                                     && b.starts_with(&format!("{parent}."))
                         )
                     });
-                    if simple && opts.db.join_index(child_table, parent).is_some() {
+                    if simple {
                         return Ok(PhysicalPlan::IndexJoin {
                             child: Box::new(lower(left, opts)?),
                             child_table: child_table.to_string(),
@@ -752,7 +751,7 @@ mod tests {
     use sommelier_storage::catalog::Disposition;
     use sommelier_storage::{ColumnData, ConstraintPolicy, TableClass, TableSchema};
 
-    fn db_with_index() -> Database {
+    fn db_without_index() -> Database {
         let db = Database::in_memory(BufferPoolConfig::default());
         db.create_table(
             TableSchema::new("F", TableClass::MetadataGiven)
@@ -770,6 +769,11 @@ mod tests {
         .unwrap();
         db.append("F", &[ColumnData::Int64(vec![1, 2])], ConstraintPolicy::all()).unwrap();
         db.append("D", &[ColumnData::Int64(vec![1, 2, 1])], ConstraintPolicy::all()).unwrap();
+        db
+    }
+
+    fn db_with_index() -> Database {
+        let db = db_without_index();
         db.build_join_indices("D").unwrap();
         db
     }
@@ -794,18 +798,14 @@ mod tests {
     #[test]
     fn index_join_selected_when_available() {
         let db = db_with_index();
-        let opts = LowerOptions {
-            db: &db,
-            use_index_joins: true,
-            lazy_chunks: None,
-            qf_result_id: None,
-        };
+        let opts = LowerOptions { db: &db, lazy_chunks: None, qf_result_id: None };
         let phys = lower(&join_plan(), &opts).unwrap();
         assert!(matches!(phys, PhysicalPlan::IndexJoin { .. }), "got {phys}");
-        // Disabled: falls back to hash join.
-        let opts = LowerOptions { use_index_joins: false, ..opts };
+        // No join index built: falls back to hash join.
+        let db = db_without_index();
+        let opts = LowerOptions { db: &db, ..opts };
         let phys = lower(&join_plan(), &opts).unwrap();
-        assert!(matches!(phys, PhysicalPlan::HashJoin { .. }));
+        assert!(matches!(phys, PhysicalPlan::HashJoin { .. }), "got {phys}");
     }
 
     /// Fusion records the references that can name a build column:
@@ -856,12 +856,7 @@ mod tests {
     #[test]
     fn lazy_scan_without_chunks_is_error() {
         let db = db_with_index();
-        let opts = LowerOptions {
-            db: &db,
-            use_index_joins: false,
-            lazy_chunks: None,
-            qf_result_id: None,
-        };
+        let opts = LowerOptions { db: &db, lazy_chunks: None, qf_result_id: None };
         let plan = LogicalPlan::LazyScan {
             table: "D".into(),
             columns: vec!["D.file_id".into()],
@@ -877,12 +872,8 @@ mod tests {
             ChunkRef { uri: "a.msd".into(), cached: false },
             ChunkRef { uri: "b.msd".into(), cached: true },
         ];
-        let opts = LowerOptions {
-            db: &db,
-            use_index_joins: false,
-            lazy_chunks: Some(&chunks),
-            qf_result_id: Some(0),
-        };
+        let opts =
+            LowerOptions { db: &db, lazy_chunks: Some(&chunks), qf_result_id: Some(0) };
         let plan = LogicalPlan::QfMark {
             input: Box::new(LogicalPlan::Scan {
                 table: "F".into(),

@@ -122,11 +122,6 @@ impl Relation {
         self.provenance.as_ref()
     }
 
-    /// Drop provenance (after joins and projections that break it).
-    pub fn clear_provenance(&mut self) {
-        self.provenance = None;
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.cols.first().map_or(0, |(_, c)| c.len())
@@ -145,14 +140,6 @@ impl Relation {
     /// The columns (name, shared data) in order.
     pub fn columns(&self) -> &[(String, Arc<ColumnData>)] {
         &self.cols
-    }
-
-    /// Mutable access (used by union assembly). Writing through a
-    /// shared column copies it first ([`Arc::make_mut`]).
-    pub fn columns_mut(&mut self) -> &mut Vec<(String, Arc<ColumnData>)> {
-        self.provenance = None;
-        self.sorted = 0;
-        &mut self.cols
     }
 
     /// Resolve `name` to a column position: exact match first, then an

@@ -263,14 +263,9 @@ struct BatchCore {
 impl BatchCore {
     /// Scheduling score under aging: the base priority rank, boosted by
     /// one rank per `aging` waited in the queue (saturating at High).
-    /// `aging == 0` disables the boost — strict priority order.
     fn score(&self, aging: Duration) -> u64 {
-        let base = self.priority.rank();
-        if aging.is_zero() {
-            return base;
-        }
         let boost = (self.enqueued.elapsed().as_nanos() / aging.as_nanos().max(1)) as u64;
-        base.saturating_add(boost).min(Priority::High.rank())
+        self.priority.rank().saturating_add(boost).min(Priority::High.rank())
     }
 }
 
@@ -306,28 +301,22 @@ pub struct MorselScheduler {
     next_seq: AtomicU64,
 }
 
-/// Default queue wait that promotes a batch by one priority rank.
+/// The queue wait that promotes a batch by one priority rank.
 /// Bounds starvation: a `Low` batch outranks freshly queued `High`
 /// work after at most `2 * DEFAULT_AGING` in the queue.
 pub const DEFAULT_AGING: Duration = Duration::from_millis(100);
 
 impl MorselScheduler {
-    /// Spawn a pool of `workers` (min 1) persistent threads with the
-    /// default aging quantum ([`DEFAULT_AGING`]), counting into
-    /// `metrics`.
+    /// Spawn a pool of `workers` (min 1) persistent threads that age
+    /// queued batches by [`DEFAULT_AGING`], counting into `metrics`.
     pub fn new(workers: usize, metrics: Arc<MetricsRegistry>) -> Self {
         Self::with_aging(workers, DEFAULT_AGING, metrics)
     }
 
     /// Spawn a pool whose queued batches gain one priority rank per
-    /// `aging` waited (zero disables aging — strict priority order,
-    /// the pre-aging behavior, under which a saturating `High` tenant
-    /// starves `Low` forever).
-    pub fn with_aging(
-        workers: usize,
-        aging: Duration,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Self {
+    /// `aging` waited: [`DEFAULT_AGING`] outside this module's tests,
+    /// which age faster.
+    fn with_aging(workers: usize, aging: Duration, metrics: Arc<MetricsRegistry>) -> Self {
         let workers = workers.max(1);
         metrics.set(Metric::SchedWorkers, workers as u64);
         let shared = Arc::new(SchedShared {
@@ -844,8 +833,7 @@ mod tests {
             run: |_, _| {},
             ctx: std::ptr::null(),
         };
-        assert_eq!(core.score(Duration::ZERO), Priority::Low.rank());
-        // With aging, a long wait saturates at High's rank, never above.
+        // A long wait saturates at High's rank, never above.
         assert_eq!(core.score(Duration::from_millis(10)), Priority::High.rank());
     }
 

@@ -236,8 +236,6 @@ pub struct TwoStageConfig {
     /// Drop chunks whose zone maps contradict the pushed-down predicate
     /// before any decode is scheduled (the `zone_map_pruning` pass).
     pub zone_map_pruning: bool,
-    /// Use FK join indices where available (eager-index plans).
-    pub use_index_joins: bool,
     /// Which `Qf` output column carries the chunk URI. There is no
     /// meaningful default — the caller takes it from its source
     /// descriptor (e.g. `F.uri` for the mSEED adapter); plans with lazy
@@ -259,7 +257,6 @@ impl Default for TwoStageConfig {
     fn default() -> Self {
         TwoStageConfig {
             zone_map_pruning: true,
-            use_index_joins: false,
             uri_column: String::new(),
             obs: Obs::off(),
             sched: SchedPolicy::default(),
@@ -362,12 +359,7 @@ pub fn execute_plan(
         Some(qf) => {
             // Ambient, so each scan's access-path span nests under it.
             let stage1 = StageTimer::ambient(tracer, "stage1", Instant::now());
-            let opts = LowerOptions {
-                db,
-                use_index_joins: config.use_index_joins,
-                lazy_chunks: None,
-                qf_result_id: None,
-            };
+            let opts = LowerOptions { db, lazy_chunks: None, qf_result_id: None };
             let phys = lower(qf, &opts)?;
             let rf = execute(&phys, &ctx)?;
             let rows = Some(rf.rows() as u64);

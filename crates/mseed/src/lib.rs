@@ -27,13 +27,10 @@
 //! * [`repo`] — dataset specifications matching the paper's Table II
 //!   structure (sf-1/3/9/27 with 160/484/1464/4384 files; the
 //!   single-station FIAM variant) and the on-disk repository.
-//! * [`csv`] — CSV export/import used by the *eager csv* loading
-//!   baseline.
 //! * [`adapter`] — the [`MseedAdapter`] plugging this format into the
 //!   `sommelier-core` source-adapter API.
 
 pub mod adapter;
-pub mod csv;
 pub mod error;
 pub mod format;
 pub mod gen;

@@ -426,12 +426,6 @@ impl Database {
         })
     }
 
-    /// Build the PK hash index of `name` (idempotent).
-    pub fn build_pk_index(&self, name: &str) -> Result<()> {
-        let mut inner = unpoison(self.inner.write());
-        Self::ensure_pk_built(&self.pool, &mut inner, name)
-    }
-
     /// Build every FK join index of `name` (the paper's *eager index*
     /// step). Verifies referential integrity as a side effect.
     pub fn build_join_indices(&self, name: &str) -> Result<()> {
@@ -480,36 +474,6 @@ impl Database {
         };
         self.drop_table(name)?;
         self.create_table(schema, disposition)
-    }
-
-    /// Probe `table`'s primary-key index with every key in `keys`
-    /// (single-column integer PKs), failing on the first absent key.
-    /// This is the per-row verification work the paper's lazy variant
-    /// skips when ingesting chunks (§VI-A); exposed for the ablation.
-    pub fn pk_probe_i64(&self, table: &str, keys: &[i64]) -> Result<()> {
-        {
-            let mut inner = unpoison(self.inner.write());
-            Self::ensure_pk_built(&self.pool, &mut inner, table)?;
-        }
-        let inner = unpoison(self.inner.read());
-        let state = inner
-            .tables
-            .get(table)
-            .ok_or_else(|| StorageError::Catalog(format!("no such table {table:?}")))?;
-        let pk = state.pk.as_ref().ok_or_else(|| {
-            StorageError::Constraint(format!("table {table} has no primary key"))
-        })?;
-        let probe = ColumnData::Int64(keys.to_vec());
-        let probe_refs: [&ColumnData; 1] = [&probe];
-        let parent_refs: Vec<&ColumnData> = pk.cols.iter().collect();
-        for (r, key) in keys.iter().enumerate() {
-            if pk.index.probe(&parent_refs, &probe_refs, r).next().is_none() {
-                return Err(StorageError::Constraint(format!(
-                    "key {key} not present in {table}"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// The FK join index from `child` to `parent`, if built.

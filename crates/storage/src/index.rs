@@ -22,9 +22,9 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// A multiply-shift hasher for the single-`i64`-key fast lane. SipHash
 /// (the default hasher) costs more than the rest of a probe put
 /// together on the decode/ingest hot path — every chunk probes the
-/// shared join build side, and FK verification probes every ingested
-/// row. HashDoS resistance is irrelevant here: keys are system-assigned
-/// ids, not attacker-controlled input.
+/// shared join build side, and eager FK verification probes every
+/// appended row. HashDoS resistance is irrelevant here: keys are
+/// system-assigned ids, not attacker-controlled input.
 #[derive(Default)]
 pub struct I64KeyHasher(u64);
 

@@ -104,11 +104,6 @@ impl Value {
         }
     }
 
-    /// True if this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Interpret as `i64` (ints and timestamps).
     pub fn as_i64(&self) -> Result<i64> {
         match self {

@@ -1,5 +1,6 @@
-//! The design-choice ablations, as correctness tests: FK verification
-//! on lazy loads and index joins — every knob must preserve answers.
+//! The design-choice ablations, as correctness tests: index joins (the
+//! eager-index variant's plans) and a one-byte cellar must preserve
+//! answers.
 //!
 //! The `serial ≡ parallel` suite additionally pins down the strongest
 //! guarantee of the morsel-parallel stage 2: per-chunk partial
@@ -21,19 +22,6 @@ const Q: &str = "SELECT AVG(D.sample_value) FROM dataview \
                  AND D.sample_time < '2010-01-05T00:00:00.000'";
 
 #[test]
-fn lazy_fk_verification_passes_on_consistent_data() {
-    // The paper omits FK checks as "safe by design"; with the checks
-    // turned on, system-generated keys must indeed verify.
-    let dir = TempDir::new("fkverify");
-    let repo = fiam_repo(&dir, 3, 32);
-    let config = SommelierConfig { verify_lazy_fk: true, ..SommelierConfig::default() };
-    let somm = prepared(&repo, LoadingMode::Lazy, config);
-    let r = somm.query(Q).unwrap();
-    assert!(r.stats.files_loaded > 0);
-    assert!(scalar_f64(&r, "avg").is_some());
-}
-
-#[test]
 fn index_joins_agree_with_hash_joins() {
     let dir = TempDir::new("indexjoin");
     let repo = ingv_repo(&dir, 3, 64);
@@ -46,9 +34,14 @@ fn index_joins_agree_with_hash_joins() {
     let a = scalar_f64(&plain.query(sql).unwrap(), "avg").unwrap();
     let b = scalar_f64(&index.query(sql).unwrap(), "avg").unwrap();
     assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-    // The index variant did build its join indices.
+    // The index variant did build its join indices, and its plan
+    // probes them; the plain variant, which builds none, hash-joins.
     assert!(index.db().join_index("D", "F").is_some());
     assert!(index.db().join_index("D", "S").is_some());
+    let index_plan = index.explain(sql).unwrap();
+    assert!(index_plan.contains("IndexJoin D -> F"), "{index_plan}");
+    let plain_plan = plain.explain(sql).unwrap();
+    assert!(!plain_plan.contains("IndexJoin"), "{plain_plan}");
 }
 
 #[test]
@@ -247,19 +240,15 @@ fn serial_and_parallel_byte_identical_under_tight_cellar_budget() {
 
 #[test]
 fn all_knobs_combined() {
-    // FK verification + tiny cache: the most hostile configuration
-    // must still answer correctly.
+    // A one-byte cellar, the most hostile configuration, must still
+    // answer correctly.
     let dir = TempDir::new("all-knobs");
     let repo = fiam_repo(&dir, 4, 32);
     let reference = {
         let somm = prepared(&repo, LoadingMode::Lazy, SommelierConfig::default());
         scalar_f64(&somm.query(Q).unwrap(), "avg").unwrap()
     };
-    let config = SommelierConfig {
-        verify_lazy_fk: true,
-        cellar_bytes: Some(1),
-        ..SommelierConfig::default()
-    };
+    let config = SommelierConfig { cellar_bytes: Some(1), ..SommelierConfig::default() };
     let somm = prepared(&repo, LoadingMode::Lazy, config);
     let got = scalar_f64(&somm.query(Q).unwrap(), "avg").unwrap();
     assert!((reference - got).abs() < 1e-9);

@@ -137,8 +137,9 @@ fn second_create_in_same_dir_fails() {
 fn reopened_system_restores_prepared_mode() {
     // The mode-inference bug this guards against: a reopened
     // `EagerIndex` database used to silently downgrade to `EagerPlain`
-    // (the mode was guessed from D's row count), losing
-    // `use_index_joins` after every restart. The mode is persisted now.
+    // (the mode was guessed from D's row count), losing its join
+    // indices, hence its index-join plans, after every restart. The
+    // mode is persisted now.
     let dir = TempDir::new("mode-persist");
     let repo = fiam_repo(&dir, 2, 32);
     let db_dir = dir.join("db");

@@ -292,7 +292,8 @@ fn query_spec_panics_are_typed_and_counted() {
 
 /// Bounded starvation under the server: a saturating stream of High
 /// queries on a tiny worker pool cannot starve a Low session forever —
-/// aging promotes the Low batches one rank per `sched_aging_ms`.
+/// aging promotes the Low batches one rank per `DEFAULT_AGING`
+/// (100 ms), so a Low batch outranks new High work within 200 ms.
 #[test]
 fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
     let _x = exclusive();
@@ -300,7 +301,6 @@ fn aging_keeps_low_priority_progressing_under_saturating_high_tenant() {
     let repo = fiam_repo(&dir, 4, 64);
     let config = SommelierConfig {
         max_threads: 2,
-        sched_aging_ms: 10,
         // Slow loads (10 ms each), so the High tenant keeps both
         // workers busy.
         fault_plan: Some(FaultPlan {
